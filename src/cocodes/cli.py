@@ -22,6 +22,7 @@ from .cyclo import CycloNum, OrderLimitError
 from .matrices import (
     MatrixSpec,
     MatrixValidationError,
+    _coerce_scalar,
     parse_matrix_shorthand,
 )
 from .model import (
@@ -143,27 +144,18 @@ def claimed_kind(doc: dict) -> str:
 def matrix_spec_to_doc(spec: MatrixSpec) -> dict:
     doc = {"kind": spec.kind, "dim": spec.dim}
     if spec.entries is not None:
-        doc["entries"] = [[scalar_to_doc(_as_scalar(x)) for x in row]
-                          for row in spec.entries]
-        doc["mode"] = EXACT if isinstance(
-            _as_scalar(spec.entries[0][0]), CycloNum) else APPROX
+        entries = [[_coerce_scalar(x) for x in row] for row in spec.entries]
+        doc["entries"] = [[scalar_to_doc(x) for x in row] for row in entries]
+        doc["mode"] = EXACT if isinstance(entries[0][0], CycloNum) else APPROX
     return doc
-
-
-def _as_scalar(x):
-    if isinstance(x, CycloNum) or isinstance(x, complex):
-        return x
-    if isinstance(x, int):
-        return CycloNum.from_int(x)
-    if isinstance(x, str) and x in "+-":
-        return CycloNum.from_int(1 if x == "+" else -1)
-    return complex(x)
 
 
 def matrix_spec_from_doc(doc) -> MatrixSpec:
     if not isinstance(doc, dict) or "kind" not in doc:
         raise DocumentError(f"bad matrix spec: {doc!r}")
     kind = doc["kind"]
+    if kind not in ("dft", "hadamard", "identity", "custom"):
+        raise DocumentError(f"unknown matrix kind {kind!r}")
     dim = doc.get("dim")
     if not isinstance(dim, int) or dim < 1:
         raise DocumentError(f"matrix spec needs a positive dim, got {dim!r}")
@@ -222,6 +214,19 @@ def recipe_to_doc(recipe: Recipe) -> dict:
     return doc
 
 
+def _objects(value, what: str) -> list:
+    if not isinstance(value, list) or not all(isinstance(x, dict) for x in value):
+        raise DocumentError(f"{what} must be a list of objects, got {value!r}")
+    return value
+
+
+def _int_lists(value, what: str) -> list:
+    try:
+        return [[int(i) for i in c] for c in value]
+    except (TypeError, ValueError):
+        raise DocumentError(f"bad {what}: {value!r}") from None
+
+
 def recipe_from_doc(doc: dict) -> Recipe:
     if not isinstance(doc, dict):
         raise DocumentError("recipe document must be an object")
@@ -231,35 +236,39 @@ def recipe_from_doc(doc: dict) -> Recipe:
     n = doc["n"]
     if not isinstance(n, int) or n < 1:
         raise DocumentError(f"bad n: {n!r}")
-    try:
-        cells = [[int(i) for i in c] for c in doc["cells"]]
-    except (TypeError, ValueError):
-        raise DocumentError(f"bad cells: {doc['cells']!r}") from None
+    cells = _int_lists(doc["cells"], "cells")
     rounds = []
-    for rdoc in doc.get("rounds", []):
+    for rdoc in _objects(doc.get("rounds", []), "rounds"):
         splits = []
-        for sdoc in rdoc.get("splits", []):
+        for sdoc in _objects(rdoc.get("splits", []), "round splits"):
             if "group" not in sdoc or "cells" not in sdoc or "subs" not in sdoc:
                 raise DocumentError(f"bad round split: {sdoc!r}")
+            try:
+                group = int(sdoc["group"])
+            except (TypeError, ValueError):
+                raise DocumentError(f"bad split group: {sdoc['group']!r}") from None
             splits.append(RoundSplit(
-                group=int(sdoc["group"]),
-                cells=[[int(i) for i in c] for c in sdoc["cells"]],
-                subs=[sub_family_from_doc(x) for x in sdoc["subs"]],
+                group=group,
+                cells=_int_lists(sdoc["cells"], "split cells"),
+                subs=[sub_family_from_doc(x) for x in _objects(sdoc["subs"], "subs")],
             ))
         rounds.append(Round(splits=splits))
     post = None
     if "post" in doc:
         pdoc = doc["post"]
+        if not isinstance(pdoc, dict):
+            raise DocumentError(f"post must be an object, got {pdoc!r}")
         post = Post(
             ccc=matrix_spec_from_doc(pdoc["ccc"]) if "ccc" in pdoc else None,
-            enlarge=[matrix_spec_from_doc(m) for m in pdoc["enlarge"]]
+            enlarge=[matrix_spec_from_doc(m) for m in _objects(pdoc["enlarge"], "enlarge")]
             if "enlarge" in pdoc else None,
         )
     return Recipe(
         n=n,
         base_matrix=matrix_spec_from_doc(doc["base_matrix"]),
         cells=cells,
-        cell_matrices=[matrix_spec_from_doc(m) for m in doc["cell_matrices"]],
+        cell_matrices=[matrix_spec_from_doc(m)
+                       for m in _objects(doc["cell_matrices"], "cell_matrices")],
         rounds=rounds,
         post=post,
     )

@@ -6,10 +6,13 @@ All decisions on exact-mode scalars are tolerance-free: a correlation
 value is zero iff its reduction modulo the cyclotomic polynomial is the
 zero polynomial.  Approx-mode inputs use |residual| <= tol * energy.
 
-`acorr` is the direct definitional sum and stays the reference path;
-whole profiles are computed layer-by-layer with integer numpy
-correlations when coefficient growth provably fits in int64, falling
-back to the reference path otherwise.
+`acorr` is the direct definitional sum and stays the reference.  Every
+profile and predicate goes through one kernel instead: each call
+densifies its sequences once into per-exponent coefficient rows over
+the common order K, and sums the profile of a pair of sets per
+exponent class of zeta_K with np.correlate.  The rows are int64 when
+the a-priori bound peak^2 * Lmax * K * (pairs summed) on every sum
+stays below 2^62, and Python ints otherwise, so no sum can overflow.
 """
 
 from __future__ import annotations
@@ -21,13 +24,11 @@ import numpy as np
 
 from .cyclo import CycloNum, common_order
 from .model import (
-    APPROX,
     EXACT,
     Scalar,
     Sequence,
     SequenceFamily,
     SequenceSet,
-    energy,
     scalar_is_zero,
     scalar_numeric,
     set_energy,
@@ -94,94 +95,96 @@ class CorrelationProfile:
             raise IndexError(f"shift {tau} outside profile range")
         return self.values[tau - self.min_shift]
 
-    def __add__(self, other: "CorrelationProfile") -> "CorrelationProfile":
-        if self.min_shift != other.min_shift or len(self.values) != len(other.values):
-            raise ValueError("profiles cover different shift ranges")
-        return CorrelationProfile(
-            self.min_shift,
-            [a + b for a, b in zip(self.values, other.values)],
-        )
 
+class _Kernel:
+    """Dense coefficient rows of the sequences of one predicate call,
+    and the index-paired correlation sums between them.
 
-def _layer_arrays(s: Sequence, order: int):
-    """Per-exponent integer coefficient arrays of an exact sequence,
-    cached on the sequence."""
-    key = ("layers", order)
-    hit = s._cache.get(key)
-    if hit is not None:
-        return hit
-    length = len(s)
-    layers = {}
-    maxc = 0
-    for pos, x in enumerate(s.entries):
-        c = x.promote(order)
-        for j, cj in enumerate(c.coeffs):
-            if cj:
-                arr = layers.get(j)
-                if arr is None:
-                    arr = np.zeros(length, dtype=np.int64)
-                    layers[j] = arr
-                arr[pos] = cj
-                if abs(cj) > maxc:
-                    maxc = abs(cj)
-    out = (layers, maxc)
-    s._cache[key] = out
-    return out
+    Every sequence is densified once, over the common order K of the
+    call: row j holds the integer coefficients of zeta_K^j.  Only rows
+    with a nonzero entry are kept.  Approx sequences are one complex row
+    of class 0, stored conjugated so that np.correlate's conjugation of
+    its second argument cancels.
+
+    A profile entry of one exponent class sums at most `summed` members
+    times K row pairs times Lmax products of size peak^2, so the rows
+    are int64 when peak^2 * Lmax * K * summed stays below 2^62, and
+    Python ints (dtype=object) otherwise.  Folding an even order takes
+    the difference of two such entries, which stays below 2^63.
+    """
+
+    def __init__(self, sets, summed: int):
+        seqs = [s for ss in sets for s in ss]
+        if len({s.mode for s in seqs}) != 1:
+            raise ValueError("mode mismatch between sequences")
+        self.exact = seqs[0].mode == EXACT
+        if not self.exact:
+            self.order, self.dtype = 1, complex
+            self.sets = [[(len(s), [(0, np.conj(np.array(s.entries)))]) for s in ss]
+                         for ss in sets]
+            return
+        order = 1
+        for k in {x.order for s in seqs for x in s.entries}:
+            order = common_order(order, k)
+        peak = max(x.max_abs_coeff() for s in seqs for x in s.entries)
+        lmax = max(len(s) for s in seqs)
+        self.order = order
+        self.dtype = np.int64 if peak * peak * lmax * order * summed < _INT64_SAFE else object
+        self.sets = [[self._dense(s) for s in ss] for ss in sets]
+
+    def _dense(self, s: Sequence):
+        """(length, [(exponent j, coefficient row of zeta_K^j)]) of an
+        exact sequence, for the rows with a nonzero entry."""
+        rows = {}
+        for pos, x in enumerate(s.entries):
+            step = self.order // x.order
+            for j, c in enumerate(x.coeffs):
+                if c:
+                    rows.setdefault(j * step, [0] * len(s))[pos] = c
+        return len(s), [(j, np.array(row, dtype=self.dtype)) for j, row in rows.items()]
+
+    def sums(self, lefts, rights) -> tuple:
+        """(hull, acc) of sum_n R(lefts[n], rights[n]), where
+        R(tau) = sum_l s(l) conj(t(l + tau)): column hull + tau of acc
+        holds shift tau of the symmetric hull [-hull, hull], one row per
+        exponent class."""
+        hull = max(length for length, _ in lefts + rights) - 1
+        order = self.order
+        acc = np.zeros((order, 2 * hull + 1), dtype=self.dtype)
+        # with s = sum_i A_i z^i and t = sum_j B_j z^j, R(tau) is
+        # sum_{i,j} z^(i-j) * sum_l A_i[l] B_j[l+tau], and that inner sum
+        # is np.correlate(B_j, A_i, 'full')[tau + len(s) - 1]
+        for (ls, srows), (lt, trows) in zip(lefts, rights):
+            lo = hull - ls + 1
+            hi = lo + ls + lt - 1
+            for i, a in srows:
+                for j, b in trows:
+                    acc[(i - j) % order, lo:hi] += np.correlate(b, a, "full")
+        if order % 2 == 0:
+            # zeta_K^(j + K/2) = -zeta_K^j: the fold keeps every value and
+            # turns the sums that cancel that way into all-zero columns
+            acc = acc[:order // 2] - acc[order // 2:]
+        return hull, acc
+
+    def values(self, hull: int, acc, shifts) -> list:
+        """Scalar of each shift in `shifts`, read from `sums`."""
+        cols = acc[:, np.add(shifts, hull)]
+        if not self.exact:
+            return cols[0].tolist()
+        pad = (0,) * (self.order - len(acc))
+        zero = CycloNum.zero()
+        return [CycloNum(self.order, col + pad) if any(col) else zero
+                for col in zip(*cols.tolist())]
+
+    def profile(self, lefts, rights) -> CorrelationProfile:
+        hull, acc = self.sums(lefts, rights)
+        return CorrelationProfile(-hull, self.values(hull, acc, range(-hull, hull + 1)))
 
 
 def corr_profile(s: Sequence, t: Sequence) -> CorrelationProfile:
     """Full aperiodic correlation profile of (s, t)."""
-    if s.mode != t.mode:
-        raise ValueError("mode mismatch between sequences")
-    hull = max(len(s), len(t)) - 1
-    shifts = range(-hull, hull + 1)
-
-    if s.mode == APPROX:
-        vals = [acorr(s, t, tau) for tau in shifts]
-        return CorrelationProfile(-hull, vals)
-
-    order = 1
-    for x in s.entries:
-        order = common_order(order, x.order)
-    for x in t.entries:
-        order = common_order(order, x.order)
-
-    sl, smax = _layer_arrays(s, order)
-    tl, tmax = _layer_arrays(t, order)
-    bound = smax * tmax * min(len(s), len(t)) * max(order, 1)
-    if bound >= _INT64_SAFE or not sl or not tl:
-        vals = [acorr(s, t, tau) for tau in shifts]
-        return CorrelationProfile(-hull, vals)
-
-    # R(tau) = sum_l s(l) conj(t(l+tau)); with s(l) = sum_i A_i[l] z^i and
-    # t(m) = sum_j B_j[m] z^j this is sum_{i,j} z^(i-j) * sum_l A_i[l] B_j[l+tau],
-    # and sum_l A_i[l] B_j[l+tau] == np.correlate(B_j, A_i, 'full')[tau + len(s) - 1].
-    width = 2 * hull + 1
-    acc = {}
-    offset = len(s) - 1
-    for i, ai in sl.items():
-        for j, bj in tl.items():
-            cls = (i - j) % order
-            z = np.correlate(bj, ai, mode="full")  # length len(t)+len(s)-1
-            row = acc.get(cls)
-            if row is None:
-                row = np.zeros(width, dtype=np.int64)
-                acc[cls] = row
-            lo = -len(s) + 1
-            hi = len(t) - 1
-            row[(lo + hull):(hi + hull + 1)] += z
-    vals = []
-    classes = sorted(acc)
-    for idx in range(width):
-        coeffs = [0] * order
-        nonzero = False
-        for cls in classes:
-            c = int(acc[cls][idx])
-            if c:
-                coeffs[cls] = c
-                nonzero = True
-        vals.append(CycloNum(order, coeffs) if nonzero else CycloNum.zero())
-    return CorrelationProfile(-hull, vals)
+    kernel = _Kernel([[s], [t]], 1)
+    return kernel.profile(*kernel.sets)
 
 
 def corr_sum(ss: SequenceSet, tt: SequenceSet, tau: int) -> Scalar:
@@ -198,11 +201,8 @@ def corr_sum(ss: SequenceSet, tt: SequenceSet, tau: int) -> Scalar:
 def corr_sum_profile(ss: SequenceSet, tt: SequenceSet) -> CorrelationProfile:
     if len(ss) != len(tt):
         raise ValueError(f"set sizes differ: {len(ss)} vs {len(tt)}")
-    total = None
-    for a, b in zip(ss, tt):
-        p = corr_profile(a, b)
-        total = p if total is None else total + p
-    return total
+    kernel = _Kernel([ss, tt], len(ss))
+    return kernel.profile(*kernel.sets)
 
 
 # -- verification reports ----------------------------------------------
@@ -270,16 +270,22 @@ def _zero_tol(fams, tol: float) -> float:
     return tol * scale if scale > 0 else tol
 
 
+def _checked(left: int, right: int, shifts, values, tol_abs: float) -> PairResult:
+    """PairResult of the (left, right) sums at `shifts`; the zero shift
+    of an auto pair may hold its energy peak."""
+    violations = [tau for tau, v in zip(shifts, values)
+                  if not (left == right and tau == 0)
+                  and not scalar_is_zero(v, tol_abs)]
+    return PairResult(left, right, list(shifts), list(values), violations)
+
+
 def is_complementary_set(ss: SequenceSet, tol: float = DEFAULT_TOL) -> CheckReport:
     """Auto-correlation sum zero at every nonzero shift."""
     report = CheckReport(kind="complementary-set")
     tol_abs = 0.0 if ss.mode == EXACT else _zero_tol([ss], tol)
-    prof = corr_sum_profile(ss, ss)
-    pair = PairResult(0, 0, list(prof.shifts()), list(prof.values))
-    for tau in prof.shifts():
-        if tau != 0 and not scalar_is_zero(prof.at(tau), tol_abs):
-            pair.violations.append(tau)
-    report.pairs.append(pair)
+    kernel = _Kernel([ss], len(ss))
+    prof = kernel.profile(kernel.sets[0], kernel.sets[0])
+    report.pairs.append(_checked(0, 0, prof.shifts(), prof.values, tol_abs))
     return report
 
 
@@ -288,22 +294,13 @@ def is_ccc(fam: SequenceFamily, tol: float = DEFAULT_TOL) -> CheckReport:
     identically zero cross-correlation sum."""
     report = CheckReport(kind="ccc")
     tol_abs = 0.0 if fam.mode == EXACT else _zero_tol(list(fam), tol)
-    m_count = fam.family_size
-    for m in range(m_count):
-        prof = corr_sum_profile(fam[m], fam[m])
-        pair = PairResult(m, m, list(prof.shifts()), list(prof.values))
-        for tau in prof.shifts():
-            if tau != 0 and not scalar_is_zero(prof.at(tau), tol_abs):
-                pair.violations.append(tau)
-        report.pairs.append(pair)
-    for m in range(m_count):
-        for mp in range(m + 1, m_count):
-            prof = corr_sum_profile(fam[m], fam[mp])
-            pair = PairResult(m, mp, list(prof.shifts()), list(prof.values))
-            for tau in prof.shifts():
-                if not scalar_is_zero(prof.at(tau), tol_abs):
-                    pair.violations.append(tau)
-            report.pairs.append(pair)
+    kernel = _Kernel(fam, fam.set_size)
+    sets = kernel.sets
+    pairs = [(m, m) for m in range(len(sets))]
+    pairs += [(m, mp) for m in range(len(sets)) for mp in range(m + 1, len(sets))]
+    for m, mp in pairs:
+        prof = kernel.profile(sets[m], sets[mp])
+        report.pairs.append(_checked(m, mp, prof.shifts(), prof.values, tol_abs))
     return report
 
 
@@ -318,25 +315,18 @@ def is_n_co_sf(fam: SequenceFamily, n: int, tol: float = DEFAULT_TOL) -> CheckRe
             f"family of single-sequence sets required, set size is {fam.set_size}")
     report = CheckReport(kind=f"cosf:{n}")
     tol_abs = 0.0 if fam.mode == EXACT else _zero_tol(list(fam), tol)
-    seqs = [ss[0] for ss in fam]
-    for m, s in enumerate(seqs):
-        if len(s) % n:
+    for m, ss in enumerate(fam):
+        if ss.length % n:
             report.problems.append(
-                f"sequence {m} has length {len(s)} not divisible by {n}")
-    m_count = len(seqs)
-    for m in range(m_count):
-        for mp in range(m, m_count):
-            prof = corr_profile(seqs[m], seqs[mp])
-            hull = prof.max_shift
-            taus = [t for t in range(-(hull // n) * n, hull + 1, n)]
-            vals = [prof.at(t) for t in taus]
-            pair = PairResult(m, mp, taus, vals)
-            for tau, v in zip(taus, vals):
-                if m == mp and tau == 0:
-                    continue
-                if not scalar_is_zero(v, tol_abs):
-                    pair.violations.append(tau)
-            report.pairs.append(pair)
+                f"sequence {m} has length {ss.length} not divisible by {n}")
+    kernel = _Kernel(fam, 1)
+    sets = kernel.sets
+    for m in range(len(sets)):
+        for mp in range(m, len(sets)):
+            hull, acc = kernel.sums(sets[m], sets[mp])
+            taus = range(-(hull // n) * n, hull + 1, n)
+            vals = kernel.values(hull, acc, taus)
+            report.pairs.append(_checked(m, mp, taus, vals, tol_abs))
     return report
 
 
@@ -355,19 +345,19 @@ def zccc_zone(fam: SequenceFamily, tol: float = DEFAULT_TOL) -> int:
     if len(lengths) != 1:
         raise ValueError(f"zone check requires one common length, got {sorted(lengths)}")
     (length,) = lengths
-    n_size = fam.set_size
     tol_abs = 0.0 if fam.mode == EXACT else _zero_tol(list(fam), tol)
-    for tau in range(1, length + 1):
-        shift = length - tau
-        for m in range(fam.family_size):
-            for mp in range(fam.family_size):
-                total = None
-                for n in range(n_size):
-                    r = acorr(fam[m][(n + 1) % n_size], fam[mp][n], shift)
-                    total = r if total is None else total + r
-                if not scalar_is_zero(total, tol_abs):
-                    return tau - 1
-    return length
+    kernel = _Kernel(fam, fam.set_size)
+    zone = length
+    for left in kernel.sets:
+        rotated = left[1:] + left[:1]
+        for right in kernel.sets:
+            hull, acc = kernel.sums(rotated, right)
+            for tau in range(1, zone + 1):
+                (value,) = kernel.values(hull, acc, [length - tau])
+                if not scalar_is_zero(value, tol_abs):
+                    zone = tau - 1
+                    break
+    return zone
 
 
 def check_size_bound(fam: SequenceFamily, kind: str, n: Optional[int] = None) -> bool:

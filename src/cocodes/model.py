@@ -77,7 +77,7 @@ class Sequence:
     """An ordered, immutable tuple of same-mode scalars (indices outside
     the range count as zero in every correlation)."""
 
-    __slots__ = ("entries", "mode", "_cache")
+    __slots__ = ("entries", "mode")
 
     def __init__(self, entries: Iterable[Scalar]):
         entries = tuple(entries)
@@ -91,7 +91,6 @@ class Sequence:
             entries = tuple(complex(x) for x in entries)
         object.__setattr__(self, "entries", entries)
         object.__setattr__(self, "mode", mode)
-        object.__setattr__(self, "_cache", {})
 
     def __setattr__(self, name, value):
         raise AttributeError("Sequence is immutable")

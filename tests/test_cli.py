@@ -130,6 +130,22 @@ class TestGenCommand:
         write_json(recipe, {"n": 2})
         assert main(["gen", str(recipe), str(tmp_path / "o.json")]) == EXIT_IO
 
+    @pytest.mark.parametrize("change", [
+        {"rounds": [5]},
+        {"post": [1]},
+        {"base_matrix": {"kind": "fourier", "dim": 1}},
+    ], ids=["round-not-object", "post-not-object", "unknown-matrix-kind"])
+    def test_gen_malformed_recipe_document(self, tmp_path, change):
+        recipe = tmp_path / "r.json"
+        write_json(recipe, {
+            "n": 1,
+            "base_matrix": {"kind": "identity", "dim": 1},
+            "cells": [[0]],
+            "cell_matrices": [{"kind": "identity", "dim": 1}],
+            **change,
+        })
+        assert main(["gen", str(recipe), str(tmp_path / "o.json")]) == EXIT_IO
+
     def test_gen_construction_error(self, tmp_path):
         recipe = tmp_path / "r.json"
         write_json(recipe, {

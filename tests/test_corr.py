@@ -1,5 +1,6 @@
 """Correlations, correlation sums, and the defining predicates."""
 
+import json
 import random
 
 import pytest
@@ -12,21 +13,28 @@ from cocodes import (
     acorr,
     ccc_from_unitary,
     check_size_bound,
+    cosf_to_ccc,
     corr_profile,
     corr_sum,
     corr_sum_profile,
+    custom_matrix,
     dft_matrix,
     energy,
+    enlarge_ccc,
+    execute,
     from_signs,
+    generate_cosf,
     hadamard_matrix,
     is_ccc,
     is_complementary_set,
     is_n_co_sf,
     pcorr,
+    plan,
     set_energy,
     singleton_family,
     zccc_zone,
 )
+from cocodes.cli import EXIT_OK, family_to_doc, main
 
 
 def ints(values):
@@ -35,6 +43,36 @@ def ints(values):
 
 def profile_ints(s, t, lo, hi):
     return [acorr(s, t, tau) for tau in range(lo, hi + 1)]
+
+
+def random_entry(rng, orders, scale):
+    k = rng.choice(orders)
+    return CycloNum(k, [rng.randint(-scale, scale) for _ in range(k)])
+
+
+def zone_by_acorr(fam):
+    """The definitional zone loop: per shift, every set pair summed
+    member by member with acorr."""
+    (length,) = fam.length_set
+    n_size = fam.set_size
+    for tau in range(1, length + 1):
+        for m in range(fam.family_size):
+            for mp in range(fam.family_size):
+                total = CycloNum.zero()
+                for n in range(n_size):
+                    total = total + acorr(fam[m][(n + 1) % n_size], fam[mp][n],
+                                          length - tau)
+                if not total.is_zero():
+                    return tau - 1
+    return length
+
+
+def scaled_hadamard_cosf(scale):
+    """(2,1,{4})-2-CO-SF from H_2 scaled by `scale`; connection squares
+    the scale, so its coefficients reach scale^2."""
+    h = custom_matrix([[x.coeffs[0] * scale for x in row]
+                       for row in hadamard_matrix(2).entries])
+    return generate_cosf(h, [[0, 1]], [h])
 
 
 class TestAcorr:
@@ -95,6 +133,16 @@ class TestProfiles:
             for tau in prof.shifts():
                 assert prof.at(tau) == acorr(s, t, tau), (tau, s, t)
 
+    def test_profile_even_order_cancellation_is_zero_vector(self):
+        # shift 0 sums 1 * conj(1) + 1 * conj(zeta_4^2) = 1 + zeta_4^2 = 0;
+        # the profile holds it with no nonzero coefficient, unreduced
+        s = Sequence([CycloNum.from_int(1)] * 2)
+        t = Sequence([CycloNum.from_int(1), CycloNum.root(4, 2)])
+        prof = corr_profile(s, t)
+        assert not any(prof.at(0).coeffs)
+        for tau in prof.shifts():
+            assert prof.at(tau) == acorr(s, t, tau)
+
     def test_profile_mixed_orders_per_entry(self):
         rng = random.Random(7)
         orders = [1, 2, 3, 4, 6]
@@ -107,6 +155,24 @@ class TestProfiles:
             prof = corr_profile(s, t)
             for tau in prof.shifts():
                 assert prof.at(tau) == acorr(s, t, tau)
+        # index-paired sums over sets; small coefficients take int64
+        # rows, 2^40 ones Python-int rows
+        for scale in (2, 2 ** 40):
+            for _ in range(20):
+                n = rng.randint(1, 4)
+                ls, lt = rng.randint(1, 6), rng.randint(1, 6)
+                ss = SequenceSet(
+                    Sequence(random_entry(rng, orders, scale)
+                             for _ in range(ls)) for _ in range(n))
+                tt = SequenceSet(
+                    Sequence(random_entry(rng, orders, scale)
+                             for _ in range(lt)) for _ in range(n))
+                prof = corr_sum_profile(ss, tt)
+                for tau in prof.shifts():
+                    expect = CycloNum.zero()
+                    for a, b in zip(ss, tt):
+                        expect = expect + acorr(a, b, tau)
+                    assert prof.at(tau) == expect, (scale, tau)
 
     def test_profile_big_coefficients_fallback(self):
         big = 10 ** 12  # pushes the int64 bound, exercising the exact path
@@ -115,6 +181,13 @@ class TestProfiles:
         prof = corr_profile(s, t)
         for tau in prof.shifts():
             assert prof.at(tau) == acorr(s, t, tau)
+        # peak^2 * L * K * summed is 4 * (2^30 - 1)^2 < 2^62 (int64 rows),
+        # then exactly 2^62 (Python-int rows)
+        for peak in (2 ** 30 - 1, 2 ** 30):
+            s = Sequence([CycloNum.from_int(peak)] * 4)
+            prof = corr_profile(s, s)
+            for tau in prof.shifts():
+                assert prof.at(tau) == CycloNum.from_int((4 - abs(tau)) * peak ** 2)
 
     def test_profile_approx(self):
         s = Sequence([1 + 0j, 0 + 1j, -1 + 0j])
@@ -225,6 +298,19 @@ class TestNCoSf:
         with pytest.raises(ValueError):
             is_n_co_sf(golden_ccc_2x2, 2)
 
+    def test_coefficients_above_int64(self, tmp_path):
+        fam = scaled_hadamard_cosf(2 ** 32)
+        assert max(x.max_abs_coeff() for ss in fam for x in ss[0]) == 2 ** 64
+        assert is_n_co_sf(fam, 2).ok
+        seq = list(fam[0][0])
+        seq[1] = seq[1] + CycloNum.from_int(1)
+        near_miss = SequenceFamily([SequenceSet([Sequence(seq)]), fam[1]])
+        assert not is_n_co_sf(near_miss, 2).ok
+        path = tmp_path / "big.json"
+        path.write_text(json.dumps(family_to_doc(fam, kind="cosf:2")),
+                        encoding="utf-8")
+        assert main(["verify", str(path), "--kind", "cosf:2"]) == EXIT_OK
+
 
 class TestZone:
     def test_dft4(self):
@@ -235,6 +321,17 @@ class TestZone:
 
     def test_hadamard2_brute(self):
         assert zccc_zone(ccc_from_unitary(hadamard_matrix(2))) == 1
+
+    @pytest.mark.parametrize("build", [
+        lambda: ccc_from_unitary(dft_matrix(4)),
+        lambda: ccc_from_unitary(hadamard_matrix(4)),
+        lambda: enlarge_ccc(
+            cosf_to_ccc(execute(plan(4, [16]), verify=False).family, dft_matrix(4)),
+            [hadamard_matrix(2)] * 4),
+    ], ids=["dft4", "hadamard4", "enlarged-8x8"])
+    def test_matches_definitional_loop(self, build):
+        fam = build()
+        assert zccc_zone(fam) == zone_by_acorr(fam)
 
     def test_requires_ccc(self, golden_cs_pair):
         fam = SequenceFamily([golden_cs_pair, golden_cs_pair])

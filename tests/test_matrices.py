@@ -11,6 +11,7 @@ from cocodes import (
     from_signs,
     is_n_co_sf,
 )
+from cocodes.cli import matrix_spec_to_doc
 from cocodes.matrices import (
     MatrixSpec,
     MatrixValidationError,
@@ -145,3 +146,11 @@ class TestSpecs:
         spec = MatrixSpec("custom", 3, entries=[[1, 1], [1, -1]])
         with pytest.raises(ValueError):
             spec.build()
+
+    @pytest.mark.parametrize("text", ["", "+-"])
+    def test_custom_bad_sign_strings_rejected(self, text):
+        spec = MatrixSpec("custom", 2, entries=[[text, "+"], ["+", "-"]])
+        with pytest.raises(ValueError):
+            spec.build()
+        with pytest.raises(ValueError):
+            matrix_spec_to_doc(spec)
