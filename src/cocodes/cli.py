@@ -3,8 +3,10 @@
 One JSON-based format covers recipes and families.  Exact scalars
 serialize as {"order": K, "coeffs": [...]} with plain (arbitrary
 precision) integers; approx scalars as {"re": x, "im": y}.  On input,
-"+" / "-" are accepted as shorthand for +1 / -1 in exact mode and bare
-integers for integer scalars; output is always the normalized form.
+"+" / "-" are accepted as shorthand for +1 / -1 and bare integers for
+integer scalars (in approx documents also bare floats); JSON booleans
+are refused.  Output is always the normalized form, and an exact
+sequence is written at one order, the lcm of its entries' orders.
 
 Exit codes: 0 verified success, 1 verification failure,
 2 construction impossibility, 3 I/O or parse error.
@@ -77,26 +79,21 @@ def scalar_to_doc(x):
 
 
 def scalar_from_doc(doc, mode: str):
-    if mode == EXACT:
-        if isinstance(doc, str):
-            if doc == "+":
-                return CycloNum.from_int(1)
-            if doc == "-":
-                return CycloNum.from_int(-1)
-            raise DocumentError(f"bad scalar shorthand {doc!r}")
-        if isinstance(doc, int):
-            return CycloNum.from_int(doc)
-        if isinstance(doc, dict) and "order" in doc and "coeffs" in doc:
-            try:
+    """Scalar of a document: the normalized form of `mode`, the "+" / "-"
+    / integer shorthand, or (approx mode) a bare float."""
+    try:
+        if isinstance(doc, dict):
+            if mode == EXACT:
                 return CycloNum(doc["order"], doc["coeffs"])
-            except (TypeError, ValueError) as e:
-                raise DocumentError(f"bad exact scalar: {e}") from None
-        raise DocumentError(f"bad exact scalar document: {doc!r}")
-    if isinstance(doc, dict) and "re" in doc and "im" in doc:
-        return complex(doc["re"], doc["im"])
-    if isinstance(doc, (int, float)):
-        return complex(doc)
-    raise DocumentError(f"bad approx scalar document: {doc!r}")
+            return complex(doc["re"], doc["im"])
+        x = _coerce_scalar(doc)
+        if isinstance(x, CycloNum):
+            return x if mode == EXACT else complex(x.coeffs[0])
+        if mode == APPROX and isinstance(doc, float):
+            return x
+    except (KeyError, TypeError, ValueError, OverflowError) as e:
+        raise DocumentError(f"bad {mode} scalar {doc!r}: {e}") from None
+    raise DocumentError(f"bad {mode} scalar {doc!r}")
 
 
 def family_to_doc(fam: SequenceFamily, kind: str = "raw") -> dict:
@@ -127,15 +124,11 @@ def family_from_doc(doc: dict) -> SequenceFamily:
             for ss in doc["sets"]
         ]
         fam = SequenceFamily(sets)
-    except DocumentError:
+    except (DocumentError, OrderLimitError):
         raise
     except (TypeError, ValueError) as e:
         raise DocumentError(f"malformed family: {e}") from None
     return fam
-
-
-def claimed_kind(doc: dict) -> str:
-    return doc.get("kind", "raw")
 
 
 # -- recipe documents ----------------------------------------------------
@@ -291,8 +284,15 @@ def _dump_json(path: str, doc) -> None:
         fh.write("\n")
 
 
-def _maybe_canonical(fam: SequenceFamily, want: bool) -> SequenceFamily:
-    return canonical_form(fam) if want else fam
+def _write_ccc(args, out: SequenceFamily) -> int:
+    """Check the CCC `out`, write it (canonical on request) and report."""
+    report = run_check(out, "ccc", tol=args.tol)
+    fam_out = canonical_form(out) if args.canonical else out
+    _dump_json(args.out, family_to_doc(fam_out, kind="ccc"))
+    print(f"wrote {args.out}: {out.family_size} sets x {out.set_size}, "
+          f"lengths {sorted(out.length_set)}")
+    print(report.render())
+    return EXIT_OK if report.ok else EXIT_VERIFY
 
 
 # -- commands --------------------------------------------------------------
@@ -301,7 +301,7 @@ def _maybe_canonical(fam: SequenceFamily, want: bool) -> SequenceFamily:
 def cmd_gen(args) -> int:
     recipe = recipe_from_doc(_load_json(args.recipe))
     result = execute(recipe, verify=True)
-    fam = _maybe_canonical(result.family, args.canonical)
+    fam = canonical_form(result.family) if args.canonical else result.family
     _dump_json(args.out, family_to_doc(fam, kind=result.claimed_kind))
     print(f"wrote {args.out}: {fam.family_size} sets x {fam.set_size}, "
           f"lengths {sorted(fam.length_set)}")
@@ -324,6 +324,8 @@ def cmd_verify(args) -> int:
     fam = family_from_doc(_load_json(args.family))
     try:
         report = run_check(fam, kind, tol=args.tol)
+    except OrderLimitError:
+        raise
     except ValueError as e:
         # structurally not even the claimed kind (e.g. multi-sequence
         # sets offered as a cross-orthogonal family)
@@ -344,33 +346,21 @@ def cmd_plan(args) -> int:
 def cmd_ccc(args) -> int:
     fam = family_from_doc(_load_json(args.family))
     matrix = _matrix_from_arg(args.matrix).build()
-    out = cosf_to_ccc(fam, matrix)
-    report = run_check(out, "ccc", tol=args.tol)
-    fam_out = _maybe_canonical(out, args.canonical)
-    _dump_json(args.out, family_to_doc(fam_out, kind="ccc"))
-    print(f"wrote {args.out}: {out.family_size} sets x {out.set_size}, "
-          f"lengths {sorted(out.length_set)}")
-    print(report.render())
-    return EXIT_OK if report.ok else EXIT_VERIFY
+    return _write_ccc(args, cosf_to_ccc(fam, matrix))
 
 
 def cmd_enlarge(args) -> int:
     fam = family_from_doc(_load_json(args.family))
     matrices = [_matrix_from_arg(m).build() for m in args.matrix]
-    out = enlarge_ccc(fam, matrices)
-    report = run_check(out, "ccc", tol=args.tol)
-    fam_out = _maybe_canonical(out, args.canonical)
-    _dump_json(args.out, family_to_doc(fam_out, kind="ccc"))
-    print(f"wrote {args.out}: {out.family_size} sets x {out.set_size}, "
-          f"lengths {sorted(out.length_set)}")
-    print(report.render())
-    return EXIT_OK if report.ok else EXIT_VERIFY
+    return _write_ccc(args, enlarge_ccc(fam, matrices))
 
 
 def cmd_zone(args) -> int:
     fam = family_from_doc(_load_json(args.family))
     try:
         z = zccc_zone(fam, tol=args.tol)
+    except OrderLimitError:
+        raise
     except ValueError as e:
         print(f"zone: FAIL\n  {e}", file=sys.stderr)
         return EXIT_VERIFY

@@ -16,20 +16,25 @@ path (cell index, then row index), so constructions are deterministic.
 
 from __future__ import annotations
 
+from functools import reduce
 from math import lcm
 
+import numpy as np
+
 from .corr import is_ccc, is_n_co_sf
-from .cyclo import CycloNum
+from .cyclo import CycloNum, common_order
 from .matrices import UnitaryLike
 from .model import (
     EXACT,
     Sequence,
     SequenceFamily,
     SequenceSet,
-    concat,
     energy,
-    scalars_equal,
+    from_terms,
+    multiply_terms,
+    product,
     singleton_family,
+    terms,
 )
 
 
@@ -40,10 +45,33 @@ class ConstructionError(ValueError):
 def connect(v: Sequence, cell: SequenceSet) -> Sequence:
     """Connection of a scalar vector with a sequence set:
     (v[k mod len(v)] * a[k mod M]) for k < lcm(M, len(v)), concatenated."""
-    m = len(cell)
-    nv = len(v)
-    k = lcm(m, nv)
-    return concat(cell[i % m].scale(v[i % nv]) for i in range(k))
+    return _connections([v], cell, _cell_terms(cell))[0]
+
+
+def _cell_terms(cell: SequenceSet) -> tuple:
+    """(order, terms of every member at the members' common order)."""
+    order = reduce(common_order, {s.order for s in cell}, 1)
+    return order, [terms(s.array, order) for s in cell]
+
+
+def _connections(vs, cell: SequenceSet, found) -> list:
+    """connect(v, cell) for every v in `vs`, from the members' terms
+    `found` (see `_cell_terms`): each block of an output is a member's
+    terms shifted into place, so the members are read once and no
+    concatenation is built."""
+    cell_order, members = found
+    m, width = len(cell), cell.length
+    out = []
+    for v in vs:
+        k, order = lcm(m, len(v)), common_order(cell_order, v.order)
+        blocks = [members[i % m] for i in range(k)]
+        left = (np.concatenate([c + i * width for i, (c, _, _) in enumerate(blocks)]),
+                np.concatenate([e for _, e, _ in blocks]) * (order // cell_order),
+                np.concatenate([x for _, _, x in blocks]))
+        colmap = np.arange(k * width) // width % len(v)
+        rows, cols, vals = multiply_terms(left, terms(v.array, order), colmap)
+        out.append(Sequence.of_array(from_terms(rows, cols, vals, order, k * width)))
+    return out
 
 
 def kron_expand(v: Sequence, cell: SequenceSet) -> SequenceSet:
@@ -59,7 +87,7 @@ def kron_expand(v: Sequence, cell: SequenceSet) -> SequenceSet:
 def entrywise(u: Sequence, v: Sequence) -> Sequence:
     if len(u) != len(v):
         raise ValueError(f"length mismatch: {len(u)} vs {len(v)}")
-    return Sequence(a * b for a, b in zip(u, v))
+    return Sequence.of_array(product(u.array, v.array))
 
 
 def dyadic_sum(n: int, m: int) -> int:
@@ -109,8 +137,7 @@ def generate_cosf(base: UnitaryLike, cells, subs) -> SequenceFamily:
                 f"cell {cell} has size {len(cell)} but sub-matrix is "
                 f"{sub.dim}x{sub.dim}")
         cell_set = SequenceSet(base.row(i) for i in cell)
-        for m in range(sub.dim):
-            out.append(connect(sub.row(m), cell_set))
+        out += _connections(sub.rows(), cell_set, _cell_terms(cell_set))
     return singleton_family(out)
 
 
@@ -150,7 +177,7 @@ def elongate_cosf(fam: SequenceFamily, part2, subs) -> SequenceFamily:
             members = [seqs[group[i]] for i in cell]
             e0 = energy(members[0])
             for k, s in enumerate(members[1:], start=1):
-                if not scalars_equal(e0, energy(s)):
+                if e0 != energy(s):
                     raise ConstructionError(
                         f"cell ({p1},{p2}) mixes energies: member 0 has "
                         f"{e0!r}, member {k} has {energy(s)!r}")
@@ -159,8 +186,8 @@ def elongate_cosf(fam: SequenceFamily, part2, subs) -> SequenceFamily:
                 raise ConstructionError(f"no sub-family for cell ({p1},{p2})")
             _check_sub_family(sub, len(cell), (p1, p2))
             cell_set = SequenceSet(members)
-            for m in range(sub.family_size):
-                out.append(connect(sub[m][0], cell_set))
+            out += _connections([sub[m][0] for m in range(sub.family_size)],
+                                cell_set, _cell_terms(cell_set))
     return singleton_family(out)
 
 
@@ -184,14 +211,11 @@ def _check_sub_family(sub: SequenceFamily, cell_size: int, path):
             + check.render())
 
 
-def _split_to_units(s: Sequence) -> SequenceSet:
-    return SequenceSet(Sequence([x]) for x in s)
-
-
 def cosf_to_ccc(fam: SequenceFamily, u: UnitaryLike) -> SequenceFamily:
     """Turn an optimal N-shift cross-orthogonal family into an (N,N)-CCC:
     set m collects u.row(n) connected with the length-1 split of the
-    m-th sequence, for every n."""
+    m-th sequence, for every n: the entrywise product of that sequence
+    with u.row(n) repeated periodically."""
     n = u.dim
     if fam.set_size != 1:
         raise ConstructionError("expected a family of single-sequence sets")
@@ -206,11 +230,10 @@ def cosf_to_ccc(fam: SequenceFamily, u: UnitaryLike) -> SequenceFamily:
     if not check.ok:
         raise ConstructionError(
             f"input is not {n}-shift cross-orthogonal:\n" + check.render())
-    sets = []
-    for m in range(n):
-        units = _split_to_units(fam[m][0])
-        sets.append(SequenceSet(connect(u.row(k), units) for k in range(n)))
-    return SequenceFamily(sets)
+    return SequenceFamily(
+        SequenceSet(Sequence.of_array(product(ss[0].array, u.row(k).array))
+                    for k in range(n))
+        for ss in fam)
 
 
 def ccc_from_unitary(u: UnitaryLike) -> SequenceFamily:

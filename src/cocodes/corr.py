@@ -7,17 +7,20 @@ value is zero iff its reduction modulo the cyclotomic polynomial is the
 zero polynomial.  Approx-mode inputs use |residual| <= tol * energy.
 
 `acorr` is the direct definitional sum and stays the reference.  Every
-profile and predicate goes through one kernel instead: each call
-densifies its sequences once into per-exponent coefficient rows over
-the common order K, and sums the profile of a pair of sets per
-exponent class of zeta_K with np.correlate.  The rows are int64 when
-the a-priori bound peak^2 * Lmax * K * (pairs summed) on every sum
-stays below 2^62, and Python ints otherwise, so no sum can overflow.
+profile and predicate goes through one kernel instead: each call reads
+the nonzero terms of the sequences' coefficient arrays at the call's
+common order K and sums the profile of a pair of sets per exponent
+class of zeta_K with np.correlate, one call per pair of rows, or for
+short sequences one call on the rows laid end to end.  The rows are
+cast to int64 when the a-priori bound
+peak^2 * Lmax * K * (pairs summed) on every sum stays below 2^62, and
+stay Python ints otherwise, so no sum can overflow.
 """
 
 from __future__ import annotations
 
 from dataclasses import dataclass, field
+from functools import reduce
 from typing import Optional
 
 import numpy as np
@@ -32,11 +35,25 @@ from .model import (
     scalar_is_zero,
     scalar_numeric,
     set_energy,
+    terms,
 )
 
 DEFAULT_TOL = 1e-9
 
 _INT64_SAFE = 2 ** 62
+
+# Past this many coefficients per packed sequence, one np.correlate per
+# row pair beats one correlation of the packed sequences
+_PACKED_MAX = 256
+
+
+def _sum_products(s: Sequence, t: Sequence, pairs) -> Scalar:
+    """sum over (l, m) in `pairs` of s(l) * conj(t(m)), in that order."""
+    a, b = list(s), list(t.conj())
+    total = CycloNum.zero() if s.mode == EXACT else 0j
+    for l, m in pairs:
+        total = total + a[l] * b[m]
+    return total
 
 
 def acorr(s: Sequence, t: Sequence, tau: int) -> Scalar:
@@ -44,15 +61,7 @@ def acorr(s: Sequence, t: Sequence, tau: int) -> Scalar:
     outside either index range counting as zero."""
     lo = max(0, -tau)
     hi = min(len(s), len(t) - tau)
-    if s.mode == EXACT:
-        total = CycloNum.zero()
-        for l in range(lo, hi):
-            total = total + s[l] * t[l + tau].conj()
-        return total
-    total = 0j
-    for l in range(lo, hi):
-        total += s[l] * t[l + tau].conjugate()
-    return total
+    return _sum_products(s, t, ((l, l + tau) for l in range(lo, hi)))
 
 
 def pcorr(s: Sequence, t: Sequence, tau: int) -> Scalar:
@@ -60,15 +69,7 @@ def pcorr(s: Sequence, t: Sequence, tau: int) -> Scalar:
     if len(s) != len(t):
         raise ValueError(f"length mismatch: {len(s)} vs {len(t)}")
     n = len(s)
-    if s.mode == EXACT:
-        total = CycloNum.zero()
-        for l in range(n):
-            total = total + s[l] * t[(l + tau) % n].conj()
-        return total
-    total = 0j
-    for l in range(n):
-        total += s[l] * t[(l + tau) % n].conjugate()
-    return total
+    return _sum_products(s, t, ((l, (l + tau) % n) for l in range(n)))
 
 
 @dataclass
@@ -97,20 +98,21 @@ class CorrelationProfile:
 
 
 class _Kernel:
-    """Dense coefficient rows of the sequences of one predicate call,
-    and the index-paired correlation sums between them.
+    """Coefficient rows of the sequences of one predicate call, and the
+    index-paired correlation sums between them.
 
-    Every sequence is densified once, over the common order K of the
-    call: row j holds the integer coefficients of zeta_K^j.  Only rows
-    with a nonzero entry are kept.  Approx sequences are one complex row
-    of class 0, stored conjugated so that np.correlate's conjugation of
-    its second argument cancels.
+    Every sequence's array is read over the common order K of the call:
+    its row j becomes the row of zeta_K^(j K / k) for its own order k.
+    Only rows with a nonzero entry are kept.  Approx sequences are one
+    complex row of class 0, stored conjugated so that np.correlate's
+    conjugation of its second argument cancels.
 
     A profile entry of one exponent class sums at most `summed` members
     times K row pairs times Lmax products of size peak^2, so the rows
-    are int64 when peak^2 * Lmax * K * summed stays below 2^62, and
-    Python ints (dtype=object) otherwise.  Folding an even order takes
-    the difference of two such entries, which stays below 2^63.
+    are cast to int64 when peak^2 * Lmax * K * summed stays below 2^62,
+    and stay Python ints (dtype=object) otherwise.  Folding an even
+    order takes the difference of two such entries, which stays below
+    2^63.
     """
 
     def __init__(self, sets, summed: int):
@@ -118,30 +120,29 @@ class _Kernel:
         if len({s.mode for s in seqs}) != 1:
             raise ValueError("mode mismatch between sequences")
         self.exact = seqs[0].mode == EXACT
-        if not self.exact:
-            self.order, self.dtype = 1, complex
-            self.sets = [[(len(s), [(0, np.conj(np.array(s.entries)))]) for s in ss]
-                         for ss in sets]
-            return
-        order = 1
-        for k in {x.order for s in seqs for x in s.entries}:
-            order = common_order(order, k)
-        peak = max(x.max_abs_coeff() for s in seqs for x in s.entries)
-        lmax = max(len(s) for s in seqs)
-        self.order = order
-        self.dtype = np.int64 if peak * peak * lmax * order * summed < _INT64_SAFE else object
-        self.sets = [[self._dense(s) for s in ss] for ss in sets]
+        self.order = order = reduce(common_order, {s.order for s in seqs}, 1)
+        found = [[(len(s), terms(s.array, order)) for s in ss] for ss in sets]
+        self.dtype = complex
+        if self.exact:
+            peak = np.abs(np.concatenate([t[2] for ts in found for _, t in ts])).max(initial=0)
+            lmax = max(len(s) for s in seqs)
+            self.dtype = np.int64 if peak * peak * lmax * order * summed < _INT64_SAFE else object
+        self.sets = [[self._rows(length, *t) for length, t in ts] for ts in found]
 
-    def _dense(self, s: Sequence):
-        """(length, [(exponent j, coefficient row of zeta_K^j)]) of an
-        exact sequence, for the rows with a nonzero entry."""
-        rows = {}
-        for pos, x in enumerate(s.entries):
-            step = self.order // x.order
-            for j, c in enumerate(x.coeffs):
-                if c:
-                    rows.setdefault(j * step, [0] * len(s))[pos] = c
-        return len(s), [(j, np.array(row, dtype=self.dtype)) for j, row in rows.items()]
+    def _rows(self, length: int, cols, exps, vals):
+        """(length, [(exponent j, coefficient row of zeta_K^j)]) of a
+        sequence's nonzero terms, for the rows they fall on."""
+        present, row = np.unique(exps, return_inverse=True)
+        a = np.zeros((len(present), length), dtype=self.dtype)
+        a[row, cols] = vals if self.exact else np.conj(vals)
+        return length, list(zip(present.tolist(), a))
+
+    def _packed(self, rows, width: int) -> np.ndarray:
+        """The rows of one sequence, row j at offset j * width of one array."""
+        out = np.zeros((self.order, width), dtype=self.dtype)
+        for j, row in rows:
+            out[j, :len(row)] = row
+        return out.ravel()
 
     def sums(self, lefts, rights) -> tuple:
         """(hull, acc) of sum_n R(lefts[n], rights[n]), where
@@ -156,10 +157,17 @@ class _Kernel:
         # is np.correlate(B_j, A_i, 'full')[tau + len(s) - 1]
         for (ls, srows), (lt, trows) in zip(lefts, rights):
             lo = hull - ls + 1
-            hi = lo + ls + lt - 1
+            width = ls + lt - 1
+            if order * width <= _PACKED_MAX:
+                # one correlation of the rows laid out by exponent at stride
+                # `width`: block K - 1 - d of it holds the sums with i - j = d
+                c = np.correlate(self._packed(trows, width), self._packed(srows, width), "full")
+                c = np.concatenate([c[width - ls:], np.zeros(width - ls + 1, c.dtype)])
+                acc[:, lo:lo + width] += c.reshape(2, order, width).sum(axis=0)[::-1]
+                continue
             for i, a in srows:
                 for j, b in trows:
-                    acc[(i - j) % order, lo:hi] += np.correlate(b, a, "full")
+                    acc[(i - j) % order, lo:lo + width] += np.correlate(b, a, "full")
         if order % 2 == 0:
             # zeta_K^(j + K/2) = -zeta_K^j: the fold keeps every value and
             # turns the sums that cancel that way into all-zero columns
@@ -263,10 +271,7 @@ def _fmt_scalar(x: Scalar) -> str:
 
 def _zero_tol(fams, tol: float) -> float:
     """Absolute tolerance for approx-mode zero tests: tol * largest energy."""
-    scale = 0.0
-    for f in fams:
-        e = abs(scalar_numeric(set_energy(f)))
-        scale = max(scale, e)
+    scale = max(abs(scalar_numeric(set_energy(f))) for f in fams)
     return tol * scale if scale > 0 else tol
 
 

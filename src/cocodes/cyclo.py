@@ -90,11 +90,8 @@ class CycloNum:
             raise ValueError(f"{self.order} does not divide {order}")
         if order > ORDER_LIMIT:
             raise OrderLimitError(f"order {order} exceeds cap {ORDER_LIMIT}")
-        step = order // self.order
         coeffs = [0] * order
-        for j, c in enumerate(self.coeffs):
-            if c:
-                coeffs[j * step] = c
+        coeffs[::order // self.order] = self.coeffs
         return CycloNum(order, coeffs)
 
     def __add__(self, other: "CycloNum") -> "CycloNum":
@@ -130,12 +127,7 @@ class CycloNum:
 
     def conj(self) -> "CycloNum":
         """Complex conjugate: exponent j maps to (K - j) mod K."""
-        k = self.order
-        out = [0] * k
-        for j, c in enumerate(self.coeffs):
-            if c:
-                out[(k - j) % k] += c
-        return CycloNum(k, out)
+        return CycloNum(self.order, self.coeffs[:1] + self.coeffs[:0:-1])
 
     # -- decision procedures ------------------------------------------
 
@@ -198,11 +190,6 @@ class CycloNum:
                 return f"Cyclo({c})"
             return f"Cyclo({c if c != 1 else ''}z{self.order}^{j})"
         return f"CycloNum(order={self.order}, coeffs={list(self.coeffs)})"
-
-
-ZERO = CycloNum.zero()
-ONE = CycloNum.from_int(1)
-MINUS_ONE = CycloNum.from_int(-1)
 
 
 # -- integer polynomial helpers (ascending coefficient tuples) ---------

@@ -18,7 +18,7 @@ from .model import (
     Scalar,
     Sequence,
     SequenceFamily,
-    scalar_conj,
+    inner,
     scalar_is_zero,
     scalar_mode,
     scalar_numeric,
@@ -109,31 +109,17 @@ def custom_matrix(entries, tol: float = VALIDATE_TOL) -> UnitaryLike:
     dim = len(entries)
     if dim == 0 or any(len(row) != dim for row in entries):
         raise MatrixValidationError("matrix is not square")
-    coerced = []
-    for row in entries:
-        coerced.append([_coerce_scalar(x) for x in row])
-    modes = {scalar_mode(x) for row in coerced for x in row}
-    if len(modes) != 1:
-        raise ModeMismatchError("matrix mixes exact and approx entries")
-    mode = modes.pop()
-
-    def inner(i, j):
-        total = None
-        for a, b in zip(coerced[i], coerced[j]):
-            term = a * scalar_conj(b)
-            total = term if total is None else total + term
-        return total
-
-    alpha = inner(0, 0)
+    coerced = [[_coerce_scalar(x) for x in row] for row in entries]
+    rows = [Sequence(row) for row in coerced]
+    alpha = inner(rows[0], rows[0])
     alpha_num = scalar_numeric(alpha)
     if abs(alpha_num.imag) > tol * max(abs(alpha_num), 1.0) or alpha_num.real <= 0:
         raise MatrixValidationError(f"alpha = {alpha_num:.6g} is not a positive real")
-    tol_abs = 0.0 if mode == EXACT else tol * abs(alpha_num)
+    tol_abs = 0.0 if rows[0].mode == EXACT else tol * abs(alpha_num)
     for i in range(dim):
         for j in range(dim):
-            g = inner(i, j)
-            expect_alpha = i == j
-            residual = g - alpha if expect_alpha else g
+            g = inner(rows[i], rows[j])
+            residual = g - alpha if i == j else g
             if not scalar_is_zero(residual, tol_abs):
                 raise MatrixValidationError(
                     f"rows ({i}, {j}): inner product {scalar_numeric(g):.6g} "
@@ -143,6 +129,10 @@ def custom_matrix(entries, tol: float = VALIDATE_TOL) -> UnitaryLike:
 
 
 def _coerce_scalar(x) -> Scalar:
+    """Scalar of a matrix or document entry: CycloNum as is, integers and
+    the "+" / "-" shorthand exact, other numbers approx; bools refused."""
+    if isinstance(x, bool):
+        raise TypeError(f"not a scalar: {x!r}")
     if isinstance(x, CycloNum):
         return x
     if isinstance(x, int):

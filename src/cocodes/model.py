@@ -9,15 +9,29 @@ rather than by storing anything unordered.
 Scalars come in two modes that never mix inside one family:
   exact  - CycloNum (roots of unity and their integer combinations)
   approx - Python complex
+
+A Sequence owns one read-only array and nothing else.  An exact
+sequence of length L is a (K, L) array of Python ints (dtype=object)
+with K the lcm of its entries' orders: row j holds the coefficients of
+zeta_K^j, so column l is entry l in Z[zeta_K].  An approx sequence is
+an (L,) complex array.  A CycloNum is built from a column only when an
+entry is read.  Operators work on an array's nonzero terms, read in
+one pass (`terms`): a product pairs the terms of two arrays column by
+column and adds exponents modulo K (`multiply_terms`), so its cost
+follows the number of terms, not K.  `product` (the entrywise product
+behind scaling and entrywise products), connection and energies are
+built from these.
 """
 
 from __future__ import annotations
 
+from functools import reduce
 from itertools import permutations
-from math import gcd
 from typing import Iterable, Union
 
-from .cyclo import CycloNum
+import numpy as np
+
+from .cyclo import CycloNum, common_order
 
 Scalar = Union[CycloNum, complex]
 
@@ -45,16 +59,6 @@ def scalar_mode(x: Scalar) -> str:
     raise TypeError(f"not a scalar: {x!r}")
 
 
-def scalar_mul(a: Scalar, b: Scalar) -> Scalar:
-    return a * b
-
-
-def scalar_conj(x: Scalar) -> Scalar:
-    if isinstance(x, CycloNum):
-        return x.conj()
-    return complex(x).conjugate()
-
-
 def scalar_is_zero(x: Scalar, tol: float = 0.0) -> bool:
     if isinstance(x, CycloNum):
         return x.is_zero()
@@ -65,68 +69,160 @@ def scalar_numeric(x: Scalar) -> complex:
     return x.numeric() if isinstance(x, CycloNum) else complex(x)
 
 
-def scalars_equal(a: Scalar, b: Scalar, tol: float = 0.0) -> bool:
-    if isinstance(a, CycloNum) != isinstance(b, CycloNum):
-        raise ModeMismatchError("cannot compare exact with approx scalars")
-    if isinstance(a, CycloNum):
-        return (a - b).is_zero()
-    return abs(a - b) <= tol
+# -- coefficient arrays ------------------------------------------------
+
+
+def _promote(a: np.ndarray, order: int) -> np.ndarray:
+    """Exact array re-expressed over zeta_order; len(a) must divide order."""
+    if len(a) == order:
+        return a
+    out = np.zeros((order, a.shape[1]), dtype=object)
+    out[::order // len(a)] = a
+    return out
+
+
+def terms(a: np.ndarray, order: int) -> tuple:
+    """(columns, exponents over zeta_order, coefficients) of the nonzero
+    terms of an array, column by column; approx entries have exponent 0."""
+    if a.dtype != object:
+        cols = np.flatnonzero(a)
+        return cols, 0 * cols, a[cols]
+    cols, rows = np.nonzero((a != 0).T)
+    return cols, rows * (order // len(a)), a[rows, cols]
+
+
+def multiply_terms(left: tuple, right: tuple, colmap: np.ndarray) -> tuple:
+    """(exponents, columns, products) of every term of `left` in column
+    c times every term of `right` in column colmap[c]; `right` comes
+    column by column, as `terms` gives it."""
+    (ca, ra, va), (cb, rb, vb) = left, right
+    if (va.dtype == object) != (vb.dtype == object):
+        raise ModeMismatchError("cannot multiply exact with approx entries")
+    count = np.bincount(cb, minlength=colmap.max() + 1)
+    key = colmap[ca]
+    reps = count[key]
+    ia = np.repeat(np.arange(len(ca)), reps)
+    ib = (np.arange(len(ia)) - np.repeat(np.cumsum(reps) - reps, reps)
+          + (np.cumsum(count) - count)[key[ia]])
+    return ra[ia] + rb[ib], ca[ia], va[ia] * vb[ib]
+
+
+def from_terms(rows, cols, vals, order: int, width: int) -> np.ndarray:
+    """Array of `width` entries holding the sum of the given terms:
+    (order, width) exact, or (width,) complex when `vals` are."""
+    exact = vals.dtype == object
+    out = np.zeros((order, width), dtype=object if exact else complex)
+    np.add.at(out, (rows % order, cols), vals)
+    return out if exact else out[0]
+
+
+def product(a: np.ndarray, b: np.ndarray) -> np.ndarray:
+    """Entrywise product of two coefficient arrays; the narrower one's
+    columns repeat periodically.
+
+    Exact arrays multiply in Z[zeta_K] at their common order K: a term
+    c * zeta^i of `a` times a term d * zeta^j of `b` in the same column
+    lands on row i + j mod K.  Only nonzero terms are multiplied, so a
+    column of roots of unity costs one product whatever K is."""
+    order = common_order(len(a), len(b)) if a.dtype == object else 1
+    if a.shape[-1] < b.shape[-1]:
+        a, b = b, a
+    colmap = np.arange(a.shape[-1]) % b.shape[-1]
+    found = multiply_terms(terms(a, order), terms(b, order), colmap)
+    return from_terms(*found, order, a.shape[-1])
 
 
 class Sequence:
-    """An ordered, immutable tuple of same-mode scalars (indices outside
-    the range count as zero in every correlation)."""
+    """An ordered, immutable run of same-mode scalars (indices outside
+    the range count as zero in every correlation), stored as one
+    read-only coefficient array."""
 
-    __slots__ = ("entries", "mode")
+    __slots__ = ("array", "mode")
 
     def __init__(self, entries: Iterable[Scalar]):
-        entries = tuple(entries)
+        entries = list(entries)
         if not entries:
             raise ValueError("a sequence needs at least one entry")
         modes = {scalar_mode(x) for x in entries}
         if len(modes) != 1:
             raise ModeMismatchError("sequence mixes exact and approx entries")
-        mode = modes.pop()
-        if mode == APPROX:
-            entries = tuple(complex(x) for x in entries)
-        object.__setattr__(self, "entries", entries)
-        object.__setattr__(self, "mode", mode)
+        if modes.pop() == APPROX:
+            self._own(np.array([complex(x) for x in entries]))
+            return
+        order = reduce(common_order, {x.order for x in entries}, 1)
+        array = np.zeros((order, len(entries)), dtype=object)
+        for pos, x in enumerate(entries):
+            array[::order // x.order, pos] = x.coeffs
+        self._own(array)
+
+    @classmethod
+    def of_array(cls, array: np.ndarray) -> "Sequence":
+        """Sequence owning `array` (exact: (K, L) of dtype object, approx:
+        (L,) complex), which becomes read-only."""
+        seq = object.__new__(cls)
+        seq._own(array)
+        return seq
+
+    def _own(self, array: np.ndarray) -> None:
+        array.flags.writeable = False
+        object.__setattr__(self, "array", array)
+        object.__setattr__(self, "mode", EXACT if array.dtype == object else APPROX)
 
     def __setattr__(self, name, value):
         raise AttributeError("Sequence is immutable")
 
+    @property
+    def order(self) -> int:
+        """K of the exact array; 1 in approx mode."""
+        return len(self.array) if self.mode == EXACT else 1
+
     def __len__(self) -> int:
-        return len(self.entries)
+        return self.array.shape[-1]
 
     def __getitem__(self, i):
-        return self.entries[i]
+        if self.mode == EXACT:
+            return CycloNum(len(self.array), self.array[:, i])
+        return complex(self.array[i])
 
     def __iter__(self):
-        return iter(self.entries)
+        if self.mode == EXACT:
+            order = len(self.array)
+            return (CycloNum(order, col) for col in zip(*self.array.tolist()))
+        return iter(self.array.tolist())
 
     def scale(self, c: Scalar) -> "Sequence":
         if scalar_mode(c) != self.mode:
             raise ModeMismatchError("scalar/sequence mode mismatch")
-        return Sequence(c * x for x in self.entries)
+        return Sequence.of_array(product(self.array, Sequence([c]).array))
 
     def __neg__(self) -> "Sequence":
-        minus = CycloNum.from_int(-1) if self.mode == EXACT else -1.0 + 0j
-        return self.scale(minus)
+        return self.scale(CycloNum.from_int(-1) if self.mode == EXACT else -1.0 + 0j)
 
     def conj(self) -> "Sequence":
-        return Sequence(scalar_conj(x) for x in self.entries)
+        """Complex conjugate: exponent row j moves to row (K - j) mod K."""
+        if self.mode == APPROX:
+            return Sequence.of_array(np.conj(self.array))
+        order = len(self.array)
+        return Sequence.of_array(self.array[-np.arange(order) % order])
 
     def __eq__(self, other) -> bool:
         if not isinstance(other, Sequence):
             return NotImplemented
         if len(self) != len(other) or self.mode != other.mode:
             return False
-        return all(scalars_equal(a, b) for a, b in zip(self, other))
+        if self.mode == APPROX:
+            return bool(np.all(self.array == other.array))
+        order = common_order(self.order, other.order)
+        diff = _promote(self.array, order) - _promote(other.array, order)
+        return Sequence.of_array(diff).is_zero()
 
     __hash__ = None
 
     def is_zero(self, tol: float = 0.0) -> bool:
-        return all(scalar_is_zero(x, tol) for x in self.entries)
+        if self.mode == APPROX:
+            return bool(np.all(np.abs(self.array) <= tol))
+        order = len(self.array)
+        return all(CycloNum(order, col).is_zero() for col in zip(*self.array.tolist()))
 
     def __repr__(self) -> str:
         signs = _sign_string(self)
@@ -136,22 +232,15 @@ class Sequence:
 
 
 def _sign_string(seq: "Sequence"):
+    if seq.mode != EXACT:
+        return None
+    signs = {(1,): "+", (-1,): "-", (0,): "0", (0, 1): "-"}
     out = []
-    for x in seq.entries:
-        if isinstance(x, CycloNum):
-            mono = x.monomial()
-            if mono == (0, 1):
-                out.append("+")
-            elif mono == (0, -1):
-                out.append("-")
-            elif mono == (0, 0):
-                out.append("0")
-            elif x.order == 2 and mono == (1, 1):
-                out.append("-")
-            else:
-                return None
-        else:
+    for col in zip(*seq.array.tolist()):
+        head = col[:1] if not any(col[1:]) else col
+        if head not in signs:
             return None
+        out.append(signs[head])
     return "".join(out)
 
 
@@ -166,16 +255,19 @@ def from_signs(signs: str) -> Sequence:
 
 
 def zero_sequence(length: int, mode: str = EXACT) -> Sequence:
-    if mode == EXACT:
-        return Sequence([CycloNum.zero()] * length)
-    return Sequence([0j] * length)
+    return Sequence([CycloNum.zero() if mode == EXACT else 0j] * length)
 
 
 def concat(parts: Iterable[Sequence]) -> Sequence:
-    entries = []
-    for p in parts:
-        entries.extend(p.entries)
-    return Sequence(entries)
+    arrays = [p.array for p in parts]
+    if not arrays:
+        raise ValueError("a sequence needs at least one entry")
+    if len({a.dtype == object for a in arrays}) != 1:
+        raise ModeMismatchError("sequence mixes exact and approx entries")
+    if arrays[0].dtype != object:
+        return Sequence.of_array(np.concatenate(arrays))
+    order = reduce(common_order, {len(a) for a in arrays}, 1)
+    return Sequence.of_array(np.hstack([_promote(a, order) for a in arrays]))
 
 
 class SequenceSet:
@@ -279,13 +371,19 @@ def singleton_family(sequences: Iterable[Sequence]) -> SequenceFamily:
 # -- energies ----------------------------------------------------------
 
 
+def inner(s: Sequence, t: Sequence) -> Scalar:
+    """sum_l s(l) * conj(t(l)) of two sequences of one length."""
+    order = common_order(s.order, t.order)
+    left = terms(s.array, order)
+    cb, eb, vb = left if t is s else terms(t.array, order)
+    right = cb, -eb, vb if vb.dtype == object else vb.conj()
+    rows, cols, vals = multiply_terms(left, right, np.arange(len(s)))
+    return Sequence.of_array(from_terms(rows, 0 * cols, vals, order, 1))[0]
+
+
 def energy(s: Sequence) -> Scalar:
     """R_s(0) = sum of |entry|^2; real and non-negative."""
-    total = None
-    for x in s.entries:
-        term = scalar_mul(x, scalar_conj(x))
-        total = term if total is None else total + term
-    return total
+    return inner(s, s)
 
 
 def set_energy(ss: SequenceSet) -> Scalar:
@@ -300,24 +398,14 @@ def set_energy(ss: SequenceSet) -> Scalar:
 
 
 def _family_order(fam: SequenceFamily) -> int:
-    k = 1
-    if fam.mode != EXACT:
-        return 1
-    for ss in fam:
-        for s in ss:
-            for x in s.entries:
-                k = k // gcd(k, x.order) * x.order
-    return k
-
-
-def _scalar_key(x: Scalar, order: int):
-    if isinstance(x, CycloNum):
-        return x.promote(order).reduced()
-    return (x.real, x.imag)
+    return reduce(common_order, {s.order for ss in fam for s in ss}, 1)
 
 
 def _seq_key(s: Sequence, order: int):
-    return (len(s),) + tuple(_scalar_key(x, order) for x in s.entries)
+    if s.mode == EXACT:
+        cols = zip(*_promote(s.array, order).tolist())
+        return (len(s),) + tuple(CycloNum(order, c).reduced() for c in cols)
+    return (len(s),) + tuple((x.real, x.imag) for x in s.array.tolist())
 
 
 def _canonical_arrangement(fam: SequenceFamily, order: int):
@@ -358,8 +446,7 @@ def equal_up_to_indexing(f1: SequenceFamily, f2: SequenceFamily) -> bool:
         return False
     if sorted(len(s[0]) for s in f1) != sorted(len(s[0]) for s in f2):
         return False
-    o1, o2 = _family_order(f1), _family_order(f2)
-    order = o1 // gcd(o1, o2) * o2
+    order = common_order(_family_order(f1), _family_order(f2))
     c1 = _canonical_arrangement(f1, order)
     c2 = _canonical_arrangement(f2, order)
     return c1[0] == c2[0]

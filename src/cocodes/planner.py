@@ -133,48 +133,42 @@ class ExecutionResult:
 
 
 def factor_chain(n: int, k: int) -> Optional[list]:
-    """Non-increasing factors of k, each in [2, n]; largest-first with
-    backtracking.  Returns None when no such factorization exists."""
-    if k == 1:
-        return []
+    """Non-increasing factors of k, each in [2, n], built greedily
+    largest first; None when k has a prime factor above n.
 
-    def search(rest: int, cap: int):
-        for f in range(min(cap, rest), 1, -1):
-            if rest % f:
-                continue
-            if rest == f:
-                return [f]
-            tail = search(rest // f, f)
-            if tail is not None:
-                return [f] + tail
+    For an n-smooth k greedy never gets stuck: if f is the largest
+    divisor <= n of the rest, no prime p of rest // f exceeds f, since
+    p <= n would be a larger divisor of the rest."""
+    if _blocking_factor(n, k) is not None:
         return None
-
-    return search(k, n)
+    chain, rest = [], k
+    while rest > 1:
+        cap = min(chain[-1] if chain else n, rest)
+        f = next(f for f in range(cap, 1, -1) if rest % f == 0)
+        chain.append(f)
+        rest //= f
+    return chain
 
 
 def constructible(n: int, length: int) -> bool:
-    """True iff `length` is divisible by n and length/n factors into
-    integers all <= n."""
+    """True iff `length` is divisible by n and every prime factor of
+    length/n is at most n."""
     if n < 1 or length < 1 or length % n:
         return False
-    return factor_chain(n, length // n) is not None
+    return _blocking_factor(n, length // n) is None
 
 
-def _blocking_factor(n: int, k: int) -> int:
-    """Smallest prime factor of k exceeding n (the witness that no
-    factorization into parts <= n exists)."""
-    p = 2
-    rest = k
-    worst = None
-    while p * p <= rest:
+def _blocking_factor(n: int, k: int) -> Optional[int]:
+    """What is left of k after dividing out its prime factors up to n
+    (the witness that no factorization into parts <= n exists), or None
+    when nothing is left.  Trial division stops at min(n, sqrt(rest)):
+    past that the rest is 1 or one prime."""
+    rest, p = k, 2
+    while p <= n and p * p <= rest:
         while rest % p == 0:
             rest //= p
-            if p > n and (worst is None or p < worst):
-                worst = p
         p += 1
-    if rest > 1 and rest > n and (worst is None or rest < worst):
-        worst = rest
-    return worst
+    return rest if rest > n else None
 
 
 def _cell_matrix(size: int) -> MatrixSpec:

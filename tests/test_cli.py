@@ -66,6 +66,11 @@ class TestScalarDocs:
             scalar_from_doc("x", "exact")
         with pytest.raises(DocumentError):
             scalar_from_doc({"order": 2}, "exact")
+        for mode in ("exact", "approx"):
+            with pytest.raises(DocumentError):
+                scalar_from_doc(True, mode)
+        with pytest.raises(DocumentError):
+            scalar_from_doc(10 ** 400, "approx")
 
 
 class TestFamilyDocs:
@@ -288,6 +293,29 @@ class TestVerifyCommand:
     def test_missing_file(self, tmp_path):
         assert main(["verify", str(tmp_path / "nope.json"),
                      "--kind", "ccc"]) == EXIT_IO
+
+
+class TestOrderCap:
+    """A family whose entry orders have an lcm above ORDER_LIMIT is a
+    refused construction (exit 2), whether the cap is hit while the
+    document is read or while it is checked."""
+
+    Z101 = {"order": 101, "coeffs": [0, 1] + [0] * 99}
+    Z103 = {"order": 103, "coeffs": [0, 1] + [0] * 101}
+
+    @pytest.mark.parametrize("sets", [
+        [[[Z101, Z103]]],
+        [[[Z101, Z101]], [[Z103, Z103]]],
+    ], ids=["one-sequence", "two-sets"])
+    @pytest.mark.parametrize("argv", [["verify", "--kind", "ccc"],
+                                      ["verify", "--kind", "cosf:1"],
+                                      ["zone"]],
+                             ids=["verify-ccc", "verify-cosf", "zone"])
+    def test_order_cap_exits_construct(self, tmp_path, capsys, sets, argv):
+        path = tmp_path / "fam.json"
+        write_json(path, {"kind": "ccc", "mode": "exact", "sets": sets})
+        assert main([argv[0], str(path)] + argv[1:]) == EXIT_CONSTRUCT
+        assert "exceeds" in capsys.readouterr().err
 
 
 class TestPlanCommand:

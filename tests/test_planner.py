@@ -1,5 +1,6 @@
 """Length planning, constructibility, and recipe execution."""
 
+import time
 from functools import lru_cache
 
 import pytest
@@ -71,7 +72,41 @@ class TestConstructible:
                 assert prod == k
 
 
+    def test_factor_chain_matches_backtracking_search(self):
+        # the largest-first search with backtracking the greedy chain replaced
+        def search(rest, cap):
+            if rest == 1:
+                return []
+            for f in range(min(cap, rest), 1, -1):
+                if rest % f == 0:
+                    tail = search(rest // f, f)
+                    if tail is not None:
+                        return [f] + tail
+            return None
+
+        for n in range(1, 9):
+            for k in range(1, 400):
+                assert factor_chain(n, k) == search(k, n), (n, k)
+
+    def test_smooth_cofactor_decided_up_front(self):
+        # 2^30 3^14 is 36-smooth but the prime 37 is not: a search over
+        # factor chains backtracks through every split of the smooth part
+        start = time.perf_counter()
+        assert not constructible(36, 36 * 2 ** 30 * 3 ** 14 * 37)
+        assert factor_chain(36, 2 ** 30 * 3 ** 14 * 37) is None
+        assert time.perf_counter() - start < 1.0
+
+
 class TestPlan:
+    def test_large_prime_cofactor_reported(self):
+        # 10^18 + 3 is prime; trial division up to its square root would
+        # take about 10^9 steps
+        p = 10 ** 18 + 3
+        with pytest.raises(UnconstructibleError) as err:
+            plan(2, [2 * p])
+        assert err.value.factor == p
+        assert err.value.target == 2 * p
+
     def test_blocking_factor_reported(self):
         with pytest.raises(UnconstructibleError) as err:
             plan(2, [6])
