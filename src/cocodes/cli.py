@@ -395,7 +395,6 @@ def build_parser() -> argparse.ArgumentParser:
     p.add_argument("--canonical", action="store_true",
                    help="emit the canonical (indexing-normalized) form")
     p.add_argument("--log", help="also write the provenance log here")
-    add_tol(p)
     p.set_defaults(func=cmd_gen)
 
     p = sub.add_parser("verify", help="verify a family file against a kind")

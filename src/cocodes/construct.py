@@ -21,7 +21,7 @@ from math import lcm
 
 import numpy as np
 
-from .corr import is_ccc, is_n_co_sf
+from .corr import DEFAULT_TOL, is_ccc, is_n_co_sf
 from .cyclo import CycloNum, common_order
 from .matrices import UnitaryLike
 from .model import (
@@ -33,6 +33,7 @@ from .model import (
     from_terms,
     multiply_terms,
     product,
+    scalar_is_zero,
     singleton_family,
     terms,
 )
@@ -141,14 +142,12 @@ def generate_cosf(base: UnitaryLike, cells, subs) -> SequenceFamily:
     return singleton_family(out)
 
 
-def group_by_length(fam: SequenceFamily):
-    """Level-1 partition of a single-sequence family: positions grouped
-    by sequence length, groups in ascending length order."""
-    if fam.set_size != 1:
-        raise ConstructionError("expected a family of single-sequence sets")
+def group_by_length(lengths):
+    """Level-1 partition of a single-sequence family, given its sequence
+    lengths: positions grouped by length, groups in ascending length."""
     by_len = {}
-    for pos, ss in enumerate(fam):
-        by_len.setdefault(ss.length, []).append(pos)
+    for pos, length in enumerate(lengths):
+        by_len.setdefault(length, []).append(pos)
     return [by_len[length] for length in sorted(by_len)]
 
 
@@ -160,10 +159,12 @@ def elongate_cosf(fam: SequenceFamily, part2, subs) -> SequenceFamily:
     as in-group positions, and `subs[(p1, p2)]` is the cross-orthogonal
     family (one sequence per set, family size == cell size) connected
     onto cell (p1, p2).  All sequences of one cell must have equal
-    energy; the caller guarantees that `fam` itself is cross-orthogonal.
+    energy (approx: to DEFAULT_TOL); `fam` must be cross-orthogonal.
     """
-    groups = group_by_length(fam)
+    if fam.set_size != 1:
+        raise ConstructionError("expected a family of single-sequence sets")
     seqs = [ss[0] for ss in fam]
+    groups = group_by_length([len(s) for s in seqs])
     part2 = {p1: [list(c) for c in cells] for p1, cells in part2.items()}
     if sorted(part2) != list(range(len(groups))):
         raise ConstructionError(
@@ -176,8 +177,9 @@ def elongate_cosf(fam: SequenceFamily, part2, subs) -> SequenceFamily:
         for p2, cell in enumerate(cells):
             members = [seqs[group[i]] for i in cell]
             e0 = energy(members[0])
+            tol = 0.0 if fam.mode == EXACT else DEFAULT_TOL * abs(e0)
             for k, s in enumerate(members[1:], start=1):
-                if e0 != energy(s):
+                if not scalar_is_zero(energy(s) - e0, tol):
                     raise ConstructionError(
                         f"cell ({p1},{p2}) mixes energies: member 0 has "
                         f"{e0!r}, member {k} has {energy(s)!r}")

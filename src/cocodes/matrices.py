@@ -11,7 +11,7 @@ from __future__ import annotations
 from dataclasses import dataclass
 from typing import Optional
 
-from .cyclo import CycloNum
+from .cyclo import DIM_LIMIT, CycloNum
 from .model import (
     EXACT,
     ModeMismatchError,
@@ -67,10 +67,14 @@ class UnitaryLike:
         return f"UnitaryLike(dim={self.dim}, alpha={self.alpha!r})"
 
 
+def _check_dim(n: int) -> None:
+    if not 1 <= n <= DIM_LIMIT:
+        raise ValueError(f"dimension must be in 1..{DIM_LIMIT}, got {n}")
+
+
 def dft_matrix(n: int) -> UnitaryLike:
     """[W^(mn)] with W = exp(-2*pi*i/n), exact entries of order n; alpha = n."""
-    if n < 1:
-        raise ValueError("dimension must be >= 1")
+    _check_dim(n)
     rows = [
         [CycloNum.root(n, (m * k) % n) for k in range(n)]
         for m in range(n)
@@ -80,7 +84,8 @@ def dft_matrix(n: int) -> UnitaryLike:
 
 def hadamard_matrix(n: int) -> UnitaryLike:
     """Sylvester-recursion Walsh-Hadamard matrix; n must be a power of two."""
-    if n < 1 or n & (n - 1):
+    _check_dim(n)
+    if n & (n - 1):
         raise ValueError(f"Walsh-Hadamard dimension must be a power of two, got {n}")
     block = [[1]]
     size = 1
@@ -95,8 +100,7 @@ def hadamard_matrix(n: int) -> UnitaryLike:
 
 
 def identity_matrix(n: int) -> UnitaryLike:
-    if n < 1:
-        raise ValueError("dimension must be >= 1")
+    _check_dim(n)
     one, zero = CycloNum.from_int(1), CycloNum.from_int(0)
     rows = [[one if i == j else zero for j in range(n)] for i in range(n)]
     return UnitaryLike(rows, CycloNum.from_int(1))
@@ -105,9 +109,11 @@ def identity_matrix(n: int) -> UnitaryLike:
 def custom_matrix(entries, tol: float = VALIDATE_TOL) -> UnitaryLike:
     """Validate arbitrary entries as unitary-like; alpha is read off the
     (0,0) entry of U U^H.  Raises naming the first offending row pair."""
+    entries = list(entries)
+    _check_dim(len(entries))
     entries = [list(row) for row in entries]
     dim = len(entries)
-    if dim == 0 or any(len(row) != dim for row in entries):
+    if any(len(row) != dim for row in entries):
         raise MatrixValidationError("matrix is not square")
     coerced = [[_coerce_scalar(x) for x in row] for row in entries]
     rows = [Sequence(row) for row in coerced]

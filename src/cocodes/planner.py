@@ -26,6 +26,7 @@ from .construct import (
     trivial_cosf,
 )
 from .corr import CheckReport, is_ccc, is_n_co_sf
+from .cyclo import DIM_LIMIT
 from .matrices import MatrixSpec
 from .model import SequenceFamily
 
@@ -138,13 +139,14 @@ def factor_chain(n: int, k: int) -> Optional[list]:
 
     For an n-smooth k greedy never gets stuck: if f is the largest
     divisor <= n of the rest, no prime p of rest // f exceeds f, since
-    p <= n would be a larger divisor of the rest."""
-    if _blocking_factor(n, k) is not None:
-        return None
+    p <= n would be a larger divisor of the rest.  So it gets stuck
+    exactly on the factors above n."""
     chain, rest = [], k
     while rest > 1:
         cap = min(chain[-1] if chain else n, rest)
-        f = next(f for f in range(cap, 1, -1) if rest % f == 0)
+        f = next((f for f in range(cap, 1, -1) if rest % f == 0), None)
+        if f is None:
+            return None
         chain.append(f)
         rest //= f
     return chain
@@ -185,8 +187,8 @@ def plan(n: int, targets) -> Recipe:
     later factor one elongation round.  Multiple targets get disjoint
     cells, which requires the sum of their leading factors to fit in N.
     """
-    if n < 1:
-        raise ValueError("shift parameter must be >= 1")
+    if not 1 <= n <= DIM_LIMIT:
+        raise ValueError(f"shift parameter must be in 1..{DIM_LIMIT}, got {n}")
     targets = sorted(set(int(t) for t in targets))
     if not targets:
         raise ValueError("at least one target length required")
@@ -218,6 +220,7 @@ def plan(n: int, targets) -> Recipe:
             f"targets {targets} need leading cells {list(firsts.values())} "
             f"summing past {n}; jointly constructible subset: {subset}")
 
+    # (length, target) per sequence in family order; None: grows no more
     cells, cell_matrices, state = [], [], []
     next_row = 0
     for t in targets:
@@ -234,49 +237,28 @@ def plan(n: int, targets) -> Recipe:
     rounds = []
     depth = 1
     while any(len(chains[t]) > depth for t in targets):
-        splits = []
-        # group current family order by length, ascending, like the executor
-        lengths = sorted({length for length, _ in state})
-        groups = {
-            length: [i for i, (l, _) in enumerate(state) if l == length]
-            for length in lengths
-        }
-        new_items = {g: [] for g in range(len(lengths))}
-        for g, length in enumerate(lengths):
-            members = groups[length]
-            cells_here, subs_here, covered = [], [], set()
+        groups = group_by_length([length for length, _ in state])
+        rnd = Round()
+        for g, members in enumerate(groups):
+            split = RoundSplit(group=g, cells=[], subs=[])
             for t in targets:
-                if len(chains[t]) <= depth:
-                    continue
                 mine = [p for p, i in enumerate(members) if state[i][1] == t]
-                if not mine:
-                    continue
-                f = chains[t][depth]
-                take = mine[:f]
-                cells_here.append(take)
-                subs_here.append(SubFamilySpec(rows=_cell_matrix(f)))
-                covered.update(take)
-                new_items[g].append((f, [(length * f, t)] * f))
-                # members of the old cell beyond the continuing ones go idle
-                for p in mine[f:]:
-                    state[members[p]] = (length, None)
-            if cells_here:
-                splits.append(RoundSplit(group=g, cells=cells_here,
-                                         subs=subs_here))
-            # idle positions keep their length via implicit singletons
-            new_items[g].append(
-                (0, [(length, state[members[p]][1])
-                     for p in range(len(members)) if p not in covered]))
-        if not splits:
-            break
-        rounds.append(Round(splits=splits))
-        # rebuild state in executor output order: groups ascending, explicit
-        # cells first, then singleton completion in position order
-        rebuilt = []
-        for g in range(len(lengths)):
-            for _, items in new_items[g]:
-                rebuilt.extend(items)
-        state = rebuilt
+                if mine and len(chains[t]) > depth:
+                    f = chains[t][depth]
+                    split.cells.append(mine[:f])
+                    split.subs.append(SubFamilySpec(rows=_cell_matrix(f)))
+            if split.cells:
+                rnd.splits.append(split)
+        rounds.append(rnd)
+        grown = []
+        for members, completed in zip(groups, _round_cells(groups, rnd)):
+            for cell, spec in completed:
+                length, target = state[members[cell[0]]]
+                if spec is None:  # the trivial family ends the growth
+                    grown.append((length, None))
+                else:  # f rows: f sequences f times as long
+                    grown += [(length * len(cell), target)] * len(cell)
+        state = grown
         depth += 1
 
     recipe = Recipe(n=n, base_matrix=MatrixSpec(kind="dft", dim=n),
@@ -293,38 +275,43 @@ def plan(n: int, targets) -> Recipe:
 # -- execution ----------------------------------------------------------
 
 
-def _complete_round(fam: SequenceFamily, rnd: Round):
-    """Expand a round into a full level-2 partition plus sub-families,
-    filling uncovered positions with singleton identity cells."""
-    groups = group_by_length(fam)
-    part2, subs = {}, {}
+def _round_cells(groups, rnd: Round) -> list:
+    """For each length group (positions, as `group_by_length` lists
+    them) the round's cells in the order elongation emits their
+    outputs: the split's cells, then every position no cell covers as
+    its own cell.  A cell is (in-group positions, SubFamilySpec), the
+    spec None for the trivial one-sequence family."""
     by_group = {s.group: s for s in rnd.splits}
     unknown = set(by_group) - set(range(len(groups)))
     if unknown:
         raise ConstructionError(
             f"round references groups {sorted(unknown)}; family has "
             f"{len(groups)} length groups")
-    trivial = trivial_cosf(fam.mode)
+    out = []
     for g, group in enumerate(groups):
-        cells = []
-        resolved = []
-        split = by_group.get(g)
-        covered = set()
-        if split is not None:
-            if len(split.cells) != len(split.subs):
-                raise ConstructionError(
-                    f"group {g}: {len(split.cells)} cells vs "
-                    f"{len(split.subs)} sub-families")
-            for cell, sub in zip(split.cells, split.subs):
-                cells.append(list(cell))
-                resolved.append(sub.resolve())
-                covered.update(cell)
-        for pos in range(len(group)):
-            if pos not in covered:
-                cells.append([pos])
-                resolved.append(trivial)
-        part2[g] = cells
-        subs.update({(g, p2): fam_ for p2, fam_ in enumerate(resolved)})
+        split = by_group.get(g, RoundSplit(group=g, cells=[], subs=[]))
+        if len(split.cells) != len(split.subs):
+            raise ConstructionError(
+                f"group {g}: {len(split.cells)} cells vs "
+                f"{len(split.subs)} sub-families")
+        cells = [(list(cell), sub) for cell, sub in zip(split.cells, split.subs)]
+        covered = {p for cell, _ in cells for p in cell}
+        out.append(cells + [([p], None) for p in range(len(group))
+                            if p not in covered])
+    return out
+
+
+def _complete_round(fam: SequenceFamily, rnd: Round):
+    """A round as the level-2 partition and sub-families of
+    `elongate_cosf`: the cells of `_round_cells` with their specs
+    resolved."""
+    trivial = trivial_cosf(fam.mode)
+    groups = group_by_length([ss.length for ss in fam])
+    part2, subs = {}, {}
+    for g, cells in enumerate(_round_cells(groups, rnd)):
+        part2[g] = [cell for cell, _ in cells]
+        for p2, (_, spec) in enumerate(cells):
+            subs[(g, p2)] = trivial if spec is None else spec.resolve()
     return part2, subs
 
 

@@ -2,6 +2,7 @@
 end-to-end workflows."""
 
 import json
+import time
 
 import pytest
 
@@ -28,6 +29,7 @@ from cocodes.cli import (
     scalar_from_doc,
     scalar_to_doc,
 )
+from cocodes.cyclo import DIM_LIMIT
 
 
 def write_json(path, doc):
@@ -160,6 +162,29 @@ class TestGenCommand:
             "cell_matrices": [{"kind": "hadamard", "dim": 4}],
         })
         assert main(["gen", str(recipe), str(tmp_path / "o.json")]) == EXIT_CONSTRUCT
+
+    @pytest.mark.parametrize("split", [
+        {"group": 1, "cells": [[0, 1]],
+         "subs": [{"rows": {"kind": "hadamard", "dim": 2}}]},
+        {"group": 0, "cells": [[0], [1]],
+         "subs": [{"rows": {"kind": "identity", "dim": 1}}]},
+    ], ids=["unknown-group", "cells-vs-subs"])
+    def test_gen_bad_round(self, tmp_path, capsys, split):
+        recipe = tmp_path / "r.json"
+        write_json(recipe, {
+            "n": 2,
+            "base_matrix": {"kind": "hadamard", "dim": 2},
+            "cells": [[0, 1]],
+            "cell_matrices": [{"kind": "hadamard", "dim": 2}],
+            "rounds": [{"splits": [split]}],
+        })
+        assert main(["gen", str(recipe), str(tmp_path / "o.json")]) == EXIT_CONSTRUCT
+        assert "group" in capsys.readouterr().err
+
+    def test_gen_has_no_tol_option(self):
+        # gen checks at the default tolerance; `verify --tol` re-checks
+        with pytest.raises(SystemExit):
+            main(["gen", "r.json", "o.json", "--tol", "1e-3"])
 
     def test_trivial_recipe(self, tmp_path):
         recipe = tmp_path / "r.json"
@@ -323,6 +348,28 @@ class TestPlanCommand:
         code = main(["plan", "2", "6", "-o", str(tmp_path / "r.json")])
         assert code == EXIT_CONSTRUCT
         assert "3 > 2" in capsys.readouterr().err
+
+
+class TestDimCap:
+    """A matrix or shift parameter above DIM_LIMIT is refused (exit 2)
+    before anything of its size is built."""
+
+    def test_ccc_matrix_above_cap(self, tmp_path, capsys, cosf_2_of_4):
+        src = tmp_path / "cosf.json"
+        write_json(src, family_to_doc(cosf_2_of_4, kind="cosf:2"))
+        start = time.perf_counter()
+        code = main(["ccc", str(src), f"dft:{DIM_LIMIT + 1}",
+                     str(tmp_path / "o.json")])
+        assert code == EXIT_CONSTRUCT
+        assert time.perf_counter() - start < 0.5
+        assert str(DIM_LIMIT) in capsys.readouterr().err
+
+    def test_plan_above_cap(self, tmp_path, capsys):
+        big = str(DIM_LIMIT + 1)
+        start = time.perf_counter()
+        assert main(["plan", big, big, "-o", str(tmp_path / "r.json")]) == EXIT_CONSTRUCT
+        assert time.perf_counter() - start < 0.5
+        assert str(DIM_LIMIT) in capsys.readouterr().err
 
 
 class TestCccCommand:

@@ -1,6 +1,7 @@
 """Construction operators: connection, expansion, entrywise products,
 generation, elongation, CCC mapping, and enlargement."""
 
+import cmath
 import random
 
 import pytest
@@ -13,6 +14,7 @@ from cocodes import (
     ccc_from_unitary,
     connect,
     cosf_to_ccc,
+    custom_matrix,
     dft_matrix,
     dyadic_sum,
     elongate_cosf,
@@ -229,6 +231,26 @@ class TestElongate:
             elongate_cosf(fam, {0: [[0, 1]]},
                           {(0, 0): hadamard_matrix(2).rows_family()})
         assert "(0,0)" in str(err.value)
+
+    @pytest.mark.parametrize("mode", ["exact", "approx"])
+    def test_energy_mismatch_rejected_in_both_modes(self, mode):
+        h2 = [[1, 1], [1, -1]] if mode == "exact" else [[1.0, 1.0], [1.0, -1.0]]
+        u = custom_matrix(h2)
+        fam = singleton_family([u.row(0), u.row(0).scale(u.alpha)])
+        with pytest.raises(ConstructionError, match="mixes energies"):
+            elongate_cosf(fam, {0: [[0, 1]]}, {(0, 0): u.rows_family()})
+
+    @pytest.mark.parametrize("n", [3, 5, 6, 7, 9, 10, 12])
+    def test_approx_energies_equal_up_to_rounding(self, n):
+        # the rows of an approx DFT give member energies that differ in
+        # their last bits; the cell is still one of equal energies
+        u = custom_matrix([[cmath.exp(-2j * cmath.pi * m * k / n)
+                            for k in range(n)] for m in range(n)])
+        fam = generate_cosf(u, [list(range(n))], [u])
+        out = elongate_cosf(fam, {0: [list(range(n))]},
+                            {(0, 0): u.rows_family()})
+        assert out.mode == "approx" and out.length_set == {n ** 3}
+        assert is_n_co_sf(out, n).ok
 
     def test_sub_size_mismatch(self, cosf_2_of_4):
         with pytest.raises(ConstructionError):

@@ -12,6 +12,7 @@ from cocodes import (
     is_n_co_sf,
 )
 from cocodes.cli import matrix_spec_to_doc
+from cocodes.cyclo import DIM_LIMIT
 from cocodes.matrices import (
     MatrixSpec,
     MatrixValidationError,
@@ -110,6 +111,25 @@ class TestCustom:
     def test_non_square(self):
         with pytest.raises(MatrixValidationError):
             custom_matrix([[1, 1]])
+
+
+class TestDimCap:
+    def test_factories_admit_the_cap(self):
+        assert identity_matrix(DIM_LIMIT).dim == DIM_LIMIT
+
+    @pytest.mark.parametrize("build", [dft_matrix, identity_matrix])
+    def test_factories_refuse_above_cap(self, build):
+        with pytest.raises(ValueError, match=str(DIM_LIMIT)):
+            build(DIM_LIMIT + 1)
+
+    def test_hadamard_refuses_power_of_two_above_cap(self):
+        with pytest.raises(ValueError, match=str(DIM_LIMIT)):
+            hadamard_matrix(2 * DIM_LIMIT)
+
+    def test_custom_refuses_before_reading_rows(self):
+        # rows that are never looked at: the refusal comes first
+        with pytest.raises(ValueError, match=str(DIM_LIMIT)):
+            custom_matrix([None] * (DIM_LIMIT + 1))
 
 
 class TestRowsAsFamily:

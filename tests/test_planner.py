@@ -1,5 +1,8 @@
 """Length planning, constructibility, and recipe execution."""
 
+import hashlib
+import json
+import random
 import time
 from functools import lru_cache
 
@@ -14,9 +17,14 @@ from cocodes import (
     plan,
 )
 from cocodes.cli import recipe_from_doc, recipe_to_doc
+from cocodes.construct import ConstructionError
+from cocodes.cyclo import DIM_LIMIT
 from cocodes.matrices import MatrixSpec
 from cocodes.planner import (
     Post,
+    Round,
+    RoundSplit,
+    SubFamilySpec,
     UnconstructibleError,
     factor_chain,
 )
@@ -159,6 +167,63 @@ class TestPlan:
             fam = execute(plan(n, targets)).family
             assert fam.family_size == n
 
+    def test_shift_parameter_above_cap_refused_up_front(self):
+        start = time.perf_counter()
+        with pytest.raises(ValueError, match=str(DIM_LIMIT)):
+            plan(10 ** 6, [10 ** 6])
+        assert time.perf_counter() - start < 0.1
+
+
+def pinned_sweep():
+    """(n, targets) cases: every single target up to 40 n for n <= 12,
+    then seeded multi-target sets like TestMultiTargetStress's, and sets
+    whose chains of small equal factors share rounds, groups and cells."""
+    for n in range(1, 13):
+        for length in range(1, 40 * n + 1):
+            yield n, [length]
+    rng = random.Random(31415)
+    for _ in range(3000):
+        n = rng.randint(2, 18)
+        targets = set()
+        for _ in range(rng.randint(1, 3)):
+            k = 1
+            top = rng.choice([n, min(n, 4)])
+            for _ in range(rng.randint(0, 4)):
+                k *= rng.randint(1, top)
+            targets.add(n * k)
+        yield n, sorted(targets)
+    for _ in range(1500):
+        n = rng.randint(4, 18)
+        primes = [p for p in (3, 5, 7, 11, 13, 17) if p * p > n and p <= n]
+        targets = set()
+        for _ in range(rng.choice([2, 2, 3])):
+            k = 1
+            for _ in range(rng.randint(2, 4)):
+                k *= rng.choice(primes[:2])
+            targets.add(n * k)
+        yield n, sorted(targets)
+
+
+class TestPinnedOutput:
+    # sha256 of the sweep's recipes and refusals as the planner produced
+    # them before it shared the executor's round layout; any change to
+    # cells, groups, round order or refusal messages shows here
+    DIGEST = "5180f7eb5d8b9cdcdab2208e1a1230e5f85afcdba5a994943c20928beaa66d74"
+
+    def test_recipes_and_refusals_unchanged(self):
+        h = hashlib.sha256()
+        planned = 0
+        for n, targets in pinned_sweep():
+            try:
+                out = recipe_to_doc(plan(n, targets))
+                planned += 1
+            except (UnconstructibleError, ConstructionError) as e:
+                out = [type(e).__name__, str(e), getattr(e, "target", None),
+                       getattr(e, "factor", None)]
+            h.update(json.dumps([n, targets, out], sort_keys=True).encode())
+        assert planned == 2389
+        assert h.hexdigest() == self.DIGEST
+
 
 class TestMultiTargetStress:
     def test_random_target_sets(self):
@@ -238,6 +303,18 @@ class TestExecute:
             fam1 = execute(recipe, verify=False).family
             fam2 = execute(rebuilt, verify=False).family
             assert equal_up_to_indexing(fam1, fam2)
+
+    @pytest.mark.parametrize("split", [
+        RoundSplit(group=1, cells=[[0, 1]],
+                   subs=[SubFamilySpec(rows=MatrixSpec("hadamard", 2))]),
+        RoundSplit(group=0, cells=[[0], [1]],
+                   subs=[SubFamilySpec(rows=MatrixSpec("identity", 1))]),
+    ], ids=["unknown-group", "cells-vs-subs"])
+    def test_bad_round_raises_construction_error(self, split):
+        recipe = plan(2, [4])
+        recipe.rounds = [Round(splits=[split])]
+        with pytest.raises(ConstructionError, match="group"):
+            execute(recipe)
 
     def test_verify_flag_skips_checks(self):
         result = execute(plan(2, [8]), verify=False)
