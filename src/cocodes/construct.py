@@ -186,31 +186,25 @@ def elongate_cosf(fam: SequenceFamily, part2, subs) -> SequenceFamily:
             sub = subs.get((p1, p2))
             if sub is None:
                 raise ConstructionError(f"no sub-family for cell ({p1},{p2})")
-            _check_sub_family(sub, len(cell), (p1, p2))
+            _check_sub_family(sub, len(cell), f"sub-family at {(p1, p2)}")
             cell_set = SequenceSet(members)
             out += _connections([sub[m][0] for m in range(sub.family_size)],
                                 cell_set, _cell_terms(cell_set))
     return singleton_family(out)
 
 
-def _check_sub_family(sub: SequenceFamily, cell_size: int, path):
-    if sub.set_size != 1:
-        raise ConstructionError(
-            f"sub-family at {path} must have single-sequence sets")
-    if sub.family_size != cell_size:
-        raise ConstructionError(
-            f"sub-family at {path} has size {sub.family_size}, cell needs "
-            f"{cell_size}")
-    for m in range(sub.family_size):
-        if len(sub[m][0]) % cell_size:
-            raise ConstructionError(
-                f"sub-family at {path}: sequence {m} length {len(sub[m][0])} "
-                f"is not a multiple of the cell size {cell_size}")
-    check = is_n_co_sf(sub, cell_size)
+def _check_sub_family(fam: SequenceFamily, n: int, what: str):
+    """Raise unless `fam` (`what` names it) is an optimal n-shift
+    cross-orthogonal family: n single-sequence sets of lengths
+    divisible by n (`is_n_co_sf` reports the lengths)."""
+    if fam.set_size != 1:
+        raise ConstructionError(f"{what} must have single-sequence sets")
+    if fam.family_size != n:
+        raise ConstructionError(f"{what} has size {fam.family_size}, needs {n}")
+    check = is_n_co_sf(fam, n)
     if not check.ok:
         raise ConstructionError(
-            f"sub-family at {path} is not {cell_size}-shift cross-orthogonal:\n"
-            + check.render())
+            f"{what} is not {n}-shift cross-orthogonal:\n" + check.render())
 
 
 def cosf_to_ccc(fam: SequenceFamily, u: UnitaryLike) -> SequenceFamily:
@@ -219,19 +213,7 @@ def cosf_to_ccc(fam: SequenceFamily, u: UnitaryLike) -> SequenceFamily:
     m-th sequence, for every n: the entrywise product of that sequence
     with u.row(n) repeated periodically."""
     n = u.dim
-    if fam.set_size != 1:
-        raise ConstructionError("expected a family of single-sequence sets")
-    if fam.family_size != n:
-        raise ConstructionError(
-            f"family size {fam.family_size} must equal matrix dimension {n}")
-    for m in range(n):
-        if len(fam[m][0]) % n:
-            raise ConstructionError(
-                f"sequence {m} length {len(fam[m][0])} not divisible by {n}")
-    check = is_n_co_sf(fam, n)
-    if not check.ok:
-        raise ConstructionError(
-            f"input is not {n}-shift cross-orthogonal:\n" + check.render())
+    _check_sub_family(fam, n, "input")
     return SequenceFamily(
         SequenceSet(Sequence.of_array(product(ss[0].array, u.row(k).array))
                     for k in range(n))

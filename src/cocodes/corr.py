@@ -7,44 +7,72 @@ value is zero iff its reduction modulo the cyclotomic polynomial is the
 zero polynomial.  Approx-mode inputs use |residual| <= tol * energy.
 
 `acorr` is the direct definitional sum and stays the reference.  Every
-profile and predicate goes through one kernel instead: each call reads
-the nonzero terms of the sequences' coefficient arrays at the call's
-common order K and sums the profile of a pair of sets per exponent
-class of zeta_K with np.correlate, one call per pair of rows, or for
-short sequences one call on the rows laid end to end.  The rows are
-cast to int64 when the a-priori bound
-peak^2 * Lmax * K * (pairs summed) on every sum stays below 2^62, and
-stay Python ints otherwise, so no sum can overflow.
+profile and predicate goes through one kernel (`_Kernel`) instead.  A
+call densifies its sequences once into a (sets, members, K, L) array
+over the call's common order K and takes one real 2-D FFT of it:
+cyclic over the exponent axis, zero-padded over positions to a
+2,3-smooth length P >= 2L - 1.  Set sums are products summed over
+members in the spectrum, one einsum per group of left sets against
+their right sets, and come back through one batched inverse transform
+per group.  The inverse is rounded to integers only when an a-priori
+error bound (Percival, Math. Comp. 72 (2003), with a safety factor;
+see `rounding_bound`) certifies that rounding is exact; otherwise, or
+when the spectra would pass `_SPECTRA_MAX`, the exact loop over
+Python-int coefficient rows runs instead and a debug record on the
+`cocodes` logger names the reason and the bound's headroom.  Zero is
+then decided for the whole integer stack at once by
+`cyclo.reduce_rows`, the rule `CycloNum.is_zero` applies to one value,
+and `CycloNum`s are built only for the values a report holds.
+
+`is_n_co_sf` runs the same pass on the n polyphase components
+s_r(l) = s(ln + r) of each sequence: R(s, t)(qn) = sum_r R(s_r, t_r)(q),
+so it computes only the n-shift lattice.
 """
 
 from __future__ import annotations
 
+import math
 from dataclasses import dataclass, field
 from functools import reduce
 from typing import Optional
 
 import numpy as np
 
-from .cyclo import CycloNum, common_order
+from .cyclo import CycloNum, common_order, reduce_rows, reduction_gain
 from .model import (
     EXACT,
     Scalar,
     Sequence,
     SequenceFamily,
     SequenceSet,
-    scalar_is_zero,
     scalar_numeric,
     set_energy,
-    terms,
 )
 
 DEFAULT_TOL = 1e-9
 
 _INT64_SAFE = 2 ** 62
 
-# Past this many coefficients per packed sequence, one np.correlate per
-# row pair beats one correlation of the packed sequences
-_PACKED_MAX = 256
+# Past this many entries in the half-spectra of one call (16 bytes
+# each, so 64 MB) the exact loop runs instead of the spectral pass.
+_SPECTRA_MAX = 2 ** 22
+
+# Percival's bound is for radix-2 transforms with correctly rounded
+# twiddle factors; numpy's pocketfft also uses radices 3, 4, 5, 7 and
+# 11, a generic odd radix, and Bluestein's algorithm for large primes.
+_FFT_SAFETY = 8
+
+# Entries of the spectral products one einsum makes: left sets are
+# taken in groups of this size against all their right sets.
+_BATCH = 2 ** 12
+
+# Stacks of more rows than this find their distinct rows by sorting;
+# smaller ones through a dict of row tuples.  Sorting costs about 9 us
+# per call plus 0.07 us per row, the dict 0.6 us plus 0.16 us per row
+# and a tuple per row (int64 rows of width 4-6, Python 3.11, numpy 2.4):
+# equal near 100 rows.  The construct workload checks stacks of 1-36
+# rows, the verify workload stacks of up to 33,618.
+_SORT_MIN = 100
 
 
 def _sum_products(s: Sequence, t: Sequence, pairs) -> Scalar:
@@ -97,102 +125,302 @@ class CorrelationProfile:
         return self.values[tau - self.min_shift]
 
 
+def _smooth(n: int) -> int:
+    """Least 2^a 3^b >= n."""
+    best, p3 = 1 << max(n - 1, 0).bit_length(), 1
+    while p3 < best:
+        best = min(best, p3 << max(-(-n // p3) - 1, 0).bit_length())
+        p3 *= 3
+    return best
+
+
+def rounding_bound(energy: float, order: int, size: int, members: int) -> float:
+    """A-priori bound on the error of every entry of a set sum computed
+    by the spectral pass, for sets of `members` members whose squared
+    coefficients sum to at most `energy`, over a K x P = order x size
+    transform.
+
+    Percival (Math. Comp. 72 (2003), 387-395) bounds the error of an
+    FFT convolution of x and y of length 2^k by
+    |x| |y| ((1 + e)^3k (1 + e sqrt 5)^(3k+1) (1 + b)^3k - 1), e = 2^-53
+    the unit roundoff and b <= e the twiddle error, which to first order
+    is |x| |y| e (3k (2 + sqrt 5) + sqrt 5); summing `members` spectral
+    products adds at most `members` * e relative.  Cauchy-Schwarz gives
+    sum_n |s_n| |t_n| <= energy.  k = log2(K P) with the unfolded order
+    K, one stage more than a folded even order transforms, which covers
+    its twist by unit factors; `_FFT_SAFETY` covers pocketfft's mixed
+    radices.  Rounding is exact when the bound stays below 1/2."""
+    k = math.log2(order * size)
+    gamma = 2.0 ** -53 * (3 * k * (2 + math.sqrt(5)) + math.sqrt(5) + members)
+    return _FFT_SAFETY * gamma * energy
+
+
 class _Kernel:
-    """Coefficient rows of the sequences of one predicate call, and the
-    index-paired correlation sums between them.
+    """The set sums of one predicate call: R(S, T)(q) =
+    sum_n R(S[n], T[n])(q) for pairs (S, T) of the call's sets, with
+    R(s, t)(q) = sum_l s(l) conj(t(l + q)).
 
-    Every sequence's array is read over the common order K of the call:
-    its row j becomes the row of zeta_K^(j K / k) for its own order k.
-    Only rows with a nonzero entry are kept.  Approx sequences are one
-    complex row of class 0, stored conjugated so that np.correlate's
-    conjugation of its second argument cancels.
+    With `phases` = n every sequence enters as its n polyphase
+    components s_r(l) = s(ln + r), r < n, each a member of its set, so
+    shift q of a sum is shift qn of the sequences.  Components with r at
+    or past the longest length are zero, so at most that many are
+    built, whatever n is.
 
-    A profile entry of one exponent class sums at most `summed` members
-    times K row pairs times Lmax products of size peak^2, so the rows
-    are cast to int64 when peak^2 * Lmax * K * summed stays below 2^62,
-    and stay Python ints (dtype=object) otherwise.  Folding an even
-    order takes the difference of two such entries, which stays below
-    2^63.
+    An exact sequence of order k is the polynomial
+    sum_{j,l} a[j, l] z^(jK/k) x^l in z^K = 1, so a set sum is one 2-D
+    correlation, cyclic over the exponent axis and aperiodic over
+    positions.  The spectral pass densifies every sequence once into a
+    (sets, members, K, width) float array (folded for even K, see
+    `_forward`) and takes its conjugated
+    half-spectrum over K x P (`rfft2`, P the least 2,3-smooth length
+    >= 2 width - 1, so no shift wraps).  For a group of left sets
+    (`_BATCH` bounds the group's products) one einsum sums
+    F(s_n) conj(F(t_n)) over the members n against the right sets, and
+    one batched inverse brings the group back; entry (d, -q mod P) of
+    an inverse is the coefficient of z^d at shift q.  Exact results are
+    rounded only when `rounding_bound` < 1/2; otherwise, or past
+    `_SPECTRA_MAX`, the same sums come from the exact loop, one
+    np.correlate of Python-int rows per pair of nonzero coefficient
+    rows, and a debug record on the `cocodes` logger names the reason.
+    Approx sequences (K = 1) take the spectral pass with complex
+    transforms and keep their values unrounded.  The spectra exist only
+    while `sums` runs.
+
+    Even orders are folded by zeta_K^(K/2) = -1, so a stack holds K/2
+    rows (K for odd K, 1 in approx mode) per shift.
     """
 
-    def __init__(self, sets, summed: int):
+    def __init__(self, sets, phases: int = 1):
         seqs = [s for ss in sets for s in ss]
         if len({s.mode for s in seqs}) != 1:
             raise ValueError("mode mismatch between sequences")
         self.exact = seqs[0].mode == EXACT
-        self.order = order = reduce(common_order, {s.order for s in seqs}, 1)
-        found = [[(len(s), terms(s.array, order)) for s in ss] for ss in sets]
-        self.dtype = complex
-        if self.exact:
-            peak = np.abs(np.concatenate([t[2] for ts in found for _, t in ts])).max(initial=0)
-            lmax = max(len(s) for s in seqs)
-            self.dtype = np.int64 if peak * peak * lmax * order * summed < _INT64_SAFE else object
-        self.sets = [[self._rows(length, *t) for length, t in ts] for ts in found]
+        self.order = reduce(common_order, {s.order for s in seqs}, 1)
+        # shift q of a sum is shift q * step of the sequences
+        self.step = phases
+        self.phases = min(phases, max(len(s) for s in seqs))
+        self.sets = sets
+        self.members = len(sets[0]) * self.phases
+        self.widths = [-(-len(ss[0]) // self.phases) for ss in sets]
+        self.width = max(self.widths)
+        self.hull = self.width - 1
+        self.size = _smooth(2 * self.width - 1)
+        # rows kept after folding by zeta_K^(K/2) = -1 (see `sums`)
+        self.rows = self.order // 2 if self.exact and self.order % 2 == 0 else self.order
 
-    def _rows(self, length: int, cols, exps, vals):
-        """(length, [(exponent j, coefficient row of zeta_K^j)]) of a
-        sequence's nonzero terms, for the rows they fall on."""
-        present, row = np.unique(exps, return_inverse=True)
-        a = np.zeros((len(present), length), dtype=self.dtype)
-        a[row, cols] = vals if self.exact else np.conj(vals)
-        return length, list(zip(present.tolist(), a))
+    def _spectrum(self):
+        """The conjugated spectra (sets, members, rows, F) of the call,
+        or None when the exact loop has to give the sums (logged)."""
+        if not self.exact:
+            return self._forward(self._dense(complex))
+        entries = len(self.sets) * self.members * self.rows * (self.size // 2 + 1)
+        if entries > _SPECTRA_MAX:
+            return self._fall_back("spectra size cap", entries)
+        try:
+            dense = self._dense(float)
+        except OverflowError:  # a coefficient beyond the float range
+            return self._fall_back("rounding bound", entries)
+        if self.rows < self.order:
+            dense = dense[:, :, :self.rows] - dense[:, :, self.rows:]
+        energy = float(np.einsum("smkl,smkl->s", dense, dense).max())
+        bound = rounding_bound(energy, self.order, self.size, self.members)
+        if not bound < 0.5:
+            return self._fall_back("rounding bound", entries, bound)
+        return self._forward(dense)
 
-    def _packed(self, rows, width: int) -> np.ndarray:
-        """The rows of one sequence, row j at offset j * width of one array."""
-        out = np.zeros((self.order, width), dtype=self.dtype)
-        for j, row in rows:
-            out[j, :len(row)] = row
-        return out.ravel()
+    def _forward(self, dense: np.ndarray) -> np.ndarray:
+        """Conjugated spectrum of a dense stack: the half-spectrum
+        (`rfft2`) over exponents x positions, zero-padded to P
+        positions; the full spectrum over positions in approx mode.
 
-    def sums(self, lefts, rights) -> tuple:
-        """(hull, acc) of sum_n R(lefts[n], rights[n]), where
-        R(tau) = sum_l s(l) conj(t(l + tau)): column hull + tau of acc
-        holds shift tau of the symmetric hull [-hull, hull], one row per
-        exponent class."""
-        hull = max(length for length, _ in lefts + rights) - 1
+        A folded even order K (rows = K/2 = M, z^M = -1) is evaluated at
+        the roots of z^M + 1: row j is twisted by w^j, w = exp(-i pi / M),
+        before the length-M transform, so the spectra take half the room
+        and the inverse gives the folded coefficients directly.
+        Transforms of length 1 are the identity and are skipped, so sets
+        of width 1 (the planner's sub-families) reduce to one Gram
+        product over the exponent axis."""
+        if self.size > 1:
+            dense = (np.fft.rfft if self.exact else np.fft.fft)(dense, n=self.size)
+        dense = dense.astype(complex, copy=False)
+        if self.rows < self.order:
+            dense *= self._twist()
+        if self.rows > 1:
+            for part in dense:  # in place, one set at a time
+                part[...] = np.fft.fft(part, axis=-2)
+        return np.conjugate(dense, out=dense)
+
+    def _inverse(self, prod: np.ndarray) -> np.ndarray:
+        """Inverse of `_forward` without the conjugation (`irfft2`)."""
+        if self.rows > 1:
+            prod = np.fft.ifft(prod, axis=-2)
+        if self.rows < self.order:
+            prod *= self._twist().conj()
+        if self.size > 1:
+            return (np.fft.irfft if self.exact else np.fft.ifft)(prod, n=self.size)
+        return prod.real if self.exact else prod
+
+    def _twist(self) -> np.ndarray:
+        return np.exp(-1j * np.pi / self.rows * np.arange(self.rows))[:, None]
+
+    def _components(self, s: Sequence) -> np.ndarray:
+        """(phases, rows, width) polyphase components of a sequence's
+        array, zero-padded to the call's width."""
+        a = s.array if self.exact else s.array[None]
+        buf = np.zeros((len(a), self.width * self.phases), a.dtype)
+        buf[:, :a.shape[1]] = a
+        return buf.reshape(len(a), self.width, self.phases).transpose(2, 0, 1)
+
+    def _dense(self, dtype) -> np.ndarray:
+        """(sets, members, K, width) array of the polyphase components
+        of every sequence (member n * phases + r is component r of
+        member n)."""
+        n = self.phases
+        out = np.zeros((len(self.sets), len(self.sets[0]) * n, self.order, self.width), dtype)
+        for m, ss in enumerate(self.sets):
+            for i, s in enumerate(ss):
+                rows = out[m, i * n:(i + 1) * n, ::self.order // s.order]
+                for r in range(n):
+                    part = s.array[..., r::n]
+                    rows[r, :, :part.shape[-1]] = part
+        return out
+
+    def _fall_back(self, reason: str, entries: int, bound=None) -> None:
+        """Log why the exact loop runs instead of the spectral pass."""
+        # imported here: only this rare path logs, and importing logging
+        # costs a process about 1 MB of resident memory
+        import logging
+
+        if bound is None:
+            energy = max(sum(int((s.array * s.array).sum()) for s in ss) for ss in self.sets)
+            bound = rounding_bound(energy, self.order, self.size, self.members)
+        logging.getLogger("cocodes").debug(
+            "exact loop (%s): rounding bound %.3g, headroom %.3g of 1/2; "
+            "spectra %d entries, cap %d", reason, bound,
+            0.5 / bound if bound else math.inf, entries, _SPECTRA_MAX)
+
+    def sums(self, pairs, rotate: bool = False) -> np.ndarray:
+        """(pairs, 2 hull + 1, rows) stack of the set sums of each
+        (left, right) pair of set indices: [p, hull + q, d] holds the
+        coefficient of zeta_K^d at shift q, folded for even K.  With
+        `rotate` the members of the left set are taken cyclically
+        shifted by one (member n + 1 pairs with member n)."""
+        spec = self._spectrum()
+        if spec is None:
+            return self._loop(pairs, rotate)
+        hull = self.hull
+        cols = -np.arange(-hull, hull + 1) % self.size
+        out = np.empty((len(pairs), 2 * hull + 1, self.rows),
+                       np.int64 if self.exact else complex)
+        step = max(1, _BATCH // (len(spec) * spec[0, 0].size))
+        groups = {}
+        for p, (m, _) in enumerate(pairs):
+            groups.setdefault(m // step, []).append(p)
+        for group, idx in groups.items():
+            start = group * step
+            lefts = [pairs[p][0] - start for p in idx]
+            rights = [pairs[p][1] for p in idx]
+            lo = min(rights)
+            left = np.conjugate(spec[start:start + step])
+            if rotate:
+                left = np.roll(left, -1, axis=1)
+            full = self._inverse(np.einsum("lnkf,rnkf->lrkf", left, spec[lo:]))
+            found = full[lefts, [r - lo for r in rights]][..., cols].transpose(0, 2, 1)
+            out[idx] = np.rint(found) if self.exact else found
+        return out
+
+    def _loop(self, pairs, rotate: bool) -> np.ndarray:
+        """`sums` from the nonzero coefficient rows of every member
+        (polyphase component), as Python ints."""
         order = self.order
-        acc = np.zeros((order, 2 * hull + 1), dtype=self.dtype)
-        # with s = sum_i A_i z^i and t = sum_j B_j z^j, R(tau) is
-        # sum_{i,j} z^(i-j) * sum_l A_i[l] B_j[l+tau], and that inner sum
-        # is np.correlate(B_j, A_i, 'full')[tau + len(s) - 1]
-        for (ls, srows), (lt, trows) in zip(lefts, rights):
-            lo = hull - ls + 1
-            width = ls + lt - 1
-            if order * width <= _PACKED_MAX:
-                # one correlation of the rows laid out by exponent at stride
-                # `width`: block K - 1 - d of it holds the sums with i - j = d
-                c = np.correlate(self._packed(trows, width), self._packed(srows, width), "full")
-                c = np.concatenate([c[width - ls:], np.zeros(width - ls + 1, c.dtype)])
-                acc[:, lo:lo + width] += c.reshape(2, order, width).sum(axis=0)[::-1]
-                continue
-            for i, a in srows:
-                for j, b in trows:
-                    acc[(i - j) % order, lo:lo + width] += np.correlate(b, a, "full")
-        if order % 2 == 0:
+        rows = [[[(j * (order // s.order), row) for j, row in enumerate(comp) if row.any()]
+                 for s in ss for comp in self._components(s)]
+                for ss in self.sets]
+        acc = np.zeros((len(pairs), order, 2 * self.hull + 1), dtype=object)
+        for p, (m, mp) in enumerate(pairs):
+            lefts = rows[m][1:] + rows[m][:1] if rotate else rows[m]
+            for srows, trows in zip(lefts, rows[mp]):
+                # np.correlate(b, a, 'full')[hull + q] = sum_l a[l] b[l + q]
+                for i, a in srows:
+                    for j, b in trows:
+                        acc[p, (i - j) % order] += np.correlate(b, a, "full")
+        if self.rows < order:
             # zeta_K^(j + K/2) = -zeta_K^j: the fold keeps every value and
             # turns the sums that cancel that way into all-zero columns
-            acc = acc[:order // 2] - acc[order // 2:]
-        return hull, acc
+            acc = acc[:, :self.rows] - acc[:, self.rows:]
+        return acc.transpose(0, 2, 1)
 
-    def values(self, hull: int, acc, shifts) -> list:
-        """Scalar of each shift in `shifts`, read from `sums`."""
-        cols = acc[:, np.add(shifts, hull)]
+    def zeros(self, acc: np.ndarray, tol_abs: float) -> np.ndarray:
+        """(pairs, shifts) bools: which sums of a `sums` stack vanish,
+        decided for the whole stack by one reduction modulo Phi_K."""
         if not self.exact:
-            return cols[0].tolist()
-        pad = (0,) * (self.order - len(acc))
-        zero = CycloNum.zero()
-        return [CycloNum(self.order, col + pad) if any(col) else zero
-                for col in zip(*cols.tolist())]
+            return np.abs(acc[..., 0]) <= tol_abs
+        flat = acc.reshape(-1, self.rows)
+        gain = reduction_gain(self.order)
+        if (flat.dtype != object and gain > 1
+                and max(flat.max(), -flat.min()) * gain >= _INT64_SAFE):
+            flat = flat.astype(object)
+        residues = reduce_rows(flat, self.order)
+        return ~(residues != 0).any(axis=1).reshape(acc.shape[:2])
 
-    def profile(self, lefts, rights) -> CorrelationProfile:
-        hull, acc = self.sums(lefts, rights)
-        return CorrelationProfile(-hull, self.values(hull, acc, range(-hull, hull + 1)))
+    def values(self, cols: np.ndarray) -> list:
+        """Scalar of each row of a (shifts, rows) stack slice: one
+        CycloNum per distinct row (a profile holds few)."""
+        if not self.exact:
+            return cols[:, 0].tolist()
+        pad = (0,) * (self.order - cols.shape[1])
+        zero = CycloNum.zero()
+        if len(cols) <= _SORT_MIN:
+            keys = list(map(tuple, cols.tolist()))
+            distinct = dict.fromkeys(keys)
+            for col in distinct:
+                distinct[col] = CycloNum(self.order, col + pad) if any(col) else zero
+            return [distinct[col] for col in keys]
+        # sort the rows, mark where a run of equal ones starts, and map
+        # every row to its run: no Python object per row
+        order = np.lexsort(cols.T)
+        runs = cols[order]
+        starts = np.ones(len(runs), bool)
+        starts[1:] = (runs[1:] != runs[:-1]).any(axis=1)
+        scalars = [CycloNum(self.order, tuple(col) + pad) if any(col) else zero
+                   for col in runs[starts].tolist()]
+        which = np.empty(len(runs), np.intp)
+        which[order] = np.cumsum(starts) - 1
+        return [scalars[i] for i in which.tolist()]
+
+    def profile(self) -> "CorrelationProfile":
+        """Profile of the sum of sets 0 and 1 over the full hull."""
+        (acc,) = self.sums([(0, 1)])
+        return CorrelationProfile(-self.hull, self.values(acc))
+
+    def check(self, pairs, tol_abs: float) -> list:
+        """PairResult of each (left, right) pair over the shifts of its
+        own hull; the zero shift of an auto pair may hold its energy
+        peak."""
+        acc = self.sums(pairs)
+        span = acc.shape[1]
+        hulls = [max(self.widths[m], self.widths[mp]) - 1 for m, mp in pairs]
+        zero = self.zeros(acc, tol_abs)
+        zero[[p for p, (m, mp) in enumerate(pairs) if m == mp], self.hull] = True
+        for p, h in enumerate(hulls):
+            if h < self.hull:  # shifts past a pair's own hull are not in its report
+                zero[p, :self.hull - h] = zero[p, self.hull + h + 1:] = True
+        values = self.values(acc.reshape(-1, self.rows))
+        step = self.step
+        bad = [[] for _ in pairs]
+        for p, col in np.argwhere(~zero).tolist():
+            bad[p].append((col - self.hull) * step)
+        out = []
+        for p, ((m, mp), h) in enumerate(zip(pairs, hulls)):
+            lo = p * span + self.hull - h
+            shifts = list(range(-h * step, h * step + 1, step))
+            out.append(PairResult(m, mp, shifts, values[lo:lo + 2 * h + 1], bad[p]))
+        return out
 
 
 def corr_profile(s: Sequence, t: Sequence) -> CorrelationProfile:
     """Full aperiodic correlation profile of (s, t)."""
-    kernel = _Kernel([[s], [t]], 1)
-    return kernel.profile(*kernel.sets)
+    return _Kernel([[s], [t]]).profile()
 
 
 def corr_sum(ss: SequenceSet, tt: SequenceSet, tau: int) -> Scalar:
@@ -209,8 +437,7 @@ def corr_sum(ss: SequenceSet, tt: SequenceSet, tau: int) -> Scalar:
 def corr_sum_profile(ss: SequenceSet, tt: SequenceSet) -> CorrelationProfile:
     if len(ss) != len(tt):
         raise ValueError(f"set sizes differ: {len(ss)} vs {len(tt)}")
-    kernel = _Kernel([ss, tt], len(ss))
-    return kernel.profile(*kernel.sets)
+    return _Kernel([ss, tt]).profile()
 
 
 # -- verification reports ----------------------------------------------
@@ -275,22 +502,11 @@ def _zero_tol(fams, tol: float) -> float:
     return tol * scale if scale > 0 else tol
 
 
-def _checked(left: int, right: int, shifts, values, tol_abs: float) -> PairResult:
-    """PairResult of the (left, right) sums at `shifts`; the zero shift
-    of an auto pair may hold its energy peak."""
-    violations = [tau for tau, v in zip(shifts, values)
-                  if not (left == right and tau == 0)
-                  and not scalar_is_zero(v, tol_abs)]
-    return PairResult(left, right, list(shifts), list(values), violations)
-
-
 def is_complementary_set(ss: SequenceSet, tol: float = DEFAULT_TOL) -> CheckReport:
     """Auto-correlation sum zero at every nonzero shift."""
     report = CheckReport(kind="complementary-set")
     tol_abs = 0.0 if ss.mode == EXACT else _zero_tol([ss], tol)
-    kernel = _Kernel([ss], len(ss))
-    prof = kernel.profile(kernel.sets[0], kernel.sets[0])
-    report.pairs.append(_checked(0, 0, prof.shifts(), prof.values, tol_abs))
+    report.pairs = _Kernel([ss]).check([(0, 0)], tol_abs)
     return report
 
 
@@ -299,13 +515,10 @@ def is_ccc(fam: SequenceFamily, tol: float = DEFAULT_TOL) -> CheckReport:
     identically zero cross-correlation sum."""
     report = CheckReport(kind="ccc")
     tol_abs = 0.0 if fam.mode == EXACT else _zero_tol(list(fam), tol)
-    kernel = _Kernel(fam, fam.set_size)
-    sets = kernel.sets
-    pairs = [(m, m) for m in range(len(sets))]
-    pairs += [(m, mp) for m in range(len(sets)) for mp in range(m + 1, len(sets))]
-    for m, mp in pairs:
-        prof = kernel.profile(sets[m], sets[mp])
-        report.pairs.append(_checked(m, mp, prof.shifts(), prof.values, tol_abs))
+    count = fam.family_size
+    pairs = [(m, m) for m in range(count)]
+    pairs += [(m, mp) for m in range(count) for mp in range(m + 1, count)]
+    report.pairs = _Kernel(list(fam)).check(pairs, tol_abs)
     return report
 
 
@@ -324,14 +537,9 @@ def is_n_co_sf(fam: SequenceFamily, n: int, tol: float = DEFAULT_TOL) -> CheckRe
         if ss.length % n:
             report.problems.append(
                 f"sequence {m} has length {ss.length} not divisible by {n}")
-    kernel = _Kernel(fam, 1)
-    sets = kernel.sets
-    for m in range(len(sets)):
-        for mp in range(m, len(sets)):
-            hull, acc = kernel.sums(sets[m], sets[mp])
-            taus = range(-(hull // n) * n, hull + 1, n)
-            vals = kernel.values(hull, acc, taus)
-            report.pairs.append(_checked(m, mp, taus, vals, tol_abs))
+    count = fam.family_size
+    pairs = [(m, mp) for m in range(count) for mp in range(m, count)]
+    report.pairs = _Kernel(list(fam), phases=n).check(pairs, tol_abs)
     return report
 
 
@@ -351,18 +559,14 @@ def zccc_zone(fam: SequenceFamily, tol: float = DEFAULT_TOL) -> int:
         raise ValueError(f"zone check requires one common length, got {sorted(lengths)}")
     (length,) = lengths
     tol_abs = 0.0 if fam.mode == EXACT else _zero_tol(list(fam), tol)
-    kernel = _Kernel(fam, fam.set_size)
-    zone = length
-    for left in kernel.sets:
-        rotated = left[1:] + left[:1]
-        for right in kernel.sets:
-            hull, acc = kernel.sums(rotated, right)
-            for tau in range(1, zone + 1):
-                (value,) = kernel.values(hull, acc, [length - tau])
-                if not scalar_is_zero(value, tol_abs):
-                    zone = tau - 1
-                    break
-    return zone
+    kernel = _Kernel(list(fam))
+    count = fam.family_size
+    pairs = [(m, mp) for m in range(count) for mp in range(count)]
+    zero = kernel.zeros(kernel.sums(pairs, rotate=True), tol_abs)
+    # shifts L - 1 down to 0, i.e. tau = 1 .. L
+    clean = zero[:, length - 1:].all(axis=0)[::-1]
+    bad = np.flatnonzero(~clean)
+    return int(bad[0]) if len(bad) else length
 
 
 def check_size_bound(fam: SequenceFamily, kind: str, n: Optional[int] = None) -> bool:

@@ -9,7 +9,10 @@ cyclotomic polynomial happens only when a value has to be tested
 against zero (or turned into a canonical key), which is what makes
 "this correlation is exactly zero" a decidable question.
 
-Coefficients are plain Python ints, so they never overflow.
+Coefficients are plain Python ints, so they never overflow.  The
+reduction is one long division by Phi_K (`reduce_rows`), applied to one
+value or to a whole stack of them at once, so `CycloNum.is_zero` and the
+correlation kernel decide zero by the same rule.
 """
 
 from __future__ import annotations
@@ -17,6 +20,8 @@ from __future__ import annotations
 import cmath
 from functools import lru_cache
 from math import gcd
+
+import numpy as np
 
 # Auto-promotion of mixed orders goes through lcm; cap it so a typo in a
 # recipe cannot silently request a ring with millions of coefficients.
@@ -141,10 +146,8 @@ class CycloNum:
         Two CycloNums of the *same* order denote the same value iff
         their reduced tuples are equal.
         """
-        phi = cyclotomic_polynomial(self.order)
-        rem = _poly_mod(self.coeffs, phi)
-        deg = len(phi) - 1
-        return tuple(rem) + (0,) * (deg - len(rem))
+        rows = np.array([self.coeffs], dtype=object)
+        return tuple(reduce_rows(rows, self.order)[0])
 
     def is_zero(self) -> bool:
         if all(c == 0 for c in self.coeffs):
@@ -206,20 +209,6 @@ def _poly_trim(p):
     return list(p[:n])
 
 
-def _poly_mod(dividend, divisor) -> list:
-    """Remainder of integer polynomial division by a *monic* divisor."""
-    assert divisor[-1] == 1, "divisor must be monic"
-    rem = list(dividend)
-    d = len(divisor) - 1
-    for i in range(len(rem) - 1, d - 1, -1):
-        c = rem[i]
-        if c:
-            rem[i] = 0
-            for j in range(d):
-                rem[i - d + j] -= c * divisor[j]
-    return _poly_trim(rem[:d])
-
-
 def _poly_divexact(dividend, divisor) -> list:
     """Exact quotient of integer polynomials; raises if division leaves a remainder."""
     rem = _poly_trim(dividend)
@@ -262,3 +251,51 @@ def cyclotomic_polynomial(k: int) -> tuple:
 
 def euler_phi(k: int) -> int:
     return len(cyclotomic_polynomial(k)) - 1
+
+
+def reduce_rows(rows: np.ndarray, k: int) -> np.ndarray:
+    """Residues modulo Phi_k of the rows of an integer array: one
+    (n, phi(k)) array whose row i is zero iff row i denotes zero.
+
+    A row holds the k coefficients of zeta_k^0 .. zeta_k^(k-1), or for
+    an even k the k/2 coefficients left after folding by
+    zeta_k^(k/2) = -1.  All rows are divided by the monic Phi_k at once,
+    one leading column at a time (columns that are zero in every row are
+    skipped), so the work is the schoolbook long division and the memory
+    O(n k) whatever k is.  Object rows (Python ints) are reduced
+    exactly; int64 rows (folded for an even k) must keep
+    peak * `reduction_gain(k)` below 2^63."""
+    if k % 2 == 0 and rows.shape[1] == k:
+        rows = rows[:, :k // 2] - rows[:, k // 2:]
+    else:
+        rows = rows.copy()
+    phi = cyclotomic_polynomial(k)
+    deg = len(phi) - 1
+    low = np.array(phi[:deg], dtype=np.int64)
+    for j in range(rows.shape[1] - 1, deg - 1, -1):
+        lead = rows[:, j]
+        if lead.any():
+            rows[:, j - deg:j] -= lead[:, None] * low
+    return rows[:, :deg]
+
+
+@lru_cache(maxsize=16)
+def reduction_gain(k: int) -> float:
+    """Bound on |entry| / |largest coefficient| over every intermediate
+    and final entry of `reduce_rows` at order k (rows folded for an even
+    k).  The leading coefficients the division takes out are the row
+    convolved with the power series a = 1 / (Phi_k with its coefficients
+    reversed), so each is at most A = sum |a_n| times the largest
+    coefficient, and every other entry at most 1 + A * (sum of
+    |coefficients| of Phi_k below the leading one) times it.  Evaluated
+    in floats and capped at 2^64, past which no int64 stack is safe."""
+    cap = 2.0 ** 64
+    phi = cyclotomic_polynomial(k)
+    deg = len(phi) - 1
+    rev = np.array(phi[-2::-1], dtype=float)  # coefficient d - 1 of the reversal
+    a = np.zeros(max((k // 2 if k % 2 == 0 else k) - deg, 0))
+    for n in range(len(a)):
+        m = min(n, deg)
+        a[n] = np.clip((n == 0) - rev[:m] @ a[n - m:n][::-1], -cap, cap)
+    spread = float(np.abs(a).sum()) * float(np.abs(rev).sum())
+    return min(1 + spread, cap)

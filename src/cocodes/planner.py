@@ -154,10 +154,18 @@ def factor_chain(n: int, k: int) -> Optional[list]:
 
 def constructible(n: int, length: int) -> bool:
     """True iff `length` is divisible by n and every prime factor of
-    length/n is at most n."""
-    if n < 1 or length < 1 or length % n:
+    length/n is at most n; n must lie in 1..DIM_LIMIT, as for `plan`."""
+    _check_shift(n)
+    if length < 1 or length % n:
         return False
     return _blocking_factor(n, length // n) is None
+
+
+def _check_shift(n: int) -> None:
+    """Refuse a shift parameter outside 1..DIM_LIMIT: the matrices of
+    larger ones are not built, and trial division is linear in n."""
+    if not 1 <= n <= DIM_LIMIT:
+        raise ValueError(f"shift parameter must be in 1..{DIM_LIMIT}, got {n}")
 
 
 def _blocking_factor(n: int, k: int) -> Optional[int]:
@@ -187,8 +195,7 @@ def plan(n: int, targets) -> Recipe:
     later factor one elongation round.  Multiple targets get disjoint
     cells, which requires the sum of their leading factors to fit in N.
     """
-    if not 1 <= n <= DIM_LIMIT:
-        raise ValueError(f"shift parameter must be in 1..{DIM_LIMIT}, got {n}")
+    _check_shift(n)
     targets = sorted(set(int(t) for t in targets))
     if not targets:
         raise ValueError("at least one target length required")

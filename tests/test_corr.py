@@ -1,9 +1,15 @@
 """Correlations, correlation sums, and the defining predicates."""
 
 import json
+import logging
+import math
 import random
+import time
+from functools import reduce
 
 import pytest
+from hypothesis import HealthCheck, given, settings
+from hypothesis import strategies as st
 
 from cocodes import (
     CycloNum,
@@ -34,6 +40,7 @@ from cocodes import (
     singleton_family,
     zccc_zone,
 )
+from cocodes import corr
 from cocodes.cli import EXIT_OK, family_to_doc, main
 
 
@@ -379,3 +386,236 @@ class TestApproxMode:
                          Sequence([1 + eps, -1 + 0j, 1 + 0j, 1 + 0j])])
         assert is_complementary_set(a, tol=1e-9).ok
         assert not is_complementary_set(a, tol=1e-15).ok
+
+
+# -- the spectral kernel against the definitional sums -------------------
+
+MIXED_ORDERS = (1, 2, 3, 4, 5, 6, 12)
+
+
+@st.composite
+def mixed_entries(draw):
+    order = draw(st.sampled_from(MIXED_ORDERS))
+    return CycloNum(order, draw(st.lists(st.integers(-3, 3), min_size=order,
+                                         max_size=order)))
+
+
+@st.composite
+def mixed_families(draw):
+    """1-3 sets of 1-3 members, each set with its own length (1-6),
+    entries of the orders 1, 2, 3, 4, 5, 6 and 12 mixed."""
+    members = draw(st.integers(1, 3))
+    sets = []
+    for length in draw(st.lists(st.integers(1, 6), min_size=1, max_size=3)):
+        sets.append(SequenceSet(
+            Sequence(draw(st.lists(mixed_entries(), min_size=length, max_size=length)))
+            for _ in range(members)))
+    return SequenceFamily(sets)
+
+
+def summed_acorr(ss, tt, tau):
+    return reduce(lambda a, b: a + b,
+                  (acorr(a, b, tau) for a, b in zip(ss, tt)), CycloNum.zero())
+
+
+def assert_pair_matches(pair, ss, tt):
+    expect = [summed_acorr(ss, tt, tau) for tau in pair.shifts]
+    assert pair.values == expect
+    assert pair.violations == [
+        tau for tau, v in zip(pair.shifts, expect)
+        if not v.is_zero() and not (pair.left == pair.right and tau == 0)]
+
+
+def family_order(fam):
+    return reduce(math.lcm, (s.order for ss in fam for s in ss), 1)
+
+
+def exact_loop_records(caplog):
+    return [r.getMessage() for r in caplog.records
+            if r.name == "cocodes" and "exact loop" in r.getMessage()]
+
+
+class TestSpectralKernel:
+    @settings(max_examples=60, deadline=None)
+    @given(mixed_families())
+    def test_profiles_and_predicates_match_summed_acorr(self, fam):
+        for ss in fam:
+            for tt in fam:
+                prof = corr_sum_profile(ss, tt)
+                hull = max(ss.length, tt.length) - 1
+                assert list(prof.shifts()) == list(range(-hull, hull + 1))
+                assert prof.values == [summed_acorr(ss, tt, tau) for tau in prof.shifts()]
+        s, t = fam[0][0], fam[-1][-1]
+        assert corr_profile(s, t).values == [
+            acorr(s, t, tau) for tau in corr_profile(s, t).shifts()]
+        report = is_ccc(fam)
+        pairs = [(m, m) for m in range(len(fam))]
+        pairs += [(m, mp) for m in range(len(fam)) for mp in range(m + 1, len(fam))]
+        assert [(p.left, p.right) for p in report.pairs] == pairs
+        for pair in report.pairs:
+            assert_pair_matches(pair, fam[pair.left], fam[pair.right])
+        (pair,) = is_complementary_set(fam[-1]).pairs
+        assert_pair_matches(pair, fam[-1], fam[-1])
+
+    @settings(max_examples=60, deadline=None)
+    @given(st.lists(st.lists(mixed_entries(), min_size=1, max_size=9),
+                    min_size=1, max_size=3),
+           st.integers(1, 4))
+    def test_n_co_sf_matches_lattice_scan(self, rows, n):
+        fam = singleton_family([Sequence(r) for r in rows])
+        report = is_n_co_sf(fam, n)
+        assert report.problems == [
+            f"sequence {m} has length {len(r)} not divisible by {n}"
+            for m, r in enumerate(rows) if len(r) % n]
+        count = len(rows)
+        assert [(p.left, p.right) for p in report.pairs] == [
+            (m, mp) for m in range(count) for mp in range(m, count)]
+        for pair in report.pairs:
+            s, t = fam[pair.left], fam[pair.right]
+            hull = max(s.length, t.length) - 1
+            assert pair.shifts == list(range(-(hull // n) * n, hull + 1, n))
+            assert_pair_matches(pair, s, t)
+
+    @staticmethod
+    def perturbations(fam):
+        """Every copy of `fam` with one entry times zeta_K^e, e != 0,
+        K = max(order of the family, 2)."""
+        k = max(family_order(fam), 2)
+        for m, ss in enumerate(fam):
+            for n, seq in enumerate(ss):
+                for p in range(len(seq)):
+                    for e in range(1, k):
+                        entries = list(seq)
+                        entries[p] = entries[p] * CycloNum.root(k, e)
+                        sets = list(fam)
+                        members = list(ss)
+                        members[n] = Sequence(entries)
+                        sets[m] = SequenceSet(members)
+                        yield SequenceFamily(sets)
+
+    @pytest.mark.parametrize("build", [
+        lambda: ccc_from_unitary(hadamard_matrix(2)),
+        lambda: ccc_from_unitary(dft_matrix(3)),
+        lambda: cosf_to_ccc(execute(plan(4, [16]), verify=False).family, dft_matrix(4)),
+    ], ids=["hadamard2", "dft3", "4x4-L16"])
+    def test_every_single_entry_perturbation_of_a_ccc_rejected(self, build):
+        fam = build()
+        assert is_ccc(fam).ok
+        for bad in self.perturbations(fam):
+            assert not is_ccc(bad).ok
+
+    @pytest.mark.parametrize("build, n", [
+        (lambda: generate_cosf(hadamard_matrix(2), [[0, 1]], [hadamard_matrix(2)]), 2),
+        (lambda: execute(plan(3, [27]), verify=False).family, 3),
+        (lambda: execute(plan(6, [12, 18]), verify=False).family, 6),
+    ], ids=["2-of-4", "3-of-27", "6-mixed"])
+    def test_every_single_entry_perturbation_of_a_cosf_rejected(self, build, n):
+        fam = build()
+        assert is_n_co_sf(fam, n).ok
+        for bad in self.perturbations(fam):
+            assert not is_n_co_sf(bad, n).ok
+
+    @settings(max_examples=30, deadline=None,
+              suppress_health_check=[HealthCheck.function_scoped_fixture])
+    @given(st.sampled_from([1, 2, 3, 4, 6]), st.integers(1, 5), st.integers(1, 2),
+           st.booleans(), st.data())
+    def test_rounding_bound_edge(self, caplog, order, length, members, above, data):
+        # unit entries scaled by c: a set's squared coefficients sum to
+        # members * length * c^2, the energy the bound is linear in
+        per_c2 = members * length
+        size = corr._smooth(2 * length - 1)
+        limit = 0.5 / corr.rounding_bound(1.0, order, size, members)
+        c = math.isqrt(int(limit / per_c2))
+        while (c + 1) ** 2 * per_c2 < limit:
+            c += 1
+        while c * c * per_c2 >= limit:
+            c -= 1
+        c += above
+        assert (corr.rounding_bound(c * c * per_c2, order, size, members) < 0.5) != above
+        scale = CycloNum.from_int(c)
+
+        def seq():
+            return Sequence(
+                CycloNum.root(order, data.draw(st.integers(0, order - 1))) * scale
+                for _ in range(length))
+
+        ss = SequenceSet(seq() for _ in range(members))
+        tt = SequenceSet(seq() for _ in range(members))
+        caplog.clear()
+        with caplog.at_level(logging.DEBUG, logger="cocodes"):
+            prof = corr_sum_profile(ss, tt)
+        assert prof.values == [summed_acorr(ss, tt, tau) for tau in prof.shifts()]
+        records = exact_loop_records(caplog)
+        assert len(records) == above
+        if above:
+            assert "rounding bound" in records[0] and "headroom" in records[0]
+
+    def test_spectra_size_cap_takes_exact_loop(self, caplog, monkeypatch):
+        fam = cosf_to_ccc(execute(plan(4, [16]), verify=False).family, dft_matrix(4))
+        spectral = is_ccc(fam)
+        monkeypatch.setattr(corr, "_SPECTRA_MAX", 0)
+        with caplog.at_level(logging.DEBUG, logger="cocodes"):
+            looped = is_ccc(fam)
+        (record,) = exact_loop_records(caplog)
+        assert "spectra size cap" in record and "headroom" in record
+        assert looped.ok and spectral.ok
+        assert [p.values for p in looped.pairs] == [p.values for p in spectral.pairs]
+        assert [[(v.order, v.coeffs) for v in p.values] for p in looped.pairs] == \
+            [[(v.order, v.coeffs) for v in p.values] for p in spectral.pairs]
+        # a family of zero energy has no finite headroom to report
+        zeros = singleton_family([Sequence([CycloNum.zero(3)] * 4)] * 2)
+        assert is_n_co_sf(zeros, 2).ok
+
+    @pytest.mark.parametrize("build", [
+        lambda: cosf_to_ccc(execute(plan(4, [16]), verify=False).family, dft_matrix(4)),
+        lambda: next(TestSpectralKernel.perturbations(ccc_from_unitary(dft_matrix(3)))),
+    ], ids=["4x4-L16", "dft3-near-miss"])
+    def test_distinct_rows_by_dict_and_by_sort_agree(self, build, monkeypatch):
+        fam = build()
+        reports = []
+        for sort_min in (0, 10 ** 9):
+            monkeypatch.setattr(corr, "_SORT_MIN", sort_min)
+            reports.append(is_ccc(fam))
+        by_sort, by_dict = ([[(v.order, v.coeffs) for v in p.values] for p in r.pairs]
+                            for r in reports)
+        assert by_sort == by_dict
+        assert reports[0].render() == reports[1].render()
+
+    def test_spectral_path_logs_nothing(self, caplog):
+        with caplog.at_level(logging.DEBUG, logger="cocodes"):
+            assert is_ccc(ccc_from_unitary(dft_matrix(4))).ok
+        assert exact_loop_records(caplog) == []
+
+    def test_shift_parameter_past_the_lengths(self, caplog):
+        # only shift 0 of the n-shift lattice lies inside the hull, and
+        # no component past the longest length is built
+        fam = singleton_family([Sequence(CycloNum.from_int(c) for c in s)
+                                for s in ([1, -1, 1, 1], [1, 1], [1])])
+        start = time.perf_counter()
+        with caplog.at_level(logging.DEBUG, logger="cocodes"):
+            report = is_n_co_sf(fam, 10 ** 9)
+        assert time.perf_counter() - start < 0.5
+        assert exact_loop_records(caplog) == []
+        assert report.problems == [
+            f"sequence {m} has length {ss.length} not divisible by {10 ** 9}"
+            for m, ss in enumerate(fam)]
+        for pair in report.pairs:
+            assert pair.shifts == [0]
+            assert_pair_matches(pair, fam[pair.left], fam[pair.right])
+        assert [p.values for p in report.pairs] == [
+            p.values for p in is_n_co_sf(fam, 4).pairs]
+
+    @settings(max_examples=30, deadline=None)
+    @given(st.lists(st.lists(st.complex_numbers(max_magnitude=4, allow_nan=False,
+                                                allow_infinity=False),
+                             min_size=1, max_size=9), min_size=2, max_size=3),
+           st.integers(1, 3))
+    def test_approx_violations_stay_in_each_pair_hull(self, rows, n):
+        # with tol 0 transform noise makes violations; a short pair must
+        # not report any at shifts only a longer pair of the call spans
+        fam = singleton_family([Sequence(r) for r in rows])
+        for report in (is_n_co_sf(fam, n, tol=0.0),
+                       is_ccc(SequenceFamily([SequenceSet([Sequence(r)]) for r in rows]),
+                              tol=0.0)):
+            for pair in report.pairs:
+                assert set(pair.violations) <= set(pair.shifts)

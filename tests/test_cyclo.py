@@ -3,7 +3,9 @@ the cyclotomic polynomial machinery behind it."""
 
 import cmath
 import random
+import tracemalloc
 
+import numpy as np
 import pytest
 
 from cocodes.cyclo import (
@@ -12,6 +14,8 @@ from cocodes.cyclo import (
     OrderLimitError,
     cyclotomic_polynomial,
     euler_phi,
+    reduce_rows,
+    reduction_gain,
 )
 
 
@@ -90,6 +94,76 @@ class TestZeroDecision:
             d = a - a
             assert d.is_zero()
             assert abs(d.numeric()) < 1e-9
+
+
+def long_division_remainder(coeffs, k):
+    """Remainder of sum c_j x^j on division by the monic Phi_k, padded
+    to phi(k) coefficients: the schoolbook reference for reduce_rows."""
+    phi = cyclotomic_polynomial(k)
+    deg = len(phi) - 1
+    rem = list(coeffs)
+    for i in range(len(rem) - 1, deg - 1, -1):
+        c, rem[i] = rem[i], 0
+        for j in range(deg):
+            rem[i - deg + j] -= c * phi[j]
+    return tuple(rem[:deg])
+
+
+class TestReduction:
+    @pytest.mark.parametrize("k", list(range(1, 61)) + [105, 128, 210, 385])
+    def test_matches_long_division(self, k):
+        rng = random.Random(k)
+        rows = [[rng.choice([0, rng.randint(-9, 9), rng.randint(-2 ** 70, 2 ** 70)])
+                 for _ in range(k)] for _ in range(4)]
+        expect = [long_division_remainder(r, k) for r in rows]
+        assert [CycloNum(k, r).reduced() for r in rows] == expect
+        exact = reduce_rows(np.array(rows, dtype=object), k)
+        assert [tuple(r) for r in exact.tolist()] == expect
+        small = [[c % 7 - 3 for c in r] for r in rows]
+        assert reduce_rows(np.array(small, dtype=np.int64), k).tolist() == [
+            list(long_division_remainder(r, k)) for r in small]
+
+    def test_large_order_needs_no_order_squared_memory(self):
+        # 2001 = 3 * 23 * 29 has phi = 1232: a table of x^j mod Phi for
+        # the 769 powers past it would take 7.6 MB as int64
+        k = 2001
+        coeffs = [1 if j in (3, 1000, 1999) else 0 for j in range(k)]
+        expect = long_division_remainder(coeffs, k)
+        a = CycloNum(k, coeffs)
+        tracemalloc.start()
+        try:
+            assert a.reduced() == expect
+            assert not a.is_zero() and (a - a).is_zero()
+            peak = tracemalloc.get_traced_memory()[1]
+        finally:
+            tracemalloc.stop()
+        assert peak < 2 ** 20
+
+    @pytest.mark.parametrize("k", [7, 12, 15, 105, 210, 385])
+    def test_gain_bounds_every_intermediate(self, k):
+        # the long division run by hand on rows of peak 1000, watching
+        # every entry it writes
+        rng = random.Random(k)
+        phi = cyclotomic_polynomial(k)
+        deg = len(phi) - 1
+        width = k // 2 if k % 2 == 0 else k
+        seen = 0
+        for _ in range(20):
+            row = [rng.choice([-1000, 1000, rng.randint(-1000, 1000)]) for _ in range(width)]
+            for j in range(width - 1, deg - 1, -1):
+                for i in range(deg):
+                    row[j - deg + i] -= row[j] * phi[i]
+                    seen = max(seen, abs(row[j - deg + i]), abs(row[j] * phi[i]))
+        assert seen <= 1000 * reduction_gain(k)
+
+    def test_folded_rows_of_even_order(self):
+        # an even order's rows may come folded by zeta^(k/2) = -1
+        rng = random.Random(3)
+        for k in (2, 4, 6, 12, 30):
+            full = [rng.randint(-5, 5) for _ in range(k)]
+            folded = [a - b for a, b in zip(full[:k // 2], full[k // 2:])]
+            assert reduce_rows(np.array([folded]), k).tolist() == \
+                reduce_rows(np.array([full]), k).tolist()
 
 
 class TestCyclotomicPolynomials:

@@ -104,6 +104,15 @@ class TestConstructible:
         assert factor_chain(36, 2 ** 30 * 3 ** 14 * 37) is None
         assert time.perf_counter() - start < 1.0
 
+    def test_shift_parameter_outside_dim_limit_refused(self):
+        # trial division up to n would take minutes for n = 10^9
+        start = time.perf_counter()
+        for n in (0, DIM_LIMIT + 1, 10 ** 9):
+            with pytest.raises(ValueError, match=str(DIM_LIMIT)):
+                constructible(n, 10 ** 9 * (10 ** 18 + 3))
+        assert time.perf_counter() - start < 0.5
+        assert constructible(DIM_LIMIT, DIM_LIMIT * 2)
+
 
 class TestPlan:
     def test_large_prime_cofactor_reported(self):
