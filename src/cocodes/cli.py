@@ -5,8 +5,12 @@ serialize as {"order": K, "coeffs": [...]} with plain (arbitrary
 precision) integers; approx scalars as {"re": x, "im": y}.  On input,
 "+" / "-" are accepted as shorthand for +1 / -1 and bare integers for
 integer scalars (in approx documents also bare floats); JSON booleans
-are refused.  Output is always the normalized form, and an exact
-sequence is written at one order, the lcm of its entries' orders.
+are refused, and so is an exact order or coefficient that is not a
+JSON integer.  Output is always the normalized form, written as one line
+of compact JSON, and an exact sequence is written at one order, the lcm
+of its entries' orders.  A sequence is written from its coefficient
+array; an exact sequence whose entries are normalized at one order is
+read back into one in a single step, any other one scalar by scalar.
 
 Exit codes: 0 verified success, 1 verification failure,
 2 construction impossibility, 3 I/O or parse error.
@@ -17,10 +21,13 @@ from __future__ import annotations
 import argparse
 import json
 import sys
+from itertools import chain
+
+import numpy as np
 
 from .corr import DEFAULT_TOL, zccc_zone
 from .construct import ConstructionError, cosf_to_ccc, enlarge_ccc
-from .cyclo import CycloNum, OrderLimitError
+from .cyclo import ORDER_LIMIT, CycloNum, OrderLimitError
 from .matrices import (
     MatrixSpec,
     MatrixValidationError,
@@ -84,8 +91,15 @@ def scalar_from_doc(doc, mode: str):
     try:
         if isinstance(doc, dict):
             if mode == EXACT:
-                return CycloNum(doc["order"], doc["coeffs"])
-            return complex(doc["re"], doc["im"])
+                order, coeffs = doc["order"], doc["coeffs"]
+                if (type(order) is not int or type(coeffs) is not list
+                        or not all(type(c) is int for c in coeffs)):
+                    raise TypeError("order and coefficients must be integers")
+                return CycloNum(order, coeffs)
+            real, imag = doc["re"], doc["im"]
+            if not {type(real), type(imag)} <= {int, float}:  # no bool
+                raise TypeError("re and im must be numbers")
+            return complex(real, imag)
         x = _coerce_scalar(doc)
         if isinstance(x, CycloNum):
             return x if mode == EXACT else complex(x.coeffs[0])
@@ -96,6 +110,45 @@ def scalar_from_doc(doc, mode: str):
     raise DocumentError(f"bad {mode} scalar {doc!r}")
 
 
+def sequence_to_doc(seq: Sequence) -> list:
+    """Normalized entries of a sequence, read off its array."""
+    if seq.mode == EXACT:
+        order = seq.order
+        return [{"order": order, "coeffs": col} for col in seq.array.T.tolist()]
+    return [{"re": z.real, "im": z.imag} for z in seq.array.tolist()]
+
+
+def _exact_array(entries):
+    """(K, L) coefficient array of a list of normalized exact entries of
+    one order K, or None for any other entry list."""
+    if type(entries) is not list or not entries:
+        return None
+    try:
+        orders = [x["order"] for x in entries]
+        cols = [x["coeffs"] for x in entries]
+    except (KeyError, TypeError):
+        return None
+    order = orders[0]
+    # types first: a set of the orders alone would take true for 1
+    if (set(map(type, orders)) != {int} or set(orders) != {order}
+            or not 1 <= order <= ORDER_LIMIT
+            or set(map(type, cols)) != {list}
+            or set(map(len, cols)) != {order}
+            or set(map(type, chain.from_iterable(cols))) != {int}):
+        return None
+    return np.array(cols, dtype=object).T
+
+
+def sequence_from_doc(entries, mode: str) -> Sequence:
+    """Sequence of a document's entry list: exact entries normalized at
+    one order become the array in one step, anything else goes scalar by
+    scalar."""
+    array = _exact_array(entries) if mode == EXACT else None
+    if array is None:
+        return Sequence(scalar_from_doc(x, mode) for x in entries)
+    return Sequence.of_array(array)
+
+
 def family_to_doc(fam: SequenceFamily, kind: str = "raw") -> dict:
     return {
         "kind": kind,
@@ -103,10 +156,7 @@ def family_to_doc(fam: SequenceFamily, kind: str = "raw") -> dict:
         "set_size": fam.set_size,
         "length_set": sorted(fam.length_set),
         "mode": fam.mode,
-        "sets": [
-            [[scalar_to_doc(x) for x in seq] for seq in ss]
-            for ss in fam
-        ],
+        "sets": [[sequence_to_doc(seq) for seq in ss] for ss in fam],
     }
 
 
@@ -118,9 +168,7 @@ def family_from_doc(doc: dict) -> SequenceFamily:
         raise DocumentError(f"bad mode {mode!r}")
     try:
         sets = [
-            SequenceSet(
-                Sequence(scalar_from_doc(x, mode) for x in seq)
-                for seq in ss)
+            SequenceSet(sequence_from_doc(seq, mode) for seq in ss)
             for ss in doc["sets"]
         ]
         fam = SequenceFamily(sets)
@@ -279,9 +327,10 @@ def _load_json(path: str):
 
 
 def _dump_json(path: str, doc) -> None:
+    # json.dumps without indent runs the C encoder; json.dump never does
+    text = json.dumps(doc)
     with open(path, "w", encoding="utf-8") as fh:
-        json.dump(doc, fh, indent=1)
-        fh.write("\n")
+        fh.write(text + "\n")
 
 
 def _write_ccc(args, out: SequenceFamily) -> int:

@@ -19,7 +19,7 @@ from __future__ import annotations
 
 import cmath
 from functools import lru_cache
-from math import gcd
+from math import gcd, prod
 
 import numpy as np
 
@@ -231,22 +231,54 @@ def _poly_divexact(dividend, divisor) -> list:
     return quot
 
 
+def _prime_factors(k: int) -> list:
+    """Distinct prime factors of k >= 1, ascending."""
+    found, p = [], 2
+    while p * p <= k:
+        if k % p == 0:
+            found.append(p)
+            while k % p == 0:
+                k //= p
+        p += 1
+    return found + [k] if k > 1 else found
+
+
+def _substitute_power(poly: tuple, e: int) -> tuple:
+    """poly(x^e) of an ascending coefficient tuple."""
+    out = [0] * ((len(poly) - 1) * e + 1)
+    out[::e] = poly
+    return tuple(out)
+
+
 @lru_cache(maxsize=None)
 def cyclotomic_polynomial(k: int) -> tuple:
-    """Phi_k as an ascending integer coefficient tuple.
+    """Phi_k as an ascending integer coefficient tuple, by the standard
+    identities (p prime, m > 1 coprime to p, rad(k) the product of the
+    distinct primes of k):
 
-    Computed as (x^k - 1) divided by the product of Phi_d over proper
-    divisors d of k; the division is exact by construction.
-    """
+      Phi_k(x)  = Phi_rad(k)(x^(k / rad(k)))
+      Phi_p(x)  = 1 + x + ... + x^(p - 1)
+      Phi_2m(x) = Phi_m(-x)                  for odd m
+      Phi_pm(x) = Phi_m(x^p) / Phi_m(x)
+
+    The last one, with p the largest prime of an odd square-free k, is
+    the only division: one exact division by Phi_(k/p)."""
     if k < 1:
         raise ValueError("k must be >= 1")
     if k == 1:
         return (-1, 1)
-    num = [-1] + [0] * (k - 1) + [1]
-    for d in range(1, k):
-        if k % d == 0:
-            num = _poly_divexact(num, cyclotomic_polynomial(d))
-    return tuple(num)
+    primes = _prime_factors(k)
+    rad = prod(primes)
+    if rad != k:
+        return _substitute_power(cyclotomic_polynomial(rad), k // rad)
+    if len(primes) == 1:
+        return (1,) * k
+    if k % 2 == 0:
+        return tuple(c if j % 2 == 0 else -c
+                     for j, c in enumerate(cyclotomic_polynomial(k // 2)))
+    p = primes[-1]
+    inner = cyclotomic_polynomial(k // p)
+    return tuple(_poly_divexact(_substitute_power(inner, p), inner))
 
 
 def euler_phi(k: int) -> int:

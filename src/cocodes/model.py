@@ -27,11 +27,12 @@ from __future__ import annotations
 
 from functools import reduce
 from itertools import permutations
+from operator import itemgetter
 from typing import Iterable, Union
 
 import numpy as np
 
-from .cyclo import CycloNum, common_order
+from .cyclo import CycloNum, common_order, reduce_rows
 
 Scalar = Union[CycloNum, complex]
 
@@ -402,29 +403,39 @@ def _family_order(fam: SequenceFamily) -> int:
 
 
 def _seq_key(s: Sequence, order: int):
+    """Value key of a sequence at a family's order: its length, then each
+    entry reduced modulo Phi_order (approx: each entry's (re, im))."""
     if s.mode == EXACT:
-        cols = zip(*_promote(s.array, order).tolist())
-        return (len(s),) + tuple(CycloNum(order, c).reduced() for c in cols)
+        residues = reduce_rows(_promote(s.array, order).T, order)
+        return (len(s),) + tuple(map(tuple, residues.tolist()))
     return (len(s),) + tuple((x.real, x.imag) for x in s.array.tolist())
 
 
 def _canonical_arrangement(fam: SequenceFamily, order: int):
-    """(row order, column order) of the lexicographically least matrix
-    under joint column permutation plus row sorting."""
+    """(matrix of keys, row order, column order) of the lexicographically
+    least matrix under joint column permutation plus row sorting.
+
+    The search runs on each key's rank among the family's distinct keys:
+    ranks order like the keys, so the choice is the same, and comparing
+    small ints is cheaper than comparing tuples of residues."""
     n = fam.set_size
     if n > CANONICAL_DIM_LIMIT:
         raise CanonicalSearchError(
             f"canonical form search is capped at set size {CANONICAL_DIM_LIMIT}, "
             f"got {n}")
     keys = [[_seq_key(s, order) for s in ss] for ss in fam]
+    rank = {key: r for r, key in enumerate(sorted({k for row in keys for k in row}))}
+    ranks = [tuple(rank[k] for k in row) for row in keys]
     best = None
     for cols in permutations(range(n)):
-        rows = sorted(range(len(keys)),
-                      key=lambda m: tuple(keys[m][c] for c in cols))
-        candidate = tuple(tuple(keys[m][c] for c in cols) for m in rows)
+        pick = itemgetter(*cols)  # an int, not a tuple, when n == 1
+        tuples = [pick(r) for r in ranks]
+        rows = sorted(range(len(ranks)), key=tuples.__getitem__)
+        candidate = [tuples[m] for m in rows]
         if best is None or candidate < best[0]:
             best = (candidate, rows, cols)
-    return best
+    _, rows, cols = best
+    return tuple(tuple(keys[m][c] for c in cols) for m in rows), rows, cols
 
 
 def canonical_form(fam: SequenceFamily) -> SequenceFamily:

@@ -320,6 +320,47 @@ class TestVerifyCommand:
                      "--kind", "ccc"]) == EXIT_IO
 
 
+class TestNonIntegerNumbers:
+    """An exact order or coefficient that is not a JSON integer is a
+    parse error (exit 3), never truncated to an int, whether the
+    sequence is read as one array (every entry normalized at one order)
+    or scalar by scalar (here: its last entry is the "+" shorthand)."""
+
+    CASES = {
+        "coeff-float": lambda x: {"order": 1, "coeffs": [1.5]},
+        "coeff-true": lambda x: {"order": 1, "coeffs": [True]},
+        "order-float": lambda x: {"order": 2.7, "coeffs": x["coeffs"] + [0]},
+        # true == 1, so a set of the orders alone would not tell it apart
+        "order-true": lambda x: {"order": True, "coeffs": x["coeffs"]},
+        "coeff-string": lambda x: {"order": 1, "coeffs": ["7"]},
+    }
+
+    @pytest.mark.parametrize("path", ["array", "scalar"])
+    @pytest.mark.parametrize("case", sorted(CASES))
+    def test_refused(self, tmp_path, capsys, golden_ccc_2x2, case, path):
+        doc = json.loads(json.dumps(family_to_doc(golden_ccc_2x2, kind="ccc")))
+        seq = doc["sets"][0][0]
+        mutate = self.CASES[case]
+        if case == "order-float":
+            seq[:] = [mutate(x) for x in seq]
+        else:
+            seq[1] = mutate(seq[1])
+        if path == "scalar":
+            seq[-1] = "+"
+        file = tmp_path / "f.json"
+        write_json(file, doc)
+        assert main(["verify", str(file), "--kind", "ccc"]) == EXIT_IO
+        assert "must be integers" in capsys.readouterr().err
+
+    def test_scalar_doc_refuses_non_integers(self):
+        for doc in ({"order": 1, "coeffs": [1.5]}, {"order": 1, "coeffs": [False]},
+                    {"order": 2.0, "coeffs": [1, 0]}, {"order": 1, "coeffs": "7"}):
+            with pytest.raises(DocumentError):
+                scalar_from_doc(doc, "exact")
+        with pytest.raises(DocumentError):
+            scalar_from_doc({"re": True, "im": 0}, "approx")
+
+
 class TestOrderCap:
     """A family whose entry orders have an lcm above ORDER_LIMIT is a
     refused construction (exit 2), whether the cap is hit while the

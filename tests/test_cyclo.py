@@ -3,6 +3,7 @@ the cyclotomic polynomial machinery behind it."""
 
 import cmath
 import random
+import time
 import tracemalloc
 
 import numpy as np
@@ -12,6 +13,7 @@ from cocodes.cyclo import (
     ORDER_LIMIT,
     CycloNum,
     OrderLimitError,
+    _poly_divexact,
     cyclotomic_polynomial,
     euler_phi,
     reduce_rows,
@@ -210,6 +212,29 @@ class TestCyclotomicPolynomials:
                 prod = _polymul(prod, cyclotomic_polynomial(d))
         expect = [-1] + [0] * (k - 1) + [1]
         assert prod == expect
+
+    def test_matches_division_definition(self):
+        # Phi_k = (x^k - 1) divided by Phi_d for every proper divisor d
+        ref = {}
+        for k in range(1, 401):
+            num = [-1] + [0] * (k - 1) + [1]
+            for d in range(1, k):
+                if k % d == 0:
+                    num = _poly_divexact(num, ref[d])
+            ref[k] = tuple(num)
+            assert cyclotomic_polynomial(k) == ref[k], k
+
+    def test_large_orders_are_fast(self):
+        # by the division definition alone Phi_9998 took seconds; 9993 =
+        # 3 * 3331 is fast only when the division is by Phi_3
+        cyclotomic_polynomial.cache_clear()
+        start = time.perf_counter()
+        phi = cyclotomic_polynomial(9998)  # 2 * 4999, 4999 prime
+        assert time.perf_counter() - start < 0.5
+        assert phi == tuple((-1) ** j for j in range(4999))
+        start = time.perf_counter()
+        assert euler_phi(9993) == 2 * 3330
+        assert time.perf_counter() - start < 0.5
 
 
 def _gcd(a, b):

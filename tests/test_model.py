@@ -2,6 +2,7 @@
 identification-up-to-indexing machinery."""
 
 import random
+from itertools import permutations
 
 import pytest
 
@@ -20,6 +21,9 @@ from cocodes import (
 from cocodes.model import (
     CanonicalSearchError,
     ModeMismatchError,
+    _canonical_arrangement,
+    _family_order,
+    _promote,
     concat,
     zero_sequence,
 )
@@ -182,6 +186,62 @@ class TestIdentification:
         a = singleton_family([Sequence([CycloNum.root(6, 2)])])
         b = singleton_family([Sequence([CycloNum.root(3, 1)])])
         assert equal_up_to_indexing(a, b)
+
+
+def _reference_arrangement(fam, order):
+    """The canonical search on whole keys, each entry reduced on its own
+    (`CycloNum.reduced`)."""
+    def key(s):
+        if s.mode == "exact":
+            cols = zip(*_promote(s.array, order).tolist())
+            return (len(s),) + tuple(CycloNum(order, c).reduced() for c in cols)
+        return (len(s),) + tuple((x.real, x.imag) for x in s.array.tolist())
+
+    keys = [[key(s) for s in ss] for ss in fam]
+    best = None
+    for cols in permutations(range(fam.set_size)):
+        rows = sorted(range(len(keys)), key=lambda m: tuple(keys[m][c] for c in cols))
+        candidate = tuple(tuple(keys[m][c] for c in cols) for m in rows)
+        if best is None or candidate < best[0]:
+            best = (candidate, rows, cols)
+    return best
+
+
+class TestCanonicalSearchOnRanks:
+    """The search on key ranks picks the arrangement the search on whole
+    keys picks, ties included."""
+
+    # a small pool, so keys tie across sets and inside a set; the two
+    # zero rows of order 4 are the same value written two ways, so they
+    # tie on their key but not on their array
+    POOL = [
+        [CycloNum.root(4, 0), CycloNum.root(4, 2)],
+        [CycloNum.root(4, 2), CycloNum.root(4, 0)],
+        [CycloNum(4, [1, 0, 1, 0]), CycloNum.zero(4)],
+        [CycloNum.zero(4), CycloNum.zero(4)],
+        [CycloNum.root(4, 1), CycloNum.root(2, 1)],
+        [CycloNum(6, [2 ** 70, 0, 0, -1, 0, 0]), CycloNum.root(3, 1)],
+    ]
+
+    @pytest.mark.parametrize("mode", ["exact", "approx"])
+    def test_matches_reference_with_ties(self, mode):
+        rng = random.Random(5)
+        for _ in range(60):
+            m, n = rng.randint(1, 5), rng.randint(1, 5)
+            rows = [[rng.choice(self.POOL) for _ in range(n)] for _ in range(m)]
+            if mode == "approx":
+                rows = [[[complex(round(x.numeric().real), round(x.numeric().imag))
+                          for x in seq] for seq in row] for row in rows]
+            fam = _matrix_family([[Sequence(seq) for seq in row] for row in rows])
+            order = _family_order(fam)
+            got = _canonical_arrangement(fam, order)
+            want = _reference_arrangement(fam, order)
+            assert (got[0], list(got[1]), tuple(got[2])) == \
+                (want[0], list(want[1]), tuple(want[2]))
+            out = canonical_form(fam)
+            for ss, m_ in zip(out, want[1]):
+                assert [s.array.tolist() for s in ss] == \
+                    [fam[m_][c].array.tolist() for c in want[2]]
 
 
 class TestConcat:
