@@ -21,6 +21,7 @@ from __future__ import annotations
 import argparse
 import json
 import sys
+from functools import cache
 from itertools import chain
 
 import numpy as np
@@ -143,6 +144,8 @@ def sequence_from_doc(entries, mode: str) -> Sequence:
     """Sequence of a document's entry list: exact entries normalized at
     one order become the array in one step, anything else goes scalar by
     scalar."""
+    if type(entries) is not list:
+        raise DocumentError(f"entry list must be a list, got {entries!r}")
     array = _exact_array(entries) if mode == EXACT else None
     if array is None:
         return Sequence(scalar_from_doc(x, mode) for x in entries)
@@ -182,6 +185,13 @@ def family_from_doc(doc: dict) -> SequenceFamily:
 # -- recipe documents ----------------------------------------------------
 
 
+def _int(value, what: str) -> int:
+    """A JSON integer: no float, bool or string is read as one."""
+    if type(value) is not int:
+        raise DocumentError(f"bad {what}: {value!r}")
+    return value
+
+
 def matrix_spec_to_doc(spec: MatrixSpec) -> dict:
     doc = {"kind": spec.kind, "dim": spec.dim}
     if spec.entries is not None:
@@ -197,8 +207,8 @@ def matrix_spec_from_doc(doc) -> MatrixSpec:
     kind = doc["kind"]
     if kind not in ("dft", "hadamard", "identity", "custom"):
         raise DocumentError(f"unknown matrix kind {kind!r}")
-    dim = doc.get("dim")
-    if not isinstance(dim, int) or dim < 1:
+    dim = _int(doc.get("dim"), "matrix dim")
+    if dim < 1:
         raise DocumentError(f"matrix spec needs a positive dim, got {dim!r}")
     entries = None
     if kind == "custom":
@@ -262,10 +272,9 @@ def _objects(value, what: str) -> list:
 
 
 def _int_lists(value, what: str) -> list:
-    try:
-        return [[int(i) for i in c] for c in value]
-    except (TypeError, ValueError):
-        raise DocumentError(f"bad {what}: {value!r}") from None
+    if type(value) is not list or not all(type(c) is list for c in value):
+        raise DocumentError(f"bad {what}: {value!r}")
+    return [[_int(i, what) for i in c] for c in value]
 
 
 def recipe_from_doc(doc: dict) -> Recipe:
@@ -274,8 +283,8 @@ def recipe_from_doc(doc: dict) -> Recipe:
     for field in ("n", "base_matrix", "cells", "cell_matrices"):
         if field not in doc:
             raise DocumentError(f"recipe document misses {field!r}")
-    n = doc["n"]
-    if not isinstance(n, int) or n < 1:
+    n = _int(doc["n"], "n")
+    if n < 1:
         raise DocumentError(f"bad n: {n!r}")
     cells = _int_lists(doc["cells"], "cells")
     rounds = []
@@ -284,12 +293,8 @@ def recipe_from_doc(doc: dict) -> Recipe:
         for sdoc in _objects(rdoc.get("splits", []), "round splits"):
             if "group" not in sdoc or "cells" not in sdoc or "subs" not in sdoc:
                 raise DocumentError(f"bad round split: {sdoc!r}")
-            try:
-                group = int(sdoc["group"])
-            except (TypeError, ValueError):
-                raise DocumentError(f"bad split group: {sdoc['group']!r}") from None
             splits.append(RoundSplit(
-                group=group,
+                group=_int(sdoc["group"], "split group"),
                 cells=_int_lists(sdoc["cells"], "split cells"),
                 subs=[sub_family_from_doc(x) for x in _objects(sdoc["subs"], "subs")],
             ))
@@ -426,6 +431,7 @@ def _matrix_from_arg(text: str) -> MatrixSpec:
 # -- argument parsing -------------------------------------------------------
 
 
+@cache
 def build_parser() -> argparse.ArgumentParser:
     parser = argparse.ArgumentParser(
         prog="cocodes",
@@ -492,7 +498,7 @@ def main(argv=None) -> int:
     except DocumentError as e:
         print(f"error: {e}", file=sys.stderr)
         return EXIT_IO
-    except OSError as e:
+    except (OSError, OverflowError) as e:  # overflow: a coefficient past the float range
         print(f"error: {e}", file=sys.stderr)
         return EXIT_IO
     except CONSTRUCTION_ERRORS as e:

@@ -8,19 +8,20 @@ zero polynomial.  Approx-mode inputs use |residual| <= tol * energy.
 
 `acorr` is the direct definitional sum and stays the reference.  Every
 profile and predicate goes through one kernel (`_Kernel`) instead.  A
-call densifies its sequences once into a (sets, members, K, L) array
-over the call's common order K and takes one real 2-D FFT of it:
-cyclic over the exponent axis, zero-padded over positions to a
-2,3-smooth length P >= 2L - 1.  Set sums are products summed over
-members in the spectrum, one einsum per group of left sets against
-their right sets, and come back through one batched inverse transform
-per group.  The inverse is rounded to integers only when an a-priori
-error bound (Percival, Math. Comp. 72 (2003), with a safety factor;
-see `rounding_bound`) certifies that rounding is exact; otherwise, or
-when the spectra would pass `_SPECTRA_MAX`, the exact loop over
-Python-int coefficient rows runs instead and a debug record on the
-`cocodes` logger names the reason and the bound's headroom.  Zero is
-then decided for the whole integer stack at once by
+call densifies its sequences into a (sets, members, K, L) array over
+the call's common order K and computes every set sum by one spectral
+pass: a real 2-D FFT, cyclic over the exponent axis and zero-padded
+over positions to a 2,3-smooth length P >= 2L - 1, products summed
+over members in the spectrum, and batched inverse transforms.  The
+inverse is rounded to integers only under an a-priori error bound
+(Percival, Math. Comp. 72 (2003), with a safety factor; see
+`rounding_bound`).  Coefficients too large for that bound are split
+into signed base-2^b limbs: the same pass sums the limb products, each
+diagonal under the bound, and the rounded diagonals are recombined
+with integers.  Spectra are taken one block of sets at a time, so
+their memory stays under `_SPECTRA_MAX` entries per block.  A debug record on the `cocodes`
+logger gives the block and limb counts whenever either is above one.
+Zero is then decided for the whole integer stack at once by
 `cyclo.reduce_rows`, the rule `CycloNum.is_zero` applies to one value,
 and `CycloNum`s are built only for the values a report holds.
 
@@ -53,8 +54,8 @@ DEFAULT_TOL = 1e-9
 
 _INT64_SAFE = 2 ** 62
 
-# Past this many entries in the half-spectra of one call (16 bytes
-# each, so 64 MB) the exact loop runs instead of the spectral pass.
+# Entries of the half-spectra of one block of sets (16 bytes each, so
+# 64 MB); a block always holds at least one set.
 _SPECTRA_MAX = 2 ** 22
 
 # Percival's bound is for radix-2 transforms with correctly rounded
@@ -169,22 +170,19 @@ class _Kernel:
     An exact sequence of order k is the polynomial
     sum_{j,l} a[j, l] z^(jK/k) x^l in z^K = 1, so a set sum is one 2-D
     correlation, cyclic over the exponent axis and aperiodic over
-    positions.  The spectral pass densifies every sequence once into a
-    (sets, members, K, width) float array (folded for even K, see
-    `_forward`) and takes its conjugated
-    half-spectrum over K x P (`rfft2`, P the least 2,3-smooth length
-    >= 2 width - 1, so no shift wraps).  For a group of left sets
-    (`_BATCH` bounds the group's products) one einsum sums
-    F(s_n) conj(F(t_n)) over the members n against the right sets, and
-    one batched inverse brings the group back; entry (d, -q mod P) of
-    an inverse is the coefficient of z^d at shift q.  Exact results are
-    rounded only when `rounding_bound` < 1/2; otherwise, or past
-    `_SPECTRA_MAX`, the same sums come from the exact loop, one
-    np.correlate of Python-int rows per pair of nonzero coefficient
-    rows, and a debug record on the `cocodes` logger names the reason.
-    Approx sequences (K = 1) take the spectral pass with complex
-    transforms and keep their values unrounded.  The spectra exist only
-    while `sums` runs.
+    positions.  Every sequence is densified into a
+    (sets, members, K, width) array (folded for even K, see `_forward`,
+    and split into limbs when `_digits` says so).  One block of sets at
+    a time (`_SPECTRA_MAX` sizes a block), the spectral pass takes the
+    conjugated half-spectrum over K x P (`rfft2`, P the least
+    2,3-smooth length >= 2 width - 1, so no shift wraps).  For a group
+    of left sets (`_BATCH` bounds the group's products) one einsum sums
+    F(s_n) conj(F(t_n)) over the members n against the right sets of a
+    block, and one batched inverse brings the group back; entry
+    (d, -q mod P) of an inverse is the coefficient of z^d at shift q.
+    Exact results are rounded under `rounding_bound`; approx sequences
+    (K = 1) take complex transforms and keep their values unrounded.
+    The spectra exist only while `sums` runs.
 
     Even orders are folded by zeta_K^(K/2) = -1, so a stack holds K/2
     rows (K for odd K, 1 in approx mode) per shift.
@@ -205,28 +203,43 @@ class _Kernel:
         self.width = max(self.widths)
         self.hull = self.width - 1
         self.size = _smooth(2 * self.width - 1)
-        # rows kept after folding by zeta_K^(K/2) = -1 (see `sums`)
+        # rows kept after folding by zeta_K^(K/2) = -1 (see `_dense`)
         self.rows = self.order // 2 if self.exact and self.order % 2 == 0 else self.order
 
-    def _spectrum(self):
-        """The conjugated spectra (sets, members, rows, F) of the call,
-        or None when the exact loop has to give the sums (logged)."""
+    def _digits(self):
+        """The stack the spectra are taken of, (sets, members, limbs,
+        rows, width); the limb width b in bits (0: one limb); the
+        rounding bound that certifies the pass (nan in approx mode); the
+        dtype of the sums, int64 when every value and every step of
+        their recombination (each below energy + 2^52) fits.  Exact
+        coefficients must convert to float: below 2^1023 in magnitude."""
         if not self.exact:
-            return self._forward(self._dense(complex))
-        entries = len(self.sets) * self.members * self.rows * (self.size // 2 + 1)
-        if entries > _SPECTRA_MAX:
-            return self._fall_back("spectra size cap", entries)
-        try:
-            dense = self._dense(float)
-        except OverflowError:  # a coefficient beyond the float range
-            return self._fall_back("rounding bound", entries)
-        if self.rows < self.order:
-            dense = dense[:, :, :self.rows] - dense[:, :, self.rows:]
+            return self._dense(complex)[:, :, None], 0, math.nan, complex
+        dense = self._dense(float)
         energy = float(np.einsum("smkl,smkl->s", dense, dense).max())
         bound = rounding_bound(energy, self.order, self.size, self.members)
-        if not bound < 0.5:
-            return self._fall_back("rounding bound", entries, bound)
-        return self._forward(dense)
+        if bound < 0.5:
+            return dense[:, :, None], 0, bound, np.int64
+        # Too large to round in one piece: every coefficient becomes n
+        # signed base-2^b digits, least significant first.  A set sum is
+        # then sum_k 2^(bk) R_k, where R_k sums over the members and over
+        # the limb pairs (i, k - i) as more members, so for sets of c
+        # nonzero coefficients `rounding_bound` holds for every R_k when
+        # it holds for energy c n (2^b - 1)^2 and n times the members.
+        ints = self._dense(object)
+        mags = np.abs(ints)
+        bits = int(mags.max()).bit_length()
+        nonzero = int(np.count_nonzero(ints.reshape(len(ints), -1), axis=1).max())
+
+        def limb_bound(b):
+            n = -(-bits // b)
+            return rounding_bound(nonzero * n * (2 ** b - 1) ** 2, self.order, self.size,
+                                  self.members * n)
+
+        b = max(b for b in range(1, 53) if limb_bound(b) < 0.5)
+        digits = np.stack([(mags >> i) & ((1 << b) - 1) for i in range(0, bits, b)], axis=2)
+        return (digits.astype(float) * np.where(ints < 0, -1.0, 1.0)[:, :, None], b,
+                limb_bound(b), np.int64 if energy < 2.0 ** 61 else object)
 
     def _forward(self, dense: np.ndarray) -> np.ndarray:
         """Conjugated spectrum of a dense stack: the half-spectrum
@@ -242,7 +255,8 @@ class _Kernel:
         product over the exponent axis."""
         if self.size > 1:
             dense = (np.fft.rfft if self.exact else np.fft.fft)(dense, n=self.size)
-        dense = dense.astype(complex, copy=False)
+        else:  # a copy: a block's stack may be transformed again
+            dense = dense.astype(complex)
         if self.rows < self.order:
             dense *= self._twist()
         if self.rows > 1:
@@ -263,18 +277,10 @@ class _Kernel:
     def _twist(self) -> np.ndarray:
         return np.exp(-1j * np.pi / self.rows * np.arange(self.rows))[:, None]
 
-    def _components(self, s: Sequence) -> np.ndarray:
-        """(phases, rows, width) polyphase components of a sequence's
-        array, zero-padded to the call's width."""
-        a = s.array if self.exact else s.array[None]
-        buf = np.zeros((len(a), self.width * self.phases), a.dtype)
-        buf[:, :a.shape[1]] = a
-        return buf.reshape(len(a), self.width, self.phases).transpose(2, 0, 1)
-
     def _dense(self, dtype) -> np.ndarray:
-        """(sets, members, K, width) array of the polyphase components
-        of every sequence (member n * phases + r is component r of
-        member n)."""
+        """(sets, members, rows, width) array of the polyphase
+        components of every sequence (member n * phases + r is component
+        r of member n), folded by zeta_K^(K/2) = -1 for even K."""
         n = self.phases
         out = np.zeros((len(self.sets), len(self.sets[0]) * n, self.order, self.width), dtype)
         for m, ss in enumerate(self.sets):
@@ -283,21 +289,9 @@ class _Kernel:
                 for r in range(n):
                     part = s.array[..., r::n]
                     rows[r, :, :part.shape[-1]] = part
+        if self.rows < self.order:
+            return out[:, :, :self.rows] - out[:, :, self.rows:]
         return out
-
-    def _fall_back(self, reason: str, entries: int, bound=None) -> None:
-        """Log why the exact loop runs instead of the spectral pass."""
-        # imported here: only this rare path logs, and importing logging
-        # costs a process about 1 MB of resident memory
-        import logging
-
-        if bound is None:
-            energy = max(sum(int((s.array * s.array).sum()) for s in ss) for ss in self.sets)
-            bound = rounding_bound(energy, self.order, self.size, self.members)
-        logging.getLogger("cocodes").debug(
-            "exact loop (%s): rounding bound %.3g, headroom %.3g of 1/2; "
-            "spectra %d entries, cap %d", reason, bound,
-            0.5 / bound if bound else math.inf, entries, _SPECTRA_MAX)
 
     def sums(self, pairs, rotate: bool = False) -> np.ndarray:
         """(pairs, 2 hull + 1, rows) stack of the set sums of each
@@ -305,50 +299,53 @@ class _Kernel:
         coefficient of zeta_K^d at shift q, folded for even K.  With
         `rotate` the members of the left set are taken cyclically
         shifted by one (member n + 1 pairs with member n)."""
-        spec = self._spectrum()
-        if spec is None:
-            return self._loop(pairs, rotate)
+        stack, b, bound, dtype = self._digits()
+        sets, members, limbs, rows, _ = stack.shape
+        freqs = self.size // 2 + 1 if self.exact else self.size
+        block = max(1, _SPECTRA_MAX // (members * limbs * rows * freqs))
+        if block < sets or limbs > 1:
+            # imported here: only these calls log, and importing logging
+            # costs a process about 1 MB of resident memory
+            import logging
+
+            logging.getLogger("cocodes").debug(
+                "spectral pass: %d blocks of up to %d sets, %d limbs of %d bits; "
+                "rounding bound %.3g, headroom %.3g of 1/2", -(-sets // block), block,
+                limbs, b, bound, 0.5 / bound if bound else math.inf)
         hull = self.hull
         cols = -np.arange(-hull, hull + 1) % self.size
-        out = np.empty((len(pairs), 2 * hull + 1, self.rows),
-                       np.int64 if self.exact else complex)
-        step = max(1, _BATCH // (len(spec) * spec[0, 0].size))
+        out = np.empty((len(pairs), 2 * hull + 1, rows), dtype)
+        step = max(1, _BATCH // (min(block, sets) * rows * freqs))
         groups = {}
-        for p, (m, _) in enumerate(pairs):
-            groups.setdefault(m // step, []).append(p)
-        for group, idx in groups.items():
+        for p, (m, mp) in enumerate(pairs):
+            groups.setdefault((m // block, mp // block, m % block // step), []).append(p)
+        spectra = {}
+        for (lb, rb, group), idx in sorted(groups.items()):
+            # keep the spectra of this left and right block only
+            spectra = {k: spectra[k] if k in spectra else
+                       self._forward(stack[k * block:(k + 1) * block]) for k in {lb, rb}}
             start = group * step
-            lefts = [pairs[p][0] - start for p in idx]
-            rights = [pairs[p][1] for p in idx]
+            rights = [pairs[p][1] - rb * block for p in idx]
             lo = min(rights)
-            left = np.conjugate(spec[start:start + step])
+            picks = [pairs[p][0] - lb * block - start for p in idx], [r - lo for r in rights]
+            left = np.conjugate(spectra[lb][start:start + step])
             if rotate:
                 left = np.roll(left, -1, axis=1)
-            full = self._inverse(np.einsum("lnkf,rnkf->lrkf", left, spec[lo:]))
-            found = full[lefts, [r - lo for r in rights]][..., cols].transpose(0, 2, 1)
-            out[idx] = np.rint(found) if self.exact else found
+            right = spectra[rb][lo:]
+            total = 0
+            for k in reversed(range(2 * limbs - 1)):
+                # diagonal k: limb i of the left against limb k - i of the right
+                i, j = max(0, k - limbs + 1), min(k, limbs - 1) + 1
+                prod = np.einsum("lnikf,rnikf->lrkf", left[:, :, i:j],
+                                 right[:, :, k - j + 1:k - i + 1][:, :, ::-1])
+                found = self._inverse(prod)[picks][..., cols].transpose(0, 2, 1)
+                if self.exact:
+                    found = np.rint(found)
+                # Horner from the top diagonal: no step outgrows energy + 2^52
+                total = found if limbs == 1 else (
+                    (total << b) + found.astype(np.int64).astype(dtype))
+            out[idx] = total
         return out
-
-    def _loop(self, pairs, rotate: bool) -> np.ndarray:
-        """`sums` from the nonzero coefficient rows of every member
-        (polyphase component), as Python ints."""
-        order = self.order
-        rows = [[[(j * (order // s.order), row) for j, row in enumerate(comp) if row.any()]
-                 for s in ss for comp in self._components(s)]
-                for ss in self.sets]
-        acc = np.zeros((len(pairs), order, 2 * self.hull + 1), dtype=object)
-        for p, (m, mp) in enumerate(pairs):
-            lefts = rows[m][1:] + rows[m][:1] if rotate else rows[m]
-            for srows, trows in zip(lefts, rows[mp]):
-                # np.correlate(b, a, 'full')[hull + q] = sum_l a[l] b[l + q]
-                for i, a in srows:
-                    for j, b in trows:
-                        acc[p, (i - j) % order] += np.correlate(b, a, "full")
-        if self.rows < order:
-            # zeta_K^(j + K/2) = -zeta_K^j: the fold keeps every value and
-            # turns the sums that cancel that way into all-zero columns
-            acc = acc[:, :self.rows] - acc[:, self.rows:]
-        return acc.transpose(0, 2, 1)
 
     def zeros(self, acc: np.ndarray, tol_abs: float) -> np.ndarray:
         """(pairs, shifts) bools: which sums of a `sums` stack vanish,

@@ -15,6 +15,7 @@ from cocodes import (
     dft_matrix,
     equal_up_to_indexing,
     from_signs,
+    plan,
     singleton_family,
 )
 from cocodes.cli import (
@@ -26,6 +27,7 @@ from cocodes.cli import (
     family_from_doc,
     family_to_doc,
     main,
+    recipe_to_doc,
     scalar_from_doc,
     scalar_to_doc,
 )
@@ -104,6 +106,15 @@ class TestFamilyDocs:
         with pytest.raises(DocumentError):
             # two sequences of different lengths inside one set
             family_from_doc({"sets": [[["+"], ["+", "-"]]]})
+
+    @pytest.mark.parametrize("sets", [[["++-+"]], [["++-+", "+---"]], ["++"]],
+                             ids=["one-string", "two-strings", "string-set"])
+    def test_entry_list_must_be_a_list(self, tmp_path, capsys, sets):
+        path = tmp_path / "f.json"
+        write_json(path, {"sets": sets})
+        assert main(["verify", str(path), "--kind", "ccc"]) == EXIT_IO
+        err = capsys.readouterr().err
+        assert err.startswith("error: entry list must be a list") and err.count("\n") == 1
 
 
 class TestGenCommand:
@@ -301,6 +312,16 @@ class TestVerifyCommand:
         write_json(path, family_to_doc(fam))
         assert main(["verify", str(path), "--kind", "cosf:2"]) == EXIT_VERIFY
 
+    def test_coefficient_past_float_range(self, tmp_path, capsys, golden_ccc_2x2):
+        # the kernel takes exact coefficients below 2^1023 only
+        doc = json.loads(json.dumps(family_to_doc(golden_ccc_2x2, kind="ccc")))
+        doc["sets"][0][0][0] = {"order": 1, "coeffs": [2 ** 1100]}
+        path = tmp_path / "f.json"
+        write_json(path, doc)
+        assert main(["verify", str(path), "--kind", "ccc"]) == EXIT_IO
+        err = capsys.readouterr().err
+        assert err.startswith("error: ") and err.count("\n") == 1
+
     def test_structural_mismatch(self, ccc_family_file):
         # multi-sequence sets cannot even be tested as a cross-orthogonal
         # family; reported as a verification failure, not a crash
@@ -351,6 +372,29 @@ class TestNonIntegerNumbers:
         write_json(file, doc)
         assert main(["verify", str(file), "--kind", "ccc"]) == EXIT_IO
         assert "must be integers" in capsys.readouterr().err
+
+    # the five integers of a recipe document: (their container, key)
+    RECIPE_SITES = {
+        "n": (lambda doc: doc, "n"),
+        "dim": (lambda doc: doc["base_matrix"], "dim"),
+        "cells": (lambda doc: doc["cells"][0], 0),
+        "split-cells": (lambda doc: doc["rounds"][0]["splits"][0]["cells"][0], 0),
+        "split-group": (lambda doc: doc["rounds"][0]["splits"][0], "group"),
+    }
+
+    @pytest.mark.parametrize("value", [1.7, True, "1"], ids=["float", "true", "string"])
+    @pytest.mark.parametrize("site", sorted(RECIPE_SITES))
+    def test_recipe_refused(self, tmp_path, capsys, site, value):
+        # int() would read 1.7, true and "1" all as 1
+        doc = recipe_to_doc(plan(2, [8]))
+        container, key = self.RECIPE_SITES[site]
+        container(doc)[key] = value
+        recipe = tmp_path / "r.json"
+        write_json(recipe, doc)
+        assert main(["gen", str(recipe), str(tmp_path / "o.json")]) == EXIT_IO
+        err = capsys.readouterr().err
+        assert err.startswith("error: ") and err.count("\n") == 1
+        assert not (tmp_path / "o.json").exists()
 
     def test_scalar_doc_refuses_non_integers(self):
         for doc in ({"order": 1, "coeffs": [1.5]}, {"order": 1, "coeffs": [False]},

@@ -4,6 +4,7 @@ import json
 import logging
 import math
 import random
+import re
 import time
 from functools import reduce
 
@@ -430,9 +431,17 @@ def family_order(fam):
     return reduce(math.lcm, (s.order for ss in fam for s in ss), 1)
 
 
-def exact_loop_records(caplog):
+def kernel_records(caplog):
+    """The kernel's debug records: one per call that splits its sets
+    into blocks or its coefficients into limbs."""
     return [r.getMessage() for r in caplog.records
-            if r.name == "cocodes" and "exact loop" in r.getMessage()]
+            if r.name == "cocodes" and "spectral pass" in r.getMessage()]
+
+
+def record_counts(record):
+    """(blocks, limbs) of a kernel record."""
+    found = re.search(r"(\d+) blocks of up to \d+ sets, (\d+) limbs", record)
+    return int(found.group(1)), int(found.group(2))
 
 
 class TestSpectralKernel:
@@ -545,26 +554,105 @@ class TestSpectralKernel:
         with caplog.at_level(logging.DEBUG, logger="cocodes"):
             prof = corr_sum_profile(ss, tt)
         assert prof.values == [summed_acorr(ss, tt, tau) for tau in prof.shifts()]
-        records = exact_loop_records(caplog)
+        records = kernel_records(caplog)
         assert len(records) == above
         if above:
+            assert record_counts(records[0])[1] > 1
             assert "rounding bound" in records[0] and "headroom" in records[0]
 
-    def test_spectra_size_cap_takes_exact_loop(self, caplog, monkeypatch):
+    # a set's half-spectra hold 4 members x 2 rows x 17 entries = 136
+    @pytest.mark.parametrize("cap, blocks", [(0, 4), (300, 2)])
+    def test_spectra_size_cap_splits_into_blocks(self, caplog, monkeypatch, cap, blocks):
         fam = cosf_to_ccc(execute(plan(4, [16]), verify=False).family, dft_matrix(4))
-        spectral = is_ccc(fam)
-        monkeypatch.setattr(corr, "_SPECTRA_MAX", 0)
+        one_block = is_ccc(fam)
+        zone = zccc_zone(fam)
+        monkeypatch.setattr(corr, "_SPECTRA_MAX", cap)
         with caplog.at_level(logging.DEBUG, logger="cocodes"):
-            looped = is_ccc(fam)
-        (record,) = exact_loop_records(caplog)
-        assert "spectra size cap" in record and "headroom" in record
-        assert looped.ok and spectral.ok
-        assert [p.values for p in looped.pairs] == [p.values for p in spectral.pairs]
-        assert [[(v.order, v.coeffs) for v in p.values] for p in looped.pairs] == \
-            [[(v.order, v.coeffs) for v in p.values] for p in spectral.pairs]
+            blocked = is_ccc(fam)
+            assert zccc_zone(fam) == zone
+        records = kernel_records(caplog)
+        # is_ccc, then zccc_zone's own is_ccc and its rotated pass
+        assert [record_counts(r) for r in records] == [(blocks, 1)] * 3
+        assert "headroom" in records[0]
+        assert blocked.ok and one_block.ok
+        assert [[(v.order, v.coeffs) for v in p.values] for p in blocked.pairs] == \
+            [[(v.order, v.coeffs) for v in p.values] for p in one_block.pairs]
         # a family of zero energy has no finite headroom to report
         zeros = singleton_family([Sequence([CycloNum.zero(3)] * 4)] * 2)
         assert is_n_co_sf(zeros, 2).ok
+
+    def test_blocks_keep_approx_values(self, monkeypatch):
+        # at width 1 the transform is the identity: a block's stack must
+        # come through it unchanged, since a block is transformed again
+        # when a later pair needs it
+        fam = SequenceFamily(SequenceSet([Sequence([complex(m + 1, n - m)]) for n in range(2)])
+                             for m in range(3))
+        one_block = is_ccc(fam)
+        monkeypatch.setattr(corr, "_SPECTRA_MAX", 0)
+        for a, b in zip(is_ccc(fam).pairs, one_block.pairs):
+            assert a.values == pytest.approx(b.values, abs=1e-12)
+
+    CCC_BASES = [
+        lambda: ccc_from_unitary(hadamard_matrix(2)),
+        lambda: ccc_from_unitary(dft_matrix(3)),
+        lambda: cosf_to_ccc(execute(plan(2, [8]), verify=False).family, hadamard_matrix(2)),
+    ]
+    COSF_BASES = [
+        (lambda: generate_cosf(hadamard_matrix(2), [[0, 1]], [hadamard_matrix(2)]), 2),
+        (lambda: execute(plan(3, [9]), verify=False).family, 3),
+    ]
+
+    @staticmethod
+    def scaled_with_near_miss(fam, scale, data):
+        """`fam` with set m scaled by a drawn c_m, |c_m| in
+        [scale / 2, scale], which keeps every zero sum zero, and a copy
+        with one entry of it moved by a drawn nonzero integer, which
+        must be rejected: it changes a cross sum of its set by that
+        integer times an entry of another set."""
+        signs = st.sampled_from([1, -1])
+        factors = [data.draw(st.integers(scale // 2, scale)) * data.draw(signs) for _ in fam]
+        sets = [SequenceSet(s.scale(CycloNum.from_int(c)) for s in ss)
+                for ss, c in zip(fam, factors)]
+        m = data.draw(st.integers(0, len(sets) - 1))
+        n = data.draw(st.integers(0, len(sets[m]) - 1))
+        entries = list(sets[m][n])
+        p = data.draw(st.integers(0, len(entries) - 1))
+        delta = data.draw(st.integers(1, scale)) * data.draw(signs)
+        entries[p] = entries[p] + CycloNum.from_int(delta)
+        bad = list(sets)
+        bad[m] = SequenceSet(Sequence(entries) if i == n else s for i, s in enumerate(sets[m]))
+        return SequenceFamily(sets), SequenceFamily(bad)
+
+    @pytest.mark.parametrize("scale", [2, 2 ** 40, 2 ** 64, 2 ** 200],
+                             ids=["2", "2^40", "2^64", "2^200"])
+    @settings(max_examples=20, deadline=None,
+              suppress_health_check=[HealthCheck.function_scoped_fixture])
+    @given(st.sampled_from([corr._SPECTRA_MAX, 0]), st.sampled_from([corr._BATCH, 0]),
+           st.data())
+    def test_large_coefficients_match_summed_acorr(self, caplog, monkeypatch, scale, cap,
+                                                   batch, data):
+        ccc, ccc_bad = self.scaled_with_near_miss(
+            data.draw(st.sampled_from(self.CCC_BASES))(), scale, data)
+        build, n = data.draw(st.sampled_from(self.COSF_BASES))
+        cosf, cosf_bad = self.scaled_with_near_miss(build(), scale, data)
+        # cap 0 puts every set in a block of its own, batch 0 in a group
+        monkeypatch.setattr(corr, "_SPECTRA_MAX", cap)
+        monkeypatch.setattr(corr, "_BATCH", batch)
+        caplog.clear()
+        caplog.set_level(logging.DEBUG, logger="cocodes")
+        assert is_ccc(ccc).ok and not is_ccc(ccc_bad).ok
+        for fam in (ccc, ccc_bad):
+            for pair in is_ccc(fam).pairs:
+                assert_pair_matches(pair, fam[pair.left], fam[pair.right])
+        assert zccc_zone(ccc) == zone_by_acorr(ccc)
+        assert is_n_co_sf(cosf, n).ok and not is_n_co_sf(cosf_bad, n).ok
+        for fam in (cosf, cosf_bad):
+            for pair in is_n_co_sf(fam, n).pairs:
+                assert_pair_matches(pair, fam[pair.left], fam[pair.right])
+        # coefficients from 2^40 up take limbs in every call
+        counts = [record_counts(r) for r in kernel_records(caplog)]
+        assert counts or (scale == 2 and cap > 0)
+        assert all((limbs > 1) == (scale > 2) for _, limbs in counts)
 
     @pytest.mark.parametrize("build", [
         lambda: cosf_to_ccc(execute(plan(4, [16]), verify=False).family, dft_matrix(4)),
@@ -584,7 +672,7 @@ class TestSpectralKernel:
     def test_spectral_path_logs_nothing(self, caplog):
         with caplog.at_level(logging.DEBUG, logger="cocodes"):
             assert is_ccc(ccc_from_unitary(dft_matrix(4))).ok
-        assert exact_loop_records(caplog) == []
+        assert kernel_records(caplog) == []
 
     def test_shift_parameter_past_the_lengths(self, caplog):
         # only shift 0 of the n-shift lattice lies inside the hull, and
@@ -595,7 +683,7 @@ class TestSpectralKernel:
         with caplog.at_level(logging.DEBUG, logger="cocodes"):
             report = is_n_co_sf(fam, 10 ** 9)
         assert time.perf_counter() - start < 0.5
-        assert exact_loop_records(caplog) == []
+        assert kernel_records(caplog) == []
         assert report.problems == [
             f"sequence {m} has length {ss.length} not divisible by {10 ** 9}"
             for m, ss in enumerate(fam)]
