@@ -27,19 +27,12 @@ from itertools import chain
 import numpy as np
 
 from .corr import DEFAULT_TOL, zccc_zone
-from .construct import ConstructionError, cosf_to_ccc, enlarge_ccc
+from .construct import cosf_to_ccc, enlarge_ccc
 from .cyclo import ORDER_LIMIT, CycloNum, OrderLimitError
-from .matrices import (
-    MatrixSpec,
-    MatrixValidationError,
-    _coerce_scalar,
-    parse_matrix_shorthand,
-)
+from .matrices import MatrixSpec, _coerce_scalar, parse_matrix_shorthand
 from .model import (
     APPROX,
     EXACT,
-    CanonicalSearchError,
-    ModeMismatchError,
     Sequence,
     SequenceFamily,
     SequenceSet,
@@ -51,7 +44,6 @@ from .planner import (
     Round,
     RoundSplit,
     SubFamilySpec,
-    UnconstructibleError,
     execute,
     plan,
     run_check,
@@ -61,15 +53,6 @@ EXIT_OK = 0
 EXIT_VERIFY = 1
 EXIT_CONSTRUCT = 2
 EXIT_IO = 3
-
-CONSTRUCTION_ERRORS = (
-    ConstructionError,
-    UnconstructibleError,
-    MatrixValidationError,
-    ModeMismatchError,
-    CanonicalSearchError,
-    OrderLimitError,
-)
 
 
 class DocumentError(ValueError):
@@ -495,15 +478,10 @@ def main(argv=None) -> int:
     args = parser.parse_args(argv)
     try:
         return args.func(args)
-    except DocumentError as e:
+    except (DocumentError, OSError, OverflowError) as e:
+        # overflow: a coefficient past the float range
         print(f"error: {e}", file=sys.stderr)
         return EXIT_IO
-    except (OSError, OverflowError) as e:  # overflow: a coefficient past the float range
-        print(f"error: {e}", file=sys.stderr)
-        return EXIT_IO
-    except CONSTRUCTION_ERRORS as e:
-        print(f"error: {e}", file=sys.stderr)
-        return EXIT_CONSTRUCT
     except ValueError as e:
         print(f"error: {e}", file=sys.stderr)
         return EXIT_CONSTRUCT

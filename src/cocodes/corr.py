@@ -23,7 +23,9 @@ their memory stays under `_SPECTRA_MAX` entries per block.  A debug record on th
 logger gives the block and limb counts whenever either is above one.
 Zero is then decided for the whole integer stack at once by
 `cyclo.reduce_rows`, the rule `CycloNum.is_zero` applies to one value,
-and `CycloNum`s are built only for the values a report holds.
+and every verdict comes from that zero mask alone.  A report keeps each
+pair's slice of the integer stack, and its `CycloNum`s are built only
+when its values are read (`_scalars`).
 
 `is_n_co_sf` runs the same pass on the n polyphase components
 s_r(l) = s(ln + r) of each sequence: R(s, t)(qn) = sum_r R(s_r, t_r)(q),
@@ -66,14 +68,6 @@ _FFT_SAFETY = 8
 # Entries of the spectral products one einsum makes: left sets are
 # taken in groups of this size against all their right sets.
 _BATCH = 2 ** 12
-
-# Stacks of more rows than this find their distinct rows by sorting;
-# smaller ones through a dict of row tuples.  Sorting costs about 9 us
-# per call plus 0.07 us per row, the dict 0.6 us plus 0.16 us per row
-# and a tuple per row (int64 rows of width 4-6, Python 3.11, numpy 2.4):
-# equal near 100 rows.  The construct workload checks stacks of 1-36
-# rows, the verify workload stacks of up to 33,618.
-_SORT_MIN = 100
 
 
 def _sum_products(s: Sequence, t: Sequence, pairs) -> Scalar:
@@ -360,59 +354,45 @@ class _Kernel:
         residues = reduce_rows(flat, self.order)
         return ~(residues != 0).any(axis=1).reshape(acc.shape[:2])
 
-    def values(self, cols: np.ndarray) -> list:
-        """Scalar of each row of a (shifts, rows) stack slice: one
-        CycloNum per distinct row (a profile holds few)."""
-        if not self.exact:
-            return cols[:, 0].tolist()
-        pad = (0,) * (self.order - cols.shape[1])
-        zero = CycloNum.zero()
-        if len(cols) <= _SORT_MIN:
-            keys = list(map(tuple, cols.tolist()))
-            distinct = dict.fromkeys(keys)
-            for col in distinct:
-                distinct[col] = CycloNum(self.order, col + pad) if any(col) else zero
-            return [distinct[col] for col in keys]
-        # sort the rows, mark where a run of equal ones starts, and map
-        # every row to its run: no Python object per row
-        order = np.lexsort(cols.T)
-        runs = cols[order]
-        starts = np.ones(len(runs), bool)
-        starts[1:] = (runs[1:] != runs[:-1]).any(axis=1)
-        scalars = [CycloNum(self.order, tuple(col) + pad) if any(col) else zero
-                   for col in runs[starts].tolist()]
-        which = np.empty(len(runs), np.intp)
-        which[order] = np.cumsum(starts) - 1
-        return [scalars[i] for i in which.tolist()]
-
     def profile(self) -> "CorrelationProfile":
         """Profile of the sum of sets 0 and 1 over the full hull."""
         (acc,) = self.sums([(0, 1)])
-        return CorrelationProfile(-self.hull, self.values(acc))
+        return CorrelationProfile(-self.hull, _scalars(acc, self.order))
 
     def check(self, pairs, tol_abs: float) -> list:
         """PairResult of each (left, right) pair over the shifts of its
         own hull; the zero shift of an auto pair may hold its energy
         peak."""
         acc = self.sums(pairs)
-        span = acc.shape[1]
         hulls = [max(self.widths[m], self.widths[mp]) - 1 for m, mp in pairs]
         zero = self.zeros(acc, tol_abs)
         zero[[p for p, (m, mp) in enumerate(pairs) if m == mp], self.hull] = True
         for p, h in enumerate(hulls):
             if h < self.hull:  # shifts past a pair's own hull are not in its report
                 zero[p, :self.hull - h] = zero[p, self.hull + h + 1:] = True
-        values = self.values(acc.reshape(-1, self.rows))
         step = self.step
         bad = [[] for _ in pairs]
         for p, col in np.argwhere(~zero).tolist():
             bad[p].append((col - self.hull) * step)
         out = []
         for p, ((m, mp), h) in enumerate(zip(pairs, hulls)):
-            lo = p * span + self.hull - h
             shifts = list(range(-h * step, h * step + 1, step))
-            out.append(PairResult(m, mp, shifts, values[lo:lo + 2 * h + 1], bad[p]))
+            out.append(PairResult(m, mp, shifts, bad[p],
+                                  acc[p, self.hull - h:self.hull + h + 1], self.order))
         return out
+
+
+def _scalars(cols: np.ndarray, order: int) -> list:
+    """Scalar of each row of a (shifts, rows) slice of a sums stack at
+    order K: one CycloNum per distinct row (a profile holds few)."""
+    if cols.dtype == complex:  # approx mode
+        return cols[:, 0].tolist()
+    pad = (0,) * (order - cols.shape[1])
+    keys = list(map(tuple, cols.tolist()))
+    distinct = dict.fromkeys(keys)
+    for col in distinct:
+        distinct[col] = CycloNum(order, col + pad) if any(col) else CycloNum.zero()
+    return [distinct[col] for col in keys]
 
 
 def corr_profile(s: Sequence, t: Sequence) -> CorrelationProfile:
@@ -442,15 +422,21 @@ def corr_sum_profile(ss: SequenceSet, tt: SequenceSet) -> CorrelationProfile:
 
 @dataclass
 class PairResult:
-    """Checked profile of one (set, set) pair: the full values over the
-    scanned shifts, plus the shifts whose residual failed to vanish
-    (the zero shift of an auto pair is allowed its energy peak)."""
+    """Checked profile of one (set, set) pair: the scanned shifts and
+    those whose residual failed to vanish (the zero shift of an auto
+    pair is allowed its energy peak).  The values over the shifts are
+    built from the pair's slice of the kernel's sums when read."""
 
     left: int
     right: int
     shifts: list
-    values: list
-    violations: list = field(default_factory=list)  # offending shifts
+    violations: list  # offending shifts
+    sums: np.ndarray = field(compare=False, repr=False)
+    order: int = field(compare=False, repr=False)
+
+    @property
+    def values(self) -> list:
+        return _scalars(self.sums, self.order)
 
     @property
     def ok(self) -> bool:
@@ -478,9 +464,9 @@ class CheckReport:
             if p.ok:
                 continue
             lines.append(f"  pair ({p.left},{p.right}) violated at shifts:")
-            for tau in p.violations:
-                val = p.values[p.shifts.index(tau)]
-                lines.append(f"    tau={tau}: residual {_fmt_scalar(val)}")
+            bad = set(p.violations)
+            lines += [f"    tau={tau}: residual {_fmt_scalar(val)}"
+                      for tau, val in zip(p.shifts, p.values) if tau in bad]
         if self.ok and self.pairs:
             lines.append(f"  {len(self.pairs)} pair profiles all clean")
         return "\n".join(lines)

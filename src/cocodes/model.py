@@ -222,8 +222,7 @@ class Sequence:
     def is_zero(self, tol: float = 0.0) -> bool:
         if self.mode == APPROX:
             return bool(np.all(np.abs(self.array) <= tol))
-        order = len(self.array)
-        return all(CycloNum(order, col).is_zero() for col in zip(*self.array.tolist()))
+        return not reduce_rows(self.array.T, len(self.array)).any()
 
     def __repr__(self) -> str:
         signs = _sign_string(self)

@@ -654,20 +654,37 @@ class TestSpectralKernel:
         assert counts or (scale == 2 and cap > 0)
         assert all((limbs > 1) == (scale > 2) for _, limbs in counts)
 
-    @pytest.mark.parametrize("build", [
-        lambda: cosf_to_ccc(execute(plan(4, [16]), verify=False).family, dft_matrix(4)),
-        lambda: next(TestSpectralKernel.perturbations(ccc_from_unitary(dft_matrix(3)))),
-    ], ids=["4x4-L16", "dft3-near-miss"])
-    def test_distinct_rows_by_dict_and_by_sort_agree(self, build, monkeypatch):
-        fam = build()
-        reports = []
-        for sort_min in (0, 10 ** 9):
-            monkeypatch.setattr(corr, "_SORT_MIN", sort_min)
-            reports.append(is_ccc(fam))
-        by_sort, by_dict = ([[(v.order, v.coeffs) for v in p.values] for p in r.pairs]
-                            for r in reports)
-        assert by_sort == by_dict
-        assert reports[0].render() == reports[1].render()
+    def test_clean_checks_build_no_scalars(self, monkeypatch):
+        # verdicts and PASS reports come from the zero mask alone
+        ccc = cosf_to_ccc(execute(plan(4, [16]), verify=False).family, dft_matrix(4))
+        cosf = execute(plan(3, [9]), verify=False).family
+        approx = SequenceFamily(SequenceSet(Sequence([x.numeric() for x in seq]) for seq in ss)
+                                for ss in ccc)
+        zone = zccc_zone(ccc)
+
+        def refuse(*args):
+            raise AssertionError("scalars built for a clean check")
+
+        monkeypatch.setattr(corr, "_scalars", refuse)
+        for report in (is_ccc(ccc), is_ccc(approx), is_n_co_sf(cosf, 3),
+                       is_complementary_set(ccc[0])):
+            assert report.ok
+            assert report.render().splitlines()[0].endswith(": PASS")
+        assert zccc_zone(ccc) == zone
+
+    def test_near_miss_renders_in_linear_time(self):
+        fam = cosf_to_ccc(execute(plan(2, [2 ** 14]), verify=False).family, hadamard_matrix(2))
+        entries = list(fam[0][0])
+        entries[0] = -entries[0]
+        sets = list(fam)
+        sets[0] = SequenceSet([Sequence(entries)] + list(fam[0])[1:])
+        report = is_ccc(SequenceFamily(sets))
+        start = time.perf_counter()
+        text = report.render()
+        assert time.perf_counter() - start < 3
+        violations = sum(len(p.violations) for p in report.pairs)
+        assert violations > 2 ** 14
+        assert sum("tau=" in line for line in text.splitlines()) == violations
 
     def test_spectral_path_logs_nothing(self, caplog):
         with caplog.at_level(logging.DEBUG, logger="cocodes"):

@@ -62,6 +62,10 @@ class TestSequenceBasics:
         s = from_signs("+-")
         assert -s == from_signs("-+")
         assert s.scale(CycloNum.from_int(0)).is_zero()
+        # 1 + zeta_3 + zeta_3^2 vanishes only modulo Phi_3
+        vanishing = CycloNum(3, [1, 1, 1])
+        assert Sequence([vanishing] * 3).is_zero()
+        assert not Sequence([vanishing, CycloNum(3, [1, 1, 2]), vanishing]).is_zero()
 
 
 class TestEnergy:
