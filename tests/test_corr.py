@@ -672,6 +672,39 @@ class TestSpectralKernel:
             assert report.render().splitlines()[0].endswith(": PASS")
         assert zccc_zone(ccc) == zone
 
+    @staticmethod
+    def scalars_by_sort(cols, order):
+        # reference for corr._scalars: distinct rows found by sorting, one
+        # CycloNum per run of equal rows, instead of by a dict
+        if cols.dtype == complex:
+            return cols[:, 0].tolist()
+        keys = [tuple(row) + (0,) * (order - cols.shape[1]) for row in cols.tolist()]
+        out = [None] * len(keys)
+        prev = val = None
+        for i in sorted(range(len(keys)), key=keys.__getitem__):
+            if keys[i] != prev:
+                prev = keys[i]
+                val = CycloNum(order, prev) if any(prev) else CycloNum.zero()
+            out[i] = val
+        return out
+
+    @pytest.mark.parametrize("build", [
+        lambda: cosf_to_ccc(execute(plan(4, [16]), verify=False).family, dft_matrix(4)),
+        lambda: next(TestSpectralKernel.perturbations(ccc_from_unitary(dft_matrix(3)))),
+    ], ids=["4x4-L16", "dft3-near-miss"])
+    def test_distinct_rows_by_dict_and_by_sort_agree(self, build, monkeypatch):
+        fam = build()
+        by_dict = is_ccc(fam)
+        dict_values = [[(v.order, v.coeffs) for v in p.values] for p in by_dict.pairs]
+        dict_text = by_dict.render()
+        monkeypatch.setattr(corr, "_scalars", self.scalars_by_sort)
+        by_sort = is_ccc(fam)
+        assert [[(v.order, v.coeffs) for v in p.values] for p in by_sort.pairs] == dict_values
+        assert by_sort.render() == dict_text
+        for pair in by_sort.pairs:
+            assert pair.values == [summed_acorr(fam[pair.left], fam[pair.right], tau)
+                                   for tau in pair.shifts]
+
     def test_near_miss_renders_in_linear_time(self):
         fam = cosf_to_ccc(execute(plan(2, [2 ** 14]), verify=False).family, hadamard_matrix(2))
         entries = list(fam[0][0])
