@@ -127,6 +127,8 @@ def sequence_from_doc(entries, mode: str) -> Sequence:
     """Sequence of a document's entry list: exact entries normalized at
     one order become the array in one step, anything else goes scalar by
     scalar."""
+    if mode not in (EXACT, APPROX):
+        raise DocumentError(f"bad mode {mode!r}")
     if type(entries) is not list:
         raise DocumentError(f"entry list must be a list, got {entries!r}")
     array = _exact_array(entries) if mode == EXACT else None
@@ -150,8 +152,6 @@ def family_from_doc(doc: dict) -> SequenceFamily:
     if not isinstance(doc, dict) or "sets" not in doc:
         raise DocumentError("family document needs a 'sets' field")
     mode = doc.get("mode", EXACT)
-    if mode not in (EXACT, APPROX):
-        raise DocumentError(f"bad mode {mode!r}")
     try:
         sets = [
             SequenceSet(sequence_from_doc(seq, mode) for seq in ss)
@@ -196,10 +196,9 @@ def matrix_spec_from_doc(doc) -> MatrixSpec:
     entries = None
     if kind == "custom":
         raw = doc.get("entries")
-        if raw is None:
-            raise DocumentError("custom matrix spec needs entries")
-        mode = doc.get("mode", EXACT)
-        entries = [[scalar_from_doc(x, mode) for x in row] for row in raw]
+        if type(raw) is not list:
+            raise DocumentError(f"custom matrix entries must be a list of rows, got {raw!r}")
+        entries = [sequence_from_doc(row, doc.get("mode", EXACT)) for row in raw]
     return MatrixSpec(kind=kind, dim=dim, entries=entries)
 
 

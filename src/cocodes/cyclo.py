@@ -28,7 +28,7 @@ import numpy as np
 ORDER_LIMIT = 10_000
 
 # Matrix factories refuse a dimension above this: an N x N DFT has N^3
-# coefficients (N = 128 builds in about 0.3 s and 30 MB, 256 in 3 s, 260 MB).
+# coefficients (N = 128 builds in about 0.02 s and 17 MB, 256 in 0.2 s, 130 MB).
 DIM_LIMIT = 128
 
 

@@ -11,21 +11,21 @@ from __future__ import annotations
 from dataclasses import dataclass
 from typing import Optional
 
+import numpy as np
+
+from .corr import DEFAULT_TOL, is_n_co_sf
 from .cyclo import DIM_LIMIT, CycloNum
 from .model import (
     EXACT,
-    ModeMismatchError,
     Scalar,
     Sequence,
     SequenceFamily,
-    inner,
+    SequenceSet,
+    energy,
     scalar_is_zero,
-    scalar_mode,
     scalar_numeric,
     singleton_family,
 )
-
-VALIDATE_TOL = 1e-9
 
 
 class MatrixValidationError(ValueError):
@@ -33,35 +33,38 @@ class MatrixValidationError(ValueError):
 
 
 class UnitaryLike:
-    """Validated N x N matrix with U U^H = alpha I; immutable."""
+    """Validated N x N matrix with U U^H = alpha I, held as the set of
+    its N rows; immutable."""
 
-    __slots__ = ("dim", "entries", "alpha", "mode")
+    __slots__ = ("dim", "mode", "row_set", "alpha")
 
-    def __init__(self, entries, alpha: Scalar):
-        entries = tuple(tuple(row) for row in entries)
-        dim = len(entries)
-        if any(len(row) != dim for row in entries):
+    def __init__(self, rows, alpha: Scalar):
+        rows = list(rows)
+        if any(len(row) != len(rows) for row in rows):
             raise MatrixValidationError("matrix is not square")
-        modes = {scalar_mode(x) for row in entries for x in row}
-        if len(modes) != 1:
-            raise ModeMismatchError("matrix mixes exact and approx entries")
-        object.__setattr__(self, "dim", dim)
-        object.__setattr__(self, "entries", entries)
+        row_set = SequenceSet(rows)
+        object.__setattr__(self, "dim", len(rows))
+        object.__setattr__(self, "mode", row_set.mode)
+        object.__setattr__(self, "row_set", row_set)
         object.__setattr__(self, "alpha", alpha)
-        object.__setattr__(self, "mode", modes.pop())
 
     def __setattr__(self, name, value):
         raise AttributeError("UnitaryLike is immutable")
 
+    @property
+    def entries(self) -> tuple:
+        """The entries as scalars, row by row."""
+        return tuple(tuple(row) for row in self.row_set)
+
     def row(self, m: int) -> Sequence:
-        return Sequence(self.entries[m])
+        return self.row_set[m]
 
     def rows(self):
-        return [self.row(m) for m in range(self.dim)]
+        return list(self.row_set)
 
     def rows_family(self) -> SequenceFamily:
         """The rows viewed as a family of single-sequence sets."""
-        return singleton_family(self.rows())
+        return singleton_family(self.row_set)
 
     def __repr__(self) -> str:
         return f"UnitaryLike(dim={self.dim}, alpha={self.alpha!r})"
@@ -72,14 +75,19 @@ def _check_dim(n: int) -> None:
         raise ValueError(f"dimension must be in 1..{DIM_LIMIT}, got {n}")
 
 
+def _from_arrays(arrays: np.ndarray, alpha: int) -> UnitaryLike:
+    """Matrix whose row m is the exact sequence of arrays[m]."""
+    return UnitaryLike(map(Sequence.of_array, arrays), CycloNum.from_int(alpha))
+
+
 def dft_matrix(n: int) -> UnitaryLike:
-    """[W^(mn)] with W = exp(-2*pi*i/n), exact entries of order n; alpha = n."""
+    """[W^(mk)] with W = exp(-2*pi*i/n), exact entries of order n; alpha = n.
+    Row m has a 1 at exponent mk mod n in column k."""
     _check_dim(n)
-    rows = [
-        [CycloNum.root(n, (m * k) % n) for k in range(n)]
-        for m in range(n)
-    ]
-    return UnitaryLike(rows, CycloNum.from_int(n))
+    arrays = np.zeros((n, n, n), dtype=object)
+    m, k = np.indices((n, n))
+    arrays[m, m * k % n, k] = 1
+    return _from_arrays(arrays, n)
 
 
 def hadamard_matrix(n: int) -> UnitaryLike:
@@ -87,51 +95,42 @@ def hadamard_matrix(n: int) -> UnitaryLike:
     _check_dim(n)
     if n & (n - 1):
         raise ValueError(f"Walsh-Hadamard dimension must be a power of two, got {n}")
-    block = [[1]]
-    size = 1
-    while size < n:
-        block = (
-            [row + row for row in block]
-            + [row + [-x for x in row] for row in block]
-        )
-        size *= 2
-    rows = [[CycloNum.from_int(x) for x in row] for row in block]
-    return UnitaryLike(rows, CycloNum.from_int(n))
+    block = np.ones((1, 1), dtype=object)
+    while len(block) < n:
+        block = np.block([[block, block], [block, -block]])
+    return _from_arrays(block[:, None], n)
 
 
 def identity_matrix(n: int) -> UnitaryLike:
     _check_dim(n)
-    one, zero = CycloNum.from_int(1), CycloNum.from_int(0)
-    rows = [[one if i == j else zero for j in range(n)] for i in range(n)]
-    return UnitaryLike(rows, CycloNum.from_int(1))
+    return _from_arrays(np.eye(n, dtype=object)[:, None], 1)
 
 
-def custom_matrix(entries, tol: float = VALIDATE_TOL) -> UnitaryLike:
-    """Validate arbitrary entries as unitary-like; alpha is read off the
-    (0,0) entry of U U^H.  Raises naming the first offending row pair."""
+def custom_matrix(entries) -> UnitaryLike:
+    """Validate rows (sequences or lists of scalars) as unitary-like:
+    alpha is the energy of row 0 and every row must have it, and the
+    off-diagonal of U U^H must vanish, which `is_n_co_sf` of the rows
+    decides (at width 1 its sums are exactly that Gram product).
+    Raises naming the first offending row pair."""
     entries = list(entries)
     _check_dim(len(entries))
-    entries = [list(row) for row in entries]
-    dim = len(entries)
-    if any(len(row) != dim for row in entries):
-        raise MatrixValidationError("matrix is not square")
-    coerced = [[_coerce_scalar(x) for x in row] for row in entries]
-    rows = [Sequence(row) for row in coerced]
-    alpha = inner(rows[0], rows[0])
-    alpha_num = scalar_numeric(alpha)
-    if abs(alpha_num.imag) > tol * max(abs(alpha_num), 1.0) or alpha_num.real <= 0:
+    rows = [row if isinstance(row, Sequence) else Sequence(map(_coerce_scalar, row))
+            for row in entries]
+    u = UnitaryLike(rows, energy(rows[0]))
+    alpha_num = scalar_numeric(u.alpha)
+    if scalar_is_zero(u.alpha):  # an energy is real and >= 0, so only 0 fails
         raise MatrixValidationError(f"alpha = {alpha_num:.6g} is not a positive real")
-    tol_abs = 0.0 if rows[0].mode == EXACT else tol * abs(alpha_num)
-    for i in range(dim):
-        for j in range(dim):
-            g = inner(rows[i], rows[j])
-            residual = g - alpha if i == j else g
-            if not scalar_is_zero(residual, tol_abs):
-                raise MatrixValidationError(
-                    f"rows ({i}, {j}): inner product {scalar_numeric(g):.6g} "
-                    f"breaks U U^H = alpha I (alpha = {alpha_num:.6g})"
-                )
-    return UnitaryLike(coerced, alpha)
+    tol_abs = 0.0 if u.mode == EXACT else DEFAULT_TOL * abs(alpha_num)
+    gram = [((i, i), e) for i, e in enumerate(map(energy, rows))
+            if not scalar_is_zero(e - u.alpha, tol_abs)]
+    gram += [((p.left, p.right), p.values[0])
+             for p in is_n_co_sf(u.rows_family(), u.dim).pairs if not p.ok]
+    if gram:
+        (i, j), g = gram[0]
+        raise MatrixValidationError(
+            f"rows ({i}, {j}): inner product {scalar_numeric(g):.6g} "
+            f"breaks U U^H = alpha I (alpha = {alpha_num:.6g})")
+    return u
 
 
 def _coerce_scalar(x) -> Scalar:
@@ -158,7 +157,7 @@ class MatrixSpec:
 
     kind: str  # dft | hadamard | identity | custom
     dim: int
-    entries: Optional[list] = None  # custom only, rows of scalars
+    entries: Optional[list] = None  # custom only: rows, as for custom_matrix
 
     def build(self) -> UnitaryLike:
         if self.kind == "dft":

@@ -27,11 +27,14 @@ from cocodes.cli import (
     family_from_doc,
     family_to_doc,
     main,
+    recipe_from_doc,
     recipe_to_doc,
     scalar_from_doc,
     scalar_to_doc,
 )
 from cocodes.cyclo import DIM_LIMIT
+from cocodes.matrices import MatrixSpec
+from cocodes.planner import Post, Recipe, Round, RoundSplit, SubFamilySpec, execute
 
 
 def write_json(path, doc):
@@ -483,6 +486,71 @@ class TestCccCommand:
         write_json(mat, {"kind": "custom", "dim": 2, "mode": "exact",
                          "entries": [["+", "+"], ["+", "-"]]})
         assert main(["ccc", str(src), f"@{mat}", str(out)]) == EXIT_OK
+
+
+class TestMatrixDocs:
+    """A custom matrix document is a list of rows, each read like a
+    family sequence and under the family reader's mode check."""
+
+    H2_ENTRIES = [["+", "+"], ["+", "-"]]
+
+    def run(self, tmp_path, command, spec, cosf):
+        out = str(tmp_path / "o.json")
+        if command == "gen":
+            recipe = tmp_path / "r.json"
+            write_json(recipe, {"n": 2, "base_matrix": spec, "cells": [[0, 1]],
+                                "cell_matrices": [{"kind": "hadamard", "dim": 2}]})
+            return main(["gen", str(recipe), out])
+        src, mat = tmp_path / "cosf.json", tmp_path / "m.json"
+        write_json(src, family_to_doc(cosf, kind="cosf:2"))
+        write_json(mat, spec)
+        return main(["ccc", str(src), f"@{mat}", out])
+
+    @pytest.mark.parametrize("change", [
+        {"mode": "fuzzy"}, {"entries": 5}, {"entries": True},
+        {"entries": [None, ["+", "-"]]}, {"entries": [["+", "+"], 1.5]},
+    ], ids=["bad-mode", "int", "true", "null-row", "float-row"])
+    @pytest.mark.parametrize("command", ["gen", "ccc"])
+    def test_malformed_document_refused(self, tmp_path, capsys, cosf_2_of_4, command,
+                                        change):
+        spec = {"kind": "custom", "dim": 2, "mode": "exact", "entries": self.H2_ENTRIES,
+                **change}
+        assert self.run(tmp_path, command, spec, cosf_2_of_4) == EXIT_IO
+        err = capsys.readouterr().err
+        assert err.startswith("error: ") and err.count("\n") == 1
+        if "mode" in change:
+            assert "bad mode 'fuzzy'" in err
+
+    def test_recipe_writers_round_trip_through_json(self):
+        # custom entries (one row mixing orders 1 and 2), a nested recipe,
+        # an inline family and post.enlarge, written and read back
+        h2 = MatrixSpec("custom", 2, entries=[[1, 1], [1, CycloNum.root(2, 1)]])
+        nested = Recipe(n=2, base_matrix=MatrixSpec("hadamard", 2), cells=[[0, 1]],
+                        cell_matrices=[h2])
+        inline = singleton_family([from_signs("++"), from_signs("+-")])
+        recipe = Recipe(
+            n=6, base_matrix=MatrixSpec("dft", 6), cells=[[0, 1], [2, 3, 4, 5]],
+            cell_matrices=[h2, MatrixSpec("hadamard", 4)],
+            rounds=[Round(splits=[
+                RoundSplit(group=0, cells=[[0, 1]],
+                           subs=[SubFamilySpec(rows=MatrixSpec("hadamard", 2))]),
+                RoundSplit(group=1, cells=[[0, 1], [2, 3]],
+                           subs=[SubFamilySpec(family=inline), SubFamilySpec(recipe=nested)]),
+            ])],
+            post=Post(ccc=MatrixSpec("dft", 6),
+                      enlarge=[h2, MatrixSpec("hadamard", 2), MatrixSpec("identity", 2),
+                               MatrixSpec("dft", 2), h2, MatrixSpec("hadamard", 2)]))
+        text = json.dumps(recipe_to_doc(recipe))
+        back = recipe_from_doc(json.loads(text))
+        want, got = execute(recipe, verify=False), execute(back, verify=False)
+        assert family_to_doc(got.family) == family_to_doc(want.family)
+        assert got.claimed_kind == "ccc" and execute(back).verified
+        # the row read back is normalized to order 2; its values stand
+        rows = back.cell_matrices[0].entries
+        assert [s.order for s in rows] == [1, 2]
+        assert [list(s) for s in rows] == h2.entries
+        assert json.dumps(recipe_to_doc(recipe_from_doc(json.loads(
+            json.dumps(recipe_to_doc(back)))))) == json.dumps(recipe_to_doc(back))
 
 
 class TestEnlargeCommand:

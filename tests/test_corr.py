@@ -719,6 +719,26 @@ class TestSpectralKernel:
         assert violations > 2 ** 14
         assert sum("tau=" in line for line in text.splitlines()) == violations
 
+    def test_int64_sums_promoted_before_reduction(self, monkeypatch):
+        # 2^28 zeta_385 times a 2x2 CCC: its int64 sums reach 2^60, and a
+        # reduction modulo Phi_385 can grow them by reduction_gain(385) =
+        # 11,555, so the stack must be reduced as Python ints
+        c = CycloNum.from_int(2 ** 28) * CycloNum.root(385, 1)
+        base = cosf_to_ccc(execute(plan(2, [4])).family, dft_matrix(2))
+        fam = SequenceFamily(SequenceSet(s.scale(c) for s in ss) for ss in base)
+        entries = list(fam[1][0])
+        entries[2] = entries[2] + CycloNum.from_int(1)
+        bad = SequenceFamily([fam[0], SequenceSet([Sequence(entries), fam[1][1]])])
+        dtypes = []
+        reduce_rows = corr.reduce_rows
+        monkeypatch.setattr(corr, "reduce_rows",
+                            lambda rows, k: dtypes.append(rows.dtype) or reduce_rows(rows, k))
+        assert is_ccc(fam).ok and not is_ccc(bad).ok
+        assert dtypes == [object, object]
+        for f in (fam, bad):
+            for pair in is_ccc(f).pairs:
+                assert_pair_matches(pair, f[pair.left], f[pair.right])
+
     def test_spectral_path_logs_nothing(self, caplog):
         with caplog.at_level(logging.DEBUG, logger="cocodes"):
             assert is_ccc(ccc_from_unitary(dft_matrix(4))).ok

@@ -1,9 +1,11 @@
 """Unitary-like matrix factories and validation."""
 
+import numpy as np
 import pytest
 
 from cocodes import (
     CycloNum,
+    Sequence,
     dft_matrix,
     hadamard_matrix,
     identity_matrix,
@@ -81,6 +83,37 @@ class TestIdentity:
         assert identity_matrix(1).row(0) == from_signs("+")
 
 
+class TestFactoryRows:
+    """Each factory's rows against the per-entry definition: the same
+    array at the same order, JSON-ready Python ints, and the rows stored
+    once."""
+
+    REFERENCES = {
+        dft_matrix: lambda n, m, k: CycloNum.root(n, m * k),
+        hadamard_matrix: lambda n, m, k: CycloNum.from_int(-1 if bin(m & k).count("1") % 2 else 1),
+        identity_matrix: lambda n, m, k: CycloNum.from_int(int(m == k)),
+    }
+
+    @pytest.mark.parametrize("build,n", [
+        (build, n) for build in REFERENCES for n in list(range(1, 17)) + [128]
+        if build is not hadamard_matrix or not n & (n - 1)
+    ], ids=lambda x: getattr(x, "__name__", x))
+    def test_rows_match_definition(self, build, n):
+        u = build(n)
+        entry = self.REFERENCES[build]
+        reference = [[entry(n, m, k) for k in range(n)] for m in range(n)]
+        for m, row in enumerate(reference):
+            want = Sequence(row).array
+            assert u.row(m).array.shape == want.shape
+            assert np.array_equal(u.row(m).array, want)
+            assert all(type(c) is int for c in u.row(m).array.ravel())
+        assert [[(x.order, x.coeffs) for x in row] for row in u.entries] == [
+            [(x.order, x.coeffs) for x in row] for row in reference]
+        assert u.row(0) is u.row(0)
+        rows, fam = u.rows(), u.rows_family()
+        assert all(rows[m] is fam[m][0] is u.row(m) for m in range(n))
+
+
 class TestCustom:
     def test_accepts_sign_matrix(self):
         u = custom_matrix([[1, 1], [1, -1]])
@@ -90,6 +123,13 @@ class TestCustom:
         with pytest.raises(MatrixValidationError) as err:
             custom_matrix([[1, 1], [1, 1]])
         assert "(0, 1)" in str(err.value)
+
+    def test_rejects_zero_valued_entries(self):
+        # 1 + z + ... + z^20 = 0 for z = zeta_21; its float value is off
+        # zero by rounding, on the positive side
+        zero = CycloNum(21, [1] * 21)
+        with pytest.raises(MatrixValidationError, match="not a positive real"):
+            custom_matrix([[zero]])
 
     def test_scaled_dft(self):
         f3 = dft_matrix(3)
