@@ -198,7 +198,12 @@ def matrix_spec_from_doc(doc) -> MatrixSpec:
         raw = doc.get("entries")
         if type(raw) is not list:
             raise DocumentError(f"custom matrix entries must be a list of rows, got {raw!r}")
-        entries = [sequence_from_doc(row, doc.get("mode", EXACT)) for row in raw]
+        try:
+            entries = [sequence_from_doc(row, doc.get("mode", EXACT)) for row in raw]
+        except (DocumentError, OrderLimitError):
+            raise
+        except (TypeError, ValueError) as e:
+            raise DocumentError(f"malformed matrix: {e}") from None
     return MatrixSpec(kind=kind, dim=dim, entries=entries)
 
 

@@ -22,7 +22,7 @@ from math import lcm
 import numpy as np
 
 from .corr import DEFAULT_TOL, is_ccc, is_n_co_sf
-from .cyclo import CycloNum, common_order
+from .cyclo import CycloNum, common_order, reduce_rows
 from .matrices import UnitaryLike
 from .model import (
     EXACT,
@@ -33,7 +33,6 @@ from .model import (
     from_terms,
     multiply_terms,
     product,
-    scalar_is_zero,
     singleton_family,
     terms,
 )
@@ -65,14 +64,20 @@ def _connections(vs, cell: SequenceSet, found) -> list:
     out = []
     for v in vs:
         k, order = lcm(m, len(v)), common_order(cell_order, v.order)
-        blocks = [members[i % m] for i in range(k)]
-        left = (np.concatenate([c + i * width for i, (c, _, _) in enumerate(blocks)]),
-                np.concatenate([e for _, e, _ in blocks]) * (order // cell_order),
-                np.concatenate([x for _, _, x in blocks]))
+        cols, exps, vals = _side_by_side([members[i % m] for i in range(k)], width)
+        left = cols, exps * (order // cell_order), vals
         colmap = np.arange(k * width) // width % len(v)
         rows, cols, vals = multiply_terms(left, terms(v.array, order), colmap)
         out.append(Sequence.of_array(from_terms(rows, cols, vals, order, k * width)))
     return out
+
+
+def _side_by_side(blocks, width: int) -> tuple:
+    """The terms of arrays `width` entries wide (`terms` triples) as the
+    terms of one array holding them side by side."""
+    return (np.concatenate([c + i * width for i, (c, _, _) in enumerate(blocks)]),
+            np.concatenate([e for _, e, _ in blocks]),
+            np.concatenate([x for _, _, x in blocks]))
 
 
 def kron_expand(v: Sequence, cell: SequenceSet) -> SequenceSet:
@@ -156,10 +161,15 @@ def elongate_cosf(fam: SequenceFamily, part2, subs) -> SequenceFamily:
 
     The first partition level is derived from the sequence lengths
     (ascending); `part2[p1]` lists the second-level cells of group p1
-    as in-group positions, and `subs[(p1, p2)]` is the cross-orthogonal
-    family (one sequence per set, family size == cell size) connected
-    onto cell (p1, p2).  All sequences of one cell must have equal
-    energy (approx: to DEFAULT_TOL); `fam` must be cross-orthogonal.
+    as in-group positions, and `subs[(p1, p2)]` is what gets connected
+    onto cell (p1, p2): a cross-orthogonal family (one sequence per
+    set, family size == cell size) or a unitary-like matrix whose
+    dimension is the cell size.  A family is checked with `is_n_co_sf`;
+    a matrix's rows are connected as they are, since unitarity already
+    makes them a cross-orthogonal family (at width 1 only shift 0 is
+    left, and that is the rows' orthogonality).  All sequences of one
+    cell must have equal energy (approx: to DEFAULT_TOL); `fam` must be
+    cross-orthogonal.
     """
     if fam.set_size != 1:
         raise ConstructionError("expected a family of single-sequence sets")
@@ -175,22 +185,50 @@ def elongate_cosf(fam: SequenceFamily, part2, subs) -> SequenceFamily:
         cells = part2[p1]
         _check_partition(cells, len(group))
         for p2, cell in enumerate(cells):
-            members = [seqs[group[i]] for i in cell]
-            e0 = energy(members[0])
-            tol = 0.0 if fam.mode == EXACT else DEFAULT_TOL * abs(e0)
-            for k, s in enumerate(members[1:], start=1):
-                if not scalar_is_zero(energy(s) - e0, tol):
-                    raise ConstructionError(
-                        f"cell ({p1},{p2}) mixes energies: member 0 has "
-                        f"{e0!r}, member {k} has {energy(s)!r}")
+            cell_set = SequenceSet(seqs[group[i]] for i in cell)
+            found = _cell_terms(cell_set)
+            _check_energies(cell_set, found, f"({p1},{p2})")
             sub = subs.get((p1, p2))
             if sub is None:
                 raise ConstructionError(f"no sub-family for cell ({p1},{p2})")
-            _check_sub_family(sub, len(cell), f"sub-family at {(p1, p2)}")
-            cell_set = SequenceSet(members)
-            out += _connections([sub[m][0] for m in range(sub.family_size)],
-                                cell_set, _cell_terms(cell_set))
+            what = f"sub-family at {(p1, p2)}"
+            if isinstance(sub, UnitaryLike):
+                _check_size(sub.dim, len(cell), what)
+                rows = sub.rows()
+            else:
+                _check_sub_family(sub, len(cell), what)
+                rows = [ss[0] for ss in sub]
+            out += _connections(rows, cell_set, found)
     return singleton_family(out)
+
+
+def _check_energies(cell: SequenceSet, found, where: str) -> None:
+    """Raise unless every member of `cell` has member 0's energy (approx:
+    within DEFAULT_TOL * |e0|).  The energies come in one batch from the
+    members' terms `found` (see `_cell_terms`): every term times the
+    conjugate of every term in its column, summed per member."""
+    m, width = len(cell), cell.length
+    if m == 1:
+        return
+    order, members = found
+    cols, exps, vals = left = _side_by_side(members, width)
+    conj = cols, -exps, vals if vals.dtype == object else vals.conj()
+    rows, at, prods = multiply_terms(left, conj, np.arange(m * width))
+    energies = from_terms(rows, at // width, prods, order, m)
+    if cell.mode == EXACT:
+        differs = reduce_rows((energies[:, 1:] - energies[:, :1]).T, order).any(axis=1)
+    else:
+        differs = np.abs(energies[1:] - energies[0]) > DEFAULT_TOL * abs(energies[0])
+    if differs.any():
+        k = 1 + int(np.argmax(differs))
+        raise ConstructionError(
+            f"cell {where} mixes energies: member 0 has "
+            f"{energy(cell[0])!r}, member {k} has {energy(cell[k])!r}")
+
+
+def _check_size(size: int, n: int, what: str) -> None:
+    if size != n:
+        raise ConstructionError(f"{what} has size {size}, needs {n}")
 
 
 def _check_sub_family(fam: SequenceFamily, n: int, what: str):
@@ -199,8 +237,7 @@ def _check_sub_family(fam: SequenceFamily, n: int, what: str):
     divisible by n (`is_n_co_sf` reports the lengths)."""
     if fam.set_size != 1:
         raise ConstructionError(f"{what} must have single-sequence sets")
-    if fam.family_size != n:
-        raise ConstructionError(f"{what} has size {fam.family_size}, needs {n}")
+    _check_size(fam.family_size, n, what)
     check = is_n_co_sf(fam, n)
     if not check.ok:
         raise ConstructionError(

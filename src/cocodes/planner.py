@@ -23,12 +23,11 @@ from .construct import (
     enlarge_ccc,
     generate_cosf,
     group_by_length,
-    trivial_cosf,
 )
 from .corr import CheckReport, is_ccc, is_n_co_sf
 from .cyclo import DIM_LIMIT
-from .matrices import MatrixSpec
-from .model import SequenceFamily
+from .matrices import MatrixSpec, UnitaryLike, identity_matrix
+from .model import EXACT, Sequence, SequenceFamily
 
 
 class UnconstructibleError(ValueError):
@@ -55,13 +54,19 @@ class SubFamilySpec:
     recipe: Optional["Recipe"] = None
     family: Optional[SequenceFamily] = None
 
-    def resolve(self) -> SequenceFamily:
+    def resolve(self, build):
+        """What `elongate_cosf` connects onto the cell: the matrix of a
+        `rows` spec, made by `build` (`execute` passes its per-run
+        builder; MatrixSpec.build builds afresh), the family of a nested
+        recipe (executed unverified) or the inline family.  Families are
+        checked when connected; a matrix's rows are cross-orthogonal by
+        unitarity."""
         picked = [x is not None for x in (self.rows, self.recipe, self.family)]
         if sum(picked) != 1:
             raise ValueError("sub-family spec needs exactly one of "
                              "rows / recipe / family")
         if self.rows is not None:
-            return self.rows.build().rows_family()
+            return build(self.rows)
         if self.recipe is not None:
             return execute(self.recipe, verify=False).family
         return self.family
@@ -308,50 +313,69 @@ def _round_cells(groups, rnd: Round) -> list:
     return out
 
 
-def _complete_round(fam: SequenceFamily, rnd: Round):
+def _complete_round(fam: SequenceFamily, rnd: Round, build):
     """A round as the level-2 partition and sub-families of
     `elongate_cosf`: the cells of `_round_cells` with their specs
-    resolved."""
-    trivial = trivial_cosf(fam.mode)
+    resolved (matrices by `build`), the 1x1 identity of the family's
+    mode for each implicit singleton cell."""
+    one = (identity_matrix(1) if fam.mode == EXACT
+           else UnitaryLike([Sequence([1 + 0j])], 1 + 0j))
     groups = group_by_length([ss.length for ss in fam])
     part2, subs = {}, {}
     for g, cells in enumerate(_round_cells(groups, rnd)):
         part2[g] = [cell for cell, _ in cells]
         for p2, (_, spec) in enumerate(cells):
-            subs[(g, p2)] = trivial if spec is None else spec.resolve()
+            subs[(g, p2)] = one if spec is None else spec.resolve(build)
     return part2, subs
+
+
+def _builder():
+    """MatrixSpec.build, with each factory spec (kind, dim) built once
+    per builder; custom specs are built every time."""
+    built = {}
+
+    def build(spec: MatrixSpec) -> UnitaryLike:
+        if spec.kind == "custom":
+            return spec.build()
+        key = (spec.kind, spec.dim)
+        if key not in built:
+            built[key] = spec.build()
+        return built[key]
+    return build
 
 
 def execute(recipe: Recipe, verify: bool = True) -> ExecutionResult:
     """Run a recipe: generation, elongation rounds, optional CCC map and
     enlargement.  The log records each intermediate family's shape and,
-    when `verify` is set, its verification status."""
+    when `verify` is set, its verification status.  Each factory
+    matrix the recipe names is built once per run."""
     log = []
     n = recipe.n
-    base = recipe.base_matrix.build()
+    build = _builder()
+    base = build(recipe.base_matrix)
     if base.dim != n:
         raise ConstructionError(
             f"base matrix is {base.dim}x{base.dim}, recipe says {n}")
-    subs = [spec.build() for spec in recipe.cell_matrices]
+    subs = [build(spec) for spec in recipe.cell_matrices]
     fam = generate_cosf(base, recipe.cells, subs)
     _log_stage(log, "generate", fam, f"cosf:{n}", verify)
 
     for i, rnd in enumerate(recipe.rounds):
-        part2, round_subs = _complete_round(fam, rnd)
+        part2, round_subs = _complete_round(fam, rnd, build)
         fam = elongate_cosf(fam, part2, round_subs)
         _log_stage(log, f"elongate[{i}]", fam, f"cosf:{n}", verify)
 
     claimed = f"cosf:{n}"
     if recipe.post is not None:
         if recipe.post.ccc is not None:
-            fam = cosf_to_ccc(fam, recipe.post.ccc.build())
+            fam = cosf_to_ccc(fam, build(recipe.post.ccc))
             claimed = "ccc"
             _log_stage(log, "ccc", fam, "ccc", verify)
         if recipe.post.enlarge:
             if claimed != "ccc":
                 raise ConstructionError(
                     "enlargement requires the ccc step first")
-            fam = enlarge_ccc(fam, [s.build() for s in recipe.post.enlarge])
+            fam = enlarge_ccc(fam, [build(s) for s in recipe.post.enlarge])
             _log_stage(log, "enlarge", fam, "ccc", verify)
     return ExecutionResult(family=fam, log=log, claimed_kind=claimed)
 

@@ -246,6 +246,20 @@ class TestGenCommand:
         assert doc["length_set"] == [24, 48, 96]
         assert main(["verify", str(out), "--kind", "cosf:6"]) == EXIT_OK
 
+    def test_gen_refuses_inline_family_not_cross_orthogonal(self, tmp_path, capsys):
+        bad = singleton_family([from_signs("++"), from_signs("++")])
+        recipe = tmp_path / "r.json"
+        write_json(recipe, {
+            "n": 2,
+            "base_matrix": {"kind": "hadamard", "dim": 2},
+            "cells": [[0, 1]],
+            "cell_matrices": [{"kind": "hadamard", "dim": 2}],
+            "rounds": [{"splits": [{"group": 0, "cells": [[0, 1]],
+                                    "subs": [{"family": family_to_doc(bad)}]}]}],
+        })
+        assert main(["gen", str(recipe), str(tmp_path / "o.json")]) == EXIT_CONSTRUCT
+        assert "sub-family at (0, 0)" in capsys.readouterr().err
+
     def test_gen_with_post_steps(self, tmp_path):
         recipe = tmp_path / "r.json"
         out = tmp_path / "fam.json"
@@ -520,6 +534,15 @@ class TestMatrixDocs:
         assert err.startswith("error: ") and err.count("\n") == 1
         if "mode" in change:
             assert "bad mode 'fuzzy'" in err
+
+    @pytest.mark.parametrize("command", ["gen", "ccc"])
+    def test_empty_rows_refused_as_parse_error(self, tmp_path, capsys, cosf_2_of_4,
+                                               command):
+        # the same empty sequence in a family document exits 3 as well
+        spec = {"kind": "custom", "dim": 2, "mode": "exact", "entries": [[], []]}
+        assert self.run(tmp_path, command, spec, cosf_2_of_4) == EXIT_IO
+        err = capsys.readouterr().err
+        assert err.startswith("error: malformed matrix: ") and err.count("\n") == 1
 
     def test_recipe_writers_round_trip_through_json(self):
         # custom entries (one row mixing orders 1 and 2), a nested recipe,

@@ -32,6 +32,7 @@ from cocodes import (
     singleton_family,
 )
 from cocodes.construct import ConstructionError, trivial_cosf
+from cocodes.corr import DEFAULT_TOL
 from cocodes.model import concat
 
 ONE = CycloNum.from_int(1)
@@ -265,6 +266,117 @@ class TestElongate:
     def test_partition_must_cover_groups(self, cosf_6_mixed):
         with pytest.raises(ConstructionError):
             elongate_cosf(cosf_6_mixed, {0: [[0, 1]]}, {})
+
+
+class TestMatrixSubFamilies:
+    """A unitary-like matrix connected as a cell's sub-family: its rows go
+    in unchecked, its size is still checked."""
+
+    def test_rows_connect_like_the_rows_family(self, cosf_6_mixed):
+        part2 = {0: [[0, 1]], 1: [[0, 1, 2, 3]]}
+        h2, h4 = hadamard_matrix(2), hadamard_matrix(4)
+        via_matrices = elongate_cosf(cosf_6_mixed, part2, {(0, 0): h2, (1, 0): h4})
+        via_families = elongate_cosf(cosf_6_mixed, part2, {
+            (0, 0): h2.rows_family(), (1, 0): h4.rows_family()})
+        assert [ss[0].array.tolist() for ss in via_matrices] == \
+            [ss[0].array.tolist() for ss in via_families]
+
+    def test_identity_is_the_trivial_family(self, cosf_2_of_4):
+        out = elongate_cosf(cosf_2_of_4, {0: [[0], [1]]},
+                            {(0, 0): identity_matrix(1), (0, 1): identity_matrix(1)})
+        assert [ss[0] for ss in out] == [ss[0] for ss in cosf_2_of_4]
+
+    @pytest.mark.parametrize("dim", [1, 3, 4])
+    def test_matrix_of_wrong_dimension_refused(self, cosf_2_of_4, dim):
+        with pytest.raises(ConstructionError, match=f"has size {dim}, needs 2"):
+            elongate_cosf(cosf_2_of_4, {0: [[0, 1]]}, {(0, 0): dft_matrix(dim)})
+
+
+class TestBatchedEnergyDecision:
+    """elongate_cosf decides "every member has member 0's energy" for a
+    cell in one batch; the decision and the member it names must agree
+    with per-member `energy`."""
+
+    EXACT_POOL = [ONE, -ONE, W3, CycloNum.root(4, 1), CycloNum.root(5, 2),
+                  CycloNum(5, (1, 1, 0, 0, 0)), CycloNum(5, (1, 0, 1, 0, 0)),
+                  CycloNum.zero()]
+    SCALES = [CycloNum.root(6, 1), CycloNum.root(8, 3), -ONE,  # roots of unity
+              CycloNum.from_int(2), ONE + CycloNum.root(4, 1),  # energy x4, x2
+              ONE + W3]  # 1 + zeta_3 = -zeta_3^2, energy kept
+
+    @staticmethod
+    def decide(members):
+        """None when the cell passes, else the member the refusal names."""
+        fam, m = singleton_family(members), len(members)
+        sub = identity_matrix(m) if fam.mode == "exact" else custom_matrix(
+            [[1.0 if i == j else 0.0 for j in range(m)] for i in range(m)])
+        try:
+            elongate_cosf(fam, {0: [list(range(m))]}, {(0, 0): sub})
+        except ConstructionError as e:
+            text = str(e)
+            assert "mixes energies" in text and text.startswith("cell (0,0)")
+            return int(text.rsplit("member ", 1)[1].split(" ")[0])
+        return None
+
+    @staticmethod
+    def reference(members):
+        """The same decision from per-member `energy` calls."""
+        e0 = energy(members[0])
+        for k, s in enumerate(members[1:], start=1):
+            diff = energy(s) - e0
+            if isinstance(diff, CycloNum):
+                if not diff.is_zero():
+                    return k
+            elif abs(diff) > DEFAULT_TOL * abs(e0):
+                return k
+        return None
+
+    def test_exact_cells(self):
+        rng = random.Random(1010)
+        outcomes = set()
+        for _ in range(150):
+            length, m = rng.randint(1, 5), rng.randint(2, 5)
+            base = [rng.choice(self.EXACT_POOL) for _ in range(length)]
+            members = []
+            for _ in range(m):
+                seq = Sequence(base[i] for i in rng.sample(range(length), length))
+                scale = rng.choice(self.SCALES) if rng.random() < 0.4 else \
+                    rng.choice(self.SCALES[:3])
+                members.append(seq.scale(scale))
+            got = self.decide(members)
+            assert got == self.reference(members)
+            outcomes.add(got is None)
+        assert outcomes == {True, False}
+
+    def test_exact_message_names_first_differing_member(self):
+        s = from_signs("+-+")
+        members = [s, s.scale(W3), s.scale(CycloNum.from_int(2)), -s,
+                   s.scale(ONE + CycloNum.root(4, 1))]
+        assert self.decide(members) == 2
+        with pytest.raises(ConstructionError) as err:
+            elongate_cosf(singleton_family(members), {0: [[0, 1, 2, 3, 4]]},
+                          {(0, 0): dft_matrix(5)})
+        assert str(err.value) == (f"cell (0,0) mixes energies: member 0 has "
+                                  f"{energy(s)!r}, member 2 has "
+                                  f"{energy(members[2])!r}")
+
+    @pytest.mark.parametrize("rel, passes", [(1e-12, True), (3e-11, True),
+                                             (1e-8, False), (1e-3, False)])
+    def test_approx_cells_around_the_tolerance(self, rel, passes):
+        rng = random.Random(int(rel * 1e15))
+        for _ in range(20):
+            length, m = rng.randint(1, 6), rng.randint(2, 5)
+            base = [cmath.exp(2j * cmath.pi * rng.random()) for _ in range(length)]
+            members = [Sequence(base[i] for i in rng.sample(range(length), length))
+                       for _ in range(m)]
+            k = rng.randrange(1, m)
+            # energy scaled by (1 + rel)^2, about 1 + 2 rel
+            members[k] = members[k].scale(complex(1 + rel))
+            got = self.decide(members)
+            assert got == self.reference(members)
+            assert (got is None) == passes
+            if not passes:
+                assert got == k
 
 
 class TestCccMap:

@@ -10,22 +10,28 @@ import pytest
 
 from cocodes import (
     constructible,
+    elongate_cosf,
     equal_up_to_indexing,
     execute,
+    from_signs,
+    generate_cosf,
     is_ccc,
     is_n_co_sf,
     plan,
+    singleton_family,
 )
-from cocodes.cli import recipe_from_doc, recipe_to_doc
-from cocodes.construct import ConstructionError
+from cocodes.cli import family_to_doc, recipe_from_doc, recipe_to_doc
+from cocodes.construct import ConstructionError, group_by_length, trivial_cosf
 from cocodes.cyclo import DIM_LIMIT
-from cocodes.matrices import MatrixSpec
+from cocodes.matrices import MatrixSpec, dft_matrix
 from cocodes.planner import (
     Post,
+    Recipe,
     Round,
     RoundSplit,
     SubFamilySpec,
     UnconstructibleError,
+    _round_cells,
     factor_chain,
 )
 
@@ -328,6 +334,94 @@ class TestExecute:
     def test_verify_flag_skips_checks(self):
         result = execute(plan(2, [8]), verify=False)
         assert all(r.ok is None for r in result.log)
+
+
+def checked_execute(recipe: Recipe):
+    """Family of a planned recipe built the checked way: every round
+    connects the rows of each matrix as a family and the implicit
+    singletons as `trivial_cosf`, so `elongate_cosf` runs its full
+    sub-family check on every cell."""
+    fam = generate_cosf(recipe.base_matrix.build(), recipe.cells,
+                        [spec.build() for spec in recipe.cell_matrices])
+    for rnd in recipe.rounds:
+        groups = group_by_length([ss.length for ss in fam])
+        part2, subs = {}, {}
+        for g, cells in enumerate(_round_cells(groups, rnd)):
+            part2[g] = [cell for cell, _ in cells]
+            for p2, (_, spec) in enumerate(cells):
+                subs[(g, p2)] = (trivial_cosf(fam.mode) if spec is None
+                                 else spec.rows.build().rows_family())
+        fam = elongate_cosf(fam, part2, subs)
+    return fam
+
+
+class TestTrustedSubFamilies:
+    """Matrix rows and implicit singleton cells are connected unchecked;
+    inline families and nested recipes are still checked."""
+
+    H2 = [[1.0, 1.0], [1.0, -1.0]]
+
+    @staticmethod
+    def co_recipe(sub: SubFamilySpec) -> Recipe:
+        """n = 2 from H2 with one round connecting `sub` onto both
+        sequences."""
+        return Recipe(n=2, base_matrix=MatrixSpec("hadamard", 2), cells=[[0, 1]],
+                      cell_matrices=[MatrixSpec("hadamard", 2)],
+                      rounds=[Round(splits=[RoundSplit(group=0, cells=[[0, 1]],
+                                                       subs=[sub])])])
+
+    def test_trusted_path_equals_checked_path(self, monkeypatch):
+        import cocodes.construct as construct
+        cases = [(n, [length]) for n in range(1, 9)
+                 for length in range(n, 32 * n + 1, n) if constructible(n, length)]
+        cases += [(7, [56, 1701]), (8, [16, 96]), (4, [4, 216]), (5, [10, 270]),
+                  (6, [54, 162]), (7, [14, 448])]
+        calls = []
+        real = construct.is_n_co_sf
+        monkeypatch.setattr(construct, "is_n_co_sf",
+                            lambda *a: calls.append(a) or real(*a))
+        for n, targets in cases:
+            recipe = plan(n, targets)
+            before = len(calls)
+            trusted = execute(recipe, verify=False).family
+            assert len(calls) == before, (n, targets)
+            want = checked_execute(recipe)
+            assert family_to_doc(trusted) == family_to_doc(want), (n, targets)
+        assert calls  # the checked path did run its checks
+
+    def test_approx_recipe_values_unchanged(self):
+        h2 = MatrixSpec("custom", 2, entries=self.H2)
+        one_j = MatrixSpec("custom", 1, entries=[[1j]])
+        recipe = Recipe(
+            n=2, base_matrix=h2, cells=[[0, 1]], cell_matrices=[h2],
+            rounds=[Round(splits=[RoundSplit(group=0, cells=[[1]],
+                                             subs=[SubFamilySpec(rows=one_j)])]),
+                    Round(splits=[RoundSplit(group=0, cells=[[0, 1]],
+                                             subs=[SubFamilySpec(rows=h2)])])])
+        result = execute(recipe)
+        assert result.verified and result.family.mode == "approx"
+        got = [ss[0].array.tolist() for ss in result.family]
+        assert got == [[1j, 1j, -1j, 1j, 1, 1, 1, -1],
+                       [1j, 1j, -1j, 1j, -1, -1, -1, 1]]
+
+    def test_inline_family_not_cross_orthogonal_refused(self):
+        bad = singleton_family([from_signs("++"), from_signs("++")])
+        with pytest.raises(ConstructionError, match=r"sub-family at \(0, 0\)"):
+            execute(self.co_recipe(SubFamilySpec(family=bad)), verify=False)
+
+    def test_nested_recipe_of_wrong_size_refused(self):
+        nested = plan(4, [4])
+        with pytest.raises(ConstructionError, match="has size 4, needs 2"):
+            execute(self.co_recipe(SubFamilySpec(recipe=nested)), verify=False)
+
+    def test_matrix_of_wrong_size_refused(self):
+        with pytest.raises(ConstructionError, match="has size 4, needs 2"):
+            execute(self.co_recipe(SubFamilySpec(rows=MatrixSpec("hadamard", 4))),
+                    verify=False)
+
+    def test_resolve_returns_the_matrix_of_a_rows_spec(self):
+        u = SubFamilySpec(rows=MatrixSpec("dft", 3)).resolve(MatrixSpec.build)
+        assert u.dim == 3 and u.rows() == dft_matrix(3).rows()
 
 
 class TestSoundnessSweep:
