@@ -6,11 +6,13 @@ precision) integers; approx scalars as {"re": x, "im": y}.  On input,
 "+" / "-" are accepted as shorthand for +1 / -1 and bare integers for
 integer scalars (in approx documents also bare floats); JSON booleans
 are refused, and so is an exact order or coefficient that is not a
-JSON integer.  Output is always the normalized form, written as one line
-of compact JSON, and an exact sequence is written at one order, the lcm
-of its entries' orders.  A sequence is written from its coefficient
-array; an exact sequence whose entries are normalized at one order is
-read back into one in a single step, any other one scalar by scalar.
+JSON integer, or a coefficient whose magnitude reaches `COEFF_LIMIT`.
+Output is always the normalized form, written as one line of compact
+JSON, and an exact sequence is written at one order, the lcm of its
+entries' orders.  A sequence is written from its coefficient array; an
+exact sequence whose entries are normalized at one order is read back
+into one in a single step (int64 unless a coefficient is past int64),
+any other one scalar by scalar.
 
 Exit codes: 0 verified success, 1 verification failure,
 2 construction impossibility, 3 I/O or parse error.
@@ -28,7 +30,7 @@ import numpy as np
 
 from .corr import DEFAULT_TOL, zccc_zone
 from .construct import cosf_to_ccc, enlarge_ccc
-from .cyclo import ORDER_LIMIT, CycloNum, OrderLimitError
+from .cyclo import ORDER_LIMIT, CycloNum, OrderLimitError, check_coefficients
 from .matrices import MatrixSpec, _coerce_scalar, parse_matrix_shorthand
 from .model import (
     APPROX,
@@ -120,7 +122,10 @@ def _exact_array(entries):
             or set(map(len, cols)) != {order}
             or set(map(type, chain.from_iterable(cols))) != {int}):
         return None
-    return np.array(cols, dtype=object).T
+    try:
+        return np.array(cols, dtype=np.int64).T
+    except OverflowError:  # a coefficient past int64
+        return np.array(cols, dtype=object).T
 
 
 def sequence_from_doc(entries, mode: str) -> Sequence:
@@ -133,8 +138,15 @@ def sequence_from_doc(entries, mode: str) -> Sequence:
         raise DocumentError(f"entry list must be a list, got {entries!r}")
     array = _exact_array(entries) if mode == EXACT else None
     if array is None:
-        return Sequence(scalar_from_doc(x, mode) for x in entries)
-    return Sequence.of_array(array)
+        seq = Sequence(scalar_from_doc(x, mode) for x in entries)
+    else:
+        seq = Sequence.of_array(array)
+    if seq.array.dtype == object:  # only coefficients past INT64_COEFF_BOUND
+        try:
+            check_coefficients(seq.array)
+        except ValueError as e:
+            raise DocumentError(f"bad exact sequence: {e}") from None
+    return seq
 
 
 def family_to_doc(fam: SequenceFamily, kind: str = "raw") -> dict:
@@ -483,7 +495,7 @@ def main(argv=None) -> int:
     try:
         return args.func(args)
     except (DocumentError, OSError, OverflowError) as e:
-        # overflow: a coefficient past the float range
+        # overflow: a number past the float range
         print(f"error: {e}", file=sys.stderr)
         return EXIT_IO
     except ValueError as e:

@@ -22,7 +22,7 @@ from math import lcm
 import numpy as np
 
 from .corr import DEFAULT_TOL, is_ccc, is_n_co_sf
-from .cyclo import CycloNum, common_order, reduce_rows
+from .cyclo import CycloNum, common_order, reduce_rows, reducible
 from .matrices import UnitaryLike
 from .model import (
     EXACT,
@@ -31,6 +31,7 @@ from .model import (
     SequenceSet,
     energy,
     from_terms,
+    is_exact,
     multiply_terms,
     product,
     singleton_family,
@@ -68,7 +69,7 @@ def _connections(vs, cell: SequenceSet, found) -> list:
         left = cols, exps * (order // cell_order), vals
         colmap = np.arange(k * width) // width % len(v)
         rows, cols, vals = multiply_terms(left, terms(v.array, order), colmap)
-        out.append(Sequence.of_array(from_terms(rows, cols, vals, order, k * width)))
+        out.append(Sequence._of_fitted(from_terms(rows, cols, vals, order, k * width)))
     return out
 
 
@@ -93,7 +94,7 @@ def kron_expand(v: Sequence, cell: SequenceSet) -> SequenceSet:
 def entrywise(u: Sequence, v: Sequence) -> Sequence:
     if len(u) != len(v):
         raise ValueError(f"length mismatch: {len(u)} vs {len(v)}")
-    return Sequence.of_array(product(u.array, v.array))
+    return Sequence._of_fitted(product(u.array, v.array))
 
 
 def dyadic_sum(n: int, m: int) -> int:
@@ -212,11 +213,12 @@ def _check_energies(cell: SequenceSet, found, where: str) -> None:
         return
     order, members = found
     cols, exps, vals = left = _side_by_side(members, width)
-    conj = cols, -exps, vals if vals.dtype == object else vals.conj()
+    conj = cols, -exps, vals if is_exact(vals) else vals.conj()
     rows, at, prods = multiply_terms(left, conj, np.arange(m * width))
     energies = from_terms(rows, at // width, prods, order, m)
     if cell.mode == EXACT:
-        differs = reduce_rows((energies[:, 1:] - energies[:, :1]).T, order).any(axis=1)
+        diffs = (energies[:, 1:] - energies[:, :1]).T
+        differs = reduce_rows(reducible(diffs, order), order).any(axis=1)
     else:
         differs = np.abs(energies[1:] - energies[0]) > DEFAULT_TOL * abs(energies[0])
     if differs.any():
@@ -252,7 +254,7 @@ def cosf_to_ccc(fam: SequenceFamily, u: UnitaryLike) -> SequenceFamily:
     n = u.dim
     _check_sub_family(fam, n, "input")
     return SequenceFamily(
-        SequenceSet(Sequence.of_array(product(ss[0].array, u.row(k).array))
+        SequenceSet(Sequence._of_fitted(product(ss[0].array, u.row(k).array))
                     for k in range(n))
         for ss in fam)
 

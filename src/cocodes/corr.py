@@ -41,20 +41,19 @@ from typing import Optional
 
 import numpy as np
 
-from .cyclo import CycloNum, common_order, reduce_rows, reduction_gain
+from .cyclo import CycloNum, check_coefficients, common_order, reduce_rows, reducible
 from .model import (
     EXACT,
     Scalar,
     Sequence,
     SequenceFamily,
     SequenceSet,
+    is_exact,
     scalar_numeric,
     set_energy,
 )
 
 DEFAULT_TOL = 1e-9
-
-_INT64_SAFE = 2 ** 62
 
 # Entries of the half-spectra of one block of sets (16 bytes each, so
 # 64 MB); a block always holds at least one set.
@@ -205,11 +204,24 @@ class _Kernel:
         rows, width); the limb width b in bits (0: one limb); the
         rounding bound that certifies the pass (nan in approx mode); the
         dtype of the sums, int64 when every value and every step of
-        their recombination (each below energy + 2^52) fits.  Exact
-        coefficients must convert to float: below 2^1023 in magnitude."""
+        their recombination (each below energy + 2^52) fits.
+
+        A stack of int64 sequences (coefficients below
+        INT64_COEFF_BOUND) converts to float exactly.  A sequence of
+        Python ints makes the stack one of Python ints first; every
+        coefficient of such a sequence must be below COEFF_LIMIT (a
+        CoefficientLimitError names the cap), so that the stack
+        converts to float too."""
         if not self.exact:
             return self._dense(complex)[:, :, None], 0, math.nan, complex
-        dense = self._dense(float)
+        big = [s.array for ss in self.sets for s in ss if s.array.dtype == object]
+        if big:
+            for a in big:
+                check_coefficients(a)
+            ints = self._dense(object)
+            dense = ints.astype(float)
+        else:
+            ints, dense = None, self._dense(float)
         energy = float(np.einsum("smkl,smkl->s", dense, dense).max())
         bound = rounding_bound(energy, self.order, self.size, self.members)
         if bound < 0.5:
@@ -220,7 +232,8 @@ class _Kernel:
         # the limb pairs (i, k - i) as more members, so for sets of c
         # nonzero coefficients `rounding_bound` holds for every R_k when
         # it holds for energy c n (2^b - 1)^2 and n times the members.
-        ints = self._dense(object)
+        if ints is None:
+            ints = self._dense(np.int64)
         mags = np.abs(ints)
         bits = int(mags.max()).bit_length()
         nonzero = int(np.count_nonzero(ints.reshape(len(ints), -1), axis=1).max())
@@ -272,9 +285,12 @@ class _Kernel:
         return np.exp(-1j * np.pi / self.rows * np.arange(self.rows))[:, None]
 
     def _dense(self, dtype) -> np.ndarray:
-        """(sets, members, rows, width) array of the polyphase
-        components of every sequence (member n * phases + r is component
-        r of member n), folded by zeta_K^(K/2) = -1 for even K."""
+        """(sets, members, rows, width) array of `dtype` holding the
+        polyphase components of every sequence (member n * phases + r
+        is component r of member n), folded by zeta_K^(K/2) = -1 for
+        even K.  Sequences come as int64 arrays unless a coefficient is
+        past INT64_COEFF_BOUND, so a float stack is filled by numpy's
+        own casts, not one Python int at a time."""
         n = self.phases
         out = np.zeros((len(self.sets), len(self.sets[0]) * n, self.order, self.width), dtype)
         for m, ss in enumerate(self.sets):
@@ -346,11 +362,7 @@ class _Kernel:
         decided for the whole stack by one reduction modulo Phi_K."""
         if not self.exact:
             return np.abs(acc[..., 0]) <= tol_abs
-        flat = acc.reshape(-1, self.rows)
-        gain = reduction_gain(self.order)
-        if (flat.dtype != object and gain > 1
-                and max(flat.max(), -flat.min()) * gain >= _INT64_SAFE):
-            flat = flat.astype(object)
+        flat = reducible(acc.reshape(-1, self.rows), self.order)
         residues = reduce_rows(flat, self.order)
         return ~(residues != 0).any(axis=1).reshape(acc.shape[:2])
 
@@ -385,7 +397,7 @@ class _Kernel:
 def _scalars(cols: np.ndarray, order: int) -> list:
     """Scalar of each row of a (shifts, rows) slice of a sums stack at
     order K: one CycloNum per distinct row (a profile holds few)."""
-    if cols.dtype == complex:  # approx mode
+    if not is_exact(cols):
         return cols[:, 0].tolist()
     pad = (0,) * (order - cols.shape[1])
     keys = list(map(tuple, cols.tolist()))
@@ -473,10 +485,14 @@ class CheckReport:
 
 
 def _fmt_scalar(x: Scalar) -> str:
-    z = scalar_numeric(x)
-    if isinstance(x, CycloNum):
-        return f"{x!r} ~ {z:.6g}"
-    return f"{z:.6g}"
+    """A residual for a report line: the exact scalar and its float
+    value, or the exact scalar alone when no float holds its value."""
+    if not isinstance(x, CycloNum):
+        return f"{complex(x):.6g}"
+    try:
+        return f"{x!r} ~ {x.numeric():.6g}"
+    except OverflowError:
+        return repr(x)
 
 
 def _zero_tol(fams, tol: float) -> float:

@@ -9,10 +9,14 @@ cyclotomic polynomial happens only when a value has to be tested
 against zero (or turned into a canonical key), which is what makes
 "this correlation is exactly zero" a decidable question.
 
-Coefficients are plain Python ints, so they never overflow.  The
-reduction is one long division by Phi_K (`reduce_rows`), applied to one
-value or to a whole stack of them at once, so `CycloNum.is_zero` and the
-correlation kernel decide zero by the same rule.
+A CycloNum's coefficients are plain Python ints, so they never
+overflow.  Arrays of coefficients (a sequence's, a correlation stack)
+are int64 while every coefficient is below `INT64_COEFF_BOUND` in
+magnitude and hold Python ints past it.  The reduction is one long
+division by Phi_K (`reduce_rows`), applied to one value or to a whole
+stack of them at once, so `CycloNum.is_zero` and the correlation kernel
+decide zero by the same rule; `reducible` picks the dtype a stack is
+reduced in, so that no int64 step can wrap.
 """
 
 from __future__ import annotations
@@ -31,9 +35,38 @@ ORDER_LIMIT = 10_000
 # coefficients (N = 128 builds in about 0.02 s and 17 MB, 256 in 0.2 s, 130 MB).
 DIM_LIMIT = 128
 
+# An exact coefficient array is int64 when every coefficient is below
+# this in magnitude, so that a product of two coefficients stays below
+# 2^62; past it the array holds Python ints.
+INT64_COEFF_BOUND = 2 ** 31
+
+# Coefficients at or past this magnitude are refused, by the
+# verification kernel and at document read: the kernel reads them as
+# floats after folding an even order (zeta^(K/2) = -1), which can double
+# one, and binary64 ends just below 2^1024.
+COEFF_LIMIT = 2 ** 1022
+
+# int64 stacks are reduced as int64 only while peak * reduction_gain
+# stays below this (half of 2^63: folding an even order adds one bit).
+_INT64_SAFE = 2 ** 62
+
 
 class OrderLimitError(ValueError):
     """lcm of cyclotomic orders exceeded ORDER_LIMIT."""
+
+
+class CoefficientLimitError(ValueError):
+    """A coefficient's magnitude reached COEFF_LIMIT."""
+
+
+def check_coefficients(a: np.ndarray) -> None:
+    """Raise CoefficientLimitError when a coefficient of the array of
+    Python ints `a` reaches COEFF_LIMIT in magnitude."""
+    peak = max(a.max(), -a.min()) if a.size else 0
+    if peak >= COEFF_LIMIT:
+        raise CoefficientLimitError(
+            f"a coefficient of {peak.bit_length()} bits reaches the magnitude cap "
+            f"COEFF_LIMIT = 2^{COEFF_LIMIT.bit_length() - 1}")
 
 
 def common_order(k1: int, k2: int) -> int:
@@ -296,7 +329,7 @@ def reduce_rows(rows: np.ndarray, k: int) -> np.ndarray:
     skipped), so the work is the schoolbook long division and the memory
     O(n k) whatever k is.  Object rows (Python ints) are reduced
     exactly; int64 rows (folded for an even k) must keep
-    peak * `reduction_gain(k)` below 2^63."""
+    peak * `reduction_gain(k)` below 2^63, which `reducible` sees to."""
     if k % 2 == 0 and rows.shape[1] == k:
         rows = rows[:, :k // 2] - rows[:, k // 2:]
     else:
@@ -309,6 +342,19 @@ def reduce_rows(rows: np.ndarray, k: int) -> np.ndarray:
         if lead.any():
             rows[:, j - deg:j] -= lead[:, None] * low
     return rows[:, :deg]
+
+
+def reducible(rows: np.ndarray, k: int) -> np.ndarray:
+    """`rows` in a dtype that `reduce_rows` reduces exactly at order k:
+    an int64 stack whose largest magnitude times `reduction_gain(k)`
+    reaches 2^62 becomes Python ints; any other stack is returned as
+    it is."""
+    if rows.dtype == object or not rows.size:
+        return rows
+    peak = max(int(rows.max()), -int(rows.min()))
+    if peak * reduction_gain(k) >= _INT64_SAFE:
+        return rows.astype(object)
+    return rows
 
 
 @lru_cache(maxsize=16)

@@ -23,6 +23,7 @@ from .model import (
     SequenceSet,
     energy,
     scalar_is_zero,
+    scalar_mode,
     scalar_numeric,
     singleton_family,
 )
@@ -34,16 +35,33 @@ class MatrixValidationError(ValueError):
 
 class UnitaryLike:
     """Validated N x N matrix with U U^H = alpha I, held as the set of
-    its N rows; immutable."""
+    its N rows; immutable.
+
+    `UnitaryLike(rows, alpha)` checks the rows as `custom_matrix` does
+    and that `alpha` (a scalar of the rows' mode) is their energy.  The
+    factories and `custom_matrix` build through `_of_rows`, which checks
+    nothing: their rows are unitary-like by construction or have just
+    been checked."""
 
     __slots__ = ("dim", "mode", "row_set", "alpha")
 
     def __init__(self, rows, alpha: Scalar):
-        rows = list(rows)
-        if any(len(row) != len(rows) for row in rows):
-            raise MatrixValidationError("matrix is not square")
-        row_set = SequenceSet(rows)
-        object.__setattr__(self, "dim", len(rows))
+        u = custom_matrix(rows)
+        tol_abs = 0.0 if u.mode == EXACT else DEFAULT_TOL * abs(u.alpha)
+        if scalar_mode(alpha) != u.mode or not scalar_is_zero(alpha - u.alpha, tol_abs):
+            raise MatrixValidationError(
+                f"alpha = {alpha!r} is not the rows' energy {u.alpha!r}")
+        self._hold(u.row_set, alpha)
+
+    @classmethod
+    def _of_rows(cls, rows, alpha: Scalar) -> "UnitaryLike":
+        """The matrix of the row sequences `rows`, unchecked."""
+        u = object.__new__(cls)
+        u._hold(SequenceSet(rows), alpha)
+        return u
+
+    def _hold(self, row_set: SequenceSet, alpha: Scalar) -> None:
+        object.__setattr__(self, "dim", len(row_set))
         object.__setattr__(self, "mode", row_set.mode)
         object.__setattr__(self, "row_set", row_set)
         object.__setattr__(self, "alpha", alpha)
@@ -76,15 +94,16 @@ def _check_dim(n: int) -> None:
 
 
 def _from_arrays(arrays: np.ndarray, alpha: int) -> UnitaryLike:
-    """Matrix whose row m is the exact sequence of arrays[m]."""
-    return UnitaryLike(map(Sequence.of_array, arrays), CycloNum.from_int(alpha))
+    """Matrix whose row m is the exact sequence of arrays[m], an int64
+    array of 0 and +-1."""
+    return UnitaryLike._of_rows(map(Sequence._of_fitted, arrays), CycloNum.from_int(alpha))
 
 
 def dft_matrix(n: int) -> UnitaryLike:
     """[W^(mk)] with W = exp(-2*pi*i/n), exact entries of order n; alpha = n.
     Row m has a 1 at exponent mk mod n in column k."""
     _check_dim(n)
-    arrays = np.zeros((n, n, n), dtype=object)
+    arrays = np.zeros((n, n, n), dtype=np.int64)
     m, k = np.indices((n, n))
     arrays[m, m * k % n, k] = 1
     return _from_arrays(arrays, n)
@@ -95,7 +114,7 @@ def hadamard_matrix(n: int) -> UnitaryLike:
     _check_dim(n)
     if n & (n - 1):
         raise ValueError(f"Walsh-Hadamard dimension must be a power of two, got {n}")
-    block = np.ones((1, 1), dtype=object)
+    block = np.ones((1, 1), dtype=np.int64)
     while len(block) < n:
         block = np.block([[block, block], [block, -block]])
     return _from_arrays(block[:, None], n)
@@ -103,7 +122,7 @@ def hadamard_matrix(n: int) -> UnitaryLike:
 
 def identity_matrix(n: int) -> UnitaryLike:
     _check_dim(n)
-    return _from_arrays(np.eye(n, dtype=object)[:, None], 1)
+    return _from_arrays(np.eye(n, dtype=np.int64)[:, None], 1)
 
 
 def custom_matrix(entries) -> UnitaryLike:
@@ -116,11 +135,12 @@ def custom_matrix(entries) -> UnitaryLike:
     _check_dim(len(entries))
     rows = [row if isinstance(row, Sequence) else Sequence(map(_coerce_scalar, row))
             for row in entries]
-    u = UnitaryLike(rows, energy(rows[0]))
-    alpha_num = scalar_numeric(u.alpha)
+    if any(len(row) != len(rows) for row in rows):
+        raise MatrixValidationError("matrix is not square")
+    u = UnitaryLike._of_rows(rows, energy(rows[0]))
     if scalar_is_zero(u.alpha):  # an energy is real and >= 0, so only 0 fails
-        raise MatrixValidationError(f"alpha = {alpha_num:.6g} is not a positive real")
-    tol_abs = 0.0 if u.mode == EXACT else DEFAULT_TOL * abs(alpha_num)
+        raise MatrixValidationError("alpha = 0 is not a positive real")
+    tol_abs = 0.0 if u.mode == EXACT else DEFAULT_TOL * abs(u.alpha)
     gram = [((i, i), e) for i, e in enumerate(map(energy, rows))
             if not scalar_is_zero(e - u.alpha, tol_abs)]
     gram += [((p.left, p.right), p.values[0])
@@ -128,9 +148,18 @@ def custom_matrix(entries) -> UnitaryLike:
     if gram:
         (i, j), g = gram[0]
         raise MatrixValidationError(
-            f"rows ({i}, {j}): inner product {scalar_numeric(g):.6g} "
-            f"breaks U U^H = alpha I (alpha = {alpha_num:.6g})")
+            f"rows ({i}, {j}): inner product {_number(g)} "
+            f"breaks U U^H = alpha I (alpha = {_number(u.alpha)})")
     return u
+
+
+def _number(x: Scalar) -> str:
+    """A scalar's value for a message; the exact scalar itself when no
+    float holds its value."""
+    try:
+        return f"{scalar_numeric(x):.6g}"
+    except OverflowError:
+        return repr(x)
 
 
 def _coerce_scalar(x) -> Scalar:

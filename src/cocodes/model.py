@@ -11,16 +11,21 @@ Scalars come in two modes that never mix inside one family:
   approx - Python complex
 
 A Sequence owns one read-only array and nothing else.  An exact
-sequence of length L is a (K, L) array of Python ints (dtype=object)
-with K the lcm of its entries' orders: row j holds the coefficients of
-zeta_K^j, so column l is entry l in Z[zeta_K].  An approx sequence is
-an (L,) complex array.  A CycloNum is built from a column only when an
-entry is read.  Operators work on an array's nonzero terms, read in
-one pass (`terms`): a product pairs the terms of two arrays column by
-column and adds exponents modulo K (`multiply_terms`), so its cost
-follows the number of terms, not K.  `product` (the entrywise product
-behind scaling and entrywise products), connection and energies are
-built from these.
+sequence of length L is a (K, L) integer array with K the lcm of its
+entries' orders: row j holds the coefficients of zeta_K^j, so column l
+is entry l in Z[zeta_K].  Its dtype follows its values: int64 when every
+coefficient is below `INT64_COEFF_BOUND` in magnitude (the paper's
+constructions use roots of unity, so nearly always), Python ints
+(dtype=object) otherwise.  An approx sequence is an (L,) complex array;
+`is_exact` tells the two modes apart by dtype kind.  A CycloNum is built
+from a column only when an entry is read.  Operators work on an array's
+nonzero terms, read in one pass (`terms`): a product pairs the terms of
+two arrays column by column and adds exponents modulo K
+(`multiply_terms`), so its cost follows the number of terms, not K.
+Products of int64 coefficients fit int64, and their sums are made with
+Python ints whenever the largest product times the number of products
+could reach 2^63.  `product` (the entrywise product behind scaling and
+entrywise products), connection and energies are built from these.
 """
 
 from __future__ import annotations
@@ -32,7 +37,7 @@ from typing import Iterable, Union
 
 import numpy as np
 
-from .cyclo import CycloNum, common_order, reduce_rows
+from .cyclo import INT64_COEFF_BOUND, CycloNum, common_order, reduce_rows, reducible
 
 Scalar = Union[CycloNum, complex]
 
@@ -73,11 +78,33 @@ def scalar_numeric(x: Scalar) -> complex:
 # -- coefficient arrays ------------------------------------------------
 
 
+def is_exact(a: np.ndarray) -> bool:
+    """Whether an array (of coefficients, terms or sums) is exact, read
+    from its dtype kind: integers and Python ints are exact, complex
+    (and float) values approx."""
+    return a.dtype.kind not in "fc"
+
+
+def _fit(a: np.ndarray) -> np.ndarray:
+    """An exact array in the dtype its values call for: int64 when every
+    coefficient is below INT64_COEFF_BOUND in magnitude, Python ints
+    otherwise.  Only arrays that hold Python ints are scanned in Python;
+    the operators make those only from operands past the bound."""
+    if not a.size:
+        return a.astype(np.int64)
+    if a.dtype == object:
+        peak = max(a.max(), -a.min())
+        return a.astype(np.int64) if peak < INT64_COEFF_BOUND else a
+    if a.max() >= INT64_COEFF_BOUND or a.min() <= -INT64_COEFF_BOUND:
+        return a.astype(object)
+    return a if a.dtype == np.int64 else a.astype(np.int64)
+
+
 def _promote(a: np.ndarray, order: int) -> np.ndarray:
     """Exact array re-expressed over zeta_order; len(a) must divide order."""
     if len(a) == order:
         return a
-    out = np.zeros((order, a.shape[1]), dtype=object)
+    out = np.zeros((order, a.shape[1]), dtype=a.dtype)
     out[::order // len(a)] = a
     return out
 
@@ -85,7 +112,7 @@ def _promote(a: np.ndarray, order: int) -> np.ndarray:
 def terms(a: np.ndarray, order: int) -> tuple:
     """(columns, exponents over zeta_order, coefficients) of the nonzero
     terms of an array, column by column; approx entries have exponent 0."""
-    if a.dtype != object:
+    if not is_exact(a):
         cols = np.flatnonzero(a)
         return cols, 0 * cols, a[cols]
     cols, rows = np.nonzero((a != 0).T)
@@ -95,9 +122,13 @@ def terms(a: np.ndarray, order: int) -> tuple:
 def multiply_terms(left: tuple, right: tuple, colmap: np.ndarray) -> tuple:
     """(exponents, columns, products) of every term of `left` in column
     c times every term of `right` in column colmap[c]; `right` comes
-    column by column, as `terms` gives it."""
+    column by column, as `terms` gives it.
+
+    Exact products are int64 when both operands are: int64 coefficients
+    come from Sequence arrays, below INT64_COEFF_BOUND, so each product
+    is below 2^62.  Otherwise they are Python ints."""
     (ca, ra, va), (cb, rb, vb) = left, right
-    if (va.dtype == object) != (vb.dtype == object):
+    if is_exact(va) != is_exact(vb):
         raise ModeMismatchError("cannot multiply exact with approx entries")
     count = np.bincount(cb, minlength=colmap.max() + 1)
     key = colmap[ca]
@@ -110,11 +141,25 @@ def multiply_terms(left: tuple, right: tuple, colmap: np.ndarray) -> tuple:
 
 def from_terms(rows, cols, vals, order: int, width: int) -> np.ndarray:
     """Array of `width` entries holding the sum of the given terms:
-    (order, width) exact, or (width,) complex when `vals` are."""
-    exact = vals.dtype == object
-    out = np.zeros((order, width), dtype=object if exact else complex)
+    (order, width) exact, or (width,) complex when `vals` are.
+
+    int64 terms are summed as int64 while their largest magnitude times
+    their number (a bound on every sum) stays below 2^63, so that no sum
+    can wrap, and as Python ints otherwise.  An exact result is in the
+    dtype `_fit` gives it; it is scanned only when that bound does not
+    already keep every sum below INT64_COEFF_BOUND."""
+    if not is_exact(vals):
+        out = np.zeros(width, dtype=complex)
+        np.add.at(out, cols, vals)
+        return out
+    bound = 0
+    if vals.dtype == np.int64 and len(vals):
+        bound = max(int(vals.max()), -int(vals.min())) * len(vals)
+        if bound >= 2 ** 63:
+            vals = vals.astype(object)
+    out = np.zeros((order, width), dtype=vals.dtype)
     np.add.at(out, (rows % order, cols), vals)
-    return out if exact else out[0]
+    return out if out.dtype == np.int64 and bound < INT64_COEFF_BOUND else _fit(out)
 
 
 def product(a: np.ndarray, b: np.ndarray) -> np.ndarray:
@@ -125,7 +170,7 @@ def product(a: np.ndarray, b: np.ndarray) -> np.ndarray:
     c * zeta^i of `a` times a term d * zeta^j of `b` in the same column
     lands on row i + j mod K.  Only nonzero terms are multiplied, so a
     column of roots of unity costs one product whatever K is."""
-    order = common_order(len(a), len(b)) if a.dtype == object else 1
+    order = common_order(len(a), len(b)) if is_exact(a) else 1
     if a.shape[-1] < b.shape[-1]:
         a, b = b, a
     colmap = np.arange(a.shape[-1]) % b.shape[-1]
@@ -151,15 +196,33 @@ class Sequence:
             self._own(np.array([complex(x) for x in entries]))
             return
         order = reduce(common_order, {x.order for x in entries}, 1)
-        array = np.zeros((order, len(entries)), dtype=object)
-        for pos, x in enumerate(entries):
-            array[::order // x.order, pos] = x.coeffs
-        self._own(array)
+
+        def fill(dtype):
+            array = np.zeros((order, len(entries)), dtype)
+            for pos, x in enumerate(entries):
+                array[::order // x.order, pos] = x.coeffs
+            return array
+
+        try:
+            array = fill(np.int64)
+        except OverflowError:  # a coefficient past int64
+            array = fill(object)
+        self._own(_fit(array))
 
     @classmethod
     def of_array(cls, array: np.ndarray) -> "Sequence":
-        """Sequence owning `array` (exact: (K, L) of dtype object, approx:
-        (L,) complex), which becomes read-only."""
+        """Sequence owning `array` (exact: (K, L) of integers, approx:
+        (L,) complex), which becomes read-only.  An exact array is taken
+        in the dtype its values call for (see `_fit`): the array itself
+        when it already has it, else a converted copy."""
+        return cls._of_fitted(_fit(array) if is_exact(array) else array)
+
+    @classmethod
+    def _of_fitted(cls, array: np.ndarray) -> "Sequence":
+        """Sequence owning `array`, which is approx or already in the
+        dtype `_fit` gives it: a sum from `from_terms`, a factory's
+        rows, a row permutation of a Sequence's array.  Nothing is
+        scanned."""
         seq = object.__new__(cls)
         seq._own(array)
         return seq
@@ -167,7 +230,7 @@ class Sequence:
     def _own(self, array: np.ndarray) -> None:
         array.flags.writeable = False
         object.__setattr__(self, "array", array)
-        object.__setattr__(self, "mode", EXACT if array.dtype == object else APPROX)
+        object.__setattr__(self, "mode", EXACT if is_exact(array) else APPROX)
 
     def __setattr__(self, name, value):
         raise AttributeError("Sequence is immutable")
@@ -194,7 +257,7 @@ class Sequence:
     def scale(self, c: Scalar) -> "Sequence":
         if scalar_mode(c) != self.mode:
             raise ModeMismatchError("scalar/sequence mode mismatch")
-        return Sequence.of_array(product(self.array, Sequence([c]).array))
+        return Sequence._of_fitted(product(self.array, Sequence([c]).array))
 
     def __neg__(self) -> "Sequence":
         return self.scale(CycloNum.from_int(-1) if self.mode == EXACT else -1.0 + 0j)
@@ -202,9 +265,9 @@ class Sequence:
     def conj(self) -> "Sequence":
         """Complex conjugate: exponent row j moves to row (K - j) mod K."""
         if self.mode == APPROX:
-            return Sequence.of_array(np.conj(self.array))
+            return Sequence._of_fitted(np.conj(self.array))
         order = len(self.array)
-        return Sequence.of_array(self.array[-np.arange(order) % order])
+        return Sequence._of_fitted(self.array[-np.arange(order) % order])
 
     def __eq__(self, other) -> bool:
         if not isinstance(other, Sequence):
@@ -215,14 +278,15 @@ class Sequence:
             return bool(np.all(self.array == other.array))
         order = common_order(self.order, other.order)
         diff = _promote(self.array, order) - _promote(other.array, order)
-        return Sequence.of_array(diff).is_zero()
+        return not reduce_rows(reducible(diff.T, order), order).any()
 
     __hash__ = None
 
     def is_zero(self, tol: float = 0.0) -> bool:
         if self.mode == APPROX:
             return bool(np.all(np.abs(self.array) <= tol))
-        return not reduce_rows(self.array.T, len(self.array)).any()
+        order = len(self.array)
+        return not reduce_rows(reducible(self.array.T, order), order).any()
 
     def __repr__(self) -> str:
         signs = _sign_string(self)
@@ -262,9 +326,9 @@ def concat(parts: Iterable[Sequence]) -> Sequence:
     arrays = [p.array for p in parts]
     if not arrays:
         raise ValueError("a sequence needs at least one entry")
-    if len({a.dtype == object for a in arrays}) != 1:
+    if len({is_exact(a) for a in arrays}) != 1:
         raise ModeMismatchError("sequence mixes exact and approx entries")
-    if arrays[0].dtype != object:
+    if not is_exact(arrays[0]):
         return Sequence.of_array(np.concatenate(arrays))
     order = reduce(common_order, {len(a) for a in arrays}, 1)
     return Sequence.of_array(np.hstack([_promote(a, order) for a in arrays]))
@@ -376,9 +440,9 @@ def inner(s: Sequence, t: Sequence) -> Scalar:
     order = common_order(s.order, t.order)
     left = terms(s.array, order)
     cb, eb, vb = left if t is s else terms(t.array, order)
-    right = cb, -eb, vb if vb.dtype == object else vb.conj()
+    right = cb, -eb, vb if is_exact(vb) else vb.conj()
     rows, cols, vals = multiply_terms(left, right, np.arange(len(s)))
-    return Sequence.of_array(from_terms(rows, 0 * cols, vals, order, 1))[0]
+    return Sequence._of_fitted(from_terms(rows, 0 * cols, vals, order, 1))[0]
 
 
 def energy(s: Sequence) -> Scalar:
@@ -405,7 +469,8 @@ def _seq_key(s: Sequence, order: int):
     """Value key of a sequence at a family's order: its length, then each
     entry reduced modulo Phi_order (approx: each entry's (re, im))."""
     if s.mode == EXACT:
-        residues = reduce_rows(_promote(s.array, order).T, order)
+        rows = _promote(s.array, order).T
+        residues = reduce_rows(reducible(rows, order), order)
         return (len(s),) + tuple(map(tuple, residues.tolist()))
     return (len(s),) + tuple((x.real, x.imag) for x in s.array.tolist())
 

@@ -319,7 +319,7 @@ def _complete_round(fam: SequenceFamily, rnd: Round, build):
     resolved (matrices by `build`), the 1x1 identity of the family's
     mode for each implicit singleton cell."""
     one = (identity_matrix(1) if fam.mode == EXACT
-           else UnitaryLike([Sequence([1 + 0j])], 1 + 0j))
+           else UnitaryLike._of_rows([Sequence([1 + 0j])], 1 + 0j))
     groups = group_by_length([ss.length for ss in fam])
     part2, subs = {}, {}
     for g, cells in enumerate(_round_cells(groups, rnd)):

@@ -11,7 +11,7 @@ from hypothesis import given, settings
 from hypothesis import strategies as st
 
 from cocodes import CycloNum, Sequence, SequenceFamily, SequenceSet, from_signs
-from cocodes.cyclo import ORDER_LIMIT
+from cocodes.cyclo import INT64_COEFF_BOUND, ORDER_LIMIT
 from cocodes.cli import _dump_json, _load_json, family_from_doc, family_to_doc
 
 coefficients = st.one_of(
@@ -53,11 +53,17 @@ def same_arrays(got, want):
     for gs, ws in zip(got, want):
         assert len(gs) == len(ws)
         for g, w in zip(gs, ws):
-            assert g.array.dtype == w.array.dtype
             assert g.array.shape == w.array.shape
             assert np.array_equal(g.array, w.array)
             if g.mode == "exact":
-                assert all(type(c) is int for c in g.array.ravel())
+                # the dtype follows the values on both sides: int64 below
+                # the bound, Python ints at or past it
+                values = g.array.ravel().tolist()
+                small = max(map(abs, values)) < INT64_COEFF_BOUND
+                for a in (g.array, w.array):
+                    assert a.dtype == (np.int64 if small else object)
+                if not small:
+                    assert all(type(c) is int for c in g.array.ravel())
 
 
 @settings(max_examples=80, deadline=None)

@@ -85,8 +85,8 @@ class TestIdentity:
 
 class TestFactoryRows:
     """Each factory's rows against the per-entry definition: the same
-    array at the same order, JSON-ready Python ints, and the rows stored
-    once."""
+    array at the same order, int64 (every coefficient is below
+    INT64_COEFF_BOUND), and the rows stored once."""
 
     REFERENCES = {
         dft_matrix: lambda n, m, k: CycloNum.root(n, m * k),
@@ -106,7 +106,7 @@ class TestFactoryRows:
             want = Sequence(row).array
             assert u.row(m).array.shape == want.shape
             assert np.array_equal(u.row(m).array, want)
-            assert all(type(c) is int for c in u.row(m).array.ravel())
+            assert u.row(m).array.dtype == np.int64
         assert [[(x.order, x.coeffs) for x in row] for row in u.entries] == [
             [(x.order, x.coeffs) for x in row] for row in reference]
         assert u.row(0) is u.row(0)
