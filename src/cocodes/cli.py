@@ -2,11 +2,11 @@
 
 One JSON-based format covers recipes and families.  Exact scalars
 serialize as {"order": K, "coeffs": [...]} with plain (arbitrary
-precision) integers; approx scalars as {"re": x, "im": y}.  On input,
-"+" / "-" are accepted as shorthand for +1 / -1 and bare integers for
-integer scalars (in approx documents also bare floats); JSON booleans
-are refused, and so is an exact order or coefficient that is not a
-JSON integer, or a coefficient whose magnitude reaches `COEFF_LIMIT`.
+precision) integers; approx scalars as {"re": x, "im": y}.  Any other
+input entry is read by `model.scalar` in the document's mode ("+" / "-"
+and integers in both modes, floats in approx; booleans and other strings
+are refused).  An exact order or coefficient must be a JSON integer, and
+a coefficient's magnitude must stay below `COEFF_LIMIT`.
 Output is always the normalized form, written as one line of compact
 JSON, and an exact sequence is written at one order, the lcm of its
 entries' orders.  A sequence is written from its coefficient array; an
@@ -31,7 +31,7 @@ import numpy as np
 from .corr import DEFAULT_TOL, zccc_zone
 from .construct import cosf_to_ccc, enlarge_ccc
 from .cyclo import ORDER_LIMIT, CycloNum, OrderLimitError, check_coefficients
-from .matrices import MatrixSpec, _coerce_scalar, parse_matrix_shorthand
+from .matrices import MATRIX_KINDS, MatrixSpec, parse_matrix_shorthand
 from .model import (
     APPROX,
     EXACT,
@@ -39,6 +39,7 @@ from .model import (
     SequenceFamily,
     SequenceSet,
     canonical_form,
+    scalar,
 )
 from .planner import (
     Post,
@@ -72,28 +73,23 @@ def scalar_to_doc(x):
 
 
 def scalar_from_doc(doc, mode: str):
-    """Scalar of a document: the normalized form of `mode`, the "+" / "-"
-    / integer shorthand, or (approx mode) a bare float."""
+    """Scalar of a document: the normalized form of `mode`, or any other
+    value as `model.scalar` reads it in `mode`."""
     try:
-        if isinstance(doc, dict):
-            if mode == EXACT:
-                order, coeffs = doc["order"], doc["coeffs"]
-                if (type(order) is not int or type(coeffs) is not list
-                        or not all(type(c) is int for c in coeffs)):
-                    raise TypeError("order and coefficients must be integers")
-                return CycloNum(order, coeffs)
-            real, imag = doc["re"], doc["im"]
-            if not {type(real), type(imag)} <= {int, float}:  # no bool
-                raise TypeError("re and im must be numbers")
-            return complex(real, imag)
-        x = _coerce_scalar(doc)
-        if isinstance(x, CycloNum):
-            return x if mode == EXACT else complex(x.coeffs[0])
-        if mode == APPROX and isinstance(doc, float):
-            return x
+        if not isinstance(doc, dict):
+            return scalar(doc, mode)
+        if mode == EXACT:
+            order, coeffs = doc["order"], doc["coeffs"]
+            if (type(order) is not int or type(coeffs) is not list
+                    or not all(type(c) is int for c in coeffs)):
+                raise TypeError("order and coefficients must be integers")
+            return CycloNum(order, coeffs)
+        real, imag = doc["re"], doc["im"]
+        if not {type(real), type(imag)} <= {int, float}:  # no bool
+            raise TypeError("re and im must be numbers")
+        return complex(real, imag)
     except (KeyError, TypeError, ValueError, OverflowError) as e:
         raise DocumentError(f"bad {mode} scalar {doc!r}: {e}") from None
-    raise DocumentError(f"bad {mode} scalar {doc!r}")
 
 
 def sequence_to_doc(seq: Sequence) -> list:
@@ -190,9 +186,9 @@ def _int(value, what: str) -> int:
 def matrix_spec_to_doc(spec: MatrixSpec) -> dict:
     doc = {"kind": spec.kind, "dim": spec.dim}
     if spec.entries is not None:
-        entries = [[_coerce_scalar(x) for x in row] for row in spec.entries]
-        doc["entries"] = [[scalar_to_doc(x) for x in row] for row in entries]
-        doc["mode"] = EXACT if isinstance(entries[0][0], CycloNum) else APPROX
+        rows = [row if isinstance(row, Sequence) else Sequence(row) for row in spec.entries]
+        doc["entries"] = [sequence_to_doc(row) for row in rows]
+        doc["mode"] = rows[0].mode
     return doc
 
 
@@ -200,7 +196,7 @@ def matrix_spec_from_doc(doc) -> MatrixSpec:
     if not isinstance(doc, dict) or "kind" not in doc:
         raise DocumentError(f"bad matrix spec: {doc!r}")
     kind = doc["kind"]
-    if kind not in ("dft", "hadamard", "identity", "custom"):
+    if kind not in (*MATRIX_KINDS, "custom"):  # a tuple: an unhashable value must not raise
         raise DocumentError(f"unknown matrix kind {kind!r}")
     dim = _int(doc.get("dim"), "matrix dim")
     if dim < 1:

@@ -22,7 +22,7 @@ from math import lcm
 import numpy as np
 
 from .corr import DEFAULT_TOL, is_ccc, is_n_co_sf
-from .cyclo import CycloNum, common_order, reduce_rows, reducible
+from .cyclo import common_order, reduce_rows, reducible
 from .matrices import UnitaryLike
 from .model import (
     EXACT,
@@ -34,6 +34,7 @@ from .model import (
     is_exact,
     multiply_terms,
     product,
+    scalar,
     singleton_family,
     terms,
 )
@@ -296,5 +297,4 @@ def enlarge_ccc(fam: SequenceFamily, matrices) -> SequenceFamily:
 
 def trivial_cosf(mode: str = EXACT) -> SequenceFamily:
     """The one-sequence family {(1)}: connecting with it is the identity."""
-    one = CycloNum.from_int(1) if mode == EXACT else 1 + 0j
-    return singleton_family([Sequence([one])])
+    return singleton_family([Sequence([scalar(1, mode)])])

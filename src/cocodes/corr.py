@@ -49,6 +49,7 @@ from .model import (
     SequenceFamily,
     SequenceSet,
     is_exact,
+    scalar,
     scalar_numeric,
     set_energy,
 )
@@ -72,7 +73,7 @@ _BATCH = 2 ** 12
 def _sum_products(s: Sequence, t: Sequence, pairs) -> Scalar:
     """sum over (l, m) in `pairs` of s(l) * conj(t(m)), in that order."""
     a, b = list(s), list(t.conj())
-    total = CycloNum.zero() if s.mode == EXACT else 0j
+    total = scalar(0, s.mode)
     for l, m in pairs:
         total = total + a[l] * b[m]
     return total

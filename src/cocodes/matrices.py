@@ -17,13 +17,14 @@ from .corr import DEFAULT_TOL, is_n_co_sf
 from .cyclo import DIM_LIMIT, CycloNum
 from .model import (
     EXACT,
+    ModeMismatchError,
     Scalar,
     Sequence,
     SequenceFamily,
     SequenceSet,
     energy,
+    scalar,
     scalar_is_zero,
-    scalar_mode,
     scalar_numeric,
     singleton_family,
 )
@@ -38,20 +39,24 @@ class UnitaryLike:
     its N rows; immutable.
 
     `UnitaryLike(rows, alpha)` checks the rows as `custom_matrix` does
-    and that `alpha` (a scalar of the rows' mode) is their energy.  The
-    factories and `custom_matrix` build through `_of_rows`, which checks
-    nothing: their rows are unitary-like by construction or have just
-    been checked."""
+    and that `alpha`, read by `model.scalar` in the rows' mode, is their
+    energy.  The factories and `custom_matrix` build through `_of_rows`,
+    which checks nothing: their rows are unitary-like by construction or
+    have just been checked."""
 
     __slots__ = ("dim", "mode", "row_set", "alpha")
 
-    def __init__(self, rows, alpha: Scalar):
+    def __init__(self, rows, alpha):
         u = custom_matrix(rows)
         tol_abs = 0.0 if u.mode == EXACT else DEFAULT_TOL * abs(u.alpha)
-        if scalar_mode(alpha) != u.mode or not scalar_is_zero(alpha - u.alpha, tol_abs):
+        try:
+            value = scalar(alpha, u.mode)
+        except ModeMismatchError:
+            value = None
+        if value is None or not scalar_is_zero(value - u.alpha, tol_abs):
             raise MatrixValidationError(
                 f"alpha = {alpha!r} is not the rows' energy {u.alpha!r}")
-        self._hold(u.row_set, alpha)
+        self._hold(u.row_set, value)
 
     @classmethod
     def _of_rows(cls, rows, alpha: Scalar) -> "UnitaryLike":
@@ -133,15 +138,15 @@ def custom_matrix(entries) -> UnitaryLike:
     Raises naming the first offending row pair."""
     entries = list(entries)
     _check_dim(len(entries))
-    rows = [row if isinstance(row, Sequence) else Sequence(map(_coerce_scalar, row))
-            for row in entries]
+    rows = [row if isinstance(row, Sequence) else Sequence(row) for row in entries]
     if any(len(row) != len(rows) for row in rows):
         raise MatrixValidationError("matrix is not square")
-    u = UnitaryLike._of_rows(rows, energy(rows[0]))
+    energies = [energy(row) for row in rows]
+    u = UnitaryLike._of_rows(rows, energies[0])
     if scalar_is_zero(u.alpha):  # an energy is real and >= 0, so only 0 fails
         raise MatrixValidationError("alpha = 0 is not a positive real")
     tol_abs = 0.0 if u.mode == EXACT else DEFAULT_TOL * abs(u.alpha)
-    gram = [((i, i), e) for i, e in enumerate(map(energy, rows))
+    gram = [((i, i), e) for i, e in enumerate(energies)
             if not scalar_is_zero(e - u.alpha, tol_abs)]
     gram += [((p.left, p.right), p.values[0])
              for p in is_n_co_sf(u.rows_family(), u.dim).pairs if not p.ok]
@@ -162,21 +167,12 @@ def _number(x: Scalar) -> str:
         return repr(x)
 
 
-def _coerce_scalar(x) -> Scalar:
-    """Scalar of a matrix or document entry: CycloNum as is, integers and
-    the "+" / "-" shorthand exact, other numbers approx; bools refused."""
-    if isinstance(x, bool):
-        raise TypeError(f"not a scalar: {x!r}")
-    if isinstance(x, CycloNum):
-        return x
-    if isinstance(x, int):
-        return CycloNum.from_int(x)
-    if isinstance(x, str) and x in ("+", "-"):
-        return CycloNum.from_int(1 if x == "+" else -1)
-    return complex(x)
-
-
 # -- matrix literals in recipe/family documents -------------------------
+
+
+# The factory of each named matrix kind; "custom" is the only other kind.
+MATRIX_KINDS = {"dft": dft_matrix, "hadamard": hadamard_matrix,
+                "identity": identity_matrix}
 
 
 @dataclass
@@ -189,12 +185,8 @@ class MatrixSpec:
     entries: Optional[list] = None  # custom only: rows, as for custom_matrix
 
     def build(self) -> UnitaryLike:
-        if self.kind == "dft":
-            return dft_matrix(self.dim)
-        if self.kind == "hadamard":
-            return hadamard_matrix(self.dim)
-        if self.kind == "identity":
-            return identity_matrix(self.dim)
+        if self.kind in MATRIX_KINDS:
+            return MATRIX_KINDS[self.kind](self.dim)
         if self.kind == "custom":
             if self.entries is None:
                 raise ValueError("custom matrix spec needs entries")
@@ -209,8 +201,8 @@ class MatrixSpec:
 def parse_matrix_shorthand(text: str) -> MatrixSpec:
     """'dft:4' / 'hadamard:2' / 'identity:3' -> MatrixSpec."""
     kind, _, dim = text.partition(":")
-    if kind not in ("dft", "hadamard", "identity") or not dim.isdigit():
+    if kind not in MATRIX_KINDS or not dim.isdigit():
         raise ValueError(
             f"bad matrix shorthand {text!r}; expected kind:dim with kind "
-            "one of dft, hadamard, identity")
+            f"one of {', '.join(MATRIX_KINDS)}")
     return MatrixSpec(kind=kind, dim=int(dim))

@@ -9,6 +9,9 @@ rather than by storing anything unordered.
 Scalars come in two modes that never mix inside one family:
   exact  - CycloNum (roots of unity and their integer combinations)
   approx - Python complex
+`scalar` is the one coercion into them: CycloNum exact, float or complex
+approx, int or "+" / "-" exact unless the context is approx (a Sequence
+is approx when any entry is a float or complex, its ints following).
 
 A Sequence owns one read-only array and nothing else.  An exact
 sequence of length L is a (K, L) integer array with K the lcm of its
@@ -57,12 +60,22 @@ class CanonicalSearchError(ValueError):
     """Canonical form requested for a family wider than the search guard."""
 
 
-def scalar_mode(x: Scalar) -> str:
-    if isinstance(x, CycloNum):
-        return EXACT
-    if isinstance(x, (complex, float, int)):
-        return APPROX
-    raise TypeError(f"not a scalar: {x!r}")
+def scalar(x, mode: str) -> Scalar:
+    """Raw entry `x` as a scalar of `mode` by the rule above; a bool or
+    other type raises TypeError, another string ValueError, a scalar of
+    the other mode ModeMismatchError."""
+    if isinstance(x, (CycloNum, float, complex)):
+        own = EXACT if isinstance(x, CycloNum) else APPROX
+        if mode != own:
+            raise ModeMismatchError(f"{own} scalar {x!r} in an {mode} context")
+        return x if own == EXACT else complex(x)
+    if isinstance(x, str):
+        if x not in ("+", "-"):
+            raise ValueError(f"not a scalar: {x!r}")
+        x = 1 if x == "+" else -1
+    elif isinstance(x, bool) or not isinstance(x, int):
+        raise TypeError(f"not a scalar: {x!r}")
+    return complex(x) if mode == APPROX else CycloNum.from_int(x)
 
 
 def scalar_is_zero(x: Scalar, tol: float = 0.0) -> bool:
@@ -189,11 +202,10 @@ class Sequence:
         entries = list(entries)
         if not entries:
             raise ValueError("a sequence needs at least one entry")
-        modes = {scalar_mode(x) for x in entries}
-        if len(modes) != 1:
-            raise ModeMismatchError("sequence mixes exact and approx entries")
-        if modes.pop() == APPROX:
-            self._own(np.array([complex(x) for x in entries]))
+        mode = APPROX if any(isinstance(x, (float, complex)) for x in entries) else EXACT
+        entries = [scalar(x, mode) for x in entries]
+        if mode == APPROX:
+            self._own(np.array(entries))
             return
         order = reduce(common_order, {x.order for x in entries}, 1)
 
@@ -254,13 +266,12 @@ class Sequence:
             return (CycloNum(order, col) for col in zip(*self.array.tolist()))
         return iter(self.array.tolist())
 
-    def scale(self, c: Scalar) -> "Sequence":
-        if scalar_mode(c) != self.mode:
-            raise ModeMismatchError("scalar/sequence mode mismatch")
-        return Sequence._of_fitted(product(self.array, Sequence([c]).array))
+    def scale(self, c) -> "Sequence":
+        factor = Sequence([scalar(c, self.mode)]).array
+        return Sequence._of_fitted(product(self.array, factor))
 
     def __neg__(self) -> "Sequence":
-        return self.scale(CycloNum.from_int(-1) if self.mode == EXACT else -1.0 + 0j)
+        return self.scale(-1)
 
     def conj(self) -> "Sequence":
         """Complex conjugate: exponent row j moves to row (K - j) mod K."""
@@ -310,8 +321,7 @@ def _sign_string(seq: "Sequence"):
 
 def from_signs(signs: str) -> Sequence:
     """Build a +/-1 (or 0) sequence from a string like '+++-'."""
-    table = {"+": CycloNum.from_int(1), "-": CycloNum.from_int(-1),
-             "0": CycloNum.from_int(0)}
+    table = {"+": 1, "-": -1, "0": 0}
     try:
         return Sequence(table[ch] for ch in signs.replace(" ", ""))
     except KeyError as e:
@@ -319,7 +329,7 @@ def from_signs(signs: str) -> Sequence:
 
 
 def zero_sequence(length: int, mode: str = EXACT) -> Sequence:
-    return Sequence([CycloNum.zero() if mode == EXACT else 0j] * length)
+    return Sequence([scalar(0, mode)] * length)
 
 
 def concat(parts: Iterable[Sequence]) -> Sequence:

@@ -24,10 +24,10 @@ from .construct import (
     generate_cosf,
     group_by_length,
 )
-from .corr import CheckReport, is_ccc, is_n_co_sf
+from .corr import DEFAULT_TOL, CheckReport, is_ccc, is_n_co_sf
 from .cyclo import DIM_LIMIT
-from .matrices import MatrixSpec, UnitaryLike, identity_matrix
-from .model import EXACT, Sequence, SequenceFamily
+from .matrices import MatrixSpec, UnitaryLike
+from .model import Sequence, SequenceFamily, scalar
 
 
 class UnconstructibleError(ValueError):
@@ -318,8 +318,8 @@ def _complete_round(fam: SequenceFamily, rnd: Round, build):
     `elongate_cosf`: the cells of `_round_cells` with their specs
     resolved (matrices by `build`), the 1x1 identity of the family's
     mode for each implicit singleton cell."""
-    one = (identity_matrix(1) if fam.mode == EXACT
-           else UnitaryLike._of_rows([Sequence([1 + 0j])], 1 + 0j))
+    unit = scalar(1, fam.mode)
+    one = UnitaryLike._of_rows([Sequence([unit])], unit)
     groups = group_by_length([ss.length for ss in fam])
     part2, subs = {}, {}
     for g, cells in enumerate(_round_cells(groups, rnd)):
@@ -389,7 +389,7 @@ def _log_stage(log, stage, fam, check, verify):
     log.append(rec)
 
 
-def run_check(fam: SequenceFamily, kind: str, tol: float = 1e-9) -> CheckReport:
+def run_check(fam: SequenceFamily, kind: str, tol: float = DEFAULT_TOL) -> CheckReport:
     """Dispatch 'cosf:N' / 'ccc' to the matching predicate."""
     if kind == "ccc":
         return is_ccc(fam, tol)
