@@ -97,7 +97,7 @@ def sequence_to_doc(seq: Sequence) -> list:
     if seq.mode == EXACT:
         order = seq.order
         return [{"order": order, "coeffs": col} for col in seq.array.T.tolist()]
-    return [{"re": z.real, "im": z.imag} for z in seq.array.tolist()]
+    return [{"re": z.real, "im": z.imag} for z in seq.array[0].tolist()]
 
 
 def _exact_array(entries):
@@ -186,9 +186,11 @@ def _int(value, what: str) -> int:
 def matrix_spec_to_doc(spec: MatrixSpec) -> dict:
     doc = {"kind": spec.kind, "dim": spec.dim}
     if spec.entries is not None:
-        rows = [row if isinstance(row, Sequence) else Sequence(row) for row in spec.entries]
+        # one set: the document has one mode, so mixed modes are refused here
+        rows = SequenceSet(row if isinstance(row, Sequence) else Sequence(row)
+                           for row in spec.entries)
         doc["entries"] = [sequence_to_doc(row) for row in rows]
-        doc["mode"] = rows[0].mode
+        doc["mode"] = rows.mode
     return doc
 
 

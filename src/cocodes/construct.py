@@ -16,27 +16,28 @@ path (cell index, then row index), so constructions are deterministic.
 
 from __future__ import annotations
 
-from functools import reduce
 from math import lcm
 
 import numpy as np
 
 from .corr import DEFAULT_TOL, is_ccc, is_n_co_sf
-from .cyclo import common_order, reduce_rows, reducible
+from .cyclo import common_order
 from .matrices import UnitaryLike
 from .model import (
     EXACT,
     Sequence,
     SequenceFamily,
     SequenceSet,
+    cell_terms,
     energy,
     from_terms,
-    is_exact,
     multiply_terms,
     product,
     scalar,
+    side_by_side,
     singleton_family,
     terms,
+    unequal_energies,
 )
 
 
@@ -47,18 +48,12 @@ class ConstructionError(ValueError):
 def connect(v: Sequence, cell: SequenceSet) -> Sequence:
     """Connection of a scalar vector with a sequence set:
     (v[k mod len(v)] * a[k mod M]) for k < lcm(M, len(v)), concatenated."""
-    return _connections([v], cell, _cell_terms(cell))[0]
-
-
-def _cell_terms(cell: SequenceSet) -> tuple:
-    """(order, terms of every member at the members' common order)."""
-    order = reduce(common_order, {s.order for s in cell}, 1)
-    return order, [terms(s.array, order) for s in cell]
+    return _connections([v], cell, cell_terms(cell))[0]
 
 
 def _connections(vs, cell: SequenceSet, found) -> list:
     """connect(v, cell) for every v in `vs`, from the members' terms
-    `found` (see `_cell_terms`): each block of an output is a member's
+    `found` (see `model.cell_terms`): each block of an output is a member's
     terms shifted into place, so the members are read once and no
     concatenation is built."""
     cell_order, members = found
@@ -66,20 +61,12 @@ def _connections(vs, cell: SequenceSet, found) -> list:
     out = []
     for v in vs:
         k, order = lcm(m, len(v)), common_order(cell_order, v.order)
-        cols, exps, vals = _side_by_side([members[i % m] for i in range(k)], width)
+        cols, exps, vals = side_by_side([members[i % m] for i in range(k)], width)
         left = cols, exps * (order // cell_order), vals
         colmap = np.arange(k * width) // width % len(v)
         rows, cols, vals = multiply_terms(left, terms(v.array, order), colmap)
         out.append(Sequence._of_fitted(from_terms(rows, cols, vals, order, k * width)))
     return out
-
-
-def _side_by_side(blocks, width: int) -> tuple:
-    """The terms of arrays `width` entries wide (`terms` triples) as the
-    terms of one array holding them side by side."""
-    return (np.concatenate([c + i * width for i, (c, _, _) in enumerate(blocks)]),
-            np.concatenate([e for _, e, _ in blocks]),
-            np.concatenate([x for _, _, x in blocks]))
 
 
 def kron_expand(v: Sequence, cell: SequenceSet) -> SequenceSet:
@@ -145,7 +132,7 @@ def generate_cosf(base: UnitaryLike, cells, subs) -> SequenceFamily:
                 f"cell {cell} has size {len(cell)} but sub-matrix is "
                 f"{sub.dim}x{sub.dim}")
         cell_set = SequenceSet(base.row(i) for i in cell)
-        out += _connections(sub.rows(), cell_set, _cell_terms(cell_set))
+        out += _connections(sub.rows(), cell_set, cell_terms(cell_set))
     return singleton_family(out)
 
 
@@ -188,7 +175,7 @@ def elongate_cosf(fam: SequenceFamily, part2, subs) -> SequenceFamily:
         _check_partition(cells, len(group))
         for p2, cell in enumerate(cells):
             cell_set = SequenceSet(seqs[group[i]] for i in cell)
-            found = _cell_terms(cell_set)
+            found = cell_terms(cell_set)
             _check_energies(cell_set, found, f"({p1},{p2})")
             sub = subs.get((p1, p2))
             if sub is None:
@@ -206,24 +193,13 @@ def elongate_cosf(fam: SequenceFamily, part2, subs) -> SequenceFamily:
 
 def _check_energies(cell: SequenceSet, found, where: str) -> None:
     """Raise unless every member of `cell` has member 0's energy (approx:
-    within DEFAULT_TOL * |e0|).  The energies come in one batch from the
-    members' terms `found` (see `_cell_terms`): every term times the
-    conjugate of every term in its column, summed per member."""
-    m, width = len(cell), cell.length
-    if m == 1:
+    within DEFAULT_TOL * |e0|), read in one batch from the members' terms
+    `found` (see `model.cell_terms`)."""
+    if len(cell) == 1:
         return
-    order, members = found
-    cols, exps, vals = left = _side_by_side(members, width)
-    conj = cols, -exps, vals if is_exact(vals) else vals.conj()
-    rows, at, prods = multiply_terms(left, conj, np.arange(m * width))
-    energies = from_terms(rows, at // width, prods, order, m)
-    if cell.mode == EXACT:
-        diffs = (energies[:, 1:] - energies[:, :1]).T
-        differs = reduce_rows(reducible(diffs, order), order).any(axis=1)
-    else:
-        differs = np.abs(energies[1:] - energies[0]) > DEFAULT_TOL * abs(energies[0])
-    if differs.any():
-        k = 1 + int(np.argmax(differs))
+    _, differ = unequal_energies(found, cell.length, DEFAULT_TOL)
+    if differ:
+        k = differ[0]
         raise ConstructionError(
             f"cell {where} mixes energies: member 0 has "
             f"{energy(cell[0])!r}, member {k} has {energy(cell[k])!r}")

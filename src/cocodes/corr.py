@@ -4,7 +4,9 @@ zero-correlation zone of a CCC).
 
 All decisions on exact-mode scalars are tolerance-free: a correlation
 value is zero iff its reduction modulo the cyclotomic polynomial is the
-zero polynomial.  Approx-mode inputs use |residual| <= tol * energy.
+zero polynomial.  Approx-mode inputs (a (1, L) complex array, laid out
+as an exact sequence of order 1) use |residual| <= tol times the largest
+set energy of the call, which the kernel works out itself.
 
 `acorr` is the direct definitional sum and stays the reference.  Every
 profile and predicate goes through one kernel (`_Kernel`) instead.  A
@@ -22,7 +24,7 @@ with integers.  Spectra are taken one block of sets at a time, so
 their memory stays under `_SPECTRA_MAX` entries per block.  A debug record on the `cocodes`
 logger gives the block and limb counts whenever either is above one.
 Zero is then decided for the whole integer stack at once by
-`cyclo.reduce_rows`, the rule `CycloNum.is_zero` applies to one value,
+`cyclo.zero_rows`, the rule `CycloNum.is_zero` applies to one value,
 and every verdict comes from that zero mask alone.  A report keeps each
 pair's slice of the integer stack, and its `CycloNum`s are built only
 when its values are read (`_scalars`).
@@ -41,17 +43,16 @@ from typing import Optional
 
 import numpy as np
 
-from .cyclo import CycloNum, check_coefficients, common_order, reduce_rows, reducible
+from .cyclo import CycloNum, check_coefficients, common_order, zero_rows
 from .model import (
     EXACT,
+    ModeMismatchError,
     Scalar,
     Sequence,
     SequenceFamily,
     SequenceSet,
     is_exact,
     scalar,
-    scalar_numeric,
-    set_energy,
 )
 
 DEFAULT_TOL = 1e-9
@@ -143,8 +144,9 @@ def rounding_bound(energy: float, order: int, size: int, members: int) -> float:
     products adds at most `members` * e relative.  Cauchy-Schwarz gives
     sum_n |s_n| |t_n| <= energy.  k = log2(K P) with the unfolded order
     K, one stage more than a folded even order transforms, which covers
-    its twist by unit factors; `_FFT_SAFETY` covers pocketfft's mixed
-    radices.  Rounding is exact when the bound stays below 1/2."""
+    its twist by unit factors.  The theorem is for radix 2 only: the factor
+    `_FFT_SAFETY` for pocketfft's mixed radices is an assumption, not a
+    derived bound.  Rounding is exact when the bound stays below 1/2."""
     k = math.log2(order * size)
     gamma = 2.0 ** -53 * (3 * k * (2 + math.sqrt(5)) + math.sqrt(5) + members)
     return _FFT_SAFETY * gamma * energy
@@ -182,11 +184,15 @@ class _Kernel:
     rows (K for odd K, 1 in approx mode) per shift.
     """
 
-    def __init__(self, sets, phases: int = 1):
+    def __init__(self, sets, phases: int = 1, tol: float = 0.0):
         seqs = [s for ss in sets for s in ss]
         if len({s.mode for s in seqs}) != 1:
-            raise ValueError("mode mismatch between sequences")
+            raise ModeMismatchError("mode mismatch between sequences")
         self.exact = seqs[0].mode == EXACT
+        self.tol = tol
+        if not self.exact:  # an exact energy may be past the float range
+            scale = max(sum(np.vdot(s.array, s.array).real for s in ss) for ss in sets)
+            self.tol = tol * scale if scale > 0 else tol
         self.order = reduce(common_order, {s.order for s in seqs}, 1)
         # shift q of a sum is shift q * step of the sequences
         self.step = phases
@@ -198,7 +204,7 @@ class _Kernel:
         self.hull = self.width - 1
         self.size = _smooth(2 * self.width - 1)
         # rows kept after folding by zeta_K^(K/2) = -1 (see `_dense`)
-        self.rows = self.order // 2 if self.exact and self.order % 2 == 0 else self.order
+        self.rows = self.order // 2 if self.order % 2 == 0 else self.order
 
     def _digits(self):
         """The stack the spectra are taken of, (sets, members, limbs,
@@ -358,27 +364,25 @@ class _Kernel:
             out[idx] = total
         return out
 
-    def zeros(self, acc: np.ndarray, tol_abs: float) -> np.ndarray:
-        """(pairs, shifts) bools: which sums of a `sums` stack vanish,
-        decided for the whole stack by one reduction modulo Phi_K."""
-        if not self.exact:
-            return np.abs(acc[..., 0]) <= tol_abs
-        flat = reducible(acc.reshape(-1, self.rows), self.order)
-        residues = reduce_rows(flat, self.order)
-        return ~(residues != 0).any(axis=1).reshape(acc.shape[:2])
+    def zeros(self, acc: np.ndarray) -> np.ndarray:
+        """(pairs, shifts) bools: which sums of a `sums` stack vanish, decided
+        for the whole stack by one `zero_rows` call (approx: |sum| <= tol
+        times the largest set energy, or tol when every set is zero)."""
+        flat = zero_rows(acc.reshape(-1, self.rows), self.order, self.tol)
+        return flat.reshape(acc.shape[:2])
 
     def profile(self) -> "CorrelationProfile":
         """Profile of the sum of sets 0 and 1 over the full hull."""
         (acc,) = self.sums([(0, 1)])
         return CorrelationProfile(-self.hull, _scalars(acc, self.order))
 
-    def check(self, pairs, tol_abs: float) -> list:
+    def check(self, pairs) -> list:
         """PairResult of each (left, right) pair over the shifts of its
         own hull; the zero shift of an auto pair may hold its energy
         peak."""
         acc = self.sums(pairs)
         hulls = [max(self.widths[m], self.widths[mp]) - 1 for m, mp in pairs]
-        zero = self.zeros(acc, tol_abs)
+        zero = self.zeros(acc)
         zero[[p for p, (m, mp) in enumerate(pairs) if m == mp], self.hull] = True
         for p, h in enumerate(hulls):
             if h < self.hull:  # shifts past a pair's own hull are not in its report
@@ -496,17 +500,10 @@ def _fmt_scalar(x: Scalar) -> str:
         return repr(x)
 
 
-def _zero_tol(fams, tol: float) -> float:
-    """Absolute tolerance for approx-mode zero tests: tol * largest energy."""
-    scale = max(abs(scalar_numeric(set_energy(f))) for f in fams)
-    return tol * scale if scale > 0 else tol
-
-
 def is_complementary_set(ss: SequenceSet, tol: float = DEFAULT_TOL) -> CheckReport:
     """Auto-correlation sum zero at every nonzero shift."""
     report = CheckReport(kind="complementary-set")
-    tol_abs = 0.0 if ss.mode == EXACT else _zero_tol([ss], tol)
-    report.pairs = _Kernel([ss]).check([(0, 0)], tol_abs)
+    report.pairs = _Kernel([ss], tol=tol).check([(0, 0)])
     return report
 
 
@@ -514,11 +511,10 @@ def is_ccc(fam: SequenceFamily, tol: float = DEFAULT_TOL) -> CheckReport:
     """Every set complementary, every distinct pair of sets with
     identically zero cross-correlation sum."""
     report = CheckReport(kind="ccc")
-    tol_abs = 0.0 if fam.mode == EXACT else _zero_tol(list(fam), tol)
     count = fam.family_size
     pairs = [(m, m) for m in range(count)]
     pairs += [(m, mp) for m in range(count) for mp in range(m + 1, count)]
-    report.pairs = _Kernel(list(fam)).check(pairs, tol_abs)
+    report.pairs = _Kernel(list(fam), tol=tol).check(pairs)
     return report
 
 
@@ -532,14 +528,13 @@ def is_n_co_sf(fam: SequenceFamily, n: int, tol: float = DEFAULT_TOL) -> CheckRe
         raise ValueError(
             f"family of single-sequence sets required, set size is {fam.set_size}")
     report = CheckReport(kind=f"cosf:{n}")
-    tol_abs = 0.0 if fam.mode == EXACT else _zero_tol(list(fam), tol)
     for m, ss in enumerate(fam):
         if ss.length % n:
             report.problems.append(
                 f"sequence {m} has length {ss.length} not divisible by {n}")
     count = fam.family_size
     pairs = [(m, mp) for m in range(count) for mp in range(m, count)]
-    report.pairs = _Kernel(list(fam), phases=n).check(pairs, tol_abs)
+    report.pairs = _Kernel(list(fam), phases=n, tol=tol).check(pairs)
     return report
 
 
@@ -558,11 +553,10 @@ def zccc_zone(fam: SequenceFamily, tol: float = DEFAULT_TOL) -> int:
     if len(lengths) != 1:
         raise ValueError(f"zone check requires one common length, got {sorted(lengths)}")
     (length,) = lengths
-    tol_abs = 0.0 if fam.mode == EXACT else _zero_tol(list(fam), tol)
-    kernel = _Kernel(list(fam))
+    kernel = _Kernel(list(fam), tol=tol)
     count = fam.family_size
     pairs = [(m, mp) for m in range(count) for mp in range(count)]
-    zero = kernel.zeros(kernel.sums(pairs, rotate=True), tol_abs)
+    zero = kernel.zeros(kernel.sums(pairs, rotate=True))
     # shifts L - 1 down to 0, i.e. tau = 1 .. L
     clean = zero[:, length - 1:].all(axis=0)[::-1]
     bad = np.flatnonzero(~clean)

@@ -16,7 +16,8 @@ magnitude and hold Python ints past it.  The reduction is one long
 division by Phi_K (`reduce_rows`), applied to one value or to a whole
 stack of them at once, so `CycloNum.is_zero` and the correlation kernel
 decide zero by the same rule; `reducible` picks the dtype a stack is
-reduced in, so that no int64 step can wrap.
+reduced in, so that no int64 step can wrap.  `zero_rows` is the one zero
+test of a stack, exact or approx, that every module shares.
 """
 
 from __future__ import annotations
@@ -355,6 +356,15 @@ def reducible(rows: np.ndarray, k: int) -> np.ndarray:
     if peak * reduction_gain(k) >= _INT64_SAFE:
         return rows.astype(object)
     return rows
+
+
+def zero_rows(rows: np.ndarray, k: int, tol: float = 0.0) -> np.ndarray:
+    """Which rows of a stack denote zero: an approx row (one complex
+    value) when its magnitude is at most `tol`, an integer row of order
+    k when its residue modulo Phi_k is zero."""
+    if rows.dtype.kind in "fc":
+        return np.abs(rows[:, 0]) <= tol
+    return ~(reduce_rows(reducible(rows, k), k) != 0).any(axis=1)
 
 
 @lru_cache(maxsize=16)

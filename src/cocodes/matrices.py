@@ -22,11 +22,12 @@ from .model import (
     Sequence,
     SequenceFamily,
     SequenceSet,
-    energy,
+    cell_terms,
     scalar,
     scalar_is_zero,
     scalar_numeric,
     singleton_family,
+    unequal_energies,
 )
 
 
@@ -141,13 +142,12 @@ def custom_matrix(entries) -> UnitaryLike:
     rows = [row if isinstance(row, Sequence) else Sequence(row) for row in entries]
     if any(len(row) != len(rows) for row in rows):
         raise MatrixValidationError("matrix is not square")
-    energies = [energy(row) for row in rows]
-    u = UnitaryLike._of_rows(rows, energies[0])
+    row_set = SequenceSet(rows)
+    e, differ = unequal_energies(cell_terms(row_set), len(rows), DEFAULT_TOL)
+    u = UnitaryLike._of_rows(row_set, e[0])
     if scalar_is_zero(u.alpha):  # an energy is real and >= 0, so only 0 fails
         raise MatrixValidationError("alpha = 0 is not a positive real")
-    tol_abs = 0.0 if u.mode == EXACT else DEFAULT_TOL * abs(u.alpha)
-    gram = [((i, i), e) for i, e in enumerate(energies)
-            if not scalar_is_zero(e - u.alpha, tol_abs)]
+    gram = [((i, i), e[i]) for i in differ]
     gram += [((p.left, p.right), p.values[0])
              for p in is_n_co_sf(u.rows_family(), u.dim).pairs if not p.ok]
     if gram:

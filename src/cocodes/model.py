@@ -19,16 +19,18 @@ entries' orders: row j holds the coefficients of zeta_K^j, so column l
 is entry l in Z[zeta_K].  Its dtype follows its values: int64 when every
 coefficient is below `INT64_COEFF_BOUND` in magnitude (the paper's
 constructions use roots of unity, so nearly always), Python ints
-(dtype=object) otherwise.  An approx sequence is an (L,) complex array;
-`is_exact` tells the two modes apart by dtype kind.  A CycloNum is built
-from a column only when an entry is read.  Operators work on an array's
-nonzero terms, read in one pass (`terms`): a product pairs the terms of
-two arrays column by column and adds exponents modulo K
-(`multiply_terms`), so its cost follows the number of terms, not K.
-Products of int64 coefficients fit int64, and their sums are made with
-Python ints whenever the largest product times the number of products
-could reach 2^63.  `product` (the entrywise product behind scaling and
-entrywise products), connection and energies are built from these.
+(dtype=object) otherwise.  An approx sequence is a (1, L) complex array,
+the layout of an exact sequence of order 1; `is_exact` tells the two
+modes apart by dtype kind.  A CycloNum is built from a column only when
+an entry is read.  Operators work on an array's nonzero terms, read in
+one pass (`terms`): a product pairs the terms of two arrays column by
+column and adds exponents modulo K (`multiply_terms`), so its cost
+follows the number of terms, not K.  Products of int64 coefficients fit
+int64, and their sums are made with Python ints whenever the largest
+product times the number of products could reach 2^63.  `product` (the
+entrywise product behind scaling and entrywise products), connection and
+the batched `energies` are built from these; zero is decided by
+`cyclo.zero_rows`.
 """
 
 from __future__ import annotations
@@ -40,7 +42,7 @@ from typing import Iterable, Union
 
 import numpy as np
 
-from .cyclo import INT64_COEFF_BOUND, CycloNum, common_order, reduce_rows, reducible
+from .cyclo import INT64_COEFF_BOUND, CycloNum, common_order, reduce_rows, reducible, zero_rows
 
 Scalar = Union[CycloNum, complex]
 
@@ -101,10 +103,10 @@ def is_exact(a: np.ndarray) -> bool:
 def _fit(a: np.ndarray) -> np.ndarray:
     """An exact array in the dtype its values call for: int64 when every
     coefficient is below INT64_COEFF_BOUND in magnitude, Python ints
-    otherwise.  Only arrays that hold Python ints are scanned in Python;
-    the operators make those only from operands past the bound."""
-    if not a.size:
-        return a.astype(np.int64)
+    otherwise; an approx array unchanged.  Only Python-int arrays are
+    scanned in Python; the operators make them only past the bound."""
+    if not is_exact(a):
+        return a
     if a.dtype == object:
         peak = max(a.max(), -a.min())
         return a.astype(np.int64) if peak < INT64_COEFF_BOUND else a
@@ -124,10 +126,7 @@ def _promote(a: np.ndarray, order: int) -> np.ndarray:
 
 def terms(a: np.ndarray, order: int) -> tuple:
     """(columns, exponents over zeta_order, coefficients) of the nonzero
-    terms of an array, column by column; approx entries have exponent 0."""
-    if not is_exact(a):
-        cols = np.flatnonzero(a)
-        return cols, 0 * cols, a[cols]
+    terms of an array, column by column."""
     cols, rows = np.nonzero((a != 0).T)
     return cols, rows * (order // len(a)), a[rows, cols]
 
@@ -153,18 +152,14 @@ def multiply_terms(left: tuple, right: tuple, colmap: np.ndarray) -> tuple:
 
 
 def from_terms(rows, cols, vals, order: int, width: int) -> np.ndarray:
-    """Array of `width` entries holding the sum of the given terms:
-    (order, width) exact, or (width,) complex when `vals` are.
+    """(order, width) array holding the sum of the given terms, complex
+    when `vals` are.
 
     int64 terms are summed as int64 while their largest magnitude times
     their number (a bound on every sum) stays below 2^63, so that no sum
     can wrap, and as Python ints otherwise.  An exact result is in the
     dtype `_fit` gives it; it is scanned only when that bound does not
     already keep every sum below INT64_COEFF_BOUND."""
-    if not is_exact(vals):
-        out = np.zeros(width, dtype=complex)
-        np.add.at(out, cols, vals)
-        return out
     bound = 0
     if vals.dtype == np.int64 and len(vals):
         bound = max(int(vals.max()), -int(vals.min())) * len(vals)
@@ -183,7 +178,7 @@ def product(a: np.ndarray, b: np.ndarray) -> np.ndarray:
     c * zeta^i of `a` times a term d * zeta^j of `b` in the same column
     lands on row i + j mod K.  Only nonzero terms are multiplied, so a
     column of roots of unity costs one product whatever K is."""
-    order = common_order(len(a), len(b)) if is_exact(a) else 1
+    order = common_order(len(a), len(b))
     if a.shape[-1] < b.shape[-1]:
         a, b = b, a
     colmap = np.arange(a.shape[-1]) % b.shape[-1]
@@ -196,7 +191,7 @@ class Sequence:
     the range count as zero in every correlation), stored as one
     read-only coefficient array."""
 
-    __slots__ = ("array", "mode")
+    __slots__ = ("array",)
 
     def __init__(self, entries: Iterable[Scalar]):
         entries = list(entries)
@@ -205,7 +200,7 @@ class Sequence:
         mode = APPROX if any(isinstance(x, (float, complex)) for x in entries) else EXACT
         entries = [scalar(x, mode) for x in entries]
         if mode == APPROX:
-            self._own(np.array(entries))
+            self._own(np.array([entries]))
             return
         order = reduce(common_order, {x.order for x in entries}, 1)
 
@@ -224,10 +219,13 @@ class Sequence:
     @classmethod
     def of_array(cls, array: np.ndarray) -> "Sequence":
         """Sequence owning `array` (exact: (K, L) of integers, approx:
-        (L,) complex), which becomes read-only.  An exact array is taken
-        in the dtype its values call for (see `_fit`): the array itself
-        when it already has it, else a converted copy."""
-        return cls._of_fitted(_fit(array) if is_exact(array) else array)
+        (1, L) complex), which becomes read-only; an array that is not
+        2-D, or has no row or no entry, raises ValueError.  An exact array
+        is taken in the dtype its values call for (see `_fit`): the array
+        itself when it already has it, else a converted copy."""
+        if array.ndim != 2 or not array.size:
+            raise ValueError(f"a sequence array is 2-D and not empty, got shape {array.shape}")
+        return cls._of_fitted(_fit(array))
 
     @classmethod
     def _of_fitted(cls, array: np.ndarray) -> "Sequence":
@@ -242,29 +240,32 @@ class Sequence:
     def _own(self, array: np.ndarray) -> None:
         array.flags.writeable = False
         object.__setattr__(self, "array", array)
-        object.__setattr__(self, "mode", EXACT if is_exact(array) else APPROX)
 
     def __setattr__(self, name, value):
         raise AttributeError("Sequence is immutable")
 
     @property
+    def mode(self) -> str:
+        return EXACT if is_exact(self.array) else APPROX
+
+    @property
     def order(self) -> int:
-        """K of the exact array; 1 in approx mode."""
-        return len(self.array) if self.mode == EXACT else 1
+        """K of the array, 1 in approx mode."""
+        return len(self.array)
 
     def __len__(self) -> int:
-        return self.array.shape[-1]
+        return self.array.shape[1]
 
     def __getitem__(self, i):
         if self.mode == EXACT:
             return CycloNum(len(self.array), self.array[:, i])
-        return complex(self.array[i])
+        return complex(self.array[0, i])
 
     def __iter__(self):
         if self.mode == EXACT:
             order = len(self.array)
             return (CycloNum(order, col) for col in zip(*self.array.tolist()))
-        return iter(self.array.tolist())
+        return iter(self.array[0].tolist())
 
     def scale(self, c) -> "Sequence":
         factor = Sequence([scalar(c, self.mode)]).array
@@ -274,11 +275,9 @@ class Sequence:
         return self.scale(-1)
 
     def conj(self) -> "Sequence":
-        """Complex conjugate: exponent row j moves to row (K - j) mod K."""
-        if self.mode == APPROX:
-            return Sequence._of_fitted(np.conj(self.array))
+        """Complex conjugate: row j moves to row (K - j) mod K, conjugated."""
         order = len(self.array)
-        return Sequence._of_fitted(self.array[-np.arange(order) % order])
+        return Sequence._of_fitted(np.conj(self.array[-np.arange(order) % order]))
 
     def __eq__(self, other) -> bool:
         if not isinstance(other, Sequence):
@@ -289,15 +288,13 @@ class Sequence:
             return bool(np.all(self.array == other.array))
         order = common_order(self.order, other.order)
         diff = _promote(self.array, order) - _promote(other.array, order)
-        return not reduce_rows(reducible(diff.T, order), order).any()
+        return bool(zero_rows(diff.T, order).all())
 
     __hash__ = None
 
     def is_zero(self, tol: float = 0.0) -> bool:
-        if self.mode == APPROX:
-            return bool(np.all(np.abs(self.array) <= tol))
-        order = len(self.array)
-        return not reduce_rows(reducible(self.array.T, order), order).any()
+        """Every entry zero: exactly, or within `tol` in approx mode."""
+        return bool(zero_rows(self.array.T, self.order, tol).all())
 
     def __repr__(self) -> str:
         signs = _sign_string(self)
@@ -338,8 +335,6 @@ def concat(parts: Iterable[Sequence]) -> Sequence:
         raise ValueError("a sequence needs at least one entry")
     if len({is_exact(a) for a in arrays}) != 1:
         raise ModeMismatchError("sequence mixes exact and approx entries")
-    if not is_exact(arrays[0]):
-        return Sequence.of_array(np.concatenate(arrays))
     order = reduce(common_order, {len(a) for a in arrays}, 1)
     return Sequence.of_array(np.hstack([_promote(a, order) for a in arrays]))
 
@@ -445,27 +440,49 @@ def singleton_family(sequences: Iterable[Sequence]) -> SequenceFamily:
 # -- energies ----------------------------------------------------------
 
 
-def inner(s: Sequence, t: Sequence) -> Scalar:
-    """sum_l s(l) * conj(t(l)) of two sequences of one length."""
-    order = common_order(s.order, t.order)
-    left = terms(s.array, order)
-    cb, eb, vb = left if t is s else terms(t.array, order)
-    right = cb, -eb, vb if is_exact(vb) else vb.conj()
-    rows, cols, vals = multiply_terms(left, right, np.arange(len(s)))
-    return Sequence._of_fitted(from_terms(rows, 0 * cols, vals, order, 1))[0]
+def cell_terms(seqs) -> tuple:
+    """(order, terms of every sequence at the sequences' common order)."""
+    order = reduce(common_order, {s.order for s in seqs}, 1)
+    return order, [terms(s.array, order) for s in seqs]
+
+
+def side_by_side(blocks, width: int) -> tuple:
+    """The terms of arrays `width` entries wide (`terms` triples) as the
+    terms of one array holding them side by side."""
+    return (np.concatenate([c + i * width for i, (c, _, _) in enumerate(blocks)]),
+            np.concatenate([e for _, e, _ in blocks]),
+            np.concatenate([x for _, _, x in blocks]))
+
+
+def energies(found, width: int) -> np.ndarray:
+    """(order, n) array of R_s(0) = sum |s(l)|^2 of the n sequences of
+    length `width` whose terms `found` holds (see `cell_terms`): every
+    term times the conjugate of every term in its column, in one batch."""
+    order, members = found
+    cols, exps, vals = left = side_by_side(members, width)
+    right = cols, -exps, np.conj(vals)
+    rows, at, prods = multiply_terms(left, right, np.arange(len(members) * width))
+    return from_terms(rows, at // width, prods, order, len(members))
+
+
+def unequal_energies(found, width: int, tol: float) -> tuple:
+    """(the `energies` as one Sequence, indices of the sequences whose energy
+    is not sequence 0's).  Approx energies may differ by tol times sequence
+    0's; exact ones take no tolerance, as they may be past the float range."""
+    e = energies(found, width)
+    atol = 0.0 if is_exact(e) else tol * abs(e[0, 0])
+    differ = np.flatnonzero(~zero_rows((e - e[:, :1]).T, found[0], atol))
+    return Sequence._of_fitted(e), differ.tolist()
 
 
 def energy(s: Sequence) -> Scalar:
     """R_s(0) = sum of |entry|^2; real and non-negative."""
-    return inner(s, s)
+    return Sequence._of_fitted(energies(cell_terms([s]), len(s)))[0]
 
 
 def set_energy(ss: SequenceSet) -> Scalar:
-    total = None
-    for s in ss:
-        e = energy(s)
-        total = e if total is None else total + e
-    return total
+    total = energies(cell_terms(ss), ss.length).sum(axis=1, keepdims=True)
+    return Sequence.of_array(total)[0]
 
 
 # -- identification up to indexing -------------------------------------
@@ -482,7 +499,7 @@ def _seq_key(s: Sequence, order: int):
         rows = _promote(s.array, order).T
         residues = reduce_rows(reducible(rows, order), order)
         return (len(s),) + tuple(map(tuple, residues.tolist()))
-    return (len(s),) + tuple((x.real, x.imag) for x in s.array.tolist())
+    return (len(s),) + tuple((x.real, x.imag) for x in s.array[0].tolist())
 
 
 def _canonical_arrangement(fam: SequenceFamily, order: int):

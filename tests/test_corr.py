@@ -41,7 +41,7 @@ from cocodes import (
     singleton_family,
     zccc_zone,
 )
-from cocodes import corr
+from cocodes import corr, cyclo
 from cocodes.cli import EXIT_OK, family_to_doc, main
 
 
@@ -560,6 +560,35 @@ class TestSpectralKernel:
             assert record_counts(records[0])[1] > 1
             assert "rounding bound" in records[0] and "headroom" in records[0]
 
+    @pytest.mark.parametrize("step, limbs", [(0, 1), (1, 2)], ids=["one limb", "two limbs"])
+    def test_mixed_radix_edge(self, caplog, step, limbs):
+        # K = 6 folds to an exponent transform of length 3 and L = 48 pads
+        # positions to P = 96 = 2^5 * 3, so both axes are mixed-radix, where
+        # Percival's radix-2 bound holds only by `_FFT_SAFETY`.  Every
+        # coefficient is the largest magnitude one limb allows (step 0) or
+        # one more (step 1), each member's phases aligned so its sums peak.
+        order, length, members = 6, 48, 2
+        size = corr._smooth(2 * length - 1)
+        assert size == 96
+
+        def bound(c):
+            return corr.rounding_bound(members * length * c * c, order, size, members)
+
+        c = math.isqrt(int(0.5 / bound(1)))
+        while bound(c + 1) < 0.5:
+            c += 1
+        while bound(c) >= 0.5:
+            c -= 1
+        scale = CycloNum.from_int(c + step)
+        fam = SequenceFamily(
+            SequenceSet(Sequence([CycloNum.root(order, e) * scale] * length) for e in phases)
+            for phases in ([1, 2], [5, 3]))
+        with caplog.at_level(logging.DEBUG, logger="cocodes"):
+            report = is_ccc(fam)
+        assert [record_counts(r)[1] for r in kernel_records(caplog)] == [limbs] * (limbs > 1)
+        for pair in report.pairs:
+            assert_pair_matches(pair, fam[pair.left], fam[pair.right])
+
     # a set's half-spectra hold 4 members x 2 rows x 17 entries = 136
     @pytest.mark.parametrize("cap, blocks", [(0, 4), (300, 2)])
     def test_spectra_size_cap_splits_into_blocks(self, caplog, monkeypatch, cap, blocks):
@@ -730,8 +759,8 @@ class TestSpectralKernel:
         entries[2] = entries[2] + CycloNum.from_int(1)
         bad = SequenceFamily([fam[0], SequenceSet([Sequence(entries), fam[1][1]])])
         dtypes = []
-        reduce_rows = corr.reduce_rows
-        monkeypatch.setattr(corr, "reduce_rows",
+        reduce_rows = cyclo.reduce_rows
+        monkeypatch.setattr(cyclo, "reduce_rows",
                             lambda rows, k: dtypes.append(rows.dtype) or reduce_rows(rows, k))
         assert is_ccc(fam).ok and not is_ccc(bad).ok
         assert dtypes == [object, object]

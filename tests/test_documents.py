@@ -116,4 +116,4 @@ def test_shorthand_document_loads_the_same(tmp_path):
 def test_approx_shorthand_document_loads_the_same():
     doc = {"mode": "approx", "sets": [[[0.5, "+", {"re": 0.25, "im": -1}, 2]]]}
     got = family_from_doc(doc)
-    assert got[0][0].array.tolist() == [0.5, 1, 0.25 - 1j, 2]
+    assert got[0][0].array.tolist() == [[0.5, 1, 0.25 - 1j, 2]]

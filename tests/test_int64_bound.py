@@ -35,7 +35,7 @@ from cocodes import (
     plan,
     singleton_family,
 )
-from cocodes import cyclo, model
+from cocodes import cyclo
 from cocodes.cli import EXIT_IO, EXIT_VERIFY, family_from_doc, family_to_doc, main
 from cocodes.cyclo import (
     COEFF_LIMIT,
@@ -237,7 +237,7 @@ class TestReduction:
         # and every zero test must then reduce with Python ints.
         monkeypatch.setattr(cyclo, "reduction_gain", lambda k: 2.0 ** 33)
         seen = []  # (dtype, largest magnitude) of every reduced stack
-        monkeypatch.setattr(model, "reduce_rows", lambda rows, k: seen.append(
+        monkeypatch.setattr(cyclo, "reduce_rows", lambda rows, k: seen.append(
             (rows.dtype, max(abs(int(v)) for v in rows.ravel()))) or reduce_rows(rows, k))
         c = B - 1
         zero = Sequence([CycloNum(3, [c, c, c]), CycloNum(5, [-c] * 5)])

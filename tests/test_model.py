@@ -199,7 +199,7 @@ def _reference_arrangement(fam, order):
         if s.mode == "exact":
             cols = zip(*_promote(s.array, order).tolist())
             return (len(s),) + tuple(CycloNum(order, c).reduced() for c in cols)
-        return (len(s),) + tuple((x.real, x.imag) for x in s.array.tolist())
+        return (len(s),) + tuple((x.real, x.imag) for x in s.array[0].tolist())
 
     keys = [[key(s) for s in ss] for ss in fam]
     best = None

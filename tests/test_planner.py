@@ -401,8 +401,8 @@ class TestTrustedSubFamilies:
         result = execute(recipe)
         assert result.verified and result.family.mode == "approx"
         got = [ss[0].array.tolist() for ss in result.family]
-        assert got == [[1j, 1j, -1j, 1j, 1, 1, 1, -1],
-                       [1j, 1j, -1j, 1j, -1, -1, -1, 1]]
+        assert got == [[[1j, 1j, -1j, 1j, 1, 1, 1, -1]],
+                       [[1j, 1j, -1j, 1j, -1, -1, -1, 1]]]
 
     def test_inline_family_not_cross_orthogonal_refused(self):
         bad = singleton_family([from_signs("++"), from_signs("++")])

@@ -222,8 +222,9 @@ class TestMatrixDocs:
 def test_custom_matrix_takes_each_row_energy_once(monkeypatch):
     import cocodes.matrices as matrices
 
-    calls = []
-    real = matrices.energy
-    monkeypatch.setattr(matrices, "energy", lambda s: calls.append(s) or real(s))
+    calls = []  # rows per batch
+    real = matrices.unequal_energies
+    monkeypatch.setattr(matrices, "unequal_energies", lambda found, width, tol:
+                        calls.append(len(found[1])) or real(found, width, tol))
     custom_matrix([[1, 1, 1, 1], [1, -1, 1, -1], [1, 1, -1, -1], [1, -1, -1, 1]])
-    assert len(calls) == 4
+    assert calls == [4]
