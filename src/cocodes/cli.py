@@ -7,12 +7,15 @@ input entry is read by `model.scalar` in the document's mode ("+" / "-"
 and integers in both modes, floats in approx; booleans and other strings
 are refused).  An exact order or coefficient must be a JSON integer, and
 a coefficient's magnitude must stay below `COEFF_LIMIT`.
-Output is always the normalized form, written as one line of compact
-JSON, and an exact sequence is written at one order, the lcm of its
-entries' orders.  A sequence is written from its coefficient array; an
-exact sequence whose entries are normalized at one order is read back
-into one in a single step (int64 unless a coefficient is past int64),
-any other one scalar by scalar.
+Output is always the normalized form, written as one line of JSON with
+json's default separators (", " and ": ") and a newline, and an exact
+sequence is written at one order, the lcm of its entries' orders.  A
+family file is written from the coefficient arrays: an exact sequence's
+text is one `%`-format of a template cached per array shape, the same
+text json.dumps gives its entry list.  An exact sequence whose entries
+are normalized at one order is read back into one array in a single
+step (int64 unless a coefficient is past int64), any other one scalar
+by scalar.
 
 Exit codes: 0 verified success, 1 verification failure,
 2 construction impossibility, 3 I/O or parse error.
@@ -23,7 +26,7 @@ from __future__ import annotations
 import argparse
 import json
 import sys
-from functools import cache
+from functools import cache, lru_cache
 from itertools import chain
 
 import numpy as np
@@ -145,15 +148,46 @@ def sequence_from_doc(entries, mode: str) -> Sequence:
     return seq
 
 
-def family_to_doc(fam: SequenceFamily, kind: str = "raw") -> dict:
+def _family_head(fam: SequenceFamily, kind: str) -> dict:
+    """Every field of a family document but its sets, in document order."""
     return {
         "kind": kind,
         "family_size": fam.family_size,
         "set_size": fam.set_size,
         "length_set": sorted(fam.length_set),
         "mode": fam.mode,
-        "sets": [[sequence_to_doc(seq) for seq in ss] for ss in fam],
     }
+
+
+def family_to_doc(fam: SequenceFamily, kind: str = "raw") -> dict:
+    doc = _family_head(fam, kind)
+    doc["sets"] = [[sequence_to_doc(seq) for seq in ss] for ss in fam]
+    return doc
+
+
+@lru_cache(maxsize=16)
+def _exact_template(order: int, length: int) -> str:
+    """`%`-template of the entry list of an exact (order, length) array,
+    laid out as json.dumps lays out `sequence_to_doc`'s list, with one
+    `%d` per coefficient in column-major order."""
+    entry = '{"order": %d, "coeffs": [%s]}' % (order, ", ".join(["%d"] * order))
+    return "[" + ", ".join([entry] * length) + "]"
+
+
+def _sequence_text(seq: Sequence) -> str:
+    if seq.mode == EXACT:
+        return _exact_template(*seq.array.shape) % tuple(seq.array.T.ravel().tolist())
+    # json writes the non-finite floats (Infinity, NaN) its own way
+    return json.dumps(sequence_to_doc(seq))
+
+
+def _family_text(fam: SequenceFamily, kind: str) -> str:
+    """json.dumps(family_to_doc(fam, kind)), written from the sequences'
+    arrays: an exact sequence is one `%`-format of its shape's template,
+    so no per-entry dict is built."""
+    head = json.dumps(_family_head(fam, kind))
+    sets = ", ".join("[" + ", ".join(map(_sequence_text, ss)) + "]" for ss in fam)
+    return f'{head[:-1]}, "sets": [{sets}]}}'
 
 
 def family_from_doc(doc: dict) -> SequenceFamily:
@@ -328,18 +362,23 @@ def _load_json(path: str):
         raise DocumentError(f"{path}: {e}") from None
 
 
-def _dump_json(path: str, doc) -> None:
-    # json.dumps without indent runs the C encoder; json.dump never does
-    text = json.dumps(doc)
+def _dump_json(path: str, doc, encode=json.dumps) -> None:
+    """Write `encode(doc)` and a newline: one line of JSON.  json.dumps
+    without indent runs the C encoder; json.dump never does."""
+    text = encode(doc)
     with open(path, "w", encoding="utf-8") as fh:
         fh.write(text + "\n")
+
+
+def _dump_family(path: str, fam: SequenceFamily, kind: str) -> None:
+    _dump_json(path, fam, lambda f: _family_text(f, kind))
 
 
 def _write_ccc(args, out: SequenceFamily) -> int:
     """Check the CCC `out`, write it (canonical on request) and report."""
     report = run_check(out, "ccc", tol=args.tol)
     fam_out = canonical_form(out) if args.canonical else out
-    _dump_json(args.out, family_to_doc(fam_out, kind="ccc"))
+    _dump_family(args.out, fam_out, "ccc")
     print(f"wrote {args.out}: {out.family_size} sets x {out.set_size}, "
           f"lengths {sorted(out.length_set)}")
     print(report.render())
@@ -353,7 +392,7 @@ def cmd_gen(args) -> int:
     recipe = recipe_from_doc(_load_json(args.recipe))
     result = execute(recipe, verify=True)
     fam = canonical_form(result.family) if args.canonical else result.family
-    _dump_json(args.out, family_to_doc(fam, kind=result.claimed_kind))
+    _dump_family(args.out, fam, result.claimed_kind)
     print(f"wrote {args.out}: {fam.family_size} sets x {fam.set_size}, "
           f"lengths {sorted(fam.length_set)}")
     print(result.render_log())

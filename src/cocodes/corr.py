@@ -37,6 +37,7 @@ so it computes only the n-shift lattice.
 from __future__ import annotations
 
 import math
+from bisect import bisect_left
 from dataclasses import dataclass, field
 from functools import reduce
 from typing import Optional
@@ -56,6 +57,9 @@ from .model import (
 )
 
 DEFAULT_TOL = 1e-9
+
+# Violated shifts a report's render prints per pair; the rest are counted
+RENDER_SHIFTS_PER_PAIR = 16
 
 # Entries of the half-spectra of one block of sets (16 bytes each, so
 # 64 MB); a block always holds at least one set.
@@ -481,9 +485,13 @@ class CheckReport:
             if p.ok:
                 continue
             lines.append(f"  pair ({p.left},{p.right}) violated at shifts:")
-            bad = set(p.violations)
+            shown = p.violations[:RENDER_SHIFTS_PER_PAIR]
+            # violations ascend, as the shifts do; convert only the rows shown
+            rows = [bisect_left(p.shifts, tau) for tau in shown]
             lines += [f"    tau={tau}: residual {_fmt_scalar(val)}"
-                      for tau, val in zip(p.shifts, p.values) if tau in bad]
+                      for tau, val in zip(shown, _scalars(p.sums[rows], p.order))]
+            if len(p.violations) > len(shown):
+                lines.append(f"    ... and {len(p.violations) - len(shown)} more shifts")
         if self.ok and self.pairs:
             lines.append(f"  {len(self.pairs)} pair profiles all clean")
         return "\n".join(lines)

@@ -346,6 +346,16 @@ class TestZone:
         with pytest.raises(ValueError):
             zccc_zone(fam)
 
+    def test_refusal_embeds_the_capped_render(self):
+        # a near-miss CCC violates far more shifts than a render shows
+        bad = TestSpectralKernel.near_miss(256)
+        report = is_ccc(bad)
+        with pytest.raises(ValueError) as info:
+            zccc_zone(bad)
+        assert str(info.value) == "zone check requires a CCC:\n" + report.render()
+        assert "more shifts" in str(info.value)
+        assert str(info.value).count("tau=") < sum(len(p.violations) for p in report.pairs)
+
     def test_requires_common_length(self, cosf_6_mixed):
         from cocodes import cosf_to_ccc
         ccc = cosf_to_ccc(cosf_6_mixed, dft_matrix(6))
@@ -746,7 +756,41 @@ class TestSpectralKernel:
         assert time.perf_counter() - start < 3
         violations = sum(len(p.violations) for p in report.pairs)
         assert violations > 2 ** 14
-        assert sum("tau=" in line for line in text.splitlines()) == violations
+        # each violated pair shows its first shifts up to the cap, then a count
+        cap = corr.RENDER_SHIFTS_PER_PAIR
+        failing = [p for p in report.pairs if not p.ok]
+        lines = text.splitlines()
+        assert sum("tau=" in line for line in lines) == sum(
+            min(len(p.violations), cap) for p in failing)
+        more = [int(m.group(1)) for m in map(re.compile(r"\.\.\. and (\d+) more shifts$").search, lines) if m]
+        assert more == [len(p.violations) - cap for p in failing if len(p.violations) > cap]
+        assert sum(more) + sum("tau=" in line for line in lines) == violations
+        assert len(lines) <= 2 + len(failing) * (cap + 2)
+
+    @pytest.mark.parametrize("build", [
+        lambda: next(TestSpectralKernel.perturbations(ccc_from_unitary(dft_matrix(3)))),
+        lambda: TestSpectralKernel.near_miss(64),
+    ], ids=["few-violations", "past-the-cap"])
+    def test_render_shows_the_first_violations_with_their_values(self, build):
+        report = is_ccc(build())
+        expected = ["check ccc: FAIL"]
+        for p in report.pairs:
+            if p.ok:
+                continue
+            expected.append(f"  pair ({p.left},{p.right}) violated at shifts:")
+            values = dict(zip(p.shifts, p.values))
+            shown = p.violations[:corr.RENDER_SHIFTS_PER_PAIR]
+            expected += [f"    tau={tau}: residual {corr._fmt_scalar(values[tau])}" for tau in shown]
+            if len(p.violations) > len(shown):
+                expected.append(f"    ... and {len(p.violations) - len(shown)} more shifts")
+        assert report.render() == "\n".join(expected)
+
+    @staticmethod
+    def near_miss(length):
+        fam = cosf_to_ccc(execute(plan(2, [length]), verify=False).family, hadamard_matrix(2))
+        entries = list(fam[0][0])
+        entries[0] = -entries[0]
+        return SequenceFamily([SequenceSet([Sequence(entries), fam[0][1]]), fam[1]])
 
     def test_int64_sums_promoted_before_reduction(self, monkeypatch):
         # 2^28 zeta_385 times a 2x2 CCC: its int64 sums reach 2^60, and a
