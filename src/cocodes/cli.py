@@ -11,7 +11,7 @@ Output is always the normalized form, written as one line of JSON with
 json's default separators (", " and ": ") and a newline, and an exact
 sequence is written at one order, the lcm of its entries' orders.  A
 family file is written from the coefficient arrays: an exact sequence's
-text is one `%`-format of a template cached per array shape, the same
+text is one `%`-format of a template made once per array shape, the same
 text json.dumps gives its entry list.  An exact sequence whose entries
 are normalized at one order is read back into one array in a single
 step (int64 unless a coefficient is past int64), any other one scalar
@@ -26,7 +26,7 @@ from __future__ import annotations
 import argparse
 import json
 import sys
-from functools import cache, lru_cache
+from functools import cache
 from itertools import chain
 
 import numpy as np
@@ -165,7 +165,6 @@ def family_to_doc(fam: SequenceFamily, kind: str = "raw") -> dict:
     return doc
 
 
-@lru_cache(maxsize=16)
 def _exact_template(order: int, length: int) -> str:
     """`%`-template of the entry list of an exact (order, length) array,
     laid out as json.dumps lays out `sequence_to_doc`'s list, with one
@@ -174,19 +173,24 @@ def _exact_template(order: int, length: int) -> str:
     return "[" + ", ".join([entry] * length) + "]"
 
 
-def _sequence_text(seq: Sequence) -> str:
-    if seq.mode == EXACT:
-        return _exact_template(*seq.array.shape) % tuple(seq.array.T.ravel().tolist())
-    # json writes the non-finite floats (Infinity, NaN) its own way
-    return json.dumps(sequence_to_doc(seq))
-
-
 def _family_text(fam: SequenceFamily, kind: str) -> str:
     """json.dumps(family_to_doc(fam, kind)), written from the sequences'
-    arrays: an exact sequence is one `%`-format of its shape's template,
-    so no per-entry dict is built."""
+    arrays: an exact sequence is one `%`-format of the template of its
+    shape, made once per shape in this family, so no per-entry dict is
+    built.  json.dumps writes an approx sequence, and so its non-finite
+    floats (Infinity, NaN), as it always has."""
+    templates = {}
+
+    def text(seq: Sequence) -> str:
+        if seq.mode != EXACT:
+            return json.dumps(sequence_to_doc(seq))
+        shape = seq.array.shape
+        if shape not in templates:
+            templates[shape] = _exact_template(*shape)
+        return templates[shape] % tuple(seq.array.T.ravel().tolist())
+
     head = json.dumps(_family_head(fam, kind))
-    sets = ", ".join("[" + ", ".join(map(_sequence_text, ss)) + "]" for ss in fam)
+    sets = ", ".join("[" + ", ".join(map(text, ss)) + "]" for ss in fam)
     return f'{head[:-1]}, "sets": [{sets}]}}'
 
 
@@ -364,7 +368,12 @@ def _load_json(path: str):
 
 def _dump_json(path: str, doc, encode=json.dumps) -> None:
     """Write `encode(doc)` and a newline: one line of JSON.  json.dumps
-    without indent runs the C encoder; json.dump never does."""
+    without indent runs the C encoder; json.dump never does.
+
+    Every file the CLI writes goes through here, so that timing or
+    counting the bytes of this one function covers all writes; `encode`
+    lets a family be written from its arrays (`_dump_family`) rather
+    than from a document."""
     text = encode(doc)
     with open(path, "w", encoding="utf-8") as fh:
         fh.write(text + "\n")

@@ -21,7 +21,7 @@ from math import lcm
 import numpy as np
 
 from .corr import DEFAULT_TOL, is_ccc, is_n_co_sf
-from .cyclo import INT64_COEFF_BOUND, common_order
+from .cyclo import common_order
 from .matrices import UnitaryLike
 from .model import (
     EXACT,
@@ -31,16 +31,16 @@ from .model import (
     SequenceSet,
     cell_terms,
     energy,
+    entry_terms,
     from_terms,
-    is_exact,
     multiply_terms,
     product,
     scalar,
+    scaled,
     side_by_side,
     singleton_family,
     terms,
     unequal_energies,
-    _promote,
 )
 
 
@@ -77,11 +77,8 @@ def kron_expand(v: Sequence, cell: SequenceSet) -> SequenceSet:
     set; element k is v[k mod M] * c[k div M].  Zero scalars produce
     zero sequences.
 
-    A term c * zeta^e of an entry of v times a member is the member's
-    array, at its common order with v, with its rows rotated down by e
-    and scaled by c; so every output is made from its member's array by
-    a few whole-array steps, in the order and dtype `Sequence.scale`
-    gives it, and v's terms are read once per order."""
+    Each member is scaled by every entry of v at once (`model.scaled`),
+    and v's terms are read once per order."""
     if v.mode != cell.mode:
         raise ModeMismatchError("cannot multiply exact with approx entries")
     by_order = {}
@@ -89,42 +86,9 @@ def kron_expand(v: Sequence, cell: SequenceSet) -> SequenceSet:
     for member in cell:
         order = common_order(member.order, v.order)
         if order not in by_order:
-            by_order[order] = _entry_terms(v, order)
-        a = _promote(member.array, order)
-        out += [_scaled(a, found) for found in by_order[order]]
+            by_order[order] = entry_terms(v.array, order)
+        out += scaled(member.array, order, by_order[order])
     return SequenceSet(out)
-
-
-def _entry_terms(v: Sequence, order: int) -> list:
-    """The nonzero terms (exponent over zeta_order, coefficient) of each
-    entry of v."""
-    out = [[] for _ in range(len(v))]
-    for col, exp, val in zip(*(x.tolist() for x in terms(v.array, order))):
-        out[col].append((exp, val))
-    return out
-
-
-def _scaled(a: np.ndarray, found) -> Sequence:
-    """Array `a` (exact at its order, or approx) times the scalar whose
-    terms `found` lists, as the term product of `Sequence.scale` gives it."""
-    if not is_exact(a):
-        if not found:
-            return Sequence._of_fitted(np.zeros_like(a))
-        # as a sum of term products into zeros: a zero entry of `a` gives
-        # 0 (never 0 * inf), and + 0 turns a -0.0 part into 0.0
-        return Sequence._of_fitted(np.where(a != 0, a * found[0][1] + 0, 0))
-    if not found:
-        return Sequence._of_fitted(np.zeros(a.shape, np.int64))
-    rows = np.arange(len(a))
-    rotated = [(c, a[(rows - e) % len(a)]) for e, c in found]
-    if len(rotated) == 1 and rotated[0][0] in (1, -1):
-        # a signed root of unity: the rows of `a`, so in the dtype it had
-        c, r = rotated[0]
-        return Sequence._of_fitted(r if c == 1 else -r)
-    if a.dtype == np.int64 and sum(abs(c) for c, _ in rotated) * INT64_COEFF_BOUND < 2 ** 63:
-        # every |a| is below INT64_COEFF_BOUND, so no sum reaches 2^63
-        return Sequence.of_array(sum(np.int64(c) * r for c, r in rotated))
-    return Sequence.of_array(sum(c * r.astype(object) for c, r in rotated))
 
 
 def entrywise(u: Sequence, v: Sequence) -> Sequence:

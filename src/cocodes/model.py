@@ -28,9 +28,10 @@ column and adds exponents modulo K (`multiply_terms`), so its cost
 follows the number of terms, not K.  Products of int64 coefficients fit
 int64, and their sums are made with Python ints whenever the largest
 product times the number of products could reach 2^63.  `product` (the
-entrywise product behind scaling and entrywise products), connection and
-the batched `energies` are built from these; zero is decided by
-`cyclo.zero_rows`.
+entrywise product), connection and the batched `energies` are built from
+these; `scaled`, behind `Sequence.scale` and expansion, multiplies an
+array by a scalar one term of the scalar at a time, each a rotation of
+the array's rows; zero is decided by `cyclo.zero_rows`.
 """
 
 from __future__ import annotations
@@ -186,6 +187,47 @@ def product(a: np.ndarray, b: np.ndarray) -> np.ndarray:
     return from_terms(*found, order, a.shape[-1])
 
 
+def entry_terms(a: np.ndarray, order: int) -> list:
+    """The nonzero terms (exponent over zeta_order, coefficient) of each
+    entry of an array, as lists of Python numbers."""
+    out = [[] for _ in range(a.shape[1])]
+    for col, exp, val in zip(*(x.tolist() for x in terms(a, order))):
+        out[col].append((exp, val))
+    return out
+
+
+def scaled(a: np.ndarray, order: int, factors) -> list:
+    """Sequences `a` times each scalar of `factors`, given by its
+    `entry_terms` at `order` (a multiple of len(a)): the values and
+    dtype of `product(a, factor)`.
+
+    A term c * zeta^e times `a` is `a` at `order` with its rows rotated
+    down by e, times c, so each output takes a few whole-array steps and
+    a signed root of unity is a row permutation."""
+    if not is_exact(a):
+        # as a sum of term products into zeros: a zero entry of `a` gives
+        # 0 (never 0 * inf), and + 0 turns a -0.0 part into 0.0
+        return [Sequence._of_fitted(np.where(a != 0, a * found[0][1] + 0, 0) if found
+                                    else np.zeros_like(a)) for found in factors]
+    a = _promote(a, order)
+    rows = np.arange(order)
+    out = []
+    for found in factors:
+        rotated = [(c, a[(rows - e) % order]) for e, c in found]
+        if not rotated:
+            out.append(Sequence._of_fitted(np.zeros(a.shape, np.int64)))
+        elif len(rotated) == 1 and rotated[0][0] in (1, -1):
+            # the rows of `a`, so in the dtype it had
+            c, r = rotated[0]
+            out.append(Sequence._of_fitted(r if c == 1 else -r))
+        elif a.dtype == np.int64 and sum(abs(c) for c, _ in rotated) * INT64_COEFF_BOUND < 2 ** 63:
+            # every |a| is below INT64_COEFF_BOUND, so no sum reaches 2^63
+            out.append(Sequence.of_array(sum(np.int64(c) * r for c, r in rotated)))
+        else:
+            out.append(Sequence.of_array(sum(c * r.astype(object) for c, r in rotated)))
+    return out
+
+
 class Sequence:
     """An ordered, immutable run of same-mode scalars (indices outside
     the range count as zero in every correlation), stored as one
@@ -269,7 +311,8 @@ class Sequence:
 
     def scale(self, c) -> "Sequence":
         factor = Sequence([scalar(c, self.mode)]).array
-        return Sequence._of_fitted(product(self.array, factor))
+        order = common_order(self.order, len(factor))
+        return scaled(self.array, order, entry_terms(factor, order))[0]
 
     def __neg__(self) -> "Sequence":
         return self.scale(-1)

@@ -1,12 +1,12 @@
-"""The expansion and connection operators against their definitions,
-one output at a time.
+"""`Sequence.scale`, `kron_expand` and `construct._connections` against
+the definition of scaling, one output at a time.
 
-`kron_expand` scales the members of one order by a whole vector in one
-product, and `construct._connections` connects a cell with many vectors
-from the cell's terms read once.  The oracles below build every output
-on its own, from `Sequence.scale` and `concat`, and the operators'
-outputs must hold the same arrays: the same coefficients, dtype and
-order.
+`Sequence.scale` and `kron_expand` build each output by rotating and
+scaling the rows of the scaled array (`model.scaled`), and
+`_connections` multiplies terms.  The oracles below build every output
+on its own as the entrywise product of the sequence with a one-entry
+sequence (`model.product`), and the operators' outputs must hold the
+same arrays: the same coefficients, dtype and order.
 """
 
 import numpy as np
@@ -29,7 +29,7 @@ from cocodes import (
     plan,
 )
 from cocodes.construct import _connections
-from cocodes.model import cell_terms, concat
+from cocodes.model import cell_terms, concat, product
 
 approx_entries = st.one_of(
     st.complex_numbers(allow_nan=True, allow_infinity=True),
@@ -40,17 +40,23 @@ ONE = CycloNum.from_int(1)
 I4 = CycloNum.root(4, 1)
 
 
-def kron_by_scale(v, cell):
-    """Element k is cell[k div M] scaled by v[k mod M], one `scale` each."""
+def times(seq, x):
+    """seq scaled by the scalar x, by definition: the entrywise product
+    with the one-entry sequence (x)."""
+    return Sequence._of_fitted(product(seq.array, Sequence([x]).array))
+
+
+def kron_by_product(v, cell):
+    """Element k is cell[k div M] times v[k mod M], one product each."""
     m = len(v)
-    return [cell[k // m].scale(v[k % m]) for k in range(m * len(cell))]
+    return [times(cell[k // m], v[k % m]) for k in range(m * len(cell))]
 
 
-def connect_by_scale(v, cell):
+def connect_by_product(v, cell):
     """(v[k mod len(v)] * cell[k mod M]) for k < lcm(M, len(v)), concatenated."""
     m, n = len(cell), len(v)
     k = m * n // np.gcd(m, n)
-    return concat(cell[i % m].scale(v[i % n]) for i in range(k))
+    return concat(times(cell[i % m], v[i % n]) for i in range(k))
 
 
 def assert_same_arrays(got, want):
@@ -86,6 +92,26 @@ APPROX = SequenceSet([
 ])
 
 
+class TestScale:
+    @pytest.mark.parametrize("x", [
+        ONE, -ONE, I4, CycloNum.root(6, 5), CycloNum.from_int(0), CycloNum.from_int(3),
+        ONE + I4, CycloNum(6, [3, 0, 0, 0, 0, -1]), CycloNum.from_int(2 ** 40),
+    ], ids=["1", "-1", "i", "z6^5", "0", "3", "1+i", "multi-term", "big"])
+    @pytest.mark.parametrize("cell", [MIXED_ORDERS, BIG], ids=["mixed-orders", "object"])
+    def test_exact(self, x, cell):
+        assert_same_arrays([s.scale(x) for s in cell], [times(s, x) for s in cell])
+
+    def test_negation(self):
+        assert_same_arrays([-s for s in BIG], [times(s, -ONE) for s in BIG])
+
+    @settings(max_examples=200, deadline=None)
+    @given(st.lists(approx_entries, min_size=1, max_size=4), approx_entries)
+    def test_approx_special_values(self, entries, x):
+        seq = Sequence(entries)
+        with np.errstate(all="ignore"):
+            assert_same_arrays([seq.scale(x)], [times(seq, x)])
+
+
 class TestKronExpand:
     @pytest.mark.parametrize("v", [
         Sequence([CycloNum.root(6, 1), -1]),
@@ -96,20 +122,20 @@ class TestKronExpand:
     ], ids=["order6", "zero-entry", "all-zero", "length1", "big-entry"])
     @pytest.mark.parametrize("cell", [MIXED_ORDERS, BIG], ids=["mixed-orders", "object"])
     def test_exact(self, v, cell):
-        assert_same_arrays(kron_expand(v, cell), kron_by_scale(v, cell))
+        assert_same_arrays(kron_expand(v, cell), kron_by_product(v, cell))
 
     def test_object_batch_refits_each_output(self):
         out = kron_expand(Sequence([1, 2 ** 40]), BIG)
         dtypes = [s.array.dtype for s in out]
         assert np.dtype(np.int64) in dtypes and np.dtype(object) in dtypes
-        assert_same_arrays(out, kron_by_scale(Sequence([1, 2 ** 40]), BIG))
+        assert_same_arrays(out, kron_by_product(Sequence([1, 2 ** 40]), BIG))
 
     @pytest.mark.parametrize("v", [
         Sequence([1.0, -1.0]),
         Sequence([0.5j, 0.0, 2 - 1j]),
     ], ids=["real", "zero-entry"])
     def test_approx(self, v):
-        assert_same_arrays(kron_expand(v, APPROX), kron_by_scale(v, APPROX))
+        assert_same_arrays(kron_expand(v, APPROX), kron_by_product(v, APPROX))
 
     @settings(max_examples=200, deadline=None)
     @given(st.lists(st.lists(approx_entries, min_size=3, max_size=3), min_size=1, max_size=3),
@@ -118,7 +144,7 @@ class TestKronExpand:
         # infinities, NaNs and signed zeros on both sides
         cell = SequenceSet(Sequence(x) for x in members)
         with np.errstate(all="ignore"):  # inf * 0 and overflow, on both sides
-            assert_same_arrays(kron_expand(Sequence(v), cell), kron_by_scale(Sequence(v), cell))
+            assert_same_arrays(kron_expand(Sequence(v), cell), kron_by_product(Sequence(v), cell))
 
     def test_mode_mismatch_still_refused(self):
         with pytest.raises(ValueError):
@@ -134,7 +160,7 @@ class TestKronExpand:
         ccc = cosf_to_ccc(execute(plan(4, [16]), verify=False).family, dft_matrix(4))
         mats = matrices(ccc.family_size)
         big = enlarge_ccc(ccc, mats)
-        want = [kron_by_scale(u.row(m), ccc[n])
+        want = [kron_by_product(u.row(m), ccc[n])
                 for n, u in enumerate(mats) for m in range(u.dim)]
         assert len(big) == len(want)
         for got, expected in zip(big, want):
@@ -153,9 +179,9 @@ class TestConnections:
     @pytest.mark.parametrize("cell", [MIXED_ORDERS, BIG], ids=["mixed-orders", "object"])
     def test_exact(self, vs, cell):
         assert_same_arrays(_connections(vs, cell, cell_terms(cell)),
-                           [connect_by_scale(v, cell) for v in vs])
+                           [connect_by_product(v, cell) for v in vs])
 
     def test_approx(self):
         vs = [Sequence([1.0, -1.0]), Sequence([0.5j, 1.0, 0.0])]
         assert_same_arrays(_connections(vs, APPROX, cell_terms(APPROX)),
-                           [connect_by_scale(v, APPROX) for v in vs])
+                           [connect_by_product(v, APPROX) for v in vs])
