@@ -12,13 +12,23 @@ json's default separators (", " and ": ") and a newline, and an exact
 sequence is written at one order, the lcm of its entries' orders.  A
 family file is written from the coefficient arrays: an exact sequence's
 text is one `%`-format of a template made once per array shape, the same
-text json.dumps gives its entry list.  An exact sequence whose entries
-are normalized at one order is read back into one array in a single
-step (int64 unless a coefficient is past int64), any other one scalar
-by scalar.
+text json.dumps gives its entry list.
+
+A family file whose text is exactly what the writer writes for an exact
+family is read in one array pass (`_family_of_text`), and the result is
+accepted only when writing it again gives the same bytes; any other
+layout (indented, approx mode, shorthand entries, ...) goes through json
+and `family_from_doc`, so both give the same arrays, or the same error.
+There, an exact sequence whose entries are normalized at one order
+becomes one array in a single step (int64 unless a coefficient is past
+int64), any other one scalar by scalar.
 
 Exit codes: 0 verified success, 1 verification failure,
-2 construction impossibility, 3 I/O or parse error.
+2 construction impossibility, 3 I/O or parse error.  A family, recipe
+or `@matrix` file that cannot be read as JSON exits 3 with a
+`path: reason` message: a file that is not UTF-8, bad JSON syntax, an
+integer of more digits than Python converts (`sys.get_int_max_str_digits`)
+and nesting deeper than the recursion limit.
 """
 
 from __future__ import annotations
@@ -33,7 +43,13 @@ import numpy as np
 
 from .corr import DEFAULT_TOL, zccc_zone
 from .construct import cosf_to_ccc, enlarge_ccc
-from .cyclo import ORDER_LIMIT, CycloNum, OrderLimitError, check_coefficients
+from .cyclo import (
+    INT64_COEFF_BOUND,
+    ORDER_LIMIT,
+    CycloNum,
+    OrderLimitError,
+    check_coefficients,
+)
 from .matrices import MATRIX_KINDS, MatrixSpec, parse_matrix_shorthand
 from .model import (
     APPROX,
@@ -192,6 +208,68 @@ def _family_text(fam: SequenceFamily, kind: str) -> str:
     head = json.dumps(_family_head(fam, kind))
     sets = ", ".join("[" + ", ".join(map(text, ss)) + "]" for ss in fam)
     return f'{head[:-1]}, "sets": [{sets}]}}'
+
+
+# The fixed text around the sets of an exact family `_family_text` writes:
+# the key that opens them and the brackets that close them, then a newline
+_SETS_OPEN = ', "sets": [[['
+_SETS_CLOSE = ']]]}\n'
+# Every character of those sets but digits, "-" and ",": the keys
+# "order" and "coeffs", quotes, colons, brackets and spaces
+_SETS_LAYOUT = b' "[]{}:cdefors'
+
+
+def _family_of_text(text: str):
+    """Family of a file's text when the text is exactly what
+    `_dump_family` writes for an exact family, read in one array pass;
+    None for any other text.
+
+    json parses the header.  Once the fixed keys, brackets and spaces
+    are stripped (an entry {"order": K, "coeffs": [c_1, ..., c_K]}
+    becomes K,c_1,...,c_K), one `np.fromstring` parses every number, and
+    the entry counts of the sequences cut that into (K, L) arrays.  The
+    family is taken only when writing it gives `text` back byte for
+    byte.  The writer is injective, so that family is the one json and
+    `family_from_doc` read from `text`; a coefficient np.fromstring
+    saturated at int64, a leading zero, a "-0", a header that does not
+    fit the sets or any other layout fails the check.  int64 values stay
+    below COEFF_LIMIT, so no coefficient check is needed."""
+    cut = text.find(_SETS_OPEN)
+    if cut < 0 or not text.endswith(_SETS_CLOSE):
+        return None
+    try:
+        head = json.loads(text[:cut] + "}")
+    except (ValueError, RecursionError):
+        return None
+    if type(head) is not dict or head.get("mode") != EXACT:
+        return None
+    body = text[cut + len(_SETS_OPEN):-len(_SETS_CLOSE)]
+    counts = [[seq.count("{") for seq in ss.split("], [")] for ss in body.split("]], [[")]
+    try:
+        numbers = body.encode().translate(None, _SETS_LAYOUT)
+        # unmatched text raises (older numpy warns and stops early,
+        # which the rewrite refuses too)
+        flat = np.fromstring(numbers, dtype=np.int64, sep=",")
+        # one scan of every number: when all are below the bound every
+        # array keeps int64 as `Sequence.of_array` would, unscanned
+        small = -INT64_COEFF_BOUND < flat.min() and flat.max() < INT64_COEFF_BOUND
+        make = Sequence._of_fitted if small else Sequence.of_array
+        sets, pos = [], 0
+        for row in counts:
+            seqs = []
+            for length in row:
+                order = int(flat[pos])
+                if not 1 <= order <= ORDER_LIMIT or length < 1:
+                    return None
+                end = pos + length * (order + 1)
+                entries = flat[pos:end].reshape(length, order + 1)
+                seqs.append(make(entries[:, 1:].T))
+                pos = end
+            sets.append(SequenceSet(seqs))
+        fam = SequenceFamily(sets)
+    except (ValueError, IndexError):
+        return None
+    return fam if _family_text(fam, head.get("kind")) + "\n" == text else None
 
 
 def family_from_doc(doc: dict) -> SequenceFamily:
@@ -358,12 +436,35 @@ def recipe_from_doc(doc: dict) -> Recipe:
 # -- file helpers ---------------------------------------------------------
 
 
-def _load_json(path: str):
+def _load_json(path: str, decode=json.loads):
+    """`decode` of a file's text: its JSON document by default.
+
+    Every file the CLI reads goes through here, so that timing or
+    counting the bytes of this one function covers all reads; `decode`
+    lets a family file be read from its text (`_load_family`), the
+    mirror of `_dump_json`'s `encode`.  A file that cannot be read or
+    parsed raises DocumentError naming it: one that is not UTF-8, bad
+    syntax, an integer past Python's digit limit (a ValueError of its
+    own), nesting past the recursion limit.  `decode` raises nothing but
+    parse errors (the family reader hands any text it does not take on
+    to json), so the errors of building documents keep their exit codes."""
     try:
         with open(path, "r", encoding="utf-8") as fh:
-            return json.load(fh)
-    except (OSError, json.JSONDecodeError) as e:
+            return decode(fh.read())
+    except (OSError, ValueError, RecursionError) as e:
         raise DocumentError(f"{path}: {e}") from None
+
+
+def _family_or_doc(text: str):
+    fam = _family_of_text(text)
+    return json.loads(text) if fam is None else fam
+
+
+def _load_family(path: str) -> SequenceFamily:
+    """Family of a family file: the writer's own text in one array pass,
+    any other text through json and `family_from_doc`."""
+    got = _load_json(path, _family_or_doc)
+    return got if isinstance(got, SequenceFamily) else family_from_doc(got)
 
 
 def _dump_json(path: str, doc, encode=json.dumps) -> None:
@@ -420,7 +521,7 @@ def cmd_verify(args) -> int:
                               and kind.split(":", 1)[1].isdigit()
                               and int(kind.split(":", 1)[1]) >= 1):
         raise DocumentError(f"bad --kind {kind!r}; expected 'ccc' or 'cosf:N'")
-    fam = family_from_doc(_load_json(args.family))
+    fam = _load_family(args.family)
     try:
         report = run_check(fam, kind, tol=args.tol)
     except OrderLimitError:
@@ -443,19 +544,19 @@ def cmd_plan(args) -> int:
 
 
 def cmd_ccc(args) -> int:
-    fam = family_from_doc(_load_json(args.family))
+    fam = _load_family(args.family)
     matrix = _matrix_from_arg(args.matrix).build()
     return _write_ccc(args, cosf_to_ccc(fam, matrix))
 
 
 def cmd_enlarge(args) -> int:
-    fam = family_from_doc(_load_json(args.family))
+    fam = _load_family(args.family)
     matrices = [_matrix_from_arg(m).build() for m in args.matrix]
     return _write_ccc(args, enlarge_ccc(fam, matrices))
 
 
 def cmd_zone(args) -> int:
-    fam = family_from_doc(_load_json(args.family))
+    fam = _load_family(args.family)
     try:
         z = zccc_zone(fam, tol=args.tol)
     except OrderLimitError:

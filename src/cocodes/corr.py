@@ -182,7 +182,8 @@ class _Kernel:
     (d, -q mod P) of an inverse is the coefficient of z^d at shift q.
     Exact results are rounded under `rounding_bound`; approx sequences
     (K = 1) take complex transforms and keep their values unrounded.
-    The spectra exist only while `sums` runs.
+    The spectra exist only while `sums` runs, and so does the stack
+    unless the caller keeps it in `digits` for several calls.
 
     Even orders are folded by zeta_K^(K/2) = -1, so a stack holds K/2
     rows (K for odd K, 1 in approx mode) per shift.
@@ -209,6 +210,7 @@ class _Kernel:
         self.size = _smooth(2 * self.width - 1)
         # rows kept after folding by zeta_K^(K/2) = -1 (see `_dense`)
         self.rows = self.order // 2 if self.order % 2 == 0 else self.order
+        self.digits = None  # `_digits()` when the caller keeps it for more calls
 
     def _digits(self):
         """The stack the spectra are taken of, (sets, members, limbs,
@@ -320,7 +322,7 @@ class _Kernel:
         coefficient of zeta_K^d at shift q, folded for even K.  With
         `rotate` the members of the left set are taken cyclically
         shifted by one (member n + 1 pairs with member n)."""
-        stack, b, bound, dtype = self._digits()
+        stack, b, bound, dtype = self.digits or self._digits()
         sets, members, limbs, rows, _ = stack.shape
         freqs = self.size // 2 + 1 if self.exact else self.size
         block = max(1, _SPECTRA_MAX // (members * limbs * rows * freqs))
@@ -518,12 +520,14 @@ def is_complementary_set(ss: SequenceSet, tol: float = DEFAULT_TOL) -> CheckRepo
 def is_ccc(fam: SequenceFamily, tol: float = DEFAULT_TOL) -> CheckReport:
     """Every set complementary, every distinct pair of sets with
     identically zero cross-correlation sum."""
-    report = CheckReport(kind="ccc")
-    count = fam.family_size
+    return _ccc_report(_Kernel(list(fam), tol=tol), fam.family_size)
+
+
+def _ccc_report(kernel: _Kernel, count: int) -> CheckReport:
+    """`is_ccc`'s report, from a kernel over the family's sets."""
     pairs = [(m, m) for m in range(count)]
     pairs += [(m, mp) for m in range(count) for mp in range(m + 1, count)]
-    report.pairs = _Kernel(list(fam), tol=tol).check(pairs)
-    return report
+    return CheckReport(kind="ccc", pairs=kernel.check(pairs))
 
 
 def is_n_co_sf(fam: SequenceFamily, n: int, tol: float = DEFAULT_TOL) -> CheckReport:
@@ -553,16 +557,19 @@ def zccc_zone(fam: SequenceFamily, tol: float = DEFAULT_TOL) -> int:
     Requires a verified CCC with one common length L; returns the
     largest Z such that for all set pairs (m, m') and all 0 < tau <= Z
     the sum over n of R(c^m_{[n+1]_N}, c^{m'}_n, L - tau) is zero.
+    The CCC check and the rotated pass share one kernel, so every
+    sequence is densified once.
     """
-    ccc = is_ccc(fam, tol)
+    kernel = _Kernel(list(fam), tol=tol)
+    kernel.digits = kernel._digits()
+    count = fam.family_size
+    ccc = _ccc_report(kernel, count)
     if not ccc.ok:
         raise ValueError("zone check requires a CCC:\n" + ccc.render())
     lengths = fam.length_set
     if len(lengths) != 1:
         raise ValueError(f"zone check requires one common length, got {sorted(lengths)}")
     (length,) = lengths
-    kernel = _Kernel(list(fam), tol=tol)
-    count = fam.family_size
     pairs = [(m, mp) for m in range(count) for mp in range(count)]
     zero = kernel.zeros(kernel.sums(pairs, rotate=True))
     # shifts L - 1 down to 0, i.e. tau = 1 .. L

@@ -358,6 +358,54 @@ class TestVerifyCommand:
                      "--kind", "ccc"]) == EXIT_IO
 
 
+class TestUnparsableFiles:
+    """A file json cannot parse exits 3 with one `path: reason` line,
+    whichever command reads it: not UTF-8, an integer past Python's
+    digit limit, nesting past the recursion limit."""
+
+    DOCS = {
+        "family": '{"kind": "ccc", "mode": "exact", "sets": [[["+", "+"], ["+", "-"]]]}',
+        "recipe": '{"n": 2, "base_matrix": {"kind": "hadamard", "dim": 2}, "cells": [[0, 1]], '
+                  '"cell_matrices": [{"kind": "hadamard", "dim": 2}]}',
+        "matrix": '{"kind": "custom", "dim": 2, "mode": "exact", '
+                  '"entries": [["+", "+"], ["+", "-"]]}',
+    }
+    CASES = {
+        "not-utf8": lambda doc: b"\xff\xfe" + doc.encode(),
+        "int-digits": lambda doc: doc.replace('"+"', "1" * 5000, 1).replace(
+            '"dim": 2', '"dim": ' + "2" * 5000, 1).encode(),
+        "deep-nesting": lambda doc: (doc[:-1] + ', "x": ' + "[" * 200_000 + "]" * 200_000
+                                     + "}").encode(),
+    }
+
+    @staticmethod
+    def run(tmp_path, reader, path, cosf):
+        out = str(tmp_path / "out.json")
+        if reader == "family":
+            return main(["verify", str(path), "--kind", "ccc"])
+        if reader == "recipe":
+            return main(["gen", str(path), out])
+        src = tmp_path / "cosf.json"
+        write_json(src, family_to_doc(cosf, kind="cosf:2"))
+        return main(["ccc", str(src), f"@{path}", out])
+
+    @pytest.mark.parametrize("case", CASES)
+    @pytest.mark.parametrize("reader", DOCS)
+    def test_exits_3_naming_the_file(self, tmp_path, capsys, cosf_2_of_4, reader, case):
+        path = tmp_path / f"{reader}.json"
+        path.write_bytes(self.CASES[case](self.DOCS[reader]))
+        assert self.run(tmp_path, reader, path, cosf_2_of_4) == EXIT_IO
+        err = capsys.readouterr().err
+        assert err.startswith(f"error: {path}: ") and err.count("\n") == 1
+
+    @pytest.mark.parametrize("reader", DOCS)
+    def test_documents_parse_unchanged(self, tmp_path, cosf_2_of_4, reader):
+        # the cases above fail at parsing, not at the documents they edit
+        path = tmp_path / f"{reader}.json"
+        path.write_text(self.DOCS[reader], encoding="utf-8")
+        assert self.run(tmp_path, reader, path, cosf_2_of_4) == EXIT_OK
+
+
 class TestNonIntegerNumbers:
     """An exact order or coefficient that is not a JSON integer is a
     parse error (exit 3), never truncated to an int, whether the

@@ -1,10 +1,14 @@
 """Malformed documents never crash the command line: every document of
-one node changed ends in an exit code, with no traceback."""
+one node changed ends in an exit code, with no traceback, and every
+family file of one character changed is read as json reads it."""
 
+import contextlib
 import copy
+import io
 import json
 import tempfile
 from pathlib import Path
+from unittest import mock
 
 from hypothesis import given, settings
 from hypothesis import strategies as st
@@ -12,12 +16,15 @@ from hypothesis import strategies as st
 from cocodes import (
     SequenceFamily,
     SequenceSet,
+    ccc_from_unitary,
+    dft_matrix,
     from_signs,
     generate_cosf,
     hadamard_matrix,
     plan,
 )
-from cocodes.cli import family_to_doc, main, recipe_to_doc
+from cocodes import cli
+from cocodes.cli import _family_text, family_to_doc, main, recipe_to_doc
 
 H2 = {"kind": "custom", "dim": 2, "mode": "exact", "entries": [["+", "+"], ["+", "-"]]}
 
@@ -29,10 +36,11 @@ RECIPE = {
 }
 
 # the classic (2,2,{4})-CCC
-FAMILY = family_to_doc(SequenceFamily([
+CLASSIC = SequenceFamily([
     SequenceSet([from_signs("+++-"), from_signs("+-++")]),
     SequenceSet([from_signs("++-+"), from_signs("+---")]),
-]), kind="ccc")
+])
+FAMILY = family_to_doc(CLASSIC, kind="ccc")
 
 COSF = family_to_doc(generate_cosf(hadamard_matrix(2), [[0, 1]], [hadamard_matrix(2)]))
 
@@ -91,3 +99,40 @@ def test_one_node_mutations_exit_cleanly(data):
     value = data.draw(st.sampled_from(POOL), label="value")
     with tempfile.TemporaryDirectory() as tmp:
         assert run(name, mutated(doc, path, value), Path(tmp)) in (0, 1, 2, 3)
+
+
+# Files the writer makes: the (2,2,{4})-CCC above (order 1) and the
+# 4x4 CCC of F_4 (order 4)
+WRITTEN = [
+    _family_text(CLASSIC, "ccc") + "\n",
+    _family_text(ccc_from_unitary(dft_matrix(4)), "ccc") + "\n",
+]
+
+# characters that make or break the writer's layout, then any character
+CHARS = st.one_of(st.sampled_from('0123456789-+., :[]{}"\n\\e'), st.characters())
+
+
+def verify_text(text, tmp):
+    """(exit code, stdout, stderr) of `cocodes verify --kind ccc` on `text`."""
+    path = tmp / "family.json"
+    path.write_text(text, encoding="utf-8", newline="")
+    out, err = io.StringIO(), io.StringIO()
+    with contextlib.redirect_stdout(out), contextlib.redirect_stderr(err):
+        code = main(["verify", str(path), "--kind", "ccc"])
+    return code, out.getvalue(), err.getvalue()
+
+
+@settings(max_examples=300, deadline=None, derandomize=True)
+@given(st.data())
+def test_one_character_mutations_read_as_json_reads_them(data):
+    text = data.draw(st.sampled_from(WRITTEN), label="file")
+    edit = data.draw(st.sampled_from(["replace", "delete", "insert"]), label="edit")
+    at = data.draw(st.integers(0, len(text) - (edit != "insert")), label="position")
+    char = "" if edit == "delete" else data.draw(CHARS, label="character")
+    text = text[:at] + char + text[at + (edit != "insert"):]
+    with tempfile.TemporaryDirectory() as tmp:
+        got = verify_text(text, Path(tmp))
+        # the same text read by json and family_from_doc only
+        with mock.patch.object(cli, "_family_of_text", lambda text: None):
+            assert verify_text(text, Path(tmp)) == got
+    assert got[0] in (0, 1, 2, 3)

@@ -362,6 +362,32 @@ class TestZone:
         with pytest.raises(ValueError):
             zccc_zone(ccc)
 
+    @pytest.mark.parametrize("build", [
+        lambda: ccc_from_unitary(dft_matrix(4)),
+        lambda: enlarge_ccc(
+            cosf_to_ccc(execute(plan(4, [16]), verify=False).family, dft_matrix(4)),
+            [hadamard_matrix(2)] * 4),
+    ], ids=["dft4", "enlarged-8x8"])
+    def test_one_kernel_and_one_stack_per_call(self, monkeypatch, build):
+        # the CCC check and the rotated pass share one densified stack
+        fam = build()
+        zone = zone_by_acorr(fam)
+        calls = {"init": 0, "digits": 0}
+        init, digits = corr._Kernel.__init__, corr._Kernel._digits
+
+        def counted_init(self, *args, **kwargs):
+            calls["init"] += 1
+            init(self, *args, **kwargs)
+
+        def counted_digits(self):
+            calls["digits"] += 1
+            return digits(self)
+
+        monkeypatch.setattr(corr._Kernel, "__init__", counted_init)
+        monkeypatch.setattr(corr._Kernel, "_digits", counted_digits)
+        assert zccc_zone(fam) == zone
+        assert calls == {"init": 1, "digits": 1}
+
 
 class TestSizeBound:
     def test_cosf_bound(self, cosf_2_of_4):

@@ -1,6 +1,8 @@
-"""The CLI's family writer: the text it writes from the coefficient
-arrays is, byte for byte, json.dumps of the family's document plus a
-newline, and it reads back to the same family."""
+"""The CLI's family writer and reader: the text it writes from the
+coefficient arrays is, byte for byte, json.dumps of the family's
+document plus a newline, and it reads back to the same family.  The
+reader's array pass gives what json and `family_from_doc` give, or
+hands the text on to them."""
 
 import json
 
@@ -21,8 +23,17 @@ from cocodes import (
     plan,
     singleton_family,
 )
-from cocodes.cli import EXIT_OK, _dump_family, family_from_doc, family_to_doc, main
-from cocodes.cyclo import INT64_COEFF_BOUND
+from cocodes import cli
+from cocodes.cli import (
+    EXIT_OK,
+    _dump_family,
+    _family_of_text,
+    _load_family,
+    family_from_doc,
+    family_to_doc,
+    main,
+)
+from cocodes.cyclo import INT64_COEFF_BOUND, ORDER_LIMIT
 
 
 def documented(fam, kind):
@@ -35,12 +46,16 @@ def written(tmp_path, fam, kind):
     return path.read_text(encoding="utf-8")
 
 
-def assert_round_trip(text, fam):
-    back = family_from_doc(json.loads(text))
+def assert_same(back, fam):
+    """Equal arrays, shapes and dtypes, sequence by sequence."""
     assert [[s.array.shape for s in ss] for ss in back] == [[s.array.shape for s in ss] for ss in fam]
     for got, want in zip((s for ss in back for s in ss), (s for ss in fam for s in ss)):
         assert got.array.dtype == want.array.dtype
         assert np.array_equal(got.array, want.array, equal_nan=not got.mode == "exact")
+
+
+def assert_round_trip(text, fam):
+    assert_same(family_from_doc(json.loads(text)), fam)
 
 
 def int64_ccc():
@@ -51,6 +66,14 @@ def object_family():
     # past INT64_COEFF_BOUND, past 2^63 and negative past -2^63
     return singleton_family([
         Sequence([CycloNum(3, [2 ** 40, -(2 ** 70), 5]), -(2 ** 63) - 1, INT64_COEFF_BOUND]),
+        Sequence([1, -1, 0]),
+    ])
+
+
+def int64_range_family():
+    # Python-int arrays whose values np.fromstring still reads exactly
+    return singleton_family([
+        Sequence([CycloNum(3, [2 ** 40, -(2 ** 63), 5]), 2 ** 63 - 1, INT64_COEFF_BOUND]),
         Sequence([1, -1, 0]),
     ])
 
@@ -128,3 +151,141 @@ class TestCommands:
         text = big_path.read_text(encoding="utf-8")
         assert text == documented(big, "ccc")
         assert_round_trip(text, big)
+
+
+# -- the reader ----------------------------------------------------------
+
+
+def read(path):
+    """`_load_family(path)`, or the type of what it raises."""
+    try:
+        return _load_family(str(path))
+    except Exception as e:
+        return type(e)
+
+
+def read_by_json(path):
+    """The family json and `family_from_doc` read, or the type of what
+    they raise (a parse error is the CLI's DocumentError)."""
+    try:
+        return family_from_doc(cli._load_json(str(path)))
+    except Exception as e:
+        return type(e)
+
+
+def assert_same_outcome(got, want):
+    if isinstance(want, type):
+        assert got is want
+    else:
+        assert_same(got, want)
+
+
+def verify_run(path, capsys):
+    code = main(["verify", str(path), "--kind", "ccc"])
+    out = capsys.readouterr()
+    return code, out.out, out.err
+
+
+@pytest.mark.parametrize("build, kind, array_pass", [
+    (int64_ccc, "ccc", True),
+    (int64_range_family, "raw", True),
+    (object_family, "raw", False),
+    (mixed_family, "raw", True),
+    (approx_family, "raw", False),
+], ids=["int64", "int64-range-objects", "object", "mixed-orders-and-lengths",
+        "approx-non-finite"])
+def test_reader_gives_the_json_family(tmp_path, build, kind, array_pass):
+    fam = build()
+    path = tmp_path / "out.json"
+    _dump_family(str(path), fam, kind)
+    text = path.read_text(encoding="utf-8")
+    # values past int64 and approx files are json's
+    assert (_family_of_text(text) is not None) == array_pass
+    got = _load_family(str(path))
+    with open(path, encoding="utf-8") as fh:
+        assert_same(got, family_from_doc(json.load(fh)))
+    assert_same(got, fam)
+
+
+def swap_once(old, new):
+    def edit(text):
+        assert old in text
+        return text.replace(old, new, 1)
+    return edit
+
+
+def one_sequence(order):
+    coeffs = ", ".join(["1"] + ["0"] * (order - 1))
+    return ('{"kind": "raw", "family_size": 1, "set_size": 1, "length_set": [1], '
+            f'"mode": "exact", "sets": [[[{{"order": {order}, "coeffs": [{coeffs}]}}]]]}}\n')
+
+
+# Texts the array pass must hand on to json, each an edit of the file
+# the writer makes for `int64_ccc()` (entries at order 4)
+REFUSED = {
+    "indented": lambda text: json.dumps(json.loads(text), indent=1) + "\n",
+    "no-newline": lambda text: text[:-1],
+    "minus-zero": swap_once('"coeffs": [1, 0', '"coeffs": [1, -0'),
+    "leading-zero": swap_once('"coeffs": [1, 0', '"coeffs": [01, 0'),
+    "two-to-the-63": swap_once('"coeffs": [1, 0', f'"coeffs": [{2 ** 63}, 0'),
+    "two-to-the-64": swap_once('"coeffs": [1, 0', f'"coeffs": [{2 ** 64}, 0'),
+    "minus-two-to-the-63-minus-1": swap_once('"coeffs": [1, 0', f'"coeffs": [{-2 ** 63 - 1}, 0'),
+    "lying-family-size": swap_once('"family_size": 4', '"family_size": 5'),
+    "lying-length-set": swap_once('"length_set": [', '"length_set": [1, '),
+    "order-past-limit": lambda text: one_sequence(ORDER_LIMIT + 1),
+    "empty-sequence": lambda text: (
+        '{"kind": "raw", "family_size": 2, "set_size": 1, "length_set": [0, 1], '
+        '"mode": "exact", "sets": [[[]], [[{"order": 1, "coeffs": [1]}]]]}\n'),
+    "truncated": lambda text: text[: len(text) // 2],
+    "empty-sets": lambda text: text[:text.index('"sets": ')] + '"sets": []}\n',
+    "trailing-comma": swap_once('"coeffs": [1, 0', '"coeffs": [1,, 0'),
+    "float": swap_once('"coeffs": [1, 0', '"coeffs": [1.0, 0'),
+    "shorthand": swap_once('{"order": 4, "coeffs": [1, 0, 0, 0]}', '"+"'),
+    "int-digits": swap_once('"coeffs": [1, 0', '"coeffs": [' + "1" * 5000 + ", 0"),
+    "deep-header": swap_once('"kind": "ccc"', '"kind": ' + "[" * 200_000 + "]" * 200_000),
+}
+
+
+@pytest.mark.parametrize("edit", REFUSED.values(), ids=REFUSED.keys())
+def test_other_text_goes_through_json(tmp_path, capsys, monkeypatch, edit):
+    path = tmp_path / "in.json"
+    _dump_family(str(path), int64_ccc(), "ccc")
+    text = edit(path.read_text(encoding="utf-8"))
+    path.write_text(text, encoding="utf-8")
+    assert _family_of_text(text) is None
+    assert_same_outcome(read(path), read_by_json(path))
+    fast = verify_run(path, capsys)
+    monkeypatch.setattr(cli, "_family_of_text", lambda text: None)
+    assert verify_run(path, capsys) == fast
+
+
+def test_order_at_the_limit_takes_the_array_pass(tmp_path):
+    text = one_sequence(ORDER_LIMIT)
+    fam = _family_of_text(text)
+    assert fam is not None and fam[0][0].order == ORDER_LIMIT
+    path = tmp_path / "in.json"
+    path.write_text(text, encoding="utf-8")
+    assert_same(read(path), read_by_json(path))
+
+
+def test_commands_parse_only_the_headers_of_writer_files(tmp_path, monkeypatch):
+    # verify, ccc, enlarge and zone read writer files with json parsing
+    # only their headers; json still parses all of an indented copy
+    fam = execute(plan(4, [16]), verify=False).family
+    src, ccc_path, big_path = (tmp_path / n for n in ("f.json", "c.json", "b.json"))
+    _dump_family(str(src), fam, "cosf:4")
+    parsed = []
+    loads = json.loads
+    monkeypatch.setattr(cli.json, "loads", lambda text: parsed.append(len(text)) or loads(text))
+    assert main(["verify", str(src), "--kind", "cosf:4"]) == EXIT_OK
+    assert main(["ccc", str(src), "dft:4", str(ccc_path)]) == EXIT_OK
+    assert main(["enlarge", str(ccc_path), str(big_path), "--matrix", "hadamard:2",
+                 "--matrix", "dft:2", "--matrix", "hadamard:2", "--matrix", "dft:2"]) == EXIT_OK
+    assert main(["zone", str(big_path)]) == EXIT_OK
+    # only the headers, each far shorter than its file
+    assert len(parsed) == 4 and max(parsed) < 200
+    indented = tmp_path / "i.json"
+    indented.write_text(json.dumps(json.loads(big_path.read_text()), indent=1))
+    parsed.clear()
+    assert main(["zone", str(indented)]) == EXIT_OK
+    assert max(parsed) == len(indented.read_text())
