@@ -11,25 +11,102 @@ set energy of the call, which the kernel works out itself.
 `acorr` is the direct definitional sum and stays the reference.  Every
 profile and predicate goes through one kernel (`_Kernel`) instead.  A
 call densifies its sequences into a (sets, members, K, L) array over
-the call's common order K and computes every set sum by one spectral
-pass: a real 2-D FFT, cyclic over the exponent axis and zero-padded
-over positions to a 2,3-smooth length P >= 2L - 1, products summed
-over members in the spectrum, and batched inverse transforms.  The
-inverse is rounded to integers only under an a-priori error bound
-(Percival, Math. Comp. 72 (2003), with a safety factor; see
-`rounding_bound`).  Coefficients too large for that bound are split
-into signed base-2^b limbs: the same pass sums the limb products, each
-diagonal under the bound, and the rounded diagonals are recombined
-with integers.  Spectra are taken one block of sets at a time, so
-their memory stays under `_SPECTRA_MAX` entries per block.  A debug record on the `cocodes`
-logger gives the block and limb counts whenever either is above one.
-Zero is then decided for the whole integer stack at once by
-`cyclo.zero_rows`, the rule `CycloNum.is_zero` applies to one value,
-and every verdict comes from that zero mask alone.  A report keeps each
-pair's slice of the integer stack, and its `CycloNum`s are built only
-when its values are read (`_scalars`).
+the call's common order K.  Two passes read that stack.
 
-`is_n_co_sf` runs the same pass on the n polyphase components
+The per-shift pass computes every set sum: a real 2-D FFT, cyclic over
+the exponent axis and zero-padded over positions to a 2,3-smooth length
+P >= 2L - 1, products summed over members in the spectrum, and batched
+inverse transforms.  The inverse is rounded to integers only under an
+a-priori error bound (Percival, Math. Comp. 72 (2003), with a safety
+factor; see `rounding_bound`).  Coefficients too large for that bound
+are split into signed base-2^b limbs: the same pass sums the limb
+products, each diagonal under the bound, and the rounded diagonals are
+recombined with integers.  Zero is then decided for the whole integer
+stack at once by `cyclo.zero_rows`, the rule `CycloNum.is_zero` applies
+to one value.  Profiles, `zccc_zone`'s rotated sums and every report's
+violations and values come from this pass.
+
+The certificate pass decides a predicate's pairs without an inverse
+transform, a rounding or a reduction; `_Kernel.check` takes it for
+exact stacks of one limb whose `certificate_bound` is below 1/2, and
+the per-shift pass otherwise (approx mode, limbs, or the bound).  For
+a pair (S, T) let a_q in Z[zeta_K] be its set sum at shift q, less the
+shift-0 sum when S = T, over the 2W - 1 shifts of the stack's width W.
+Let P = 2^p >= 2W - 1 and, for e prime to K and f mod P,
+v(e, f) = sum_q sigma_e(a_q) w^(fq), w = exp(2 pi i / P), sigma_e the
+embedding zeta_K -> exp(-2 pi i e / K).
+
+  (1) A nonzero a in Z[zeta_K] has a norm prod_e sigma_e(a) that is a
+      nonzero integer, so by AM-GM sum_e |sigma_e(a)|^2 >= phi(K).
+  (2) The shifts are distinct mod P, so by Parseval
+      sum_f |v(e, f)|^2 = P sum_q |sigma_e(a_q)|^2.
+  (3) So if some a_q is nonzero, the phi(K) P values have
+      sum |v|^2 >= P phi(K), and some |v(e, f)| >= 1.  If all are
+      zero, every v is 0.
+  (4) v(-e, -f) = conj(v(e, f)), so the e < K/2 with every f, or at
+      K <= 2 (one real embedding) f <= P/2, hold every |v|.
+
+With each v computed within B < 1/2, "every computed |v| < 1/2" is
+therefore exactly "every a_q is zero": the same predicate as the
+reduction modulo Phi_K, decided both ways.  The computation: row j of
+a member's folded stack a_n (see `_Kernel`) is the coefficient of z^j,
+and every primitive K-th root is a root of the fold, so the member's
+values at the retained roots are x_n(e, l) = sum_j a_n[j, l] zeta^(-ej),
+one (roots x rows) product; X_n is their length-P transform over
+positions (the real `rfft` at K <= 2, where x = a), and
+v = sum_n X_S,n conj(X_T,n), less sum_n sum_l |x_S,n(e, l)|^2 for an
+auto pair.  The bound B (`certificate_bound`), with u = 2^-53,
+g_n = n u / (1 - n u), R rows, M members, E the largest set energy
+sum a^2 of the stack:
+
+  (a) The roots' matrix is within 32u of its values entrywise (the
+      angle 2 pi (ej mod K) / K within 6 pi u, cos and sin within 2u)
+      and is applied by two real products, so
+      |x^(l) - x(l)| <= mu sum_j |a[j, l]|,
+      mu = sqrt2 g_R (1 + 32u) + 32u (0 at K <= 2).  By
+      Cauchy-Schwarz ||x_n|| <= sqrt(R) ||a_n|| and
+      ||x^_n - x_n|| <= mu sqrt(R) ||a_n||.
+  (b) Percival bounds a length-2^p transform with twiddles within u
+      by ||fl(F y) - F y|| <= eta ||F y|| = eta sqrt(P) ||y||,
+      eta = (1 + u)^2p (1 + sqrt5 u)^p - 1.  So each |X^_n(f) - X_n(f)|
+      is at most ||X^_n - X_n|| <= d sqrt(P R) ||a_n||,
+      d = eta (1 + mu) + mu, and |X_n(f)| <= ||x_n||_1 <= sqrt(W R) ||a_n||.
+  (c) Summed over n with Cauchy-Schwarz, the spectra's errors move v by
+      at most R E (2 d sqrt(P W) + d^2 P); each real and imaginary part
+      of the computed sum is a sum of 2M products, within g_2M of their
+      absolute sum, which adds sqrt2 g_2M R E (sqrt(W) + d sqrt(P))^2.
+  (d) The same steps bound the shift-0 sum's error by
+      R E (mu (2 + mu) + g_2MW (1 + mu)^2).
+  (e) B < 1/2 forces E < 2^50, so every coefficient is below 2^25 and
+      the float stack and its energy E are exact.
+  (f) B is (1 + 2^-50) times the sum of (c) and (d).  The subtraction
+      and the modulus add relative errors below 4u, so a zero sum gives
+      a computed |v| <= B < 1/2 and a nonzero one at least
+      (1 - 4u)(1 - B) > 1/2.
+
+Percival's theorem is for radix-2 transforms; the power-of-two length
+(on this pass only) is what lets it stand for pocketfft, whose passes
+at such lengths are radix 2 and radix 4, a radix-4 butterfly being two
+radix-2 stages whose inner twiddles (+-1, +-i) are exact.
+
+A check's report is deferred: the certificate gives each pair's `ok`,
+and the per-shift pass runs once, over all the check's pairs, when the
+first of their violations, sums or values is read (`_Scan`, e.g. by
+`CheckReport.render` of a failing report).  So reading a verdict costs
+one certificate pass, a rejected family pays for both passes (on one
+densified stack, which the kernel keeps) only when its report is read,
+and every value read is the per-shift pass's own.
+Building the report eagerly would cost a near-miss both passes on
+every check.  A report keeps each pair's slice of the integer stack,
+and its `CycloNum`s are built only when its values are read
+(`_scalars`).
+
+Both passes take spectra one block of sets at a time, so their memory
+stays under `_SPECTRA_MAX` entries per block.  A debug record on the
+`cocodes` logger gives the block and limb counts whenever either is
+above one, and one per check names the pass that decided it and why.
+
+`is_n_co_sf` runs the same passes on the n polyphase components
 s_r(l) = s(ln + r) of each sequence: R(s, t)(qn) = sum_r R(s_r, t_r)(q),
 so it computes only the n-shift lattice.
 """
@@ -37,6 +114,7 @@ so it computes only the n-shift lattice.
 from __future__ import annotations
 
 import math
+import sys
 from bisect import bisect_left
 from dataclasses import dataclass, field
 from functools import reduce
@@ -73,6 +151,31 @@ _FFT_SAFETY = 8
 # Entries of the spectral products one einsum makes: left sets are
 # taken in groups of this size against all their right sets.
 _BATCH = 2 ** 12
+
+# Sets of a call up to which the certificate sums products over the
+# members pair by pair; past it, one batched matmul per root.
+_GRAM_SETS = 4
+
+# Unit roundoff of float64
+_U = 2.0 ** -53
+
+
+def _debug(msg: str, *args) -> None:
+    """A debug record on the `cocodes` logger.  A handler can only be
+    configured by a process that has imported logging, so one that has
+    not is spared the import (about 1 MB of resident memory)."""
+    logging = sys.modules.get("logging")
+    if logging is not None:
+        logging.getLogger("cocodes").debug(msg, *args)
+
+
+def _headroom(bound: float) -> float:
+    return 0.5 / bound if bound else math.inf
+
+
+def _pow2(n: int) -> int:
+    """Least 2^a >= n."""
+    return 1 << max(n - 1, 0).bit_length()
 
 
 def _sum_products(s: Sequence, t: Sequence, pairs) -> Scalar:
@@ -156,6 +259,33 @@ def rounding_bound(energy: float, order: int, size: int, members: int) -> float:
     return _FFT_SAFETY * gamma * energy
 
 
+def _gamma(n: int) -> float:
+    return n * _U / (1 - n * _U)
+
+
+def certificate_bound(energy: float, rows: int, members: int, width: int,
+                      size: int) -> float:
+    """A-priori bound on the error of every certificate value (module
+    docstring) of sets of `members` members of `width` positions and
+    `rows` exponent rows, each set's squared coefficients summing to at
+    most `energy`, over a transform of `size` = 2^p positions.  The
+    certificate decides exactly when the bound is below 1/2; the proof
+    is in the module docstring, which names each term."""
+    p = size.bit_length() - 1
+    # (b): Percival's factor for a length-2^p transform, twiddles within u
+    eta = math.expm1(p * (2 * math.log1p(_U) + math.log1p(math.sqrt(5) * _U)))
+    # (a): the roots' matrix, entries within 32u, applied by real products
+    mu = 0.0 if rows == 1 else math.sqrt(2) * _gamma(rows) * (1 + 32 * _U) + 32 * _U
+    delta = eta * (1 + mu) + mu
+    # (c): the Gram and (d): the shift-0 sum, per unit of rows * energy
+    nu = math.sqrt(2) * _gamma(2 * members)
+    peak = math.sqrt(width) + delta * math.sqrt(size)
+    gram = 2 * delta * math.sqrt(size * width) + delta * delta * size + nu * peak * peak
+    shift0 = mu * (2 + mu) + _gamma(2 * members * width) * (1 + mu) ** 2
+    # (f): the last subtraction and the modulus
+    return rows * energy * (gram + shift0) * (1 + 2.0 ** -50)
+
+
 class _Kernel:
     """The set sums of one predicate call: R(S, T)(q) =
     sum_n R(S[n], T[n])(q) for pairs (S, T) of the call's sets, with
@@ -183,7 +313,11 @@ class _Kernel:
     Exact results are rounded under `rounding_bound`; approx sequences
     (K = 1) take complex transforms and keep their values unrounded.
     The spectra exist only while `sums` runs, and so does the stack
-    unless the caller keeps it in `digits` for several calls.
+    unless the caller keeps it in `digits` for several calls.  `check`
+    decides a predicate's pairs by the certificate pass (`_certify`)
+    where its bound holds, and by `sums` otherwise; when the
+    certificate rejects a pair it keeps the stack in `digits` for the
+    report's deferred pass.
 
     Even orders are folded by zeta_K^(K/2) = -1, so a stack holds K/2
     rows (K for odd K, 1 in approx mode) per shift.
@@ -217,7 +351,9 @@ class _Kernel:
         rows, width); the limb width b in bits (0: one limb); the
         rounding bound that certifies the pass (nan in approx mode); the
         dtype of the sums, int64 when every value and every step of
-        their recombination (each below energy + 2^52) fits.
+        their recombination (each below energy + 2^52) fits; the largest
+        set energy of the stack before any split into limbs (nan in
+        approx mode), which `certificate_bound` takes.
 
         A stack of int64 sequences (coefficients below
         INT64_COEFF_BOUND) converts to float exactly.  A sequence of
@@ -226,7 +362,7 @@ class _Kernel:
         CoefficientLimitError names the cap), so that the stack
         converts to float too."""
         if not self.exact:
-            return self._dense(complex)[:, :, None], 0, math.nan, complex
+            return self._dense(complex)[:, :, None], 0, math.nan, complex, math.nan
         big = [s.array for ss in self.sets for s in ss if s.array.dtype == object]
         if big:
             for a in big:
@@ -238,7 +374,7 @@ class _Kernel:
         energy = float(np.einsum("smkl,smkl->s", dense, dense).max())
         bound = rounding_bound(energy, self.order, self.size, self.members)
         if bound < 0.5:
-            return dense[:, :, None], 0, bound, np.int64
+            return dense[:, :, None], 0, bound, np.int64, energy
         # Too large to round in one piece: every coefficient becomes n
         # signed base-2^b digits, least significant first.  A set sum is
         # then sum_k 2^(bk) R_k, where R_k sums over the members and over
@@ -259,7 +395,7 @@ class _Kernel:
         b = max(b for b in range(1, 53) if limb_bound(b) < 0.5)
         digits = np.stack([(mags >> i) & ((1 << b) - 1) for i in range(0, bits, b)], axis=2)
         return (digits.astype(float) * np.where(ints < 0, -1.0, 1.0)[:, :, None], b,
-                limb_bound(b), np.int64 if energy < 2.0 ** 61 else object)
+                limb_bound(b), np.int64 if energy < 2.0 ** 61 else object, energy)
 
     def _forward(self, dense: np.ndarray) -> np.ndarray:
         """Conjugated spectrum of a dense stack: the half-spectrum
@@ -303,38 +439,42 @@ class _Kernel:
         is component r of member n), folded by zeta_K^(K/2) = -1 for
         even K.  Sequences come as int64 arrays unless a coefficient is
         past INT64_COEFF_BOUND, so a float stack is filled by numpy's
-        own casts, not one Python int at a time."""
+        own casts, not one Python int at a time.  When every sequence
+        has the call's order and n * width entries, one conversion of
+        all the arrays and one reshape lay the stack out."""
         n = self.phases
-        out = np.zeros((len(self.sets), len(self.sets[0]) * n, self.order, self.width), dtype)
-        for m, ss in enumerate(self.sets):
-            for i, s in enumerate(ss):
-                rows = out[m, i * n:(i + 1) * n, ::self.order // s.order]
-                for r in range(n):
-                    part = s.array[..., r::n]
-                    rows[r, :, :part.shape[-1]] = part
+        sets, members = len(self.sets), len(self.sets[0]) * n
+        arrays = [s.array for ss in self.sets for s in ss]
+        if {a.shape for a in arrays} == {(self.order, self.width * n)}:
+            out = np.array(arrays, dtype).reshape(sets, -1, self.order, self.width, n)
+            out = out.transpose(0, 1, 4, 2, 3).reshape(sets, members, self.order, self.width)
+        else:
+            out = np.zeros((sets, members, self.order, self.width), dtype)
+            for m, ss in enumerate(self.sets):
+                for i, s in enumerate(ss):
+                    rows = out[m, i * n:(i + 1) * n, ::self.order // s.order]
+                    for r in range(n):
+                        part = s.array[..., r::n]
+                        rows[r, :, :part.shape[-1]] = part
         if self.rows < self.order:
             return out[:, :, :self.rows] - out[:, :, self.rows:]
         return out
 
-    def sums(self, pairs, rotate: bool = False) -> np.ndarray:
+    def sums(self, pairs, rotate: bool = False, digits=None) -> np.ndarray:
         """(pairs, 2 hull + 1, rows) stack of the set sums of each
         (left, right) pair of set indices: [p, hull + q, d] holds the
         coefficient of zeta_K^d at shift q, folded for even K.  With
         `rotate` the members of the left set are taken cyclically
-        shifted by one (member n + 1 pairs with member n)."""
-        stack, b, bound, dtype = self.digits or self._digits()
+        shifted by one (member n + 1 pairs with member n).  `digits`
+        is a `_digits()` the caller has already made."""
+        stack, b, bound, dtype, _ = digits or self.digits or self._digits()
         sets, members, limbs, rows, _ = stack.shape
         freqs = self.size // 2 + 1 if self.exact else self.size
         block = max(1, _SPECTRA_MAX // (members * limbs * rows * freqs))
         if block < sets or limbs > 1:
-            # imported here: only these calls log, and importing logging
-            # costs a process about 1 MB of resident memory
-            import logging
-
-            logging.getLogger("cocodes").debug(
-                "spectral pass: %d blocks of up to %d sets, %d limbs of %d bits; "
-                "rounding bound %.3g, headroom %.3g of 1/2", -(-sets // block), block,
-                limbs, b, bound, 0.5 / bound if bound else math.inf)
+            _debug("spectral pass: %d blocks of up to %d sets, %d limbs of %d bits; "
+                   "rounding bound %.3g, headroom %.3g of 1/2", -(-sets // block), block,
+                   limbs, b, bound, _headroom(bound))
         hull = self.hull
         cols = -np.arange(-hull, hull + 1) % self.size
         out = np.empty((len(pairs), 2 * hull + 1, rows), dtype)
@@ -385,24 +525,165 @@ class _Kernel:
     def check(self, pairs) -> list:
         """PairResult of each (left, right) pair over the shifts of its
         own hull; the zero shift of an auto pair may hold its energy
-        peak."""
-        acc = self.sums(pairs)
-        hulls = [max(self.widths[m], self.widths[mp]) - 1 for m, mp in pairs]
-        zero = self.zeros(acc)
-        zero[[p for p, (m, mp) in enumerate(pairs) if m == mp], self.hull] = True
-        for p, h in enumerate(hulls):
-            if h < self.hull:  # shifts past a pair's own hull are not in its report
-                zero[p, :self.hull - h] = zero[p, self.hull + h + 1:] = True
+        peak.  The certificate (`_certify`) decides every pair when its
+        bound is below 1/2 on a one-limb exact stack; otherwise the
+        per-shift pass decides here.  Either way the per-shift pass is
+        what a report's violations and values are read from (`_Scan`).
+        A debug record names the path and why."""
+        digits = self.digits or self._digits()
+        stack, _, _, _, energy = digits
+        limbs = stack.shape[2]
+        scan = _Scan(self, pairs)
+        cert = math.nan
+        if self.exact:
+            cert = certificate_bound(energy, self.rows, self.members, self.width,
+                                     _pow2(2 * self.width - 1))
+        reason = ("approx" if not self.exact else "bound" if not cert < 0.5 else
+                  "limbs" if limbs > 1 else None)
+        if reason is None:
+            accepted = (self._certify(stack[:, :, 0], pairs, cert) < 0.5).tolist()
+            if not all(accepted):  # a failing report is likely read: keep its stack
+                self.digits = digits
+            _debug("check by certificate: %d of %d pairs accepted, %d rejected; "
+                   "bound %.3g, headroom %.3g of 1/2", sum(accepted), len(pairs),
+                   len(pairs) - sum(accepted), cert, _headroom(cert))
+        else:
+            scan.run(digits)
+            accepted = [None] * len(pairs)
+            _debug("check per shift (%s): %d pairs, %d limbs; certificate bound %.3g, "
+                   "headroom %.3g of 1/2", reason, len(pairs), limbs, cert, _headroom(cert))
         step = self.step
-        bad = [[] for _ in pairs]
-        for p, col in np.argwhere(~zero).tolist():
-            bad[p].append((col - self.hull) * step)
+        shifts = {}  # pairs of one hull share their list of shifts
         out = []
-        for p, ((m, mp), h) in enumerate(zip(pairs, hulls)):
-            shifts = list(range(-h * step, h * step + 1, step))
-            out.append(PairResult(m, mp, shifts, bad[p],
-                                  acc[p, self.hull - h:self.hull + h + 1], self.order))
+        for p, ((m, mp), h, ok) in enumerate(zip(pairs, scan.hulls, accepted)):
+            if h not in shifts:
+                shifts[h] = list(range(-h * step, h * step + 1, step))
+            out.append(PairResult(m, mp, shifts[h], self.order, scan, p, ok))
         return out
+
+    def _roots(self) -> Optional[np.ndarray]:
+        """(roots, rows) matrix that evaluates a stack's exponent axis
+        at zeta_K^-e for each e < K/2 prime to K: one primitive root of
+        each conjugate pair.  None for K <= 2, whose one row is its own
+        value.  Row j of a folded even order is z^j with z^(K/2) = -1,
+        which every primitive root satisfies."""
+        k = self.order
+        if self.rows == 1:
+            return None
+        units = [e for e in range(1, (k + 1) // 2) if math.gcd(e, k) == 1]
+        return np.exp(-2j * np.pi / k * (np.outer(units, np.arange(self.rows)) % k))
+
+    def _root_spectra(self, block: np.ndarray, root, size: int, gram: bool) -> tuple:
+        """(spectra, energies) of a (sets, members, rows, width) block at
+        one of the certificate's roots (a row of `_roots`, None at K <= 2):
+        the transform over positions, zero-padded to `size`, of each
+        member's values at the root (the real half-spectrum at K <= 2),
+        laid out (sets, members, freqs), or (freqs, sets, members) for a
+        Gram by `matmul`; and each set's shift-0 sum
+        sum_n sum_l |x_n(l)|^2 at the root."""
+        if root is None:
+            x = block[:, :, 0]
+            spectra = np.fft.rfft(x, n=size)
+            energies = np.einsum("sml,sml->s", x, x)
+        else:
+            x = np.empty(block.shape[:2] + block.shape[3:], complex)
+            # two real products: the stack is never cast to complex
+            np.matmul(root.real, block, out=x.real)
+            np.matmul(root.imag, block, out=x.imag)
+            energies = np.einsum("sml,sml->s", x.real, x.real) + np.einsum(
+                "sml,sml->s", x.imag, x.imag)
+            spectra = np.fft.fft(x, n=size)
+        if gram:
+            spectra = np.ascontiguousarray(spectra.transpose(2, 0, 1))
+        return spectra, energies
+
+    def _certify(self, dense: np.ndarray, pairs, bound: float) -> np.ndarray:
+        """max |v| of each pair over its certificate values v (see the
+        module docstring): the member sums of the spectra at every
+        retained root and frequency, less an auto pair's shift-0 sum.
+        The roots are taken one at a time, so a pass holds the spectra
+        of one root; the sets of one root are split into blocks only
+        when they alone pass `_SPECTRA_MAX`.  Calls of more than
+        `_GRAM_SETS` sets take each frequency's Gram matrix of a block
+        pair by one batched `matmul`; fewer take a product summed over
+        members per pair, which stays fast when few sets have long
+        spectra."""
+        sets, members, _, width = dense.shape
+        size = _pow2(2 * width - 1)
+        roots = self._roots()
+        freqs = size // 2 + 1 if roots is None else size
+        block = max(1, _SPECTRA_MAX // (members * freqs))
+        if block < sets:
+            _debug("spectral pass: %d blocks of up to %d sets, 1 limbs of 0 bits; "
+                   "certificate bound %.3g, headroom %.3g of 1/2", -(-sets // block), block,
+                   bound, _headroom(bound))
+        gram = sets > _GRAM_SETS
+        worst = np.zeros(len(pairs))
+        groups = {}
+        for p, (m, mp) in enumerate(pairs):
+            groups.setdefault((m // block, mp // block), []).append(p)
+        for root in [None] if roots is None else roots:
+            spectra = {}
+            for (lb, rb), idx in sorted(groups.items()):
+                # keep the spectra of this left and right block only
+                spectra = {k: spectra[k] if k in spectra else self._root_spectra(
+                    dense[k * block:(k + 1) * block], root, size, gram) for k in {lb, rb}}
+                (left, energies), (right, _) = spectra[lb], spectra[rb]
+                lefts = [pairs[p][0] - lb * block for p in idx]
+                rights = [pairs[p][1] - rb * block for p in idx]
+                if gram:
+                    g = left @ right.conj().swapaxes(-1, -2)
+                    if lb == rb:
+                        diag = np.arange(g.shape[-1])
+                        g[:, diag, diag] -= energies
+                    found = np.abs(g).max(axis=0)[lefts, rights]
+                else:
+                    found = []
+                    for p, m, mp in zip(idx, lefts, rights):
+                        g = np.einsum("nf,nf->f", left[m], right[mp].conj())
+                        if pairs[p][0] == pairs[p][1]:
+                            g -= energies[m]
+                        found.append(np.abs(g).max())
+                worst[idx] = np.maximum(worst[idx], found)
+        return worst
+
+
+class _Scan:
+    """The per-shift pass of one `check` over its pairs: one `sums`
+    over all of them and the zero mask of that stack, as the pass has
+    always decided.  A report runs it once, when the first of its
+    pairs' violations, sums or values is read, unless the certificate
+    did not apply and `check` ran it already."""
+
+    def __init__(self, kernel: _Kernel, pairs):
+        self.kernel = kernel
+        self.pairs = pairs
+        self.hulls = [max(kernel.widths[m], kernel.widths[mp]) - 1 for m, mp in pairs]
+        self.found = None  # (sums stack, violated shifts per pair) once run
+
+    def run(self, digits=None):
+        k = self.kernel
+        acc = k.sums(self.pairs, digits=digits)
+        zero = k.zeros(acc)
+        zero[[p for p, (m, mp) in enumerate(self.pairs) if m == mp], k.hull] = True
+        for p, h in enumerate(self.hulls):
+            if h < k.hull:  # shifts past a pair's own hull are not in its report
+                zero[p, :k.hull - h] = zero[p, k.hull + h + 1:] = True
+        bad = [[] for _ in self.pairs]
+        for p, col in np.argwhere(~zero).tolist():
+            bad[p].append((col - k.hull) * k.step)
+        self.found = acc, bad
+
+    def violations(self, p: int) -> list:
+        if self.found is None:
+            self.run()
+        return self.found[1][p]
+
+    def sums(self, p: int) -> np.ndarray:
+        if self.found is None:
+            self.run()
+        hull, h = self.kernel.hull, self.hulls[p]
+        return self.found[0][p, hull - h:hull + h + 1]
 
 
 def _scalars(cols: np.ndarray, order: int) -> list:
@@ -447,15 +728,27 @@ def corr_sum_profile(ss: SequenceSet, tt: SequenceSet) -> CorrelationProfile:
 class PairResult:
     """Checked profile of one (set, set) pair: the scanned shifts and
     those whose residual failed to vanish (the zero shift of an auto
-    pair is allowed its energy peak).  The values over the shifts are
-    built from the pair's slice of the kernel's sums when read."""
+    pair is allowed its energy peak).  `accepted` is the certificate's
+    verdict, None when the per-shift pass decided.  The violations, the
+    pair's slice of the kernel's sums and the values built from it come
+    from the pair's `_Scan`, run when one of them is first read; a pair
+    the certificate accepted has no violations without it."""
 
     left: int
     right: int
     shifts: list
-    violations: list  # offending shifts
-    sums: np.ndarray = field(compare=False, repr=False)
     order: int = field(compare=False, repr=False)
+    scan: _Scan = field(compare=False, repr=False)
+    index: int = field(compare=False, repr=False)
+    accepted: Optional[bool] = field(default=None, compare=False, repr=False)
+
+    @property
+    def violations(self) -> list:  # offending shifts
+        return [] if self.accepted else self.scan.violations(self.index)
+
+    @property
+    def sums(self) -> np.ndarray:
+        return self.scan.sums(self.index)
 
     @property
     def values(self) -> list:
@@ -463,7 +756,7 @@ class PairResult:
 
     @property
     def ok(self) -> bool:
-        return not self.violations
+        return self.accepted if self.accepted is not None else not self.violations
 
 
 @dataclass

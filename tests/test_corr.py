@@ -1,13 +1,16 @@
 """Correlations, correlation sums, and the defining predicates."""
 
+import cmath
 import json
 import logging
 import math
+import os
 import random
 import re
 import time
 from functools import reduce
 
+import numpy as np
 import pytest
 from hypothesis import HealthCheck, given, settings
 from hypothesis import strategies as st
@@ -43,6 +46,8 @@ from cocodes import (
 )
 from cocodes import corr, cyclo
 from cocodes.cli import EXIT_OK, family_to_doc, main
+
+ROOT = os.path.dirname(os.path.dirname(os.path.abspath(__file__)))
 
 
 def ints(values):
@@ -388,6 +393,32 @@ class TestZone:
         assert zccc_zone(fam) == zone
         assert calls == {"init": 1, "digits": 1}
 
+    @pytest.mark.parametrize("cap", [None, 0], ids=["one block", "a block per set"])
+    def test_only_the_rotated_pass_takes_forward_spectra(self, caplog, monkeypatch, cap):
+        # the certificate decides the CCC check, so a zone call takes the
+        # per-shift spectra of its blocks in the rotated pass alone
+        fam = enlarge_ccc(
+            cosf_to_ccc(execute(plan(4, [16]), verify=False).family, dft_matrix(4)),
+            [hadamard_matrix(2)] * 4)
+        zone = zone_by_acorr(fam)
+        if cap is not None:
+            monkeypatch.setattr(corr, "_SPECTRA_MAX", cap)
+        calls = []
+        forward = corr._Kernel._forward
+        monkeypatch.setattr(corr._Kernel, "_forward",
+                            lambda self, dense: calls.append(len(dense)) or forward(self, dense))
+        with caplog.at_level(logging.DEBUG, logger="cocodes"):
+            assert zccc_zone(fam) == zone
+        assert path_records(caplog) == ["certificate"]
+        in_zone = calls[:]
+        calls.clear()
+        count = fam.family_size
+        corr._Kernel(list(fam)).sums([(m, mp) for m in range(count) for mp in range(count)],
+                                     rotate=True)
+        assert in_zone == calls
+        if cap is None:
+            assert calls == [count]
+
 
 class TestSizeBound:
     def test_cosf_bound(self, cosf_2_of_4):
@@ -472,6 +503,22 @@ def kernel_records(caplog):
     into blocks or its coefficients into limbs."""
     return [r.getMessage() for r in caplog.records
             if r.name == "cocodes" and "spectral pass" in r.getMessage()]
+
+
+def path_records(caplog):
+    """The pass that decided each kernel check, from its debug record:
+    "certificate", or "per-shift: " and the reason."""
+    out = []
+    for r in caplog.records:
+        msg = r.getMessage()
+        if r.name != "cocodes":
+            continue
+        if msg.startswith("check by certificate"):
+            out.append("certificate")
+        found = re.match(r"check per shift \((\w+)\)", msg)
+        if found:
+            out.append(f"per-shift: {found.group(1)}")
+    return out
 
 
 def record_counts(record):
@@ -876,3 +923,318 @@ class TestSpectralKernel:
                               tol=0.0)):
             for pair in report.pairs:
                 assert set(pair.violations) <= set(pair.shifts)
+
+
+# -- the certificate pass and the deferred report ------------------------
+
+
+def per_shift(check, *args):
+    """`check(*args)` with the certificate switched off: the report the
+    per-shift pass decides and builds at once."""
+    with pytest.MonkeyPatch.context() as mp:
+        mp.setattr(corr, "certificate_bound", lambda *bound_args: math.inf)
+        return check(*args)
+
+
+def definitional_verdict(fam, left, right, shifts):
+    """Whether summed `acorr` vanishes at every shift but an auto
+    pair's zero shift."""
+    return all(summed_acorr(fam[left], fam[right], tau).is_zero()
+               for tau in shifts if not (left == right and tau == 0))
+
+
+def perturbed(fam, data):
+    """`fam` with one drawn entry times a drawn root of unity other than
+    1 or plus a drawn nonzero integer; the copy may still be clean."""
+    m = data.draw(st.integers(0, len(fam) - 1))
+    n = data.draw(st.integers(0, len(fam[m]) - 1))
+    entries = list(fam[m][n])
+    p = data.draw(st.integers(0, len(entries) - 1))
+    k = max(family_order(fam), 2)
+    if data.draw(st.booleans()):
+        entries[p] = entries[p] * CycloNum.root(k, data.draw(st.integers(1, k - 1)))
+    else:
+        entries[p] = entries[p] + CycloNum.from_int(data.draw(st.sampled_from([-2, -1, 1, 2])))
+    sets = list(fam)
+    sets[m] = SequenceSet(Sequence(entries) if i == n else s for i, s in enumerate(fam[m]))
+    return SequenceFamily(sets)
+
+
+CERTIFIED_CCCS = [
+    lambda: ccc_from_unitary(hadamard_matrix(2)),
+    lambda: ccc_from_unitary(dft_matrix(3)),
+    lambda: ccc_from_unitary(dft_matrix(4)),
+    lambda: cosf_to_ccc(execute(plan(4, [16]), verify=False).family, dft_matrix(4)),
+    lambda: cosf_to_ccc(execute(plan(6, [12]), verify=False).family, dft_matrix(6)),
+]
+CERTIFIED_COSFS = [
+    (lambda: generate_cosf(hadamard_matrix(2), [[0, 1]], [hadamard_matrix(2)]), 2),
+    (lambda: execute(plan(3, [9]), verify=False).family, 3),
+    (lambda: execute(plan(6, [12, 18]), verify=False).family, 6),
+]
+
+
+class TestCertificate:
+    def assert_certified(self, caplog, report, per_shift_report, fam, checks=1):
+        """Every pair of `report` decided by the certificate, as the
+        per-shift pass and summed `acorr` decide it."""
+        assert path_records(caplog) == ["certificate"] * checks
+        assert [(p.left, p.right, p.shifts) for p in report.pairs] == \
+            [(p.left, p.right, p.shifts) for p in per_shift_report.pairs]
+        for pair, old in zip(report.pairs, per_shift_report.pairs):
+            assert pair.accepted is not None and old.accepted is None
+            assert pair.accepted == old.ok == definitional_verdict(
+                fam, pair.left, pair.right, pair.shifts)
+
+    @settings(max_examples=60, deadline=None,
+              suppress_health_check=[HealthCheck.function_scoped_fixture])
+    @given(mixed_families())
+    def test_random_families_match_per_shift_and_acorr(self, caplog, fam):
+        caplog.clear()
+        with caplog.at_level(logging.DEBUG, logger="cocodes"):
+            report = is_ccc(fam)
+            (pair,) = is_complementary_set(fam[-1]).pairs
+        self.assert_certified(caplog, report, per_shift(is_ccc, fam), fam, checks=2)
+        assert pair.accepted == definitional_verdict(
+            SequenceFamily([fam[-1]]), 0, 0, pair.shifts)
+
+    @settings(max_examples=60, deadline=None,
+              suppress_health_check=[HealthCheck.function_scoped_fixture])
+    @given(st.lists(st.lists(mixed_entries(), min_size=1, max_size=9), min_size=1, max_size=3),
+           st.integers(1, 4))
+    def test_random_lattices_match_per_shift_and_acorr(self, caplog, rows, n):
+        fam = singleton_family([Sequence(r) for r in rows])
+        caplog.clear()
+        with caplog.at_level(logging.DEBUG, logger="cocodes"):
+            report = is_n_co_sf(fam, n)
+        self.assert_certified(caplog, report, per_shift(is_n_co_sf, fam, n), fam)
+
+    @settings(max_examples=25, deadline=None,
+              suppress_health_check=[HealthCheck.function_scoped_fixture])
+    @given(st.sampled_from(CERTIFIED_CCCS), st.booleans(), st.data())
+    def test_near_miss_cccs_match_per_shift_and_acorr(self, caplog, build, clean, data):
+        fam = build() if clean else perturbed(build(), data)
+        caplog.clear()
+        with caplog.at_level(logging.DEBUG, logger="cocodes"):
+            report = is_ccc(fam)
+        self.assert_certified(caplog, report, per_shift(is_ccc, fam), fam)
+        assert report.ok or not clean
+
+    @settings(max_examples=40, deadline=None,
+              suppress_health_check=[HealthCheck.function_scoped_fixture])
+    @given(st.sampled_from(CERTIFIED_COSFS), st.booleans(), st.data())
+    def test_near_miss_cosfs_match_per_shift_and_acorr(self, caplog, base, clean, data):
+        build, n = base
+        fam = build() if clean else perturbed(build(), data)
+        caplog.clear()
+        with caplog.at_level(logging.DEBUG, logger="cocodes"):
+            report = is_n_co_sf(fam, n)
+        self.assert_certified(caplog, report, per_shift(is_n_co_sf, fam, n), fam)
+
+    def test_sum_zero_modulo_phi6_but_not_z6_minus_1_accepted(self, caplog):
+        # shift 0 of the cross sum is 1 - zeta + zeta^2, which Phi_6 =
+        # z^2 - z + 1 divides and z^6 - 1 does not: the folded stack holds
+        # the nonzero row (1, -1, 1), whose values at zeta_6^(+-1) are 0
+        one, zeta = CycloNum.from_int(1), CycloNum.root(6, 1)
+        fam = SequenceFamily([
+            SequenceSet([Sequence([one]), Sequence([-zeta]), Sequence([zeta * zeta])]),
+            SequenceSet([Sequence([one])] * 3)])
+        with caplog.at_level(logging.DEBUG, logger="cocodes"):
+            report = is_ccc(fam)
+            assert report.ok
+        assert path_records(caplog) == ["certificate"]
+        cross = report.pairs[2]
+        assert (cross.left, cross.right, cross.accepted) == (0, 1, True)
+        assert cross.sums.tolist() == [[1, -1, 1]]
+        assert cross.values[0].is_zero() and cross.violations == []
+
+    @pytest.mark.parametrize("power, c", [(3, 2), (4, 3), (5, 1)])
+    def test_lone_unit_times_small_integer_rejected(self, caplog, power, c):
+        # u = (1 - zeta_12)^power is a unit (Phi_12(1) = 1): its
+        # conjugates have |u| = (2 sin(k pi / 12))^power, far below 1/2 at
+        # zeta_12^(+-1) and far above it at zeta_12^(+-5), so a pass that
+        # read one conjugate pair only would accept c u
+        zeta, a = CycloNum.root(12, 1), CycloNum.from_int(c)
+        for _ in range(power):
+            a = a * (CycloNum.from_int(1) - zeta)
+        def conjugate(e):
+            return abs(sum(x * cmath.exp(2j * math.pi * e * j / 12)
+                           for j, x in enumerate(a.promote(12).coeffs)))
+
+        assert conjugate(1) < 0.5 < 1 < conjugate(5)
+        zero = CycloNum.zero(12)
+        fam = singleton_family([Sequence([zero, a, zero]),
+                                Sequence([CycloNum.from_int(1), zero, zero])])
+        with caplog.at_level(logging.DEBUG, logger="cocodes"):
+            report = is_ccc(fam)
+            assert not report.ok
+        assert path_records(caplog) == ["certificate"]
+        assert [p.accepted for p in report.pairs] == [True, True, False]
+        cross = report.pairs[2]
+        assert cross.violations == [-1]
+        assert cross.values[cross.shifts.index(-1)] == a
+
+    def test_planner_ccc_takes_the_certificate(self, caplog):
+        fam = cosf_to_ccc(execute(plan(6, [216]), verify=False).family, dft_matrix(6))
+        with caplog.at_level(logging.DEBUG, logger="cocodes"):
+            assert is_ccc(fam).ok
+        assert path_records(caplog) == ["certificate"]
+        (record,) = [r.getMessage() for r in caplog.records
+                     if r.getMessage().startswith("check by")]
+        found = re.search(r"21 of 21 pairs accepted, 0 rejected; bound (\S+), "
+                          r"headroom (\S+) of 1/2", record)
+        bound, headroom = map(float, found.groups())
+        assert 0 < bound < 0.5 and headroom == pytest.approx(0.5 / bound, rel=1e-2)
+
+    def test_scaled_hadamard_family_takes_per_shift_for_its_bound(self, caplog):
+        # the benchmark's fallback family: H4 scaled by 2^20, connected
+        h = custom_matrix([[x.coeffs[0] * 2 ** 20 for x in row]
+                           for row in hadamard_matrix(4).entries])
+        fam = generate_cosf(h, [[0, 1, 2, 3]], [h])
+        with caplog.at_level(logging.DEBUG, logger="cocodes"):
+            report = is_n_co_sf(fam, 4)
+            assert report.ok
+        assert path_records(caplog) == ["per-shift: bound"]
+        assert all(p.accepted is None for p in report.pairs)
+        (record,) = [r.getMessage() for r in caplog.records
+                     if r.getMessage().startswith("check per shift")]
+        assert float(re.search(r"certificate bound (\S+),", record).group(1)) >= 0.5
+
+    def test_approx_family_takes_per_shift(self, caplog, golden_ccc_2x2):
+        approx = SequenceFamily(SequenceSet(Sequence([x.numeric() for x in seq]) for seq in ss)
+                                for ss in golden_ccc_2x2)
+        with caplog.at_level(logging.DEBUG, logger="cocodes"):
+            assert is_ccc(approx).ok
+        assert path_records(caplog) == ["per-shift: approx"]
+
+    @pytest.mark.parametrize("width", [1, 2, 3, 216, 2 ** 20])
+    def test_bound_grows_with_each_size(self, width):
+        size = corr._pow2(2 * width - 1)
+        base = corr.certificate_bound(1.0, 1, 2, width, size)
+        assert base > 0
+        assert corr.certificate_bound(2.0, 1, 2, width, size) == pytest.approx(2 * base)
+        assert corr.certificate_bound(1.0, 6, 2, width, size) > 6 * base
+        assert corr.certificate_bound(1.0, 1, 4, width, size) > base
+        assert corr.certificate_bound(1.0, 1, 2, width, 2 * size) > base
+
+
+def verify_workload_cases(monkeypatch):
+    """(name, build, check) of every op of the verify workload (seed 1,
+    full scale), clean and near-miss."""
+    monkeypatch.syspath_prepend(os.path.join(ROOT, "perfbench"))
+    import workloads
+
+    return [(op.name, op.fresh, op.run) for op in workloads.verify(1, "full").ops]
+
+
+def near(fam):
+    """`fam` with the first entry of its first sequence negated."""
+    entries = list(fam[0][0])
+    entries[0] = -entries[0]
+    return SequenceFamily([SequenceSet([Sequence(entries)] + list(fam[0])[1:])] + list(fam)[1:])
+
+
+def family_cases():
+    """(name, build, check) of the families these tests build, each beside
+    a near-miss copy."""
+    h2 = hadamard_matrix(2)
+    ccc = [
+        ("golden 2x2", lambda: SequenceFamily([
+            SequenceSet([from_signs("+++-"), from_signs("+-++")]),
+            SequenceSet([from_signs("++-+"), from_signs("+---")])])),
+        ("hadamard2", lambda: ccc_from_unitary(h2)),
+        ("dft3", lambda: ccc_from_unitary(dft_matrix(3))),
+        ("hadamard4", lambda: ccc_from_unitary(hadamard_matrix(4))),
+        ("4x4 L=16", lambda: cosf_to_ccc(execute(plan(4, [16]), verify=False).family,
+                                         dft_matrix(4))),
+        ("8x8 L=32", lambda: enlarge_ccc(
+            cosf_to_ccc(execute(plan(4, [16]), verify=False).family, dft_matrix(4)),
+            [h2] * 4)),
+        ("2x2 L=256", lambda: cosf_to_ccc(execute(plan(2, [256]), verify=False).family, h2)),
+        ("2x2 scaled 2^40", lambda: SequenceFamily(
+            SequenceSet(s.scale(CycloNum.from_int(2 ** 40)) for s in ss)
+            for ss in ccc_from_unitary(h2))),
+    ]
+    cosf = [
+        ("2-of-4", lambda: generate_cosf(h2, [[0, 1]], [h2]), 2),
+        ("6 mixed", lambda: generate_cosf(dft_matrix(6), [[0, 1], [2, 3, 4, 5]],
+                                          [h2, hadamard_matrix(4)]), 6),
+        ("3-of-27", lambda: execute(plan(3, [27]), verify=False).family, 3),
+        ("2^64 probe", lambda: scaled_hadamard_cosf(2 ** 32), 2),
+    ]
+    cases = []
+    for name, build in ccc:
+        cases.append((f"is_ccc {name}", build, is_ccc))
+        cases.append((f"is_ccc {name} near-miss", lambda b=build: near(b()), is_ccc))
+        cases.append((f"is_complementary_set {name}", build,
+                      lambda fam: is_complementary_set(fam[0])))
+    for name, build, n in cosf:
+        cases.append((f"is_n_co_sf {name}", build, lambda fam, n=n: is_n_co_sf(fam, n)))
+        cases.append((f"is_n_co_sf {name} near-miss", lambda b=build: near(b()),
+                      lambda fam, n=n: is_n_co_sf(fam, n)))
+    return cases
+
+
+class TestDeferredReport:
+    @staticmethod
+    def assert_same_as_eager(monkeypatch, build, check):
+        """The report of `check(build())` against the one the per-shift
+        pass builds at once: reading its verdict runs no inverse
+        transform when the certificate decided, and every field read
+        afterwards is the eager report's."""
+        inverses = []
+        inverse = corr._Kernel._inverse
+        monkeypatch.setattr(corr._Kernel, "_inverse",
+                            lambda self, prod: inverses.append(1) or inverse(self, prod))
+        report = check(build())
+        ok = report.ok
+        certified = all(p.accepted is not None for p in report.pairs)
+        assert (len(inverses) == 0) == certified
+        monkeypatch.setattr(corr._Kernel, "_inverse", inverse)
+        eager = per_shift(check, build())
+        assert ok == eager.ok
+        assert report.problems == eager.problems
+        for pair, old in zip(report.pairs, eager.pairs):
+            assert (pair.left, pair.right, pair.ok) == (old.left, old.right, old.ok)
+            assert pair.shifts == old.shifts
+            assert pair.violations == old.violations
+            assert pair.sums.dtype == old.sums.dtype
+            assert np.array_equal(pair.sums, old.sums)
+        assert len(report.pairs) == len(eager.pairs)
+        assert report.render() == eager.render()
+        return certified
+
+    @pytest.mark.parametrize("case", family_cases(), ids=lambda case: case[0])
+    def test_families_of_the_tests(self, monkeypatch, case):
+        name, build, check = case
+        certified = self.assert_same_as_eager(monkeypatch, build, check)
+        assert certified == ("2^" not in name)
+
+    def test_verify_workload_families(self, monkeypatch):
+        cases = verify_workload_cases(monkeypatch)
+        assert len(cases) == 24
+        paths = {name: self.assert_same_as_eager(monkeypatch, build, check)
+                 for name, build, check in cases}
+        # the approx CCC and the 2^40 family, each clean and near-miss
+        per_shift_ops = [name for name, certified in paths.items() if not certified]
+        assert len(per_shift_ops) == 4
+        assert all("approx" in name or "fallback" in name for name in per_shift_ops)
+
+    def test_reading_a_rejected_pair_runs_one_pass_for_the_report(self, monkeypatch):
+        bad = near(cosf_to_ccc(execute(plan(4, [16]), verify=False).family, dft_matrix(4)))
+        values = [p.values for p in per_shift(is_ccc, bad).pairs]
+        runs, stacks = [], []
+        run, digits = corr._Scan.run, corr._Kernel._digits
+        monkeypatch.setattr(corr._Scan, "run", lambda self, *a: runs.append(1) or run(self, *a))
+        monkeypatch.setattr(corr._Kernel, "_digits",
+                            lambda self: stacks.append(1) or digits(self))
+        report = is_ccc(bad)
+        assert not report.ok and runs == []
+        # an accepted pair's violations are known without the pass
+        accepted = [p for p in report.pairs if p.accepted]
+        assert accepted and all(p.violations == [] for p in accepted) and runs == []
+        text = report.render()
+        assert runs == [1] and "tau=" in text
+        assert [p.values for p in report.pairs] == values
+        # both passes read the one stack the check densified
+        assert runs == [1] and stacks == [1]
