@@ -35,6 +35,7 @@ from __future__ import annotations
 
 import argparse
 import json
+import math
 import sys
 from functools import cache
 from itertools import chain
@@ -636,10 +637,19 @@ def build_parser() -> argparse.ArgumentParser:
     return parser
 
 
+def _check_tol(args) -> None:
+    """Refuse a `--tol` that is not a finite number >= 0: inf would pass
+    every shift, and nan or a negative value would flag every one."""
+    tol = getattr(args, "tol", DEFAULT_TOL)
+    if not (math.isfinite(tol) and tol >= 0):
+        raise DocumentError(f"bad --tol {tol!r}; expected a finite number >= 0")
+
+
 def main(argv=None) -> int:
     parser = build_parser()
     args = parser.parse_args(argv)
     try:
+        _check_tol(args)
         return args.func(args)
     except (DocumentError, OSError, OverflowError) as e:
         # overflow: a number past the float range

@@ -12,19 +12,34 @@ sequences by length.
 
 Output ordering is always the lexicographic order of the partition
 path (cell index, then row index), so constructions are deterministic.
+
+A cell's members are read once (`model.cell_terms`) for its energy check
+and all its connections.  Rows of DFT and Hadamard matrices connected
+with each other give entries of one term c * zeta^e each, so a cell of
+int64 members with exactly one term in every column, connected with sub
+rows of that kind too, takes the single-term path: each output is one
+gather of (exponent, coefficient) per column, exponents added mod K, and
+one scatter into zeros (`_single_connections`), and the energy check sums
+c^2 per member (`model.energies`).  Any other cell or sub row takes the
+term path, which pairs terms and sums their products: one with a zero
+entry (an identity sub-matrix), an entry of two or more terms, approx
+entries, or coefficients held as Python ints.  Both paths give the same
+arrays, in the same dtype.
 """
 
 from __future__ import annotations
 
+from functools import reduce
 from math import lcm
 
 import numpy as np
 
 from .corr import DEFAULT_TOL, is_ccc, is_n_co_sf
-from .cyclo import common_order
+from .cyclo import INT64_COEFF_BOUND, common_order
 from .matrices import UnitaryLike
 from .model import (
     EXACT,
+    CellTerms,
     ModeMismatchError,
     Sequence,
     SequenceFamily,
@@ -38,6 +53,7 @@ from .model import (
     scalar,
     scaled,
     side_by_side,
+    single_terms,
     singleton_family,
     terms,
     unequal_energies,
@@ -54,12 +70,21 @@ def connect(v: Sequence, cell: SequenceSet) -> Sequence:
     return _connections([v], cell, cell_terms(cell))[0]
 
 
-def _connections(vs, cell: SequenceSet, found) -> list:
+def _connections(vs, cell: SequenceSet, found: CellTerms) -> list:
     """connect(v, cell) for every v in `vs`, from the members' terms
-    `found` (see `model.cell_terms`): each block of an output is a member's
-    terms shifted into place, so the members are read once and no
-    concatenation is built."""
-    cell_order, members = found
+    `found` (see `model.cell_terms`), so the members are read once and no
+    concatenation is built.
+
+    When the members and every v are single-term (see `model.single_terms`),
+    the outputs are built by `_single_connections`.  Otherwise each block
+    of an output is a member's terms shifted into place and multiplied
+    term by term."""
+    if found.single is not None:
+        v_order = reduce(common_order, {v.order for v in vs}, 1)
+        row = single_terms([v.array for v in vs], v_order)
+        if row is not None:
+            return _single_connections(vs, found, row, v_order)
+    cell_order, members, _ = found
     m, width = len(cell), cell.length
     out = []
     for v in vs:
@@ -69,6 +94,46 @@ def _connections(vs, cell: SequenceSet, found) -> list:
         colmap = np.arange(k * width) // width % len(v)
         rows, cols, vals = multiply_terms(left, terms(v.array, order), colmap)
         out.append(Sequence._of_fitted(from_terms(rows, cols, vals, order, k * width)))
+    return out
+
+
+def _single_connections(vs, found: CellTerms, row, v_order: int) -> list:
+    """connect(v, cell) for every v in `vs` of a single-term cell, given
+    the single terms of the vs side by side (`row`, at `v_order`).
+
+    Entry l of block i of an output is the one term of member i mod M at
+    l times the one term of v[i mod len(v)]: one gather of the members'
+    columns (shared by the outputs of one block count and order), one of
+    v's entries, exponents added mod K and one scatter into zeros."""
+    (exps, coeffs), (v_exps, v_coeffs) = found.single, row
+    m, width = exps.shape
+    peak = int(np.abs(coeffs).max())
+    tiled = {}  # (k, order): the members' exponents and coefficients over k blocks
+    out = []
+    start = 0
+    for v in vs:
+        k, order = lcm(m, len(v)), common_order(found.order, v.order)
+        if (k, order) not in tiled:
+            blocks = np.arange(k) % m
+            tiled[k, order] = exps[blocks] * (order // found.order), coeffs[blocks]
+        block_exps, block_coeffs = tiled[k, order]
+        at = start + np.arange(k) % len(v)
+        start += len(v)
+        entry_coeffs = v_coeffs[at]
+        # each factor is below INT64_COEFF_BOUND, so no product wraps
+        vals = (block_coeffs * entry_coeffs[:, None]).ravel()
+        if order == 1:
+            array = vals.reshape(1, -1)
+        else:
+            # both exponents are below `order`, so their sum is below twice it
+            wrap = np.arange(2 * order) % order
+            sums = block_exps + (v_exps[at] * order // v_order)[:, None]
+            array = np.zeros((order, k * width), np.int64)
+            array[wrap[sums].ravel(), np.arange(k * width)] = vals
+        if peak * int(np.abs(entry_coeffs).max()) < INT64_COEFF_BOUND:
+            out.append(Sequence._of_fitted(array))
+        else:  # a product may be past the bound: in the dtype `_fit` gives
+            out.append(Sequence.of_array(array))
     return out
 
 

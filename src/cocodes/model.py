@@ -32,6 +32,16 @@ entrywise product), connection and the batched `energies` are built from
 these; `scaled`, behind `Sequence.scale` and expansion, multiplies an
 array by a scalar one term of the scalar at a time, each a rotation of
 the array's rows; zero is decided by `cyclo.zero_rows`.
+
+Every sequence the paper's constructions build from DFT and Hadamard
+rows has exactly one nonzero term in every column.  Such int64 arrays are
+also read as one (exponent, coefficient) per column (`single_terms`), and
+a cell of them (`cell_terms`) takes the single-term path: connection is a
+gather and a scatter with no term pairing, and `energies` is the integer
+sum of c^2 per sequence (int64 while the largest c^2 times the length is
+below 2^63, Python ints past that).  An array with a zero entry, an entry
+of two terms, approx entries or Python-int coefficients takes the term
+path above; both paths give the same arrays in the same dtype.
 """
 
 from __future__ import annotations
@@ -39,7 +49,7 @@ from __future__ import annotations
 from functools import reduce
 from itertools import permutations
 from operator import itemgetter
-from typing import Iterable, Union
+from typing import Iterable, NamedTuple, Optional, Union
 
 import numpy as np
 
@@ -130,6 +140,28 @@ def terms(a: np.ndarray, order: int) -> tuple:
     terms of an array, column by column."""
     cols, rows = np.nonzero((a != 0).T)
     return cols, rows * (order // len(a)), a[rows, cols]
+
+
+def single_terms(arrays, order: int):
+    """(exponents over zeta_order, coefficients) of int64 arrays (orders
+    dividing `order`) side by side, one of each per column, when every
+    column holds exactly one nonzero term; None for any other arrays: one
+    with a zero entry, an entry of two terms, or coefficients that are
+    complex or Python ints."""
+    if any(a.dtype != np.int64 for a in arrays):
+        return None
+    stack = np.concatenate([_promote(a, order) for a in arrays], axis=1)
+    width = stack.shape[1]
+    if np.count_nonzero(stack) != width:
+        return None
+    # `width` nonzeros and a nonzero sum in every column: each column has
+    # exactly one, and the sum is it
+    coeffs = stack.sum(axis=0)
+    if not coeffs.all():
+        return None
+    if order == 1:
+        return np.zeros(width, np.int64), coeffs
+    return (stack != 0).argmax(axis=0), coeffs
 
 
 def multiply_terms(left: tuple, right: tuple, colmap: np.ndarray) -> tuple:
@@ -483,10 +515,27 @@ def singleton_family(sequences: Iterable[Sequence]) -> SequenceFamily:
 # -- energies ----------------------------------------------------------
 
 
-def cell_terms(seqs) -> tuple:
-    """(order, terms of every sequence at the sequences' common order)."""
+class CellTerms(NamedTuple):
+    """The terms of n sequences of one length at their common order, read
+    once for every operator of a cell.  When every sequence is single-term,
+    `single` holds their `single_terms` as two (n, length) arrays, and
+    `members` the same terms as views of them; otherwise `single` is None
+    and `members` holds each sequence's `terms`."""
+
+    order: int
+    members: list
+    single: Optional[tuple]
+
+
+def cell_terms(seqs) -> CellTerms:
+    """The `CellTerms` of `seqs`."""
     order = reduce(common_order, {s.order for s in seqs}, 1)
-    return order, [terms(s.array, order) for s in seqs]
+    single = single_terms([s.array for s in seqs], order)
+    if single is None:
+        return CellTerms(order, [terms(s.array, order) for s in seqs], None)
+    single = tuple(x.reshape(len(seqs), -1) for x in single)
+    cols = np.arange(single[0].shape[1])
+    return CellTerms(order, [(cols, e, c) for e, c in zip(*single)], single)
 
 
 def side_by_side(blocks, width: int) -> tuple:
@@ -497,11 +546,23 @@ def side_by_side(blocks, width: int) -> tuple:
             np.concatenate([x for _, _, x in blocks]))
 
 
-def energies(found, width: int) -> np.ndarray:
+def energies(found: CellTerms, width: int) -> np.ndarray:
     """(order, n) array of R_s(0) = sum |s(l)|^2 of the n sequences of
-    length `width` whose terms `found` holds (see `cell_terms`): every
-    term times the conjugate of every term in its column, in one batch."""
-    order, members = found
+    length `width` whose terms `found` holds, in the dtype `_fit` gives it.
+
+    Single-term sequences give the integer sum of c^2 per sequence (|c
+    zeta^e|^2 = c^2), as int64 while the largest c^2 times `width` stays
+    below 2^63 and as Python ints past that.  Otherwise every term is
+    multiplied by the conjugate of every term in its column, in one batch."""
+    order, members, single = found
+    if single is not None:
+        coeffs = single[1]
+        peak = int(np.abs(coeffs).max())
+        if peak * peak * width >= 2 ** 63:
+            coeffs = coeffs.astype(object)
+        out = np.zeros((order, len(coeffs)), coeffs.dtype)
+        out[0] = (coeffs * coeffs).sum(axis=1)
+        return _fit(out)
     cols, exps, vals = left = side_by_side(members, width)
     right = cols, -exps, np.conj(vals)
     rows, at, prods = multiply_terms(left, right, np.arange(len(members) * width))

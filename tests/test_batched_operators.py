@@ -3,11 +3,15 @@ the definition of scaling, one output at a time.
 
 `Sequence.scale` and `kron_expand` build each output by rotating and
 scaling the rows of the scaled array (`model.scaled`), and
-`_connections` multiplies terms.  The oracles below build every output
-on its own as the entrywise product of the sequence with a one-entry
-sequence (`model.product`), and the operators' outputs must hold the
-same arrays: the same coefficients, dtype and order.
+`_connections` multiplies terms, or gathers and scatters them when every
+entry is a single term.  The oracles below build every output on its own
+as the entrywise product of the sequence with a one-entry sequence
+(`model.product`), and the operators' outputs must hold the same arrays:
+the same coefficients, dtype and order.  The single-term path is also
+checked against the term path (`CellTerms` with `single` set to None).
 """
+
+from unittest import mock
 
 import numpy as np
 import pytest
@@ -24,12 +28,15 @@ from cocodes import (
     enlarge_ccc,
     execute,
     hadamard_matrix,
+    identity_matrix,
     is_ccc,
     kron_expand,
     plan,
 )
+from cocodes import construct
 from cocodes.construct import _connections
-from cocodes.model import cell_terms, concat, product
+from cocodes.cyclo import INT64_COEFF_BOUND
+from cocodes.model import cell_terms, concat, energies, product
 
 approx_entries = st.one_of(
     st.complex_numbers(allow_nan=True, allow_infinity=True),
@@ -90,6 +97,48 @@ APPROX = SequenceSet([
     Sequence([1.0, 0.5j, -2.0]),
     Sequence([0.0, 1 + 1j, 3.0]),
 ])
+
+# the largest coefficient an int64 array holds: a product of two is past
+# the bound, so an output holding one is in Python ints
+EDGE = INT64_COEFF_BOUND - 1
+
+
+def single_term(pairs, order):
+    """The int64 sequence whose entry l is c * zeta_order^e for the l-th
+    (e, c) of `pairs`."""
+    array = np.zeros((order, len(pairs)), np.int64)
+    for col, (e, c) in enumerate(pairs):
+        array[e, col] = c
+    return Sequence.of_array(array)
+
+
+@st.composite
+def single_term_sequences(draw, length=None, order=None):
+    """A sequence of one nonzero term per entry, of order 1..12, with
+    coefficients up to EDGE in magnitude."""
+    length = draw(st.integers(1, 6)) if length is None else length
+    order = draw(st.integers(1, 12)) if order is None else order
+    coeffs = st.sampled_from([1, -1, 2, -3, EDGE, -EDGE])
+    pairs = draw(st.lists(st.tuples(st.integers(0, order - 1), coeffs),
+                          min_size=length, max_size=length))
+    return single_term(pairs, order)
+
+
+@st.composite
+def single_term_cells(draw):
+    """1..5 single-term members of one length, each of the cell's order
+    (1..12) or of a divisor of it."""
+    order, width = draw(st.integers(1, 12)), draw(st.integers(1, 5))
+    divisors = [d for d in range(1, order + 1) if order % d == 0]
+    return SequenceSet(draw(st.lists(
+        st.sampled_from(divisors).flatmap(lambda d: single_term_sequences(width, d)),
+        min_size=1, max_size=5)))
+
+
+def spy_single():
+    """A spy on the single-term path of `_connections`."""
+    return mock.patch.object(construct, "_single_connections",
+                             wraps=construct._single_connections)
 
 
 class TestScale:
@@ -185,3 +234,65 @@ class TestConnections:
         vs = [Sequence([1.0, -1.0]), Sequence([0.5j, 1.0, 0.0])]
         assert_same_arrays(_connections(vs, APPROX, cell_terms(APPROX)),
                            [connect_by_product(v, APPROX) for v in vs])
+
+    @staticmethod
+    def check_single(vs, cell):
+        """The single-term path is taken and gives the oracle's arrays and
+        the term path's, byte for byte."""
+        found = cell_terms(cell)
+        assert found.single is not None
+        with spy_single() as spy:
+            got = _connections(vs, cell, found)
+        assert spy.call_count == 1
+        assert_same_arrays(got, [connect_by_product(v, cell) for v in vs])
+        assert_same_arrays(got, _connections(vs, cell, found._replace(single=None)))
+        return got
+
+    @settings(max_examples=300, deadline=None)
+    @given(single_term_cells(), st.lists(single_term_sequences(), min_size=1, max_size=3))
+    def test_single_term_cells(self, cell, vs):
+        self.check_single(vs, cell)
+
+    @pytest.mark.parametrize("m, n", [(2, 3), (3, 2), (4, 6), (5, 1), (1, 4)])
+    def test_single_term_repetition(self, m, n):
+        # m != len(v): the output has lcm(m, n) blocks
+        cell = SequenceSet(single_term([((i + l) % 12, (-1) ** l) for l in range(4)], 12)
+                           for i in range(m))
+        v = single_term([(j % 5, 2) for j in range(n)], 5)
+        got = self.check_single([v], cell)
+        assert len(got[0]) == m * n // np.gcd(m, n) * 4 and got[0].order == 60
+
+    @pytest.mark.parametrize("v_coeff, dtype", [(1, np.int64), (-1, np.int64),
+                                                (2, object), (-EDGE, object)])
+    def test_single_term_products_past_the_bound(self, v_coeff, dtype):
+        # EDGE * 1 fits the bound, EDGE * 2 does not: `_fit` picks the dtype
+        cell = SequenceSet([single_term([(0, EDGE), (1, -EDGE), (2, 1)], 3),
+                            single_term([(2, -EDGE), (0, 1), (1, EDGE)], 3)])
+        v = single_term([(1, v_coeff), (0, 1), (1, -1)], 2)
+        got = self.check_single([v], cell)
+        assert got[0].array.dtype == dtype
+
+    @pytest.mark.parametrize("near", ["zero entry", "1 + zeta", "identity sub"])
+    def test_near_misses_take_the_term_path(self, near):
+        members = [single_term([((i * l) % 6, 1) for l in range(4)], 6) for i in range(3)]
+        vs = dft_matrix(3).rows() + [single_term([(1, -1), (0, 1)], 4)]
+        if near == "zero entry":
+            members[1] = single_term([(0, 1), (3, 1), (0, 0), (1, -1)], 6)
+        elif near == "1 + zeta":
+            members[1] = Sequence([1, 1, ONE + CycloNum.root(6, 1), -ONE])
+        else:
+            vs = identity_matrix(3).rows()
+        cell = SequenceSet(members)
+        with spy_single() as spy:
+            got = _connections(vs, cell, cell_terms(cell))
+        assert not spy.called
+        assert_same_arrays(got, [connect_by_product(v, cell) for v in vs])
+
+
+class TestEnergies:
+    @settings(max_examples=200, deadline=None)
+    @given(single_term_cells())
+    def test_single_term_cells(self, cell):
+        found = cell_terms(cell)
+        got, want = energies(found, cell.length), energies(found._replace(single=None), cell.length)
+        assert_same_arrays([Sequence._of_fitted(got)], [Sequence._of_fitted(want)])

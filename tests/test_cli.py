@@ -12,9 +12,11 @@ from cocodes import (
     SequenceFamily,
     SequenceSet,
     ccc_from_unitary,
+    cosf_to_ccc,
     dft_matrix,
     equal_up_to_indexing,
     from_signs,
+    hadamard_matrix,
     plan,
     singleton_family,
 )
@@ -653,6 +655,44 @@ class TestZoneCommand:
         path = tmp_path / "c.json"
         write_json(path, family_to_doc(fam))
         assert main(["zone", str(path)]) == EXIT_VERIFY
+
+
+class TestTolArgument:
+    """`--tol` must be a finite number >= 0: inf would pass every shift of
+    a near-miss, nan or a negative value would flag every shift of a
+    clean family."""
+
+    @staticmethod
+    def near_miss(tmp_path):
+        """An approx 2x2 CCC of length 8 with one entry off by 1e-3."""
+        ccc = cosf_to_ccc(execute(plan(2, [8]), verify=False).family, hadamard_matrix(2))
+        sets = [[[complex(x.numeric()) for x in seq] for seq in ss] for ss in ccc]
+        sets[0][0][0] *= 1 + 1e-3
+        fam = SequenceFamily(SequenceSet(Sequence(seq) for seq in ss) for ss in sets)
+        path = tmp_path / "near.json"
+        write_json(path, family_to_doc(fam, kind="ccc"))
+        return path
+
+    def test_finite_tolerances_still_decide(self, tmp_path):
+        path = self.near_miss(tmp_path)
+        assert main(["verify", str(path), "--kind", "ccc"]) == EXIT_VERIFY
+        assert main(["verify", str(path), "--kind", "ccc", "--tol", "0"]) == EXIT_VERIFY
+        assert main(["verify", str(path), "--kind", "ccc", "--tol", "1e-2"]) == EXIT_OK
+
+    @pytest.mark.parametrize("tol", ["inf", "nan", "-1", "-inf"])
+    @pytest.mark.parametrize("command", ["verify", "zone", "ccc", "enlarge"])
+    def test_refused_naming_tol(self, tmp_path, capsys, tol, command):
+        path = self.near_miss(tmp_path)
+        out = tmp_path / "out.json"
+        argv = {"verify": ["verify", str(path), "--kind", "ccc"],
+                "zone": ["zone", str(path)],
+                "ccc": ["ccc", str(path), "hadamard:2", str(out)],
+                "enlarge": ["enlarge", str(path), str(out),
+                            "--matrix", "hadamard:2", "--matrix", "hadamard:2"]}[command]
+        assert main(argv + [f"--tol={tol}"]) == EXIT_IO
+        captured = capsys.readouterr()
+        assert "--tol" in captured.err and "PASS" not in captured.out
+        assert not out.exists()
 
 
 class TestWorkflow:

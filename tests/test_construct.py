@@ -4,6 +4,7 @@ generation, elongation, CCC mapping, and enlargement."""
 import cmath
 import random
 
+import numpy as np
 import pytest
 
 from cocodes import (
@@ -33,7 +34,8 @@ from cocodes import (
 )
 from cocodes.construct import ConstructionError, trivial_cosf
 from cocodes.corr import DEFAULT_TOL
-from cocodes.model import concat
+from cocodes.cyclo import INT64_COEFF_BOUND
+from cocodes.model import cell_terms, concat, unequal_energies
 
 ONE = CycloNum.from_int(1)
 W3 = CycloNum.root(3, 1)
@@ -359,6 +361,37 @@ class TestBatchedEnergyDecision:
         assert str(err.value) == (f"cell (0,0) mixes energies: member 0 has "
                                   f"{energy(s)!r}, member 2 has "
                                   f"{energy(members[2])!r}")
+
+    def test_single_term_message_names_first_differing_member(self):
+        # every member single-term, so the energies are sums of c^2
+        s = dft_matrix(5).row(2)
+        members = [s, s.scale(W3), -s, s.scale(CycloNum.from_int(2)),
+                   s.scale(CycloNum.root(4, 1))]
+        assert cell_terms(members).single is not None
+        assert self.decide(members) == self.reference(members) == 3
+        with pytest.raises(ConstructionError) as err:
+            elongate_cosf(singleton_family(members), {0: [[0, 1, 2, 3, 4]]},
+                          {(0, 0): dft_matrix(5)})
+        assert str(err.value) == (f"cell (0,0) mixes energies: member 0 has "
+                                  f"{energy(s)!r}, member 3 has "
+                                  f"{energy(members[3])!r}")
+
+    def test_single_term_energies_past_int64(self):
+        # c^2 * L >= 2^63 at c = INT64_COEFF_BOUND - 1 and L = 3: the sums
+        # are Python ints, exactly the term path's
+        c = INT64_COEFF_BOUND - 1
+        assert c * c * 3 >= 2 ** 63
+        cw = CycloNum.from_int(c) * W3
+        members = [Sequence([c, -c, cw]), Sequence([-c, cw, c]), Sequence([c, c, c - 1])]
+        found = cell_terms(members)
+        assert found.single is not None
+        e, differ = unequal_energies(found, 3, DEFAULT_TOL)
+        want, want_differ = unequal_energies(found._replace(single=None), 3, DEFAULT_TOL)
+        assert e.array.dtype == want.array.dtype == object
+        assert e.array.shape == want.array.shape
+        assert np.array_equal(e.array, want.array)
+        assert differ == want_differ == [2]
+        assert e.array[0].tolist() == [3 * c * c, 3 * c * c, 2 * c * c + (c - 1) ** 2]
 
     @pytest.mark.parametrize("rel, passes", [(1e-12, True), (3e-11, True),
                                              (1e-8, False), (1e-3, False)])
