@@ -15,16 +15,18 @@ text is one `%`-format of a template made once per array shape, the same
 text json.dumps gives its entry list.
 
 A family file whose text is exactly what the writer writes for an exact
-family is read in one array pass (`_family_of_text`), and the result is
-accepted only when writing it again gives the same bytes; any other
-layout (indented, approx mode, shorthand entries, ...) goes through json
-and `family_from_doc`, so both give the same arrays, or the same error.
+family is read in one array pass (`_family_of_text`): each distinct
+entry is parsed and checked against the writer's entry template once,
+however often it repeats.  Any other layout (indented, approx mode,
+shorthand entries, ...) goes through json and `family_from_doc`, so both
+give the same arrays, or the same error.
 There, an exact sequence whose entries are normalized at one order
 becomes one array in a single step (int64 unless a coefficient is past
 int64), any other one scalar by scalar.
 
 Exit codes: 0 verified success, 1 verification failure,
-2 construction impossibility, 3 I/O or parse error.  A family, recipe
+2 construction impossibility, 3 I/O or parse error (argparse's usage
+errors included).  A family, recipe
 or `@matrix` file that cannot be read as JSON exits 3 with a
 `path: reason` message: a file that is not UTF-8, bad JSON syntax, an
 integer of more digits than Python converts (`sys.get_int_max_str_digits`)
@@ -38,7 +40,7 @@ import json
 import math
 import sys
 from functools import cache
-from itertools import chain
+from itertools import chain, count, islice, repeat
 
 import numpy as np
 
@@ -182,11 +184,19 @@ def family_to_doc(fam: SequenceFamily, kind: str = "raw") -> dict:
     return doc
 
 
+def _entry_body(order: int) -> str:
+    """`%`-template of an exact entry of `order` between its braces, laid
+    out as json.dumps lays out {"order": order, "coeffs": [...]}, with one
+    `%d` per coefficient.  The writer's templates and the reader's check
+    are both made of it."""
+    return '"order": %d, "coeffs": [%s]' % (order, ", ".join(["%d"] * order))
+
+
 def _exact_template(order: int, length: int) -> str:
     """`%`-template of the entry list of an exact (order, length) array,
     laid out as json.dumps lays out `sequence_to_doc`'s list, with one
     `%d` per coefficient in column-major order."""
-    entry = '{"order": %d, "coeffs": [%s]}' % (order, ", ".join(["%d"] * order))
+    entry = "{" + _entry_body(order) + "}"
     return "[" + ", ".join([entry] * length) + "]"
 
 
@@ -211,30 +221,66 @@ def _family_text(fam: SequenceFamily, kind: str) -> str:
     return f'{head[:-1]}, "sets": [{sets}]}}'
 
 
-# The fixed text around the sets of an exact family `_family_text` writes:
-# the key that opens them and the brackets that close them, then a newline
-_SETS_OPEN = ', "sets": [[['
-_SETS_CLOSE = ']]]}\n'
-# Every character of those sets but digits, "-" and ",": the keys
-# "order" and "coeffs", quotes, colons, brackets and spaces
-_SETS_LAYOUT = b' "[]{}:cdefors'
+# The text `_family_text` writes around the entries of an exact family's
+# sets: the key that opens them up to the first entry's brace, then the
+# separators between two sets, two sequences of a set and two entries of
+# a sequence, and the brackets that close them, then a newline
+_SETS_OPEN = ', "sets": [[[{'
+_SET_SEP, _SEQ_SEP, _ENTRY_SEP = "}]], [[{", "}], [{", "}, {"
+_SETS_CLOSE = '}]]]}\n'
+# The reader joins the distinct entries with ";", which no entry the
+# writer makes holds; for np.fromstring it becomes ",", and every other
+# character but digits and "-" is deleted: the keys "order" and
+# "coeffs", quotes, colons, brackets and spaces
+_JOIN = ";"
+_NUMBERS = bytes.maketrans(b";", b",")
+_ENTRY_LAYOUT = b' "[]:cdefors'
+
+
+def _entry_orders(flat, distinct):
+    """The order of each of the `distinct` entries whose numbers (each
+    entry's order, then its coefficients) np.fromstring read as `flat`:
+    every order is flat[0] when the numbers fall into equal runs that
+    each open with it, else an entry's count of commas.  None when an
+    order is out of range or the numbers do not fill the entries."""
+    n = len(distinct)
+    if not len(flat):
+        return None
+    order = int(flat[0])
+    if 1 <= order <= ORDER_LIMIT and len(flat) == n * (order + 1) and (flat[::order + 1] == order).all():
+        return np.full(n, order)
+    orders = np.fromiter(map(str.count, distinct, repeat(",")), np.int64, n)
+    if not (1 <= orders.min() and orders.max() <= ORDER_LIMIT) or len(flat) != n + orders.sum():
+        return None
+    return orders
 
 
 def _family_of_text(text: str):
     """Family of a file's text when the text is exactly what
-    `_dump_family` writes for an exact family, read in one array pass;
-    None for any other text.
+    `_dump_family` writes for an exact family; None for any other text.
 
-    json parses the header.  Once the fixed keys, brackets and spaces
-    are stripped (an entry {"order": K, "coeffs": [c_1, ..., c_K]}
-    becomes K,c_1,...,c_K), one `np.fromstring` parses every number, and
-    the entry counts of the sequences cut that into (K, L) arrays.  The
-    family is taken only when writing it gives `text` back byte for
-    byte.  The writer is injective, so that family is the one json and
-    `family_from_doc` read from `text`; a coefficient np.fromstring
-    saturated at int64, a leading zero, a "-0", a header that does not
-    fit the sets or any other layout fails the check.  int64 values stay
-    below COEFF_LIMIT, so no coefficient check is needed."""
+    json parses the header; the sets are read in five steps.
+    1. The writer's separators cut them into entry strings (each
+       `"order": K, "coeffs": [c_1, ..., c_K]`); the lists of the cut
+       give every set's size and every sequence's length.
+    2. `dict.fromkeys` keeps each distinct entry once, in order.
+    3. One `np.fromstring` parses the distinct entries' join, stripped
+       of keys, brackets and spaces (`_entry_orders` cuts its numbers).
+    4. The text is taken only when one `%`-format of the distinct
+       entries' coefficients, made from the writer's entry template
+       (`_entry_body`), gives their join back, every sequence's entries
+       share one order and the header is the one the writer gives the
+       family.
+    5. One gather lays out every entry's coefficients; each sequence's
+       array is a view of them.
+    Every distinct entry is checked and cut and join are inverses, so a
+    text taken is `_family_text(fam, kind) + "\\n"`.  The writer is
+    injective, so that family is the one json and `family_from_doc` read
+    from the text; a coefficient np.fromstring saturated at int64, a
+    leading zero, a "-0", a "+", an order unlike its sequence's, a header
+    that does not fit the sets or any other layout fails the check.
+    int64 values stay below COEFF_LIMIT, so no coefficient check is
+    needed."""
     cut = text.find(_SETS_OPEN)
     if cut < 0 or not text.endswith(_SETS_CLOSE):
         return None
@@ -245,32 +291,62 @@ def _family_of_text(text: str):
     if type(head) is not dict or head.get("mode") != EXACT:
         return None
     body = text[cut + len(_SETS_OPEN):-len(_SETS_CLOSE)]
-    counts = [[seq.count("{") for seq in ss.split("], [")] for ss in body.split("]], [[")]
+    sets = [ss.split(_SEQ_SEP) for ss in body.split(_SET_SEP)]
+    seqs = [seq.split(_ENTRY_SEP) for ss in sets for seq in ss]
+    entries = list(chain.from_iterable(seqs))
+    distinct = dict.fromkeys(entries)
+    joined = _JOIN.join(distinct)
     try:
-        numbers = body.encode().translate(None, _SETS_LAYOUT)
         # unmatched text raises (older numpy warns and stops early,
-        # which the rewrite refuses too)
-        flat = np.fromstring(numbers, dtype=np.int64, sep=",")
-        # one scan of every number: when all are below the bound every
-        # array keeps int64 as `Sequence.of_array` would, unscanned
-        small = -INT64_COEFF_BOUND < flat.min() and flat.max() < INT64_COEFF_BOUND
-        make = Sequence._of_fitted if small else Sequence.of_array
-        sets, pos = [], 0
-        for row in counts:
-            seqs = []
-            for length in row:
-                order = int(flat[pos])
-                if not 1 <= order <= ORDER_LIMIT or length < 1:
-                    return None
-                end = pos + length * (order + 1)
-                entries = flat[pos:end].reshape(length, order + 1)
-                seqs.append(make(entries[:, 1:].T))
-                pos = end
-            sets.append(SequenceSet(seqs))
-        fam = SequenceFamily(sets)
-    except (ValueError, IndexError):
+        # which the check refuses too)
+        flat = np.fromstring(joined.encode().translate(_NUMBERS, _ENTRY_LAYOUT),
+                             dtype=np.int64, sep=",")
+    except ValueError:
         return None
-    return fam if _family_text(fam, head.get("kind")) + "\n" == text else None
+    orders = _entry_orders(flat, distinct)
+    if orders is None:
+        return None
+    bodies = {k: _entry_body(k) for k in set(orders.tolist())}
+    if len(bodies) == 1:
+        (order, entry), = bodies.items()
+        coeffs = flat.reshape(-1, order + 1)[:, 1:].ravel()
+        template = _JOIN.join([entry] * len(distinct))
+    else:
+        coeffs = np.delete(flat, np.cumsum(orders + 1) - (orders + 1))
+        template = _JOIN.join(map(bodies.__getitem__, orders.tolist()))
+    if template % tuple(coeffs.tolist()) != joined:
+        return None
+    if len(distinct) < len(entries):
+        # each entry's order and coefficients, copied from its distinct
+        # entry's (when no entry repeats, they are in place already)
+        at = np.fromiter(map(dict(zip(distinct, count())).__getitem__, entries),
+                         np.intp, len(entries))
+        if len(bodies) == 1:  # rows of one width
+            coeffs = coeffs.reshape(-1, order)[at].ravel()
+        else:
+            first = (np.cumsum(orders) - orders)[at]
+            ends = np.cumsum(orders[at])
+            coeffs = coeffs[np.repeat(first - ends + orders[at], orders[at]) + np.arange(ends[-1])]
+        orders = orders[at]
+    lengths = np.fromiter(map(len, seqs), np.intp, len(seqs))
+    starts = np.cumsum(lengths) - lengths
+    seq_orders = orders[starts]
+    if not np.array_equal(orders, np.repeat(seq_orders, lengths)):
+        return None
+    offsets = (np.cumsum(orders) - orders)[starts]
+    arrays = (coeffs[start:start + length * order].reshape(length, order).T
+              for start, length, order in zip(offsets.tolist(), lengths.tolist(), seq_orders.tolist()))
+    # one scan of the coefficients: when all are below the bound every
+    # array keeps int64 as `Sequence.of_array` would, unscanned
+    small = -INT64_COEFF_BOUND < coeffs.min() and coeffs.max() < INT64_COEFF_BOUND
+    make = Sequence._of_fitted if small else Sequence.of_array
+    try:
+        fam = SequenceFamily(SequenceSet(map(make, islice(arrays, len(ss)))) for ss in sets)
+    except ValueError:  # sequences of unequal lengths in a set
+        return None
+    if json.dumps(_family_head(fam, head.get("kind")))[:-1] != text[:cut]:
+        return None
+    return fam
 
 
 def family_from_doc(doc: dict) -> SequenceFamily:
@@ -578,9 +654,21 @@ def _matrix_from_arg(text: str) -> MatrixSpec:
 # -- argument parsing -------------------------------------------------------
 
 
+class _Parser(argparse.ArgumentParser):
+    """An argument parser whose usage errors (a missing or unknown
+    argument, an unknown command, a value its type refuses) print the
+    usage line and exit 3, a parse error: argparse's own exit code 2 is
+    the code of a construction impossibility.  Sub-parsers take the
+    class of the parser that adds them, so they exit 3 too."""
+
+    def error(self, message):
+        self.print_usage(sys.stderr)
+        self.exit(EXIT_IO, f"{self.prog}: error: {message}\n")
+
+
 @cache
 def build_parser() -> argparse.ArgumentParser:
-    parser = argparse.ArgumentParser(
+    parser = _Parser(
         prog="cocodes",
         description="Construct and verify complete complementary codes and "
                     "N-shift cross-orthogonal sequence families.")

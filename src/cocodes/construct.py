@@ -233,9 +233,10 @@ def elongate_cosf(fam: SequenceFamily, part2, subs) -> SequenceFamily:
     dimension is the cell size.  A family is checked with `is_n_co_sf`;
     a matrix's rows are connected as they are, since unitarity already
     makes them a cross-orthogonal family (at width 1 only shift 0 is
-    left, and that is the rows' orthogonality).  All sequences of one
-    cell must have equal energy (approx: to DEFAULT_TOL); `fam` must be
-    cross-orthogonal.
+    left, and that is the rows' orthogonality).  A one-member cell whose
+    sub is the 1x1 matrix (1) gives its member itself.  All sequences of
+    one cell must have equal energy (approx: to DEFAULT_TOL); `fam` must
+    be cross-orthogonal.
     """
     if fam.set_size != 1:
         raise ConstructionError("expected a family of single-sequence sets")
@@ -251,10 +252,14 @@ def elongate_cosf(fam: SequenceFamily, part2, subs) -> SequenceFamily:
         cells = part2[p1]
         _check_partition(cells, len(group))
         for p2, cell in enumerate(cells):
+            sub = subs.get((p1, p2))
+            if len(cell) == 1 and isinstance(sub, UnitaryLike) and _is_unit(sub):
+                # a lone member connected with (1) is that member
+                out.append(seqs[group[cell[0]]])
+                continue
             cell_set = SequenceSet(seqs[group[i]] for i in cell)
             found = cell_terms(cell_set)
             _check_energies(cell_set, found, f"({p1},{p2})")
-            sub = subs.get((p1, p2))
             if sub is None:
                 raise ConstructionError(f"no sub-family for cell ({p1},{p2})")
             what = f"sub-family at {(p1, p2)}"
@@ -266,6 +271,14 @@ def elongate_cosf(fam: SequenceFamily, part2, subs) -> SequenceFamily:
                 rows = [ss[0] for ss in sub]
             out += _connections(rows, cell_set, found)
     return singleton_family(out)
+
+
+def _is_unit(u: UnitaryLike) -> bool:
+    """`u` is the 1x1 matrix (1) at order 1, the executor's sub-matrix of
+    an implicit singleton cell: connecting a member with it gives the
+    member's own array, in its own dtype."""
+    row = u.row(0).array
+    return row.shape == (1, 1) and row[0, 0] == 1
 
 
 def _check_energies(cell: SequenceSet, found, where: str) -> None:

@@ -695,6 +695,34 @@ class TestTolArgument:
         assert not out.exists()
 
 
+class TestUsageErrors:
+    """argparse's usage errors are parse errors: exit 3 with the usage
+    line, never 2, the code of a construction impossibility."""
+
+    @pytest.mark.parametrize("argv", [
+        ["verify", "f.json"],
+        ["plan", "2", "abc", "-o", "r.json"],
+        ["frobnicate"],
+        [],
+        ["verify", "f.json", "--kind", "ccc", "--tol", "-inf"],
+        ["gen", "r.json", "o.json", "--tol", "1e-3"],
+    ], ids=["no-kind", "length-not-int", "unknown-command", "no-command",
+            "tol-read-as-an-option", "unknown-option"])
+    def test_exit_3_with_the_usage_line(self, capsys, argv):
+        with pytest.raises(SystemExit) as e:
+            main(argv)
+        assert e.value.code == EXIT_IO
+        err = capsys.readouterr().err
+        assert err.startswith("usage: cocodes") and "error:" in err
+
+    @pytest.mark.parametrize("argv", [["--help"], ["verify", "--help"]])
+    def test_help_exits_0(self, capsys, argv):
+        with pytest.raises(SystemExit) as e:
+            main(argv)
+        assert e.value.code in (0, None)
+        assert "usage: cocodes" in capsys.readouterr().out
+
+
 class TestWorkflow:
     def test_plan_gen_ccc_enlarge_zone(self, tmp_path):
         recipe = tmp_path / "r.json"

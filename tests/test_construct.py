@@ -32,7 +32,9 @@ from cocodes import (
     kron_expand,
     singleton_family,
 )
+from cocodes import construct
 from cocodes.construct import ConstructionError, trivial_cosf
+from cocodes.planner import execute, plan
 from cocodes.corr import DEFAULT_TOL
 from cocodes.cyclo import INT64_COEFF_BOUND
 from cocodes.model import cell_terms, concat, unequal_energies
@@ -268,6 +270,52 @@ class TestElongate:
     def test_partition_must_cover_groups(self, cosf_6_mixed):
         with pytest.raises(ConstructionError):
             elongate_cosf(cosf_6_mixed, {0: [[0, 1]]}, {})
+
+
+class TestSingletonCells:
+    """A one-member cell whose sub is the 1x1 matrix (1), the executor's
+    implicit singleton cell, gives its member itself: equal in values
+    and dtype to what connecting with (1) gives."""
+
+    @pytest.mark.parametrize("member", [
+        Sequence([1, -1, CycloNum.root(4, 1)]),       # int64, single-term
+        Sequence([1, 0, -1]),                         # a zero column
+        Sequence([CycloNum(3, [1, 1, 0]), 1]),        # two terms in a column
+        Sequence([2 ** 40, -1, 3]),                   # Python ints
+        Sequence([1.0, -0.5j, 0.0]),                  # approx
+    ], ids=["single-term", "zero-column", "two-terms", "object", "approx"])
+    def test_member_passes_through(self, member):
+        unit = 1.0 + 0j if member.mode == "approx" else 1
+        one = custom_matrix([[unit]])
+        out = elongate_cosf(singleton_family([member]), {0: [[0]]}, {(0, 0): one})
+        assert out[0][0] is member
+        connected = connect(one.row(0), SequenceSet([member]))
+        assert out[0][0].array.dtype == connected.array.dtype
+        assert np.array_equal(out[0][0].array, connected.array)
+
+    def test_other_singleton_subs_are_connected(self):
+        # (-1) and (1) at order 4 are connected as before
+        member = Sequence([1, -1, 1])
+        for sub in (custom_matrix([[-1]]), custom_matrix([[CycloNum(4, [1, 0, 0, 0])]])):
+            out = elongate_cosf(singleton_family([member]), {0: [[0]]}, {(0, 0): sub})
+            assert out[0][0] is not member
+            want = connect(sub.row(0), SequenceSet([member]))
+            assert np.array_equal(out[0][0].array, want.array)
+
+    @pytest.mark.parametrize("n, targets", [(7, [56, 1701]), (7, [224, 567]), (5, [720]), (3, [972])])
+    def test_executor_output_unchanged(self, monkeypatch, n, targets):
+        # the executor's families, with and without the pass-through
+        units = []
+        is_unit = construct._is_unit
+        monkeypatch.setattr(construct, "_is_unit", lambda u: units.append(is_unit(u)) or units[-1])
+        fam = execute(plan(n, targets), verify=False).family
+        assert any(units)
+        monkeypatch.setattr(construct, "_is_unit", lambda u: False)
+        connected = execute(plan(n, targets), verify=False).family
+        assert [len(ss[0]) for ss in fam] == [len(ss[0]) for ss in connected]
+        for got, want in zip(fam, connected):
+            assert got[0].array.dtype == want[0].array.dtype
+            assert np.array_equal(got[0].array, want[0].array)
 
 
 class TestMatrixSubFamilies:

@@ -8,6 +8,8 @@ import json
 
 import numpy as np
 import pytest
+from hypothesis import HealthCheck, given, settings
+from hypothesis import strategies as st
 
 from cocodes import (
     CycloNum,
@@ -289,3 +291,138 @@ def test_commands_parse_only_the_headers_of_writer_files(tmp_path, monkeypatch):
     parsed.clear()
     assert main(["zone", str(indented)]) == EXIT_OK
     assert max(parsed) == len(indented.read_text())
+
+
+# -- the array pass against json, on generated families --------------------
+
+# Coefficients at the int64 and INT64_COEFF_BOUND edges, and past int64
+INT64_RANGE = [-1, 0, 1, 2 ** 31 - 1, -(2 ** 31 - 1), 2 ** 31, -(2 ** 31), 2 ** 63 - 1, -(2 ** 63)]
+PAST_INT64 = [2 ** 63, -(2 ** 63) - 1, 2 ** 64, -(2 ** 70)]
+
+
+@st.composite
+def exact_families(draw):
+    """Families of 1-3 sets of 1-3 sequences, each set of one length in
+    1..8 and each sequence of its own order in 1..12; the columns are
+    drawn from a small pool (so they repeat) or fresh (all distinct)."""
+    coeffs = st.sampled_from(INT64_RANGE + PAST_INT64) if draw(st.booleans()) \
+        else st.sampled_from(INT64_RANGE)
+    pool = {order: draw(st.lists(st.lists(coeffs, min_size=order, max_size=order),
+                                 min_size=1, max_size=3))
+            for order in range(1, 13)}
+    repeat_columns = draw(st.booleans())
+
+    def sequence(length):
+        order = draw(st.integers(1, 12))
+        if repeat_columns:
+            cols = [draw(st.sampled_from(pool[order])) for _ in range(length)]
+        else:
+            cols = draw(st.lists(st.lists(coeffs, min_size=order, max_size=order),
+                                 min_size=length, max_size=length, unique_by=tuple))
+        return Sequence.of_array(np.array(cols, dtype=object).T)
+
+    set_size = draw(st.integers(1, 3))
+    return SequenceFamily(
+        SequenceSet(sequence(length) for _ in range(set_size))
+        for length in draw(st.lists(st.integers(1, 8), min_size=1, max_size=3)))
+
+
+def in_int64(fam):
+    return all(-(2 ** 63) <= int(c) < 2 ** 63 for ss in fam for s in ss for c in s.array.ravel())
+
+
+@given(fam=exact_families())
+@settings(max_examples=150, deadline=None,
+          suppress_health_check=[HealthCheck.function_scoped_fixture])
+def test_generated_families_read_as_json_reads_them(tmp_path, fam):
+    path = tmp_path / "gen.json"
+    _dump_family(str(path), fam, "raw")
+    text = path.read_text(encoding="utf-8")
+    got = _load_family(str(path))
+    assert_same(got, family_from_doc(json.loads(text)))
+    assert_same(got, fam)
+    # every file within int64 takes the array pass, one past it json
+    assert (_family_of_text(text) is not None) == in_int64(fam)
+
+
+def test_mixed_orders_that_fill_equal_runs_take_the_array_pass(tmp_path):
+    # orders 2, 1, 3: nine numbers, as three entries of order 2 would be
+    fam = singleton_family([Sequence([CycloNum(2, [1, 0])]), Sequence([1]),
+                            Sequence([CycloNum(3, [1, 0, 0])])])
+    assert [s.order for ss in fam for s in ss] == [2, 1, 3]
+    path = tmp_path / "out.json"
+    _dump_family(str(path), fam, "raw")
+    got = _family_of_text(path.read_text(encoding="utf-8"))
+    assert got is not None
+    assert_same(got, fam)
+
+
+# -- edits of one occurrence of a repeated entry -----------------------------
+
+# An entry the writer makes four or more times for `int64_ccc()`
+REPEATED = '{"order": 4, "coeffs": [1, 0, 0, 0]}'
+
+
+def edit_second(new):
+    """Replace the second occurrence of REPEATED with `new`, so other
+    occurrences of the entry stay as the writer wrote them."""
+    def edit(text):
+        first = text.index(REPEATED)
+        second = text.index(REPEATED, first + 1)
+        return text[:second] + new + text[second + len(REPEATED):]
+    return edit
+
+
+def move_entry_across_sequences(text):
+    """The last entry of the first sequence moved to the front of the
+    second one."""
+    boundary = text.index("}], [{")
+    start = text.rindex("}, {", 0, boundary)
+    entry = text[start + len("}, {"):boundary]
+    return text[:start] + "}], [{" + entry + "}, {" + text[boundary + len("}], [{"):]
+
+
+REFUSED_REPEATED = {
+    "leading-zero": edit_second('{"order": 4, "coeffs": [01, 0, 0, 0]}'),
+    "minus-zero": edit_second('{"order": 4, "coeffs": [1, -0, 0, 0]}'),
+    "plus-sign": edit_second('{"order": 4, "coeffs": [+1, 0, 0, 0]}'),
+    "extra-space": edit_second('{"order": 4, "coeffs": [ 1, 0, 0, 0]}'),
+    "underscore": edit_second('{"order": 4, "coeffs": [1_0, 0, 0, 0]}'),
+    "arabic-indic-digit": edit_second('{"order": 4, "coeffs": [١, 0, 0, 0]}'),
+    "order-unlike-its-sequence": edit_second('{"order": 2, "coeffs": [1, 0]}'),
+    "entry-moved-across-sequences": move_entry_across_sequences,
+    "digit-in-a-key": edit_second('{"order": 4, "c1oeffs": [1, 0, 0, 0]}'),
+}
+
+
+def test_the_edited_entry_repeats(tmp_path):
+    text = written(tmp_path, int64_ccc(), "ccc")
+    assert text.count(REPEATED) >= 4
+    moved = move_entry_across_sequences(text)
+    assert len(moved) == len(text) and moved != text
+
+
+@pytest.mark.parametrize("edit", REFUSED_REPEATED.values(), ids=REFUSED_REPEATED.keys())
+def test_an_edited_occurrence_goes_through_json(tmp_path, capsys, monkeypatch, edit):
+    path = tmp_path / "in.json"
+    _dump_family(str(path), int64_ccc(), "ccc")
+    text = edit(path.read_text(encoding="utf-8"))
+    path.write_text(text, encoding="utf-8")
+    assert _family_of_text(text) is None
+    assert_same_outcome(read(path), read_by_json(path))
+    fast = verify_run(path, capsys)
+    monkeypatch.setattr(cli, "_family_of_text", lambda text: None)
+    assert verify_run(path, capsys) == fast
+
+
+def test_entries_that_join_into_writer_entries_are_refused(tmp_path):
+    # two entries, neither the writer's, whose text joined by ", " reads
+    # as two writer entries: the distinct entries must be checked one by
+    # one, not as a run of text
+    text = ('{"kind": "raw", "family_size": 1, "set_size": 1, "length_set": [2], '
+            '"mode": "exact", "sets": [[[{"order": 1}, '
+            '{ "coeffs": [1],"order": 1, "coeffs": [2]}]]]}\n')
+    assert _family_of_text(text) is None
+    path = tmp_path / "in.json"
+    path.write_text(text, encoding="utf-8")
+    assert read(path) is read_by_json(path) is cli.DocumentError
