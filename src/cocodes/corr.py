@@ -13,18 +13,22 @@ profile and predicate goes through one kernel (`_Kernel`) instead.  A
 call densifies its sequences into a (sets, members, K, L) array over
 the call's common order K.  Two passes read that stack.
 
-The per-shift pass computes every set sum: a real 2-D FFT, cyclic over
-the exponent axis and zero-padded over positions to a 2,3-smooth length
-P >= 2L - 1, products summed over members in the spectrum, and batched
-inverse transforms.  The inverse is rounded to integers only under an
-a-priori error bound (Percival, Math. Comp. 72 (2003), with a safety
-factor; see `rounding_bound`).  Coefficients too large for that bound
-are split into signed base-2^b limbs: the same pass sums the limb
-products, each diagonal under the bound, and the rounded diagonals are
-recombined with integers.  Zero is then decided for the whole integer
-stack at once by `cyclo.zero_rows`, the rule `CycloNum.is_zero` applies
-to one value.  Profiles, `zccc_zone`'s rotated sums and every report's
-violations and values come from this pass.
+The per-shift pass computes every set sum by Kronecker substitution:
+with R rows and D = 2R - 1, exponent j of position l goes to index
+l D + j of one vector, so every (shift, exponent difference) pair of a
+correlation lands on its own index.  One power-of-two real transform
+per member (complex in approx mode), long enough that no index wraps,
+products summed over members in the spectrum, and one inverse per group
+of set pairs give every sum; the inverse is rounded to integers only
+under an a-priori error bound (`rounding_bound`, derived from
+Percival's theorem, Math. Comp. 72 (2003)), and the differences d < 0
+are then folded onto d + R in integers.  Coefficients too large for
+that bound are split into signed base-2^b limbs: the same pass sums the
+limb products, each diagonal under the bound, and the rounded diagonals
+are recombined with integers.  Zero is then decided for the whole
+integer stack at once by `cyclo.zero_rows`, the rule `CycloNum.is_zero`
+applies to one value.  Profiles, `zccc_zone`'s rotated sums and every
+report's violations and values come from this pass.
 
 The certificate pass decides a predicate's pairs without an inverse
 transform, a rounding or a reduction; `_Kernel.check` takes it for
@@ -85,9 +89,12 @@ sum a^2 of the stack:
       (1 - 4u)(1 - B) > 1/2.
 
 Percival's theorem is for radix-2 transforms; the power-of-two length
-(on this pass only) is what lets it stand for pocketfft, whose passes
-at such lengths are radix 2 and radix 4, a radix-4 butterfly being two
-radix-2 stages whose inner twiddles (+-1, +-i) are exact.
+(on both passes) is what lets it stand for pocketfft, whose passes at
+such lengths are radix 2 and radix 4, a radix-4 butterfly being two
+radix-2 stages whose inner twiddles (+-1, +-i) are exact.  A real
+transform (`rfft`) is taken as the half of the complex one it returns,
+and its inverse (`irfft`) as the complex inverse of the Hermitian
+extension of its input.
 
 A check's report is deferred: the certificate gives each pair's `ok`,
 and the per-shift pass runs once, over all the check's pairs, when the
@@ -142,11 +149,6 @@ RENDER_SHIFTS_PER_PAIR = 16
 # Entries of the half-spectra of one block of sets (16 bytes each, so
 # 64 MB); a block always holds at least one set.
 _SPECTRA_MAX = 2 ** 22
-
-# Percival's bound is for radix-2 transforms with correctly rounded
-# twiddle factors; numpy's pocketfft also uses radices 3, 4, 5, 7 and
-# 11, a generic odd radix, and Bluestein's algorithm for large primes.
-_FFT_SAFETY = 8
 
 # Entries of the spectral products one einsum makes: left sets are
 # taken in groups of this size against all their right sets.
@@ -228,39 +230,56 @@ class CorrelationProfile:
         return self.values[tau - self.min_shift]
 
 
-def _smooth(n: int) -> int:
-    """Least 2^a 3^b >= n."""
-    best, p3 = 1 << max(n - 1, 0).bit_length(), 1
-    while p3 < best:
-        best = min(best, p3 << max(-(-n // p3) - 1, 0).bit_length())
-        p3 *= 3
-    return best
-
-
-def rounding_bound(energy: float, order: int, size: int, members: int) -> float:
-    """A-priori bound on the error of every entry of a set sum computed
-    by the spectral pass, for sets of `members` members whose squared
-    coefficients sum to at most `energy`, over a K x P = order x size
-    transform.
-
-    Percival (Math. Comp. 72 (2003), 387-395) bounds the error of an
-    FFT convolution of x and y of length 2^k by
-    |x| |y| ((1 + e)^3k (1 + e sqrt 5)^(3k+1) (1 + b)^3k - 1), e = 2^-53
-    the unit roundoff and b <= e the twiddle error, which to first order
-    is |x| |y| e (3k (2 + sqrt 5) + sqrt 5); summing `members` spectral
-    products adds at most `members` * e relative.  Cauchy-Schwarz gives
-    sum_n |s_n| |t_n| <= energy.  k = log2(K P) with the unfolded order
-    K, one stage more than a folded even order transforms, which covers
-    its twist by unit factors.  The theorem is for radix 2 only: the factor
-    `_FFT_SAFETY` for pocketfft's mixed radices is an assumption, not a
-    derived bound.  Rounding is exact when the bound stays below 1/2."""
-    k = math.log2(order * size)
-    gamma = 2.0 ** -53 * (3 * k * (2 + math.sqrt(5)) + math.sqrt(5) + members)
-    return _FFT_SAFETY * gamma * energy
-
-
 def _gamma(n: int) -> float:
     return n * _U / (1 - n * _U)
+
+
+def _percival(size: int) -> float:
+    """Percival's factor eta for a transform of `size` = 2^p points with
+    twiddles within u (Math. Comp. 72 (2003), 387-395): the computed
+    transform of y is within eta ||F y|| of F y in the Euclidean norm,
+    eta = (1 + u)^2p (1 + sqrt5 u)^p - 1.  The same holds for the
+    inverse transform."""
+    p = size.bit_length() - 1
+    return math.expm1(p * (2 * math.log1p(_U) + math.log1p(math.sqrt(5) * _U)))
+
+
+def rounding_bound(energy: float, size: int, members: int) -> float:
+    """A-priori bound on the error of every entry of a set sum computed
+    by the per-shift pass, for sets of `members` members whose squared
+    coefficients sum to at most `energy` = E, over real transforms of
+    `size` = P = 2^p points.  Rounding is exact when it is below 1/2.
+
+    Let y_n and z_n be the substituted vectors (module docstring) of
+    member n of the sets S and T, Y_n = F y_n and Z_n = F z_n their
+    unnormalised transforms, G = sum_n Y_n conj(Z_n) and c = F^-1 G the
+    exact sums, eta = `_percival(P)`, u = 2^-53 and
+    g_n = n u / (1 - n u).  By Cauchy-Schwarz sum_n ||y_n|| ||z_n|| <= E,
+    each |c(m)| <= E, and c has at most P entries, so ||c|| <= sqrt(P) E.
+
+      (i) Forward: Y^_n is the Hermitian extension of the computed half
+          spectrum, as the inverse reads it; Percival bounds the half's
+          error by eta ||Y_n||, and the extension at most doubles its
+          square, so ||Y^_n - Y_n|| <= sqrt2 eta sqrt(P) ||y_n|| and
+          ||Y^_n|| <= (1 + sqrt2 eta) sqrt(P) ||y_n||, and so for Z.
+     (ii) Member sum: each real and imaginary part of a computed sum of
+          M products is a sum of 2M real products, within g_2M of their
+          absolute sum, so at every f (a mirrored one by conjugation)
+          the computed G^(f) is within sqrt2 g_2M sum_n |Y^_n(f)| |Z^_n(f)|
+          of sum_n Y^_n(f) conj(Z^_n(f)).
+    (iii) Spectrum to sums: ||F^-1 v||_inf <= ||v||_1 / P, and by (i),
+          (ii) and Cauchy-Schwarz over the frequencies and the members,
+          ||G^ - G||_1 <= P E t, t = (1 + sqrt2 eta)^2 (1 + sqrt2 g_2M) - 1,
+          so F^-1 G^ is within E t of c entrywise.
+     (iv) Inverse: by Percival it is within eta ||F^-1 G^|| of F^-1 G^
+          (the scaling by 1/P is exact), and with ||v||_2 <= ||v||_1,
+          ||F^-1 G^|| <= ||c|| + ||G^ - G|| / sqrt(P) <= sqrt(P) E (1 + t).
+
+    Every entry is so within E ((1 + eta sqrt(P)) (1 + t) - 1), which
+    the bound is (1 + 2^-50) times, to cover its own evaluation."""
+    eta = _percival(size)
+    t = 2 * math.log1p(math.sqrt(2) * eta) + math.log1p(math.sqrt(2) * _gamma(2 * members))
+    return energy * math.expm1(t + math.log1p(eta * math.sqrt(size))) * (1 + 2.0 ** -50)
 
 
 def certificate_bound(energy: float, rows: int, members: int, width: int,
@@ -271,9 +290,8 @@ def certificate_bound(energy: float, rows: int, members: int, width: int,
     most `energy`, over a transform of `size` = 2^p positions.  The
     certificate decides exactly when the bound is below 1/2; the proof
     is in the module docstring, which names each term."""
-    p = size.bit_length() - 1
     # (b): Percival's factor for a length-2^p transform, twiddles within u
-    eta = math.expm1(p * (2 * math.log1p(_U) + math.log1p(math.sqrt(5) * _U)))
+    eta = _percival(size)
     # (a): the roots' matrix, entries within 32u, applied by real products
     mu = 0.0 if rows == 1 else math.sqrt(2) * _gamma(rows) * (1 + 32 * _U) + 32 * _U
     delta = eta * (1 + mu) + mu
@@ -301,26 +319,29 @@ class _Kernel:
     sum_{j,l} a[j, l] z^(jK/k) x^l in z^K = 1, so a set sum is one 2-D
     correlation, cyclic over the exponent axis and aperiodic over
     positions.  Every sequence is densified into a
-    (sets, members, K, width) array (folded for even K, see `_forward`,
-    and split into limbs when `_digits` says so).  One block of sets at
-    a time (`_SPECTRA_MAX` sizes a block), the spectral pass takes the
-    conjugated half-spectrum over K x P (`rfft2`, P the least
-    2,3-smooth length >= 2 width - 1, so no shift wraps).  For a group
-    of left sets (`_BATCH` bounds the group's products) one einsum sums
+    (sets, members, R, width) array: R = K rows for odd K, R = K/2 for
+    even K folded by zeta_K^(K/2) = -1 (see `_dense`), 1 in approx mode;
+    and split into limbs when `_digits` says so.  Kronecker substitution
+    makes the 2-D correlation a 1-D one: with D = 2R - 1, entry (j, l)
+    of a member goes to index l D + j of one vector (`_forward`), so
+    the product of s(j, l) and t(j', l + q) lands at lag -q D + d,
+    d = j - j' in (-R, R), distinct for every (q, d), and a transform
+    of P = 2^a >= 2 ((width - 1) D + R - 1) + 1 points (`size`) wraps
+    none of them.  One block of sets at a time (`_SPECTRA_MAX` sizes a
+    block), the spectral pass takes the conjugated half-spectrum of
+    every member (`rfft`; `fft` in approx mode).  For a group of left
+    sets (`_BATCH` bounds the group's products) one einsum sums
     F(s_n) conj(F(t_n)) over the members n against the right sets of a
-    block, and one batched inverse brings the group back; entry
-    (d, -q mod P) of an inverse is the coefficient of z^d at shift q.
-    Exact results are rounded under `rounding_bound`; approx sequences
-    (K = 1) take complex transforms and keep their values unrounded.
-    The spectra exist only while `sums` runs, and so does the stack
-    unless the caller keeps it in `digits` for several calls.  `check`
-    decides a predicate's pairs by the certificate pass (`_certify`)
-    where its bound holds, and by `sums` otherwise; when the
-    certificate rejects a pair it keeps the stack in `digits` for the
-    report's deferred pass.
-
-    Even orders are folded by zeta_K^(K/2) = -1, so a stack holds K/2
-    rows (K for odd K, 1 in approx mode) per shift.
+    block, and one batched inverse (`_inverse`) brings the group back.
+    Exact results are rounded under `rounding_bound`, and the column
+    of d < 0 is folded onto d + R in integers: added for odd K, where
+    z^-R = 1, subtracted for even K, where z^-R = -1.  Approx sequences
+    keep their values unrounded.  The spectra exist only while `sums`
+    runs, and so does the stack unless the caller keeps it in `digits`
+    for several calls.  `check` decides a predicate's pairs by the
+    certificate pass (`_certify`) where its bound holds, and by `sums`
+    otherwise; when the certificate rejects a pair it keeps the stack
+    in `digits` for the report's deferred pass.
     """
 
     def __init__(self, sets, phases: int = 1, tol: float = 0.0):
@@ -341,9 +362,11 @@ class _Kernel:
         self.widths = [-(-len(ss[0]) // self.phases) for ss in sets]
         self.width = max(self.widths)
         self.hull = self.width - 1
-        self.size = _smooth(2 * self.width - 1)
         # rows kept after folding by zeta_K^(K/2) = -1 (see `_dense`)
         self.rows = self.order // 2 if self.order % 2 == 0 else self.order
+        # index l * span + j holds exponent j of position l
+        self.span = 2 * self.rows - 1
+        self.size = _pow2(2 * ((self.width - 1) * self.span + self.rows - 1) + 1)
         self.digits = None  # `_digits()` when the caller keeps it for more calls
 
     def _digits(self):
@@ -351,9 +374,9 @@ class _Kernel:
         rows, width); the limb width b in bits (0: one limb); the
         rounding bound that certifies the pass (nan in approx mode); the
         dtype of the sums, int64 when every value and every step of
-        their recombination (each below energy + 2^52) fits; the largest
-        set energy of the stack before any split into limbs (nan in
-        approx mode), which `certificate_bound` takes.
+        their recombination fits; the largest set energy of the stack
+        before any split into limbs (nan in approx mode), which
+        `certificate_bound` takes.
 
         A stack of int64 sequences (coefficients below
         INT64_COEFF_BOUND) converts to float exactly.  A sequence of
@@ -372,7 +395,7 @@ class _Kernel:
         else:
             ints, dense = None, self._dense(float)
         energy = float(np.einsum("smkl,smkl->s", dense, dense).max())
-        bound = rounding_bound(energy, self.order, self.size, self.members)
+        bound = rounding_bound(energy, self.size, self.members)
         if bound < 0.5:
             return dense[:, :, None], 0, bound, np.int64, energy
         # Too large to round in one piece: every coefficient becomes n
@@ -381,6 +404,12 @@ class _Kernel:
         # the limb pairs (i, k - i) as more members, so for sets of c
         # nonzero coefficients `rounding_bound` holds for every R_k when
         # it holds for energy c n (2^b - 1)^2 and n times the members.
+        # That bound keeps each R_k below 2^51, so the fold adds two of
+        # its rounded columns exactly.  A folded coefficient pairs each
+        # row j with the one row (j - d) mod R, so by Cauchy-Schwarz it
+        # is at most the set energy, as an unfolded one is; each Horner
+        # step is then below energy + 2^52, and int64 holds every step
+        # for energies below 2^61.
         if ints is None:
             ints = self._dense(np.int64)
         mags = np.abs(ints)
@@ -389,8 +418,7 @@ class _Kernel:
 
         def limb_bound(b):
             n = -(-bits // b)
-            return rounding_bound(nonzero * n * (2 ** b - 1) ** 2, self.order, self.size,
-                                  self.members * n)
+            return rounding_bound(nonzero * n * (2 ** b - 1) ** 2, self.size, self.members * n)
 
         b = max(b for b in range(1, 53) if limb_bound(b) < 0.5)
         digits = np.stack([(mags >> i) & ((1 << b) - 1) for i in range(0, bits, b)], axis=2)
@@ -398,40 +426,26 @@ class _Kernel:
                 limb_bound(b), np.int64 if energy < 2.0 ** 61 else object, energy)
 
     def _forward(self, dense: np.ndarray) -> np.ndarray:
-        """Conjugated spectrum of a dense stack: the half-spectrum
-        (`rfft2`) over exponents x positions, zero-padded to P
-        positions; the full spectrum over positions in approx mode.
-
-        A folded even order K (rows = K/2 = M, z^M = -1) is evaluated at
-        the roots of z^M + 1: row j is twisted by w^j, w = exp(-i pi / M),
-        before the length-M transform, so the spectra take half the room
-        and the inverse gives the folded coefficients directly.
-        Transforms of length 1 are the identity and are skipped, so sets
-        of width 1 (the planner's sub-families) reduce to one Gram
-        product over the exponent axis."""
+        """Conjugated spectrum of a dense stack (..., rows, width): the
+        half-spectrum (`rfft`; the full one, `fft`, in approx mode) of
+        each member laid out at index l * span + j, zero-padded to
+        `size` points.  A transform of length 1 is the identity and is
+        skipped, so sets of width 1 (the planner's sub-families) in
+        approx mode or at K <= 2 reduce to one product."""
+        flat = np.zeros(dense.shape[:-2] + (dense.shape[-1], self.span), dense.dtype)
+        flat[..., :self.rows] = dense.swapaxes(-1, -2)
+        flat = flat.reshape(dense.shape[:-2] + (-1,))
         if self.size > 1:
-            dense = (np.fft.rfft if self.exact else np.fft.fft)(dense, n=self.size)
-        else:  # a copy: a block's stack may be transformed again
-            dense = dense.astype(complex)
-        if self.rows < self.order:
-            dense *= self._twist()
-        if self.rows > 1:
-            for part in dense:  # in place, one set at a time
-                part[...] = np.fft.fft(part, axis=-2)
-        return np.conjugate(dense, out=dense)
+            flat = (np.fft.rfft if self.exact else np.fft.fft)(flat, n=self.size)
+        else:
+            flat = flat.astype(complex)
+        return np.conjugate(flat, out=flat)
 
     def _inverse(self, prod: np.ndarray) -> np.ndarray:
-        """Inverse of `_forward` without the conjugation (`irfft2`)."""
-        if self.rows > 1:
-            prod = np.fft.ifft(prod, axis=-2)
-        if self.rows < self.order:
-            prod *= self._twist().conj()
+        """Inverse of `_forward` without the conjugation (`irfft`)."""
         if self.size > 1:
             return (np.fft.irfft if self.exact else np.fft.ifft)(prod, n=self.size)
         return prod.real if self.exact else prod
-
-    def _twist(self) -> np.ndarray:
-        return np.exp(-1j * np.pi / self.rows * np.arange(self.rows))[:, None]
 
     def _dense(self, dtype) -> np.ndarray:
         """(sets, members, rows, width) array of `dtype` holding the
@@ -470,15 +484,19 @@ class _Kernel:
         stack, b, bound, dtype, _ = digits or self.digits or self._digits()
         sets, members, limbs, rows, _ = stack.shape
         freqs = self.size // 2 + 1 if self.exact else self.size
-        block = max(1, _SPECTRA_MAX // (members * limbs * rows * freqs))
+        block = max(1, _SPECTRA_MAX // (members * limbs * freqs))
         if block < sets or limbs > 1:
             _debug("spectral pass: %d blocks of up to %d sets, %d limbs of %d bits; "
                    "rounding bound %.3g, headroom %.3g of 1/2", -(-sets // block), block,
                    limbs, b, bound, _headroom(bound))
         hull = self.hull
-        cols = -np.arange(-hull, hull + 1) % self.size
+        # lag -q * span + d holds the coefficient of z^d at shift q, d in (-rows, rows)
+        lags = (np.arange(1 - rows, rows) - self.span * np.arange(-hull, hull + 1)[:, None]
+                ) % self.size
+        # z^d, d < 0, folds onto z^(d + rows): z^-rows is 1 for odd K, -1 for even K
+        fold = -1.0 if rows < self.order else 1.0
         out = np.empty((len(pairs), 2 * hull + 1, rows), dtype)
-        step = max(1, _BATCH // (min(block, sets) * rows * freqs))
+        step = max(1, _BATCH // (min(block, sets) * freqs))
         groups = {}
         for p, (m, mp) in enumerate(pairs):
             groups.setdefault((m // block, mp // block, m % block // step), []).append(p)
@@ -499,11 +517,13 @@ class _Kernel:
             for k in reversed(range(2 * limbs - 1)):
                 # diagonal k: limb i of the left against limb k - i of the right
                 i, j = max(0, k - limbs + 1), min(k, limbs - 1) + 1
-                prod = np.einsum("lnikf,rnikf->lrkf", left[:, :, i:j],
+                prod = np.einsum("lnif,rnif->lrf", left[:, :, i:j],
                                  right[:, :, k - j + 1:k - i + 1][:, :, ::-1])
-                found = self._inverse(prod)[picks][..., cols].transpose(0, 2, 1)
+                found = self._inverse(prod)[picks][:, lags]
                 if self.exact:
                     found = np.rint(found)
+                found[..., rows:] += fold * found[..., :rows - 1]
+                found = found[..., rows - 1:]
                 # Horner from the top diagonal: no step outgrows energy + 2^52
                 total = found if limbs == 1 else (
                     (total << b) + found.astype(np.int64).astype(dtype))

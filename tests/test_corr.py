@@ -341,7 +341,11 @@ class TestZone:
         lambda: enlarge_ccc(
             cosf_to_ccc(execute(plan(4, [16]), verify=False).family, dft_matrix(4)),
             [hadamard_matrix(2)] * 4),
-    ], ids=["dft4", "hadamard4", "enlarged-8x8"])
+        lambda: ccc_from_unitary(dft_matrix(3)),
+        lambda: ccc_from_unitary(dft_matrix(5)),
+        lambda: ccc_from_unitary(dft_matrix(6)),
+        lambda: enlarge_ccc(ccc_from_unitary(dft_matrix(3)), [dft_matrix(4)] * 3),
+    ], ids=["dft4", "hadamard4", "enlarged-8x8", "dft3", "dft5", "dft6", "enlarged-order-12"])
     def test_matches_definitional_loop(self, build):
         fam = build()
         assert zccc_zone(fam) == zone_by_acorr(fam)
@@ -609,21 +613,22 @@ class TestSpectralKernel:
 
     @settings(max_examples=30, deadline=None,
               suppress_health_check=[HealthCheck.function_scoped_fixture])
-    @given(st.sampled_from([1, 2, 3, 4, 6]), st.integers(1, 5), st.integers(1, 2),
+    @given(st.integers(1, 12), st.integers(1, 5), st.integers(1, 2),
            st.booleans(), st.data())
     def test_rounding_bound_edge(self, caplog, order, length, members, above, data):
         # unit entries scaled by c: a set's squared coefficients sum to
         # members * length * c^2, the energy the bound is linear in
         per_c2 = members * length
-        size = corr._smooth(2 * length - 1)
-        limit = 0.5 / corr.rounding_bound(1.0, order, size, members)
+        unit = SequenceSet([Sequence([CycloNum.root(order, 0)] * length)] * members)
+        size = corr._Kernel([unit, unit]).size
+        limit = 0.5 / corr.rounding_bound(1.0, size, members)
         c = math.isqrt(int(limit / per_c2))
         while (c + 1) ** 2 * per_c2 < limit:
             c += 1
         while c * c * per_c2 >= limit:
             c -= 1
         c += above
-        assert (corr.rounding_bound(c * c * per_c2, order, size, members) < 0.5) != above
+        assert (corr.rounding_bound(c * c * per_c2, size, members) < 0.5) != above
         scale = CycloNum.from_int(c)
 
         def seq():
@@ -645,17 +650,18 @@ class TestSpectralKernel:
 
     @pytest.mark.parametrize("step, limbs", [(0, 1), (1, 2)], ids=["one limb", "two limbs"])
     def test_mixed_radix_edge(self, caplog, step, limbs):
-        # K = 6 folds to an exponent transform of length 3 and L = 48 pads
-        # positions to P = 96 = 2^5 * 3, so both axes are mixed-radix, where
-        # Percival's radix-2 bound holds only by `_FFT_SAFETY`.  Every
-        # coefficient is the largest magnitude one limb allows (step 0) or
-        # one more (step 1), each member's phases aligned so its sums peak.
+        # K = 6 folds to 3 exponent rows, which Kronecker substitution
+        # spreads over 5 indices per position, so L = 48 takes one real
+        # transform of P = 512 points, where Percival's bound is a theorem.
+        # Every coefficient is the largest magnitude one limb allows (step 0)
+        # or one more (step 1), each member's phases aligned so its sums peak.
         order, length, members = 6, 48, 2
-        size = corr._smooth(2 * length - 1)
-        assert size == 96
+        unit = SequenceSet([Sequence([CycloNum.root(order, 0)] * length)] * members)
+        size = corr._Kernel([unit, unit]).size
+        assert size == 512
 
         def bound(c):
-            return corr.rounding_bound(members * length * c * c, order, size, members)
+            return corr.rounding_bound(members * length * c * c, size, members)
 
         c = math.isqrt(int(0.5 / bound(1)))
         while bound(c + 1) < 0.5:
@@ -672,8 +678,13 @@ class TestSpectralKernel:
         for pair in report.pairs:
             assert_pair_matches(pair, fam[pair.left], fam[pair.right])
 
-    # a set's half-spectra hold 4 members x 2 rows x 17 entries = 136
-    @pytest.mark.parametrize("cap, blocks", [(0, 4), (300, 2)])
+    # a set's spectra hold 4 members x 32 entries = 128 on the certificate
+    # pass and 4 members x 65 half-spectrum entries = 260 on the per-shift
+    # pass, so cap 300 splits the 4 sets into 2 blocks on the certificate
+    # pass and 4 on the per-shift pass, and cap 600 into 2 on the per-shift
+    # pass alone
+    @pytest.mark.parametrize("cap, blocks", [(0, [4, 4, 4]), (300, [2, 2, 4]), (600, [2])],
+                             ids=["0-4", "300-2", "600-2"])
     def test_spectra_size_cap_splits_into_blocks(self, caplog, monkeypatch, cap, blocks):
         fam = cosf_to_ccc(execute(plan(4, [16]), verify=False).family, dft_matrix(4))
         one_block = is_ccc(fam)
@@ -683,8 +694,9 @@ class TestSpectralKernel:
             blocked = is_ccc(fam)
             assert zccc_zone(fam) == zone
         records = kernel_records(caplog)
-        # is_ccc, then zccc_zone's own is_ccc and its rotated pass
-        assert [record_counts(r) for r in records] == [(blocks, 1)] * 3
+        # is_ccc, then zccc_zone's own is_ccc and its rotated pass, each
+        # recorded when it splits its sets into blocks
+        assert [record_counts(r) for r in records] == [(b, 1) for b in blocks]
         assert "headroom" in records[0]
         assert blocked.ok and one_block.ok
         assert [[(v.order, v.coeffs) for v in p.values] for p in blocked.pairs] == \
@@ -1116,6 +1128,13 @@ class TestCertificate:
         assert corr.certificate_bound(1.0, 6, 2, width, size) > 6 * base
         assert corr.certificate_bound(1.0, 1, 4, width, size) > base
         assert corr.certificate_bound(1.0, 1, 2, width, 2 * size) > base
+        # the per-shift pass's bound: linear in energy, growing with the
+        # transform's size and with the members
+        base = corr.rounding_bound(1.0, size, 2)
+        assert base > 0
+        assert corr.rounding_bound(2.0, size, 2) == pytest.approx(2 * base)
+        assert corr.rounding_bound(1.0, 2 * size, 2) > base
+        assert corr.rounding_bound(1.0, size, 4) > base
 
 
 def verify_workload_cases(monkeypatch):
