@@ -18,8 +18,8 @@ with R rows and D = 2R - 1, exponent j of position l goes to index
 l D + j of one vector, so every (shift, exponent difference) pair of a
 correlation lands on its own index.  One power-of-two real transform
 per member (complex in approx mode), long enough that no index wraps,
-products summed over members in the spectrum, and one inverse per group
-of set pairs give every sum; the inverse is rounded to integers only
+products summed over members in the spectrum, and one inverse per pair
+of set blocks give every sum; the inverse is rounded to integers only
 under an a-priori error bound (`rounding_bound`, derived from
 Percival's theorem, Math. Comp. 72 (2003)), and the differences d < 0
 are then folded onto d + R in integers.  Coefficients too large for
@@ -108,10 +108,10 @@ every check.  A report keeps each pair's slice of the integer stack,
 and its `CycloNum`s are built only when its values are read
 (`_scalars`).
 
-Both passes take spectra one block of sets at a time, so their memory
-stays under `_SPECTRA_MAX` entries per block.  A debug record on the
-`cocodes` logger gives the block and limb counts whenever either is
-above one, and one per check names the pass that decided it and why.
+Both passes go through `_block_pairs` and `_member_sums`, with blocks
+sized so that a block's spectra and two blocks' member sums stay under
+`_SPECTRA_MAX` entries.  Debug records on the `cocodes` logger give the
+block and limb counts above one and which pass decided a check, and why.
 
 `is_n_co_sf` runs the same passes on the n polyphase components
 s_r(l) = s(ln + r) of each sequence: R(s, t)(qn) = sum_r R(s_r, t_r)(q),
@@ -124,7 +124,7 @@ import math
 import sys
 from bisect import bisect_left
 from dataclasses import dataclass, field
-from functools import reduce
+from functools import lru_cache, reduce
 from typing import Optional
 
 import numpy as np
@@ -146,17 +146,16 @@ DEFAULT_TOL = 1e-9
 # Violated shifts a report's render prints per pair; the rest are counted
 RENDER_SHIFTS_PER_PAIR = 16
 
-# Entries of the half-spectra of one block of sets (16 bytes each, so
-# 64 MB); a block always holds at least one set.
+# Entries (16 bytes each, so 64 MB) of the spectra of one block of sets,
+# and of the member sums of two blocks; a block holds at least one set.
 _SPECTRA_MAX = 2 ** 22
 
-# Entries of the spectral products one einsum makes: left sets are
-# taken in groups of this size against all their right sets.
-_BATCH = 2 ** 12
-
-# Sets of a call up to which the certificate sums products over the
-# members pair by pair; past it, one batched matmul per root.
+# Sets (times limbs) of a block up to which `_member_sums` takes one
+# einsum; past it, one batched Gram matmul per frequency.
 _GRAM_SETS = 4
+
+# Products (Gram entries past _GRAM_SETS) one step of `_member_sums` makes
+_STEP = 2 ** 14
 
 # Unit roundoff of float64
 _U = 2.0 ** -53
@@ -304,6 +303,71 @@ def certificate_bound(energy: float, rows: int, members: int, width: int,
     return rows * energy * (gram + shift0) * (1 + 2.0 ** -50)
 
 
+def _blocks(sets: int, members: int, limbs: int, freqs: int, *record) -> int:
+    """Sets per block, so that one block's spectra and the member sums
+    of two blocks stay under `_SPECTRA_MAX` entries; and the debug
+    record of the pass.  `record`: limb bits, bound name and bound."""
+    block = max(1, min(_SPECTRA_MAX // (members * freqs),
+                       math.isqrt(_SPECTRA_MAX // freqs)) // limbs)
+    if block < sets or limbs > 1:
+        _debug("spectral pass: %d blocks of up to %d sets, %d limbs of %d bits; %s bound %.3g, "
+               "headroom %.3g of 1/2", -(-sets // block), block, limbs, *record,
+               _headroom(record[-1]))
+    return block
+
+
+def _block_pairs(pairs, block: int, spectra_of, rounds=(None,)):
+    """For each of `rounds` and (left, right) pair of blocks of `block`
+    sets holding some of `pairs`: `spectra_of(slice of sets, round)` of
+    both, and the indices and in-block sets of those pairs.  A block out
+    of use is dropped before the next one is taken."""
+    groups = {}
+    for p, (m, mp) in enumerate(pairs):
+        groups.setdefault((m // block, mp // block), []).append((p, m % block, mp % block))
+    groups = [(lb, rb, *map(np.array, zip(*group))) for (lb, rb), group in sorted(groups.items())]
+    for r in rounds:
+        spectra = {}
+        for lb, rb, idx, lefts, rights in groups:
+            spectra = {k: spectra[k] for k in spectra.keys() & {lb, rb}}
+            for k in {lb, rb} - spectra.keys():
+                spectra[k] = spectra_of(slice(k * block, (k + 1) * block), r)
+            yield spectra[lb], spectra[rb], idx, lefts, rights
+
+
+def _member_sums(left, right, lefts, rights) -> np.ndarray:
+    """sum_n left[l, n] conj(right[r, n]), (..., freqs), for the sets of
+    the index arrays `lefts` and `rights` of two blocks of spectra
+    (sets, members, freqs), `_STEP` entries of products at a time."""
+    gram = min(len(left), len(right)) > _GRAM_SETS
+    out = np.empty(np.broadcast(lefts, rights).shape + left.shape[2:], complex)
+    step = max(1, _STEP // (len(left) * len(right) * (1 if gram else left.shape[1])))
+    for f in range(0, out.shape[-1], step):
+        x, y = left[..., f:f + step], right[..., f:f + step]
+        if gram:
+            x = np.ascontiguousarray(x.transpose(2, 0, 1))
+            y = x if right is left else np.ascontiguousarray(y.transpose(2, 0, 1))
+            sums = (x @ y.conj().swapaxes(-1, -2)).transpose(1, 2, 0)
+        else:
+            sums = np.einsum("lnf,rnf->lrf", x, y.conj())
+        out[..., f:f + step] = sums[lefts, rights]
+    return out
+
+
+@lru_cache(maxsize=64)
+def _roots(k: int, rows: int) -> Optional[np.ndarray]:
+    """Read-only (roots, rows) matrix, kept per order, that evaluates a
+    stack's exponent axis at zeta_K^-e for each e < K/2 prime to K: one
+    primitive root of each conjugate pair.  None for K <= 2, whose one
+    row is its own value.  Row j of a folded even order is z^j with
+    z^(K/2) = -1, which every primitive root satisfies."""
+    if rows == 1:
+        return None
+    units = [e for e in range(1, (k + 1) // 2) if math.gcd(e, k) == 1]
+    roots = np.exp(-2j * np.pi / k * (np.outer(units, np.arange(rows)) % k))
+    roots.flags.writeable = False
+    return roots
+
+
 class _Kernel:
     """The set sums of one predicate call: R(S, T)(q) =
     sum_n R(S[n], T[n])(q) for pairs (S, T) of the call's sets, with
@@ -327,21 +391,20 @@ class _Kernel:
     the product of s(j, l) and t(j', l + q) lands at lag -q D + d,
     d = j - j' in (-R, R), distinct for every (q, d), and a transform
     of P = 2^a >= 2 ((width - 1) D + R - 1) + 1 points (`size`) wraps
-    none of them.  One block of sets at a time (`_SPECTRA_MAX` sizes a
-    block), the spectral pass takes the conjugated half-spectrum of
-    every member (`rfft`; `fft` in approx mode).  For a group of left
-    sets (`_BATCH` bounds the group's products) one einsum sums
-    F(s_n) conj(F(t_n)) over the members n against the right sets of a
-    block, and one batched inverse (`_inverse`) brings the group back.
-    Exact results are rounded under `rounding_bound`, and the column
-    of d < 0 is folded onto d + R in integers: added for odd K, where
-    z^-R = 1, subtracted for even K, where z^-R = -1.  Approx sequences
-    keep their values unrounded.  The spectra exist only while `sums`
-    runs, and so does the stack unless the caller keeps it in `digits`
-    for several calls.  `check` decides a predicate's pairs by the
-    certificate pass (`_certify`) where its bound holds, and by `sums`
-    otherwise; when the certificate rejects a pair it keeps the stack
-    in `digits` for the report's deferred pass.
+    none of them.  A block of sets at a time (`_blocks`), the spectral
+    pass takes the half-spectrum of every member and limb (`rfft`; `fft`
+    in approx mode).  Per pair of blocks, `_member_sums` sums F(s_n)
+    conj(F(t_n)) over the members n for each left and right limb, limb
+    products i + j = k add up to diagonal k, and one batched inverse
+    (`_inverse`) brings them all back.  Exact results are rounded under
+    `rounding_bound`, and the column of d < 0 is folded onto d + R in
+    integers: added for odd K, where z^-R = 1, subtracted for even K,
+    where z^-R = -1.  Approx values stay unrounded.  The spectra exist
+    only while `sums` runs, and so does the stack unless the caller
+    keeps it in `digits` for several calls.  `check` decides a
+    predicate's pairs by the certificate pass (`_certify`) where its
+    bound holds, and by `sums` otherwise; when the certificate rejects a
+    pair it keeps the stack in `digits` for the report's deferred pass.
     """
 
     def __init__(self, sets, phases: int = 1, tol: float = 0.0):
@@ -370,7 +433,7 @@ class _Kernel:
         self.digits = None  # `_digits()` when the caller keeps it for more calls
 
     def _digits(self):
-        """The stack the spectra are taken of, (sets, members, limbs,
+        """The stack the spectra are taken of, (sets, limbs, members,
         rows, width); the limb width b in bits (0: one limb); the
         rounding bound that certifies the pass (nan in approx mode); the
         dtype of the sums, int64 when every value and every step of
@@ -385,7 +448,7 @@ class _Kernel:
         CoefficientLimitError names the cap), so that the stack
         converts to float too."""
         if not self.exact:
-            return self._dense(complex)[:, :, None], 0, math.nan, complex, math.nan
+            return self._dense(complex)[:, None], 0, math.nan, complex, math.nan
         big = [s.array for ss in self.sets for s in ss if s.array.dtype == object]
         if big:
             for a in big:
@@ -397,7 +460,7 @@ class _Kernel:
         energy = float(np.einsum("smkl,smkl->s", dense, dense).max())
         bound = rounding_bound(energy, self.size, self.members)
         if bound < 0.5:
-            return dense[:, :, None], 0, bound, np.int64, energy
+            return dense[:, None], 0, bound, np.int64, energy
         # Too large to round in one piece: every coefficient becomes n
         # signed base-2^b digits, least significant first.  A set sum is
         # then sum_k 2^(bk) R_k, where R_k sums over the members and over
@@ -421,28 +484,28 @@ class _Kernel:
             return rounding_bound(nonzero * n * (2 ** b - 1) ** 2, self.size, self.members * n)
 
         b = max(b for b in range(1, 53) if limb_bound(b) < 0.5)
-        digits = np.stack([(mags >> i) & ((1 << b) - 1) for i in range(0, bits, b)], axis=2)
-        return (digits.astype(float) * np.where(ints < 0, -1.0, 1.0)[:, :, None], b,
+        digits = np.stack([(mags >> i) & ((1 << b) - 1) for i in range(0, bits, b)], axis=1)
+        return (digits.astype(float) * np.where(ints < 0, -1.0, 1.0)[:, None], b,
                 limb_bound(b), np.int64 if energy < 2.0 ** 61 else object, energy)
 
     def _forward(self, dense: np.ndarray) -> np.ndarray:
-        """Conjugated spectrum of a dense stack (..., rows, width): the
-        half-spectrum (`rfft`; the full one, `fft`, in approx mode) of
-        each member laid out at index l * span + j, zero-padded to
-        `size` points.  A transform of length 1 is the identity and is
-        skipped, so sets of width 1 (the planner's sub-families) in
-        approx mode or at K <= 2 reduce to one product."""
+        """(sets limbs, members, freqs) spectra of a (sets, limbs, members,
+        rows, width) block (limb i of set m at m limbs + i): the
+        half-spectrum (`rfft`; `fft` in approx mode) of each member laid
+        out at index l * span + j, zero-padded to `size` points.  A
+        transform of length 1 is the identity and is skipped, so sets of
+        width 1 (the planner's sub-families) in approx mode or at K <= 2
+        reduce to one product."""
+        dense = dense.reshape((-1,) + dense.shape[2:])
         flat = np.zeros(dense.shape[:-2] + (dense.shape[-1], self.span), dense.dtype)
         flat[..., :self.rows] = dense.swapaxes(-1, -2)
         flat = flat.reshape(dense.shape[:-2] + (-1,))
         if self.size > 1:
-            flat = (np.fft.rfft if self.exact else np.fft.fft)(flat, n=self.size)
-        else:
-            flat = flat.astype(complex)
-        return np.conjugate(flat, out=flat)
+            return (np.fft.rfft if self.exact else np.fft.fft)(flat, n=self.size)
+        return flat.astype(complex)
 
     def _inverse(self, prod: np.ndarray) -> np.ndarray:
-        """Inverse of `_forward` without the conjugation (`irfft`)."""
+        """Inverse of `_forward`'s transform (`irfft`)."""
         if self.size > 1:
             return (np.fft.irfft if self.exact else np.fft.ifft)(prod, n=self.size)
         return prod.real if self.exact else prod
@@ -470,9 +533,10 @@ class _Kernel:
                     for r in range(n):
                         part = s.array[..., r::n]
                         rows[r, :, :part.shape[-1]] = part
+        # C order: the phase axis of the reshape above is interleaved
         if self.rows < self.order:
-            return out[:, :, :self.rows] - out[:, :, self.rows:]
-        return out
+            return np.subtract(out[:, :, :self.rows], out[:, :, self.rows:], order="C")
+        return np.ascontiguousarray(out)
 
     def sums(self, pairs, rotate: bool = False, digits=None) -> np.ndarray:
         """(pairs, 2 hull + 1, rows) stack of the set sums of each
@@ -482,51 +546,37 @@ class _Kernel:
         shifted by one (member n + 1 pairs with member n).  `digits`
         is a `_digits()` the caller has already made."""
         stack, b, bound, dtype, _ = digits or self.digits or self._digits()
-        sets, members, limbs, rows, _ = stack.shape
+        sets, limbs, members, rows, _ = stack.shape
         freqs = self.size // 2 + 1 if self.exact else self.size
-        block = max(1, _SPECTRA_MAX // (members * limbs * freqs))
-        if block < sets or limbs > 1:
-            _debug("spectral pass: %d blocks of up to %d sets, %d limbs of %d bits; "
-                   "rounding bound %.3g, headroom %.3g of 1/2", -(-sets // block), block,
-                   limbs, b, bound, _headroom(bound))
+        block = _blocks(sets, members, limbs, freqs, b, "rounding", bound)
         hull = self.hull
         # lag -q * span + d holds the coefficient of z^d at shift q, d in (-rows, rows)
         lags = (np.arange(1 - rows, rows) - self.span * np.arange(-hull, hull + 1)[:, None]
                 ) % self.size
         # z^d, d < 0, folds onto z^(d + rows): z^-rows is 1 for odd K, -1 for even K
         fold = -1.0 if rows < self.order else 1.0
+        # the right limbs reversed: limb pairs (i, k - i) are diagonal limbs - 1 - k
+        left_limbs, right_limbs = np.arange(limbs)[:, None], np.arange(limbs)[::-1]
         out = np.empty((len(pairs), 2 * hull + 1, rows), dtype)
-        step = max(1, _BATCH // (min(block, sets) * freqs))
-        groups = {}
-        for p, (m, mp) in enumerate(pairs):
-            groups.setdefault((m // block, mp // block, m % block // step), []).append(p)
-        spectra = {}
-        for (lb, rb, group), idx in sorted(groups.items()):
-            # keep the spectra of this left and right block only
-            spectra = {k: spectra[k] if k in spectra else
-                       self._forward(stack[k * block:(k + 1) * block]) for k in {lb, rb}}
-            start = group * step
-            rights = [pairs[p][1] - rb * block for p in idx]
-            lo = min(rights)
-            picks = [pairs[p][0] - lb * block - start for p in idx], [r - lo for r in rights]
-            left = np.conjugate(spectra[lb][start:start + step])
+        for left, right, idx, lefts, rights in _block_pairs(
+                pairs, block, lambda part, _: self._forward(stack[part])):
             if rotate:
                 left = np.roll(left, -1, axis=1)
-            right = spectra[rb][lo:]
+            # one name for each block pair's arrays, so none outlives its step
+            found = _member_sums(left, right, lefts[:, None, None] * limbs + left_limbs,
+                                 rights[:, None, None] * limbs + right_limbs)
+            found = found[:, 0] if limbs == 1 else np.stack(
+                [found.diagonal(limbs - 1 - k, 1, 2).sum(-1) for k in range(2 * limbs - 1)], 1)
+            found = self._inverse(found)[..., lags]
+            if self.exact:
+                np.rint(found, out=found)
+            found[..., rows:] += fold * found[..., :rows - 1]
+            found = found[..., rows - 1:]
             total = 0
             for k in reversed(range(2 * limbs - 1)):
-                # diagonal k: limb i of the left against limb k - i of the right
-                i, j = max(0, k - limbs + 1), min(k, limbs - 1) + 1
-                prod = np.einsum("lnif,rnif->lrf", left[:, :, i:j],
-                                 right[:, :, k - j + 1:k - i + 1][:, :, ::-1])
-                found = self._inverse(prod)[picks][:, lags]
-                if self.exact:
-                    found = np.rint(found)
-                found[..., rows:] += fold * found[..., :rows - 1]
-                found = found[..., rows - 1:]
                 # Horner from the top diagonal: no step outgrows energy + 2^52
-                total = found if limbs == 1 else (
-                    (total << b) + found.astype(np.int64).astype(dtype))
+                total = found[:, k] if limbs == 1 else (
+                    (total << b) + found[:, k].astype(np.int64).astype(dtype))
             out[idx] = total
         return out
 
@@ -552,7 +602,7 @@ class _Kernel:
         A debug record names the path and why."""
         digits = self.digits or self._digits()
         stack, _, _, _, energy = digits
-        limbs = stack.shape[2]
+        limbs = stack.shape[1]
         scan = _Scan(self, pairs)
         cert = math.nan
         if self.exact:
@@ -561,7 +611,7 @@ class _Kernel:
         reason = ("approx" if not self.exact else "bound" if not cert < 0.5 else
                   "limbs" if limbs > 1 else None)
         if reason is None:
-            accepted = (self._certify(stack[:, :, 0], pairs, cert) < 0.5).tolist()
+            accepted = (self._certify(stack[:, 0], pairs, cert) < 0.5).tolist()
             if not all(accepted):  # a failing report is likely read: keep its stack
                 self.digits = digits
             _debug("check by certificate: %d of %d pairs accepted, %d rejected; "
@@ -572,99 +622,48 @@ class _Kernel:
             accepted = [None] * len(pairs)
             _debug("check per shift (%s): %d pairs, %d limbs; certificate bound %.3g, "
                    "headroom %.3g of 1/2", reason, len(pairs), limbs, cert, _headroom(cert))
-        step = self.step
-        shifts = {}  # pairs of one hull share their list of shifts
-        out = []
-        for p, ((m, mp), h, ok) in enumerate(zip(pairs, scan.hulls, accepted)):
-            if h not in shifts:
-                shifts[h] = list(range(-h * step, h * step + 1, step))
-            out.append(PairResult(m, mp, shifts[h], self.order, scan, p, ok))
-        return out
+        step = self.step  # pairs of one hull share their list of shifts
+        shifts = {h: list(range(-h * step, h * step + 1, step)) for h in set(scan.hulls)}
+        return [PairResult(m, mp, shifts[h], self.order, scan, p, ok)
+                for p, ((m, mp), h, ok) in enumerate(zip(pairs, scan.hulls, accepted))]
 
-    def _roots(self) -> Optional[np.ndarray]:
-        """(roots, rows) matrix that evaluates a stack's exponent axis
-        at zeta_K^-e for each e < K/2 prime to K: one primitive root of
-        each conjugate pair.  None for K <= 2, whose one row is its own
-        value.  Row j of a folded even order is z^j with z^(K/2) = -1,
-        which every primitive root satisfies."""
-        k = self.order
-        if self.rows == 1:
-            return None
-        units = [e for e in range(1, (k + 1) // 2) if math.gcd(e, k) == 1]
-        return np.exp(-2j * np.pi / k * (np.outer(units, np.arange(self.rows)) % k))
-
-    def _root_spectra(self, block: np.ndarray, root, size: int, gram: bool) -> tuple:
+    def _root_spectra(self, block: np.ndarray, root, size: int) -> tuple:
         """(spectra, energies) of a (sets, members, rows, width) block at
         one of the certificate's roots (a row of `_roots`, None at K <= 2):
         the transform over positions, zero-padded to `size`, of each
         member's values at the root (the real half-spectrum at K <= 2),
-        laid out (sets, members, freqs), or (freqs, sets, members) for a
-        Gram by `matmul`; and each set's shift-0 sum
+        (sets, members, freqs); and each set's shift-0 sum
         sum_n sum_l |x_n(l)|^2 at the root."""
         if root is None:
             x = block[:, :, 0]
-            spectra = np.fft.rfft(x, n=size)
-            energies = np.einsum("sml,sml->s", x, x)
-        else:
-            x = np.empty(block.shape[:2] + block.shape[3:], complex)
-            # two real products: the stack is never cast to complex
-            np.matmul(root.real, block, out=x.real)
-            np.matmul(root.imag, block, out=x.imag)
-            energies = np.einsum("sml,sml->s", x.real, x.real) + np.einsum(
-                "sml,sml->s", x.imag, x.imag)
-            spectra = np.fft.fft(x, n=size)
-        if gram:
-            spectra = np.ascontiguousarray(spectra.transpose(2, 0, 1))
-        return spectra, energies
+            return np.fft.rfft(x, n=size), np.einsum("sml,sml->s", x, x)
+        x = np.empty(block.shape[:2] + block.shape[3:], complex)
+        # two real products: the stack is never cast to complex
+        np.matmul(root.real, block, out=x.real)
+        np.matmul(root.imag, block, out=x.imag)
+        energies = np.einsum("sml,sml->s", x.real, x.real) + np.einsum(
+            "sml,sml->s", x.imag, x.imag)
+        return np.fft.fft(x, n=size), energies
 
     def _certify(self, dense: np.ndarray, pairs, bound: float) -> np.ndarray:
         """max |v| of each pair over its certificate values v (see the
         module docstring): the member sums of the spectra at every
         retained root and frequency, less an auto pair's shift-0 sum.
         The roots are taken one at a time, so a pass holds the spectra
-        of one root; the sets of one root are split into blocks only
-        when they alone pass `_SPECTRA_MAX`.  Calls of more than
-        `_GRAM_SETS` sets take each frequency's Gram matrix of a block
-        pair by one batched `matmul`; fewer take a product summed over
-        members per pair, which stays fast when few sets have long
-        spectra."""
+        of one root."""
         sets, members, _, width = dense.shape
         size = _pow2(2 * width - 1)
-        roots = self._roots()
+        roots = _roots(self.order, self.rows)
         freqs = size // 2 + 1 if roots is None else size
-        block = max(1, _SPECTRA_MAX // (members * freqs))
-        if block < sets:
-            _debug("spectral pass: %d blocks of up to %d sets, 1 limbs of 0 bits; "
-                   "certificate bound %.3g, headroom %.3g of 1/2", -(-sets // block), block,
-                   bound, _headroom(bound))
-        gram = sets > _GRAM_SETS
+        block = _blocks(sets, members, 1, freqs, 0, "certificate", bound)
+        auto = np.array([m == mp for m, mp in pairs])
         worst = np.zeros(len(pairs))
-        groups = {}
-        for p, (m, mp) in enumerate(pairs):
-            groups.setdefault((m // block, mp // block), []).append(p)
-        for root in [None] if roots is None else roots:
-            spectra = {}
-            for (lb, rb), idx in sorted(groups.items()):
-                # keep the spectra of this left and right block only
-                spectra = {k: spectra[k] if k in spectra else self._root_spectra(
-                    dense[k * block:(k + 1) * block], root, size, gram) for k in {lb, rb}}
-                (left, energies), (right, _) = spectra[lb], spectra[rb]
-                lefts = [pairs[p][0] - lb * block for p in idx]
-                rights = [pairs[p][1] - rb * block for p in idx]
-                if gram:
-                    g = left @ right.conj().swapaxes(-1, -2)
-                    if lb == rb:
-                        diag = np.arange(g.shape[-1])
-                        g[:, diag, diag] -= energies
-                    found = np.abs(g).max(axis=0)[lefts, rights]
-                else:
-                    found = []
-                    for p, m, mp in zip(idx, lefts, rights):
-                        g = np.einsum("nf,nf->f", left[m], right[mp].conj())
-                        if pairs[p][0] == pairs[p][1]:
-                            g -= energies[m]
-                        found.append(np.abs(g).max())
-                worst[idx] = np.maximum(worst[idx], found)
+        for (left, energies), (right, _), idx, lefts, rights in _block_pairs(
+                pairs, block, lambda part, root: self._root_spectra(dense[part], root, size),
+                [None] if roots is None else roots):
+            v = _member_sums(left, right, lefts, rights)
+            v -= np.where(auto[idx], energies[lefts], 0)[:, None]
+            worst[idx] = np.maximum(worst[idx], np.abs(v).max(axis=1))
         return worst
 
 

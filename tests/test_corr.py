@@ -705,6 +705,28 @@ class TestSpectralKernel:
         zeros = singleton_family([Sequence([CycloNum.zero(3)] * 4)] * 2)
         assert is_n_co_sf(zeros, 2).ok
 
+    def test_member_sums_of_two_blocks_stay_under_the_cap(self, caplog, monkeypatch):
+        # 16 sets of one +-1 sequence of length 8: a set's spectra hold 9
+        # entries on either pass, so cap 200 holds all 16 sets' spectra
+        # (144 entries) but not their member sums, 16 x 16 x 9 = 2304
+        # entries, so the sets must still be split into blocks
+        rng = random.Random(3)
+        fam = singleton_family([Sequence([rng.choice([1, -1]) for _ in range(8)])
+                                for _ in range(16)])
+
+        def read(report):
+            return report.ok, [(p.ok, p.violations, [(v.order, v.coeffs) for v in p.values])
+                               for p in report.pairs]
+
+        whole = read(is_n_co_sf(fam, 1))
+        monkeypatch.setattr(corr, "_SPECTRA_MAX", 200)
+        with caplog.at_level(logging.DEBUG, logger="cocodes"):
+            blocked = read(is_n_co_sf(fam, 1))
+        # the certificate pass, then the report's per-shift pass
+        assert [record_counts(r)[0] for r in kernel_records(caplog)] == [4, 4]
+        assert blocked == whole
+        assert not whole[0]
+
     def test_blocks_keep_approx_values(self, monkeypatch):
         # at width 1 the transform is the identity: a block's stack must
         # come through it unchanged, since a block is transformed again
@@ -751,17 +773,18 @@ class TestSpectralKernel:
                              ids=["2", "2^40", "2^64", "2^200"])
     @settings(max_examples=20, deadline=None,
               suppress_health_check=[HealthCheck.function_scoped_fixture])
-    @given(st.sampled_from([corr._SPECTRA_MAX, 0]), st.sampled_from([corr._BATCH, 0]),
-           st.data())
+    @given(st.sampled_from([corr._SPECTRA_MAX, 0]),
+           st.sampled_from([0, corr._GRAM_SETS, 10 ** 9]), st.data())
     def test_large_coefficients_match_summed_acorr(self, caplog, monkeypatch, scale, cap,
-                                                   batch, data):
+                                                   gram_sets, data):
         ccc, ccc_bad = self.scaled_with_near_miss(
             data.draw(st.sampled_from(self.CCC_BASES))(), scale, data)
         build, n = data.draw(st.sampled_from(self.COSF_BASES))
         cosf, cosf_bad = self.scaled_with_near_miss(build(), scale, data)
-        # cap 0 puts every set in a block of its own, batch 0 in a group
+        # cap 0 puts every set in a block of its own; _GRAM_SETS 0 sums
+        # members by the Gram matmul, 10^9 by the einsum
         monkeypatch.setattr(corr, "_SPECTRA_MAX", cap)
-        monkeypatch.setattr(corr, "_BATCH", batch)
+        monkeypatch.setattr(corr, "_GRAM_SETS", gram_sets)
         caplog.clear()
         caplog.set_level(logging.DEBUG, logger="cocodes")
         assert is_ccc(ccc).ok and not is_ccc(ccc_bad).ok
