@@ -13,18 +13,14 @@ sequences by length.
 Output ordering is always the lexicographic order of the partition
 path (cell index, then row index), so constructions are deterministic.
 
-A cell's members are read once (`model.cell_terms`) for its energy check
-and all its connections.  Rows of DFT and Hadamard matrices connected
-with each other give entries of one term c * zeta^e each, so a cell of
-int64 members with exactly one term in every column, connected with sub
-rows of that kind too, takes the single-term path: each output is one
-gather of (exponent, coefficient) per column, exponents added mod K, and
-one scatter into zeros (`_single_connections`), and the energy check sums
-c^2 per member (`model.energies`).  Any other cell or sub row takes the
-term path, which pairs terms and sums their products: one with a zero
-entry (an identity sub-matrix), an entry of two or more terms, approx
-entries, or coefficients held as Python ints.  Both paths give the same
-arrays, in the same dtype.
+A cell's members are read once, as their layers (`model.cell_terms`),
+for its energy check and all its connections.  Every output is one
+`model.multiply` of two layered operands: a connection multiplies the
+members' layers, tiled over its blocks, by one entry of the sub row per
+block, broadcast along the block; an expansion multiplies every member
+by every entry of v at once.  Each output keeps its own order and the
+dtype `model._fit` gives it; int64 sums widen to Python ints, and approx
+zero factors give 0, as `model.multiply` says.
 """
 
 from __future__ import annotations
@@ -35,27 +31,22 @@ from math import lcm
 import numpy as np
 
 from .corr import DEFAULT_TOL, is_ccc, is_n_co_sf
-from .cyclo import INT64_COEFF_BOUND, common_order
+from .cyclo import common_order
 from .matrices import UnitaryLike
 from .model import (
     EXACT,
-    CellTerms,
-    ModeMismatchError,
     Sequence,
     SequenceFamily,
     SequenceSet,
+    _fit,
+    _promote,
     cell_terms,
     energy,
-    entry_terms,
-    from_terms,
-    multiply_terms,
+    layers,
+    multiply,
     product,
     scalar,
-    scaled,
-    side_by_side,
-    single_terms,
     singleton_family,
-    terms,
     unequal_energies,
 )
 
@@ -70,70 +61,33 @@ def connect(v: Sequence, cell: SequenceSet) -> Sequence:
     return _connections([v], cell, cell_terms(cell))[0]
 
 
-def _connections(vs, cell: SequenceSet, found: CellTerms) -> list:
-    """connect(v, cell) for every v in `vs`, from the members' terms
+def _connections(vs, cell: SequenceSet, found) -> list:
+    """connect(v, cell) for every v in `vs`, from the members' layers
     `found` (see `model.cell_terms`), so the members are read once and no
     concatenation is built.
 
-    When the members and every v are single-term (see `model.single_terms`),
-    the outputs are built by `_single_connections`.  Otherwise each block
-    of an output is a member's terms shifted into place and multiplied
-    term by term."""
-    if found.single is not None:
-        v_order = reduce(common_order, {v.order for v in vs}, 1)
-        row = single_terms([v.array for v in vs], v_order)
-        if row is not None:
-            return _single_connections(vs, found, row, v_order)
-    cell_order, members, _ = found
-    m, width = len(cell), cell.length
-    out = []
-    for v in vs:
-        k, order = lcm(m, len(v)), common_order(cell_order, v.order)
-        cols, exps, vals = side_by_side([members[i % m] for i in range(k)], width)
-        left = cols, exps * (order // cell_order), vals
-        colmap = np.arange(k * width) // width % len(v)
-        rows, cols, vals = multiply_terms(left, terms(v.array, order), colmap)
-        out.append(Sequence._of_fitted(from_terms(rows, cols, vals, order, k * width)))
-    return out
-
-
-def _single_connections(vs, found: CellTerms, row, v_order: int) -> list:
-    """connect(v, cell) for every v in `vs` of a single-term cell, given
-    the single terms of the vs side by side (`row`, at `v_order`).
-
-    Entry l of block i of an output is the one term of member i mod M at
-    l times the one term of v[i mod len(v)]: one gather of the members'
-    columns (shared by the outputs of one block count and order), one of
-    v's entries, exponents added mod K and one scatter into zeros."""
-    (exps, coeffs), (v_exps, v_coeffs) = found.single, row
-    m, width = exps.shape
-    peak = int(np.abs(coeffs).max())
-    tiled = {}  # (k, order): the members' exponents and coefficients over k blocks
+    An output of k blocks is one `multiply` of the members' layers tiled
+    over the blocks (shared by the outputs of one block count and order)
+    with v's entries, one per block, broadcast along the block; the vs
+    are read side by side in one `layers` call."""
+    cell_order, exps, coeffs = found
+    m = len(cell)
+    v_order = reduce(common_order, {v.order for v in vs}, 1)
+    v_exps, v_coeffs = layers(np.hstack([_promote(v.array, v_order) for v in vs]), v_order)
+    tiled = {}  # (k, order): the members' layers over k blocks, the vs' exponents at order
     out = []
     start = 0
     for v in vs:
-        k, order = lcm(m, len(v)), common_order(found.order, v.order)
+        k, order = lcm(m, len(v)), common_order(cell_order, v.order)
         if (k, order) not in tiled:
             blocks = np.arange(k) % m
-            tiled[k, order] = exps[blocks] * (order // found.order), coeffs[blocks]
-        block_exps, block_coeffs = tiled[k, order]
+            members = exps.take(blocks, axis=1) * (order // cell_order), coeffs.take(blocks, axis=1)
+            tiled[k, order] = members, v_exps * order // v_order
+        members, row_exps = tiled[k, order]
         at = start + np.arange(k) % len(v)
         start += len(v)
-        entry_coeffs = v_coeffs[at]
-        # each factor is below INT64_COEFF_BOUND, so no product wraps
-        vals = (block_coeffs * entry_coeffs[:, None]).ravel()
-        if order == 1:
-            array = vals.reshape(1, -1)
-        else:
-            # both exponents are below `order`, so their sum is below twice it
-            wrap = np.arange(2 * order) % order
-            sums = block_exps + (v_exps[at] * order // v_order)[:, None]
-            array = np.zeros((order, k * width), np.int64)
-            array[wrap[sums].ravel(), np.arange(k * width)] = vals
-        if peak * int(np.abs(entry_coeffs).max()) < INT64_COEFF_BOUND:
-            out.append(Sequence._of_fitted(array))
-        else:  # a product may be past the bound: in the dtype `_fit` gives
-            out.append(Sequence.of_array(array))
+        entries = row_exps.take(at, axis=1)[..., None], v_coeffs.take(at, axis=1)[..., None]
+        out.append(Sequence.of_array(multiply(members, entries, order)))
     return out
 
 
@@ -142,18 +96,20 @@ def kron_expand(v: Sequence, cell: SequenceSet) -> SequenceSet:
     set; element k is v[k mod M] * c[k div M].  Zero scalars produce
     zero sequences.
 
-    Each member is scaled by every entry of v at once (`model.scaled`),
-    and v's terms are read once per order."""
-    if v.mode != cell.mode:
-        raise ModeMismatchError("cannot multiply exact with approx entries")
-    by_order = {}
-    out = []
-    for member in cell:
-        order = common_order(member.order, v.order)
-        if order not in by_order:
-            by_order[order] = entry_terms(v.array, order)
-        out += scaled(member.array, order, by_order[order])
-    return SequenceSet(out)
+    Every member is multiplied by every entry of v in one `multiply`, at
+    the common order of the cell and v.  Each output is then taken at its
+    own order, lcm(member order, v order): the rows of the product that
+    hold its terms."""
+    order, exps, coeffs = cell_terms(cell)
+    full = common_order(order, v.order)
+    v_exps, v_coeffs = layers(v.array, full)
+    sums = _fit(multiply((exps[:, :, None] * (full // order), coeffs[:, :, None]),
+                         (v_exps[:, None, :, None], v_coeffs[:, None, :, None]), full))
+    # an object stack may hold outputs that fit int64: each is refitted
+    make = Sequence.of_array if sums.dtype == object else Sequence._of_fitted
+    stack = sums.reshape(full, len(cell), len(v), cell.length).transpose(1, 2, 0, 3).copy()
+    return SequenceSet(make(np.ascontiguousarray(stack[i, j, ::full // common_order(s.order, v.order)]))
+                       for i, s in enumerate(cell) for j in range(len(v)))
 
 
 def entrywise(u: Sequence, v: Sequence) -> Sequence:
@@ -283,11 +239,11 @@ def _is_unit(u: UnitaryLike) -> bool:
 
 def _check_energies(cell: SequenceSet, found, where: str) -> None:
     """Raise unless every member of `cell` has member 0's energy (approx:
-    within DEFAULT_TOL * |e0|), read in one batch from the members' terms
+    within DEFAULT_TOL * |e0|), read in one batch from the members' layers
     `found` (see `model.cell_terms`)."""
     if len(cell) == 1:
         return
-    _, differ = unequal_energies(found, cell.length, DEFAULT_TOL)
+    _, differ = unequal_energies(found, DEFAULT_TOL)
     if differ:
         k = differ[0]
         raise ConstructionError(

@@ -143,7 +143,7 @@ def custom_matrix(entries) -> UnitaryLike:
     if any(len(row) != len(rows) for row in rows):
         raise MatrixValidationError("matrix is not square")
     row_set = SequenceSet(rows)
-    e, differ = unequal_energies(cell_terms(row_set), len(rows), DEFAULT_TOL)
+    e, differ = unequal_energies(cell_terms(row_set), DEFAULT_TOL)
     u = UnitaryLike._of_rows(row_set, e[0])
     if scalar_is_zero(u.alpha):  # an energy is real and >= 0, so only 0 fails
         raise MatrixValidationError("alpha = 0 is not a positive real")

@@ -22,34 +22,26 @@ constructions use roots of unity, so nearly always), Python ints
 (dtype=object) otherwise.  An approx sequence is a (1, L) complex array,
 the layout of an exact sequence of order 1; `is_exact` tells the two
 modes apart by dtype kind.  A CycloNum is built from a column only when
-an entry is read.  Operators work on an array's nonzero terms, read in
-one pass (`terms`): a product pairs the terms of two arrays column by
-column and adds exponents modulo K (`multiply_terms`), so its cost
-follows the number of terms, not K.  Products of int64 coefficients fit
-int64, and their sums are made with Python ints whenever the largest
-product times the number of products could reach 2^63.  `product` (the
-entrywise product), connection and the batched `energies` are built from
-these; `scaled`, behind `Sequence.scale` and expansion, multiplies an
-array by a scalar one term of the scalar at a time, each a rotation of
-the array's rows; zero is decided by `cyclo.zero_rows`.
+an entry is read; zero is decided by `cyclo.zero_rows`.
 
-Every sequence the paper's constructions build from DFT and Hadamard
-rows has exactly one nonzero term in every column.  Such int64 arrays are
-also read as one (exponent, coefficient) per column (`single_terms`), and
-a cell of them (`cell_terms`) takes the single-term path: connection is a
-gather and a scatter with no term pairing, and `energies` is the integer
-sum of c^2 per sequence (int64 while the largest c^2 times the length is
-below 2^63, Python ints past that).  An array with a zero entry, an entry
-of two terms, approx entries or Python-int coefficients takes the term
-path above; both paths give the same arrays in the same dtype.
+Every operator (`product`, `Sequence.scale`, connection, expansion and
+`energies`) forms its products in one kernel, `multiply`, over the
+`layers` of its operands: an array read as t layers of one (exponent,
+coefficient) per column, t the most nonzero terms any column has.  A
+sequence of roots of unity is one layer; a zero entry is coefficient 0.
+Each pair of layers gives one product per entry, exponents added mod K,
+added into zeros, so the cost follows the layers, not K.  int64 products
+stay below 2^62 and are summed as Python ints when the largest times the
+number of layer pairs could reach 2^63.  An approx array is one layer: a
+zero factor gives 0, never 0 * inf, and every sum starts from 0.
 """
 
 from __future__ import annotations
 
-from functools import reduce
+from functools import lru_cache, reduce
 from itertools import permutations
 from operator import itemgetter
-from typing import Iterable, NamedTuple, Optional, Union
+from typing import Iterable, Union
 
 import numpy as np
 
@@ -135,129 +127,88 @@ def _promote(a: np.ndarray, order: int) -> np.ndarray:
     return out
 
 
-def terms(a: np.ndarray, order: int) -> tuple:
-    """(columns, exponents over zeta_order, coefficients) of the nonzero
-    terms of an array, column by column."""
-    cols, rows = np.nonzero((a != 0).T)
-    return cols, rows * (order // len(a)), a[rows, cols]
+def layers(a: np.ndarray, order: int) -> tuple:
+    """The nonzero terms of a (K, L) array, K dividing `order`, as two
+    (t, L) arrays: exponents over zeta_order and coefficients, term k of
+    each column (by row) in layer k.  t is the most terms any column has,
+    and at least 1; a column of fewer terms is padded with a zero
+    coefficient at exponent 0.  A zero entry (-0.0 too) is no term."""
+    step = order // len(a)
+    sums = a.sum(axis=0)
+    if np.count_nonzero(a) == np.count_nonzero(sums):
+        # at most one term in every column, so its sum is that term
+        return (a != 0).argmax(axis=0)[None] * step, sums[None]
+    nonzero = a != 0
+    counts = np.count_nonzero(nonzero, axis=0)
+    cols, rows = np.nonzero(nonzero.T)
+    depth = np.arange(len(cols)) - (np.cumsum(counts) - counts)[cols]
+    shape = (counts.max(), a.shape[1])
+    exps, coeffs = np.zeros(shape, np.intp), np.zeros(shape, a.dtype)
+    exps[depth, cols] = rows * step
+    coeffs[depth, cols] = a[rows, cols]
+    return exps, coeffs
 
 
-def single_terms(arrays, order: int):
-    """(exponents over zeta_order, coefficients) of int64 arrays (orders
-    dividing `order`) side by side, one of each per column, when every
-    column holds exactly one nonzero term; None for any other arrays: one
-    with a zero entry, an entry of two terms, or coefficients that are
-    complex or Python ints."""
-    if any(a.dtype != np.int64 for a in arrays):
-        return None
-    stack = np.concatenate([_promote(a, order) for a in arrays], axis=1)
-    width = stack.shape[1]
-    if np.count_nonzero(stack) != width:
-        return None
-    # `width` nonzeros and a nonzero sum in every column: each column has
-    # exactly one, and the sum is it
-    coeffs = stack.sum(axis=0)
-    if not coeffs.all():
-        return None
-    if order == 1:
-        return np.zeros(width, np.int64), coeffs
-    return (stack != 0).argmax(axis=0), coeffs
+@lru_cache(maxsize=64)
+def _wrap(order: int) -> np.ndarray:
+    """e mod order for every e below 2 * order: a sum of two exponents."""
+    wrap = np.arange(2 * order) % order
+    wrap.flags.writeable = False
+    return wrap
 
 
-def multiply_terms(left: tuple, right: tuple, colmap: np.ndarray) -> tuple:
-    """(exponents, columns, products) of every term of `left` in column
-    c times every term of `right` in column colmap[c]; `right` comes
-    column by column, as `terms` gives it.
+def multiply(a: tuple, b: tuple, order: int) -> np.ndarray:
+    """The entrywise product of two layered operands, each the (exponents
+    over zeta_order, coefficients) of `layers` with entry shapes that
+    broadcast: an (order, n) array, n the entries of the broadcast shape
+    in row-major order.
 
-    Exact products are int64 when both operands are: int64 coefficients
-    come from Sequence arrays, below INT64_COEFF_BOUND, so each product
-    is below 2^62.  Otherwise they are Python ints."""
-    (ca, ra, va), (cb, rb, vb) = left, right
-    if is_exact(va) != is_exact(vb):
+    Each pair of a layer of `a` and a layer of `b` gives one product per
+    entry, c * d at row e + f mod order (through a 2 * order wrap table),
+    added into zeros by one fancy-index add.  int64 coefficients are
+    below INT64_COEFF_BOUND, so each product is below 2^62; the products
+    are summed as Python ints when the largest coefficient of `a` times
+    the largest of `b` times the number of layer pairs reaches 2^63.
+    Approx operands are of order 1 and one layer: a zero factor gives 0
+    (never 0 * inf) and the sum starts from 0, so a product of -0.0
+    gives 0.0."""
+    (ea, ca), (eb, cb) = a, b
+    if is_exact(ca) != is_exact(cb):
         raise ModeMismatchError("cannot multiply exact with approx entries")
-    count = np.bincount(cb, minlength=colmap.max() + 1)
-    key = colmap[ca]
-    reps = count[key]
-    ia = np.repeat(np.arange(len(ca)), reps)
-    ib = (np.arange(len(ia)) - np.repeat(np.cumsum(reps) - reps, reps)
-          + (np.cumsum(count) - count)[key[ia]])
-    return ra[ia] + rb[ib], ca[ia], va[ia] * vb[ib]
+    if not is_exact(ca):
+        zero = (ca == 0) | (cb == 0)
+        return (np.where(zero, 0, ca) * np.where(zero, 0, cb) + 0).reshape(1, -1)
+    pairs = len(ca) * len(cb)
+    if pairs > 1 and ca.dtype == cb.dtype == np.int64 and _peak(ca) * _peak(cb) * pairs >= 2 ** 63:
+        ca = ca.astype(object)
+    wrap = _wrap(order)
+    out = None
+    for e, c in zip(ea, ca):
+        for f, d in zip(eb, cb):
+            rows, vals = wrap[e + f].ravel(), (c * d).ravel()
+            if out is None:  # the first pair, into zeros
+                out, cols = np.zeros((order, len(vals)), vals.dtype), np.arange(len(vals))
+                out[rows, cols] = vals
+            else:
+                out[rows, cols] += vals
+    return out
 
 
-def from_terms(rows, cols, vals, order: int, width: int) -> np.ndarray:
-    """(order, width) array holding the sum of the given terms, complex
-    when `vals` are.
-
-    int64 terms are summed as int64 while their largest magnitude times
-    their number (a bound on every sum) stays below 2^63, so that no sum
-    can wrap, and as Python ints otherwise.  An exact result is in the
-    dtype `_fit` gives it; it is scanned only when that bound does not
-    already keep every sum below INT64_COEFF_BOUND."""
-    bound = 0
-    if vals.dtype == np.int64 and len(vals):
-        bound = max(int(vals.max()), -int(vals.min())) * len(vals)
-        if bound >= 2 ** 63:
-            vals = vals.astype(object)
-    out = np.zeros((order, width), dtype=vals.dtype)
-    np.add.at(out, (rows % order, cols), vals)
-    return out if out.dtype == np.int64 and bound < INT64_COEFF_BOUND else _fit(out)
+def _peak(a: np.ndarray) -> int:
+    """The largest coefficient magnitude of an exact array."""
+    return max(int(a.max()), -int(a.min()))
 
 
 def product(a: np.ndarray, b: np.ndarray) -> np.ndarray:
-    """Entrywise product of two coefficient arrays; the narrower one's
-    columns repeat periodically.
-
-    Exact arrays multiply in Z[zeta_K] at their common order K: a term
-    c * zeta^i of `a` times a term d * zeta^j of `b` in the same column
-    lands on row i + j mod K.  Only nonzero terms are multiplied, so a
-    column of roots of unity costs one product whatever K is."""
+    """Entrywise product of two coefficient arrays at their common order,
+    in the dtype `_fit` gives it; the narrower one's columns repeat
+    periodically."""
     order = common_order(len(a), len(b))
-    if a.shape[-1] < b.shape[-1]:
+    if a.shape[1] < b.shape[1]:
         a, b = b, a
-    colmap = np.arange(a.shape[-1]) % b.shape[-1]
-    found = multiply_terms(terms(a, order), terms(b, order), colmap)
-    return from_terms(*found, order, a.shape[-1])
-
-
-def entry_terms(a: np.ndarray, order: int) -> list:
-    """The nonzero terms (exponent over zeta_order, coefficient) of each
-    entry of an array, as lists of Python numbers."""
-    out = [[] for _ in range(a.shape[1])]
-    for col, exp, val in zip(*(x.tolist() for x in terms(a, order))):
-        out[col].append((exp, val))
-    return out
-
-
-def scaled(a: np.ndarray, order: int, factors) -> list:
-    """Sequences `a` times each scalar of `factors`, given by its
-    `entry_terms` at `order` (a multiple of len(a)): the values and
-    dtype of `product(a, factor)`.
-
-    A term c * zeta^e times `a` is `a` at `order` with its rows rotated
-    down by e, times c, so each output takes a few whole-array steps and
-    a signed root of unity is a row permutation."""
-    if not is_exact(a):
-        # as a sum of term products into zeros: a zero entry of `a` gives
-        # 0 (never 0 * inf), and + 0 turns a -0.0 part into 0.0
-        return [Sequence._of_fitted(np.where(a != 0, a * found[0][1] + 0, 0) if found
-                                    else np.zeros_like(a)) for found in factors]
-    a = _promote(a, order)
-    rows = np.arange(order)
-    out = []
-    for found in factors:
-        rotated = [(c, a[(rows - e) % order]) for e, c in found]
-        if not rotated:
-            out.append(Sequence._of_fitted(np.zeros(a.shape, np.int64)))
-        elif len(rotated) == 1 and rotated[0][0] in (1, -1):
-            # the rows of `a`, so in the dtype it had
-            c, r = rotated[0]
-            out.append(Sequence._of_fitted(r if c == 1 else -r))
-        elif a.dtype == np.int64 and sum(abs(c) for c, _ in rotated) * INT64_COEFF_BOUND < 2 ** 63:
-            # every |a| is below INT64_COEFF_BOUND, so no sum reaches 2^63
-            out.append(Sequence.of_array(sum(np.int64(c) * r for c, r in rotated)))
-        else:
-            out.append(Sequence.of_array(sum(c * r.astype(object) for c, r in rotated)))
-    return out
+    exps, coeffs = layers(b, order)
+    colmap = np.arange(a.shape[1]) % b.shape[1]
+    return _fit(multiply(layers(a, order), (exps[:, colmap], coeffs[:, colmap]), order))
 
 
 class Sequence:
@@ -304,7 +255,7 @@ class Sequence:
     @classmethod
     def _of_fitted(cls, array: np.ndarray) -> "Sequence":
         """Sequence owning `array`, which is approx or already in the
-        dtype `_fit` gives it: a sum from `from_terms`, a factory's
+        dtype `_fit` gives it: a fitted `product`, a factory's
         rows, a row permutation of a Sequence's array.  Nothing is
         scanned."""
         seq = object.__new__(cls)
@@ -342,9 +293,7 @@ class Sequence:
         return iter(self.array[0].tolist())
 
     def scale(self, c) -> "Sequence":
-        factor = Sequence([scalar(c, self.mode)]).array
-        order = common_order(self.order, len(factor))
-        return scaled(self.array, order, entry_terms(factor, order))[0]
+        return Sequence._of_fitted(product(self.array, Sequence([scalar(c, self.mode)]).array))
 
     def __neg__(self) -> "Sequence":
         return self.scale(-1)
@@ -515,65 +464,43 @@ def singleton_family(sequences: Iterable[Sequence]) -> SequenceFamily:
 # -- energies ----------------------------------------------------------
 
 
-class CellTerms(NamedTuple):
-    """The terms of n sequences of one length at their common order, read
-    once for every operator of a cell.  When every sequence is single-term,
-    `single` holds their `single_terms` as two (n, length) arrays, and
-    `members` the same terms as views of them; otherwise `single` is None
-    and `members` holds each sequence's `terms`."""
-
-    order: int
-    members: list
-    single: Optional[tuple]
-
-
-def cell_terms(seqs) -> CellTerms:
-    """The `CellTerms` of `seqs`."""
+def cell_terms(seqs) -> tuple:
+    """(order, exponents, coefficients) of n sequences of one length at
+    their common order, read once for every operator of a cell: the
+    `layers` of the sequences side by side, as two (t, n, length) arrays."""
+    seqs = list(seqs)
     order = reduce(common_order, {s.order for s in seqs}, 1)
-    single = single_terms([s.array for s in seqs], order)
-    if single is None:
-        return CellTerms(order, [terms(s.array, order) for s in seqs], None)
-    single = tuple(x.reshape(len(seqs), -1) for x in single)
-    cols = np.arange(single[0].shape[1])
-    return CellTerms(order, [(cols, e, c) for e, c in zip(*single)], single)
+    found = layers(np.hstack([_promote(s.array, order) for s in seqs]), order)
+    return (order,) + tuple(x.reshape(len(x), len(seqs), -1) for x in found)
 
 
-def side_by_side(blocks, width: int) -> tuple:
-    """The terms of arrays `width` entries wide (`terms` triples) as the
-    terms of one array holding them side by side."""
-    return (np.concatenate([c + i * width for i, (c, _, _) in enumerate(blocks)]),
-            np.concatenate([e for _, e, _ in blocks]),
-            np.concatenate([x for _, _, x in blocks]))
+def energies(found) -> np.ndarray:
+    """(order, n) array of R_s(0) = sum |s(l)|^2 of the n sequences whose
+    layers `found` holds (see `cell_terms`), in the dtype `_fit` gives it.
+
+    Layer pair (i, j) of an entry gives c_i conj(c_j) at exponent e_i -
+    e_j.  The diagonal pairs land at exponent 0 as |c|^2, summed in column
+    order; only the off-diagonal pairs are scattered, by `multiply`.  Exact
+    sums are made with Python ints when the largest |c|^2 times t^2 times
+    the length could reach 2^63."""
+    order, exps, coeffs = found
+    t, n, width = coeffs.shape
+    if coeffs.dtype == np.int64 and _peak(coeffs) ** 2 * t * t * width >= 2 ** 63:
+        coeffs = coeffs.astype(object)
+    conj = np.conj(coeffs)
+    out = np.zeros((order, n), coeffs.dtype)
+    out[0] = np.add.accumulate((coeffs * conj).sum(axis=0), axis=1)[:, -1]
+    for i, j in permutations(range(t), 2):
+        cross = multiply((exps[i:i + 1], coeffs[i:i + 1]), (order - exps[j:j + 1], conj[j:j + 1]), order)
+        out += cross.reshape(order, n, width).sum(axis=2)
+    return _fit(out)
 
 
-def energies(found: CellTerms, width: int) -> np.ndarray:
-    """(order, n) array of R_s(0) = sum |s(l)|^2 of the n sequences of
-    length `width` whose terms `found` holds, in the dtype `_fit` gives it.
-
-    Single-term sequences give the integer sum of c^2 per sequence (|c
-    zeta^e|^2 = c^2), as int64 while the largest c^2 times `width` stays
-    below 2^63 and as Python ints past that.  Otherwise every term is
-    multiplied by the conjugate of every term in its column, in one batch."""
-    order, members, single = found
-    if single is not None:
-        coeffs = single[1]
-        peak = int(np.abs(coeffs).max())
-        if peak * peak * width >= 2 ** 63:
-            coeffs = coeffs.astype(object)
-        out = np.zeros((order, len(coeffs)), coeffs.dtype)
-        out[0] = (coeffs * coeffs).sum(axis=1)
-        return _fit(out)
-    cols, exps, vals = left = side_by_side(members, width)
-    right = cols, -exps, np.conj(vals)
-    rows, at, prods = multiply_terms(left, right, np.arange(len(members) * width))
-    return from_terms(rows, at // width, prods, order, len(members))
-
-
-def unequal_energies(found, width: int, tol: float) -> tuple:
+def unequal_energies(found, tol: float) -> tuple:
     """(the `energies` as one Sequence, indices of the sequences whose energy
     is not sequence 0's).  Approx energies may differ by tol times sequence
     0's; exact ones take no tolerance, as they may be past the float range."""
-    e = energies(found, width)
+    e = energies(found)
     atol = 0.0 if is_exact(e) else tol * abs(e[0, 0])
     differ = np.flatnonzero(~zero_rows((e - e[:, :1]).T, found[0], atol))
     return Sequence._of_fitted(e), differ.tolist()
@@ -581,11 +508,11 @@ def unequal_energies(found, width: int, tol: float) -> tuple:
 
 def energy(s: Sequence) -> Scalar:
     """R_s(0) = sum of |entry|^2; real and non-negative."""
-    return Sequence._of_fitted(energies(cell_terms([s]), len(s)))[0]
+    return Sequence._of_fitted(energies(cell_terms([s])))[0]
 
 
 def set_energy(ss: SequenceSet) -> Scalar:
-    total = energies(cell_terms(ss), ss.length).sum(axis=1, keepdims=True)
+    total = energies(cell_terms(ss)).sum(axis=1, keepdims=True)
     return Sequence.of_array(total)[0]
 
 

@@ -1,17 +1,20 @@
-"""`Sequence.scale`, `kron_expand` and `construct._connections` against
-the definition of scaling, one output at a time.
+"""`Sequence.scale`, `kron_expand`, `construct._connections`, `product`
+and `energies` against the definitions, entry by entry.
 
-`Sequence.scale` and `kron_expand` build each output by rotating and
-scaling the rows of the scaled array (`model.scaled`), and
-`_connections` multiplies terms, or gathers and scatters them when every
-entry is a single term.  The oracles below build every output on its own
-as the entrywise product of the sequence with a one-entry sequence
-(`model.product`), and the operators' outputs must hold the same arrays:
-the same coefficients, dtype and order.  The single-term path is also
-checked against the term path (`CellTerms` with `single` set to None).
+Every operator forms its products with one kernel, `model.multiply`,
+over the `model.layers` of its operands.  The oracles below use neither:
+an exact entry is a CycloNum product (and an energy a sum of CycloNum
+products), read into a Sequence, whose own `_fit` gives the dtype.  An
+approx entry is 0 when either factor is zero, else 0 plus the factors'
+complex128 product; that product is taken as a one-entry numpy product,
+since Python's complex multiplication rounds differently from numpy's
+(which may fuse a multiply and an add).  The operators' outputs must
+hold the same arrays: the same coefficients, dtype and order.
 """
 
-from unittest import mock
+from functools import reduce
+from math import gcd, isqrt
+from operator import add
 
 import numpy as np
 import pytest
@@ -22,9 +25,11 @@ from cocodes import (
     CycloNum,
     Sequence,
     SequenceSet,
+    connect,
     cosf_to_ccc,
     custom_matrix,
     dft_matrix,
+    energy,
     enlarge_ccc,
     execute,
     hadamard_matrix,
@@ -33,10 +38,9 @@ from cocodes import (
     kron_expand,
     plan,
 )
-from cocodes import construct
 from cocodes.construct import _connections
 from cocodes.cyclo import INT64_COEFF_BOUND
-from cocodes.model import cell_terms, concat, energies, product
+from cocodes.model import cell_terms, energies, layers, multiply, product
 
 approx_entries = st.one_of(
     st.complex_numbers(allow_nan=True, allow_infinity=True),
@@ -47,14 +51,22 @@ ONE = CycloNum.from_int(1)
 I4 = CycloNum.root(4, 1)
 
 
+def entry_times(e, x):
+    """e * x by definition (see the module docstring)."""
+    if isinstance(e, CycloNum):
+        return e * x
+    if e == 0 or x == 0:
+        return 0j
+    return 0j + complex((np.array([e]) * np.array([x]))[0])
+
+
 def times(seq, x):
-    """seq scaled by the scalar x, by definition: the entrywise product
-    with the one-entry sequence (x)."""
-    return Sequence._of_fitted(product(seq.array, Sequence([x]).array))
+    """seq scaled by the scalar x, entry by entry."""
+    return Sequence([entry_times(e, x) for e in seq])
 
 
 def kron_by_product(v, cell):
-    """Element k is cell[k div M] times v[k mod M], one product each."""
+    """Element k is cell[k div M] times v[k mod M], entry by entry."""
     m = len(v)
     return [times(cell[k // m], v[k % m]) for k in range(m * len(cell))]
 
@@ -62,8 +74,16 @@ def kron_by_product(v, cell):
 def connect_by_product(v, cell):
     """(v[k mod len(v)] * cell[k mod M]) for k < lcm(M, len(v)), concatenated."""
     m, n = len(cell), len(v)
-    k = m * n // np.gcd(m, n)
-    return concat(times(cell[i % m], v[i % n]) for i in range(k))
+    return Sequence([entry_times(e, v[i % n])
+                     for i in range(m * n // gcd(m, n)) for e in cell[i % m]])
+
+
+def energies_by_product(cell):
+    """Each member's sum of e * conj(e) over its entries, as one Sequence;
+    approx sums go in column order from 0."""
+    if cell[0].mode == "approx":
+        return Sequence([reduce(add, (entry_times(e, e.conjugate()) for e in s), 0j) for s in cell])
+    return Sequence([reduce(add, (e * e.conj() for e in s)) for s in cell])
 
 
 def canonical_nans(array):
@@ -149,12 +169,6 @@ def single_term_cells(draw):
     return SequenceSet(draw(st.lists(
         st.sampled_from(divisors).flatmap(lambda d: single_term_sequences(width, d)),
         min_size=1, max_size=5)))
-
-
-def spy_single():
-    """A spy on the single-term path of `_connections`."""
-    return mock.patch.object(construct, "_single_connections",
-                             wraps=construct._single_connections)
 
 
 class TestScale:
@@ -252,22 +266,16 @@ class TestConnections:
                            [connect_by_product(v, APPROX) for v in vs])
 
     @staticmethod
-    def check_single(vs, cell):
-        """The single-term path is taken and gives the oracle's arrays and
-        the term path's, byte for byte."""
-        found = cell_terms(cell)
-        assert found.single is not None
-        with spy_single() as spy:
-            got = _connections(vs, cell, found)
-        assert spy.call_count == 1
+    def check(vs, cell):
+        """The outputs hold the oracle's arrays, byte for byte."""
+        got = _connections(vs, cell, cell_terms(cell))
         assert_same_arrays(got, [connect_by_product(v, cell) for v in vs])
-        assert_same_arrays(got, _connections(vs, cell, found._replace(single=None)))
         return got
 
     @settings(max_examples=300, deadline=None)
     @given(single_term_cells(), st.lists(single_term_sequences(), min_size=1, max_size=3))
     def test_single_term_cells(self, cell, vs):
-        self.check_single(vs, cell)
+        self.check(vs, cell)
 
     @pytest.mark.parametrize("m, n", [(2, 3), (3, 2), (4, 6), (5, 1), (1, 4)])
     def test_single_term_repetition(self, m, n):
@@ -275,7 +283,7 @@ class TestConnections:
         cell = SequenceSet(single_term([((i + l) % 12, (-1) ** l) for l in range(4)], 12)
                            for i in range(m))
         v = single_term([(j % 5, 2) for j in range(n)], 5)
-        got = self.check_single([v], cell)
+        got = self.check([v], cell)
         assert len(got[0]) == m * n // np.gcd(m, n) * 4 and got[0].order == 60
 
     @pytest.mark.parametrize("v_coeff, dtype", [(1, np.int64), (-1, np.int64),
@@ -285,11 +293,12 @@ class TestConnections:
         cell = SequenceSet([single_term([(0, EDGE), (1, -EDGE), (2, 1)], 3),
                             single_term([(2, -EDGE), (0, 1), (1, EDGE)], 3)])
         v = single_term([(1, v_coeff), (0, 1), (1, -1)], 2)
-        got = self.check_single([v], cell)
+        got = self.check([v], cell)
         assert got[0].array.dtype == dtype
 
     @pytest.mark.parametrize("near", ["zero entry", "1 + zeta", "identity sub"])
-    def test_near_misses_take_the_term_path(self, near):
+    def test_near_misses_of_single_term_cells(self, near):
+        # a zero column or a column of two terms: zero-coefficient or second layers
         members = [single_term([((i * l) % 6, 1) for l in range(4)], 6) for i in range(3)]
         vs = dft_matrix(3).rows() + [single_term([(1, -1), (0, 1)], 4)]
         if near == "zero entry":
@@ -298,17 +307,127 @@ class TestConnections:
             members[1] = Sequence([1, 1, ONE + CycloNum.root(6, 1), -ONE])
         else:
             vs = identity_matrix(3).rows()
-        cell = SequenceSet(members)
-        with spy_single() as spy:
-            got = _connections(vs, cell, cell_terms(cell))
-        assert not spy.called
-        assert_same_arrays(got, [connect_by_product(v, cell) for v in vs])
+        self.check(vs, SequenceSet(members))
 
 
 class TestEnergies:
+    @staticmethod
+    def check(cell):
+        got = Sequence._of_fitted(energies(cell_terms(cell)))
+        assert_same_arrays([got], [energies_by_product(cell)])
+
     @settings(max_examples=200, deadline=None)
     @given(single_term_cells())
     def test_single_term_cells(self, cell):
-        found = cell_terms(cell)
-        got, want = energies(found, cell.length), energies(found._replace(single=None), cell.length)
-        assert_same_arrays([Sequence._of_fitted(got)], [Sequence._of_fitted(want)])
+        self.check(cell)
+
+    @pytest.mark.parametrize("cell", [
+        MIXED_ORDERS, BIG,
+        # 1 + zeta and a zero entry beside single terms: off-diagonal layer pairs
+        SequenceSet([Sequence([ONE + CycloNum.root(6, 1), 0, CycloNum(6, [2, 0, -1, 0, 3, 0])]),
+                     Sequence([1, -1, I4])]),
+    ], ids=["mixed-orders", "object", "multi-term"])
+    def test_cells(self, cell):
+        self.check(cell)
+
+    @settings(max_examples=100, deadline=None)
+    @given(st.integers(1, 4).flatmap(lambda n: st.integers(1, 40).flatmap(
+        lambda length: st.lists(st.lists(approx_entries, min_size=length, max_size=length),
+                                min_size=n, max_size=n))))
+    def test_approx_cells(self, members):
+        # long rows: a pairwise sum would differ from the column-order sum
+        with np.errstate(all="ignore"):
+            self.check(SequenceSet(Sequence(x) for x in members))
+
+
+@st.composite
+def layered_arrays(draw):
+    """(array, order): a (K, L) array, K in 1..12, whose columns hold at
+    most t nonzero terms (t drawn in 1..K, column 0 holding exactly t), of
+    int64 or Python-int coefficients, read at a multiple of K; or a (1, L)
+    complex array with signed zeros, NaNs and infinities."""
+    length = draw(st.integers(1, 6))
+    if draw(st.booleans()):
+        entries = draw(st.lists(approx_entries, min_size=length, max_size=length))
+        return np.array([entries], complex), 1
+    k = draw(st.integers(1, 12))
+    t = draw(st.integers(1, k))
+    big = [2 ** 70, -(2 ** 40)] if draw(st.booleans()) else []
+    coeffs = st.sampled_from([1, -1, 2, -3, EDGE, -EDGE] + big)
+    array = np.zeros((k, length), object)
+    for col in range(length):
+        rows = draw(st.lists(st.integers(0, k - 1), min_size=t if col == 0 else 0, max_size=t, unique=True))
+        for row in rows:
+            array[row, col] = draw(coeffs)
+    return Sequence.of_array(array).array, k * draw(st.integers(1, 3))
+
+
+class TestLayers:
+    @settings(max_examples=300, deadline=None)
+    @given(layered_arrays())
+    def test_round_trip(self, drawn):
+        a, order = drawn
+        exps, coeffs = layers(a, order)
+        assert exps.shape == coeffs.shape and coeffs.dtype == a.dtype
+        terms = np.count_nonzero(a != 0, axis=0)
+        assert len(coeffs) == max(terms.max(), 1)
+        # term k of each column, by row, in layer k; zero coefficients after
+        depth = np.arange(len(coeffs))[:, None]
+        assert np.array_equal(coeffs != 0, depth < terms)
+        assert np.all((np.diff(exps, axis=0) > 0) | (depth[1:] >= terms))
+        # the layers scattered back into zeros, one fancy-index add each
+        back = np.zeros((order, a.shape[1]), a.dtype)
+        for e, c in zip(exps, coeffs):
+            back[e, np.arange(a.shape[1])] += c
+        if a.dtype.kind == "c":
+            # a zero entry is no term, so -0.0 comes back as 0.0
+            assert_same_arrays([Sequence.of_array(back)], [Sequence.of_array(a + 0)])
+        else:
+            assert np.all(exps % (order // len(a)) == 0)
+            assert np.array_equal(back[::order // len(a)], a)
+            assert not back[np.arange(order) % (order // len(a)) != 0].any()
+            # a column's padding is coefficient 0 at exponent 0
+            assert np.count_nonzero(coeffs) == np.count_nonzero(a)
+
+
+# a = c (1 + zeta_3 + zeta_3^2) as three terms: a * a puts three products
+# c^2 on every row, and its energy nine products c^2 over the three rows
+THREE_TERMS = 3
+# the least c with 9 c^2 >= 2^63: multiply sums its 9 layer pairs as
+# Python ints from there on, and as int64 below it
+EDGE_9 = isqrt((2 ** 63 - 1) // 9) + 1
+
+
+def three_terms(c):
+    return Sequence([CycloNum(3, [c, c, c])])
+
+
+class TestInt64Edges:
+    """Multi-layer sums at the int64 edge: products are summed as Python
+    ints when the largest times ta * tb could reach 2^63.  Past the edge
+    (at 2^31 - 1) each sum 3 c^2 is itself past 2^63, so int64 sums would
+    have wrapped."""
+
+    @pytest.mark.parametrize("c, widened", [(EDGE_9 - 1, False), (EDGE_9, True), (EDGE, True)],
+                             ids=["below", "at", "past"])
+    def test_kernel_dtype(self, c, widened):
+        assert 9 * (EDGE_9 - 1) ** 2 < 2 ** 63 <= 9 * EDGE_9 ** 2
+        a = layers(three_terms(c).array, 3)
+        assert len(a[1]) == THREE_TERMS
+        sums = multiply(a, a, 3)
+        assert sums.dtype == (object if widened else np.int64)
+        assert sums[:, 0].tolist() == [3 * c * c] * 3
+
+    @pytest.mark.parametrize("c", [EDGE_9 - 1, EDGE_9, EDGE], ids=["below", "at", "past"])
+    def test_operators(self, c):
+        s = three_terms(c)
+        want = times(s, s[0])
+        assert want.array[:, 0].tolist() == [3 * c * c] * 3
+        assert_same_arrays([Sequence._of_fitted(product(s.array, s.array)), connect(s, SequenceSet([s]))],
+                           [want, want])
+        assert_same_arrays(kron_expand(s, SequenceSet([s])), [want])
+        # the energy of two such entries: 18 c^2 products, 2 * 3 c^2 at row 0
+        two = Sequence([s[0], s[0]])
+        assert energy(two) == reduce(add, (e * e.conj() for e in two))
+        assert_same_arrays([Sequence._of_fitted(energies(cell_terms([two])))],
+                           [energies_by_product([two])])

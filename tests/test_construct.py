@@ -3,6 +3,8 @@ generation, elongation, CCC mapping, and enlargement."""
 
 import cmath
 import random
+from functools import reduce
+from operator import add
 
 import numpy as np
 import pytest
@@ -411,11 +413,11 @@ class TestBatchedEnergyDecision:
                                   f"{energy(members[2])!r}")
 
     def test_single_term_message_names_first_differing_member(self):
-        # every member single-term, so the energies are sums of c^2
+        # every member single-term (one layer), so the energies are sums of c^2
         s = dft_matrix(5).row(2)
         members = [s, s.scale(W3), -s, s.scale(CycloNum.from_int(2)),
                    s.scale(CycloNum.root(4, 1))]
-        assert cell_terms(members).single is not None
+        assert len(cell_terms(members)[2]) == 1
         assert self.decide(members) == self.reference(members) == 3
         with pytest.raises(ConstructionError) as err:
             elongate_cosf(singleton_family(members), {0: [[0, 1, 2, 3, 4]]},
@@ -426,19 +428,19 @@ class TestBatchedEnergyDecision:
 
     def test_single_term_energies_past_int64(self):
         # c^2 * L >= 2^63 at c = INT64_COEFF_BOUND - 1 and L = 3: the sums
-        # are Python ints, exactly the term path's
+        # are Python ints, exactly the CycloNum sums of e * conj(e)
         c = INT64_COEFF_BOUND - 1
         assert c * c * 3 >= 2 ** 63
         cw = CycloNum.from_int(c) * W3
         members = [Sequence([c, -c, cw]), Sequence([-c, cw, c]), Sequence([c, c, c - 1])]
         found = cell_terms(members)
-        assert found.single is not None
-        e, differ = unequal_energies(found, 3, DEFAULT_TOL)
-        want, want_differ = unequal_energies(found._replace(single=None), 3, DEFAULT_TOL)
+        assert len(found[2]) == 1
+        e, differ = unequal_energies(found, DEFAULT_TOL)
+        want = Sequence([reduce(add, (x * x.conj() for x in s)) for s in members])
         assert e.array.dtype == want.array.dtype == object
         assert e.array.shape == want.array.shape
         assert np.array_equal(e.array, want.array)
-        assert differ == want_differ == [2]
+        assert differ == [2]
         assert e.array[0].tolist() == [3 * c * c, 3 * c * c, 2 * c * c + (c - 1) ** 2]
 
     @pytest.mark.parametrize("rel, passes", [(1e-12, True), (3e-11, True),

@@ -224,7 +224,7 @@ def test_custom_matrix_takes_each_row_energy_once(monkeypatch):
 
     calls = []  # rows per batch
     real = matrices.unequal_energies
-    monkeypatch.setattr(matrices, "unequal_energies", lambda found, width, tol:
-                        calls.append(len(found[1])) or real(found, width, tol))
+    monkeypatch.setattr(matrices, "unequal_energies", lambda found, tol:
+                        calls.append(found[2].shape[1]) or real(found, tol))
     custom_matrix([[1, 1, 1, 1], [1, -1, 1, -1], [1, 1, -1, -1], [1, -1, -1, 1]])
     assert calls == [4]
