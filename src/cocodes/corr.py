@@ -98,8 +98,9 @@ extension of its input.
 
 A check's report is deferred: the certificate gives each pair's `ok`,
 and the per-shift pass runs once, over all the check's pairs, when the
-first of their violations, sums or values is read (`_Scan`, e.g. by
-`CheckReport.render` of a failing report).  So reading a verdict costs
+first of their violations, sums or values is read (`_Kernel.scan`, which
+the check's kernel keeps with its pairs, e.g. for `CheckReport.render`
+of a failing report).  So reading a verdict costs
 one certificate pass, a rejected family pays for both passes (on one
 densified stack, which the kernel keeps) only when its report is read,
 and every value read is the per-shift pass's own.
@@ -403,8 +404,10 @@ class _Kernel:
     only while `sums` runs, and so does the stack unless the caller
     keeps it in `digits` for several calls.  `check` decides a
     predicate's pairs by the certificate pass (`_certify`) where its
-    bound holds, and by `sums` otherwise; when the certificate rejects a
-    pair it keeps the stack in `digits` for the report's deferred pass.
+    bound holds, and by `scan` otherwise: one `sums` over the check's
+    pairs, memoised with their violated shifts for the report.  When
+    the certificate rejects a pair the kernel keeps the stack in
+    `digits` for the report's deferred `scan`.
     """
 
     def __init__(self, sets, phases: int = 1, tol: float = 0.0):
@@ -492,23 +495,19 @@ class _Kernel:
         """(sets limbs, members, freqs) spectra of a (sets, limbs, members,
         rows, width) block (limb i of set m at m limbs + i): the
         half-spectrum (`rfft`; `fft` in approx mode) of each member laid
-        out at index l * span + j, zero-padded to `size` points.  A
-        transform of length 1 is the identity and is skipped, so sets of
-        width 1 (the planner's sub-families) in approx mode or at K <= 2
-        reduce to one product."""
+        out at index l * span + j, zero-padded to `size` points.  numpy's
+        transforms of length 1 are exact identities, so sets of width 1
+        (the planner's sub-families) in approx mode or at K <= 2 reduce
+        to one product, as on the certificate pass."""
         dense = dense.reshape((-1,) + dense.shape[2:])
         flat = np.zeros(dense.shape[:-2] + (dense.shape[-1], self.span), dense.dtype)
         flat[..., :self.rows] = dense.swapaxes(-1, -2)
         flat = flat.reshape(dense.shape[:-2] + (-1,))
-        if self.size > 1:
-            return (np.fft.rfft if self.exact else np.fft.fft)(flat, n=self.size)
-        return flat.astype(complex)
+        return (np.fft.rfft if self.exact else np.fft.fft)(flat, n=self.size)
 
     def _inverse(self, prod: np.ndarray) -> np.ndarray:
         """Inverse of `_forward`'s transform (`irfft`)."""
-        if self.size > 1:
-            return (np.fft.irfft if self.exact else np.fft.ifft)(prod, n=self.size)
-        return prod.real if self.exact else prod
+        return (np.fft.irfft if self.exact else np.fft.ifft)(prod, n=self.size)
 
     def _dense(self, dtype) -> np.ndarray:
         """(sets, members, rows, width) array of `dtype` holding the
@@ -597,13 +596,16 @@ class _Kernel:
         own hull; the zero shift of an auto pair may hold its energy
         peak.  The certificate (`_certify`) decides every pair when its
         bound is below 1/2 on a one-limb exact stack; otherwise the
-        per-shift pass decides here.  Either way the per-shift pass is
-        what a report's violations and values are read from (`_Scan`).
+        per-shift pass (`scan`) decides here.  Either way `scan` is what
+        a report's violations and values are read from.  The kernel
+        records the pairs and their hulls for it, so it serves one check.
         A debug record names the path and why."""
         digits = self.digits or self._digits()
         stack, _, _, _, energy = digits
         limbs = stack.shape[1]
-        scan = _Scan(self, pairs)
+        self.pairs = pairs
+        self.hulls = [max(self.widths[m], self.widths[mp]) - 1 for m, mp in pairs]
+        self.found = None
         cert = math.nan
         if self.exact:
             cert = certificate_bound(energy, self.rows, self.members, self.width,
@@ -618,14 +620,31 @@ class _Kernel:
                    "bound %.3g, headroom %.3g of 1/2", sum(accepted), len(pairs),
                    len(pairs) - sum(accepted), cert, _headroom(cert))
         else:
-            scan.run(digits)
+            self.scan(digits)
             accepted = [None] * len(pairs)
             _debug("check per shift (%s): %d pairs, %d limbs; certificate bound %.3g, "
                    "headroom %.3g of 1/2", reason, len(pairs), limbs, cert, _headroom(cert))
         step = self.step  # pairs of one hull share their list of shifts
-        shifts = {h: list(range(-h * step, h * step + 1, step)) for h in set(scan.hulls)}
-        return [PairResult(m, mp, shifts[h], self.order, scan, p, ok)
-                for p, ((m, mp), h, ok) in enumerate(zip(pairs, scan.hulls, accepted))]
+        shifts = {h: list(range(-h * step, h * step + 1, step)) for h in set(self.hulls)}
+        return [PairResult(m, mp, shifts[h], self, p, ok)
+                for p, ((m, mp), h, ok) in enumerate(zip(pairs, self.hulls, accepted))]
+
+    def scan(self, digits=None) -> tuple:
+        """The per-shift pass over the pairs of `check`, run once: the
+        `sums` stack and each pair's violated shifts, decided by one
+        `zeros` over the stack."""
+        if self.found is None:
+            acc = self.sums(self.pairs, digits=digits)
+            zero = self.zeros(acc)
+            zero[[p for p, (m, mp) in enumerate(self.pairs) if m == mp], self.hull] = True
+            for p, h in enumerate(self.hulls):
+                if h < self.hull:  # shifts past a pair's own hull are not in its report
+                    zero[p, :self.hull - h] = zero[p, self.hull + h + 1:] = True
+            bad = [[] for _ in self.pairs]
+            for p, col in np.argwhere(~zero).tolist():
+                bad[p].append((col - self.hull) * self.step)
+            self.found = acc, bad
+        return self.found
 
     def _root_spectra(self, block: np.ndarray, root, size: int) -> tuple:
         """(spectra, energies) of a (sets, members, rows, width) block at
@@ -665,44 +684,6 @@ class _Kernel:
             v -= np.where(auto[idx], energies[lefts], 0)[:, None]
             worst[idx] = np.maximum(worst[idx], np.abs(v).max(axis=1))
         return worst
-
-
-class _Scan:
-    """The per-shift pass of one `check` over its pairs: one `sums`
-    over all of them and the zero mask of that stack, as the pass has
-    always decided.  A report runs it once, when the first of its
-    pairs' violations, sums or values is read, unless the certificate
-    did not apply and `check` ran it already."""
-
-    def __init__(self, kernel: _Kernel, pairs):
-        self.kernel = kernel
-        self.pairs = pairs
-        self.hulls = [max(kernel.widths[m], kernel.widths[mp]) - 1 for m, mp in pairs]
-        self.found = None  # (sums stack, violated shifts per pair) once run
-
-    def run(self, digits=None):
-        k = self.kernel
-        acc = k.sums(self.pairs, digits=digits)
-        zero = k.zeros(acc)
-        zero[[p for p, (m, mp) in enumerate(self.pairs) if m == mp], k.hull] = True
-        for p, h in enumerate(self.hulls):
-            if h < k.hull:  # shifts past a pair's own hull are not in its report
-                zero[p, :k.hull - h] = zero[p, k.hull + h + 1:] = True
-        bad = [[] for _ in self.pairs]
-        for p, col in np.argwhere(~zero).tolist():
-            bad[p].append((col - k.hull) * k.step)
-        self.found = acc, bad
-
-    def violations(self, p: int) -> list:
-        if self.found is None:
-            self.run()
-        return self.found[1][p]
-
-    def sums(self, p: int) -> np.ndarray:
-        if self.found is None:
-            self.run()
-        hull, h = self.kernel.hull, self.hulls[p]
-        return self.found[0][p, hull - h:hull + h + 1]
 
 
 def _scalars(cols: np.ndarray, order: int) -> list:
@@ -750,28 +731,29 @@ class PairResult:
     pair is allowed its energy peak).  `accepted` is the certificate's
     verdict, None when the per-shift pass decided.  The violations, the
     pair's slice of the kernel's sums and the values built from it come
-    from the pair's `_Scan`, run when one of them is first read; a pair
-    the certificate accepted has no violations without it."""
+    from its kernel's `scan`, pair `index` of it, run when one of them is
+    first read; a pair the certificate accepted has no violations
+    without it."""
 
     left: int
     right: int
     shifts: list
-    order: int = field(compare=False, repr=False)
-    scan: _Scan = field(compare=False, repr=False)
+    kernel: _Kernel = field(compare=False, repr=False)
     index: int = field(compare=False, repr=False)
     accepted: Optional[bool] = field(default=None, compare=False, repr=False)
 
     @property
     def violations(self) -> list:  # offending shifts
-        return [] if self.accepted else self.scan.violations(self.index)
+        return [] if self.accepted else self.kernel.scan()[1][self.index]
 
     @property
     def sums(self) -> np.ndarray:
-        return self.scan.sums(self.index)
+        hull, h = self.kernel.hull, self.kernel.hulls[self.index]
+        return self.kernel.scan()[0][self.index, hull - h:hull + h + 1]
 
     @property
     def values(self) -> list:
-        return _scalars(self.sums, self.order)
+        return _scalars(self.sums, self.kernel.order)
 
     @property
     def ok(self) -> bool:
@@ -803,7 +785,7 @@ class CheckReport:
             # violations ascend, as the shifts do; convert only the rows shown
             rows = [bisect_left(p.shifts, tau) for tau in shown]
             lines += [f"    tau={tau}: residual {_fmt_scalar(val)}"
-                      for tau, val in zip(shown, _scalars(p.sums[rows], p.order))]
+                      for tau, val in zip(shown, _scalars(p.sums[rows], p.kernel.order))]
             if len(p.violations) > len(shown):
                 lines.append(f"    ... and {len(p.violations) - len(shown)} more shifts")
         if self.ok and self.pairs:

@@ -25,6 +25,7 @@ from __future__ import annotations
 import cmath
 from functools import lru_cache
 from math import gcd, prod
+from operator import index
 
 import numpy as np
 
@@ -92,10 +93,11 @@ class CycloNum:
     __slots__ = ("order", "coeffs")
 
     def __init__(self, order: int, coeffs):
-        order = int(order)
+        # integers only (numpy's too): a float or a string raises TypeError
+        order = index(order)
         if order < 1:
             raise ValueError(f"order must be >= 1, got {order}")
-        coeffs = tuple(int(c) for c in coeffs)
+        coeffs = tuple(map(index, coeffs))
         if len(coeffs) != order:
             raise ValueError(
                 f"need exactly {order} coefficients, got {len(coeffs)}"

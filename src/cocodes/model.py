@@ -245,11 +245,14 @@ class Sequence:
     def of_array(cls, array: np.ndarray) -> "Sequence":
         """Sequence owning `array` (exact: (K, L) of integers, approx:
         (1, L) complex), which becomes read-only; an array that is not
-        2-D, or has no row or no entry, raises ValueError.  An exact array
-        is taken in the dtype its values call for (see `_fit`): the array
-        itself when it already has it, else a converted copy."""
+        2-D, or has no row or no entry, or is approx of more than one row,
+        raises ValueError.  An exact array is taken in the dtype its values
+        call for (see `_fit`): the array itself when it already has it,
+        else a converted copy."""
         if array.ndim != 2 or not array.size:
             raise ValueError(f"a sequence array is 2-D and not empty, got shape {array.shape}")
+        if not is_exact(array) and len(array) != 1:
+            raise ValueError(f"an approx sequence array has one row, got shape {array.shape}")
         return cls._of_fitted(_fit(array))
 
     @classmethod
@@ -321,23 +324,12 @@ class Sequence:
         return bool(zero_rows(self.array.T, self.order, tol).all())
 
     def __repr__(self) -> str:
-        signs = _sign_string(self)
-        if signs is not None:
-            return f"Sequence({signs})"
+        if self.mode == EXACT:
+            # the signs when each entry's residue modulo Phi_K is 1, -1 or 0
+            res = reduce_rows(reducible(self.array.T, self.order), self.order)
+            if not res[:, 1:].any() and (abs(res[:, 0]) <= 1).all():
+                return f"Sequence({''.join('0+-'[c] for c in res[:, 0].tolist())})"
         return f"Sequence(len={len(self)}, mode={self.mode})"
-
-
-def _sign_string(seq: "Sequence"):
-    if seq.mode != EXACT:
-        return None
-    signs = {(1,): "+", (-1,): "-", (0,): "0", (0, 1): "-"}
-    out = []
-    for col in zip(*seq.array.tolist()):
-        head = col[:1] if not any(col[1:]) else col
-        if head not in signs:
-            return None
-        out.append(signs[head])
-    return "".join(out)
 
 
 def from_signs(signs: str) -> Sequence:

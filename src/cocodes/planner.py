@@ -232,22 +232,13 @@ def plan(n: int, targets) -> Recipe:
             f"targets {targets} need leading cells {list(firsts.values())} "
             f"summing past {n}; jointly constructible subset: {subset}")
 
-    # (length, target) per sequence in family order; None: grows no more
-    cells, cell_matrices, state = [], [], []
-    next_row = 0
-    for t in targets:
-        f0 = firsts[t]
-        cells.append(list(range(next_row, next_row + f0)))
-        cell_matrices.append(_cell_matrix(f0))
-        next_row += f0
-        state.extend((f0 * n, t) for _ in range(f0))
-    for row in range(next_row, n):
-        cells.append([row])
-        cell_matrices.append(_cell_matrix(1))
-        state.append((n, None))
-
+    # (length, target) per sequence in family order, from the base rows
+    # (each target's f0 rows in turn); None: grows no more.  Generation
+    # is round 0, one group of base rows; each later round an elongation.
+    state = [(n, t) for t in targets for _ in range(firsts[t])]
+    state += [(n, None)] * (n - len(state))
     rounds = []
-    depth = 1
+    depth = 0
     while any(len(chains[t]) > depth for t in targets):
         groups = group_by_length([length for length, _ in state])
         rnd = Round()
@@ -261,9 +252,15 @@ def plan(n: int, targets) -> Recipe:
                     split.subs.append(SubFamilySpec(rows=_cell_matrix(f)))
             if split.cells:
                 rnd.splits.append(split)
-        rounds.append(rnd)
+        layout = _round_cells(groups, rnd)
+        if depth == 0:  # generation's cells; a trivial one takes the 1x1 matrix
+            cells = [cell for cell, _ in layout[0]]
+            cell_matrices = [_cell_matrix(1) if spec is None else spec.rows
+                             for _, spec in layout[0]]
+        else:
+            rounds.append(rnd)
         grown = []
-        for members, completed in zip(groups, _round_cells(groups, rnd)):
+        for members, completed in zip(groups, layout):
             for cell, spec in completed:
                 length, target = state[members[cell[0]]]
                 if spec is None:  # the trivial family ends the growth

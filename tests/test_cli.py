@@ -157,7 +157,12 @@ class TestGenCommand:
         {"rounds": [5]},
         {"post": [1]},
         {"base_matrix": {"kind": "fourier", "dim": 1}},
-    ], ids=["round-not-object", "post-not-object", "unknown-matrix-kind"])
+        {"n": 0},
+        {"rounds": [{"splits": [{"group": 0, "cells": [[0]]}]}]},
+        {"rounds": [{"splits": [{"group": 0, "cells": [[0]],
+                                 "subs": [{"matrix": {"kind": "identity", "dim": 1}}]}]}]},
+    ], ids=["round-not-object", "post-not-object", "unknown-matrix-kind", "n-zero",
+            "split-without-subs", "unknown-sub-family-key"])
     def test_gen_malformed_recipe_document(self, tmp_path, change):
         recipe = tmp_path / "r.json"
         write_json(recipe, {
@@ -279,6 +284,18 @@ class TestGenCommand:
         assert doc["kind"] == "ccc"
         assert doc["family_size"] == doc["set_size"] == 4
         assert main(["verify", str(out), "--kind", "ccc"]) == EXIT_OK
+
+    def test_gen_refuses_enlargement_without_ccc(self, tmp_path, capsys):
+        recipe = tmp_path / "r.json"
+        write_json(recipe, {
+            "n": 2,
+            "base_matrix": {"kind": "hadamard", "dim": 2},
+            "cells": [[0, 1]],
+            "cell_matrices": [{"kind": "hadamard", "dim": 2}],
+            "post": {"enlarge": [{"kind": "hadamard", "dim": 2}] * 2},
+        })
+        assert main(["gen", str(recipe), str(tmp_path / "o.json")]) == EXIT_CONSTRUCT
+        assert "enlargement requires the ccc step first" in capsys.readouterr().err
 
     def test_gen_all_approx_recipe(self, tmp_path):
         entries = [[{"re": 1.0, "im": 0.0}, {"re": 1.0, "im": 0.0}],

@@ -175,6 +175,10 @@ class TestGenerate:
             generate_cosf(h2, [[0, 0]], [hadamard_matrix(2)])
         with pytest.raises(ConstructionError):
             generate_cosf(h2, [[0, 1]], [hadamard_matrix(4)])  # dim mismatch
+        with pytest.raises(ConstructionError, match="1 cells but 2 sub-matrices"):
+            generate_cosf(h2, [[0, 1]], [h2, h2])
+        with pytest.raises(ConstructionError, match="partition cell 1 is empty"):
+            generate_cosf(h2, [[0, 1], []], [h2, identity_matrix(1)])
 
 
 class TestElongate:
@@ -185,6 +189,15 @@ class TestElongate:
         part2 = {0: [[0, 1]], 1: [[0, 1], [2, 3]]}
         subs = {(0, 0): v_rows, (1, 0): v_rows, (1, 1): v_ex3}
         return part2, subs
+
+    def test_input_validation(self, cosf_2_of_4):
+        h2 = hadamard_matrix(2)
+        pairs = SequenceFamily([SequenceSet([from_signs("++"), from_signs("+-")])])
+        with pytest.raises(ConstructionError,
+                           match="expected a family of single-sequence sets"):
+            elongate_cosf(pairs, {0: [[0]]}, {(0, 0): h2})
+        with pytest.raises(ConstructionError, match=r"no sub-family for cell \(0,0\)"):
+            elongate_cosf(cosf_2_of_4, {0: [[0, 1]]}, {})
 
     def test_reference_elongation(self, cosf_6_mixed):
         part2, subs = self.elongation_inputs(cosf_6_mixed)

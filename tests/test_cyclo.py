@@ -75,6 +75,26 @@ class TestArithmetic:
         assert close(a.conj().numeric(), a.numeric().conjugate())
 
 
+class TestIntegerInputs:
+    @pytest.mark.parametrize("order, coeffs", [
+        (2, (1.5, 0)),
+        (4, (0.9, 0, 0, 0)),
+        (2.5, (1, 0)),
+        (2.0, (1, 0)),
+        ("2", (1, 0)),
+        (2, ("1", 0)),
+    ])
+    def test_floats_and_strings_refused(self, order, coeffs):
+        with pytest.raises(TypeError):
+            CycloNum(order, coeffs)
+
+    def test_numpy_integers_taken(self):
+        x = CycloNum(np.int64(4), np.array([1, 0, -2, 0], dtype=np.int64))
+        assert x.order == 4 and x.coeffs == (1, 0, -2, 0)
+        assert all(type(c) is int for c in (x.order, *x.coeffs))
+        assert x == CycloNum(4, [1, 0, -2, 0])
+
+
 class TestZeroDecision:
     def test_all_cube_roots_sum_to_zero(self):
         assert CycloNum(3, [1, 1, 1]).is_zero()

@@ -4,6 +4,7 @@ identification-up-to-indexing machinery."""
 import random
 from itertools import permutations
 
+import numpy as np
 import pytest
 
 from cocodes import (
@@ -12,6 +13,7 @@ from cocodes import (
     SequenceFamily,
     SequenceSet,
     canonical_form,
+    dft_matrix,
     energy,
     equal_up_to_indexing,
     from_signs,
@@ -66,6 +68,31 @@ class TestSequenceBasics:
         vanishing = CycloNum(3, [1, 1, 1])
         assert Sequence([vanishing] * 3).is_zero()
         assert not Sequence([vanishing, CycloNum(3, [1, 1, 2]), vanishing]).is_zero()
+
+    @pytest.mark.parametrize("seq, text", [
+        (dft_matrix(4).row(2), "Sequence(+-+-)"),
+        (dft_matrix(2).row(1), "Sequence(+-)"),
+        # -zeta_2 is +1; 1 + zeta_3 + zeta_3^2 is 0
+        (Sequence([CycloNum(2, (0, -1)), 1]), "Sequence(++)"),
+        (Sequence([CycloNum(3, (1, 1, 1)), 1]), "Sequence(0+)"),
+        (Sequence([0, -1, 1]), "Sequence(0-+)"),
+        (Sequence([CycloNum(3, (2 ** 70,) * 3), -1]), "Sequence(0-)"),
+        (Sequence([CycloNum(4, (1, 1, 0, 0)), 1]), "Sequence(len=2, mode=exact)"),
+        (Sequence([2, 1]), "Sequence(len=2, mode=exact)"),
+        (dft_matrix(4).row(1), "Sequence(len=4, mode=exact)"),
+        (Sequence([1.0, -1.0]), "Sequence(len=2, mode=approx)"),
+    ])
+    def test_repr_reads_signs_from_residues(self, seq, text):
+        assert repr(seq) == text
+
+    def test_of_array_refuses_approx_arrays_of_several_rows(self):
+        with pytest.raises(ValueError, match="one row"):
+            Sequence.of_array(np.ones((2, 3)))
+        with pytest.raises(ValueError, match="one row"):
+            Sequence.of_array(np.ones((3, 3), complex))
+        assert list(Sequence.of_array(np.ones((1, 3), complex))) == [1, 1, 1]
+        # an exact array of several rows is one sequence of that order
+        assert Sequence.of_array(np.ones((2, 3), np.int64)).order == 2
 
 
 class TestEnergy:

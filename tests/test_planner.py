@@ -130,6 +130,13 @@ class TestPlan:
         assert err.value.factor == p
         assert err.value.target == 2 * p
 
+    def test_target_lists_refused(self):
+        with pytest.raises(ValueError, match="at least one target length required"):
+            plan(2, [])
+        with pytest.raises(UnconstructibleError, match="must be positive, got -4") as err:
+            plan(2, [-4])
+        assert err.value.target == -4
+
     def test_blocking_factor_reported(self):
         with pytest.raises(UnconstructibleError) as err:
             plan(2, [6])
