@@ -26,7 +26,7 @@ int64), any other one scalar by scalar.
 
 Exit codes: 0 verified success, 1 verification failure,
 2 construction impossibility, 3 I/O or parse error (argparse's usage
-errors included).  A family, recipe
+errors, a malformed `--kind` or matrix shorthand included).  A family, recipe
 or `@matrix` file that cannot be read as JSON exits 3 with a
 `path: reason` message: a file that is not UTF-8, bad JSON syntax, an
 integer of more digits than Python converts (`sys.get_int_max_str_digits`)
@@ -594,9 +594,8 @@ def cmd_gen(args) -> int:
 
 def cmd_verify(args) -> int:
     kind = args.kind
-    if kind != "ccc" and not (kind.startswith("cosf:")
-                              and kind.split(":", 1)[1].isdigit()
-                              and int(kind.split(":", 1)[1]) >= 1):
+    head, _, n = kind.partition(":")
+    if kind != "ccc" and not (head == "cosf" and n.isdecimal() and int(n) >= 1):
         raise DocumentError(f"bad --kind {kind!r}; expected 'ccc' or 'cosf:N'")
     fam = _load_family(args.family)
     try:
@@ -648,7 +647,10 @@ def cmd_zone(args) -> int:
 def _matrix_from_arg(text: str) -> MatrixSpec:
     if text.startswith("@"):
         return matrix_spec_from_doc(_load_json(text[1:]))
-    return parse_matrix_shorthand(text)
+    try:
+        return parse_matrix_shorthand(text)
+    except ValueError as e:  # malformed or a dim below 1: a parse error, as in a file
+        raise DocumentError(str(e)) from None
 
 
 # -- argument parsing -------------------------------------------------------

@@ -18,9 +18,10 @@ for its energy check and all its connections.  Every output is one
 `model.multiply` of two layered operands: a connection multiplies the
 members' layers, tiled over its blocks, by one entry of the sub row per
 block, broadcast along the block; an expansion multiplies every member
-by every entry of v at once.  Each output keeps its own order and the
-dtype `model._fit` gives it; int64 sums widen to Python ints, and approx
-zero factors give 0, as `model.multiply` says.
+by every entry of every v at once (`enlarge_ccc`: by all the rows of a
+set's matrix).  Each output keeps its own order and the dtype
+`model._fit` gives it; int64 sums widen to Python ints, and approx zero
+factors give 0, as `model.multiply` says.
 """
 
 from __future__ import annotations
@@ -94,22 +95,28 @@ def _connections(vs, cell: SequenceSet, found) -> list:
 def kron_expand(v: Sequence, cell: SequenceSet) -> SequenceSet:
     """Expansion of an N-sequence set by an M-vector into an MN-sequence
     set; element k is v[k mod M] * c[k div M].  Zero scalars produce
-    zero sequences.
+    zero sequences."""
+    return _expansions([v], cell)[0]
 
-    Every member is multiplied by every entry of v in one `multiply`, at
-    the common order of the cell and v.  Each output is then taken at its
-    own order, lcm(member order, v order): the rows of the product that
-    hold its terms."""
+
+def _expansions(vs, cell: SequenceSet) -> list:
+    """kron_expand(v, cell) for every v in `vs`, all of one length: the
+    vs are read side by side (`cell_terms`), and every member is multiplied
+    by every entry of every v in one `multiply`, at their common order.
+    Each output is then taken at its own order, lcm(member order, v
+    order): the rows of the product that hold its terms."""
     order, exps, coeffs = cell_terms(cell)
-    full = common_order(order, v.order)
-    v_exps, v_coeffs = layers(v.array, full)
-    sums = _fit(multiply((exps[:, :, None] * (full // order), coeffs[:, :, None]),
-                         (v_exps[:, None, :, None], v_coeffs[:, None, :, None]), full))
+    v_order, v_exps, v_coeffs = cell_terms(vs)
+    full = common_order(order, v_order)
+    sums = _fit(multiply((exps[:, None, :, None] * (full // order), coeffs[:, None, :, None]),
+                         (v_exps[:, :, None, :, None] * (full // v_order),
+                          v_coeffs[:, :, None, :, None]), full))
     # an object stack may hold outputs that fit int64: each is refitted
     make = Sequence.of_array if sums.dtype == object else Sequence._of_fitted
-    stack = sums.reshape(full, len(cell), len(v), cell.length).transpose(1, 2, 0, 3).copy()
-    return SequenceSet(make(np.ascontiguousarray(stack[i, j, ::full // common_order(s.order, v.order)]))
-                       for i, s in enumerate(cell) for j in range(len(v)))
+    stack = sums.reshape(full, len(vs), len(cell), -1, cell.length).transpose(1, 2, 3, 0, 4).copy()
+    return [SequenceSet(make(np.ascontiguousarray(stack[a, i, j, ::full // common_order(s.order, v.order)]))
+                        for i, s in enumerate(cell) for j in range(len(v)))
+            for a, v in enumerate(vs)]
 
 
 def entrywise(u: Sequence, v: Sequence) -> Sequence:
@@ -309,12 +316,7 @@ def enlarge_ccc(fam: SequenceFamily, matrices) -> SequenceFamily:
     check = is_ccc(fam)
     if not check.ok:
         raise ConstructionError("input family is not a CCC:\n" + check.render())
-    m_dim = dims.pop()
-    sets = []
-    for idx in range(n):
-        for m in range(m_dim):
-            sets.append(kron_expand(matrices[idx].row(m), fam[idx]))
-    return SequenceFamily(sets)
+    return SequenceFamily(s for u, ss in zip(matrices, fam) for s in _expansions(u.rows(), ss))
 
 
 def trivial_cosf(mode: str = EXACT) -> SequenceFamily:

@@ -98,16 +98,15 @@ extension of its input.
 
 A check's report is deferred: the certificate gives each pair's `ok`,
 and the per-shift pass runs once, over all the check's pairs, when the
-first of their violations, sums or values is read (`_Kernel.scan`, which
-the check's kernel keeps with its pairs, e.g. for `CheckReport.render`
-of a failing report).  So reading a verdict costs
-one certificate pass, a rejected family pays for both passes (on one
-densified stack, which the kernel keeps) only when its report is read,
-and every value read is the per-shift pass's own.
-Building the report eagerly would cost a near-miss both passes on
-every check.  A report keeps each pair's slice of the integer stack,
-and its `CycloNum`s are built only when its values are read
-(`_scalars`).
+first of their violations, sums or values is read (`_Kernel.scan`,
+kept on the check's kernel with its pairs).  It keeps the sums stack
+and one violation mask over the same (pairs, shifts) grid, from whose
+rows a pair's violations and a render's shifts are read.  So reading a
+verdict costs one certificate pass, a rejected family pays for both
+passes (on one densified stack, which the kernel keeps) only when its
+report is read, and every value read is the per-shift pass's own;
+building it eagerly would cost a near-miss both passes on every check.
+`CycloNum`s are built only for the values read (`_scalars`).
 
 Both passes go through `_block_pairs` and `_member_sums`, with blocks
 sized so that a block's spectra and two blocks' member sums stay under
@@ -123,7 +122,6 @@ from __future__ import annotations
 
 import math
 import sys
-from bisect import bisect_left
 from dataclasses import dataclass, field
 from functools import lru_cache, reduce
 from typing import Optional
@@ -401,13 +399,10 @@ class _Kernel:
     `rounding_bound`, and the column of d < 0 is folded onto d + R in
     integers: added for odd K, where z^-R = 1, subtracted for even K,
     where z^-R = -1.  Approx values stay unrounded.  The spectra exist
-    only while `sums` runs, and so does the stack unless the caller
-    keeps it in `digits` for several calls.  `check` decides a
-    predicate's pairs by the certificate pass (`_certify`) where its
-    bound holds, and by `scan` otherwise: one `sums` over the check's
-    pairs, memoised with their violated shifts for the report.  When
-    the certificate rejects a pair the kernel keeps the stack in
-    `digits` for the report's deferred `scan`.
+    only while `sums` runs, and so does the stack unless it is kept in
+    `digits` for several calls: by `zccc_zone`, and by `check` when the
+    certificate rejects a pair, for the report's deferred `scan` (one
+    `sums` over the check's pairs, memoised with its violation mask).
     """
 
     def __init__(self, sets, phases: int = 1, tol: float = 0.0):
@@ -631,19 +626,14 @@ class _Kernel:
 
     def scan(self, digits=None) -> tuple:
         """The per-shift pass over the pairs of `check`, run once: the
-        `sums` stack and each pair's violated shifts, decided by one
-        `zeros` over the stack."""
+        `sums` stack and its (pairs, 2 hull + 1) violation mask, set at each
+        nonzero sum but an auto pair's shift 0 and those past a pair's hull."""
         if self.found is None:
             acc = self.sums(self.pairs, digits=digits)
-            zero = self.zeros(acc)
-            zero[[p for p, (m, mp) in enumerate(self.pairs) if m == mp], self.hull] = True
-            for p, h in enumerate(self.hulls):
-                if h < self.hull:  # shifts past a pair's own hull are not in its report
-                    zero[p, :self.hull - h] = zero[p, self.hull + h + 1:] = True
-            bad = [[] for _ in self.pairs]
-            for p, col in np.argwhere(~zero).tolist():
-                bad[p].append((col - self.hull) * self.step)
-            self.found = acc, bad
+            mask = ~self.zeros(acc)
+            mask[[p for p, (m, mp) in enumerate(self.pairs) if m == mp], self.hull] = False
+            mask &= np.abs(np.arange(-self.hull, self.hull + 1)) <= np.array(self.hulls)[:, None]
+            self.found = acc, mask
         return self.found
 
     def _root_spectra(self, block: np.ndarray, root, size: int) -> tuple:
@@ -729,11 +719,11 @@ class PairResult:
     """Checked profile of one (set, set) pair: the scanned shifts and
     those whose residual failed to vanish (the zero shift of an auto
     pair is allowed its energy peak).  `accepted` is the certificate's
-    verdict, None when the per-shift pass decided.  The violations, the
-    pair's slice of the kernel's sums and the values built from it come
-    from its kernel's `scan`, pair `index` of it, run when one of them is
-    first read; a pair the certificate accepted has no violations
-    without it."""
+    verdict, None when the per-shift pass decided.  The violations are
+    read from row `index` of its kernel's violation mask, and the sums
+    and values from the same row of its sums stack, both of `scan`, run
+    when one of them is first read; a pair the certificate accepted has
+    no violations without it."""
 
     left: int
     right: int
@@ -743,8 +733,12 @@ class PairResult:
     accepted: Optional[bool] = field(default=None, compare=False, repr=False)
 
     @property
-    def violations(self) -> list:  # offending shifts
-        return [] if self.accepted else self.kernel.scan()[1][self.index]
+    def violations(self) -> list:  # offending shifts, ascending
+        k = self.kernel
+        return [] if self.accepted else ((self._violated() - k.hull) * k.step).tolist()
+
+    def _violated(self) -> np.ndarray:  # set columns of the kernel's violation mask
+        return np.flatnonzero(self.kernel.scan()[1][self.index])
 
     @property
     def sums(self) -> np.ndarray:
@@ -757,7 +751,7 @@ class PairResult:
 
     @property
     def ok(self) -> bool:
-        return self.accepted if self.accepted is not None else not self.violations
+        return self.accepted if self.accepted is not None else not len(self._violated())
 
 
 @dataclass
@@ -774,6 +768,8 @@ class CheckReport:
         return self.ok
 
     def render(self) -> str:
+        """The verdict and, per failing pair, its first violated shifts
+        (set columns of the kernel's mask) with their residuals."""
         lines = [f"check {self.kind}: {'PASS' if self.ok else 'FAIL'}"]
         for msg in self.problems:
             lines.append(f"  problem: {msg}")
@@ -781,13 +777,13 @@ class CheckReport:
             if p.ok:
                 continue
             lines.append(f"  pair ({p.left},{p.right}) violated at shifts:")
-            shown = p.violations[:RENDER_SHIFTS_PER_PAIR]
-            # violations ascend, as the shifts do; convert only the rows shown
-            rows = [bisect_left(p.shifts, tau) for tau in shown]
+            k, cols = p.kernel, p._violated()
+            shown = cols[:RENDER_SHIFTS_PER_PAIR]  # convert only the sums shown
+            values = _scalars(k.scan()[0][p.index, shown], k.order)
             lines += [f"    tau={tau}: residual {_fmt_scalar(val)}"
-                      for tau, val in zip(shown, _scalars(p.sums[rows], p.kernel.order))]
-            if len(p.violations) > len(shown):
-                lines.append(f"    ... and {len(p.violations) - len(shown)} more shifts")
+                      for tau, val in zip(((shown - k.hull) * k.step).tolist(), values)]
+            if len(cols) > len(shown):
+                lines.append(f"    ... and {len(cols) - len(shown)} more shifts")
         if self.ok and self.pairs:
             lines.append(f"  {len(self.pairs)} pair profiles all clean")
         return "\n".join(lines)

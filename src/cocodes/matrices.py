@@ -201,8 +201,8 @@ class MatrixSpec:
 def parse_matrix_shorthand(text: str) -> MatrixSpec:
     """'dft:4' / 'hadamard:2' / 'identity:3' -> MatrixSpec."""
     kind, _, dim = text.partition(":")
-    if kind not in MATRIX_KINDS or not dim.isdigit():
+    if kind not in MATRIX_KINDS or not dim.isdecimal() or int(dim) < 1:
         raise ValueError(
             f"bad matrix shorthand {text!r}; expected kind:dim with kind "
-            f"one of {', '.join(MATRIX_KINDS)}")
+            f"one of {', '.join(MATRIX_KINDS)} and dim >= 1")
     return MatrixSpec(kind=kind, dim=int(dim))

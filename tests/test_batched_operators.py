@@ -25,6 +25,7 @@ from cocodes import (
     CycloNum,
     Sequence,
     SequenceSet,
+    ccc_from_unitary,
     connect,
     cosf_to_ccc,
     custom_matrix,
@@ -121,6 +122,14 @@ MIXED_ORDERS = SequenceSet([
     Sequence([1, 1, -1]),
     Sequence([CycloNum.root(3, 1), I4, 1]),
 ])
+
+ZETA6_H2 = custom_matrix([[ONE, ONE], [CycloNum.root(6, 1), -CycloNum.root(6, 1)]])
+BIG_H2 = custom_matrix([[1, 2 ** 70], [2 ** 70, -1]])
+
+
+def ccc4():
+    return cosf_to_ccc(execute(plan(4, [16]), verify=False).family, dft_matrix(4))
+
 
 # coefficients past INT64_COEFF_BOUND and past 2^63 next to small ones
 BIG = SequenceSet([
@@ -229,14 +238,23 @@ class TestKronExpand:
         with pytest.raises(ValueError):
             kron_expand(Sequence([1.0, 1.0]), MIXED_ORDERS)
 
-    @pytest.mark.parametrize("matrices", [
-        lambda n: [hadamard_matrix(2)] * n,
-        lambda n: [dft_matrix(2)] * n,
-        lambda n: [custom_matrix([[ONE, I4], [ONE, -I4]])] * n,
-        lambda n: [hadamard_matrix(2) if k % 2 else dft_matrix(2) for k in range(n)],
-    ], ids=["hadamard2", "dft2", "custom", "alternating"])
-    def test_enlarge_ccc(self, matrices):
-        ccc = cosf_to_ccc(execute(plan(4, [16]), verify=False).family, dft_matrix(4))
+    @pytest.mark.parametrize("ccc, matrices", [
+        (ccc4, lambda n: [hadamard_matrix(2)] * n),
+        (ccc4, lambda n: [dft_matrix(2)] * n),
+        (ccc4, lambda n: [custom_matrix([[ONE, I4], [ONE, -I4]])] * n),
+        (ccc4, lambda n: [hadamard_matrix(2) if k % 2 else dft_matrix(2) for k in range(n)]),
+        # rows whose outputs are int64 and Python ints in one product
+        (ccc4, lambda n: [BIG_H2, dft_matrix(2)] * (n // 2)),
+        # members of orders 2 and 6, and rows of orders 1, 6 and 2
+        (lambda: cosf_to_ccc(execute(plan(2, [8]), verify=False).family, ZETA6_H2),
+         lambda n: [ZETA6_H2, dft_matrix(2)]),
+        (lambda: ccc_from_unitary(custom_matrix([[1.0, 1.0], [1.0, -1.0]])),
+         lambda n: [custom_matrix([[1.0, 1j], [1.0, -1j]]),
+                    custom_matrix([[0.5, 0.5], [0.5, -0.5]])]),
+    ], ids=["hadamard2", "dft2", "custom", "alternating", "object", "mixed-orders", "approx"])
+    def test_enlarge_ccc(self, ccc, matrices):
+        # each input set is expanded by all its matrix's rows in one product
+        ccc = ccc()
         mats = matrices(ccc.family_size)
         big = enlarge_ccc(ccc, mats)
         want = [kron_by_product(u.row(m), ccc[n])

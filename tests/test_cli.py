@@ -541,6 +541,47 @@ class TestDimCap:
         assert str(DIM_LIMIT) in capsys.readouterr().err
 
 
+class TestMatrixShorthand:
+    """A matrix shorthand that does not parse, or whose dim is below 1, is
+    a parse error (exit 3), as the same spec in an `@file` is; a dim past
+    DIM_LIMIT or a Hadamard order with no matrix is a construction
+    impossibility (exit 2)."""
+
+    @pytest.mark.parametrize("arg, code", [
+        ("dft:x", EXIT_IO),
+        ("fourier:4", EXIT_IO),
+        ("dft:0", EXIT_IO),
+        ("dft:\u00b2", EXIT_IO),  # a digit to str.isdigit, no int to int()
+        (f"dft:{DIM_LIMIT + 1}", EXIT_CONSTRUCT),
+        ("hadamard:3", EXIT_CONSTRUCT),
+    ], ids=["not-a-number", "unknown-kind", "dim-0", "superscript", "past-cap", "hadamard-3"])
+    @pytest.mark.parametrize("command", ["ccc", "enlarge"])
+    def test_exit_code(self, tmp_path, capsys, cosf_2_of_4, ccc_family_file, command, arg,
+                       code):
+        out = str(tmp_path / "o.json")
+        if command == "ccc":
+            src = tmp_path / "cosf.json"
+            write_json(src, family_to_doc(cosf_2_of_4, kind="cosf:2"))
+            argv = ["ccc", str(src), arg, out]
+        else:
+            argv = ["enlarge", str(ccc_family_file), out, "--matrix", arg, "--matrix", arg]
+        assert main(argv) == code
+        err = capsys.readouterr().err
+        assert err.startswith("error: ") and err.count("\n") == 1
+
+    def test_dim_0_file_exits_as_the_shorthand(self, tmp_path, capsys, cosf_2_of_4):
+        src, mat = tmp_path / "cosf.json", tmp_path / "m.json"
+        write_json(src, family_to_doc(cosf_2_of_4, kind="cosf:2"))
+        write_json(mat, {"kind": "dft", "dim": 0})
+        for arg in (f"@{mat}", "dft:0"):
+            assert main(["ccc", str(src), arg, str(tmp_path / "o.json")]) == EXIT_IO
+            assert "dim" in capsys.readouterr().err
+
+    def test_superscript_kind_refused_as_parse_error(self, ccc_family_file, capsys):
+        assert main(["verify", str(ccc_family_file), "--kind", "cosf:\u00b2"]) == EXIT_IO
+        assert "bad --kind" in capsys.readouterr().err
+
+
 class TestCccCommand:
     def test_ccc_from_cosf_file(self, tmp_path, cosf_2_of_4):
         src = tmp_path / "cosf.json"

@@ -8,6 +8,7 @@ import os
 import random
 import re
 import time
+import tracemalloc
 from functools import reduce
 
 import numpy as np
@@ -1281,3 +1282,35 @@ class TestDeferredReport:
         assert [p.values for p in report.pairs] == values
         # both passes read the one stack the check densified
         assert runs == [1] and stacks == [1]
+
+    def test_render_reads_violations_from_one_mask(self):
+        # 40 random +-1 sets of length 256: nearly every shift of 820 pairs
+        # is violated, and the render shows 16 per pair.  Lists of every
+        # violated shift would peak at about 60 MB.
+        rng = random.Random(0)
+        fam = singleton_family([Sequence([rng.choice((1, -1)) for _ in range(256)])
+                                for _ in range(40)])
+        report = is_n_co_sf(fam, 1)
+        assert not report.ok
+        tracemalloc.start()
+        try:
+            text = report.render()
+            peak = tracemalloc.get_traced_memory()[1]
+        finally:
+            tracemalloc.stop()
+        assert "more shifts" in text
+        assert peak < 25 * 2 ** 20
+
+    @pytest.mark.parametrize("seed", range(3))
+    def test_violations_are_the_nonzero_shifts_of_each_hull(self, seed):
+        # sets of unequal lengths at n = 3: a short pair's row of the mask
+        # is cleared past its own hull, the longest pair's is not
+        rng = random.Random(seed)
+        fam = singleton_family([Sequence([rng.choice((1, -1, 2)) for _ in range(length)])
+                                for length in (2, 7, 12, 13)])
+        report = is_n_co_sf(fam, 3)
+        assert not report.ok
+        assert {len(pair.shifts) for pair in report.pairs} == {1, 5, 7, 9}
+        for pair in report.pairs:
+            assert_pair_matches(pair, fam[pair.left], fam[pair.right])
+            assert all(type(tau) is int for tau in pair.violations)
