@@ -70,6 +70,7 @@ from .planner import (
     RoundSplit,
     SubFamilySpec,
     execute,
+    parse_kind,
     plan,
     run_check,
 )
@@ -594,9 +595,10 @@ def cmd_gen(args) -> int:
 
 def cmd_verify(args) -> int:
     kind = args.kind
-    head, _, n = kind.partition(":")
-    if kind != "ccc" and not (head == "cosf" and n.isdecimal() and int(n) >= 1):
-        raise DocumentError(f"bad --kind {kind!r}; expected 'ccc' or 'cosf:N'")
+    try:
+        parse_kind(kind)
+    except ValueError:
+        raise DocumentError(f"bad --kind {kind!r}; expected 'ccc' or 'cosf:N'") from None
     fam = _load_family(args.family)
     try:
         report = run_check(fam, kind, tol=args.tol)

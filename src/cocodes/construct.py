@@ -290,12 +290,9 @@ def cosf_to_ccc(fam: SequenceFamily, u: UnitaryLike) -> SequenceFamily:
 
 
 def ccc_from_unitary(u: UnitaryLike) -> SequenceFamily:
-    """The (N,N,{N})-CCC of entrywise row products u.row(m) * u.row(n)."""
-    rows = u.rows()
-    return SequenceFamily(
-        SequenceSet(entrywise(rows[m], rows[n]) for n in range(u.dim))
-        for m in range(u.dim)
-    )
+    """The (N,N,{N})-CCC of entrywise row products u.row(m) * u.row(n):
+    `cosf_to_ccc` of the rows, an optimal N-CO-SF of length N."""
+    return cosf_to_ccc(u.rows_family(), u)
 
 
 def enlarge_ccc(fam: SequenceFamily, matrices) -> SequenceFamily:

@@ -18,6 +18,14 @@ stack of them at once, so `CycloNum.is_zero` and the correlation kernel
 decide zero by the same rule; `reducible` picks the dtype a stack is
 reduced in, so that no int64 step can wrap.  `zero_rows` is the one zero
 test of a stack, exact or approx, that every module shares.
+
+Phi_K and the bound `reduction_gain` both come from one identity, the
+Moebius inversion of x^K - 1 = prod over d | K of Phi_d:
+
+  Phi_K(x) = P_K(x) = prod over square-free e | K of (1 - x^(K/e))^mu(e)
+
+for K >= 2 (Phi_1 = -P_1).  Phi_K is the first phi(K) + 1 coefficients
+of P_K, and the growth of a reduction is read from those of 1 / P_K.
 """
 
 from __future__ import annotations
@@ -235,36 +243,7 @@ class CycloNum:
         return f"CycloNum(order={self.order}, coeffs={list(self.coeffs)})"
 
 
-# -- integer polynomial helpers (ascending coefficient tuples) ---------
-
-
-def _poly_trim(p):
-    n = len(p)
-    while n and p[n - 1] == 0:
-        n -= 1
-    return list(p[:n])
-
-
-def _poly_divexact(dividend, divisor) -> list:
-    """Exact quotient of integer polynomials; raises if division leaves a remainder."""
-    rem = _poly_trim(dividend)
-    div = _poly_trim(divisor)
-    if not div:
-        raise ZeroDivisionError("polynomial division by zero")
-    quot = [0] * (max(len(rem) - len(div) + 1, 0))
-    lead = div[-1]
-    for i in range(len(rem) - 1, len(div) - 2, -1):
-        c = rem[i]
-        if c % lead:
-            raise ValueError("division is not exact")
-        q = c // lead
-        quot[i - (len(div) - 1)] = q
-        if q:
-            for j, dj in enumerate(div):
-                rem[i - (len(div) - 1) + j] -= q * dj
-    if any(rem):
-        raise ValueError("division is not exact")
-    return quot
+# -- cyclotomic polynomials -------------------------------------------
 
 
 def _prime_factors(k: int) -> list:
@@ -279,46 +258,40 @@ def _prime_factors(k: int) -> list:
     return found + [k] if k > 1 else found
 
 
-def _substitute_power(poly: tuple, e: int) -> tuple:
-    """poly(x^e) of an ascending coefficient tuple."""
-    out = [0] * ((len(poly) - 1) * e + 1)
-    out[::e] = poly
-    return tuple(out)
+def _mobius_series(k: int, n: int, power: int = 1) -> list:
+    """The first n coefficients, as Python ints, of P_k^power for power
+    1 or -1, where P_k(x) = prod over square-free e | k of
+    (1 - x^(k/e))^mu(e).  Multiplying by 1 - x^d subtracts the series
+    shifted by d; dividing by it is a running sum along stride d."""
+    a = np.zeros(n, dtype=object)
+    a[:1] = 1
+    factors = [(k, 1)]  # (k/e, mu(e)) over the square-free e | k
+    for p in _prime_factors(k):
+        factors += [(d // p, -mu) for d, mu in factors]
+    for d, mu in factors:
+        if d >= n:
+            continue  # 1 - x^d is 1 in the first n coefficients
+        if mu == power:  # multiply by 1 - x^d
+            a[d:] = a[d:] - a[:n - d]
+        else:  # divide by 1 - x^d
+            a = np.pad(a, (0, -n % d)).reshape(-1, d).cumsum(axis=0).ravel()[:n]
+    return a.tolist()
+
+
+def euler_phi(k: int) -> int:
+    if k < 1:
+        raise ValueError("k must be >= 1")
+    primes = _prime_factors(k)
+    return k // prod(primes) * prod(p - 1 for p in primes)
 
 
 @lru_cache(maxsize=None)
 def cyclotomic_polynomial(k: int) -> tuple:
-    """Phi_k as an ascending integer coefficient tuple, by the standard
-    identities (p prime, m > 1 coprime to p, rad(k) the product of the
-    distinct primes of k):
-
-      Phi_k(x)  = Phi_rad(k)(x^(k / rad(k)))
-      Phi_p(x)  = 1 + x + ... + x^(p - 1)
-      Phi_2m(x) = Phi_m(-x)                  for odd m
-      Phi_pm(x) = Phi_m(x^p) / Phi_m(x)
-
-    The last one, with p the largest prime of an odd square-free k, is
-    the only division: one exact division by Phi_(k/p)."""
-    if k < 1:
-        raise ValueError("k must be >= 1")
-    if k == 1:
-        return (-1, 1)
-    primes = _prime_factors(k)
-    rad = prod(primes)
-    if rad != k:
-        return _substitute_power(cyclotomic_polynomial(rad), k // rad)
-    if len(primes) == 1:
-        return (1,) * k
-    if k % 2 == 0:
-        return tuple(c if j % 2 == 0 else -c
-                     for j, c in enumerate(cyclotomic_polynomial(k // 2)))
-    p = primes[-1]
-    inner = cyclotomic_polynomial(k // p)
-    return tuple(_poly_divexact(_substitute_power(inner, p), inner))
-
-
-def euler_phi(k: int) -> int:
-    return len(cyclotomic_polynomial(k)) - 1
+    """Phi_k as an ascending integer coefficient tuple.  Moebius
+    inversion of x^k - 1 = prod over d | k of Phi_d gives Phi_k = P_k
+    (see `_mobius_series`) for k >= 2 and Phi_1 = -P_1."""
+    coeffs = _mobius_series(k, euler_phi(k) + 1)
+    return tuple(coeffs) if k > 1 else tuple(-c for c in coeffs)
 
 
 def reduce_rows(rows: np.ndarray, k: int) -> np.ndarray:
@@ -377,15 +350,12 @@ def reduction_gain(k: int) -> float:
     convolved with the power series a = 1 / (Phi_k with its coefficients
     reversed), so each is at most A = sum |a_n| times the largest
     coefficient, and every other entry at most 1 + A * (sum of
-    |coefficients| of Phi_k below the leading one) times it.  Evaluated
-    in floats and capped at 2^64, past which no int64 stack is safe."""
-    cap = 2.0 ** 64
+    |coefficients| of Phi_k below the leading one) times it.  Phi_k is
+    palindromic for k >= 2 and reversed Phi_1 is P_1, so a = 1 / P_k
+    (see `_mobius_series`), summed in integers.  The bound is capped at
+    2^64, past which no int64 stack is safe."""
     phi = cyclotomic_polynomial(k)
-    deg = len(phi) - 1
-    rev = np.array(phi[-2::-1], dtype=float)  # coefficient d - 1 of the reversal
-    a = np.zeros(max((k // 2 if k % 2 == 0 else k) - deg, 0))
-    for n in range(len(a)):
-        m = min(n, deg)
-        a[n] = np.clip((n == 0) - rev[:m] @ a[n - m:n][::-1], -cap, cap)
-    spread = float(np.abs(a).sum()) * float(np.abs(rev).sum())
-    return min(1 + spread, cap)
+    width = k // 2 if k % 2 == 0 else k
+    a = _mobius_series(k, max(width - len(phi) + 1, 0), -1)
+    spread = float(sum(map(abs, a))) * float(sum(map(abs, phi)) - 1)
+    return min(1 + spread, 2.0 ** 64)

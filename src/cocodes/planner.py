@@ -386,10 +386,22 @@ def _log_stage(log, stage, fam, check, verify):
     log.append(rec)
 
 
+def parse_kind(kind: str) -> Optional[int]:
+    """N of a check kind 'cosf:N' (decimal digits, N >= 1), None for
+    'ccc'; ValueError for any other kind."""
+    if kind == "ccc":
+        return None
+    head, _, digits = kind.partition(":")
+    try:
+        n = int(digits) if head == "cosf" and digits.isdecimal() else 0
+    except ValueError:  # more digits than Python converts
+        n = 0
+    if n < 1:
+        raise ValueError(f"unknown check kind {kind!r}; expected 'ccc' or 'cosf:N'")
+    return n
+
+
 def run_check(fam: SequenceFamily, kind: str, tol: float = DEFAULT_TOL) -> CheckReport:
     """Dispatch 'cosf:N' / 'ccc' to the matching predicate."""
-    if kind == "ccc":
-        return is_ccc(fam, tol)
-    if kind.startswith("cosf:"):
-        return is_n_co_sf(fam, int(kind.split(":", 1)[1]), tol)
-    raise ValueError(f"unknown check kind {kind!r}")
+    n = parse_kind(kind)
+    return is_ccc(fam, tol) if n is None else is_n_co_sf(fam, n, tol)

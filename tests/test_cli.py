@@ -368,9 +368,11 @@ class TestVerifyCommand:
         path.write_text("[", encoding="utf-8")
         assert main(["verify", str(path), "--kind", "ccc"]) == EXIT_IO
 
-    def test_bad_kind_argument(self, ccc_family_file):
-        assert main(["verify", str(ccc_family_file), "--kind", "ccx"]) == EXIT_IO
-        assert main(["verify", str(ccc_family_file), "--kind", "cosf:0"]) == EXIT_IO
+    def test_bad_kind_argument(self, ccc_family_file, capsys):
+        # 5,000 digits: past Python's int-string conversion limit
+        for kind in ("ccx", "cosf:0", "cosf:" + "9" * 5000):
+            assert main(["verify", str(ccc_family_file), "--kind", kind]) == EXIT_IO
+            assert "bad --kind" in capsys.readouterr().err
 
     def test_missing_file(self, tmp_path):
         assert main(["verify", str(tmp_path / "nope.json"),

@@ -2,6 +2,7 @@
 the cyclotomic polynomial machinery behind it."""
 
 import cmath
+import hashlib
 import random
 import time
 import tracemalloc
@@ -13,7 +14,6 @@ from cocodes.cyclo import (
     ORDER_LIMIT,
     CycloNum,
     OrderLimitError,
-    _poly_divexact,
     cyclotomic_polynomial,
     euler_phi,
     reduce_rows,
@@ -195,28 +195,8 @@ class TestCyclotomicPolynomials:
 
     def test_sixth(self):
         # oracle: divide x^6 - 1 by Phi_1 * Phi_2 * Phi_3 exactly
-        def mul(p, q):
-            out = [0] * (len(p) + len(q) - 1)
-            for i, a in enumerate(p):
-                for j, b in enumerate(q):
-                    out[i + j] += a * b
-            return out
-
-        def divexact(num, den):
-            num = list(num)
-            q = [0] * (len(num) - len(den) + 1)
-            for i in range(len(num) - 1, len(den) - 2, -1):
-                c = num[i]
-                assert c % den[-1] == 0
-                qi = c // den[-1]
-                q[i - len(den) + 1] = qi
-                for j, d in enumerate(den):
-                    num[i - len(den) + 1 + j] -= qi * d
-            assert not any(num)
-            return q
-
-        denom = mul(mul([-1, 1], [1, 1]), [1, 1, 1])
-        expect = divexact([-1, 0, 0, 0, 0, 0, 1], denom)
+        denom = _polymul(_polymul([-1, 1], [1, 1]), [1, 1, 1])
+        expect = _divexact([-1, 0, 0, 0, 0, 0, 1], denom)
         assert list(cyclotomic_polynomial(6)) == expect == [1, -1, 1]
 
     @pytest.mark.parametrize("k", list(range(1, 31)))
@@ -240,13 +220,26 @@ class TestCyclotomicPolynomials:
             num = [-1] + [0] * (k - 1) + [1]
             for d in range(1, k):
                 if k % d == 0:
-                    num = _poly_divexact(num, ref[d])
+                    num = _divexact(num, ref[d])
             ref[k] = tuple(num)
             assert cyclotomic_polynomial(k) == ref[k], k
 
+    def test_pinned_goldens(self):
+        # sha256 of the reprs, taken from the earlier implementation: Phi_k
+        # by the standard identities with one exact long division, the gain
+        # by a float recurrence for the series 1 / rev(Phi_k)
+        phis = [cyclotomic_polynomial(k) for k in range(1, 1001)]
+        assert all(type(c) is int for phi in phis for c in phi)
+        assert hashlib.sha256(repr(phis).encode()).hexdigest() == (
+            "7b92264ada9e218bb76974ac9420d0c3087e82bb5210f655756f731a1ee57738")
+        gains = [reduction_gain(k) for k in [*range(1, 1001), 9240, 9999, 10000]]
+        assert gains[-3:] == [324325.0, 82415.0, 5.0]
+        assert hashlib.sha256(repr(gains).encode()).hexdigest() == (
+            "e113659ede7c4427c3a348f3667d1841a62328759ddcba9a4a1e3c46a9d73fee")
+
     def test_large_orders_are_fast(self):
-        # by the division definition alone Phi_9998 took seconds; 9993 =
-        # 3 * 3331 is fast only when the division is by Phi_3
+        # orders near ORDER_LIMIT with a large prime factor: 9998 = 2 * 4999
+        # and 9993 = 3 * 3331
         cyclotomic_polynomial.cache_clear()
         start = time.perf_counter()
         phi = cyclotomic_polynomial(9998)  # 2 * 4999, 4999 prime
@@ -269,6 +262,22 @@ def _polymul(p, q):
         for j, b in enumerate(q):
             out[i + j] += a * b
     return out
+
+
+def _divexact(num, den):
+    """Exact quotient num / den of integer polynomials (ascending, den
+    with a nonzero leading coefficient); asserts a zero remainder."""
+    num = list(num)
+    q = [0] * (len(num) - len(den) + 1)
+    for i in range(len(num) - 1, len(den) - 2, -1):
+        c = num[i]
+        assert c % den[-1] == 0
+        qi = c // den[-1]
+        q[i - len(den) + 1] = qi
+        for j, d in enumerate(den):
+            num[i - len(den) + 1 + j] -= qi * d
+    assert not any(num)
+    return q
 
 
 class TestInvariantsRandomized:
