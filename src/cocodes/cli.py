@@ -30,7 +30,10 @@ errors, a malformed `--kind` or matrix shorthand included).  A family, recipe
 or `@matrix` file that cannot be read as JSON exits 3 with a
 `path: reason` message: a file that is not UTF-8, bad JSON syntax, an
 integer of more digits than Python converts (`sys.get_int_max_str_digits`)
-and nesting deeper than the recursion limit.
+and nesting deeper than the recursion limit.  A command that runs out of
+memory (a MemoryError, such as numpy's for an array past the address
+space) exits 2 with a one-line `error: out of memory` message, not a
+traceback: its input is too large to construct or check here.
 """
 
 from __future__ import annotations
@@ -749,6 +752,9 @@ def main(argv=None) -> int:
         return EXIT_IO
     except ValueError as e:
         print(f"error: {e}", file=sys.stderr)
+        return EXIT_CONSTRUCT
+    except MemoryError as e:  # numpy's names the array it could not allocate
+        print(f"error: out of memory{': ' if str(e) else ''}{e}", file=sys.stderr)
         return EXIT_CONSTRUCT
 
 

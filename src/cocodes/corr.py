@@ -10,62 +10,54 @@ set energy of the call, which the kernel works out itself.
 
 `acorr` is the direct definitional sum and stays the reference.  Every
 profile and predicate goes through one kernel (`_Kernel`) instead.  A
-call densifies its sequences into a (sets, members, K, L) array over
-the call's common order K.  Two passes read that stack.
+call densifies its sequences into a (R, sets, members, W) array over
+the call's common order K, exponent rows first: R = K for odd K, R = K/2
+for even K folded by zeta_K^(K/2) = -1, so row j of a member a_n is the
+coefficient of z^j where z^R = 1 or -1.  Two passes read that stack in
+one spectral layout.  For a pair (S, T) let a_q be its set sum at shift
+q, a polynomial in z of degree < R, over the 2W - 1 shifts of W,
+P = 2^p >= 2W - 1, and, for each root zeta^-e of z^R -+ 1
+(zeta = exp(2 pi i / K)) and f mod P, v(e, f) = sum_q sigma_e(a_q) w^(fq),
+w = exp(2 pi i / P), sigma_e(a) = a(zeta^-e), for e prime to K the
+embedding of Z[zeta_K] mapping zeta_K to zeta^-e.  A member's values at a
+root are
+x_n(e, l) = sum_j a_n[j, l] zeta^(-ej), one (rows,) x (rows, n) product
+over a block of sets; X_n is their length-P transform over positions
+(the real `rfft` at R = 1, where x = a), and v = sum_n X_S,n conj(X_T,n).
+As v(-e, -f) = conj(v(e, f)), one root of each conjugate pair is taken
+(`_roots`), one root and one block of sets at a time (`_block_pairs`,
+`_member_sums`), so that a block's spectra and two blocks' member sums
+stay under `_SPECTRA_MAX` entries.
 
-The per-shift pass computes every set sum by Kronecker substitution:
-with R rows and D = 2R - 1, exponent j of position l goes to index
-l D + j of one vector, so every (shift, exponent difference) pair of a
-correlation lands on its own index.  One power-of-two real transform
-per member (complex in approx mode), long enough that no index wraps,
-products summed over members in the spectrum, and one inverse per pair
-of set blocks give every sum; the inverse is rounded to integers only
-under an a-priori error bound (`rounding_bound`, derived from
-Percival's theorem, Math. Comp. 72 (2003)), and the differences d < 0
-are then folded onto d + R in integers.  Coefficients too large for
-that bound are split into signed base-2^b limbs: the same pass sums the
-limb products, each diagonal under the bound, and the rounded diagonals
-are recombined with integers.  Zero is then decided for the whole
-integer stack at once by `cyclo.zero_rows`, the rule `CycloNum.is_zero`
-applies to one value.  Profiles, `zccc_zone`'s rotated sums and every
-report's violations and values come from this pass.
+The certificate pass reads the primitive roots (e prime to K) and
+decides a predicate's pairs without an inverse transform, a rounding
+or a reduction; `_Kernel.check` takes it for exact stacks of one limb
+whose `certificate_bound` is below 1/2, and the per-shift pass
+otherwise (approx mode, limbs, or the bound).  For an auto pair it
+subtracts the shift-0 sum sum_n sum_l |x_S,n(e, l)|^2 from v, so let
+a_0 exclude it there.
 
-The certificate pass decides a predicate's pairs without an inverse
-transform, a rounding or a reduction; `_Kernel.check` takes it for
-exact stacks of one limb whose `certificate_bound` is below 1/2, and
-the per-shift pass otherwise (approx mode, limbs, or the bound).  For
-a pair (S, T) let a_q in Z[zeta_K] be its set sum at shift q, less the
-shift-0 sum when S = T, over the 2W - 1 shifts of the stack's width W.
-Let P = 2^p >= 2W - 1 and, for e prime to K and f mod P,
-v(e, f) = sum_q sigma_e(a_q) w^(fq), w = exp(2 pi i / P), sigma_e the
-embedding zeta_K -> exp(-2 pi i e / K).
-
-  (1) A nonzero a in Z[zeta_K] has a norm prod_e sigma_e(a) that is a
-      nonzero integer, so by AM-GM sum_e |sigma_e(a)|^2 >= phi(K).
+  (1) A nonzero a in Z[zeta_K] has a norm prod_e sigma_e(a), e prime
+      to K, that is a nonzero integer, so by AM-GM those e have
+      sum_e |sigma_e(a)|^2 >= phi(K).
   (2) The shifts are distinct mod P, so by Parseval
       sum_f |v(e, f)|^2 = P sum_q |sigma_e(a_q)|^2.
   (3) So if some a_q is nonzero, the phi(K) P values have
       sum |v|^2 >= P phi(K), and some |v(e, f)| >= 1.  If all are
       zero, every v is 0.
-  (4) v(-e, -f) = conj(v(e, f)), so the e < K/2 with every f, or at
-      K <= 2 (one real embedding) f <= P/2, hold every |v|.
+  (4) By conjugation the e < K/2 with every f, or at K <= 2 (one real
+      embedding) f <= P/2, hold every |v|.
 
 With each v computed within B < 1/2, "every computed |v| < 1/2" is
 therefore exactly "every a_q is zero": the same predicate as the
-reduction modulo Phi_K, decided both ways.  The computation: row j of
-a member's folded stack a_n (see `_Kernel`) is the coefficient of z^j,
-and every primitive K-th root is a root of the fold, so the member's
-values at the retained roots are x_n(e, l) = sum_j a_n[j, l] zeta^(-ej),
-one (roots x rows) product; X_n is their length-P transform over
-positions (the real `rfft` at K <= 2, where x = a), and
-v = sum_n X_S,n conj(X_T,n), less sum_n sum_l |x_S,n(e, l)|^2 for an
-auto pair.  The bound B (`certificate_bound`), with u = 2^-53,
-g_n = n u / (1 - n u), R rows, M members, E the largest set energy
-sum a^2 of the stack:
+reduction modulo Phi_K, decided both ways.  Every primitive K-th root
+is a root of the fold, so x_n is sigma_e of the member.  The bound B
+(`certificate_bound`), with u = 2^-53, g_n = n u / (1 - n u), M
+members, E the largest set energy sum a^2 of the stack:
 
-  (a) The roots' matrix is within 32u of its values entrywise (the
-      angle 2 pi (ej mod K) / K within 6 pi u, cos and sin within 2u)
-      and is applied by two real products, so
+  (a) A root's powers are within 32u of their values (the angle
+      2 pi (ej mod K) / K within 6 pi u, cos and sin within 2u) and
+      are applied by two real products, so
       |x^(l) - x(l)| <= mu sum_j |a[j, l]|,
       mu = sqrt2 g_R (1 + 32u) + 32u (0 at K <= 2).  By
       Cauchy-Schwarz ||x_n|| <= sqrt(R) ||a_n|| and
@@ -88,30 +80,41 @@ sum a^2 of the stack:
       a computed |v| <= B < 1/2 and a nonzero one at least
       (1 - 4u)(1 - B) > 1/2.
 
+The per-shift pass reads every root, shift 0 of an auto pair included.
+Entry -q mod P of the inverse transform of v(e, .) is sigma_e(a_q), and
+since the R roots of z^R -+ 1 diagonalise the folded exponent axis,
+coefficient j of a_q is (1/R) sum_e w_e Re(sigma_e(a_q) zeta^(ej)),
+w_e = 2 for a conjugate pair and 1 for a real root (e = 0 at odd K,
+e = K/2 at odd K/2).  Each root's inverse evaluation is added into one
+float stack, rounded to integers only under an a-priori error bound
+(`rounding_bound`, which extends (a)-(c) through the inverse transform
+and evaluation); at R = 1 (K <= 2, and approx mode, whose values stay
+unrounded) there is one root and no evaluation.  Coefficients too large
+for that bound are split into signed base-2^b limbs, whose products the
+same pass sums by diagonal, each under the bound; the rounded diagonals
+are recombined with integers.  Zero is then decided for the whole
+integer stack at once by `cyclo.zero_rows`, the rule `CycloNum.is_zero`
+applies to one value.  Profiles, `zccc_zone`'s rotated sums and every
+report's violations and values come from this pass.
+
 Percival's theorem is for radix-2 transforms; the power-of-two length
-(on both passes) is what lets it stand for pocketfft, whose passes at
-such lengths are radix 2 and radix 4, a radix-4 butterfly being two
-radix-2 stages whose inner twiddles (+-1, +-i) are exact.  A real
-transform (`rfft`) is taken as the half of the complex one it returns,
-and its inverse (`irfft`) as the complex inverse of the Hermitian
-extension of its input.
+P is what lets it stand for pocketfft, whose passes at such lengths are
+radix 2 and radix 4, a radix-4 butterfly being two radix-2 stages whose
+inner twiddles (+-1, +-i) are exact.  A real transform (`rfft`) is
+taken as the half of the complex one it returns, and its inverse
+(`irfft`) as the complex inverse of the Hermitian extension of its
+input.
 
 A check's report is deferred: the certificate gives each pair's `ok`,
-and the per-shift pass runs once, over all the check's pairs, when the
-first of their violations, sums or values is read (`_Kernel.scan`,
-kept on the check's kernel with its pairs).  It keeps the sums stack
-and one violation mask over the same (pairs, shifts) grid, from whose
-rows a pair's violations and a render's shifts are read.  So reading a
-verdict costs one certificate pass, a rejected family pays for both
-passes (on one densified stack, which the kernel keeps) only when its
-report is read, and every value read is the per-shift pass's own;
-building it eagerly would cost a near-miss both passes on every check.
-`CycloNum`s are built only for the values read (`_scalars`).
-
-Both passes go through `_block_pairs` and `_member_sums`, with blocks
-sized so that a block's spectra and two blocks' member sums stay under
-`_SPECTRA_MAX` entries.  Debug records on the `cocodes` logger give the
-block and limb counts above one and which pass decided a check, and why.
+and the per-shift pass runs once over all the check's pairs when the
+first of their violations, sums or values is read (`_Kernel.scan`).  It
+keeps the sums stack and one violation mask over the same (pairs,
+shifts) grid, whose rows give a pair's violations and a render's shifts.
+So a verdict costs one certificate pass, and a rejected family pays for
+both (on the one densified stack the kernel keeps) only when its report
+is read.  `CycloNum`s are built only for the values read (`_scalars`).
+Debug records on the `cocodes` logger give the block and limb counts
+above one and which pass decided a check, and why.
 
 `is_n_co_sf` runs the same passes on the n polyphase components
 s_r(l) = s(ln + r) of each sequence: R(s, t)(qn) = sum_r R(s_r, t_r)(q),
@@ -242,42 +245,60 @@ def _percival(size: int) -> float:
     return math.expm1(p * (2 * math.log1p(_U) + math.log1p(math.sqrt(5) * _U)))
 
 
-def rounding_bound(energy: float, size: int, members: int) -> float:
-    """A-priori bound on the error of every entry of a set sum computed
-    by the per-shift pass, for sets of `members` members whose squared
-    coefficients sum to at most `energy` = E, over real transforms of
+def _spectrum_error(rows: int, size: int) -> tuple:
+    """(eta, mu, d) of the module docstring's steps (a)-(b)."""
+    eta = _percival(size)
+    mu = 0.0 if rows == 1 else math.sqrt(2) * _gamma(rows) * (1 + 32 * _U) + 32 * _U
+    return eta, mu, eta * (1 + mu) + mu
+
+
+def rounding_bound(energy: float, rows: int, members: int, size: int) -> float:
+    """A-priori bound on the error of every coefficient of a set sum
+    computed by the per-shift pass (module docstring), for sets of
+    `members` members of `rows` = R exponent rows whose squared
+    coefficients sum to at most `energy` = E, over transforms of
     `size` = P = 2^p points.  Rounding is exact when it is below 1/2.
 
-    Let y_n and z_n be the substituted vectors (module docstring) of
-    member n of the sets S and T, Y_n = F y_n and Z_n = F z_n their
-    unnormalised transforms, G = sum_n Y_n conj(Z_n) and c = F^-1 G the
-    exact sums, eta = `_percival(P)`, u = 2^-53 and
-    g_n = n u / (1 - n u).  By Cauchy-Schwarz sum_n ||y_n|| ||z_n|| <= E,
-    each |c(m)| <= E, and c has at most P entries, so ||c|| <= sqrt(P) E.
+    At one root let y = F^-1 v, whose entries are the sigma_e(a_q), and
+    eta, mu, d, u and g_n as in the module docstring's (a)-(c), so mu = 0
+    and d = eta at R = 1.  Each |sigma_e(a_q)| is at most
+    sum_n ||x_S,n|| ||x_T,n|| <= R E and y has P entries, so
+    ||y|| <= sqrt(P) R E.
 
-      (i) Forward: Y^_n is the Hermitian extension of the computed half
-          spectrum, as the inverse reads it; Percival bounds the half's
-          error by eta ||Y_n||, and the extension at most doubles its
-          square, so ||Y^_n - Y_n|| <= sqrt2 eta sqrt(P) ||y_n|| and
-          ||Y^_n|| <= (1 + sqrt2 eta) sqrt(P) ||y_n||, and so for Z.
-     (ii) Member sum: each real and imaginary part of a computed sum of
-          M products is a sum of 2M real products, within g_2M of their
-          absolute sum, so at every f (a mirrored one by conjugation)
-          the computed G^(f) is within sqrt2 g_2M sum_n |Y^_n(f)| |Z^_n(f)|
-          of sum_n Y^_n(f) conj(Z^_n(f)).
-    (iii) Spectrum to sums: ||F^-1 v||_inf <= ||v||_1 / P, and by (i),
-          (ii) and Cauchy-Schwarz over the frequencies and the members,
-          ||G^ - G||_1 <= P E t, t = (1 + sqrt2 eta)^2 (1 + sqrt2 g_2M) - 1,
-          so F^-1 G^ is within E t of c entrywise.
-     (iv) Inverse: by Percival it is within eta ||F^-1 G^|| of F^-1 G^
-          (the scaling by 1/P is exact), and with ||v||_2 <= ||v||_1,
-          ||F^-1 G^|| <= ||c|| + ||G^ - G|| / sqrt(P) <= sqrt(P) E (1 + t).
+      (i) By (a)-(b), and at R = 1 as the Hermitian extension of the
+          computed half spectrum (which the inverse reads) at most
+          doubles its square, ||X^_n - X_n|| <= sqrt2 d sqrt(P R) ||a_n||
+          and ||X^_n|| <= (1 + sqrt2 d) sqrt(P R) ||a_n||.
+     (ii) As in (c), at every f (a mirrored one by conjugation) the
+          computed v^(f) is within sqrt2 g_2M sum_n |X^_S,n(f)| |X^_T,n(f)|
+          of sum_n X^_S,n(f) conj(X^_T,n(f)).
+    (iii) ||F^-1 w||_inf <= ||w||_1 / P, and by (i), (ii) and
+          Cauchy-Schwarz over the frequencies and the members
+          ||v^ - v||_1 <= P R E t, t = (1 + sqrt2 d)^2 (1 + sqrt2 g_2M) - 1,
+          so F^-1 v^ is within R E t of y entrywise.
+     (iv) Percival puts the computed inverse within eta ||F^-1 v^|| of
+          F^-1 v^ (the scaling by 1/P is exact), and by ||w||_2 <= ||w||_1
+          ||F^-1 v^|| <= ||y|| + ||v^ - v|| / sqrt(P) <= sqrt(P) R E (1 + t),
+          so each computed sigma_e(a_q) is within
+          e = R E ((1 + eta sqrt(P)) (1 + t) - 1).
+      (v) At R > 1 the weights sum to R and |zeta^(ej)| = 1, so the exact
+          evaluation of the computed values is within e of the
+          coefficient; with powers within 32u, a sum of at most R + 1
+          real products (two per root, each value within R E + e) and
+          the division by R, the computed one is within rho (R E + e)
+          more, rho = (1 + 32u) (1 + u) (1 + g_(R+1)) - 1.
 
-    Every entry is so within E ((1 + eta sqrt(P)) (1 + t) - 1), which
-    the bound is (1 + 2^-50) times, to cover its own evaluation."""
-    eta = _percival(size)
-    t = 2 * math.log1p(math.sqrt(2) * eta) + math.log1p(math.sqrt(2) * _gamma(2 * members))
-    return energy * math.expm1(t + math.log1p(eta * math.sqrt(size))) * (1 + 2.0 ** -50)
+    The bound is (1 + 2^-50) (e + rho (R E + e)), the factor covering its
+    own evaluation; at R = 1 (rho = 0) it is the bound of one real
+    transform of P points and its inverse."""
+    eta, _, delta = _spectrum_error(rows, size)
+    # (i)-(iii): the spectra and the member sums
+    t = 2 * math.log1p(math.sqrt(2) * delta) + math.log1p(math.sqrt(2) * _gamma(2 * members))
+    # (iv): the inverse transform
+    bound = rows * energy * math.expm1(t + math.log1p(eta * math.sqrt(size)))
+    if rows > 1:  # (v): the inverse evaluation
+        bound += ((1 + 32 * _U) * (1 + _U) * (1 + _gamma(rows + 1)) - 1) * (rows * energy + bound)
+    return bound * (1 + 2.0 ** -50)
 
 
 def certificate_bound(energy: float, rows: int, members: int, width: int,
@@ -288,11 +309,8 @@ def certificate_bound(energy: float, rows: int, members: int, width: int,
     most `energy`, over a transform of `size` = 2^p positions.  The
     certificate decides exactly when the bound is below 1/2; the proof
     is in the module docstring, which names each term."""
-    # (b): Percival's factor for a length-2^p transform, twiddles within u
-    eta = _percival(size)
-    # (a): the roots' matrix, entries within 32u, applied by real products
-    mu = 0.0 if rows == 1 else math.sqrt(2) * _gamma(rows) * (1 + 32 * _U) + 32 * _U
-    delta = eta * (1 + mu) + mu
+    # (a)-(b): the roots' values and their transform
+    _, mu, delta = _spectrum_error(rows, size)
     # (c): the Gram and (d): the shift-0 sum, per unit of rows * energy
     nu = math.sqrt(2) * _gamma(2 * members)
     peak = math.sqrt(width) + delta * math.sqrt(size)
@@ -315,11 +333,11 @@ def _blocks(sets: int, members: int, limbs: int, freqs: int, *record) -> int:
     return block
 
 
-def _block_pairs(pairs, block: int, spectra_of, rounds=(None,)):
+def _block_pairs(pairs, block: int, spectra_of, rounds):
     """For each of `rounds` and (left, right) pair of blocks of `block`
-    sets holding some of `pairs`: `spectra_of(slice of sets, round)` of
-    both, and the indices and in-block sets of those pairs.  A block out
-    of use is dropped before the next one is taken."""
+    sets holding some of `pairs`: the round, `spectra_of(slice of sets,
+    round)` of both blocks, and the indices and in-block sets of those
+    pairs.  A block out of use is dropped before the next one is taken."""
     groups = {}
     for p, (m, mp) in enumerate(pairs):
         groups.setdefault((m // block, mp // block), []).append((p, m % block, mp % block))
@@ -330,7 +348,7 @@ def _block_pairs(pairs, block: int, spectra_of, rounds=(None,)):
             spectra = {k: spectra[k] for k in spectra.keys() & {lb, rb}}
             for k in {lb, rb} - spectra.keys():
                 spectra[k] = spectra_of(slice(k * block, (k + 1) * block), r)
-            yield spectra[lb], spectra[rb], idx, lefts, rights
+            yield r, spectra[lb], spectra[rb], idx, lefts, rights
 
 
 def _member_sums(left, right, lefts, rights) -> np.ndarray:
@@ -353,18 +371,38 @@ def _member_sums(left, right, lefts, rights) -> np.ndarray:
 
 
 @lru_cache(maxsize=64)
-def _roots(k: int, rows: int) -> Optional[np.ndarray]:
-    """Read-only (roots, rows) matrix, kept per order, that evaluates a
-    stack's exponent axis at zeta_K^-e for each e < K/2 prime to K: one
-    primitive root of each conjugate pair.  None for K <= 2, whose one
-    row is its own value.  Row j of a folded even order is z^j with
-    z^(K/2) = -1, which every primitive root satisfies."""
+def _roots(k: int, rows: int, primitive: bool = False) -> tuple:
+    """(root, weight) of each root, kept per order, that an exponent axis
+    of R = `rows` rows is evaluated at: zeta_K^-e for each e <= K/2 with
+    zeta_K^(-eR) = +-1 (every e for odd K, the odd e for even K), one of
+    each conjugate pair; with `primitive` only the e prime to K, all the
+    certificate reads.  A root is the read-only row of its powers
+    zeta_K^(-ej), j < R; its weight is 1 if real, 2 for a pair.  At one
+    row, one root None: the row is its own value."""
     if rows == 1:
-        return None
-    units = [e for e in range(1, (k + 1) // 2) if math.gcd(e, k) == 1]
-    roots = np.exp(-2j * np.pi / k * (np.outer(units, np.arange(rows)) % k))
-    roots.flags.writeable = False
-    return roots
+        return ((None, 1.0),)
+    es = [e for e in range(k // 2 + 1)
+          if (k % 2 or e % 2) and (math.gcd(e, k) == 1 or not primitive)]
+    powers = np.exp(-2j * np.pi / k * (np.outer(es, np.arange(rows)) % k))
+    powers.flags.writeable = False
+    return tuple((row, 1.0 if 2 * e % k == 0 else 2.0) for e, row in zip(es, powers))
+
+
+def _root_spectra(block: np.ndarray, root, size: int) -> tuple:
+    """(spectra, values) of each member of a (rows, ..., width) block at
+    one root of `_roots`: its values x(l) = sum_j a[j, l] root[j] (the
+    one row at root None) by one (rows,) x (rows, n) product for each of
+    the real and imaginary parts, so the stack is never cast to complex;
+    and their transform over positions, zero-padded to `size` (the
+    half-spectrum, `rfft`, of real values)."""
+    x = block[0]
+    if root is not None:
+        flat = block.reshape(len(block), -1)  # a view: a block is a run of sets
+        x = np.empty(flat.shape[1], complex)
+        np.matmul(root.real, flat, out=x.real)
+        np.matmul(root.imag, flat, out=x.imag)
+        x = x.reshape(block.shape[1:])
+    return (np.fft.fft if np.iscomplexobj(x) else np.fft.rfft)(x, n=size), x
 
 
 class _Kernel:
@@ -382,24 +420,9 @@ class _Kernel:
     sum_{j,l} a[j, l] z^(jK/k) x^l in z^K = 1, so a set sum is one 2-D
     correlation, cyclic over the exponent axis and aperiodic over
     positions.  Every sequence is densified into a
-    (sets, members, R, width) array: R = K rows for odd K, R = K/2 for
-    even K folded by zeta_K^(K/2) = -1 (see `_dense`), 1 in approx mode;
-    and split into limbs when `_digits` says so.  Kronecker substitution
-    makes the 2-D correlation a 1-D one: with D = 2R - 1, entry (j, l)
-    of a member goes to index l D + j of one vector (`_forward`), so
-    the product of s(j, l) and t(j', l + q) lands at lag -q D + d,
-    d = j - j' in (-R, R), distinct for every (q, d), and a transform
-    of P = 2^a >= 2 ((width - 1) D + R - 1) + 1 points (`size`) wraps
-    none of them.  A block of sets at a time (`_blocks`), the spectral
-    pass takes the half-spectrum of every member and limb (`rfft`; `fft`
-    in approx mode).  Per pair of blocks, `_member_sums` sums F(s_n)
-    conj(F(t_n)) over the members n for each left and right limb, limb
-    products i + j = k add up to diagonal k, and one batched inverse
-    (`_inverse`) brings them all back.  Exact results are rounded under
-    `rounding_bound`, and the column of d < 0 is folded onto d + R in
-    integers: added for odd K, where z^-R = 1, subtracted for even K,
-    where z^-R = -1.  Approx values stay unrounded.  The spectra exist
-    only while `sums` runs, and so does the stack unless it is kept in
+    (R, sets, members, width) array (`_dense`; one row in approx mode)
+    and split into limbs when `_digits` says so.  The spectra exist only
+    while a pass runs, and so does the stack unless it is kept in
     `digits` for several calls: by `zccc_zone`, and by `check` when the
     certificate rejects a pair, for the report's deferred `scan` (one
     `sums` over the check's pairs, memoised with its violation mask).
@@ -425,14 +448,11 @@ class _Kernel:
         self.hull = self.width - 1
         # rows kept after folding by zeta_K^(K/2) = -1 (see `_dense`)
         self.rows = self.order // 2 if self.order % 2 == 0 else self.order
-        # index l * span + j holds exponent j of position l
-        self.span = 2 * self.rows - 1
-        self.size = _pow2(2 * ((self.width - 1) * self.span + self.rows - 1) + 1)
         self.digits = None  # `_digits()` when the caller keeps it for more calls
 
     def _digits(self):
-        """The stack the spectra are taken of, (sets, limbs, members,
-        rows, width); the limb width b in bits (0: one limb); the
+        """The stack the spectra are taken of, (rows, sets, limbs,
+        members, width); the limb width b in bits (0: one limb); the
         rounding bound that certifies the pass (nan in approx mode); the
         dtype of the sums, int64 when every value and every step of
         their recombination fits; the largest set energy of the stack
@@ -446,7 +466,7 @@ class _Kernel:
         CoefficientLimitError names the cap), so that the stack
         converts to float too."""
         if not self.exact:
-            return self._dense(complex)[:, None], 0, math.nan, complex, math.nan
+            return self._dense(complex)[:, :, None], 0, math.nan, complex, math.nan
         big = [s.array for ss in self.sets for s in ss if s.array.dtype == object]
         if big:
             for a in big:
@@ -455,59 +475,43 @@ class _Kernel:
             dense = ints.astype(float)
         else:
             ints, dense = None, self._dense(float)
-        energy = float(np.einsum("smkl,smkl->s", dense, dense).max())
-        bound = rounding_bound(energy, self.size, self.members)
+        energy = float(np.einsum("ksml,ksml->s", dense, dense).max())
+        size = _pow2(2 * self.width - 1)
+        bound = rounding_bound(energy, self.rows, self.members, size)
         if bound < 0.5:
-            return dense[:, None], 0, bound, np.int64, energy
+            return dense[:, :, None], 0, bound, np.int64, energy
         # Too large to round in one piece: every coefficient becomes n
         # signed base-2^b digits, least significant first.  A set sum is
         # then sum_k 2^(bk) R_k, where R_k sums over the members and over
         # the limb pairs (i, k - i) as more members, so for sets of c
         # nonzero coefficients `rounding_bound` holds for every R_k when
         # it holds for energy c n (2^b - 1)^2 and n times the members.
-        # That bound keeps each R_k below 2^51, so the fold adds two of
-        # its rounded columns exactly.  A folded coefficient pairs each
-        # row j with the one row (j - d) mod R, so by Cauchy-Schwarz it
-        # is at most the set energy, as an unfolded one is; each Horner
-        # step is then below energy + 2^52, and int64 holds every step
-        # for energies below 2^61.
+        # A coefficient of R_k pairs each row j with the one row
+        # (j - d) mod R, so by Cauchy-Schwarz it is at most that energy,
+        # which the bound keeps below 2^51; each Horner step is then
+        # below energy + 2^52, and int64 holds every step for energies
+        # below 2^61.
         if ints is None:
             ints = self._dense(np.int64)
         mags = np.abs(ints)
         bits = int(mags.max()).bit_length()
-        nonzero = int(np.count_nonzero(ints.reshape(len(ints), -1), axis=1).max())
+        nonzero = int(np.count_nonzero(ints, axis=(0, 2, 3)).max())
 
         def limb_bound(b):
             n = -(-bits // b)
-            return rounding_bound(nonzero * n * (2 ** b - 1) ** 2, self.size, self.members * n)
+            return rounding_bound(nonzero * n * (2 ** b - 1) ** 2, self.rows,
+                                  self.members * n, size)
 
         b = max(b for b in range(1, 53) if limb_bound(b) < 0.5)
-        digits = np.stack([(mags >> i) & ((1 << b) - 1) for i in range(0, bits, b)], axis=1)
-        return (digits.astype(float) * np.where(ints < 0, -1.0, 1.0)[:, None], b,
+        digits = np.stack([(mags >> i) & ((1 << b) - 1) for i in range(0, bits, b)], axis=2)
+        return (digits.astype(float) * np.where(ints < 0, -1.0, 1.0)[:, :, None], b,
                 limb_bound(b), np.int64 if energy < 2.0 ** 61 else object, energy)
 
-    def _forward(self, dense: np.ndarray) -> np.ndarray:
-        """(sets limbs, members, freqs) spectra of a (sets, limbs, members,
-        rows, width) block (limb i of set m at m limbs + i): the
-        half-spectrum (`rfft`; `fft` in approx mode) of each member laid
-        out at index l * span + j, zero-padded to `size` points.  numpy's
-        transforms of length 1 are exact identities, so sets of width 1
-        (the planner's sub-families) in approx mode or at K <= 2 reduce
-        to one product, as on the certificate pass."""
-        dense = dense.reshape((-1,) + dense.shape[2:])
-        flat = np.zeros(dense.shape[:-2] + (dense.shape[-1], self.span), dense.dtype)
-        flat[..., :self.rows] = dense.swapaxes(-1, -2)
-        flat = flat.reshape(dense.shape[:-2] + (-1,))
-        return (np.fft.rfft if self.exact else np.fft.fft)(flat, n=self.size)
-
-    def _inverse(self, prod: np.ndarray) -> np.ndarray:
-        """Inverse of `_forward`'s transform (`irfft`)."""
-        return (np.fft.irfft if self.exact else np.fft.ifft)(prod, n=self.size)
-
     def _dense(self, dtype) -> np.ndarray:
-        """(sets, members, rows, width) array of `dtype` holding the
+        """(rows, sets, members, width) array of `dtype` holding the
         polyphase components of every sequence (member n * phases + r
-        is component r of member n), folded by zeta_K^(K/2) = -1 for
+        is component r of member n), exponent rows first so that a root
+        is one product (`_root_spectra`), folded by zeta_K^(K/2) = -1 for
         even K.  Sequences come as int64 arrays unless a coefficient is
         past INT64_COEFF_BOUND, so a float stack is filled by numpy's
         own casts, not one Python int at a time.  When every sequence
@@ -517,20 +521,26 @@ class _Kernel:
         sets, members = len(self.sets), len(self.sets[0]) * n
         arrays = [s.array for ss in self.sets for s in ss]
         if {a.shape for a in arrays} == {(self.order, self.width * n)}:
-            out = np.array(arrays, dtype).reshape(sets, -1, self.order, self.width, n)
-            out = out.transpose(0, 1, 4, 2, 3).reshape(sets, members, self.order, self.width)
+            out = np.stack(arrays, axis=1, dtype=dtype, casting="unsafe")
+            out = out.reshape(self.order, sets, -1, self.width, n).transpose(0, 1, 2, 4, 3)
+            out = out.reshape(self.order, sets, members, self.width)
         else:
-            out = np.zeros((sets, members, self.order, self.width), dtype)
+            out = np.zeros((self.order, sets, members, self.width), dtype)
             for m, ss in enumerate(self.sets):
                 for i, s in enumerate(ss):
-                    rows = out[m, i * n:(i + 1) * n, ::self.order // s.order]
+                    rows = out[::self.order // s.order, m, i * n:(i + 1) * n]
                     for r in range(n):
                         part = s.array[..., r::n]
-                        rows[r, :, :part.shape[-1]] = part
+                        rows[:, r, :part.shape[-1]] = part
         # C order: the phase axis of the reshape above is interleaved
         if self.rows < self.order:
-            return np.subtract(out[:, :, :self.rows], out[:, :, self.rows:], order="C")
+            return np.subtract(out[:self.rows], out[self.rows:], order="C")
         return np.ascontiguousarray(out)
+
+    def _spectra(self, block: np.ndarray, root, size: int) -> np.ndarray:
+        """The per-shift spectra (sets limbs, members, freqs) of a block at a root."""
+        rows, _, _, members, width = block.shape
+        return _root_spectra(block.reshape(rows, -1, members, width), root, size)[0]
 
     def sums(self, pairs, rotate: bool = False, digits=None) -> np.ndarray:
         """(pairs, 2 hull + 1, rows) stack of the set sums of each
@@ -540,20 +550,20 @@ class _Kernel:
         shifted by one (member n + 1 pairs with member n).  `digits`
         is a `_digits()` the caller has already made."""
         stack, b, bound, dtype, _ = digits or self.digits or self._digits()
-        sets, limbs, members, rows, _ = stack.shape
-        freqs = self.size // 2 + 1 if self.exact else self.size
-        block = _blocks(sets, members, limbs, freqs, b, "rounding", bound)
-        hull = self.hull
-        # lag -q * span + d holds the coefficient of z^d at shift q, d in (-rows, rows)
-        lags = (np.arange(1 - rows, rows) - self.span * np.arange(-hull, hull + 1)[:, None]
-                ) % self.size
-        # z^d, d < 0, folds onto z^(d + rows): z^-rows is 1 for odd K, -1 for even K
-        fold = -1.0 if rows < self.order else 1.0
+        rows, sets, limbs, members, width = stack.shape
+        size = _pow2(2 * width - 1)
+        real = self.exact and rows == 1
+        block = _blocks(sets, members, limbs, size // 2 + 1 if real else size, b, "rounding",
+                        bound)
+        # sigma_e(a_q) is entry -q mod size of a root's inverse transform
+        shifts = -np.arange(-self.hull, self.hull + 1) % size
         # the right limbs reversed: limb pairs (i, k - i) are diagonal limbs - 1 - k
         left_limbs, right_limbs = np.arange(limbs)[:, None], np.arange(limbs)[::-1]
-        out = np.empty((len(pairs), 2 * hull + 1, rows), dtype)
-        for left, right, idx, lefts, rights in _block_pairs(
-                pairs, block, lambda part, _: self._forward(stack[part])):
+        acc = np.zeros((len(pairs), 2 * limbs - 1, len(shifts), rows),
+                       float if self.exact else complex)
+        for (root, weight), left, right, idx, lefts, rights in _block_pairs(
+                pairs, block, lambda part, r: self._spectra(stack[:, part], r[0], size),
+                _roots(self.order, rows)):
             if rotate:
                 left = np.roll(left, -1, axis=1)
             # one name for each block pair's arrays, so none outlives its step
@@ -561,18 +571,22 @@ class _Kernel:
                                  rights[:, None, None] * limbs + right_limbs)
             found = found[:, 0] if limbs == 1 else np.stack(
                 [found.diagonal(limbs - 1 - k, 1, 2).sum(-1) for k in range(2 * limbs - 1)], 1)
-            found = self._inverse(found)[..., lags]
-            if self.exact:
-                np.rint(found, out=found)
-            found[..., rows:] += fold * found[..., :rows - 1]
-            found = found[..., rows - 1:]
-            total = 0
-            for k in reversed(range(2 * limbs - 1)):
-                # Horner from the top diagonal: no step outgrows energy + 2^52
-                total = found[:, k] if limbs == 1 else (
-                    (total << b) + found[:, k].astype(np.int64).astype(dtype))
-            out[idx] = total
-        return out
+            found = (np.fft.irfft if real else np.fft.ifft)(found, n=size)[..., shifts]
+            if root is None:
+                acc[idx] = found[..., None]
+            else:  # weight Re(sigma_e(a_q) zeta^(ej)) = weight (Re Re + Im Im)
+                acc[idx] += found[..., None].view(float) @ (
+                    weight * np.stack([root.real, root.imag]))
+        if not self.exact:
+            return acc[:, 0]
+        if rows > 1:
+            acc /= rows
+        np.rint(acc, out=acc)
+        total = acc[:, -1].astype(np.int64).astype(dtype, copy=False)
+        for k in reversed(range(2 * limbs - 2)):
+            # Horner from the top diagonal: no step outgrows energy + 2^52
+            total = (total << b) + acc[:, k].astype(np.int64).astype(dtype, copy=False)
+        return total
 
     def zeros(self, acc: np.ndarray) -> np.ndarray:
         """(pairs, shifts) bools: which sums of a `sums` stack vanish, decided
@@ -597,7 +611,7 @@ class _Kernel:
         A debug record names the path and why."""
         digits = self.digits or self._digits()
         stack, _, _, _, energy = digits
-        limbs = stack.shape[1]
+        limbs = stack.shape[2]
         self.pairs = pairs
         self.hulls = [max(self.widths[m], self.widths[mp]) - 1 for m, mp in pairs]
         self.found = None
@@ -608,7 +622,7 @@ class _Kernel:
         reason = ("approx" if not self.exact else "bound" if not cert < 0.5 else
                   "limbs" if limbs > 1 else None)
         if reason is None:
-            accepted = (self._certify(stack[:, 0], pairs, cert) < 0.5).tolist()
+            accepted = (self._certify(stack[:, :, 0], pairs, cert) < 0.5).tolist()
             if not all(accepted):  # a failing report is likely read: keep its stack
                 self.digits = digits
             _debug("check by certificate: %d of %d pairs accepted, %d rejected; "
@@ -636,40 +650,24 @@ class _Kernel:
             self.found = acc, mask
         return self.found
 
-    def _root_spectra(self, block: np.ndarray, root, size: int) -> tuple:
-        """(spectra, energies) of a (sets, members, rows, width) block at
-        one of the certificate's roots (a row of `_roots`, None at K <= 2):
-        the transform over positions, zero-padded to `size`, of each
-        member's values at the root (the real half-spectrum at K <= 2),
-        (sets, members, freqs); and each set's shift-0 sum
-        sum_n sum_l |x_n(l)|^2 at the root."""
-        if root is None:
-            x = block[:, :, 0]
-            return np.fft.rfft(x, n=size), np.einsum("sml,sml->s", x, x)
-        x = np.empty(block.shape[:2] + block.shape[3:], complex)
-        # two real products: the stack is never cast to complex
-        np.matmul(root.real, block, out=x.real)
-        np.matmul(root.imag, block, out=x.imag)
-        energies = np.einsum("sml,sml->s", x.real, x.real) + np.einsum(
-            "sml,sml->s", x.imag, x.imag)
-        return np.fft.fft(x, n=size), energies
-
     def _certify(self, dense: np.ndarray, pairs, bound: float) -> np.ndarray:
         """max |v| of each pair over its certificate values v (see the
         module docstring): the member sums of the spectra at every
-        retained root and frequency, less an auto pair's shift-0 sum.
-        The roots are taken one at a time, so a pass holds the spectra
-        of one root."""
-        sets, members, _, width = dense.shape
+        primitive root and frequency, less an auto pair's shift-0 sum."""
+        _, sets, members, width = dense.shape
         size = _pow2(2 * width - 1)
-        roots = _roots(self.order, self.rows)
-        freqs = size // 2 + 1 if roots is None else size
-        block = _blocks(sets, members, 1, freqs, 0, "certificate", bound)
+        block = _blocks(sets, members, 1, size // 2 + 1 if self.rows == 1 else size, 0,
+                        "certificate", bound)
         auto = np.array([m == mp for m, mp in pairs])
         worst = np.zeros(len(pairs))
-        for (left, energies), (right, _), idx, lefts, rights in _block_pairs(
-                pairs, block, lambda part, root: self._root_spectra(dense[part], root, size),
-                [None] if roots is None else roots):
+
+        def spectra_of(part, r):  # and each set's shift-0 sum at the root
+            spectra, x = _root_spectra(dense[:, part], r[0], size)
+            parts = (x,) if r[0] is None else (x.real, x.imag)
+            return spectra, sum(np.einsum("sml,sml->s", p, p) for p in parts)
+
+        for _, (left, energies), (right, _), idx, lefts, rights in _block_pairs(
+                pairs, block, spectra_of, _roots(self.order, self.rows, primitive=True)):
             v = _member_sums(left, right, lefts, rights)
             v -= np.where(auto[idx], energies[lefts], 0)[:, None]
             worst[idx] = np.maximum(worst[idx], np.abs(v).max(axis=1))

@@ -611,6 +611,28 @@ class TestCccCommand:
                          "entries": [["+", "+"], ["+", "-"]]})
         assert main(["ccc", str(src), f"@{mat}", str(out)]) == EXIT_OK
 
+    @pytest.mark.parametrize("error", [
+        MemoryError("Unable to allocate 8.00 GiB for an array with shape "
+                    "(64, 64, 4096, 64) and data type int64"),
+        MemoryError(),
+    ], ids=["numpy", "bare"])
+    def test_out_of_memory_exits_construct(self, tmp_path, capsys, monkeypatch, cosf_2_of_4,
+                                           error):
+        # the 64-CO-SF with DFT-64 needs 8.6 GB dense: running out of memory
+        # is not a verification failure (exit 1) and prints no traceback
+        import cocodes.cli as cli
+
+        def exhausted(*args):
+            raise error
+
+        src = tmp_path / "cosf.json"
+        write_json(src, family_to_doc(cosf_2_of_4, kind="cosf:2"))
+        monkeypatch.setattr(cli, "cosf_to_ccc", exhausted)
+        assert main(["ccc", str(src), "hadamard:2", str(tmp_path / "o.json")]) == EXIT_CONSTRUCT
+        err = capsys.readouterr().err
+        assert err == f"error: out of memory{': ' if str(error) else ''}{error}\n"
+        assert not (tmp_path / "o.json").exists()
+
 
 class TestMatrixDocs:
     """A custom matrix document is a list of rows, each read like a

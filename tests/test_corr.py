@@ -1,6 +1,7 @@
 """Correlations, correlation sums, and the defining predicates."""
 
 import cmath
+import hashlib
 import json
 import logging
 import math
@@ -409,9 +410,10 @@ class TestZone:
         if cap is not None:
             monkeypatch.setattr(corr, "_SPECTRA_MAX", cap)
         calls = []
-        forward = corr._Kernel._forward
-        monkeypatch.setattr(corr._Kernel, "_forward",
-                            lambda self, dense: calls.append(len(dense)) or forward(self, dense))
+        spectra = corr._Kernel._spectra
+        monkeypatch.setattr(corr._Kernel, "_spectra",
+                            lambda self, block, root, size: calls.append(block.shape[1])
+                            or spectra(self, block, root, size))
         with caplog.at_level(logging.DEBUG, logger="cocodes"):
             assert zccc_zone(fam) == zone
         assert path_records(caplog) == ["certificate"]
@@ -463,7 +465,9 @@ class TestApproxMode:
 
 # -- the spectral kernel against the definitional sums -------------------
 
-MIXED_ORDERS = (1, 2, 3, 4, 5, 6, 12)
+# 9, 10 and 15 evaluate at roots that are not primitive beyond those of
+# 3, 5, 6 and 12 (the per-shift pass reads every root of z^R = +-1)
+MIXED_ORDERS = (1, 2, 3, 4, 5, 6, 9, 10, 12, 15)
 
 
 @st.composite
@@ -476,7 +480,7 @@ def mixed_entries(draw):
 @st.composite
 def mixed_families(draw):
     """1-3 sets of 1-3 members, each set with its own length (1-6),
-    entries of the orders 1, 2, 3, 4, 5, 6 and 12 mixed."""
+    entries of the orders of MIXED_ORDERS mixed."""
     members = draw(st.integers(1, 3))
     sets = []
     for length in draw(st.lists(st.integers(1, 6), min_size=1, max_size=3)):
@@ -621,15 +625,15 @@ class TestSpectralKernel:
         # members * length * c^2, the energy the bound is linear in
         per_c2 = members * length
         unit = SequenceSet([Sequence([CycloNum.root(order, 0)] * length)] * members)
-        size = corr._Kernel([unit, unit]).size
-        limit = 0.5 / corr.rounding_bound(1.0, size, members)
+        rows, size = corr._Kernel([unit, unit]).rows, corr._pow2(2 * length - 1)
+        limit = 0.5 / corr.rounding_bound(1.0, rows, members, size)
         c = math.isqrt(int(limit / per_c2))
         while (c + 1) ** 2 * per_c2 < limit:
             c += 1
         while c * c * per_c2 >= limit:
             c -= 1
         c += above
-        assert (corr.rounding_bound(c * c * per_c2, size, members) < 0.5) != above
+        assert (corr.rounding_bound(c * c * per_c2, rows, members, size) < 0.5) != above
         scale = CycloNum.from_int(c)
 
         def seq():
@@ -651,18 +655,19 @@ class TestSpectralKernel:
 
     @pytest.mark.parametrize("step, limbs", [(0, 1), (1, 2)], ids=["one limb", "two limbs"])
     def test_mixed_radix_edge(self, caplog, step, limbs):
-        # K = 6 folds to 3 exponent rows, which Kronecker substitution
-        # spreads over 5 indices per position, so L = 48 takes one real
-        # transform of P = 512 points, where Percival's bound is a theorem.
+        # K = 6 folds to 3 exponent rows, evaluated at the roots
+        # zeta_6^-1 and zeta_6^-3 of z^3 = -1 (with the conjugate of the
+        # first), so L = 48 takes complex transforms of P = 128 points,
+        # where Percival's bound is a theorem, and an inverse evaluation.
         # Every coefficient is the largest magnitude one limb allows (step 0)
         # or one more (step 1), each member's phases aligned so its sums peak.
         order, length, members = 6, 48, 2
         unit = SequenceSet([Sequence([CycloNum.root(order, 0)] * length)] * members)
-        size = corr._Kernel([unit, unit]).size
-        assert size == 512
+        rows, size = corr._Kernel([unit, unit]).rows, corr._pow2(2 * length - 1)
+        assert size == 128
 
         def bound(c):
-            return corr.rounding_bound(members * length * c * c, size, members)
+            return corr.rounding_bound(members * length * c * c, rows, members, size)
 
         c = math.isqrt(int(0.5 / bound(1)))
         while bound(c + 1) < 0.5:
@@ -679,13 +684,11 @@ class TestSpectralKernel:
         for pair in report.pairs:
             assert_pair_matches(pair, fam[pair.left], fam[pair.right])
 
-    # a set's spectra hold 4 members x 32 entries = 128 on the certificate
-    # pass and 4 members x 65 half-spectrum entries = 260 on the per-shift
-    # pass, so cap 300 splits the 4 sets into 2 blocks on the certificate
-    # pass and 4 on the per-shift pass, and cap 600 into 2 on the per-shift
-    # pass alone
-    @pytest.mark.parametrize("cap, blocks", [(0, [4, 4, 4]), (300, [2, 2, 4]), (600, [2])],
-                             ids=["0-4", "300-2", "600-2"])
+    # at K = 4 both passes evaluate at one root, so a set's spectra hold
+    # 4 members x 32 entries = 128 on either pass: cap 300 splits the 4
+    # sets into 2 blocks of 2 and cap 500 into blocks of 3 and 1
+    @pytest.mark.parametrize("cap, blocks", [(0, [4, 4, 4]), (300, [2, 2, 2]), (500, [2, 2, 2])],
+                             ids=["0-4", "300-2", "500-2"])
     def test_spectra_size_cap_splits_into_blocks(self, caplog, monkeypatch, cap, blocks):
         fam = cosf_to_ccc(execute(plan(4, [16]), verify=False).family, dft_matrix(4))
         one_block = is_ccc(fam)
@@ -1153,12 +1156,13 @@ class TestCertificate:
         assert corr.certificate_bound(1.0, 1, 4, width, size) > base
         assert corr.certificate_bound(1.0, 1, 2, width, 2 * size) > base
         # the per-shift pass's bound: linear in energy, growing with the
-        # transform's size and with the members
-        base = corr.rounding_bound(1.0, size, 2)
+        # rows, the transform's size and the members
+        base = corr.rounding_bound(1.0, 1, 2, size)
         assert base > 0
-        assert corr.rounding_bound(2.0, size, 2) == pytest.approx(2 * base)
-        assert corr.rounding_bound(1.0, 2 * size, 2) > base
-        assert corr.rounding_bound(1.0, size, 4) > base
+        assert corr.rounding_bound(2.0, 1, 2, size) == pytest.approx(2 * base)
+        assert corr.rounding_bound(1.0, 6, 2, size) > 6 * base
+        assert corr.rounding_bound(1.0, 1, 2, 2 * size) > base
+        assert corr.rounding_bound(1.0, 1, 4, size) > base
 
 
 def verify_workload_cases(monkeypatch):
@@ -1226,14 +1230,16 @@ class TestDeferredReport:
         transform when the certificate decided, and every field read
         afterwards is the eager report's."""
         inverses = []
-        inverse = corr._Kernel._inverse
-        monkeypatch.setattr(corr._Kernel, "_inverse",
-                            lambda self, prod: inverses.append(1) or inverse(self, prod))
+        transforms = {name: getattr(np.fft, name) for name in ("irfft", "ifft")}
+        for name, inverse in transforms.items():
+            monkeypatch.setattr(np.fft, name, lambda *args, inverse=inverse, **kwargs:
+                                inverses.append(1) or inverse(*args, **kwargs))
         report = check(build())
         ok = report.ok
         certified = all(p.accepted is not None for p in report.pairs)
         assert (len(inverses) == 0) == certified
-        monkeypatch.setattr(corr._Kernel, "_inverse", inverse)
+        for name, inverse in transforms.items():
+            monkeypatch.setattr(np.fft, name, inverse)
         eager = per_shift(check, build())
         assert ok == eager.ok
         assert report.problems == eager.problems
@@ -1314,3 +1320,58 @@ class TestDeferredReport:
         for pair in report.pairs:
             assert_pair_matches(pair, fam[pair.left], fam[pair.right])
             assert all(type(tau) is int for tau in pair.violations)
+
+
+# -- pinned sums stacks ---------------------------------------------------
+
+
+def planned_ccc(n, length):
+    return cosf_to_ccc(execute(plan(n, [length]), verify=False).family, dft_matrix(n))
+
+
+def sums_digest(stack):
+    """sha256 of a sums stack's dtype, shape and bytes."""
+    return hashlib.sha256(f"{stack.dtype}|{stack.shape}|".encode() + stack.tobytes()).hexdigest()
+
+
+class TestPinnedSums:
+    # Digests of the rotated sums (every set pair, as `zccc_zone` takes
+    # them) of CCCs at K = 3, 4, 5, 6, 7 and 12, and of the near-miss of
+    # the 12x12 L=216 CCC (one entry negated) with its report's stack,
+    # taken from the kernel before it evaluated its per-shift pass at the
+    # roots of z^R = +-1; the values do not depend on the layout.
+    FAMILIES = {
+        "3x3 L=81": lambda: planned_ccc(3, 81),
+        "4x4 L=256": lambda: planned_ccc(4, 256),
+        "5x5 L=125": lambda: planned_ccc(5, 125),
+        "6x6 L=216": lambda: planned_ccc(6, 216),
+        "7x7 L=98": lambda: planned_ccc(7, 98),
+        "12x12 L=144": lambda: planned_ccc(12, 144),
+        "12x12 L=216": lambda: enlarge_ccc(planned_ccc(6, 216), [hadamard_matrix(2)] * 6),
+        "12x12 L=216 near-miss": lambda: near(
+            enlarge_ccc(planned_ccc(6, 216), [hadamard_matrix(2)] * 6)),
+    }
+    ROTATED = {
+        "3x3 L=81": "98ebcc517227336bbf31426504f71fc2b31d37e120d389cdaa9d32e63fc063af",
+        "4x4 L=256": "6a11183bdf2e6f4260cc55f3ccd87c3be5fe655c124c5ca141bc9c96253316a0",
+        "5x5 L=125": "ab86fffe9251b5854c52e7f8f56c0a0f9a810b3cfed6e3294741a5ca4cced71f",
+        "6x6 L=216": "c0147f96aab9e45767c08571aa07c55fa41d6bcb7826d62de67dd9889d352de8",
+        "7x7 L=98": "98b7e4115a6ec7f221a1be91fcf2c970cee6b488358384ccadecebf215d67cd0",
+        "12x12 L=144": "9436f20464d3a57cfcbf202d92a1c7be89a7f42ef5a0b7630ff596af9ea4f0a8",
+        "12x12 L=216": "0a241b620ba3485d558021e6f91b89f0291f10f6603e99cb960790f0f13bcd3b",
+        "12x12 L=216 near-miss":
+            "f6a4d888153802102c685a608994a563d808e6fab25ed61a7994da2e93345fb4",
+    }
+    NEAR_MISS_REPORT = "26ddd697b82e3c19fdfae0f5b18fe23347b7da41008fcbad0c5e1b380f83fcd9"
+
+    @pytest.mark.parametrize("name", list(ROTATED))
+    def test_rotated_sums(self, name):
+        fam = self.FAMILIES[name]()
+        count = fam.family_size
+        pairs = [(m, mp) for m in range(count) for mp in range(count)]
+        assert sums_digest(corr._Kernel(list(fam)).sums(pairs, rotate=True)) == self.ROTATED[name]
+
+    def test_near_miss_report_sums(self):
+        report = is_ccc(self.FAMILIES["12x12 L=216 near-miss"]())
+        assert not report.ok
+        assert sums_digest(report.pairs[0].kernel.scan()[0]) == self.NEAR_MISS_REPORT
