@@ -13,13 +13,18 @@ sequences by length.
 Output ordering is always the lexicographic order of the partition
 path (cell index, then row index), so constructions are deterministic.
 
-A cell's members are read once, as their layers (`model.cell_terms`),
-for its energy check and all its connections.  Every output is one
-`model.multiply` of two layered operands: a connection multiplies the
-members' layers, tiled over its blocks, by one entry of the sub row per
-block, broadcast along the block; an expansion multiplies every member
-by every entry of every v at once (`enlarge_ccc`: by all the rows of a
-set's matrix).  Each output keeps its own order and the dtype
+Generation and elongation run on layered sequences (`model.terms_of`):
+each input sequence is read into layers once, and the outputs of one
+round are the layered inputs of the next, so a recipe densifies each
+output once (`model.densify`).  A cell's members are stacked at their
+common order (`model.stacked`) for its energy check and all its
+connections.  A connection multiplies the members' layers, tiled over
+its blocks, by one entry of the sub row per block, broadcast along the
+block (`model.layered_multiply`): single-layer operands give one layer
+with no scatter, any other product is scattered and read back.  An
+expansion multiplies every member by every entry of every v at once
+(`enlarge_ccc`: by all the rows of a set's matrix) in one
+`model.multiply`.  Each output keeps its own order and the dtype
 `model._fit` gives it; int64 sums widen to Python ints, and approx zero
 factors give 0, as `model.multiply` says.
 """
@@ -42,12 +47,16 @@ from .model import (
     _fit,
     _promote,
     cell_terms,
+    densify,
     energy,
+    layered_multiply,
     layers,
     multiply,
     product,
     scalar,
     singleton_family,
+    stacked,
+    terms_of,
     unequal_energies,
 )
 
@@ -59,20 +68,20 @@ class ConstructionError(ValueError):
 def connect(v: Sequence, cell: SequenceSet) -> Sequence:
     """Connection of a scalar vector with a sequence set:
     (v[k mod len(v)] * a[k mod M]) for k < lcm(M, len(v)), concatenated."""
-    return _connections([v], cell, cell_terms(cell))[0]
+    return densify(_connections([v], cell_terms(cell))[0])
 
 
-def _connections(vs, cell: SequenceSet, found) -> list:
-    """connect(v, cell) for every v in `vs`, from the members' layers
-    `found` (see `model.cell_terms`), so the members are read once and no
-    concatenation is built.
+def _connections(vs, found) -> list:
+    """The layered sequence of the connection of every v in `vs` with the
+    cell whose stacked members are `found` (see `model.stacked`), each at
+    its own order common_order(cell, v); no concatenation is built.
 
-    An output of k blocks is one `multiply` of the members' layers tiled
-    over the blocks (shared by the outputs of one block count and order)
-    with v's entries, one per block, broadcast along the block; the vs
-    are read side by side in one `layers` call."""
+    An output of k blocks is one `layered_multiply` of the members'
+    layers tiled over the blocks (shared by the outputs of one block
+    count and order) with v's entries, one per block, broadcast along the
+    block; the vs are read side by side in one `layers` call."""
     cell_order, exps, coeffs = found
-    m = len(cell)
+    m = coeffs.shape[1]
     v_order = reduce(common_order, {v.order for v in vs}, 1)
     v_exps, v_coeffs = layers(np.hstack([_promote(v.array, v_order) for v in vs]), v_order)
     tiled = {}  # (k, order): the members' layers over k blocks, the vs' exponents at order
@@ -81,14 +90,17 @@ def _connections(vs, cell: SequenceSet, found) -> list:
     for v in vs:
         k, order = lcm(m, len(v)), common_order(cell_order, v.order)
         if (k, order) not in tiled:
-            blocks = np.arange(k) % m
-            members = exps.take(blocks, axis=1) * (order // cell_order), coeffs.take(blocks, axis=1)
+            members = exps, coeffs
+            if k != m:
+                members = tuple(x.take(np.arange(k) % m, axis=1) for x in members)
+            if order != cell_order:
+                members = members[0] * (order // cell_order), members[1]
             tiled[k, order] = members, v_exps * order // v_order
         members, row_exps = tiled[k, order]
-        at = start + np.arange(k) % len(v)
+        # v's entries, one per block: its own columns when it has k of them
+        at = slice(start, start + k) if k == len(v) else start + np.arange(k) % len(v)
         start += len(v)
-        entries = row_exps.take(at, axis=1)[..., None], v_coeffs.take(at, axis=1)[..., None]
-        out.append(Sequence.of_array(multiply(members, entries, order)))
+        out.append(layered_multiply(members, (row_exps[:, at, None], v_coeffs[:, at, None]), order))
     return out
 
 
@@ -158,6 +170,12 @@ def generate_cosf(base: UnitaryLike, cells, subs) -> SequenceFamily:
     of `cells[i]`.  Cell i contributes |cell| sequences of length
     |cell| * N, the m-th being sub.row(m) connected with the cell's rows.
     """
+    return _family(_generation(base, cells, subs))
+
+
+def _generation(base: UnitaryLike, cells, subs) -> list:
+    """The layered sequences of `generate_cosf`, the rows of each cell
+    read into layers once (`model.cell_terms`)."""
     n = base.dim
     cells = [list(c) for c in cells]
     _check_partition(cells, n)
@@ -171,9 +189,13 @@ def generate_cosf(base: UnitaryLike, cells, subs) -> SequenceFamily:
             raise ConstructionError(
                 f"cell {cell} has size {len(cell)} but sub-matrix is "
                 f"{sub.dim}x{sub.dim}")
-        cell_set = SequenceSet(base.row(i) for i in cell)
-        out += _connections(sub.rows(), cell_set, cell_terms(cell_set))
-    return singleton_family(out)
+        out += _connections(sub.rows(), cell_terms([base.row(i) for i in cell]))
+    return out
+
+
+def _family(seqs) -> SequenceFamily:
+    """The single-sequence family of layered sequences, each densified."""
+    return singleton_family([densify(s) for s in seqs])
 
 
 def group_by_length(lengths):
@@ -204,7 +226,18 @@ def elongate_cosf(fam: SequenceFamily, part2, subs) -> SequenceFamily:
     if fam.set_size != 1:
         raise ConstructionError("expected a family of single-sequence sets")
     seqs = [ss[0] for ss in fam]
-    groups = group_by_length([len(s) for s in seqs])
+    layered = [terms_of(s) for s in seqs]
+    # a member passed through is returned as the Sequence it came in
+    given = {id(t): s for t, s in zip(layered, seqs)}
+    return singleton_family(given[id(t)] if id(t) in given else densify(t)
+                            for t in _elongation(layered, part2, subs))
+
+
+def _elongation(seqs, part2, subs) -> list:
+    """The layered sequences of `elongate_cosf` from the layered
+    sequences `seqs` of a single-sequence family; a member passed through
+    is its own layered sequence."""
+    groups = group_by_length([c.shape[1] for _, _, c in seqs])
     part2 = {p1: [list(c) for c in cells] for p1, cells in part2.items()}
     if sorted(part2) != list(range(len(groups))):
         raise ConstructionError(
@@ -216,13 +249,13 @@ def elongate_cosf(fam: SequenceFamily, part2, subs) -> SequenceFamily:
         _check_partition(cells, len(group))
         for p2, cell in enumerate(cells):
             sub = subs.get((p1, p2))
+            members = [seqs[group[i]] for i in cell]
             if len(cell) == 1 and isinstance(sub, UnitaryLike) and _is_unit(sub):
                 # a lone member connected with (1) is that member
-                out.append(seqs[group[cell[0]]])
+                out += members
                 continue
-            cell_set = SequenceSet(seqs[group[i]] for i in cell)
-            found = cell_terms(cell_set)
-            _check_energies(cell_set, found, f"({p1},{p2})")
+            found = stacked(members)
+            _check_energies(members, found, f"({p1},{p2})")
             if sub is None:
                 raise ConstructionError(f"no sub-family for cell ({p1},{p2})")
             what = f"sub-family at {(p1, p2)}"
@@ -232,8 +265,8 @@ def elongate_cosf(fam: SequenceFamily, part2, subs) -> SequenceFamily:
             else:
                 _check_sub_family(sub, len(cell), what)
                 rows = [ss[0] for ss in sub]
-            out += _connections(rows, cell_set, found)
-    return singleton_family(out)
+            out += _connections(rows, found)
+    return out
 
 
 def _is_unit(u: UnitaryLike) -> bool:
@@ -244,18 +277,18 @@ def _is_unit(u: UnitaryLike) -> bool:
     return row.shape == (1, 1) and row[0, 0] == 1
 
 
-def _check_energies(cell: SequenceSet, found, where: str) -> None:
-    """Raise unless every member of `cell` has member 0's energy (approx:
-    within DEFAULT_TOL * |e0|), read in one batch from the members' layers
-    `found` (see `model.cell_terms`)."""
-    if len(cell) == 1:
+def _check_energies(members, found, where: str) -> None:
+    """Raise unless every one of the layered `members` of a cell has
+    member 0's energy (approx: within DEFAULT_TOL * |e0|), read in one
+    batch from their stack `found` (see `model.stacked`)."""
+    if len(members) == 1:
         return
     _, differ = unequal_energies(found, DEFAULT_TOL)
     if differ:
         k = differ[0]
         raise ConstructionError(
             f"cell {where} mixes energies: member 0 has "
-            f"{energy(cell[0])!r}, member {k} has {energy(cell[k])!r}")
+            f"{energy(densify(members[0]))!r}, member {k} has {energy(densify(members[k]))!r}")
 
 
 def _check_size(size: int, n: int, what: str) -> None:

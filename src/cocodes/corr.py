@@ -337,14 +337,21 @@ def _block_pairs(pairs, block: int, spectra_of, rounds):
     """For each of `rounds` and (left, right) pair of blocks of `block`
     sets holding some of `pairs`: the round, `spectra_of(slice of sets,
     round)` of both blocks, and the indices and in-block sets of those
-    pairs.  A block out of use is dropped before the next one is taken."""
+    pairs.  The indices are a slice when they are consecutive (one block
+    pair holding every pair, say), so a stack is updated through a view.
+    A block out of use is dropped before the next one is taken."""
     groups = {}
     for p, (m, mp) in enumerate(pairs):
         groups.setdefault((m // block, mp // block), []).append((p, m % block, mp % block))
-    groups = [(lb, rb, *map(np.array, zip(*group))) for (lb, rb), group in sorted(groups.items())]
+    grouped = []
+    for (lb, rb), group in sorted(groups.items()):
+        idx, lefts, rights = map(np.array, zip(*group))
+        if idx[-1] - idx[0] == len(idx) - 1:  # increasing, so consecutive
+            idx = slice(idx[0], idx[-1] + 1)
+        grouped.append((lb, rb, idx, lefts, rights))
     for r in rounds:
         spectra = {}
-        for lb, rb, idx, lefts, rights in groups:
+        for lb, rb, idx, lefts, rights in grouped:
             spectra = {k: spectra[k] for k in spectra.keys() & {lb, rb}}
             for k in {lb, rb} - spectra.keys():
                 spectra[k] = spectra_of(slice(k * block, (k + 1) * block), r)

@@ -25,15 +25,24 @@ modes apart by dtype kind.  A CycloNum is built from a column only when
 an entry is read; zero is decided by `cyclo.zero_rows`.
 
 Every operator (`product`, `Sequence.scale`, connection, expansion and
-`energies`) forms its products in one kernel, `multiply`, over the
-`layers` of its operands: an array read as t layers of one (exponent,
-coefficient) per column, t the most nonzero terms any column has.  A
-sequence of roots of unity is one layer; a zero entry is coefficient 0.
-Each pair of layers gives one product per entry, exponents added mod K,
-added into zeros, so the cost follows the layers, not K.  int64 products
-stay below 2^62 and are summed as Python ints when the largest times the
-number of layer pairs could reach 2^63.  An approx array is one layer: a
-zero factor gives 0, never 0 * inf, and every sum starts from 0.
+`energies`) forms its products in one kernel over the `layers` of its
+operands: an array read as t layers of one (exponent, coefficient) per
+column, t the most nonzero terms any column has.  A sequence of roots of
+unity is one layer; a zero entry is coefficient 0.  Each pair of layers
+gives one product per entry, exponents added mod K (`_products`), so the
+cost follows the layers, not K.  The dense result (`multiply`) is the
+scatter-add of those products into zeros.  int64 products stay below
+2^62 and are summed as Python ints when the largest times the number of
+layer pairs could reach 2^63.  An approx array is one layer: a zero
+factor gives 0, never 0 * inf, and every sum starts from 0.
+
+Construction carries its sequences between rounds as layered sequences,
+(order, exponents, coefficients) triples (`terms_of`), and stacks a
+cell's members at their common order (`stacked`).  The product of two
+single-layer operands is one layer and is kept as it is
+(`layered_multiply`); any other product is scattered and read back, so
+the layers never outgrow the terms.  Coefficients are always in the
+dtype `_fit` gives them, so `densify` is one scatter.
 """
 
 from __future__ import annotations
@@ -157,41 +166,91 @@ def _wrap(order: int) -> np.ndarray:
     return wrap
 
 
-def multiply(a: tuple, b: tuple, order: int) -> np.ndarray:
-    """The entrywise product of two layered operands, each the (exponents
+def _products(a: tuple, b: tuple, order: int):
+    """The entrywise products of two layered operands, each the (exponents
     over zeta_order, coefficients) of `layers` with entry shapes that
-    broadcast: an (order, n) array, n the entries of the broadcast shape
-    in row-major order.
+    broadcast: per pair of a layer of `a` and a layer of `b`, in that
+    order, (exponents, coefficients) of its n products, n the entries of
+    the broadcast shape in row-major order.
 
-    Each pair of a layer of `a` and a layer of `b` gives one product per
-    entry, c * d at row e + f mod order (through a 2 * order wrap table),
-    added into zeros by one fancy-index add.  int64 coefficients are
-    below INT64_COEFF_BOUND, so each product is below 2^62; the products
-    are summed as Python ints when the largest coefficient of `a` times
-    the largest of `b` times the number of layer pairs reaches 2^63.
-    Approx operands are of order 1 and one layer: a zero factor gives 0
-    (never 0 * inf) and the sum starts from 0, so a product of -0.0
-    gives 0.0."""
+    A pair gives c * d at exponent e + f mod order (through a 2 * order
+    wrap table).  int64 coefficients are below INT64_COEFF_BOUND, so each
+    product is below 2^62; the products are Python ints when the largest
+    coefficient of `a` times the largest of `b` times the number of layer
+    pairs reaches 2^63, so their sum cannot overflow.  Approx operands
+    are of order 1 and one layer: a zero factor gives 0 (never 0 * inf)
+    and the product starts from 0, so -0.0 gives 0.0."""
     (ea, ca), (eb, cb) = a, b
     if is_exact(ca) != is_exact(cb):
         raise ModeMismatchError("cannot multiply exact with approx entries")
     if not is_exact(ca):
         zero = (ca == 0) | (cb == 0)
-        return (np.where(zero, 0, ca) * np.where(zero, 0, cb) + 0).reshape(1, -1)
+        vals = (np.where(zero, 0, ca) * np.where(zero, 0, cb) + 0).ravel()
+        return [(np.zeros(len(vals), np.intp), vals)]
     pairs = len(ca) * len(cb)
     if pairs > 1 and ca.dtype == cb.dtype == np.int64 and _peak(ca) * _peak(cb) * pairs >= 2 ** 63:
         ca = ca.astype(object)
     wrap = _wrap(order)
+    return ((wrap[e + f].ravel(), (c * d).ravel()) for e, c in zip(ea, ca) for f, d in zip(eb, cb))
+
+
+def _scatter(terms, order: int) -> np.ndarray:
+    """The (order, n) array of the sum of (exponents, coefficients) terms
+    of n entries each, added into zeros by one fancy-index add a term."""
     out = None
-    for e, c in zip(ea, ca):
-        for f, d in zip(eb, cb):
-            rows, vals = wrap[e + f].ravel(), (c * d).ravel()
-            if out is None:  # the first pair, into zeros
-                out, cols = np.zeros((order, len(vals)), vals.dtype), np.arange(len(vals))
-                out[rows, cols] = vals
-            else:
-                out[rows, cols] += vals
+    for rows, vals in terms:
+        if out is None:  # the first term, into zeros
+            out, cols = np.zeros((order, len(vals)), vals.dtype), np.arange(len(vals))
+            out[rows, cols] = vals
+        else:
+            out[rows, cols] += vals
     return out
+
+
+def multiply(a: tuple, b: tuple, order: int) -> np.ndarray:
+    """The entrywise product of two layered operands (see `_products`) as
+    an (order, n) array: the scatter-add of the layer pairs' products."""
+    return _scatter(_products(a, b, order), order)
+
+
+def layered_multiply(a: tuple, b: tuple, order: int) -> tuple:
+    """The product of `multiply` as a layered sequence (order, exponents,
+    coefficients), its coefficients fitted: the one layer of products of
+    two single-layer operands as it is, else the `layers` of the fitted
+    dense product."""
+    if len(a[1]) == len(b[1]) == 1:
+        (rows, vals), = _products(a, b, order)
+        return order, rows[None], _fit(vals[None])
+    return (order,) + layers(_fit(multiply(a, b, order)), order)
+
+
+def terms_of(s: Sequence) -> tuple:
+    """The layered sequence (order, exponents, coefficients) of `s`."""
+    return (s.order,) + layers(s.array, s.order)
+
+
+def stacked(seqs) -> tuple:
+    """(order, exponents, coefficients) of n layered sequences of one
+    length at their common order, each as a (t, n, length) array: the
+    sequences' layers side by side, t the most any has, a shorter one
+    padded with zero coefficients at exponent 0."""
+    order = reduce(common_order, {k for k, _, _ in seqs}, 1)
+    depth = max(len(c) for _, _, c in seqs)
+
+    def column(a, scale=1):  # (depth, 1, length)
+        if len(a) < depth:
+            a = np.concatenate([a, np.zeros((depth - len(a), a.shape[1]), a.dtype)])
+        return (a if scale == 1 else a * scale)[:, None]
+
+    exps = np.concatenate([column(e, order // k) for k, e, _ in seqs], axis=1)
+    return order, exps, np.concatenate([column(c) for _, _, c in seqs], axis=1)
+
+
+def densify(seq: tuple) -> Sequence:
+    """The Sequence of a layered sequence: the scatter of its layers, in
+    the dtype of its coefficients, which is the one `_fit` gives it."""
+    order, exps, coeffs = seq
+    return Sequence._of_fitted(_scatter(zip(exps, coeffs), order))
 
 
 def _peak(a: np.ndarray) -> int:
@@ -479,9 +538,13 @@ def energies(found) -> np.ndarray:
     t, n, width = coeffs.shape
     if coeffs.dtype == np.int64 and _peak(coeffs) ** 2 * t * t * width >= 2 ** 63:
         coeffs = coeffs.astype(object)
-    conj = np.conj(coeffs)
     out = np.zeros((order, n), coeffs.dtype)
-    out[0] = np.add.accumulate((coeffs * conj).sum(axis=0), axis=1)[:, -1]
+    if is_exact(coeffs):  # real coefficients: |c|^2 = c c, summed in any order
+        conj = coeffs
+        out[0] = (coeffs * coeffs).sum(axis=(0, 2))
+    else:
+        conj = np.conj(coeffs)
+        out[0] = np.add.accumulate((coeffs * conj).sum(axis=0), axis=1)[:, -1]
     for i, j in permutations(range(t), 2):
         cross = multiply((exps[i:i + 1], coeffs[i:i + 1]), (order - exps[j:j + 1], conj[j:j + 1]), order)
         out += cross.reshape(order, n, width).sum(axis=2)
@@ -491,10 +554,16 @@ def energies(found) -> np.ndarray:
 def unequal_energies(found, tol: float) -> tuple:
     """(the `energies` as one Sequence, indices of the sequences whose energy
     is not sequence 0's).  Approx energies may differ by tol times sequence
-    0's; exact ones take no tolerance, as they may be past the float range."""
+    0's; exact ones take no tolerance, as they may be past the float range.
+    Exact differences that are integers (single-layer members give only
+    those) are zero only when 0, so they skip the reduction modulo Phi_K."""
     e = energies(found)
-    atol = 0.0 if is_exact(e) else tol * abs(e[0, 0])
-    differ = np.flatnonzero(~zero_rows((e - e[:, :1]).T, found[0], atol))
+    diff = e - e[:, :1]
+    if is_exact(e) and not diff[1:].any():
+        differ = np.flatnonzero(diff[0])
+    else:
+        atol = 0.0 if is_exact(e) else tol * abs(e[0, 0])
+        differ = np.flatnonzero(~zero_rows(diff.T, found[0], atol))
     return Sequence._of_fitted(e), differ.tolist()
 
 

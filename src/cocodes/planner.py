@@ -18,16 +18,17 @@ from typing import Optional
 
 from .construct import (
     ConstructionError,
+    _elongation,
+    _family,
+    _generation,
     cosf_to_ccc,
-    elongate_cosf,
     enlarge_ccc,
-    generate_cosf,
     group_by_length,
 )
 from .corr import DEFAULT_TOL, CheckReport, is_ccc, is_n_co_sf
 from .cyclo import DIM_LIMIT
 from .matrices import MatrixSpec, UnitaryLike
-from .model import Sequence, SequenceFamily, scalar
+from .model import SequenceFamily
 
 
 class UnconstructibleError(ValueError):
@@ -310,16 +311,15 @@ def _round_cells(groups, rnd: Round) -> list:
     return out
 
 
-def _complete_round(fam: SequenceFamily, rnd: Round, build):
+def _complete_round(lengths, rnd: Round, build):
     """A round as the level-2 partition and sub-families of
-    `elongate_cosf`: the cells of `_round_cells` with their specs
-    resolved (matrices by `build`), the 1x1 identity of the family's
-    mode for each implicit singleton cell."""
-    unit = scalar(1, fam.mode)
-    one = UnitaryLike._of_rows([Sequence([unit])], unit)
-    groups = group_by_length([ss.length for ss in fam])
+    `elongate_cosf` on sequences of `lengths`: the cells of
+    `_round_cells` with their specs resolved (matrices by `build`), and
+    for each implicit singleton cell the 1x1 matrix (1), built once per
+    run by `build`: it passes the member through, whatever the mode."""
+    one = build(_cell_matrix(1))
     part2, subs = {}, {}
-    for g, cells in enumerate(_round_cells(groups, rnd)):
+    for g, cells in enumerate(_round_cells(group_by_length(lengths), rnd)):
         part2[g] = [cell for cell, _ in cells]
         for p2, (_, spec) in enumerate(cells):
             subs[(g, p2)] = one if spec is None else spec.resolve(build)
@@ -345,7 +345,12 @@ def execute(recipe: Recipe, verify: bool = True) -> ExecutionResult:
     """Run a recipe: generation, elongation rounds, optional CCC map and
     enlargement.  The log records each intermediate family's shape and,
     when `verify` is set, its verification status.  Each factory
-    matrix the recipe names is built once per run."""
+    matrix the recipe names is built once per run.
+
+    Generation and the rounds carry layered sequences from round to
+    round (see `construct`); each is densified once, at the end, or at
+    every stage when `verify` is set (the last stage's family is then
+    the output)."""
     log = []
     n = recipe.n
     build = _builder()
@@ -353,14 +358,15 @@ def execute(recipe: Recipe, verify: bool = True) -> ExecutionResult:
     if base.dim != n:
         raise ConstructionError(
             f"base matrix is {base.dim}x{base.dim}, recipe says {n}")
-    subs = [build(spec) for spec in recipe.cell_matrices]
-    fam = generate_cosf(base, recipe.cells, subs)
-    _log_stage(log, "generate", fam, f"cosf:{n}", verify)
+    seqs = _generation(base, recipe.cells, [build(spec) for spec in recipe.cell_matrices])
+    fam = _log_round(log, "generate", seqs, f"cosf:{n}", verify)
 
     for i, rnd in enumerate(recipe.rounds):
-        part2, round_subs = _complete_round(fam, rnd, build)
-        fam = elongate_cosf(fam, part2, round_subs)
-        _log_stage(log, f"elongate[{i}]", fam, f"cosf:{n}", verify)
+        part2, round_subs = _complete_round([c.shape[1] for _, _, c in seqs], rnd, build)
+        seqs = _elongation(seqs, part2, round_subs)
+        fam = _log_round(log, f"elongate[{i}]", seqs, f"cosf:{n}", verify)
+    if fam is None:
+        fam = _family(seqs)
 
     claimed = f"cosf:{n}"
     if recipe.post is not None:
@@ -375,6 +381,17 @@ def execute(recipe: Recipe, verify: bool = True) -> ExecutionResult:
             fam = enlarge_ccc(fam, [build(s) for s in recipe.post.enlarge])
             _log_stage(log, "enlarge", fam, "ccc", verify)
     return ExecutionResult(family=fam, log=log, claimed_kind=claimed)
+
+
+def _log_round(log, stage, seqs, check, verify):
+    """Log a round's layered sequences as a single-sequence family; only
+    when `verify` is set are they densified, into the family that is
+    checked and returned (else None)."""
+    fam = _family(seqs) if verify else None
+    log.append(StageRecord(stage=stage, family_size=len(seqs), set_size=1,
+                           lengths=sorted({c.shape[1] for _, _, c in seqs}), check=check,
+                           ok=run_check(fam, check).ok if verify else None))
+    return fam
 
 
 def _log_stage(log, stage, fam, check, verify):

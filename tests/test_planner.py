@@ -9,6 +9,7 @@ from functools import lru_cache
 import pytest
 
 from cocodes import (
+    CycloNum,
     constructible,
     elongate_cosf,
     equal_up_to_indexing,
@@ -244,6 +245,99 @@ class TestPinnedOutput:
                        getattr(e, "factor", None)]
             h.update(json.dumps([n, targets, out], sort_keys=True).encode())
         assert planned == 2389
+        assert h.hexdigest() == self.DIGEST
+
+
+# the benchmark's construct recipes: one (n, targets) per line of a size class
+CONSTRUCT_RECIPES = [
+    (2, [4096]), (3, [972]), (3, [1152]), (3, [2916]), (3, [3456]), (4, [1024]),
+    (4, [1152]), (5, [720]), (5, [800]), (5, [1125]), (5, [1200]), (5, [2250]),
+    (6, [576]), (6, [1944]), (7, [63, 189]), (7, [168]), (7, [560]), (7, [224, 567]),
+    (7, [875]), (7, [1029]), (7, [567, 896]), (7, [56, 1701]), (7, [63, 1701]),
+    (8, [800]), (8, [864]), (8, [1000]), (8, [1024]),
+]
+
+
+def custom_recipes():
+    """(name, recipe) cases past the planner's factory matrices: a
+    multi-term cell matrix (two-layer products carried between rounds),
+    zero columns, an inline family and a nested recipe as subs, approx
+    entries, and Python-int coefficients."""
+    # m m^H = 3 I with entries 1 + zeta_4 and 1 + zeta_4^3
+    m = MatrixSpec("custom", 2, entries=[[CycloNum(4, [1, 1, 0, 0]), 1],
+                                         [-1, CycloNum(4, [1, 0, 0, 1])]])
+    h2 = MatrixSpec("hadamard", 2)
+
+    def two_rounds(cell, sub, **post):
+        """n = 2 from H2 with `cell` as the cell matrix and two rounds
+        connecting `sub` onto both sequences."""
+        rnd = Round(splits=[RoundSplit(group=0, cells=[[0, 1]], subs=[sub])])
+        return Recipe(n=2, base_matrix=h2, cells=[[0, 1]], cell_matrices=[cell],
+                      rounds=[rnd, rnd], post=Post(**post) if post else None)
+
+    yield "multi-term", two_rounds(m, SubFamilySpec(rows=m), ccc=m, enlarge=[m, h2])
+    identity = MatrixSpec("identity", 2)
+    yield "identity", two_rounds(identity, SubFamilySpec(rows=identity))
+    inline = singleton_family([from_signs("++"), from_signs("+-")])
+    yield "inline", two_rounds(h2, SubFamilySpec(family=inline))
+    yield "nested", two_rounds(h2, SubFamilySpec(recipe=plan(2, [4])))
+    mixed = plan(6, [72])
+    mixed.rounds[0].splits[0].subs[0] = SubFamilySpec(rows=m)
+    yield "mixed-orders", mixed
+    approx = MatrixSpec("custom", 2, entries=[[1.0, 1.0], [1.0, -1.0]])
+    one_j = MatrixSpec("custom", 1, entries=[[1j]])
+    yield "approx", Recipe(
+        n=2, base_matrix=approx, cells=[[0, 1]], cell_matrices=[approx],
+        rounds=[Round(splits=[RoundSplit(group=0, cells=[[1]], subs=[SubFamilySpec(rows=one_j)])]),
+                Round(splits=[RoundSplit(group=0, cells=[[0, 1]], subs=[SubFamilySpec(rows=approx)])])],
+        post=Post(ccc=approx))
+    big = MatrixSpec("custom", 2, entries=[[2 ** 40, 2 ** 40], [2 ** 40, -2 ** 40]])
+    yield "2^40", two_rounds(big, SubFamilySpec(rows=big), ccc=h2)
+
+
+def pinned_executions():
+    """(key, recipe) of every execution the pinned digest covers."""
+    for n, targets in CONSTRUCT_RECIPES:
+        yield (n, targets), plan(n, targets)
+    for n in range(1, 9):
+        for length in range(1, 40 * n + 1):
+            if constructible(n, length):
+                yield (n, [length]), plan(n, [length])
+    rng = random.Random(2718)
+    for _ in range(300):
+        n = rng.randint(2, 9)
+        targets = set()
+        for _ in range(rng.randint(1, 3)):
+            k = 1
+            for _ in range(rng.randint(0, 3)):
+                k *= rng.randint(1, n)
+            targets.add(n * k)
+        try:
+            yield (n, sorted(targets)), plan(n, targets)
+        except UnconstructibleError:
+            continue
+    yield from custom_recipes()
+
+
+class TestPinnedExecution:
+    # sha256 of every executed sequence's order, dtype, shape and values
+    # (bytes; Python ints by their repr) and of each verified run's log,
+    # as `execute` produced them when every round densified its outputs
+    DIGEST = "63c042547facbe1c6dccd768098e3aa4df93f2f6ebf0f931775837b19a70e723"
+
+    def test_sequences_and_logs_unchanged(self):
+        h = hashlib.sha256()
+        runs = 0
+        for key, recipe in pinned_executions():
+            h.update(repr(key).encode())
+            for ss in execute(recipe, verify=False).family:
+                for s in ss:
+                    a = s.array
+                    values = repr(a.tolist()).encode() if a.dtype == object else a.tobytes()
+                    h.update(f"{s.order} {a.dtype} {a.shape}".encode() + values)
+            h.update(execute(recipe, verify=True).render_log().encode())
+            runs += 1
+        assert runs == 314
         assert h.hexdigest() == self.DIGEST
 
 
