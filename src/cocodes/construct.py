@@ -18,10 +18,16 @@ each input sequence is read into layers once, and the outputs of one
 round are the layered inputs of the next, so a recipe densifies each
 output once (`model.densify`).  A cell's members are stacked at their
 common order (`model.stacked`) for its energy check and all its
-connections.  A connection multiplies the members' layers, tiled over
-its blocks, by one entry of the sub row per block, broadcast along the
-block (`model.layered_multiply`): single-layer operands give one layer
-with no scatter, any other product is scattered and read back.  An
+connections; a matrix holds its rows read into layers since it was
+built (`UnitaryLike.terms`), and an inline sub-family is read once per
+cell (`model.row_terms`).  A connection multiplies the members' layers,
+tiled over its blocks, by one entry of the sub row per block, broadcast
+along the block (`model.layered_multiply`): single-layer operands give
+one layer with no scatter, any other product is scattered and read
+back.  A cell that is one int64 layer takes its peak coefficient once:
+its energy check is then one sum of squares per member, and its
+products are not rescanned when the peaks bound them below
+`INT64_COEFF_BOUND`.  An
 expansion multiplies every member by every entry of every v at once
 (`enlarge_ccc`: by all the rows of a set's matrix) in one
 `model.multiply`.  Each output keeps its own order and the dtype
@@ -31,13 +37,12 @@ factors give 0, as `model.multiply` says.
 
 from __future__ import annotations
 
-from functools import reduce
 from math import lcm
 
 import numpy as np
 
 from .corr import DEFAULT_TOL, is_ccc, is_n_co_sf
-from .cyclo import common_order
+from .cyclo import INT64_COEFF_BOUND, common_order
 from .matrices import UnitaryLike
 from .model import (
     EXACT,
@@ -45,14 +50,14 @@ from .model import (
     SequenceFamily,
     SequenceSet,
     _fit,
-    _promote,
     cell_terms,
     densify,
     energy,
+    layer_peak,
     layered_multiply,
-    layers,
     multiply,
     product,
+    row_terms,
     scalar,
     singleton_family,
     stacked,
@@ -68,27 +73,32 @@ class ConstructionError(ValueError):
 def connect(v: Sequence, cell: SequenceSet) -> Sequence:
     """Connection of a scalar vector with a sequence set:
     (v[k mod len(v)] * a[k mod M]) for k < lcm(M, len(v)), concatenated."""
-    return densify(_connections([v], cell_terms(cell))[0])
+    found = cell_terms(cell)
+    return densify(_connections(row_terms([v]), found, layer_peak(found[2]))[0])
 
 
-def _connections(vs, found) -> list:
-    """The layered sequence of the connection of every v in `vs` with the
-    cell whose stacked members are `found` (see `model.stacked`), each at
-    its own order common_order(cell, v); no concatenation is built.
+def _connections(vs, found, peak) -> list:
+    """The layered sequence of the connection of every v with the cell
+    whose stacked members are `found` (see `model.stacked`), each at its
+    own order common_order(cell, v); no concatenation is built.  `vs`
+    holds the vs read side by side (`model.row_terms`, a matrix's
+    `terms`), `peak` the members' `layer_peak`.
 
     An output of k blocks is one `layered_multiply` of the members'
     layers tiled over the blocks (shared by the outputs of one block
     count and order) with v's entries, one per block, broadcast along the
-    block; the vs are read side by side in one `layers` call."""
+    block.  When the members and the vs are one int64 layer each and
+    the product of their peaks is below INT64_COEFF_BOUND, every product
+    is already fitted and is taken unscanned."""
     cell_order, exps, coeffs = found
     m = coeffs.shape[1]
-    v_order = reduce(common_order, {v.order for v in vs}, 1)
-    v_exps, v_coeffs = layers(np.hstack([_promote(v.array, v_order) for v in vs]), v_order)
+    v_order, v_exps, v_coeffs, shapes, v_peak = vs
+    fitted = None not in (peak, v_peak) and peak * v_peak < INT64_COEFF_BOUND
     tiled = {}  # (k, order): the members' layers over k blocks, the vs' exponents at order
     out = []
     start = 0
-    for v in vs:
-        k, order = lcm(m, len(v)), common_order(cell_order, v.order)
+    for length, own_order in shapes:
+        k, order = lcm(m, length), common_order(cell_order, own_order)
         if (k, order) not in tiled:
             members = exps, coeffs
             if k != m:
@@ -98,9 +108,10 @@ def _connections(vs, found) -> list:
             tiled[k, order] = members, v_exps * order // v_order
         members, row_exps = tiled[k, order]
         # v's entries, one per block: its own columns when it has k of them
-        at = slice(start, start + k) if k == len(v) else start + np.arange(k) % len(v)
-        start += len(v)
-        out.append(layered_multiply(members, (row_exps[:, at, None], v_coeffs[:, at, None]), order))
+        at = slice(start, start + k) if k == length else start + np.arange(k) % length
+        start += length
+        out.append(layered_multiply(members, (row_exps[:, at, None], v_coeffs[:, at, None]),
+                                    order, fitted))
     return out
 
 
@@ -175,7 +186,8 @@ def generate_cosf(base: UnitaryLike, cells, subs) -> SequenceFamily:
 
 def _generation(base: UnitaryLike, cells, subs) -> list:
     """The layered sequences of `generate_cosf`, the rows of each cell
-    read into layers once (`model.cell_terms`)."""
+    read into layers once (`model.cell_terms`) and each sub-matrix's
+    rows as it holds them (`UnitaryLike.terms`)."""
     n = base.dim
     cells = [list(c) for c in cells]
     _check_partition(cells, n)
@@ -189,7 +201,8 @@ def _generation(base: UnitaryLike, cells, subs) -> list:
             raise ConstructionError(
                 f"cell {cell} has size {len(cell)} but sub-matrix is "
                 f"{sub.dim}x{sub.dim}")
-        out += _connections(sub.rows(), cell_terms([base.row(i) for i in cell]))
+        found = cell_terms([base.row(i) for i in cell])
+        out += _connections(sub.terms, found, layer_peak(found[2]))
     return out
 
 
@@ -229,15 +242,16 @@ def elongate_cosf(fam: SequenceFamily, part2, subs) -> SequenceFamily:
     layered = [terms_of(s) for s in seqs]
     # a member passed through is returned as the Sequence it came in
     given = {id(t): s for t, s in zip(layered, seqs)}
+    groups = group_by_length([len(s) for s in seqs])
     return singleton_family(given[id(t)] if id(t) in given else densify(t)
-                            for t in _elongation(layered, part2, subs))
+                            for t in _elongation(layered, groups, part2, subs))
 
 
-def _elongation(seqs, part2, subs) -> list:
+def _elongation(seqs, groups, part2, subs) -> list:
     """The layered sequences of `elongate_cosf` from the layered
-    sequences `seqs` of a single-sequence family; a member passed through
-    is its own layered sequence."""
-    groups = group_by_length([c.shape[1] for _, _, c in seqs])
+    sequences `seqs` of a single-sequence family, whose positions
+    `groups` lists by length (`group_by_length`); a member passed
+    through is its own layered sequence."""
     part2 = {p1: [list(c) for c in cells] for p1, cells in part2.items()}
     if sorted(part2) != list(range(len(groups))):
         raise ConstructionError(
@@ -255,17 +269,18 @@ def _elongation(seqs, part2, subs) -> list:
                 out += members
                 continue
             found = stacked(members)
-            _check_energies(members, found, f"({p1},{p2})")
+            peak = layer_peak(found[2])
+            _check_energies(members, found, peak, f"({p1},{p2})")
             if sub is None:
                 raise ConstructionError(f"no sub-family for cell ({p1},{p2})")
             what = f"sub-family at {(p1, p2)}"
             if isinstance(sub, UnitaryLike):
                 _check_size(sub.dim, len(cell), what)
-                rows = sub.rows()
+                vs = sub.terms
             else:
                 _check_sub_family(sub, len(cell), what)
-                rows = [ss[0] for ss in sub]
-            out += _connections(rows, found)
+                vs = row_terms(ss[0] for ss in sub)
+            out += _connections(vs, found, peak)
     return out
 
 
@@ -277,13 +292,22 @@ def _is_unit(u: UnitaryLike) -> bool:
     return row.shape == (1, 1) and row[0, 0] == 1
 
 
-def _check_energies(members, found, where: str) -> None:
+def _check_energies(members, found, peak, where: str) -> None:
     """Raise unless every one of the layered `members` of a cell has
     member 0's energy (approx: within DEFAULT_TOL * |e0|), read in one
-    batch from their stack `found` (see `model.stacked`)."""
+    batch from their stack `found` (see `model.stacked`), whose
+    `layer_peak` is `peak`.  One int64 layer puts every energy at
+    exponent 0 as the sum of the squared coefficients: when peak^2 times
+    the length is below 2^63 those sums are taken in int64 and compared,
+    else `model.unequal_energies` decides."""
     if len(members) == 1:
         return
-    _, differ = unequal_energies(found, DEFAULT_TOL)
+    coeffs = found[2]
+    if peak is not None and peak * peak * coeffs.shape[2] < 2 ** 63:
+        sums = (coeffs[0] * coeffs[0]).sum(axis=1)
+        differ = np.flatnonzero(sums != sums[0]).tolist()
+    else:
+        _, differ = unequal_energies(found, DEFAULT_TOL)
     if differ:
         k = differ[0]
         raise ConstructionError(

@@ -4,11 +4,21 @@ user-supplied matrices.
 A square matrix U is unitary-like when U U^H = U^H U = alpha I for some
 alpha > 0.  DFT entries are exact roots of unity of order N so every
 construction built on them stays exactly verifiable.
+
+The factories (`dft_matrix`, `hadamard_matrix`, `identity_matrix`)
+build each matrix once per process: each keeps its last FACTORY_CACHE
+matrices (a `functools.lru_cache`) and returns the same immutable
+UnitaryLike on every call; a call that raises is not cached.  A DFT-n
+holds n rows of (n, n) int64, 8 n^3 bytes (DFT-128: 17 MB), so the
+worst case, the eight largest DFTs, retains about 126 MB; eight
+Walsh-Hadamard or identity matrices retain at most 3 MB.  Custom
+matrices are built every time.
 """
 
 from __future__ import annotations
 
 from dataclasses import dataclass
+from functools import lru_cache
 from typing import Optional
 
 import numpy as np
@@ -23,12 +33,17 @@ from .model import (
     SequenceFamily,
     SequenceSet,
     cell_terms,
+    row_terms,
     scalar,
     scalar_is_zero,
     scalar_numeric,
     singleton_family,
     unequal_energies,
 )
+
+
+# Matrices each factory keeps (see the module docstring).
+FACTORY_CACHE = 8
 
 
 class MatrixValidationError(ValueError):
@@ -45,7 +60,7 @@ class UnitaryLike:
     which checks nothing: their rows are unitary-like by construction or
     have just been checked."""
 
-    __slots__ = ("dim", "mode", "row_set", "alpha")
+    __slots__ = ("dim", "mode", "row_set", "alpha", "_terms")
 
     def __init__(self, rows, alpha):
         u = custom_matrix(rows)
@@ -74,6 +89,16 @@ class UnitaryLike:
 
     def __setattr__(self, name, value):
         raise AttributeError("UnitaryLike is immutable")
+
+    @property
+    def terms(self) -> tuple:
+        """The rows read into layers side by side (`model.row_terms`),
+        made on first use: what a connection with the rows reads."""
+        try:
+            return self._terms
+        except AttributeError:
+            object.__setattr__(self, "_terms", row_terms(self.row_set))
+            return self._terms
 
     @property
     def entries(self) -> tuple:
@@ -105,6 +130,7 @@ def _from_arrays(arrays: np.ndarray, alpha: int) -> UnitaryLike:
     return UnitaryLike._of_rows(map(Sequence._of_fitted, arrays), CycloNum.from_int(alpha))
 
 
+@lru_cache(maxsize=FACTORY_CACHE, typed=True)
 def dft_matrix(n: int) -> UnitaryLike:
     """[W^(mk)] with W = exp(-2*pi*i/n), exact entries of order n; alpha = n.
     Row m has a 1 at exponent mk mod n in column k."""
@@ -115,17 +141,19 @@ def dft_matrix(n: int) -> UnitaryLike:
     return _from_arrays(arrays, n)
 
 
+@lru_cache(maxsize=FACTORY_CACHE, typed=True)
 def hadamard_matrix(n: int) -> UnitaryLike:
-    """Sylvester-recursion Walsh-Hadamard matrix; n must be a power of two."""
+    """Sylvester-recursion Walsh-Hadamard matrix; n must be a power of two.
+    Entry (i, j) is (-1)^popcount(i & j), the popcount being the product
+    of the bit matrices of i and j."""
     _check_dim(n)
     if n & (n - 1):
         raise ValueError(f"Walsh-Hadamard dimension must be a power of two, got {n}")
-    block = np.ones((1, 1), dtype=np.int64)
-    while len(block) < n:
-        block = np.block([[block, block], [block, -block]])
-    return _from_arrays(block[:, None], n)
+    bits = np.arange(n, dtype=np.int64)[:, None] >> np.arange(int(n).bit_length() - 1) & 1
+    return _from_arrays((1 - 2 * (bits @ bits.T & 1))[:, None], n)
 
 
+@lru_cache(maxsize=FACTORY_CACHE, typed=True)
 def identity_matrix(n: int) -> UnitaryLike:
     _check_dim(n)
     return _from_arrays(np.eye(n, dtype=np.int64)[:, None], 1)

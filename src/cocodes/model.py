@@ -213,20 +213,35 @@ def multiply(a: tuple, b: tuple, order: int) -> np.ndarray:
     return _scatter(_products(a, b, order), order)
 
 
-def layered_multiply(a: tuple, b: tuple, order: int) -> tuple:
+def layered_multiply(a: tuple, b: tuple, order: int, fitted: bool = False) -> tuple:
     """The product of `multiply` as a layered sequence (order, exponents,
     coefficients), its coefficients fitted: the one layer of products of
     two single-layer operands as it is, else the `layers` of the fitted
-    dense product."""
+    dense product.  `fitted` says that the caller has bounded every
+    product of two single-layer int64 operands below INT64_COEFF_BOUND
+    (see `layer_peak`), so they are taken unscanned."""
     if len(a[1]) == len(b[1]) == 1:
         (rows, vals), = _products(a, b, order)
-        return order, rows[None], _fit(vals[None])
+        return order, rows[None], (vals if fitted else _fit(vals))[None]
     return (order,) + layers(_fit(multiply(a, b, order)), order)
 
 
 def terms_of(s: Sequence) -> tuple:
     """The layered sequence (order, exponents, coefficients) of `s`."""
     return (s.order,) + layers(s.array, s.order)
+
+
+def row_terms(seqs) -> tuple:
+    """(order, exponents, coefficients, shapes, peak) of sequences of any
+    lengths, read side by side in one `layers` call at their common
+    order: two read-only (t, total length) arrays, each sequence's
+    (length, order) in turn, and the `layer_peak` of the coefficients."""
+    seqs = list(seqs)
+    order = reduce(common_order, {s.order for s in seqs}, 1)
+    found = layers(np.hstack([_promote(s.array, order) for s in seqs]), order)
+    for x in found:
+        x.flags.writeable = False
+    return (order,) + found + (tuple((len(s), s.order) for s in seqs), layer_peak(found[1]))
 
 
 def stacked(seqs) -> tuple:
@@ -256,6 +271,13 @@ def densify(seq: tuple) -> Sequence:
 def _peak(a: np.ndarray) -> int:
     """The largest coefficient magnitude of an exact array."""
     return max(int(a.max()), -int(a.min()))
+
+
+def layer_peak(coeffs: np.ndarray):
+    """The largest magnitude of coefficients that are one int64 layer
+    ((1, ...) arrays), else None: with two operands' peaks it bounds
+    every product of the two."""
+    return _peak(coeffs) if len(coeffs) == 1 and coeffs.dtype == np.int64 else None
 
 
 def product(a: np.ndarray, b: np.ndarray) -> np.ndarray:

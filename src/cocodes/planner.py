@@ -27,7 +27,7 @@ from .construct import (
 )
 from .corr import DEFAULT_TOL, CheckReport, is_ccc, is_n_co_sf
 from .cyclo import DIM_LIMIT
-from .matrices import MatrixSpec, UnitaryLike
+from .matrices import MatrixSpec
 from .model import SequenceFamily
 
 
@@ -55,10 +55,10 @@ class SubFamilySpec:
     recipe: Optional["Recipe"] = None
     family: Optional[SequenceFamily] = None
 
-    def resolve(self, build):
+    def resolve(self):
         """What `elongate_cosf` connects onto the cell: the matrix of a
-        `rows` spec, made by `build` (`execute` passes its per-run
-        builder; MatrixSpec.build builds afresh), the family of a nested
+        `rows` spec (`MatrixSpec.build`: a factory matrix is built once
+        per process, a custom one every time), the family of a nested
         recipe (executed unverified) or the inline family.  Families are
         checked when connected; a matrix's rows are cross-orthogonal by
         unitarity."""
@@ -67,7 +67,7 @@ class SubFamilySpec:
             raise ValueError("sub-family spec needs exactly one of "
                              "rows / recipe / family")
         if self.rows is not None:
-            return build(self.rows)
+            return self.rows.build()
         if self.recipe is not None:
             return execute(self.recipe, verify=False).family
         return self.family
@@ -311,41 +311,27 @@ def _round_cells(groups, rnd: Round) -> list:
     return out
 
 
-def _complete_round(lengths, rnd: Round, build):
+def _complete_round(groups, rnd: Round):
     """A round as the level-2 partition and sub-families of
-    `elongate_cosf` on sequences of `lengths`: the cells of
-    `_round_cells` with their specs resolved (matrices by `build`), and
-    for each implicit singleton cell the 1x1 matrix (1), built once per
-    run by `build`: it passes the member through, whatever the mode."""
-    one = build(_cell_matrix(1))
+    `elongate_cosf` on a family whose positions `groups` lists by length:
+    the cells of `_round_cells` with their specs resolved, and for each
+    implicit singleton cell the 1x1 matrix (1): it passes the member
+    through, whatever the mode."""
+    one = _cell_matrix(1).build()
     part2, subs = {}, {}
-    for g, cells in enumerate(_round_cells(group_by_length(lengths), rnd)):
+    for g, cells in enumerate(_round_cells(groups, rnd)):
         part2[g] = [cell for cell, _ in cells]
         for p2, (_, spec) in enumerate(cells):
-            subs[(g, p2)] = one if spec is None else spec.resolve(build)
+            subs[(g, p2)] = one if spec is None else spec.resolve()
     return part2, subs
-
-
-def _builder():
-    """MatrixSpec.build, with each factory spec (kind, dim) built once
-    per builder; custom specs are built every time."""
-    built = {}
-
-    def build(spec: MatrixSpec) -> UnitaryLike:
-        if spec.kind == "custom":
-            return spec.build()
-        key = (spec.kind, spec.dim)
-        if key not in built:
-            built[key] = spec.build()
-        return built[key]
-    return build
 
 
 def execute(recipe: Recipe, verify: bool = True) -> ExecutionResult:
     """Run a recipe: generation, elongation rounds, optional CCC map and
     enlargement.  The log records each intermediate family's shape and,
-    when `verify` is set, its verification status.  Each factory
-    matrix the recipe names is built once per run.
+    when `verify` is set, its verification status.  The factory
+    matrices the recipe names are built once per process (see
+    `matrices`); custom ones every time.
 
     Generation and the rounds carry layered sequences from round to
     round (see `construct`); each is densified once, at the end, or at
@@ -353,17 +339,17 @@ def execute(recipe: Recipe, verify: bool = True) -> ExecutionResult:
     the output)."""
     log = []
     n = recipe.n
-    build = _builder()
-    base = build(recipe.base_matrix)
+    base = recipe.base_matrix.build()
     if base.dim != n:
         raise ConstructionError(
             f"base matrix is {base.dim}x{base.dim}, recipe says {n}")
-    seqs = _generation(base, recipe.cells, [build(spec) for spec in recipe.cell_matrices])
+    seqs = _generation(base, recipe.cells, [spec.build() for spec in recipe.cell_matrices])
     fam = _log_round(log, "generate", seqs, f"cosf:{n}", verify)
 
     for i, rnd in enumerate(recipe.rounds):
-        part2, round_subs = _complete_round([c.shape[1] for _, _, c in seqs], rnd, build)
-        seqs = _elongation(seqs, part2, round_subs)
+        groups = group_by_length([c.shape[1] for _, _, c in seqs])
+        part2, round_subs = _complete_round(groups, rnd)
+        seqs = _elongation(seqs, groups, part2, round_subs)
         fam = _log_round(log, f"elongate[{i}]", seqs, f"cosf:{n}", verify)
     if fam is None:
         fam = _family(seqs)
@@ -371,14 +357,14 @@ def execute(recipe: Recipe, verify: bool = True) -> ExecutionResult:
     claimed = f"cosf:{n}"
     if recipe.post is not None:
         if recipe.post.ccc is not None:
-            fam = cosf_to_ccc(fam, build(recipe.post.ccc))
+            fam = cosf_to_ccc(fam, recipe.post.ccc.build())
             claimed = "ccc"
             _log_stage(log, "ccc", fam, "ccc", verify)
         if recipe.post.enlarge:
             if claimed != "ccc":
                 raise ConstructionError(
                     "enlargement requires the ccc step first")
-            fam = enlarge_ccc(fam, [build(s) for s in recipe.post.enlarge])
+            fam = enlarge_ccc(fam, [s.build() for s in recipe.post.enlarge])
             _log_stage(log, "enlarge", fam, "ccc", verify)
     return ExecutionResult(family=fam, log=log, claimed_kind=claimed)
 

@@ -30,18 +30,22 @@ from cocodes import (
     cosf_to_ccc,
     custom_matrix,
     dft_matrix,
+    elongate_cosf,
     energy,
     enlarge_ccc,
     execute,
+    generate_cosf,
     hadamard_matrix,
     identity_matrix,
     is_ccc,
     kron_expand,
     plan,
+    singleton_family,
 )
 from cocodes.construct import _connections
 from cocodes.cyclo import INT64_COEFF_BOUND
-from cocodes.model import cell_terms, densify, energies, layers, multiply, product
+from cocodes.model import (cell_terms, densify, energies, layer_peak, layers, multiply, product,
+                           row_terms)
 
 approx_entries = st.one_of(
     st.complex_numbers(allow_nan=True, allow_infinity=True),
@@ -265,6 +269,13 @@ class TestKronExpand:
         assert is_ccc(big).ok
 
 
+def connections(vs, cell):
+    """The Sequences of `_connections` of the vs with a cell, read as
+    `connect` reads them."""
+    found = cell_terms(cell)
+    return list(map(densify, _connections(row_terms(vs), found, layer_peak(found[2]))))
+
+
 class TestConnections:
     @pytest.mark.parametrize("vs", [
         [Sequence([1, -1]), Sequence([1, 1])],
@@ -275,18 +286,18 @@ class TestConnections:
     ], ids=["one-order", "mixed-lengths-and-orders", "object"])
     @pytest.mark.parametrize("cell", [MIXED_ORDERS, BIG], ids=["mixed-orders", "object"])
     def test_exact(self, vs, cell):
-        assert_same_arrays(list(map(densify, _connections(vs, cell_terms(cell)))),
+        assert_same_arrays(connections(vs, cell),
                            [connect_by_product(v, cell) for v in vs])
 
     def test_approx(self):
         vs = [Sequence([1.0, -1.0]), Sequence([0.5j, 1.0, 0.0])]
-        assert_same_arrays(list(map(densify, _connections(vs, cell_terms(APPROX)))),
+        assert_same_arrays(connections(vs, APPROX),
                            [connect_by_product(v, APPROX) for v in vs])
 
     @staticmethod
     def check(vs, cell):
         """The outputs hold the oracle's arrays, byte for byte."""
-        got = list(map(densify, _connections(vs, cell_terms(cell))))
+        got = connections(vs, cell)
         assert_same_arrays(got, [connect_by_product(v, cell) for v in vs])
         return got
 
@@ -313,6 +324,24 @@ class TestConnections:
         v = single_term([(1, v_coeff), (0, 1), (1, -1)], 2)
         got = self.check([v], cell)
         assert got[0].array.dtype == dtype
+
+    @pytest.mark.parametrize("member, coeff, dtype", [
+        (1, INT64_COEFF_BOUND - 1, np.int64), (2, INT64_COEFF_BOUND // 2, object),
+    ], ids=["peak-product-2^31-1", "peak-product-2^31"])
+    @pytest.mark.parametrize("as_family", [False, True], ids=["custom-matrix", "inline-family"])
+    def test_peak_products_at_the_bound(self, member, coeff, dtype, as_family):
+        # members of peak `member` connected with rows of peak `coeff`: a peak
+        # product below INT64_COEFF_BOUND is taken unscanned, one at it is fitted
+        cell = custom_matrix([[member, member], [member, -member]]).row_set
+        sub = custom_matrix([[coeff, coeff], [coeff, -coeff]])
+        want = [connect_by_product(v, cell) for v in sub.rows()]
+        got = elongate_cosf(singleton_family(cell), {0: [[0, 1]]},
+                            {(0, 0): sub.rows_family() if as_family else sub})
+        assert_same_arrays([ss[0] for ss in got], want)
+        assert {ss[0].array.dtype for ss in got} == {np.dtype(dtype)}
+        if not as_family:
+            base = custom_matrix([list(row) for row in cell])
+            assert_same_arrays([ss[0] for ss in generate_cosf(base, [[0, 1]], [sub])], want)
 
     @pytest.mark.parametrize("near", ["zero entry", "1 + zeta", "identity sub"])
     def test_near_misses_of_single_term_cells(self, near):

@@ -456,6 +456,28 @@ class TestBatchedEnergyDecision:
         assert differ == [2]
         assert e.array[0].tolist() == [3 * c * c, 3 * c * c, 2 * c * c + (c - 1) ** 2]
 
+    @pytest.mark.parametrize("c", [2 ** 30 - 1, 2 ** 30], ids=["below-2^63", "at-2^63"])
+    @pytest.mark.parametrize("differ", [None, 2])
+    def test_single_layer_cells_around_2_63(self, c, differ):
+        # peak^2 * L for L = 8 just below 2^63 (int64 sums) and at 2^63
+        # (Python-int sums); one entry c - 1 gives member `differ` a
+        # smaller energy
+        assert (c * c * 8 < 2 ** 63) == (c < 2 ** 30)
+        signs = ["++-+--+-", "+-++-+--", "--+-++-+"]
+        members = [[c if ch == "+" else -c for ch in s] for s in signs]
+        if differ is not None:
+            members[differ][3] = c - 1
+        members = [Sequence(s) for s in members]
+        assert len(cell_terms(members)[2]) == 1
+        assert self.decide(members) == self.reference(members) == differ
+        if differ is not None:
+            with pytest.raises(ConstructionError) as err:
+                elongate_cosf(singleton_family(members), {0: [[0, 1, 2]]},
+                              {(0, 0): dft_matrix(3)})
+            assert str(err.value) == (f"cell (0,0) mixes energies: member 0 has "
+                                      f"{energy(members[0])!r}, member 2 has "
+                                      f"{energy(members[2])!r}")
+
     @pytest.mark.parametrize("rel, passes", [(1e-12, True), (3e-11, True),
                                              (1e-8, False), (1e-3, False)])
     def test_approx_cells_around_the_tolerance(self, rel, passes):

@@ -16,10 +16,13 @@ from cocodes import (
 from cocodes.cli import matrix_spec_to_doc
 from cocodes.cyclo import DIM_LIMIT
 from cocodes.matrices import (
+    FACTORY_CACHE,
     MatrixSpec,
     MatrixValidationError,
     parse_matrix_shorthand,
 )
+
+FACTORIES = [dft_matrix, hadamard_matrix, identity_matrix]
 
 
 class TestDft:
@@ -70,6 +73,62 @@ class TestHadamard:
     def test_rejects_non_power_of_two(self):
         with pytest.raises(ValueError):
             hadamard_matrix(6)
+
+
+def sylvester(n: int) -> np.ndarray:
+    """H_n by the Sylvester recursion H_2m = [[H_m, H_m], [H_m, -H_m]]."""
+    block = np.ones((1, 1), dtype=np.int64)
+    while len(block) < n:
+        block = np.block([[block, block], [block, -block]])
+    return block
+
+
+class TestHadamardClosedForm:
+    @pytest.mark.parametrize("n", [2 ** k for k in range(8)])
+    def test_rows_are_the_sylvester_recursion(self, n):
+        want = sylvester(n)[:, None]
+        for dim in (n, np.int64(n)):
+            got = np.stack([row.array for row in hadamard_matrix(dim).rows()])
+            assert got.dtype == want.dtype == np.int64
+            assert got.shape == want.shape == (n, 1, n)
+            assert got.tobytes() == want.tobytes()
+
+
+class TestFactoryCache:
+    """Each factory builds a matrix once per process and hands out the
+    same immutable UnitaryLike; refusals are raised on every call."""
+
+    @pytest.mark.parametrize("build", FACTORIES, ids=lambda b: b.__name__)
+    def test_same_matrix_on_every_call(self, build):
+        for n in (1, 2, 4, 8):
+            assert build(n) is build(n)
+        assert build.cache_info().maxsize == FACTORY_CACHE
+
+    @pytest.mark.parametrize("build", FACTORIES, ids=lambda b: b.__name__)
+    def test_matrix_is_read_only(self, build):
+        u = build(4)
+        arrays = [row.array for row in u.rows()] + list(u.terms[1:3])
+        assert not any(a.flags.writeable for a in arrays)
+        with pytest.raises(ValueError):
+            u.row(0).array[0, 0] = 5
+        for name in ("alpha", "terms", "row_set", "dim"):
+            with pytest.raises(AttributeError):
+                setattr(u, name, None)
+        assert u is build(4) and u.row(0).array[0, 0] == 1
+
+    @pytest.mark.parametrize("call", [lambda: hadamard_matrix(6), lambda: dft_matrix(0),
+                                      lambda: dft_matrix(DIM_LIMIT + 1)],
+                             ids=["hadamard-6", "dft-0", "dft-129"])
+    def test_refusals_raise_on_every_call(self, call):
+        for _ in range(3):
+            with pytest.raises(ValueError):
+                call()
+
+    @pytest.mark.parametrize("build", FACTORIES, ids=lambda b: b.__name__)
+    def test_a_float_dimension_is_not_the_cached_int_one(self, build):
+        build(4)
+        with pytest.raises(TypeError):
+            build(4.0)
 
 
 class TestIdentity:

@@ -24,7 +24,7 @@ from cocodes import (
 from cocodes.cli import family_to_doc, recipe_from_doc, recipe_to_doc
 from cocodes.construct import ConstructionError, group_by_length, trivial_cosf
 from cocodes.cyclo import DIM_LIMIT
-from cocodes.matrices import MatrixSpec, dft_matrix
+from cocodes.matrices import MATRIX_KINDS, MatrixSpec, dft_matrix
 from cocodes.planner import (
     Post,
     Recipe,
@@ -326,19 +326,23 @@ class TestPinnedExecution:
     DIGEST = "63c042547facbe1c6dccd768098e3aa4df93f2f6ebf0f931775837b19a70e723"
 
     def test_sequences_and_logs_unchanged(self):
-        h = hashlib.sha256()
-        runs = 0
-        for key, recipe in pinned_executions():
-            h.update(repr(key).encode())
-            for ss in execute(recipe, verify=False).family:
-                for s in ss:
-                    a = s.array
-                    values = repr(a.tolist()).encode() if a.dtype == object else a.tobytes()
-                    h.update(f"{s.order} {a.dtype} {a.shape}".encode() + values)
-            h.update(execute(recipe, verify=True).render_log().encode())
-            runs += 1
-        assert runs == 314
-        assert h.hexdigest() == self.DIGEST
+        # once with the factories' caches cleared, once with them warm
+        for build in MATRIX_KINDS.values():
+            build.cache_clear()
+        for _ in ("cold", "warm"):
+            h = hashlib.sha256()
+            runs = 0
+            for key, recipe in pinned_executions():
+                h.update(repr(key).encode())
+                for ss in execute(recipe, verify=False).family:
+                    for s in ss:
+                        a = s.array
+                        values = repr(a.tolist()).encode() if a.dtype == object else a.tobytes()
+                        h.update(f"{s.order} {a.dtype} {a.shape}".encode() + values)
+                h.update(execute(recipe, verify=True).render_log().encode())
+                runs += 1
+            assert runs == 314
+            assert h.hexdigest() == self.DIGEST
 
 
 class TestMultiTargetStress:
@@ -521,7 +525,7 @@ class TestTrustedSubFamilies:
                     verify=False)
 
     def test_resolve_returns_the_matrix_of_a_rows_spec(self):
-        u = SubFamilySpec(rows=MatrixSpec("dft", 3)).resolve(MatrixSpec.build)
+        u = SubFamilySpec(rows=MatrixSpec("dft", 3)).resolve()
         assert u.dim == 3 and u.rows() == dft_matrix(3).rows()
 
 
