@@ -1,36 +1,35 @@
 """Construction operators for cross-orthogonal families and complete
 complementary codes.
 
-Everything here is built from two primitives over unitary-like
-matrices: the connection operator (interleaved scalar-times-sequence
-concatenation) and the expansion operator (scalar-pattern replication
-of a whole set).  The generation step partitions the rows of a base
-matrix and connects each cell with a matching small matrix; the
-elongation step repeats the idea one level down, on an already
-constructed family, with the first partition level forced to group
-sequences by length.
+Everything here is built from one operator over unitary-like matrices,
+the connection (interleaved scalar-times-sequence concatenation).  The
+generation step partitions the rows of a base matrix and connects each
+cell with a matching small matrix; the elongation step repeats the
+idea one level down, on an already constructed family, with the first
+partition level forced to group sequences by length, and generation is
+elongation of the base rows as one group (`_base_round`).  The CO-SF ->
+CCC map connects each row with a sequence's entries as members of width
+1; expanding a set by v connects v with the set's members read side by
+side as one member, whose block j holds v[j] times each member.
 
 Output ordering is always the lexicographic order of the partition
 path (cell index, then row index), so constructions are deterministic.
 
-Generation and elongation run on layered sequences (`model.terms_of`):
-each input sequence is read into layers once, and the outputs of one
-round are the layered inputs of the next, so a recipe densifies each
-output once (`model.densify`).  A cell's members are stacked at their
-common order (`model.stacked`) for its energy check and all its
-connections; a matrix holds its rows read into layers since it was
-built (`UnitaryLike.terms`), and an inline sub-family is read once per
-cell (`model.row_terms`).  A connection multiplies the members' layers,
+Construction runs on layered sequences (`model.terms_of`): each input
+sequence is read into layers once, and the outputs of one round are the
+layered inputs of the next, so a recipe densifies each output once
+(`model.densify`).  A cell's members are stacked at their common order
+(`model.stacked`) for its energy check and all its connections; a
+matrix holds its rows read into layers since it was built
+(`UnitaryLike.terms`), and an inline sub-family is read once per cell
+(`model.row_terms`).  A connection multiplies the members' layers,
 tiled over its blocks, by one entry of the sub row per block, broadcast
 along the block (`model.layered_multiply`): single-layer operands give
 one layer with no scatter, any other product is scattered and read
 back.  A cell that is one int64 layer takes its peak coefficient once:
 its energy check is then one sum of squares per member, and its
 products are not rescanned when the peaks bound them below
-`INT64_COEFF_BOUND`.  An
-expansion multiplies every member by every entry of every v at once
-(`enlarge_ccc`: by all the rows of a set's matrix) in one
-`model.multiply`.  Each output keeps its own order and the dtype
+`INT64_COEFF_BOUND`.  Each output keeps its own order and the dtype
 `model._fit` gives it; int64 sums widen to Python ints, and approx zero
 factors give 0, as `model.multiply` says.
 """
@@ -49,14 +48,11 @@ from .model import (
     Sequence,
     SequenceFamily,
     SequenceSet,
-    _fit,
     cell_terms,
     densify,
     energy,
     layer_peak,
     layered_multiply,
-    multiply,
-    product,
     row_terms,
     scalar,
     singleton_family,
@@ -119,33 +115,44 @@ def kron_expand(v: Sequence, cell: SequenceSet) -> SequenceSet:
     """Expansion of an N-sequence set by an M-vector into an MN-sequence
     set; element k is v[k mod M] * c[k div M].  Zero scalars produce
     zero sequences."""
-    return _expansions([v], cell)[0]
+    return _expansions(row_terms([v]), cell)[0]
 
 
 def _expansions(vs, cell: SequenceSet) -> list:
-    """kron_expand(v, cell) for every v in `vs`, all of one length: the
-    vs are read side by side (`cell_terms`), and every member is multiplied
-    by every entry of every v in one `multiply`, at their common order.
-    Each output is then taken at its own order, lcm(member order, v
-    order): the rows of the product that hold its terms."""
-    order, exps, coeffs = cell_terms(cell)
-    v_order, v_exps, v_coeffs = cell_terms(vs)
-    full = common_order(order, v_order)
-    sums = _fit(multiply((exps[:, None, :, None] * (full // order), coeffs[:, None, :, None]),
-                         (v_exps[:, :, None, :, None] * (full // v_order),
-                          v_coeffs[:, :, None, :, None]), full))
-    # an object stack may hold outputs that fit int64: each is refitted
-    make = Sequence.of_array if sums.dtype == object else Sequence._of_fitted
-    stack = sums.reshape(full, len(vs), len(cell), -1, cell.length).transpose(1, 2, 3, 0, 4).copy()
-    return [SequenceSet(make(np.ascontiguousarray(stack[a, i, j, ::full // common_order(s.order, v.order)]))
-                        for i, s in enumerate(cell) for j in range(len(v)))
-            for a, v in enumerate(vs)]
+    """kron_expand(v, cell) for every v whose layers `vs` holds side by
+    side (`model.row_terms`, a matrix's `terms`): each connection of v
+    with the members as one member is densified once and cut into its
+    outputs, each at its own order, lcm(member order, v order): the rows
+    that hold its terms.  Python ints that fit int64 are refitted."""
+    order, exps, coeffs, _, peak = row_terms(cell)
+    n, width = len(cell), cell.length
+    out = []
+    for seq, (m, v_order) in zip(_connections(vs, (order, exps[:, None], coeffs[:, None]), peak),
+                                 vs[3]):
+        stack = densify(seq).array
+        full = len(stack)
+        make = Sequence.of_array if stack.dtype == object else Sequence._of_fitted
+        # [i, j]: member i times v[j], the place i of block j
+        blocks = stack.reshape(full, m, n, width).transpose(2, 1, 0, 3).copy()
+        out.append(SequenceSet(
+            make(np.ascontiguousarray(blocks[i, j, ::full // common_order(s.order, v_order)]))
+            for i, s in enumerate(cell) for j in range(m)))
+    return out
 
 
 def entrywise(u: Sequence, v: Sequence) -> Sequence:
     if len(u) != len(v):
         raise ValueError(f"length mismatch: {len(u)} vs {len(v)}")
-    return Sequence._of_fitted(product(u.array, v.array))
+    return _entrywise(row_terms([v]), u)[0]
+
+
+def _entrywise(vs, s: Sequence) -> list:
+    """The entrywise product of `s` with every v whose layers `vs` holds
+    side by side (see `_expansions`), v repeated periodically: the
+    connection of v with the entries of `s` as len(s) members of width 1."""
+    order, exps, coeffs = terms_of(s)
+    found = order, exps[..., None], coeffs[..., None]
+    return [densify(t) for t in _connections(vs, found, layer_peak(coeffs))]
 
 
 def dyadic_sum(n: int, m: int) -> int:
@@ -181,29 +188,25 @@ def generate_cosf(base: UnitaryLike, cells, subs) -> SequenceFamily:
     of `cells[i]`.  Cell i contributes |cell| sequences of length
     |cell| * N, the m-th being sub.row(m) connected with the cell's rows.
     """
-    return _family(_generation(base, cells, subs))
+    return _family(_elongation(*_base_round(base, cells, subs)))
 
 
-def _generation(base: UnitaryLike, cells, subs) -> list:
-    """The layered sequences of `generate_cosf`, the rows of each cell
-    read into layers once (`model.cell_terms`) and each sub-matrix's
-    rows as it holds them (`UnitaryLike.terms`)."""
-    n = base.dim
-    cells = [list(c) for c in cells]
-    _check_partition(cells, n)
-    subs = list(subs)
+def _base_round(base: UnitaryLike, cells, subs) -> tuple:
+    """The arguments of `_elongation` that make `generate_cosf`: the rows
+    of `base`, each at its own order, read from the layers the matrix
+    holds (`UnitaryLike.terms`), as one length group; `cells` as that
+    group's level-2 partition, and subs[i] connected onto cell i."""
+    cells, subs = list(cells), list(subs)
     if len(subs) != len(cells):
         raise ConstructionError(
             f"{len(cells)} cells but {len(subs)} sub-matrices")
-    out = []
-    for cell, sub in zip(cells, subs):
-        if sub.dim != len(cell):
-            raise ConstructionError(
-                f"cell {cell} has size {len(cell)} but sub-matrix is "
-                f"{sub.dim}x{sub.dim}")
-        found = cell_terms([base.row(i) for i in cell])
-        out += _connections(sub.terms, found, layer_peak(found[2]))
-    return out
+    order, exps, coeffs, shapes, _ = base.terms
+    rows = []
+    for m, (length, own) in enumerate(shapes):
+        at = slice(m * length, (m + 1) * length)
+        row_exps = exps[:, at] if own == order else exps[:, at] // (order // own)
+        rows.append((own, row_exps, coeffs[:, at]))
+    return rows, [list(range(base.dim))], {0: cells}, {(0, p2): sub for p2, sub in enumerate(subs)}
 
 
 def _family(seqs) -> SequenceFamily:
@@ -338,12 +341,8 @@ def cosf_to_ccc(fam: SequenceFamily, u: UnitaryLike) -> SequenceFamily:
     set m collects u.row(n) connected with the length-1 split of the
     m-th sequence, for every n: the entrywise product of that sequence
     with u.row(n) repeated periodically."""
-    n = u.dim
-    _check_sub_family(fam, n, "input")
-    return SequenceFamily(
-        SequenceSet(Sequence._of_fitted(product(ss[0].array, u.row(k).array))
-                    for k in range(n))
-        for ss in fam)
+    _check_sub_family(fam, u.dim, "input")
+    return SequenceFamily(SequenceSet(_entrywise(u.terms, ss[0])) for ss in fam)
 
 
 def ccc_from_unitary(u: UnitaryLike) -> SequenceFamily:
@@ -370,7 +369,7 @@ def enlarge_ccc(fam: SequenceFamily, matrices) -> SequenceFamily:
     check = is_ccc(fam)
     if not check.ok:
         raise ConstructionError("input family is not a CCC:\n" + check.render())
-    return SequenceFamily(s for u, ss in zip(matrices, fam) for s in _expansions(u.rows(), ss))
+    return SequenceFamily(s for u, ss in zip(matrices, fam) for s in _expansions(u.terms, ss))
 
 
 def trivial_cosf(mode: str = EXACT) -> SequenceFamily:

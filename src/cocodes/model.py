@@ -24,17 +24,18 @@ the layout of an exact sequence of order 1; `is_exact` tells the two
 modes apart by dtype kind.  A CycloNum is built from a column only when
 an entry is read; zero is decided by `cyclo.zero_rows`.
 
-Every operator (`product`, `Sequence.scale`, connection, expansion and
-`energies`) forms its products in one kernel over the `layers` of its
-operands: an array read as t layers of one (exponent, coefficient) per
-column, t the most nonzero terms any column has.  A sequence of roots of
-unity is one layer; a zero entry is coefficient 0.  Each pair of layers
-gives one product per entry, exponents added mod K (`_products`), so the
-cost follows the layers, not K.  The dense result (`multiply`) is the
-scatter-add of those products into zeros.  int64 products stay below
-2^62 and are summed as Python ints when the largest times the number of
-layer pairs could reach 2^63.  An approx array is one layer: a zero
-factor gives 0, never 0 * inf, and every sum starts from 0.
+Every operator (`Sequence.scale`, the connection, which also makes the
+expansions and entrywise products, and `energies`) forms its products in
+one kernel over the `layers` of its operands: an array read as t layers
+of one (exponent, coefficient) per column, t the most nonzero terms any
+column has.  A sequence of roots of unity is one layer; a zero entry is
+coefficient 0.  Each pair of layers gives one product per entry,
+exponents added mod K (`_products`), so the cost follows the layers, not
+K.  The dense result (`multiply`) is the scatter-add of those products
+into zeros.  int64 products stay below 2^62 and are summed as Python
+ints when the largest times the number of layer pairs could reach 2^63.
+An approx array is one layer: a zero factor gives 0, never 0 * inf, and
+every sum starts from 0.
 
 Construction carries its sequences between rounds as layered sequences,
 (order, exponents, coefficients) triples (`terms_of`), and stacks a
@@ -280,18 +281,6 @@ def layer_peak(coeffs: np.ndarray):
     return _peak(coeffs) if len(coeffs) == 1 and coeffs.dtype == np.int64 else None
 
 
-def product(a: np.ndarray, b: np.ndarray) -> np.ndarray:
-    """Entrywise product of two coefficient arrays at their common order,
-    in the dtype `_fit` gives it; the narrower one's columns repeat
-    periodically."""
-    order = common_order(len(a), len(b))
-    if a.shape[1] < b.shape[1]:
-        a, b = b, a
-    exps, coeffs = layers(b, order)
-    colmap = np.arange(a.shape[1]) % b.shape[1]
-    return _fit(multiply(layers(a, order), (exps[:, colmap], coeffs[:, colmap]), order))
-
-
 class Sequence:
     """An ordered, immutable run of same-mode scalars (indices outside
     the range count as zero in every correlation), stored as one
@@ -339,7 +328,7 @@ class Sequence:
     @classmethod
     def _of_fitted(cls, array: np.ndarray) -> "Sequence":
         """Sequence owning `array`, which is approx or already in the
-        dtype `_fit` gives it: a fitted `product`, a factory's
+        dtype `_fit` gives it: a densified layered sequence, a factory's
         rows, a row permutation of a Sequence's array.  Nothing is
         scanned."""
         seq = object.__new__(cls)
@@ -377,7 +366,9 @@ class Sequence:
         return iter(self.array[0].tolist())
 
     def scale(self, c) -> "Sequence":
-        return Sequence._of_fitted(product(self.array, Sequence([scalar(c, self.mode)]).array))
+        c = Sequence([scalar(c, self.mode)]).array
+        order = common_order(self.order, len(c))
+        return densify(layered_multiply(layers(self.array, order), layers(c, order), order))
 
     def __neg__(self) -> "Sequence":
         return self.scale(-1)
@@ -539,12 +530,11 @@ def singleton_family(sequences: Iterable[Sequence]) -> SequenceFamily:
 
 def cell_terms(seqs) -> tuple:
     """(order, exponents, coefficients) of n sequences of one length at
-    their common order, read once for every operator of a cell: the
-    `layers` of the sequences side by side, as two (t, n, length) arrays."""
+    their common order, read once for every operator of a cell: their
+    `row_terms` as two read-only (t, n, length) arrays."""
     seqs = list(seqs)
-    order = reduce(common_order, {s.order for s in seqs}, 1)
-    found = layers(np.hstack([_promote(s.array, order) for s in seqs]), order)
-    return (order,) + tuple(x.reshape(len(x), len(seqs), -1) for x in found)
+    order, exps, coeffs, _, _ = row_terms(seqs)
+    return (order,) + tuple(x.reshape(len(x), len(seqs), -1) for x in (exps, coeffs))
 
 
 def energies(found) -> np.ndarray:

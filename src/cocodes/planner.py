@@ -14,13 +14,14 @@ twice yields identical families.
 from __future__ import annotations
 
 from dataclasses import dataclass, field
+from operator import index
 from typing import Optional
 
 from .construct import (
     ConstructionError,
+    _base_round,
     _elongation,
     _family,
-    _generation,
     cosf_to_ccc,
     enlarge_ccc,
     group_by_length,
@@ -161,17 +162,27 @@ def factor_chain(n: int, k: int) -> Optional[list]:
 def constructible(n: int, length: int) -> bool:
     """True iff `length` is divisible by n and every prime factor of
     length/n is at most n; n must lie in 1..DIM_LIMIT, as for `plan`."""
-    _check_shift(n)
+    n, length = _check_shift(n), _integer(length, "length")
     if length < 1 or length % n:
         return False
     return _blocking_factor(n, length // n) is None
 
 
-def _check_shift(n: int) -> None:
-    """Refuse a shift parameter outside 1..DIM_LIMIT: the matrices of
-    larger ones are not built, and trial division is linear in n."""
+def _integer(x, what: str) -> int:
+    """`x` as a Python int (numpy's integers too); a float, a string or
+    a bool raises TypeError."""
+    if isinstance(x, bool):
+        raise TypeError(f"{what} must be an integer, got {x!r}")
+    return index(x)
+
+
+def _check_shift(n) -> int:
+    """`n` as an int (`_integer`), refused outside 1..DIM_LIMIT: the
+    matrices of larger ones are not built, and trial division is linear."""
+    n = _integer(n, "shift parameter")
     if not 1 <= n <= DIM_LIMIT:
         raise ValueError(f"shift parameter must be in 1..{DIM_LIMIT}, got {n}")
+    return n
 
 
 def _blocking_factor(n: int, k: int) -> Optional[int]:
@@ -201,8 +212,8 @@ def plan(n: int, targets) -> Recipe:
     later factor one elongation round.  Multiple targets get disjoint
     cells, which requires the sum of their leading factors to fit in N.
     """
-    _check_shift(n)
-    targets = sorted(set(int(t) for t in targets))
+    n = _check_shift(n)
+    targets = sorted({_integer(t, "target length") for t in targets})
     if not targets:
         raise ValueError("at least one target length required")
     chains = {}
@@ -343,7 +354,8 @@ def execute(recipe: Recipe, verify: bool = True) -> ExecutionResult:
     if base.dim != n:
         raise ConstructionError(
             f"base matrix is {base.dim}x{base.dim}, recipe says {n}")
-    seqs = _generation(base, recipe.cells, [spec.build() for spec in recipe.cell_matrices])
+    seqs = _elongation(*_base_round(base, recipe.cells,
+                                    [spec.build() for spec in recipe.cell_matrices]))
     fam = _log_round(log, "generate", seqs, f"cosf:{n}", verify)
 
     for i, rnd in enumerate(recipe.rounds):

@@ -1,4 +1,4 @@
-"""`Sequence.scale`, `kron_expand`, `construct._connections`, `product`
+"""`Sequence.scale`, `kron_expand`, `construct._connections`, `entrywise`
 and `energies` against the definitions, entry by entry.
 
 Every operator forms its products with one kernel, `model.multiply`,
@@ -12,6 +12,7 @@ since Python's complex multiplication rounds differently from numpy's
 hold the same arrays: the same coefficients, dtype and order.
 """
 
+import hashlib
 from functools import reduce
 from math import gcd, isqrt
 from operator import add
@@ -33,6 +34,7 @@ from cocodes import (
     elongate_cosf,
     energy,
     enlarge_ccc,
+    entrywise,
     execute,
     generate_cosf,
     hadamard_matrix,
@@ -44,8 +46,7 @@ from cocodes import (
 )
 from cocodes.construct import _connections
 from cocodes.cyclo import INT64_COEFF_BOUND
-from cocodes.model import (cell_terms, densify, energies, layer_peak, layers, multiply, product,
-                           row_terms)
+from cocodes.model import cell_terms, densify, energies, layer_peak, layers, multiply, row_terms
 
 approx_entries = st.one_of(
     st.complex_numbers(allow_nan=True, allow_infinity=True),
@@ -470,7 +471,7 @@ class TestInt64Edges:
         s = three_terms(c)
         want = times(s, s[0])
         assert want.array[:, 0].tolist() == [3 * c * c] * 3
-        assert_same_arrays([Sequence._of_fitted(product(s.array, s.array)), connect(s, SequenceSet([s]))],
+        assert_same_arrays([entrywise(s, s), connect(s, SequenceSet([s]))],
                            [want, want])
         assert_same_arrays(kron_expand(s, SequenceSet([s])), [want])
         # the energy of two such entries: 18 c^2 products, 2 * 3 c^2 at row 0
@@ -478,3 +479,96 @@ class TestInt64Edges:
         assert energy(two) == reduce(add, (e * e.conj() for e in two))
         assert_same_arrays([Sequence._of_fitted(energies(cell_terms([two])))],
                            [energies_by_product([two])])
+
+
+def _fam(n, length):
+    return execute(plan(n, [length]), verify=False).family
+
+
+# the custom matrices the CI chains use: m m^H = 3 I with entries 1 + zeta_4
+# and 1 + zeta_4^3, an H2 scaled by 2^40 and an approx H2
+MULTI_TERM = custom_matrix([[ONE + I4, ONE], [-ONE, ONE + CycloNum.root(4, 3)]])
+H2_2_40 = custom_matrix([[2 ** 40, 2 ** 40], [2 ** 40, -(2 ** 40)]])
+APPROX_H2 = custom_matrix([[1.0, 1.0], [1.0, -1.0]])
+# approx members with signed zeros and infinities
+APPROX_ZEROS = SequenceSet([
+    Sequence([1.0, -0.0, float("inf"), 0.0]),
+    Sequence([complex(-0.0, -0.0), 1.0, -1.0, complex(0.0, float("-inf"))]),
+])
+# members of orders 1 and 3, one holding a 2^62 coefficient
+ORDERS_1_3 = SequenceSet([Sequence([1, -1, 2 ** 62]), Sequence([CycloNum.root(3, 1), 1, -ONE])])
+
+
+def operator_outputs():
+    """(label, output Sequences) of every construction operator over the
+    pinned inputs."""
+    h2, d2, d3, h4 = hadamard_matrix(2), dft_matrix(2), dft_matrix(3), hadamard_matrix(4)
+    for n in range(2, 9):
+        for targets in ([n * n], [n ** 3], [2 * n, 4 * n]):
+            try:
+                recipe = plan(n, targets)
+            except ValueError:  # leading cells past n
+                continue
+            subs = [spec.build() for spec in recipe.cell_matrices]
+            yield f"gen {n} {targets}", [ss[0] for ss in generate_cosf(
+                recipe.base_matrix.build(), recipe.cells, subs)]
+            fam = execute(recipe, verify=False).family
+            maps = [dft_matrix(n)] + ([hadamard_matrix(n)] if n & (n - 1) == 0 else [])
+            for u in maps:
+                ccc = cosf_to_ccc(fam, u)
+                yield f"ccc {n} {targets} {u!r}", [s for ss in ccc for s in ss]
+            seqs = [ss[0] for ss in fam]
+            yield f"entrywise {n} {targets}", [entrywise(s, t) for s in seqs for t in seqs
+                                               if len(s) == len(t)]
+            yield f"scale {n} {targets}", [s.scale(x) for s in seqs[:3]
+                                           for x in (-ONE, I4, CycloNum.root(n, 1), ONE + I4)]
+        ccc = cosf_to_ccc(_fam(n, n * n), dft_matrix(n))
+        for u in (h2, d2, d3, h4):
+            big = enlarge_ccc(ccc, [u] * n)
+            yield f"enlarge {n} {u!r}", [s for ss in big for s in ss]
+        yield f"kron {n}", [s for u in (h2, d3) for v in u.rows() for s in kron_expand(v, ccc[0])]
+        yield f"connect {n}", [connect(v, ccc[0]) for u in (h2, d3, dft_matrix(n)) for v in u.rows()]
+    fam2 = _fam(2, 8)
+    for u in (MULTI_TERM, H2_2_40):
+        ccc = cosf_to_ccc(fam2, u)
+        yield f"ccc {u!r}", [s for ss in ccc for s in ss]
+        big = enlarge_ccc(ccc, [u, h2])
+        yield f"enlarge {u!r}", [s for ss in big for s in ss]
+        yield f"gen {u!r}", [ss[0] for base, sub in ((h2, u), (u, h2), (u, u))
+                             for ss in generate_cosf(base, [[0, 1]], [sub])]
+        yield f"connect {u!r}", [connect(v, ccc[0]) for v in u.rows()]
+        yield f"kron {u!r}", [s for v in u.rows() for s in kron_expand(v, ccc[1])]
+        yield f"entrywise {u!r}", [entrywise(s, t) for s in ccc[0] for t in ccc[1]]
+    yield "scale 2^40", [s.scale(x) for ss in fam2 for s in ss for x in (2 ** 40, -(2 ** 40))]
+    ccc = ccc_from_unitary(APPROX_H2)
+    yield "approx ccc", [s for ss in ccc for s in ss]
+    yield "approx enlarge", [s for ss in enlarge_ccc(ccc, [APPROX_H2] * 2) for s in ss]
+    yield "approx gen", [ss[0] for ss in generate_cosf(APPROX_H2, [[0, 1]], [APPROX_H2])]
+    for cell in (APPROX_ZEROS, ORDERS_1_3):
+        matrices = [APPROX_H2] if cell is APPROX_ZEROS else [h2, d2, d3]
+        yield f"kron {cell!r}", [s for u in matrices for v in u.rows() for s in kron_expand(v, cell)]
+        yield f"connect {cell!r}", [connect(v, cell) for u in matrices for v in u.rows()]
+        yield f"entrywise {cell!r}", [entrywise(s, t) for s in cell for t in cell]
+        scalars = ((-1.0, 0.0, -0.0, 1j, complex("inf")) if cell is APPROX_ZEROS
+                   else (-1, CycloNum.root(3, 2), 2 ** 40))
+        yield f"scale {cell!r}", [s.scale(x) for s in cell for x in scalars]
+
+
+class TestPinnedOperators:
+    # sha256 of the label, order, dtype, shape and values of every output of
+    # the construction operators over the inputs of `operator_outputs`
+    # (Python ints by their repr, every NaN as one NaN)
+    DIGEST = "1dcfdef6b5fb679293ea2fe7ea3679eb45b4f0e6e5bb3a0a381d4f4a7ed6b5e0"
+
+    def test_outputs_unchanged(self):
+        h = hashlib.sha256()
+        outputs = 0
+        with np.errstate(all="ignore"):  # inf * 0 and inf - inf in approx products
+            for label, seqs in operator_outputs():
+                h.update(label.encode())
+                for s in seqs:
+                    a = s.array
+                    values = repr(a.tolist()).encode() if a.dtype == object else canonical_nans(a)[0]
+                    h.update(f"{s.order} {a.dtype} {a.shape}".encode() + values)
+                    outputs += 1
+        assert (outputs, h.hexdigest()) == (8950, self.DIGEST)

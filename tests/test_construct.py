@@ -36,7 +36,7 @@ from cocodes import (
 )
 from cocodes import construct
 from cocodes.construct import ConstructionError, trivial_cosf
-from cocodes.planner import execute, plan
+from cocodes.planner import constructible, execute, plan
 from cocodes.corr import DEFAULT_TOL
 from cocodes.cyclo import INT64_COEFF_BOUND
 from cocodes.model import cell_terms, concat, unequal_energies
@@ -688,3 +688,48 @@ class TestRandomizedProperties:
             out = enlarge_ccc(ccc, mats)
             assert out.family_size == out.set_size == n * m_dim
             assert is_ccc(out).ok
+
+
+def _generation_cases():
+    """(name, base, cells, subs) of the generation step of every
+    single-target recipe `plan` emits for n <= 8 and lengths up to 40 n,
+    of some multi-target ones, and of the acceptance suite's DFT-6 family."""
+    recipes = [plan(n, [length]) for n in range(1, 9) for length in range(1, 40 * n + 1)
+               if constructible(n, length)]
+    recipes += [plan(n, targets) for n, targets in
+                ((5, [10, 15]), (6, [12, 24]), (7, [63, 189]), (7, [56, 1701]), (8, [16, 32]))]
+    for recipe in recipes:
+        yield (f"plan {recipe.n} {recipe.cells}", recipe.base_matrix.build(), recipe.cells,
+               [spec.build() for spec in recipe.cell_matrices])
+    yield ("dft6", dft_matrix(6), [[0, 1], [2, 3, 4, 5]],
+           [hadamard_matrix(2), hadamard_matrix(4)])
+
+
+class TestGenerationIsElongation:
+    """Generation is the elongation of the base rows as one length group,
+    the cells its level-2 partition."""
+
+    def test_same_arrays(self):
+        cases = 0
+        for name, base, cells, subs in _generation_cases():
+            got = generate_cosf(base, cells, subs)
+            want = elongate_cosf(base.rows_family(), {0: cells},
+                                 {(0, i): s for i, s in enumerate(subs)})
+            assert len(got) == len(want), name
+            for g, w in zip(got, want):
+                a, b = g[0].array, w[0].array
+                assert (a.dtype, a.shape, a.tobytes()) == (b.dtype, b.shape, b.tobytes()), name
+            cases += 1
+        assert cases == 135
+
+    @pytest.mark.parametrize("cells, subs", [
+        ([[0]], [1]), ([[0, 0]], [2]), ([[0, 2]], [2]), ([[0, 1], []], [2, 1]), ([[0, 1]], [4]),
+    ], ids=["misses-a-row", "repeated-row", "outside", "empty-cell", "dim-mismatch"])
+    def test_same_refusals(self, cells, subs):
+        h2 = hadamard_matrix(2)
+        subs = [identity_matrix(d) for d in subs]
+        with pytest.raises(ConstructionError) as gen:
+            generate_cosf(h2, cells, subs)
+        with pytest.raises(ConstructionError) as elong:
+            elongate_cosf(h2.rows_family(), {0: cells}, {(0, i): s for i, s in enumerate(subs)})
+        assert str(gen.value) == str(elong.value)

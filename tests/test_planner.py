@@ -6,6 +6,7 @@ import random
 import time
 from functools import lru_cache
 
+import numpy as np
 import pytest
 
 from cocodes import (
@@ -195,6 +196,25 @@ class TestPlan:
         with pytest.raises(ValueError, match=str(DIM_LIMIT)):
             plan(10 ** 6, [10 ** 6])
         assert time.perf_counter() - start < 0.1
+
+    @pytest.mark.parametrize("call", [
+        lambda: plan(4, [64.5]), lambda: plan(4, [64.0]), lambda: plan(4, ["64"]),
+        lambda: plan(True, [5]), lambda: plan(4, [True]), lambda: plan(4.0, [64]),
+        lambda: constructible(4, 64.0), lambda: constructible(True, 2),
+        lambda: constructible("4", 64),
+    ], ids=["float-target", "integral-float-target", "str-target", "bool-n", "bool-target",
+            "float-n", "constructible-float-length", "constructible-bool-n",
+            "constructible-str-n"])
+    def test_non_integers_refused(self, call):
+        # read through operator.index: no float, string or bool is an integer
+        with pytest.raises(TypeError):
+            call()
+
+    def test_numpy_integers_read_as_ints(self):
+        recipe = plan(np.int64(4), [np.int64(64)])
+        assert type(recipe.n) is int and type(recipe.base_matrix.dim) is int
+        assert json.dumps(recipe_to_doc(recipe)) == json.dumps(recipe_to_doc(plan(4, [64])))
+        assert constructible(np.int32(4), np.int64(64)) is True
 
 
 def pinned_sweep():
