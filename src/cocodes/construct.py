@@ -16,13 +16,15 @@ Output ordering is always the lexicographic order of the partition
 path (cell index, then row index), so constructions are deterministic.
 
 Construction runs on layered sequences (`model.terms_of`): each input
-sequence is read into layers once, and the outputs of one round are the
-layered inputs of the next, so a recipe densifies each output once
-(`model.densify`).  A cell's members are stacked at their common order
-(`model.stacked`) for its energy check and all its connections; a
-matrix holds its rows read into layers since it was built
-(`UnitaryLike.terms`), and an inline sub-family is read once per cell
-(`model.row_terms`).  A connection multiplies the members' layers,
+sequence is read into layers once, unless it holds them, and the
+outputs of one round are the layered inputs of the next.  Every output
+but an expansion's holds its layers (`model.Sequence._of_terms`), and
+its dense array is made when it is first read.  A cell's members are
+stacked at their common order (`model.stacked`) for its energy check
+(generation's cells, rows of one matrix, have equal energies and are
+not checked) and all its connections; a matrix holds its rows read
+into layers since it was built (`UnitaryLike.terms`), and an inline
+sub-family is read once per cell (`model.row_terms`).  A connection multiplies the members' layers,
 tiled over its blocks, by one entry of the sub row per block, broadcast
 along the block (`model.layered_multiply`): single-layer operands give
 one layer with no scatter, any other product is scattered and read
@@ -48,8 +50,8 @@ from .model import (
     Sequence,
     SequenceFamily,
     SequenceSet,
+    _scatter,
     cell_terms,
-    densify,
     energy,
     layer_peak,
     layered_multiply,
@@ -70,7 +72,7 @@ def connect(v: Sequence, cell: SequenceSet) -> Sequence:
     """Connection of a scalar vector with a sequence set:
     (v[k mod len(v)] * a[k mod M]) for k < lcm(M, len(v)), concatenated."""
     found = cell_terms(cell)
-    return densify(_connections(row_terms([v]), found, layer_peak(found[2]))[0])
+    return Sequence._of_terms(_connections(row_terms([v]), found, layer_peak(found[2]))[0])
 
 
 def _connections(vs, found, peak) -> list:
@@ -121,16 +123,15 @@ def kron_expand(v: Sequence, cell: SequenceSet) -> SequenceSet:
 def _expansions(vs, cell: SequenceSet) -> list:
     """kron_expand(v, cell) for every v whose layers `vs` holds side by
     side (`model.row_terms`, a matrix's `terms`): each connection of v
-    with the members as one member is densified once and cut into its
+    with the members as one member is scattered once and cut into its
     outputs, each at its own order, lcm(member order, v order): the rows
     that hold its terms.  Python ints that fit int64 are refitted."""
     order, exps, coeffs, _, peak = row_terms(cell)
     n, width = len(cell), cell.length
     out = []
-    for seq, (m, v_order) in zip(_connections(vs, (order, exps[:, None], coeffs[:, None]), peak),
-                                 vs[3]):
-        stack = densify(seq).array
-        full = len(stack)
+    for (full, seq_exps, seq_coeffs), (m, v_order) in zip(
+            _connections(vs, (order, exps[:, None], coeffs[:, None]), peak), vs[3]):
+        stack = _scatter(zip(seq_exps, seq_coeffs), full)
         make = Sequence.of_array if stack.dtype == object else Sequence._of_fitted
         # [i, j]: member i times v[j], the place i of block j
         blocks = stack.reshape(full, m, n, width).transpose(2, 1, 0, 3).copy()
@@ -152,7 +153,7 @@ def _entrywise(vs, s: Sequence) -> list:
     connection of v with the entries of `s` as len(s) members of width 1."""
     order, exps, coeffs = terms_of(s)
     found = order, exps[..., None], coeffs[..., None]
-    return [densify(t) for t in _connections(vs, found, layer_peak(coeffs))]
+    return list(map(Sequence._of_terms, _connections(vs, found, layer_peak(coeffs))))
 
 
 def dyadic_sum(n: int, m: int) -> int:
@@ -195,7 +196,9 @@ def _base_round(base: UnitaryLike, cells, subs) -> tuple:
     """The arguments of `_elongation` that make `generate_cosf`: the rows
     of `base`, each at its own order, read from the layers the matrix
     holds (`UnitaryLike.terms`), as one length group; `cells` as that
-    group's level-2 partition, and subs[i] connected onto cell i."""
+    group's level-2 partition, subs[i] connected onto cell i, and no
+    energy check, since the rows of a unitary-like matrix all have its
+    alpha as their energy."""
     cells, subs = list(cells), list(subs)
     if len(subs) != len(cells):
         raise ConstructionError(
@@ -206,12 +209,13 @@ def _base_round(base: UnitaryLike, cells, subs) -> tuple:
         at = slice(m * length, (m + 1) * length)
         row_exps = exps[:, at] if own == order else exps[:, at] // (order // own)
         rows.append((own, row_exps, coeffs[:, at]))
-    return rows, [list(range(base.dim))], {0: cells}, {(0, p2): sub for p2, sub in enumerate(subs)}
+    subs = {(0, p2): sub for p2, sub in enumerate(subs)}
+    return rows, [list(range(base.dim))], {0: cells}, subs, False
 
 
 def _family(seqs) -> SequenceFamily:
-    """The single-sequence family of layered sequences, each densified."""
-    return singleton_family([densify(s) for s in seqs])
+    """The single-sequence family of layered sequences, each held as it is."""
+    return singleton_family(map(Sequence._of_terms, seqs))
 
 
 def group_by_length(lengths):
@@ -246,15 +250,16 @@ def elongate_cosf(fam: SequenceFamily, part2, subs) -> SequenceFamily:
     # a member passed through is returned as the Sequence it came in
     given = {id(t): s for t, s in zip(layered, seqs)}
     groups = group_by_length([len(s) for s in seqs])
-    return singleton_family(given[id(t)] if id(t) in given else densify(t)
+    return singleton_family(given[id(t)] if id(t) in given else Sequence._of_terms(t)
                             for t in _elongation(layered, groups, part2, subs))
 
 
-def _elongation(seqs, groups, part2, subs) -> list:
+def _elongation(seqs, groups, part2, subs, check_energies: bool = True) -> list:
     """The layered sequences of `elongate_cosf` from the layered
     sequences `seqs` of a single-sequence family, whose positions
     `groups` lists by length (`group_by_length`); a member passed
-    through is its own layered sequence."""
+    through is its own layered sequence.  `check_energies` false skips
+    the cells' energy check, for members whose energies are equal."""
     part2 = {p1: [list(c) for c in cells] for p1, cells in part2.items()}
     if sorted(part2) != list(range(len(groups))):
         raise ConstructionError(
@@ -273,7 +278,8 @@ def _elongation(seqs, groups, part2, subs) -> list:
                 continue
             found = stacked(members)
             peak = layer_peak(found[2])
-            _check_energies(members, found, peak, f"({p1},{p2})")
+            if check_energies:
+                _check_energies(members, found, peak, f"({p1},{p2})")
             if sub is None:
                 raise ConstructionError(f"no sub-family for cell ({p1},{p2})")
             what = f"sub-family at {(p1, p2)}"
@@ -315,7 +321,8 @@ def _check_energies(members, found, peak, where: str) -> None:
         k = differ[0]
         raise ConstructionError(
             f"cell {where} mixes energies: member 0 has "
-            f"{energy(densify(members[0]))!r}, member {k} has {energy(densify(members[k]))!r}")
+            f"{energy(Sequence._of_terms(members[0]))!r}, "
+            f"member {k} has {energy(Sequence._of_terms(members[k]))!r}")
 
 
 def _check_size(size: int, n: int, what: str) -> None:

@@ -301,6 +301,15 @@ def rounding_bound(energy: float, rows: int, members: int, size: int) -> float:
     return bound * (1 + 2.0 ** -50)
 
 
+def _limb_bound(b: int, bits: int, nonzero: int, rows: int, members: int, size: int) -> float:
+    """The `rounding_bound` of every limb sum of sets of `members`
+    members of `rows` exponent rows, whose coefficients of at most
+    `bits` bits, `nonzero` of them per set at most, are split into
+    signed limbs of b bits (see `_Kernel._digits`)."""
+    n = -(-bits // b)
+    return rounding_bound(nonzero * n * (2 ** b - 1) ** 2, rows, members * n, size)
+
+
 def certificate_bound(energy: float, rows: int, members: int, width: int,
                       size: int) -> float:
     """A-priori bound on the error of every certificate value (module
@@ -503,16 +512,12 @@ class _Kernel:
         mags = np.abs(ints)
         bits = int(mags.max()).bit_length()
         nonzero = int(np.count_nonzero(ints, axis=(0, 2, 3)).max())
-
-        def limb_bound(b):
-            n = -(-bits // b)
-            return rounding_bound(nonzero * n * (2 ** b - 1) ** 2, self.rows,
-                                  self.members * n, size)
-
-        b = max(b for b in range(1, 53) if limb_bound(b) < 0.5)
+        stack = bits, nonzero, self.rows, self.members, size
+        # the widest limb that passes, found from the top: 53 - b bounds
+        b = next(b for b in range(52, 0, -1) if _limb_bound(b, *stack) < 0.5)
         digits = np.stack([(mags >> i) & ((1 << b) - 1) for i in range(0, bits, b)], axis=2)
         return (digits.astype(float) * np.where(ints < 0, -1.0, 1.0)[:, :, None], b,
-                limb_bound(b), np.int64 if energy < 2.0 ** 61 else object, energy)
+                _limb_bound(b, *stack), np.int64 if energy < 2.0 ** 61 else object, energy)
 
     def _dense(self, dtype) -> np.ndarray:
         """(rows, sets, members, width) array of `dtype` holding the

@@ -13,7 +13,9 @@ Scalars come in two modes that never mix inside one family:
 approx, int or "+" / "-" exact unless the context is approx (a Sequence
 is approx when any entry is a float or complex, its ints following).
 
-A Sequence owns one read-only array and nothing else.  An exact
+A Sequence holds one read-only array, or the layered sequence (see
+below) it was constructed as, from which the array is derived on first
+read and then kept.  An exact
 sequence of length L is a (K, L) integer array with K the lcm of its
 entries' orders: row j holds the coefficients of zeta_K^j, so column l
 is entry l in Z[zeta_K].  Its dtype follows its values: int64 when every
@@ -43,7 +45,9 @@ cell's members at their common order (`stacked`).  The product of two
 single-layer operands is one layer and is kept as it is
 (`layered_multiply`); any other product is scattered and read back, so
 the layers never outgrow the terms.  Coefficients are always in the
-dtype `_fit` gives them, so `densify` is one scatter.
+dtype `_fit` gives them, so a constructed Sequence holds its layers
+(`Sequence._of_terms`) and its array is one scatter, made when it is
+first read.  Its order, mode and length are read from the layers.
 """
 
 from __future__ import annotations
@@ -228,7 +232,10 @@ def layered_multiply(a: tuple, b: tuple, order: int, fitted: bool = False) -> tu
 
 
 def terms_of(s: Sequence) -> tuple:
-    """The layered sequence (order, exponents, coefficients) of `s`."""
+    """The layered sequence (order, exponents, coefficients) of `s`: the
+    layers it holds, else its array read into layers."""
+    if s._terms is not None:
+        return s._terms
     return (s.order,) + layers(s.array, s.order)
 
 
@@ -262,13 +269,6 @@ def stacked(seqs) -> tuple:
     return order, exps, np.concatenate([column(c) for _, _, c in seqs], axis=1)
 
 
-def densify(seq: tuple) -> Sequence:
-    """The Sequence of a layered sequence: the scatter of its layers, in
-    the dtype of its coefficients, which is the one `_fit` gives it."""
-    order, exps, coeffs = seq
-    return Sequence._of_fitted(_scatter(zip(exps, coeffs), order))
-
-
 def _peak(a: np.ndarray) -> int:
     """The largest coefficient magnitude of an exact array."""
     return max(int(a.max()), -int(a.min()))
@@ -284,9 +284,10 @@ def layer_peak(coeffs: np.ndarray):
 class Sequence:
     """An ordered, immutable run of same-mode scalars (indices outside
     the range count as zero in every correlation), stored as one
-    read-only coefficient array."""
+    read-only coefficient array or as the layered sequence it was
+    constructed as (see the module docstring)."""
 
-    __slots__ = ("array",)
+    __slots__ = ("_array", "_terms")
 
     def __init__(self, entries: Iterable[Scalar]):
         entries = list(entries)
@@ -328,31 +329,61 @@ class Sequence:
     @classmethod
     def _of_fitted(cls, array: np.ndarray) -> "Sequence":
         """Sequence owning `array`, which is approx or already in the
-        dtype `_fit` gives it: a densified layered sequence, a factory's
-        rows, a row permutation of a Sequence's array.  Nothing is
-        scanned."""
+        dtype `_fit` gives it: a factory's rows, a row permutation of a
+        Sequence's array.  Nothing is scanned."""
         seq = object.__new__(cls)
         seq._own(array)
         return seq
 
+    @classmethod
+    def _of_terms(cls, terms: tuple) -> "Sequence":
+        """Sequence holding the layered sequence `terms`, (order,
+        exponents, coefficients) with the coefficients in the dtype
+        `_fit` gives them, whose two arrays become read-only; its array
+        is their scatter, made on first read."""
+        for x in terms[1:]:
+            x.flags.writeable = False
+        seq = object.__new__(cls)
+        object.__setattr__(seq, "_array", None)
+        object.__setattr__(seq, "_terms", terms)
+        return seq
+
     def _own(self, array: np.ndarray) -> None:
         array.flags.writeable = False
-        object.__setattr__(self, "array", array)
+        object.__setattr__(self, "_array", array)
+        object.__setattr__(self, "_terms", None)
 
     def __setattr__(self, name, value):
         raise AttributeError("Sequence is immutable")
 
     @property
+    def array(self) -> np.ndarray:
+        """The read-only coefficient array; for a held layered sequence,
+        the scatter of its layers, made on the first read and kept."""
+        array = self._array
+        if array is None:
+            order, exps, coeffs = self._terms
+            array = _scatter(zip(exps, coeffs), order)
+            array.flags.writeable = False
+            object.__setattr__(self, "_array", array)
+        return array
+
+    # mode, order and length read held layers without making the array:
+    # the coefficients have the array's dtype and length
+
+    @property
     def mode(self) -> str:
-        return EXACT if is_exact(self.array) else APPROX
+        values = self._array if self._terms is None else self._terms[2]
+        return EXACT if is_exact(values) else APPROX
 
     @property
     def order(self) -> int:
         """K of the array, 1 in approx mode."""
-        return len(self.array)
+        return len(self._array) if self._terms is None else self._terms[0]
 
     def __len__(self) -> int:
-        return self.array.shape[1]
+        values = self._array if self._terms is None else self._terms[2]
+        return values.shape[1]
 
     def __getitem__(self, i):
         if self.mode == EXACT:
@@ -367,8 +398,10 @@ class Sequence:
 
     def scale(self, c) -> "Sequence":
         c = Sequence([scalar(c, self.mode)]).array
-        order = common_order(self.order, len(c))
-        return densify(layered_multiply(layers(self.array, order), layers(c, order), order))
+        own, exps, coeffs = terms_of(self)
+        order = common_order(own, len(c))
+        return Sequence._of_terms(layered_multiply((exps * (order // own), coeffs),
+                                                   layers(c, order), order))
 
     def __neg__(self) -> "Sequence":
         return self.scale(-1)

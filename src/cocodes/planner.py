@@ -345,8 +345,10 @@ def execute(recipe: Recipe, verify: bool = True) -> ExecutionResult:
     `matrices`); custom ones every time.
 
     Generation and the rounds carry layered sequences from round to
-    round (see `construct`); each is densified once, at the end, or at
-    every stage when `verify` is set (the last stage's family is then
+    round (see `construct`), and every output sequence holds its layers:
+    its dense array is made when it is first read, so an output nobody
+    reads is never scattered.  With `verify` set each stage's family is
+    checked, which reads its arrays (the last stage's family is then
     the output)."""
     log = []
     n = recipe.n
@@ -383,8 +385,8 @@ def execute(recipe: Recipe, verify: bool = True) -> ExecutionResult:
 
 def _log_round(log, stage, seqs, check, verify):
     """Log a round's layered sequences as a single-sequence family; only
-    when `verify` is set are they densified, into the family that is
-    checked and returned (else None)."""
+    when `verify` is set is that family made, checked and returned
+    (else None)."""
     fam = _family(seqs) if verify else None
     log.append(StageRecord(stage=stage, family_size=len(seqs), set_size=1,
                            lengths=sorted({c.shape[1] for _, _, c in seqs}), check=check,

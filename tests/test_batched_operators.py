@@ -9,7 +9,9 @@ approx entry is 0 when either factor is zero, else 0 plus the factors'
 complex128 product; that product is taken as a one-entry numpy product,
 since Python's complex multiplication rounds differently from numpy's
 (which may fuse a multiply and an add).  The operators' outputs must
-hold the same arrays: the same coefficients, dtype and order.
+hold the same arrays: the same coefficients, dtype and order.  A
+constructed output holds its layers and derives its array when it is
+first read (`TestHeldLayers`).
 """
 
 import hashlib
@@ -44,9 +46,19 @@ from cocodes import (
     plan,
     singleton_family,
 )
+from cocodes import model
 from cocodes.construct import _connections
 from cocodes.cyclo import INT64_COEFF_BOUND
-from cocodes.model import cell_terms, densify, energies, layer_peak, layers, multiply, row_terms
+from cocodes.model import (
+    _scatter,
+    cell_terms,
+    energies,
+    layer_peak,
+    layers,
+    multiply,
+    row_terms,
+    terms_of,
+)
 
 approx_entries = st.one_of(
     st.complex_numbers(allow_nan=True, allow_infinity=True),
@@ -274,7 +286,7 @@ def connections(vs, cell):
     """The Sequences of `_connections` of the vs with a cell, read as
     `connect` reads them."""
     found = cell_terms(cell)
-    return list(map(densify, _connections(row_terms(vs), found, layer_peak(found[2]))))
+    return list(map(Sequence._of_terms, _connections(row_terms(vs), found, layer_peak(found[2]))))
 
 
 class TestConnections:
@@ -572,3 +584,93 @@ class TestPinnedOperators:
                     h.update(f"{s.order} {a.dtype} {a.shape}".encode() + values)
                     outputs += 1
         assert (outputs, h.hexdigest()) == (8950, self.DIGEST)
+
+
+def executed(n):
+    """The unverified families of `execute` over planner recipes of n."""
+    for targets in ([n * n], [n ** 3], [2 * n, 4 * n]):
+        try:
+            recipe = plan(n, targets)
+        except ValueError:  # leading cells past n
+            continue
+        yield execute(recipe, verify=False).family
+
+
+def unread(seqs) -> bool:
+    return all(s._array is None for s in seqs)
+
+
+class TestHeldLayers:
+    def test_array_is_the_scatter_of_the_layers(self):
+        # every output but an expansion's, which is cut from its array
+        layered = 0
+        with np.errstate(all="ignore"):  # inf * 0 and inf - inf in approx products
+            outputs = list(operator_outputs())
+            outputs += [(f"execute {n}", [ss[0] for ss in fam]) for n in range(2, 9)
+                        for fam in executed(n)]
+            for label, seqs in outputs:
+                for s in seqs:
+                    if "kron" in label or "enlarge" in label:
+                        assert s._terms is None, label
+                        continue
+                    assert s._terms is not None, label
+                    order, exps, coeffs = s._terms
+                    want, got = _scatter(zip(exps, coeffs), order), s.array
+                    assert (got.dtype, got.shape) == (want.dtype, want.shape), label
+                    if got.dtype == object:
+                        assert got.tolist() == want.tolist(), label
+                    else:
+                        assert got.tobytes() == want.tobytes(), label
+                    assert not got.flags.writeable
+                    assert s.array is got
+                    layered += 1
+        assert layered == 1781
+
+    def test_outputs_hold_no_array_until_read(self):
+        h2, d4 = hadamard_matrix(2), dft_matrix(4)
+        fam = next(executed(4))
+        assert unread(ss[0] for ss in fam)
+        # the checks and `connect` read their inputs' arrays, not their outputs'
+        ccc = cosf_to_ccc(fam, d4)
+        longer = elongate_cosf(fam, {0: [[0, 1], [2, 3]]}, {(0, 0): h2, (0, 1): h2})
+        joined = connect(d4.row(1), ccc[0])
+        outputs = [s for ss in ccc[1:] for s in ss] + [ss[0] for ss in longer] + [joined]
+        outputs += [s.scale(-1) for s in ccc[0]]
+        assert unread(outputs)
+        assert [(s.order, s.mode, len(s)) for s in outputs] == (
+            [(4, "exact", 16)] * 12 + [(4, "exact", 32)] * 4 + [(4, "exact", 64)]
+            + [(4, "exact", 16)] * 4)
+        assert longer.length_set == {32}
+        assert unread(outputs)
+        assert joined.array.shape == (4, 64) and not unread([joined])
+
+    def test_inputs_are_not_read_into_layers(self, monkeypatch):
+        h2, d4 = hadamard_matrix(2), dft_matrix(4)
+        fam = next(executed(4))
+        for u in (h2, d4):
+            u.terms  # the matrices' own rows, read once per process
+
+        def refuse(*args):
+            raise AssertionError("a held sequence read back into layers")
+
+        monkeypatch.setattr(model, "layers", refuse)
+        s = fam[0][0]
+        assert terms_of(s) is s._terms
+        cosf_to_ccc(fam, d4)
+        elongate_cosf(fam, {0: [[0, 1], [2, 3]]}, {(0, 0): h2, (0, 1): h2})
+
+    def test_zero_coefficients_equal_the_dense_twin(self):
+        # an identity sub-matrix connects zeros: coefficient-0 layer entries
+        # at the exponents of the DFT rows, where a re-read puts exponent 0
+        fam = generate_cosf(dft_matrix(3), [[0, 1, 2]], [identity_matrix(3)])
+        for ss in fam:
+            s = ss[0]
+            order, exps, coeffs = s._terms
+            reread = layers(s.array, order)
+            moved = exps != reread[0]
+            assert moved.any() and not coeffs[moved].any()
+            twin = Sequence.of_array(s.array.copy())
+            assert s == twin and twin == s
+        # compared before its array is read
+        fresh = generate_cosf(dft_matrix(3), [[0, 1, 2]], [identity_matrix(3)])[0][0]
+        assert unread([fresh]) and fresh == Sequence.of_array(fam[0][0].array.copy())

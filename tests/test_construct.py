@@ -733,3 +733,16 @@ class TestGenerationIsElongation:
         with pytest.raises(ConstructionError) as elong:
             elongate_cosf(h2.rows_family(), {0: cells}, {(0, i): s for i, s in enumerate(subs)})
         assert str(gen.value) == str(elong.value)
+
+    def test_only_elongation_checks_energies(self, monkeypatch):
+        # a matrix's rows all have its alpha as their energy, so generation's
+        # cells are not checked; a round of `execute` and `elongate_cosf` are
+        checked = []
+        monkeypatch.setattr(construct, "_check_energies", lambda *args: checked.append(args[3]))
+        h2 = hadamard_matrix(2)
+        generate_cosf(dft_matrix(6), [[0, 1], [2, 3, 4, 5]], [h2, hadamard_matrix(4)])
+        assert checked == []
+        execute(plan(2, [8]), verify=False)
+        assert checked == ["(0,0)"]
+        elongate_cosf(h2.rows_family(), {0: [[0, 1]]}, {(0, 0): h2})
+        assert checked == ["(0,0)"] * 2

@@ -805,6 +805,34 @@ class TestSpectralKernel:
         assert counts or (scale == 2 and cap > 0)
         assert all((limbs > 1) == (scale > 2) for _, limbs in counts)
 
+    @pytest.mark.parametrize("scale", [2, 2 ** 40, 2 ** 64, 2 ** 200],
+                             ids=["2", "2^40", "2^64", "2^200"])
+    def test_limb_width_is_the_widest_that_passes(self, monkeypatch, scale):
+        # the scan from b = 52 down stops at the b of the exhaustive
+        # search, after 53 - b bounds, and returns that b's bound
+        limb_bound, calls = corr._limb_bound, []
+
+        def record(b, *stack):
+            calls.append((b, stack))
+            return limb_bound(b, *stack)
+
+        monkeypatch.setattr(corr, "_limb_bound", record)
+        c = CycloNum.from_int(scale)
+        kernels = [corr._Kernel([SequenceSet(s.scale(c) for s in ss) for ss in base()])
+                   for base in self.CCC_BASES]
+        kernels += [corr._Kernel([SequenceSet(s.scale(c) for s in ss) for ss in build()], phases=n)
+                    for build, n in self.COSF_BASES]
+        for kernel in kernels:
+            calls.clear()
+            _, b, bound, _, _ = kernel._digits()
+            if scale == 2:  # one limb: no limb width is looked for
+                assert (b, calls) == (0, [])
+                continue
+            stack = calls[0][1]
+            assert b == max(x for x in range(1, 53) if limb_bound(x, *stack) < 0.5)
+            assert calls == [(x, stack) for x in range(52, b - 1, -1)] + [(b, stack)]
+            assert bound == limb_bound(b, *stack) < 0.5
+
     def test_clean_checks_build_no_scalars(self, monkeypatch):
         # verdicts and PASS reports come from the zero mask alone
         ccc = cosf_to_ccc(execute(plan(4, [16]), verify=False).family, dft_matrix(4))
