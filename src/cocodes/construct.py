@@ -15,25 +15,26 @@ side as one member, whose block j holds v[j] times each member.
 Output ordering is always the lexicographic order of the partition
 path (cell index, then row index), so constructions are deterministic.
 
-Construction runs on layered sequences (`model.terms_of`): each input
-sequence is read into layers once, unless it holds them, and the
-outputs of one round are the layered inputs of the next.  Every output
-but an expansion's holds its layers (`model.Sequence._of_terms`), and
-its dense array is made when it is first read.  A cell's members are
-stacked at their common order (`model.stacked`) for its energy check
-(generation's cells, rows of one matrix, have equal energies and are
-not checked) and all its connections; a matrix holds its rows read
-into layers since it was built (`UnitaryLike.terms`), and an inline
-sub-family is read once per cell (`model.row_terms`).  A connection multiplies the members' layers,
+Construction runs on layered sequences: each input Sequence is read
+through `model.terms_of`, which gives the layers it holds or reads its
+array into layers once, and the outputs of one round are the layered
+inputs of the next.  Every output but an expansion's holds its layers
+(`model.Sequence._of_terms`), and its dense array is made when it is
+first read.  A cell's members are laid side by side at their common
+order (`model.cell_terms`) for its energy check (generation's cells,
+rows of one matrix, have equal energies and are not checked) and all its
+connections; a matrix holds its rows side by side since it was built
+(`UnitaryLike.terms`), and an inline sub-family is laid out once per
+cell (`model.row_terms`).  A connection multiplies the members' layers,
 tiled over its blocks, by one entry of the sub row per block, broadcast
 along the block (`model.layered_multiply`): single-layer operands give
-one layer with no scatter, any other product is scattered and read
-back.  A cell that is one int64 layer takes its peak coefficient once:
-its energy check is then one sum of squares per member, and its
-products are not rescanned when the peaks bound them below
-`INT64_COEFF_BOUND`.  Each output keeps its own order and the dtype
-`model._fit` gives it; int64 sums widen to Python ints, and approx zero
-factors give 0, as `model.multiply` says.
+one layer with no scatter, any other product is scattered and read back.
+A cell that is one int64 layer takes its peak coefficient once: its
+energy check is then one sum of squares per member, and its products are
+not rescanned when the peaks bound them below `INT64_COEFF_BOUND`.  Each
+output keeps its own order and the dtype `model._fit` gives it; int64
+sums widen to Python ints, and approx zero factors give 0, as
+`model.multiply` says.
 """
 
 from __future__ import annotations
@@ -58,7 +59,6 @@ from .model import (
     row_terms,
     scalar,
     singleton_family,
-    stacked,
     terms_of,
     unequal_energies,
 )
@@ -71,16 +71,16 @@ class ConstructionError(ValueError):
 def connect(v: Sequence, cell: SequenceSet) -> Sequence:
     """Connection of a scalar vector with a sequence set:
     (v[k mod len(v)] * a[k mod M]) for k < lcm(M, len(v)), concatenated."""
-    found = cell_terms(cell)
-    return Sequence._of_terms(_connections(row_terms([v]), found, layer_peak(found[2]))[0])
+    found = cell_terms(map(terms_of, cell))
+    return Sequence._of_terms(_connections(row_terms([terms_of(v)]), found, layer_peak(found[2]))[0])
 
 
 def _connections(vs, found, peak) -> list:
     """The layered sequence of the connection of every v with the cell
-    whose stacked members are `found` (see `model.stacked`), each at its
-    own order common_order(cell, v); no concatenation is built.  `vs`
-    holds the vs read side by side (`model.row_terms`, a matrix's
-    `terms`), `peak` the members' `layer_peak`.
+    whose members are `found` side by side (see `model.cell_terms`),
+    each at its own order common_order(cell, v); no concatenation is
+    built.  `vs` holds the vs side by side (`model.row_terms`, a
+    matrix's `terms`), `peak` the members' `layer_peak`.
 
     An output of k blocks is one `layered_multiply` of the members'
     layers tiled over the blocks (shared by the outputs of one block
@@ -117,7 +117,7 @@ def kron_expand(v: Sequence, cell: SequenceSet) -> SequenceSet:
     """Expansion of an N-sequence set by an M-vector into an MN-sequence
     set; element k is v[k mod M] * c[k div M].  Zero scalars produce
     zero sequences."""
-    return _expansions(row_terms([v]), cell)[0]
+    return _expansions(row_terms([terms_of(v)]), cell)[0]
 
 
 def _expansions(vs, cell: SequenceSet) -> list:
@@ -126,7 +126,7 @@ def _expansions(vs, cell: SequenceSet) -> list:
     with the members as one member is scattered once and cut into its
     outputs, each at its own order, lcm(member order, v order): the rows
     that hold its terms.  Python ints that fit int64 are refitted."""
-    order, exps, coeffs, _, peak = row_terms(cell)
+    order, exps, coeffs, _, peak = row_terms(map(terms_of, cell))
     n, width = len(cell), cell.length
     out = []
     for (full, seq_exps, seq_coeffs), (m, v_order) in zip(
@@ -144,7 +144,7 @@ def _expansions(vs, cell: SequenceSet) -> list:
 def entrywise(u: Sequence, v: Sequence) -> Sequence:
     if len(u) != len(v):
         raise ValueError(f"length mismatch: {len(u)} vs {len(v)}")
-    return _entrywise(row_terms([v]), u)[0]
+    return _entrywise(row_terms([terms_of(v)]), u)[0]
 
 
 def _entrywise(vs, s: Sequence) -> list:
@@ -204,11 +204,9 @@ def _base_round(base: UnitaryLike, cells, subs) -> tuple:
         raise ConstructionError(
             f"{len(cells)} cells but {len(subs)} sub-matrices")
     order, exps, coeffs, shapes, _ = base.terms
-    rows = []
-    for m, (length, own) in enumerate(shapes):
-        at = slice(m * length, (m + 1) * length)
-        row_exps = exps[:, at] if own == order else exps[:, at] // (order // own)
-        rows.append((own, row_exps, coeffs[:, at]))
+    n = base.dim
+    rows = [(own, exps[:, m * n:(m + 1) * n] // (order // own), coeffs[:, m * n:(m + 1) * n])
+            for m, (_, own) in enumerate(shapes)]
     subs = {(0, p2): sub for p2, sub in enumerate(subs)}
     return rows, [list(range(base.dim))], {0: cells}, subs, False
 
@@ -276,7 +274,7 @@ def _elongation(seqs, groups, part2, subs, check_energies: bool = True) -> list:
                 # a lone member connected with (1) is that member
                 out += members
                 continue
-            found = stacked(members)
+            found = cell_terms(members)
             peak = layer_peak(found[2])
             if check_energies:
                 _check_energies(members, found, peak, f"({p1},{p2})")
@@ -288,7 +286,7 @@ def _elongation(seqs, groups, part2, subs, check_energies: bool = True) -> list:
                 vs = sub.terms
             else:
                 _check_sub_family(sub, len(cell), what)
-                vs = row_terms(ss[0] for ss in sub)
+                vs = row_terms(terms_of(ss[0]) for ss in sub)
             out += _connections(vs, found, peak)
     return out
 
@@ -297,14 +295,14 @@ def _is_unit(u: UnitaryLike) -> bool:
     """`u` is the 1x1 matrix (1) at order 1, the executor's sub-matrix of
     an implicit singleton cell: connecting a member with it gives the
     member's own array, in its own dtype."""
-    row = u.row(0).array
-    return row.shape == (1, 1) and row[0, 0] == 1
+    order, _, coeffs, _, _ = u.terms
+    return order == 1 and coeffs.shape == (1, 1) and coeffs[0, 0] == 1
 
 
 def _check_energies(members, found, peak, where: str) -> None:
     """Raise unless every one of the layered `members` of a cell has
     member 0's energy (approx: within DEFAULT_TOL * |e0|), read in one
-    batch from their stack `found` (see `model.stacked`), whose
+    batch from their layout `found` (see `model.cell_terms`), whose
     `layer_peak` is `peak`.  One int64 layer puts every energy at
     exponent 0 as the sum of the squared coefficients: when peak^2 times
     the length is below 2^63 those sums are taken in int64 and compared,

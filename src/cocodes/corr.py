@@ -6,7 +6,8 @@ All decisions on exact-mode scalars are tolerance-free: a correlation
 value is zero iff its reduction modulo the cyclotomic polynomial is the
 zero polynomial.  Approx-mode inputs (a (1, L) complex array, laid out
 as an exact sequence of order 1) use |residual| <= tol times the largest
-set energy of the call, which the kernel works out itself.
+set energy of the call, which the kernel works out itself; an energy
+past the float range raises OverflowError.
 
 `acorr` is the direct definitional sum and stays the reference.  Every
 profile and predicate goes through one kernel (`_Kernel`) instead.  A
@@ -451,7 +452,10 @@ class _Kernel:
         self.exact = seqs[0].mode == EXACT
         self.tol = tol
         if not self.exact:  # an exact energy may be past the float range
-            scale = max(sum(np.vdot(s.array, s.array).real for s in ss) for ss in sets)
+            with np.errstate(over="ignore"):
+                scale = max(sum(np.vdot(s.array, s.array).real for s in ss) for ss in sets)
+            if not math.isfinite(scale):  # tol * inf would pass every residual
+                raise OverflowError(f"an approx set energy of {scale} is past the float range")
             self.tol = tol * scale if scale > 0 else tol
         self.order = reduce(common_order, {s.order for s in seqs}, 1)
         # shift q of a sum is shift q * step of the sequences
@@ -526,24 +530,20 @@ class _Kernel:
         is one product (`_root_spectra`), folded by zeta_K^(K/2) = -1 for
         even K.  Sequences come as int64 arrays unless a coefficient is
         past INT64_COEFF_BOUND, so a float stack is filled by numpy's
-        own casts, not one Python int at a time.  When every sequence
-        has the call's order and n * width entries, one conversion of
-        all the arrays and one reshape lay the stack out."""
+        own casts, not one Python int at a time.  Each array is taken to
+        the call's order and n * width entries by zero-padding; one
+        conversion of all of them and one reshape lay the stack out."""
         n = self.phases
         sets, members = len(self.sets), len(self.sets[0]) * n
+        full = (self.order, self.width * n)
         arrays = [s.array for ss in self.sets for s in ss]
-        if {a.shape for a in arrays} == {(self.order, self.width * n)}:
-            out = np.stack(arrays, axis=1, dtype=dtype, casting="unsafe")
-            out = out.reshape(self.order, sets, -1, self.width, n).transpose(0, 1, 2, 4, 3)
-            out = out.reshape(self.order, sets, members, self.width)
-        else:
-            out = np.zeros((self.order, sets, members, self.width), dtype)
-            for m, ss in enumerate(self.sets):
-                for i, s in enumerate(ss):
-                    rows = out[::self.order // s.order, m, i * n:(i + 1) * n]
-                    for r in range(n):
-                        part = s.array[..., r::n]
-                        rows[:, r, :part.shape[-1]] = part
+        for i, a in enumerate(arrays):
+            if a.shape != full:
+                arrays[i] = np.zeros(full, a.dtype)
+                arrays[i][::self.order // len(a), :a.shape[1]] = a
+        out = np.stack(arrays, axis=1, dtype=dtype, casting="unsafe")
+        out = out.reshape(self.order, sets, -1, self.width, n).transpose(0, 1, 2, 4, 3)
+        out = out.reshape(self.order, sets, members, self.width)
         # C order: the phase axis of the reshape above is interleaved
         if self.rows < self.order:
             return np.subtract(out[:self.rows], out[self.rows:], order="C")

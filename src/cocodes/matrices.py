@@ -6,19 +6,20 @@ alpha > 0.  DFT entries are exact roots of unity of order N so every
 construction built on them stays exactly verifiable.
 
 The factories (`dft_matrix`, `hadamard_matrix`, `identity_matrix`)
-build each matrix once per process: each keeps its last FACTORY_CACHE
-matrices (a `functools.lru_cache`) and returns the same immutable
-UnitaryLike on every call; a call that raises is not cached.  A DFT-n
-holds n rows of (n, n) int64, 8 n^3 bytes (DFT-128: 17 MB), so the
-worst case, the eight largest DFTs, retains about 126 MB; eight
-Walsh-Hadamard or identity matrices retain at most 3 MB.  Custom
-matrices are built every time.
+write a matrix as one layer in closed form and build it once per
+process: each keeps its last FACTORY_CACHE matrices (a
+`functools.lru_cache`) and returns the same immutable UnitaryLike on
+every call; a call that raises is not cached.  A DFT-n holds 16 n^2
+bytes (DFT-128: 256 KB; the eight largest, 2 MB) until a row's (n, n)
+int64 array is read, so the worst case, every row of those eight read,
+is about 126 MB.  Custom matrices are built every time.
 """
 
 from __future__ import annotations
 
 from dataclasses import dataclass
 from functools import lru_cache
+from operator import index
 from typing import Optional
 
 import numpy as np
@@ -32,12 +33,13 @@ from .model import (
     Sequence,
     SequenceFamily,
     SequenceSet,
-    cell_terms,
+    layer_peak,
     row_terms,
     scalar,
     scalar_is_zero,
     scalar_numeric,
     singleton_family,
+    terms_of,
     unequal_energies,
 )
 
@@ -52,7 +54,8 @@ class MatrixValidationError(ValueError):
 
 class UnitaryLike:
     """Validated N x N matrix with U U^H = alpha I, held as the set of
-    its N rows; immutable.
+    its N rows and as `terms`, their layers side by side (`row_terms`,
+    what a connection with the rows reads); immutable.
 
     `UnitaryLike(rows, alpha)` checks the rows as `custom_matrix` does
     and that `alpha`, read by `model.scalar` in the rows' mode, is their
@@ -60,7 +63,7 @@ class UnitaryLike:
     which checks nothing: their rows are unitary-like by construction or
     have just been checked."""
 
-    __slots__ = ("dim", "mode", "row_set", "alpha", "_terms")
+    __slots__ = ("dim", "mode", "row_set", "alpha", "terms")
 
     def __init__(self, rows, alpha):
         u = custom_matrix(rows)
@@ -72,33 +75,24 @@ class UnitaryLike:
         if value is None or not scalar_is_zero(value - u.alpha, tol_abs):
             raise MatrixValidationError(
                 f"alpha = {alpha!r} is not the rows' energy {u.alpha!r}")
-        self._hold(u.row_set, value)
+        self._hold(u.row_set, value, u.terms)
 
     @classmethod
-    def _of_rows(cls, rows, alpha: Scalar) -> "UnitaryLike":
-        """The matrix of the row sequences `rows`, unchecked."""
+    def _of_rows(cls, rows, alpha: Scalar, terms: tuple) -> "UnitaryLike":
+        """The matrix of the row sequences `rows` of `row_terms` `terms`, unchecked."""
         u = object.__new__(cls)
-        u._hold(SequenceSet(rows), alpha)
+        u._hold(SequenceSet(rows), alpha, terms)
         return u
 
-    def _hold(self, row_set: SequenceSet, alpha: Scalar) -> None:
+    def _hold(self, row_set: SequenceSet, alpha: Scalar, terms: tuple) -> None:
         object.__setattr__(self, "dim", len(row_set))
         object.__setattr__(self, "mode", row_set.mode)
         object.__setattr__(self, "row_set", row_set)
         object.__setattr__(self, "alpha", alpha)
+        object.__setattr__(self, "terms", terms)
 
     def __setattr__(self, name, value):
         raise AttributeError("UnitaryLike is immutable")
-
-    @property
-    def terms(self) -> tuple:
-        """The rows read into layers side by side (`model.row_terms`),
-        made on first use: what a connection with the rows reads."""
-        try:
-            return self._terms
-        except AttributeError:
-            object.__setattr__(self, "_terms", row_terms(self.row_set))
-            return self._terms
 
     @property
     def entries(self) -> tuple:
@@ -124,10 +118,18 @@ def _check_dim(n: int) -> None:
         raise ValueError(f"dimension must be in 1..{DIM_LIMIT}, got {n}")
 
 
-def _from_arrays(arrays: np.ndarray, alpha: int) -> UnitaryLike:
-    """Matrix whose row m is the exact sequence of arrays[m], an int64
-    array of 0 and +-1."""
-    return UnitaryLike._of_rows(map(Sequence._of_fitted, arrays), CycloNum.from_int(alpha))
+def _of_layer(order: int, exps: np.ndarray, coeffs: np.ndarray, alpha: int) -> UnitaryLike:
+    """The exact matrix of entries coeffs[m, k] zeta_order^exps[m, k],
+    int64 coefficients of 0 and +-1: row m holds row m of the two (n, n)
+    arrays as its layer (`model.Sequence._of_terms`), and the arrays
+    flattened are its `terms`."""
+    n = len(exps)
+    for x in (exps, coeffs):
+        x.flags.writeable = False
+    rows = [Sequence._of_terms((order, exps[m:m + 1], coeffs[m:m + 1])) for m in range(n)]
+    flat = exps.reshape(1, -1), coeffs.reshape(1, -1)
+    terms = (order,) + flat + (((n, order),) * n, layer_peak(flat[1]))
+    return UnitaryLike._of_rows(rows, CycloNum.from_int(alpha), terms)
 
 
 @lru_cache(maxsize=FACTORY_CACHE, typed=True)
@@ -135,10 +137,9 @@ def dft_matrix(n: int) -> UnitaryLike:
     """[W^(mk)] with W = exp(-2*pi*i/n), exact entries of order n; alpha = n.
     Row m has a 1 at exponent mk mod n in column k."""
     _check_dim(n)
-    arrays = np.zeros((n, n, n), dtype=np.int64)
+    n = index(n)  # a numpy int as a Python int, the order of every row
     m, k = np.indices((n, n))
-    arrays[m, m * k % n, k] = 1
-    return _from_arrays(arrays, n)
+    return _of_layer(n, m * k % n, np.ones((n, n), np.int64), n)
 
 
 @lru_cache(maxsize=FACTORY_CACHE, typed=True)
@@ -150,13 +151,13 @@ def hadamard_matrix(n: int) -> UnitaryLike:
     if n & (n - 1):
         raise ValueError(f"Walsh-Hadamard dimension must be a power of two, got {n}")
     bits = np.arange(n, dtype=np.int64)[:, None] >> np.arange(int(n).bit_length() - 1) & 1
-    return _from_arrays((1 - 2 * (bits @ bits.T & 1))[:, None], n)
+    return _of_layer(1, np.zeros((n, n), np.intp), 1 - 2 * (bits @ bits.T & 1), n)
 
 
 @lru_cache(maxsize=FACTORY_CACHE, typed=True)
 def identity_matrix(n: int) -> UnitaryLike:
     _check_dim(n)
-    return _from_arrays(np.eye(n, dtype=np.int64)[:, None], 1)
+    return _of_layer(1, np.zeros((n, n), np.intp), np.eye(n, dtype=np.int64), 1)
 
 
 def custom_matrix(entries) -> UnitaryLike:
@@ -171,8 +172,10 @@ def custom_matrix(entries) -> UnitaryLike:
     if any(len(row) != len(rows) for row in rows):
         raise MatrixValidationError("matrix is not square")
     row_set = SequenceSet(rows)
-    e, differ = unequal_energies(cell_terms(row_set), DEFAULT_TOL)
-    u = UnitaryLike._of_rows(row_set, e[0])
+    terms = row_terms(map(terms_of, rows))  # its energy check reads them as a cell
+    cell = (terms[0],) + tuple(x.reshape(len(x), len(rows), -1) for x in terms[1:3])
+    e, differ = unequal_energies(cell, DEFAULT_TOL)
+    u = UnitaryLike._of_rows(row_set, e[0], terms)
     if scalar_is_zero(u.alpha):  # an energy is real and >= 0, so only 0 fails
         raise MatrixValidationError("alpha = 0 is not a positive real")
     gram = [((i, i), e[i]) for i in differ]

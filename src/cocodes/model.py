@@ -40,11 +40,11 @@ An approx array is one layer: a zero factor gives 0, never 0 * inf, and
 every sum starts from 0.
 
 Construction carries its sequences between rounds as layered sequences,
-(order, exponents, coefficients) triples (`terms_of`), and stacks a
-cell's members at their common order (`stacked`).  The product of two
-single-layer operands is one layer and is kept as it is
-(`layered_multiply`); any other product is scattered and read back, so
-the layers never outgrow the terms.  Coefficients are always in the
+(order, exponents, coefficients) triples, which every operator reads
+through `terms_of` and lays side by side (`row_terms`, `cell_terms`).
+The product of two single-layer operands is one layer and is kept as it
+is (`layered_multiply`); any other product is scattered and read back,
+so the layers never outgrow the terms.  Coefficients are always in the
 dtype `_fit` gives them, so a constructed Sequence holds its layers
 (`Sequence._of_terms`) and its array is one scatter, made when it is
 first read.  Its order, mode and length are read from the layers.
@@ -232,41 +232,46 @@ def layered_multiply(a: tuple, b: tuple, order: int, fitted: bool = False) -> tu
 
 
 def terms_of(s: Sequence) -> tuple:
-    """The layered sequence (order, exponents, coefficients) of `s`: the
-    layers it holds, else its array read into layers."""
+    """The layered sequence (order, exponents, coefficients) of `s`, as
+    every operator reads it: the layers it holds, else its array's."""
     if s._terms is not None:
         return s._terms
     return (s.order,) + layers(s.array, s.order)
 
 
-def row_terms(seqs) -> tuple:
-    """(order, exponents, coefficients, shapes, peak) of sequences of any
-    lengths, read side by side in one `layers` call at their common
-    order: two read-only (t, total length) arrays, each sequence's
-    (length, order) in turn, and the `layer_peak` of the coefficients."""
-    seqs = list(seqs)
-    order = reduce(common_order, {s.order for s in seqs}, 1)
-    found = layers(np.hstack([_promote(s.array, order) for s in seqs]), order)
-    for x in found:
+def _side_by_side(found) -> tuple:
+    """(order, exponents, coefficients) of layered sequences side by side
+    at their common order: two (t, total length) arrays, t the most layers
+    any has, fewer padded with zero coefficients at exponent 0."""
+    order = reduce(common_order, {k for k, _, _ in found}, 1)
+    depth = max(len(c) for _, _, c in found)
+
+    def pad(a):
+        return a if len(a) == depth else np.vstack([a, np.zeros((depth - len(a), a.shape[1]), a.dtype)])
+
+    exps = np.concatenate([pad(e if k == order else e * (order // k)) for k, e, _ in found], axis=1)
+    return order, exps, np.concatenate([pad(c) for _, _, c in found], axis=1)
+
+
+def row_terms(found) -> tuple:
+    """(order, exponents, coefficients, shapes, peak) of layered
+    sequences (`terms_of`) of any lengths side by side (`_side_by_side`):
+    two read-only (t, total length) arrays, each sequence's (length,
+    order) in turn, and the `layer_peak` of the coefficients."""
+    found = list(found)
+    layout = _side_by_side(found)
+    for x in layout[1:]:
         x.flags.writeable = False
-    return (order,) + found + (tuple((len(s), s.order) for s in seqs), layer_peak(found[1]))
+    return layout + (tuple((e.shape[1], k) for k, e, _ in found), layer_peak(layout[2]))
 
 
-def stacked(seqs) -> tuple:
-    """(order, exponents, coefficients) of n layered sequences of one
-    length at their common order, each as a (t, n, length) array: the
-    sequences' layers side by side, t the most any has, a shorter one
-    padded with zero coefficients at exponent 0."""
-    order = reduce(common_order, {k for k, _, _ in seqs}, 1)
-    depth = max(len(c) for _, _, c in seqs)
-
-    def column(a, scale=1):  # (depth, 1, length)
-        if len(a) < depth:
-            a = np.concatenate([a, np.zeros((depth - len(a), a.shape[1]), a.dtype)])
-        return (a if scale == 1 else a * scale)[:, None]
-
-    exps = np.concatenate([column(e, order // k) for k, e, _ in seqs], axis=1)
-    return order, exps, np.concatenate([column(c) for _, _, c in seqs], axis=1)
+def cell_terms(found) -> tuple:
+    """(order, exponents, coefficients) of n layered sequences
+    (`terms_of`) of one length side by side (`_side_by_side`), as two
+    (t, n, length) arrays: what every operator of a cell reads."""
+    found = list(found)
+    order, exps, coeffs = _side_by_side(found)
+    return order, exps.reshape(len(exps), len(found), -1), coeffs.reshape(len(coeffs), len(found), -1)
 
 
 def _peak(a: np.ndarray) -> int:
@@ -329,8 +334,8 @@ class Sequence:
     @classmethod
     def _of_fitted(cls, array: np.ndarray) -> "Sequence":
         """Sequence owning `array`, which is approx or already in the
-        dtype `_fit` gives it: a factory's rows, a row permutation of a
-        Sequence's array.  Nothing is scanned."""
+        dtype `_fit` gives it: an expansion's outputs, an energy, a row
+        permutation of a Sequence's array.  Nothing is scanned."""
         seq = object.__new__(cls)
         seq._own(array)
         return seq
@@ -397,11 +402,12 @@ class Sequence:
         return iter(self.array[0].tolist())
 
     def scale(self, c) -> "Sequence":
-        c = Sequence([scalar(c, self.mode)]).array
+        c = Sequence([scalar(c, self.mode)]).array[:, 0]
         own, exps, coeffs = terms_of(self)
         order = common_order(own, len(c))
+        at = np.flatnonzero(c)[:, None] if c.any() else np.zeros((1, 1), np.intp)  # c's layers
         return Sequence._of_terms(layered_multiply((exps * (order // own), coeffs),
-                                                   layers(c, order), order))
+                                                   (at * (order // len(c)), c[at]), order))
 
     def __neg__(self) -> "Sequence":
         return self.scale(-1)
@@ -561,15 +567,6 @@ def singleton_family(sequences: Iterable[Sequence]) -> SequenceFamily:
 # -- energies ----------------------------------------------------------
 
 
-def cell_terms(seqs) -> tuple:
-    """(order, exponents, coefficients) of n sequences of one length at
-    their common order, read once for every operator of a cell: their
-    `row_terms` as two read-only (t, n, length) arrays."""
-    seqs = list(seqs)
-    order, exps, coeffs, _, _ = row_terms(seqs)
-    return (order,) + tuple(x.reshape(len(x), len(seqs), -1) for x in (exps, coeffs))
-
-
 def energies(found) -> np.ndarray:
     """(order, n) array of R_s(0) = sum |s(l)|^2 of the n sequences whose
     layers `found` holds (see `cell_terms`), in the dtype `_fit` gives it.
@@ -614,11 +611,11 @@ def unequal_energies(found, tol: float) -> tuple:
 
 def energy(s: Sequence) -> Scalar:
     """R_s(0) = sum of |entry|^2; real and non-negative."""
-    return Sequence._of_fitted(energies(cell_terms([s])))[0]
+    return Sequence._of_fitted(energies(cell_terms([terms_of(s)])))[0]
 
 
 def set_energy(ss: SequenceSet) -> Scalar:
-    total = energies(cell_terms(ss)).sum(axis=1, keepdims=True)
+    total = energies(cell_terms(map(terms_of, ss))).sum(axis=1, keepdims=True)
     return Sequence.of_array(total)[0]
 
 

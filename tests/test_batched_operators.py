@@ -44,6 +44,7 @@ from cocodes import (
     is_ccc,
     kron_expand,
     plan,
+    set_energy,
     singleton_family,
 )
 from cocodes import model
@@ -285,8 +286,9 @@ class TestKronExpand:
 def connections(vs, cell):
     """The Sequences of `_connections` of the vs with a cell, read as
     `connect` reads them."""
-    found = cell_terms(cell)
-    return list(map(Sequence._of_terms, _connections(row_terms(vs), found, layer_peak(found[2]))))
+    found = cell_terms(map(terms_of, cell))
+    return list(map(Sequence._of_terms, _connections(row_terms(map(terms_of, vs)), found,
+                                                     layer_peak(found[2]))))
 
 
 class TestConnections:
@@ -373,7 +375,7 @@ class TestConnections:
 class TestEnergies:
     @staticmethod
     def check(cell):
-        got = Sequence._of_fitted(energies(cell_terms(cell)))
+        got = Sequence._of_fitted(energies(cell_terms(map(terms_of, cell))))
         assert_same_arrays([got], [energies_by_product(cell)])
 
     @settings(max_examples=200, deadline=None)
@@ -489,7 +491,7 @@ class TestInt64Edges:
         # the energy of two such entries: 18 c^2 products, 2 * 3 c^2 at row 0
         two = Sequence([s[0], s[0]])
         assert energy(two) == reduce(add, (e * e.conj() for e in two))
-        assert_same_arrays([Sequence._of_fitted(energies(cell_terms([two])))],
+        assert_same_arrays([Sequence._of_fitted(energies(cell_terms([terms_of(two)])))],
                            [energies_by_product([two])])
 
 
@@ -647,8 +649,6 @@ class TestHeldLayers:
     def test_inputs_are_not_read_into_layers(self, monkeypatch):
         h2, d4 = hadamard_matrix(2), dft_matrix(4)
         fam = next(executed(4))
-        for u in (h2, d4):
-            u.terms  # the matrices' own rows, read once per process
 
         def refuse(*args):
             raise AssertionError("a held sequence read back into layers")
@@ -674,3 +674,85 @@ class TestHeldLayers:
         # compared before its array is read
         fresh = generate_cosf(dft_matrix(3), [[0, 1, 2]], [identity_matrix(3)])[0][0]
         assert unread([fresh]) and fresh == Sequence.of_array(fam[0][0].array.copy())
+
+    # held families: zero coefficients at nonzero exponents (an identity
+    # sub-matrix), a planner family, and two-layer members (the CI's
+    # 1 + zeta_4 matrix as base)
+    HELD = {
+        "identity sub-matrix": lambda: generate_cosf(dft_matrix(3), [[0, 1, 2]],
+                                                     [identity_matrix(3)]),
+        "planner": lambda: _fam(4, 16),
+        "multi-term": lambda: generate_cosf(MULTI_TERM, [[0, 1]], [hadamard_matrix(2)]),
+    }
+
+    @staticmethod
+    def held_outputs(fam):
+        """(label, outputs) of every operator over the held CO-SF `fam`,
+        its CCCs and their sets, each output a Sequence."""
+        n = fam.family_size
+        seqs = [ss[0] for ss in fam]
+        for u in [dft_matrix(n)] + ([MULTI_TERM] if n == 2 else []):
+            ccc = cosf_to_ccc(fam, u)
+            yield f"ccc {u!r}", [s for ss in ccc for s in ss]
+            yield f"enlarge {u!r}", [s for ss in enlarge_ccc(ccc, [hadamard_matrix(2)] * n)
+                                     for s in ss]
+            yield f"kron {u!r}", list(kron_expand(seqs[1], ccc[0]))
+            yield f"connect {u!r}", [connect(seqs[0], ccc[0])]
+            yield f"set_energy {u!r}", [Sequence([set_energy(ccc[0])])]
+        yield "entrywise", [entrywise(s, t) for s in seqs for t in seqs]
+        yield "elongate", [ss[0] for ss in elongate_cosf(fam, {0: [list(range(n))]},
+                                                          {(0, 0): fam})]
+        yield "energy", [Sequence([energy(s)]) for s in seqs]
+
+    @pytest.mark.parametrize("name", list(HELD))
+    def test_held_inputs_equal_their_dense_twins(self, name):
+        fam = self.HELD[name]()
+        assert all(s._terms is not None for ss in fam for s in ss)
+        twin = singleton_family(Sequence.of_array(ss[0].array.copy()) for ss in fam)
+        for (label, got), (_, want) in zip(self.held_outputs(fam), self.held_outputs(twin)):
+            assert_same_arrays(got, want)
+
+    def test_operators_read_no_held_sequence_into_layers(self, monkeypatch):
+        # the factories' matrices built afresh: their rows are held layers
+        for build in (dft_matrix, hadamard_matrix, identity_matrix):
+            build.cache_clear()
+
+        def refuse(*args):
+            raise AssertionError("a sequence read into layers")
+
+        monkeypatch.setattr(model, "layers", refuse)
+        fams = [fam for n in range(2, 9) for fam in executed(n)]
+        fam = next(f for f in fams if f.family_size == 4)
+        h2, d4 = hadamard_matrix(2), dft_matrix(4)
+        seqs = [ss[0] for ss in fam]
+        cell = SequenceSet(seqs[:2])
+        connect(d4.row(1), cell)
+        kron_expand(h2.row(1), cell)
+        entrywise(seqs[0], seqs[1])
+        energy(seqs[0])
+        set_energy(cell)
+        for x in (-1, CycloNum.root(4, 1), 0):
+            seqs[0].scale(x)
+        elongate_cosf(fam, {0: [[0, 1], [2, 3]]}, {(0, 0): h2, (0, 1): h2})
+        assert unread(s for f in fams for ss in f for s in ss)
+        # the map's check reads its input's arrays, never a matrix row's
+        cosf_to_ccc(fam, d4)
+        factories = [u for build in (dft_matrix, hadamard_matrix, identity_matrix)
+                     for u in (build(1), build(2), build(4), build(8))]
+        assert unread(row for u in factories for row in u.rows())
+
+    def test_custom_matrix_reads_each_row_once(self, monkeypatch):
+        reads = []
+
+        def counted(a, order):
+            reads.append(a)
+            return layers(a, order)
+
+        monkeypatch.setattr(model, "layers", counted)
+        u = custom_matrix([[ONE, I4], [ONE, -I4]])
+        assert [a.tolist() for a in reads] == [r.array.tolist() for r in u.rows()]
+        reads.clear()
+        # single-layer products of the matrix's layers and held members
+        cosf_to_ccc(_fam(2, 8), u)
+        generate_cosf(u, [[0, 1]], [u])
+        assert not reads

@@ -39,7 +39,7 @@ from cocodes.construct import ConstructionError, trivial_cosf
 from cocodes.planner import constructible, execute, plan
 from cocodes.corr import DEFAULT_TOL
 from cocodes.cyclo import INT64_COEFF_BOUND
-from cocodes.model import cell_terms, concat, unequal_energies
+from cocodes.model import cell_terms, concat, terms_of, unequal_energies
 
 ONE = CycloNum.from_int(1)
 W3 = CycloNum.root(3, 1)
@@ -430,7 +430,7 @@ class TestBatchedEnergyDecision:
         s = dft_matrix(5).row(2)
         members = [s, s.scale(W3), -s, s.scale(CycloNum.from_int(2)),
                    s.scale(CycloNum.root(4, 1))]
-        assert len(cell_terms(members)[2]) == 1
+        assert len(cell_terms(map(terms_of, members))[2]) == 1
         assert self.decide(members) == self.reference(members) == 3
         with pytest.raises(ConstructionError) as err:
             elongate_cosf(singleton_family(members), {0: [[0, 1, 2, 3, 4]]},
@@ -446,7 +446,7 @@ class TestBatchedEnergyDecision:
         assert c * c * 3 >= 2 ** 63
         cw = CycloNum.from_int(c) * W3
         members = [Sequence([c, -c, cw]), Sequence([-c, cw, c]), Sequence([c, c, c - 1])]
-        found = cell_terms(members)
+        found = cell_terms(map(terms_of, members))
         assert len(found[2]) == 1
         e, differ = unequal_energies(found, DEFAULT_TOL)
         want = Sequence([reduce(add, (x * x.conj() for x in s)) for s in members])
@@ -468,7 +468,7 @@ class TestBatchedEnergyDecision:
         if differ is not None:
             members[differ][3] = c - 1
         members = [Sequence(s) for s in members]
-        assert len(cell_terms(members)[2]) == 1
+        assert len(cell_terms(map(terms_of, members))[2]) == 1
         assert self.decide(members) == self.reference(members) == differ
         if differ is not None:
             with pytest.raises(ConstructionError) as err:

@@ -462,6 +462,35 @@ class TestApproxMode:
         assert is_complementary_set(a, tol=1e-9).ok
         assert not is_complementary_set(a, tol=1e-15).ok
 
+    @pytest.mark.parametrize("sets", [
+        # the shift-1 sum is 1.5e308, 46% of the energy 3.25e308
+        [[[1.5e154, 1e154]]],
+        # a Golay pair past the float range (energy 4 s^2 at s = 9e153)
+        [[[9e153, 9e153], [9e153, -9e153]]],
+    ], ids=["single", "golay"])
+    def test_energy_past_the_float_range_is_refused(self, sets, recwarn):
+        fam = SequenceFamily(SequenceSet(Sequence(s) for s in ss) for ss in sets)
+        with pytest.raises(OverflowError, match="energy of inf"):
+            is_complementary_set(fam[0])
+        with pytest.raises(OverflowError, match="energy of inf"):
+            is_ccc(fam)
+        assert not [w for w in recwarn if issubclass(w.category, RuntimeWarning)]
+        # the same shapes in the float range keep their verdicts
+        small = [[[1.5, 1.0]], [[6e153, 6e153], [6e153, -6e153]]][len(sets[0]) - 1]
+        assert is_complementary_set(SequenceSet(Sequence(s) for s in small)).ok == (len(small) == 2)
+
+    @pytest.mark.parametrize("power", [400, -400])
+    def test_verdicts_unchanged_by_a_scale_in_range(self, power):
+        # a clean 2x2 approx CCC and its near-miss, scaled by 2^+-400
+        clean = [[[1, 1], [1, -1]], [[1, -1], [1, 1]]]
+        near = [[[1, 1], [1, -0.9]], [[1, -1], [1, 1]]]
+        for sets, ok in ((clean, True), (near, False)):
+            for scale in (1.0, 2.0 ** power):
+                fam = SequenceFamily(SequenceSet(Sequence([complex(x * scale) for x in s])
+                                                 for s in ss) for ss in sets)
+                assert is_ccc(fam).ok is ok
+                assert is_complementary_set(fam[0]).ok is ok
+
 
 # -- the spectral kernel against the definitional sums -------------------
 
@@ -1358,8 +1387,28 @@ def planned_ccc(n, length):
 
 
 def sums_digest(stack):
-    """sha256 of a sums stack's dtype, shape and bytes."""
-    return hashlib.sha256(f"{stack.dtype}|{stack.shape}|".encode() + stack.tobytes()).hexdigest()
+    """sha256 of a sums stack's dtype, shape and bytes (Python ints by
+    their repr)."""
+    values = repr(stack.tolist()).encode() if stack.dtype == object else stack.tobytes()
+    return hashlib.sha256(f"{stack.dtype}|{stack.shape}|".encode() + values).hexdigest()
+
+
+def mixed_family(kind):
+    """Five single-sequence sets of orders 1, 2, 3, 4 and 6 and lengths 5,
+    7, 9, 12 and 6 (exact; "Python ints": one coefficient past int64;
+    approx: five random complex sequences of those lengths)."""
+    rng = random.Random(7)
+    sets = []
+    for order, length in [(1, 5), (2, 7), (3, 9), (4, 12), (6, 6)]:
+        if kind == "approx":
+            entries = [complex(rng.uniform(-2, 2), rng.uniform(-2, 2)) for _ in range(length)]
+        else:
+            entries = [CycloNum.root(order, rng.randrange(order))
+                       * CycloNum.from_int(rng.choice((1, -1, 2))) for _ in range(length)]
+            if kind == "Python ints" and order == 3:
+                entries[4] = CycloNum.from_int(2 ** 40 + 3)
+        sets.append(SequenceSet([Sequence(entries)]))
+    return SequenceFamily(sets)
 
 
 class TestPinnedSums:
@@ -1391,6 +1440,14 @@ class TestPinnedSums:
             "f6a4d888153802102c685a608994a563d808e6fab25ed61a7994da2e93345fb4",
     }
     NEAR_MISS_REPORT = "26ddd697b82e3c19fdfae0f5b18fe23347b7da41008fcbad0c5e1b380f83fcd9"
+    # every pair's sums of `mixed_family` at 4 phases, which divide none
+    # of the lengths but 12: each sequence is laid out at the call's
+    # order 12 (1 for approx) and zero-padded to 4 * 3 entries
+    MIXED = {
+        "exact": "793f2414ff55bf44ef1b54a1dfd5ebc5f69a624f79e0423dd5d34f145d625526",
+        "Python ints": "c2feae3d40517c0b599cc9cdd7db6dfc433a5d71bc322e91141b3f31cb96b2a4",
+        "approx": "b22693aed909450f710e495efe79211b5b4e2e25b48da15e0db402e071e668d8",
+    }
 
     @pytest.mark.parametrize("name", list(ROTATED))
     def test_rotated_sums(self, name):
@@ -1403,3 +1460,11 @@ class TestPinnedSums:
         report = is_ccc(self.FAMILIES["12x12 L=216 near-miss"]())
         assert not report.ok
         assert sums_digest(report.pairs[0].kernel.scan()[0]) == self.NEAR_MISS_REPORT
+
+    @pytest.mark.parametrize("kind", list(MIXED))
+    def test_mixed_orders_and_lengths(self, kind):
+        fam = mixed_family(kind)
+        kernel = corr._Kernel(list(fam), phases=4)
+        assert (kernel.order, kernel.width) == ((1 if kind == "approx" else 12), 3)
+        pairs = [(m, mp) for m in range(len(fam)) for mp in range(len(fam))]
+        assert sums_digest(kernel.sums(pairs)) == self.MIXED[kind]

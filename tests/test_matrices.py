@@ -15,6 +15,7 @@ from cocodes import (
 )
 from cocodes.cli import matrix_spec_to_doc
 from cocodes.cyclo import DIM_LIMIT
+from cocodes.model import row_terms, terms_of
 from cocodes.matrices import (
     FACTORY_CACHE,
     MatrixSpec,
@@ -129,6 +130,30 @@ class TestFactoryCache:
         build(4)
         with pytest.raises(TypeError):
             build(4.0)
+
+    @pytest.mark.parametrize("build", FACTORIES, ids=lambda b: b.__name__)
+    def test_terms_are_the_rows_read_into_layers(self, build):
+        # the closed-form layers equal a read of the dense rows, down to
+        # the peak that lets connections skip rescanning their products
+        for n in (1, 2, 3, 4, 8):
+            if build is hadamard_matrix and n == 3:
+                continue
+            u = build(n)
+            want = row_terms(terms_of(Sequence.of_array(row.array.copy())) for row in u.rows())
+            assert (u.terms[0], u.terms[3:]) == (want[0], want[3:]) and u.terms[4] == 1
+            for got, expected in zip(u.terms[1:3], want[1:3]):
+                assert (got.dtype, got.shape) == (expected.dtype, expected.shape)
+                assert got.tobytes() == expected.tobytes()
+
+    @pytest.mark.parametrize("build", FACTORIES, ids=lambda b: b.__name__)
+    def test_a_numpy_dimension_gives_python_int_orders(self, build):
+        # orders are written to documents, which take no numpy ints
+        u, v = build(np.int64(4)), build(4)
+        assert u is not v
+        for x, y in zip(u.rows(), v.rows()):
+            assert type(x.order) is int and x.order == y.order
+            assert x.array.tobytes() == y.array.tobytes()
+        assert type(u.terms[0]) is int
 
 
 class TestIdentity:
