@@ -15,26 +15,22 @@ side as one member, whose block j holds v[j] times each member.
 Output ordering is always the lexicographic order of the partition
 path (cell index, then row index), so constructions are deterministic.
 
-Construction runs on layered sequences: each input Sequence is read
-through `model.terms_of`, which gives the layers it holds or reads its
-array into layers once, and the outputs of one round are the layered
-inputs of the next.  Every output but an expansion's holds its layers
-(`model.Sequence._of_terms`), and its dense array is made when it is
-first read.  A cell's members are laid side by side at their common
-order (`model.cell_terms`) for its energy check (generation's cells,
-rows of one matrix, have equal energies and are not checked) and all its
-connections; a matrix holds its rows side by side since it was built
-(`UnitaryLike.terms`), and an inline sub-family is laid out once per
-cell (`model.row_terms`).  A connection multiplies the members' layers,
-tiled over its blocks, by one entry of the sub row per block, broadcast
-along the block (`model.layered_multiply`): single-layer operands give
-one layer with no scatter, any other product is scattered and read back.
-A cell that is one int64 layer takes its peak coefficient once: its
-energy check is then one sum of squares per member, and its products are
-not rescanned when the peaks bound them below `INT64_COEFF_BOUND`.  Each
-output keeps its own order and the dtype `model._fit` gives it; int64
-sums widen to Python ints, and approx zero factors give 0, as
-`model.multiply` says.
+Construction runs on layered sequences (`model.terms_of`): the outputs
+of one round are the layered inputs of the next, and every output but an
+expansion's holds its layers (`model.Sequence._of_terms`), its dense
+array made when it is first read.  A cell's members are laid side by
+side (`model.cell_terms`) for its energy check (generation's cells, rows
+of one matrix, are not checked) and its connections; a matrix holds its
+rows side by side (`UnitaryLike.terms`), an inline sub-family is laid out
+once per cell (`model.row_terms`).  A connection multiplies the members'
+layers, tiled over its blocks, by one entry of the sub row per block:
+exact single-layer operands are one exponent add and one coefficient
+product (`model.layer_product`), any other product is scattered and read
+back (`model.layered_multiply`).  A cell that is one int64 layer takes
+its peak once: its energy check is one sum of squares per member, and
+its products are not rescanned when the peaks bound them below
+`INT64_COEFF_BOUND`.  The families the constructor builds of its own
+outputs are wrapped unchecked (`model.SequenceFamily._of_members`).
 """
 
 from __future__ import annotations
@@ -54,7 +50,9 @@ from .model import (
     _scatter,
     cell_terms,
     energy,
+    is_exact,
     layer_peak,
+    layer_product,
     layered_multiply,
     row_terms,
     scalar,
@@ -82,16 +80,20 @@ def _connections(vs, found, peak) -> list:
     built.  `vs` holds the vs side by side (`model.row_terms`, a
     matrix's `terms`), `peak` the members' `layer_peak`.
 
-    An output of k blocks is one `layered_multiply` of the members'
-    layers tiled over the blocks (shared by the outputs of one block
-    count and order) with v's entries, one per block, broadcast along the
-    block.  When the members and the vs are one int64 layer each and
-    the product of their peaks is below INT64_COEFF_BOUND, every product
-    is already fitted and is taken unscanned."""
+    An output of k blocks is the product of the members' layers tiled
+    over the blocks (shared by the outputs of one block count and order)
+    with v's entries, one per block, broadcast along the block: one
+    `layer_product` of their rows when both are exact and one layer, else
+    one `layered_multiply`.  When both are one int64 layer and the
+    product of their peaks is below INT64_COEFF_BOUND, every product is
+    already fitted and is taken unscanned."""
     cell_order, exps, coeffs = found
     m = coeffs.shape[1]
     v_order, v_exps, v_coeffs, shapes, v_peak = vs
     fitted = None not in (peak, v_peak) and peak * v_peak < INT64_COEFF_BOUND
+    product = layered_multiply
+    if len(coeffs) == len(v_coeffs) == 1 and is_exact(coeffs) and is_exact(v_coeffs):
+        product, exps, coeffs, v_exps, v_coeffs = layer_product, exps[0], coeffs[0], v_exps[0], v_coeffs[0]
     tiled = {}  # (k, order): the members' layers over k blocks, the vs' exponents at order
     out = []
     start = 0
@@ -100,16 +102,15 @@ def _connections(vs, found, peak) -> list:
         if (k, order) not in tiled:
             members = exps, coeffs
             if k != m:
-                members = tuple(x.take(np.arange(k) % m, axis=1) for x in members)
+                members = tuple(x.take(np.arange(k) % m, axis=-2) for x in members)
             if order != cell_order:
                 members = members[0] * (order // cell_order), members[1]
-            tiled[k, order] = members, v_exps * order // v_order
+            tiled[k, order] = members, v_exps if order == v_order else v_exps * order // v_order
         members, row_exps = tiled[k, order]
         # v's entries, one per block: its own columns when it has k of them
         at = slice(start, start + k) if k == length else start + np.arange(k) % length
         start += length
-        out.append(layered_multiply(members, (row_exps[:, at, None], v_coeffs[:, at, None]),
-                                    order, fitted))
+        out.append(product(members, (row_exps[..., at, None], v_coeffs[..., at, None]), order, fitted))
     return out
 
 
@@ -117,16 +118,18 @@ def kron_expand(v: Sequence, cell: SequenceSet) -> SequenceSet:
     """Expansion of an N-sequence set by an M-vector into an MN-sequence
     set; element k is v[k mod M] * c[k div M].  Zero scalars produce
     zero sequences."""
-    return _expansions(row_terms([terms_of(v)]), cell)[0]
+    return SequenceFamily._of_members(_expansions(row_terms([terms_of(v)]), cell))[0]
 
 
 def _expansions(vs, cell: SequenceSet) -> list:
-    """kron_expand(v, cell) for every v whose layers `vs` holds side by
-    side (`model.row_terms`, a matrix's `terms`): each connection of v
-    with the members as one member is scattered once and cut into its
-    outputs, each at its own order, lcm(member order, v order): the rows
-    that hold its terms.  Python ints that fit int64 are refitted."""
-    order, exps, coeffs, _, peak = row_terms(map(terms_of, cell))
+    """The members of kron_expand(v, cell) for every v whose layers `vs`
+    holds side by side (`model.row_terms`, a matrix's `terms`): each
+    connection of v with the members as one member is scattered once and
+    cut into its outputs, each at its own order, lcm(member order, v
+    order): the rows that hold its terms.  Python ints that fit int64 are
+    refitted.  The outputs of one v are a set: all have the cell's length
+    and mode (the connection refuses a v of the other mode)."""
+    order, exps, coeffs, shapes, peak = row_terms(map(terms_of, cell))
     n, width = len(cell), cell.length
     out = []
     for (full, seq_exps, seq_coeffs), (m, v_order) in zip(
@@ -135,9 +138,8 @@ def _expansions(vs, cell: SequenceSet) -> list:
         make = Sequence.of_array if stack.dtype == object else Sequence._of_fitted
         # [i, j]: member i times v[j], the place i of block j
         blocks = stack.reshape(full, m, n, width).transpose(2, 1, 0, 3).copy()
-        out.append(SequenceSet(
-            make(np.ascontiguousarray(blocks[i, j, ::full // common_order(s.order, v_order)]))
-            for i, s in enumerate(cell) for j in range(m)))
+        out.append([make(np.ascontiguousarray(blocks[i, j, ::full // common_order(own, v_order)]))
+                    for i, (_, own) in enumerate(shapes) for j in range(m)])
     return out
 
 
@@ -201,8 +203,7 @@ def _base_round(base: UnitaryLike, cells, subs) -> tuple:
     alpha as their energy."""
     cells, subs = list(cells), list(subs)
     if len(subs) != len(cells):
-        raise ConstructionError(
-            f"{len(cells)} cells but {len(subs)} sub-matrices")
+        raise ConstructionError(f"{len(cells)} cells but {len(subs)} sub-matrices")
     order, exps, coeffs, shapes, _ = base.terms
     n = base.dim
     rows = [(own, exps[:, m * n:(m + 1) * n] // (order // own), coeffs[:, m * n:(m + 1) * n])
@@ -212,8 +213,10 @@ def _base_round(base: UnitaryLike, cells, subs) -> tuple:
 
 
 def _family(seqs) -> SequenceFamily:
-    """The single-sequence family of layered sequences, each held as it is."""
-    return singleton_family(map(Sequence._of_terms, seqs))
+    """The single-sequence family of a round's layered sequences, each
+    held as it is, unchecked: there is one or more, all in the base rows'
+    mode (a connection refuses a sub-family of the other mode)."""
+    return SequenceFamily._of_members((Sequence._of_terms(t),) for t in seqs)
 
 
 def group_by_length(lengths):
@@ -312,7 +315,7 @@ def _check_energies(members, found, peak, where: str) -> None:
     coeffs = found[2]
     if peak is not None and peak * peak * coeffs.shape[2] < 2 ** 63:
         sums = (coeffs[0] * coeffs[0]).sum(axis=1)
-        differ = np.flatnonzero(sums != sums[0]).tolist()
+        differ = (sums != sums[0]).nonzero()[0].tolist()
     else:
         _, differ = unequal_energies(found, DEFAULT_TOL)
     if differ:
@@ -345,9 +348,11 @@ def cosf_to_ccc(fam: SequenceFamily, u: UnitaryLike) -> SequenceFamily:
     """Turn an optimal N-shift cross-orthogonal family into an (N,N)-CCC:
     set m collects u.row(n) connected with the length-1 split of the
     m-th sequence, for every n: the entrywise product of that sequence
-    with u.row(n) repeated periodically."""
+    with u.row(n) repeated periodically.  Unchecked: once the check passes,
+    set m is N sequences of sequence m's length (N divides it) in one mode
+    (the connection refuses a matrix of the other)."""
     _check_sub_family(fam, u.dim, "input")
-    return SequenceFamily(SequenceSet(_entrywise(u.terms, ss[0])) for ss in fam)
+    return SequenceFamily._of_members(_entrywise(u.terms, ss[0]) for ss in fam)
 
 
 def ccc_from_unitary(u: UnitaryLike) -> SequenceFamily:
@@ -359,22 +364,21 @@ def ccc_from_unitary(u: UnitaryLike) -> SequenceFamily:
 def enlarge_ccc(fam: SequenceFamily, matrices) -> SequenceFamily:
     """Enlarge an (N,N)-CCC with N unitary-like M x M matrices into an
     (MN,MN)-CCC with the same length set: output set n*M + m is
-    matrices[n].row(m) expanded over input set n."""
+    matrices[n].row(m) expanded over input set n; unchecked, as each output
+    set is MN sequences of one length and mode (see `_expansions`)."""
     matrices = list(matrices)
     n = fam.family_size
     if fam.set_size != n:
-        raise ConstructionError(
-            f"need a square CCC, got {n} sets of size {fam.set_size}")
+        raise ConstructionError(f"need a square CCC, got {n} sets of size {fam.set_size}")
     if len(matrices) != n:
-        raise ConstructionError(
-            f"need exactly {n} matrices, got {len(matrices)}")
+        raise ConstructionError(f"need exactly {n} matrices, got {len(matrices)}")
     dims = {u.dim for u in matrices}
     if len(dims) != 1:
         raise ConstructionError(f"matrix dimensions differ: {sorted(dims)}")
     check = is_ccc(fam)
     if not check.ok:
         raise ConstructionError("input family is not a CCC:\n" + check.render())
-    return SequenceFamily(s for u, ss in zip(matrices, fam) for s in _expansions(u.terms, ss))
+    return SequenceFamily._of_members(s for u, ss in zip(matrices, fam) for s in _expansions(u.terms, ss))
 
 
 def trivial_cosf(mode: str = EXACT) -> SequenceFamily:

@@ -96,8 +96,8 @@ class UnitaryLike:
 
     @property
     def entries(self) -> tuple:
-        """The entries as scalars, row by row."""
-        return tuple(tuple(row) for row in self.row_set)
+        """The entries as scalars, row by row, read from `rows_family`."""
+        return tuple(tuple(ss[0]) for ss in self.rows_family())
 
     def row(self, m: int) -> Sequence:
         return self.row_set[m]
@@ -106,8 +106,11 @@ class UnitaryLike:
         return list(self.row_set)
 
     def rows_family(self) -> SequenceFamily:
-        """The rows viewed as a family of single-sequence sets."""
-        return singleton_family(self.row_set)
+        """The rows as a family of single-sequence sets, a row holding
+        layers as a new Sequence over them: an array a check reads goes
+        with the family, so a cached factory matrix keeps none."""
+        return singleton_family(row if row._terms is None else Sequence._of_terms(row._terms)
+                                for row in self.row_set)
 
     def __repr__(self) -> str:
         return f"UnitaryLike(dim={self.dim}, alpha={self.alpha!r})"

@@ -14,13 +14,12 @@ approx, int or "+" / "-" exact unless the context is approx (a Sequence
 is approx when any entry is a float or complex, its ints following).
 
 A Sequence holds one read-only array, or the layered sequence (see
-below) it was constructed as, from which the array is derived on first
-read and then kept.  An exact
-sequence of length L is a (K, L) integer array with K the lcm of its
-entries' orders: row j holds the coefficients of zeta_K^j, so column l
-is entry l in Z[zeta_K].  Its dtype follows its values: int64 when every
-coefficient is below `INT64_COEFF_BOUND` in magnitude (the paper's
-constructions use roots of unity, so nearly always), Python ints
+below) it was constructed as, its array derived on first read and kept.
+An exact sequence of length L is a (K, L) integer array with K the lcm
+of its entries' orders: row j holds the coefficients of zeta_K^j, so
+column l is entry l in Z[zeta_K].  Its dtype follows its values: int64
+when every coefficient is below `INT64_COEFF_BOUND` in magnitude (the
+paper's constructions use roots of unity, so nearly always), Python ints
 (dtype=object) otherwise.  An approx sequence is a (1, L) complex array,
 the layout of an exact sequence of order 1; `is_exact` tells the two
 modes apart by dtype kind.  A CycloNum is built from a column only when
@@ -42,12 +41,13 @@ every sum starts from 0.
 Construction carries its sequences between rounds as layered sequences,
 (order, exponents, coefficients) triples, which every operator reads
 through `terms_of` and lays side by side (`row_terms`, `cell_terms`).
-The product of two single-layer operands is one layer and is kept as it
-is (`layered_multiply`); any other product is scattered and read back,
-so the layers never outgrow the terms.  Coefficients are always in the
-dtype `_fit` gives them, so a constructed Sequence holds its layers
-(`Sequence._of_terms`) and its array is one scatter, made when it is
-first read.  Its order, mode and length are read from the layers.
+The product of two exact single-layer operands is one layer: one
+exponent add and one coefficient product (`layer_product`).  Any other
+product is scattered and read back, so the layers never outgrow the
+terms.  Coefficients are always in the dtype `_fit` gives them, so a
+constructed Sequence holds its layers (`Sequence._of_terms`), its array
+one scatter made on first read, and its order, mode and length are read
+from the layers.
 """
 
 from __future__ import annotations
@@ -218,16 +218,26 @@ def multiply(a: tuple, b: tuple, order: int) -> np.ndarray:
     return _scatter(_products(a, b, order), order)
 
 
+def layer_product(a: tuple, b: tuple, order: int, fitted: bool = False) -> tuple:
+    """`layered_multiply` of two exact single-layer operands, given as
+    their one (exponents, coefficients) row each, entry shapes that
+    broadcast: one exponent add through the wrap table and one product of
+    coefficients, which cannot overflow (int64 ones are below 2^31)."""
+    (ea, ca), (eb, cb) = a, b
+    vals = ca * cb
+    return order, _wrap(order)[ea + eb].reshape(1, -1), (vals if fitted else _fit(vals)).reshape(1, -1)
+
+
 def layered_multiply(a: tuple, b: tuple, order: int, fitted: bool = False) -> tuple:
     """The product of `multiply` as a layered sequence (order, exponents,
-    coefficients), its coefficients fitted: the one layer of products of
-    two single-layer operands as it is, else the `layers` of the fitted
-    dense product.  `fitted` says that the caller has bounded every
-    product of two single-layer int64 operands below INT64_COEFF_BOUND
-    (see `layer_peak`), so they are taken unscanned."""
-    if len(a[1]) == len(b[1]) == 1:
-        (rows, vals), = _products(a, b, order)
-        return order, rows[None], (vals if fitted else _fit(vals))[None]
+    coefficients), its coefficients fitted: the `layer_product` of two
+    exact single-layer operands, else the `layers` of the fitted dense
+    product.  `fitted` says that the caller has bounded every product of
+    two single-layer int64 operands below INT64_COEFF_BOUND (see
+    `layer_peak`), so they are taken unscanned."""
+    (ea, ca), (eb, cb) = a, b
+    if len(ca) == len(cb) == 1 and is_exact(ca) and is_exact(cb):
+        return layer_product((ea[0], ca[0]), (eb[0], cb[0]), order, fitted)
     return (order,) + layers(_fit(multiply(a, b, order)), order)
 
 
@@ -523,6 +533,20 @@ class SequenceFamily:
         if len(modes) != 1:
             raise ModeMismatchError("family mixes exact and approx sets")
         object.__setattr__(self, "sets", sets)
+
+    @classmethod
+    def _of_members(cls, sets) -> "SequenceFamily":
+        """The family of `sets`, iterables of Sequences, unchecked: for a
+        constructor's own outputs, equal-size sets of one length each, all
+        in one mode (each caller says why)."""
+        built = []
+        for members in sets:
+            ss = object.__new__(SequenceSet)
+            object.__setattr__(ss, "sequences", tuple(members))
+            built.append(ss)
+        fam = object.__new__(cls)
+        object.__setattr__(fam, "sets", tuple(built))
+        return fam
 
     def __setattr__(self, name, value):
         raise AttributeError("SequenceFamily is immutable")

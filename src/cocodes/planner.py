@@ -219,11 +219,9 @@ def plan(n: int, targets) -> Recipe:
     chains = {}
     for t in targets:
         if t < 1:
-            raise UnconstructibleError(
-                f"target length must be positive, got {t}", target=t)
+            raise UnconstructibleError(f"target length must be positive, got {t}", target=t)
         if t % n:
-            raise UnconstructibleError(
-                f"length {t} is not divisible by {n}", target=t)
+            raise UnconstructibleError(f"length {t} is not divisible by {n}", target=t)
         chain = factor_chain(n, t // n)
         if chain is None:
             bad = _blocking_factor(n, t // n)
@@ -255,12 +253,14 @@ def plan(n: int, targets) -> Recipe:
         groups = group_by_length([length for length, _ in state])
         rnd = Round()
         for g, members in enumerate(groups):
+            mine = {}  # target: its in-group positions
+            for p, i in enumerate(members):
+                mine.setdefault(state[i][1], []).append(p)
             split = RoundSplit(group=g, cells=[], subs=[])
             for t in targets:
-                mine = [p for p, i in enumerate(members) if state[i][1] == t]
-                if mine and len(chains[t]) > depth:
+                if t in mine and len(chains[t]) > depth:
                     f = chains[t][depth]
-                    split.cells.append(mine[:f])
+                    split.cells.append(mine[t][:f])
                     split.subs.append(SubFamilySpec(rows=_cell_matrix(f)))
             if split.cells:
                 rnd.splits.append(split)
@@ -310,15 +310,17 @@ def _round_cells(groups, rnd: Round) -> list:
             f"{len(groups)} length groups")
     out = []
     for g, group in enumerate(groups):
-        split = by_group.get(g, RoundSplit(group=g, cells=[], subs=[]))
+        split = by_group.get(g)
+        if split is None:
+            out.append([([p], None) for p in range(len(group))])
+            continue
         if len(split.cells) != len(split.subs):
             raise ConstructionError(
                 f"group {g}: {len(split.cells)} cells vs "
                 f"{len(split.subs)} sub-families")
         cells = [(list(cell), sub) for cell, sub in zip(split.cells, split.subs)]
         covered = {p for cell, _ in cells for p in cell}
-        out.append(cells + [([p], None) for p in range(len(group))
-                            if p not in covered])
+        out.append(cells + [([p], None) for p in range(len(group)) if p not in covered])
     return out
 
 
@@ -395,12 +397,9 @@ def _log_round(log, stage, seqs, check, verify):
 
 
 def _log_stage(log, stage, fam, check, verify):
-    rec = StageRecord(stage=stage, family_size=fam.family_size,
-                      set_size=fam.set_size,
-                      lengths=sorted(fam.length_set), check=check)
-    if verify:
-        rec.ok = run_check(fam, check).ok
-    log.append(rec)
+    log.append(StageRecord(stage=stage, family_size=fam.family_size, set_size=fam.set_size,
+                           lengths=sorted(fam.length_set), check=check,
+                           ok=run_check(fam, check).ok if verify else None))
 
 
 def parse_kind(kind: str) -> Optional[int]:

@@ -195,7 +195,10 @@ class TestFactoryRows:
             [(x.order, x.coeffs) for x in row] for row in reference]
         assert u.row(0) is u.row(0)
         rows, fam = u.rows(), u.rows_family()
-        assert all(rows[m] is fam[m][0] is u.row(m) for m in range(n))
+        assert all(rows[m] is u.row(m) for m in range(n))
+        # the family's rows are new Sequences over the rows' own layers
+        assert all(fam[m][0] is not rows[m] and fam[m][0]._terms is rows[m]._terms
+                   for m in range(n))
 
 
 class TestCustom:
