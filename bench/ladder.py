@@ -2,32 +2,37 @@
 each timed in a process of its own, with the time split by the package's
 own functions.
 
-    python3 bench/ladder.py                          # every rung, this tree
+    python3 bench/ladder.py                             # every rung, this tree
     python3 bench/ladder.py --rungs execute-8-1024 --repeats 5
     python3 bench/ladder.py --against HEAD --record N   # writes bench/BENCH_N.json
 
-A rung builds its input untimed (`fresh`), then times `run` over it:
-once to warm the factory caches, then `--repeats` times.  It reports
-the median and the interquartile range of those wall times, and the
-process's peak RSS (`ru_maxrss`, set-up included).  Then SPLIT_RUNS
-more runs go through wrappers that the harness installs on the named
-functions of the rung (at every module that binds them), which give
-each function's calls and its self time: the time inside it but not
-inside another wrapped function.  The package itself holds no timing
-code, and a function a revision does not have is left out.
+A rung builds its input untimed (`fresh`), then times `run` over it,
+with the garbage collector off as `timeit` has it: for WARM_S seconds
+to warm the factory caches and the processor, then `--repeats` times.
+It reports the median and the interquartile range of those wall times,
+and the process's peak RSS (`ru_maxrss`, set-up included).  Then
+SPLIT_RUNS more runs go through wrappers that the harness installs on
+the named functions of the rung (at every module that binds them),
+which give each function's calls and its self time: the time inside it
+but not inside another wrapped function.  The package itself holds no
+timing code, and a function a revision does not have is left out.
 
-`--against REV` exports REV (`git archive`) to a temporary directory
-and runs every rung on it and on the working tree, alternating which
-goes first, PAIRS processes each, since the host's speed drifts
-over minutes.  Each tree's repeats are pooled for the median and IQR.
-The result file holds the Python and numpy versions, nproc, both
-commits and the digest of each tree's sources.
+`--against REV` exports REV (`git archive`) and copies the working
+tree's sources to two temporary directories whose paths have one
+length, since a process's speed can shift with the size of its argv and
+environment: on the is-ccc rung, two copies of one tree read 20-30%
+apart when one ran from a shorter path.  It runs every rung on both,
+alternating which goes first, PAIRS processes each, since the host's
+speed drifts over minutes.  Each tree's repeats are pooled for the
+median and IQR.  The result file holds the Python and numpy versions,
+nproc, both commits and the digest of each tree's sources.
 """
 
 from __future__ import annotations
 
 import argparse
 import atexit
+import gc
 import hashlib
 import io
 import json
@@ -44,8 +49,9 @@ import time
 
 HERE = os.path.dirname(os.path.abspath(__file__))
 ROOT = os.path.dirname(HERE)
+WARM_S = 0.2  # untimed runs before the timed ones, at least one
 SPLIT_RUNS = 2  # runs through the wrappers, after the timed ones
-PAIRS = 5  # processes per tree and rung with --against
+PAIRS = 10  # processes per tree and rung with --against
 TIMEOUT_S = 600  # per rung process
 
 CONSTRUCTION = ["planner.plan", "construct._elongation", "construct._connections",
@@ -191,11 +197,19 @@ def child(rung: str, tree: str, repeats: int) -> dict:
 
     def once() -> float:
         x = fresh() if fresh is not None else None
-        start = time.perf_counter()
-        run(x)
-        return time.perf_counter() - start
+        gc.collect()
+        gc.disable()  # as timeit does, so that no collection lands in a run or a split
+        try:
+            start = time.perf_counter()
+            run(x)
+            return time.perf_counter() - start
+        finally:
+            gc.enable()
 
-    once()  # warm: imports and the factories' caches
+    warm_until = time.perf_counter() + WARM_S
+    once()
+    while time.perf_counter() < warm_until:
+        once()
     times = [once() for _ in range(repeats)]
     rss = resource.getrusage(resource.RUSAGE_SELF).ru_maxrss / 1024
     split = Split(names)
@@ -222,14 +236,15 @@ def measure(tree: str, rung: str, repeats: int) -> dict:
 
 
 def summary(results) -> dict:
-    """Median and IQR of the pooled repeats, the median peak RSS over the
-    processes and the split of the last one."""
+    """Median and IQR of the pooled repeats, and the median over the
+    processes of the peak RSS and of each split figure."""
     times = sorted(t for r in results for t in r["times_s"])
     q1, _, q3 = statistics.quantiles(times, n=4) if len(times) > 1 else times * 3
+    split = {name: {key: statistics.median(r["split"][name][key] for r in results)
+                    for key in ("calls", "self_s")} for name in results[0]["split"]}
     return {"median_s": statistics.median(times), "iqr_s": q3 - q1, "repeats": len(times),
             "processes": len(results),
-            "peak_rss_mb": statistics.median(r["peak_rss_mb"] for r in results),
-            "split": results[-1]["split"]}
+            "peak_rss_mb": statistics.median(r["peak_rss_mb"] for r in results), "split": split}
 
 
 def git(*argv):
@@ -252,11 +267,21 @@ def source_digest(tree: str) -> str:
 
 def export(rev: str) -> str:
     """A temporary directory holding REV's files (`git archive`)."""
-    target = tempfile.mkdtemp(prefix="ladder-base-")
+    target = tempfile.mkdtemp(prefix="ladder-")
     data = subprocess.run(["git", "-C", ROOT, "archive", "--format=tar", rev],
                           capture_output=True, check=True).stdout
     with tarfile.open(fileobj=io.BytesIO(data)) as tar:
         tar.extractall(target, filter="data")
+    return target
+
+
+def snapshot() -> str:
+    """A temporary directory, named as `export` names its, holding the
+    working tree's package and benchmark."""
+    target = tempfile.mkdtemp(prefix="ladder-")
+    for part in ("src", "perfbench"):
+        shutil.copytree(os.path.join(ROOT, part), os.path.join(target, part),
+                        ignore=shutil.ignore_patterns("__pycache__", "results", ".work"))
     return target
 
 
@@ -297,7 +322,7 @@ def main(argv=None) -> int:
                                    "source_sha256": source_digest(ROOT)}},
               "repeats": args.repeats, "rungs": {}}
     if args.against:
-        trees["base"] = export(args.against)
+        trees = {"base": export(args.against), "head": snapshot()}
         report["commits"]["base"] = {"commit": git("rev-parse", args.against),
                                      "source_sha256": source_digest(trees["base"])}
     try:
@@ -313,7 +338,8 @@ def main(argv=None) -> int:
             report["rungs"][name] = rung
     finally:
         if args.against:
-            shutil.rmtree(trees["base"], ignore_errors=True)
+            for tree in trees.values():
+                shutil.rmtree(tree, ignore_errors=True)
     print_table(report)
     if args.record is not None:
         path = os.path.join(HERE, f"BENCH_{args.record}.json")

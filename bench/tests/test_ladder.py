@@ -1,21 +1,19 @@
-"""Smoke test of the ladder: its smallest rung, in a process of its own."""
+"""Smoke test of the ladder: its smallest rung, timed in a process of its own."""
 
 import json
 import os
-import subprocess
 import sys
 import time
 
-LADDER = os.path.join(os.path.dirname(os.path.dirname(os.path.abspath(__file__))), "ladder.py")
+sys.path.insert(0, os.path.dirname(os.path.dirname(os.path.abspath(__file__))))
+import ladder  # noqa: E402
 
 
-def test_smallest_rung_runs_in_under_two_seconds():
+def test_smallest_rung_runs_in_under_two_seconds(capsys):
     start = time.perf_counter()
-    proc = subprocess.run([sys.executable, LADDER, "--rungs", "execute-8-1024", "--repeats", "3"],
-                          capture_output=True, text=True, timeout=60)
+    assert ladder.main(["--rungs", "execute-8-1024", "--repeats", "3"]) == 0
     elapsed = time.perf_counter() - start
-    assert proc.returncode == 0, proc.stderr
-    report = json.loads(proc.stdout.strip().splitlines()[-1])
+    report = json.loads(capsys.readouterr().out.strip().splitlines()[-1])
     assert set(report) == {"environment", "commits", "repeats", "rungs"}
     assert {"python", "numpy", "nproc"} <= set(report["environment"])
     rung = report["rungs"]["execute-8-1024"]["head"]

@@ -23,10 +23,10 @@ side (`model.cell_terms`) for its energy check (generation's cells, rows
 of one matrix, are not checked) and its connections; a matrix holds its
 rows side by side (`UnitaryLike.terms`), an inline sub-family is laid out
 once per cell (`model.row_terms`).  A connection multiplies the members'
-layers, tiled over its blocks, by one entry of the sub row per block:
-exact single-layer operands are one exponent add and one coefficient
-product (`model.layer_product`), any other product is scattered and read
-back (`model.layered_multiply`).  A cell that is one int64 layer takes
+layers, tiled over its blocks in runs of the sub row's length, by the
+row's own entries, one per block of a run: exact single-layer operands
+are one exponent add and one coefficient product (`layer_product`), any
+other product is scattered and read back (`model.layered_multiply`).  A cell that is one int64 layer takes
 its peak once: its energy check is one sum of squares per member, and
 its products are not rescanned when the peaks bound them below
 `INT64_COEFF_BOUND`.  The families the constructor builds of its own
@@ -35,6 +35,7 @@ outputs are wrapped unchecked (`model.SequenceFamily._of_members`).
 
 from __future__ import annotations
 
+from itertools import accumulate
 from math import lcm
 
 import numpy as np
@@ -81,8 +82,8 @@ def _connections(vs, found, peak) -> list:
     matrix's `terms`), `peak` the members' `layer_peak`.
 
     An output of k blocks is the product of the members' layers tiled
-    over the blocks (shared by the outputs of one block count and order)
-    with v's entries, one per block, broadcast along the block: one
+    over the blocks in runs of v's length (shared by the outputs of one
+    shape and order) with v's own entries, one per block of a run: one
     `layer_product` of their rows when both are exact and one layer, else
     one `layered_multiply`.  When both are one int64 layer and the
     product of their peaks is below INT64_COEFF_BOUND, every product is
@@ -94,22 +95,21 @@ def _connections(vs, found, peak) -> list:
     product = layered_multiply
     if len(coeffs) == len(v_coeffs) == 1 and is_exact(coeffs) and is_exact(v_coeffs):
         product, exps, coeffs, v_exps, v_coeffs = layer_product, exps[0], coeffs[0], v_exps[0], v_coeffs[0]
-    tiled = {}  # (k, order): the members' layers over k blocks, the vs' exponents at order
+    tiled = {}  # (k, order, length): members over k blocks in runs of length, vs' exponents at order
     out = []
-    start = 0
-    for length, own_order in shapes:
+    for (length, own_order), start in zip(shapes, accumulate([0] + [n for n, _ in shapes])):
         k, order = lcm(m, length), common_order(cell_order, own_order)
-        if (k, order) not in tiled:
+        if (k, order, length) not in tiled:
             members = exps, coeffs
             if k != m:
                 members = tuple(x.take(np.arange(k) % m, axis=-2) for x in members)
             if order != cell_order:
                 members = members[0] * (order // cell_order), members[1]
-            tiled[k, order] = members, v_exps if order == v_order else v_exps * order // v_order
-        members, row_exps = tiled[k, order]
-        # v's entries, one per block: its own columns when it has k of them
-        at = slice(start, start + k) if k == length else start + np.arange(k) % length
-        start += length
+            if k != length:
+                members = tuple(x.reshape(x.shape[:-2] + (k // length, length, x.shape[-1])) for x in members)
+            tiled[k, order, length] = members, v_exps if order == v_order else v_exps * order // v_order
+        members, row_exps = tiled[k, order, length]
+        at = slice(start, start + length)
         out.append(product(members, (row_exps[..., at, None], v_coeffs[..., at, None]), order, fitted))
     return out
 
