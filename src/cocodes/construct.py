@@ -26,11 +26,11 @@ once per cell (`model.row_terms`).  A connection multiplies the members'
 layers, tiled over its blocks in runs of the sub row's length, by the
 row's own entries, one per block of a run: exact single-layer operands
 are one exponent add and one coefficient product (`layer_product`), any
-other product is scattered and read back (`model.layered_multiply`).  A cell that is one int64 layer takes
-its peak once: its energy check is one sum of squares per member, and
-its products are not rescanned when the peaks bound them below
-`INT64_COEFF_BOUND`.  The families the constructor builds of its own
-outputs are wrapped unchecked (`model.SequenceFamily._of_members`).
+other product is scattered and read back (`model.layered_multiply`).
+A cell that is one int64 layer takes its peak once: its energy check is
+one sum of squares per member, and its products are not rescanned when
+the peaks bound them below `INT64_COEFF_BOUND`.  The constructor wraps
+its own families unchecked (`model.SequenceFamily._of_members`).
 """
 
 from __future__ import annotations
@@ -106,7 +106,7 @@ def _connections(vs, found, peak) -> list:
             if order != cell_order:
                 members = members[0] * (order // cell_order), members[1]
             if k != length:
-                members = tuple(x.reshape(x.shape[:-2] + (k // length, length, x.shape[-1])) for x in members)
+                members = tuple(x.reshape(*x.shape[:-2], k // length, length, x.shape[-1]) for x in members)
             tiled[k, order, length] = members, v_exps if order == v_order else v_exps * order // v_order
         members, row_exps = tiled[k, order, length]
         at = slice(start, start + length)
