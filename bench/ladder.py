@@ -17,6 +17,14 @@ which give each function's calls and its self time: the time inside it
 but not inside another wrapped function.  The package itself holds no
 timing code, and a function a revision does not have is left out.
 
+The heavy rungs (the 32x32 and 64x64 CCCs of L=4096, built and checked)
+run only when named.  A process of one takes no warm-up and runs each of
+its `--repeats` through the wrappers, and its address space is capped at
+HEAVY_AS_MB, so a revision that cannot fit the check there (the dense
+kernel needed more than 8 GB for the 64x64 check) fails with a
+MemoryError rather than exhausting the host; with `--against` it runs
+HEAVY_PAIRS processes per tree.
+
 `--against REV` exports REV (`git archive`) and copies the working
 tree's sources to two temporary directories whose paths have one
 length, since a process's speed can shift with the size of its argv and
@@ -52,16 +60,20 @@ ROOT = os.path.dirname(HERE)
 WARM_S = 0.2  # untimed runs before the timed ones, at least one
 SPLIT_RUNS = 2  # runs through the wrappers, after the timed ones
 PAIRS = 10  # processes per tree and rung with --against
+HEAVY_PAIRS = 3  # the same for a heavy rung
+HEAVY_AS_MB = 4096  # address space of a heavy rung's process
 TIMEOUT_S = 600  # per rung process
 
 CONSTRUCTION = ["planner.plan", "construct._elongation", "construct._connections",
                 "model.layered_multiply", "model.layer_product", "construct._family"]
-# the check's kernel stages: densify (`_dense`, `_digits`), per-member
-# transforms, member sums, the per-shift pass's inverse, round and fold
-# (`sums`, self time) and the decisions (certificate, zero test)
-CHECK = ["corr._Kernel._digits", "corr._Kernel._dense", "corr._root_spectra",
-         "corr._member_sums", "corr._Kernel.sums", "corr._Kernel._certify",
-         "corr._Kernel.zeros"]
+# the check's kernel stages: the layers laid side by side (`_layers`),
+# their energy and limbs (`_digits`, self time), the gather of each
+# root's values (`_root_values`), per-member transforms, member sums, the
+# per-shift pass's inverse, round and fold (`sums`, self time) and the
+# decisions (certificate, zero test)
+CHECK = ["corr._Kernel._digits", "corr._Kernel._layers", "corr._root_values",
+         "corr._root_spectra", "corr._member_sums", "corr._Kernel.sums",
+         "corr._Kernel._certify", "corr._Kernel.zeros"]
 FILES = ["cli._family_text", "cli._dump_json", "cli._load_json", "cli._family_of_text",
          "cli.family_from_doc"]
 
@@ -103,6 +115,19 @@ def _zone(c, tree):
     return lambda: c.enlarge_ccc(_ccc(c, 6, 216), [c.hadamard_matrix(2)] * 6), c.zccc_zone
 
 
+def _build(n: int):
+    def rung(c, tree):
+        return None, lambda _: _ccc(c, n, 4096)
+    return rung
+
+
+def _check(n: int):
+    def rung(c, tree):
+        # the CCC as the constructor leaves it, held as layers
+        return lambda: _ccc(c, n, 4096), c.is_ccc
+    return rung
+
+
 def _files(c, tree):
     """The 12x12 CCC written as `cocodes enlarge` writes it and read back."""
     import cocodes.cli as cli
@@ -128,7 +153,12 @@ RUNGS = {
     "is-ccc-6-216": (_is_ccc, CHECK),
     "zone-12-216": (_zone, CHECK),
     "files-12-216": (_files, FILES),
+    "build-32-4096": (_build(32), CONSTRUCTION),
+    "is-ccc-32-4096": (_check(32), CHECK),
+    "build-64-4096": (_build(64), CONSTRUCTION),
+    "is-ccc-64-4096": (_check(64), CHECK),
 }
+HEAVY = {"build-32-4096", "is-ccc-32-4096", "build-64-4096", "is-ccc-64-4096"}
 
 
 # -- one rung, in its own process ---------------------------------------------
@@ -188,6 +218,10 @@ class Split:
 
 
 def child(rung: str, tree: str, repeats: int) -> dict:
+    heavy = rung in HEAVY
+    if heavy:
+        cap = HEAVY_AS_MB * 2 ** 20
+        resource.setrlimit(resource.RLIMIT_AS, (cap, cap))
     sys.path.insert(0, os.path.join(tree, "src"))
     import cocodes
     if not os.path.abspath(cocodes.__file__).startswith(os.path.abspath(tree) + os.sep):
@@ -206,20 +240,26 @@ def child(rung: str, tree: str, repeats: int) -> dict:
         finally:
             gc.enable()
 
-    warm_until = time.perf_counter() + WARM_S
-    once()
-    while time.perf_counter() < warm_until:
-        once()
-    times = [once() for _ in range(repeats)]
-    rss = resource.getrusage(resource.RUSAGE_SELF).ru_maxrss / 1024
-    split = Split(names)
-    try:
-        for _ in range(SPLIT_RUNS):
-            once()
-    finally:
+    if heavy:  # every run timed and split
+        split, runs = Split(names), repeats
+        times = [once() for _ in range(runs)]
         split.remove()
+        rss = resource.getrusage(resource.RUSAGE_SELF).ru_maxrss / 1024
+    else:
+        warm_until = time.perf_counter() + WARM_S
+        once()
+        while time.perf_counter() < warm_until:
+            once()
+        times = [once() for _ in range(repeats)]
+        rss = resource.getrusage(resource.RUSAGE_SELF).ru_maxrss / 1024
+        split, runs = Split(names), SPLIT_RUNS
+        try:
+            for _ in range(runs):
+                once()
+        finally:
+            split.remove()
     return {"rung": rung, "times_s": times, "peak_rss_mb": rss,
-            "split": {name: {"calls": calls / SPLIT_RUNS, "self_s": self_s / SPLIT_RUNS}
+            "split": {name: {"calls": calls / runs, "self_s": self_s / runs}
                       for name, (calls, self_s) in split.stats.items()}}
 
 
@@ -302,7 +342,8 @@ def print_table(report: dict) -> None:
 
 def main(argv=None) -> int:
     p = argparse.ArgumentParser(description=__doc__.split("\n\n")[0])
-    p.add_argument("--rungs", nargs="+", choices=list(RUNGS), default=list(RUNGS))
+    p.add_argument("--rungs", nargs="+", choices=list(RUNGS),
+                   default=[name for name in RUNGS if name not in HEAVY])
     p.add_argument("--repeats", type=int, default=9, help="timed runs per process")
     p.add_argument("--against", metavar="REV", help="compare with this revision")
     p.add_argument("--record", type=int, metavar="N", help="write bench/BENCH_<N>.json")
@@ -328,7 +369,8 @@ def main(argv=None) -> int:
     try:
         for name in args.rungs:
             runs = {t: [] for t in trees}
-            for i in range(PAIRS if args.against else 1):
+            pairs = (HEAVY_PAIRS if name in HEAVY else PAIRS) if args.against else 1
+            for i in range(pairs):
                 order = sorted(trees, reverse=bool(i % 2))  # base first, then head first
                 for t in order:
                     runs[t].append(measure(trees[t], name, args.repeats))

@@ -17,7 +17,8 @@ text json.dumps gives its entry list.
 A family file whose text is exactly what the writer writes for an exact
 family is read in one array pass (`_family_of_text`): each distinct
 entry is parsed and checked against the writer's entry template once,
-however often it repeats.  Any other layout (indented, approx mode,
+however often it repeats, and every sequence holds the layers of its
+entries, as a check reads them.  Any other layout (indented, approx mode,
 shorthand entries, ...) goes through json and `family_from_doc`, so both
 give the same arrays, or the same error.
 There, an exact sequence whose entries are normalized at one order
@@ -63,7 +64,9 @@ from .model import (
     Sequence,
     SequenceFamily,
     SequenceSet,
+    _fit,
     canonical_form,
+    layers,
     scalar,
 )
 from .planner import (
@@ -275,8 +278,9 @@ def _family_of_text(text: str):
        (`_entry_body`), gives their join back, every sequence's entries
        share one order and the header is the one the writer gives the
        family.
-    5. One gather lays out every entry's coefficients; each sequence's
-       array is a view of them.
+    5. One `layers` pass per order reads the distinct entries' terms,
+       and one gather lays them out for every entry; each sequence holds
+       a view of them as its layers, with as many as its entries need.
     Every distinct entry is checked and cut and join are inverses, so a
     text taken is `_family_text(fam, kind) + "\\n"`.  The writer is
     injective, so that family is the one json and `family_from_doc` read
@@ -320,32 +324,44 @@ def _family_of_text(text: str):
         template = _JOIN.join(map(bodies.__getitem__, orders.tolist()))
     if template % tuple(coeffs.tolist()) != joined:
         return None
-    if len(distinct) < len(entries):
-        # each entry's order and coefficients, copied from its distinct
-        # entry's (when no entry repeats, they are in place already)
-        at = np.fromiter(map(dict(zip(distinct, count())).__getitem__, entries),
-                         np.intp, len(entries))
-        if len(bodies) == 1:  # rows of one width
-            coeffs = coeffs.reshape(-1, order)[at].ravel()
-        else:
-            first = (np.cumsum(orders) - orders)[at]
-            ends = np.cumsum(orders[at])
-            coeffs = coeffs[np.repeat(first - ends + orders[at], orders[at]) + np.arange(ends[-1])]
-        orders = orders[at]
+    # each entry's distinct entry (in place when none repeats)
+    at = (np.fromiter(map(dict(zip(distinct, count())).__getitem__, entries), np.intp, len(entries))
+          if len(distinct) < len(entries) else np.arange(len(entries)))
     lengths = np.fromiter(map(len, seqs), np.intp, len(seqs))
-    starts = np.cumsum(lengths) - lengths
-    seq_orders = orders[starts]
-    if not np.array_equal(orders, np.repeat(seq_orders, lengths)):
+    seq_orders = orders[at[np.cumsum(lengths) - lengths]]
+    if not np.array_equal(orders[at], np.repeat(seq_orders, lengths)):
         return None
-    offsets = (np.cumsum(orders) - orders)[starts]
-    arrays = (coeffs[start:start + length * order].reshape(length, order).T
-              for start, length, order in zip(offsets.tolist(), lengths.tolist(), seq_orders.tolist()))
+    # the layers of each order's distinct entries, one `layers` pass an
+    # order, gathered for the entries of the sequences of that order
+    read = {}
+    first = np.cumsum(orders) - orders
+    for order in set(seq_orders.tolist()):
+        if len(bodies) == 1:  # every entry of this order
+            dense, cols = coeffs.reshape(-1, order).T, at
+        else:
+            mine = orders == order
+            dense = coeffs[first[mine][:, None] + np.arange(order)].T
+            cols = (np.cumsum(mine) - 1)[at[np.repeat(seq_orders == order, lengths)]]
+        read[order] = [x[:, cols] for x in layers(dense, order)] + [0]
     # one scan of the coefficients: when all are below the bound every
-    # array keeps int64 as `Sequence.of_array` would, unscanned
+    # sequence keeps int64 as `Sequence.of_array` would, unscanned
     small = -INT64_COEFF_BOUND < coeffs.min() and coeffs.max() < INT64_COEFF_BOUND
-    make = Sequence._of_fitted if small else Sequence.of_array
+
+    def held(order, length):
+        """The next sequence of `order` and `length`, holding its layers
+        as `layers` reads its array: the terms its entries have at most,
+        in the dtype `_fit` gives them."""
+        exps, coeffs, start = read[order]
+        read[order][2] = start + length
+        exps, coeffs = exps[:, start:start + length], coeffs[:, start:start + length]
+        if len(coeffs) > 1:
+            depth = max(1, int(np.count_nonzero(coeffs, axis=0).max()))
+            exps, coeffs = exps[:depth], coeffs[:depth]
+        return Sequence._of_terms((order, exps, coeffs if small else _fit(coeffs)))
+
+    members = map(held, seq_orders.tolist(), lengths.tolist())
     try:
-        fam = SequenceFamily(SequenceSet(map(make, islice(arrays, len(ss)))) for ss in sets)
+        fam = SequenceFamily(SequenceSet(islice(members, len(ss))) for ss in sets)
     except ValueError:  # sequences of unequal lengths in a set
         return None
     if json.dumps(_family_head(fam, head.get("kind")))[:-1] != text[:cut]:

@@ -11,20 +11,26 @@ past the float range raises OverflowError.
 
 `acorr` is the direct definitional sum and stays the reference.  Every
 profile and predicate goes through one kernel (`_Kernel`) instead.  A
-call densifies its sequences into a (R, sets, members, W) array over
-the call's common order K, exponent rows first: R = K for odd K, R = K/2
-for even K folded by zeta_K^(K/2) = -1, so row j of a member a_n is the
-coefficient of z^j where z^R = 1 or -1.  Two passes read that stack in
-one spectral layout.  For a pair (S, T) let a_q be its set sum at shift
-q, a polynomial in z of degree < R, over the 2W - 1 shifts of W,
+call lays the layered sequences of its members side by side over the
+call's common order K (`_Kernel._layers`): t layers of one (exponent,
+coefficient) per position, (t, sets, members, W) each, read as the
+sequences hold them (`model.read_terms`: held layers as they are, arrays
+by one `layers` pass a run of sets), so no dense stack is made.  Let
+R = K for odd K and R = K/2 for even K, folded by zeta_K^(K/2) = -1, so
+that a member a_n is a polynomial in z, z^R = 1 or -1, whose row j is
+the coefficient of z^j: a term at exponent j >= R is one at j - R with
+its sign changed.  Two passes read those layers in one spectral
+layout.  For a pair (S, T) let a_q be its set sum at shift q, a
+polynomial in z of degree < R, over the 2W - 1 shifts of W,
 P = 2^p >= 2W - 1, and, for each root zeta^-e of z^R -+ 1
 (zeta = exp(2 pi i / K)) and f mod P, v(e, f) = sum_q sigma_e(a_q) w^(fq),
 w = exp(2 pi i / P), sigma_e(a) = a(zeta^-e), for e prime to K the
 embedding of Z[zeta_K] mapping zeta_K to zeta^-e.  A member's values at a
-root are
-x_n(e, l) = sum_j a_n[j, l] zeta^(-ej), one (rows,) x (rows, n) product
-over a block of sets; X_n is their length-P transform over positions
-(the real `rfft` at R = 1, where x = a), and v = sum_n X_S,n conj(X_T,n).
+root are x_n(e, l) = sum_j a_n[j, l] zeta^(-ej), gathered from its
+layers as sum_t c_t(l) zeta^(-e e_t(l)), one gather per layer from the
+root's table of K powers (`_roots`) over a block of sets; X_n is their
+length-P transform over positions (the real `rfft` at R = 1, where x is
+the folded coefficient), and v = sum_n X_S,n conj(X_T,n).
 As v(-e, -f) = conj(v(e, f)), one root of each conjugate pair is taken
 (`_roots`), one root and one block of sets at a time (`_block_pairs`,
 `_member_sums`), so that a block's spectra and two blocks' member sums
@@ -57,10 +63,17 @@ is a root of the fold, so x_n is sigma_e of the member.  The bound B
 members, E the largest set energy sum a^2 of the stack:
 
   (a) A root's powers are within 32u of their values (the angle
-      2 pi (ej mod K) / K within 6 pi u, cos and sin within 2u) and
-      are applied by two real products, so
+      2 pi (ej mod K) / K within 6 pi u, cos and sin within 2u; the
+      power at j >= R is that at j - R negated, exactly).  The layers
+      of a position hold no two nonzero terms whose exponents meet
+      after folding (where they would, `_folded` scatters the layers
+      into their folded rows and reads them back), so its t terms are
+      its nonzero folded coefficients, t <= R, and
+      sum_t |c_t(l)| = sum_j |a[j, l]|.  Each term is one rounded
+      product of a real coefficient and a power (two real products),
+      and each part of x^(l) is a sum of at most t <= R of them, so
       |x^(l) - x(l)| <= mu sum_j |a[j, l]|,
-      mu = sqrt2 g_R (1 + 32u) + 32u (0 at K <= 2).  By
+      mu = sqrt2 g_R (1 + 32u) + 32u (0 at K <= 2, where x^ = x).  By
       Cauchy-Schwarz ||x_n|| <= sqrt(R) ||a_n|| and
       ||x^_n - x_n|| <= mu sqrt(R) ||a_n||.
   (b) Percival bounds a length-2^p transform with twiddles within u
@@ -75,7 +88,8 @@ members, E the largest set energy sum a^2 of the stack:
   (d) The same steps bound the shift-0 sum's error by
       R E (mu (2 + mu) + g_2MW (1 + mu)^2).
   (e) B < 1/2 forces E < 2^50, so every coefficient is below 2^25 and
-      the float stack and its energy E are exact.
+      the float coefficients and their energy E = sum c^2, which is the
+      folded stack's, are exact.
   (f) B is (1 + 2^-50) times the sum of (c) and (d).  The subtraction
       and the modulus add relative errors below 4u, so a zero sum gives
       a computed |v| <= B < 1/2 and a nonzero one at least
@@ -112,7 +126,7 @@ first of their violations, sums or values is read (`_Kernel.scan`).  It
 keeps the sums stack and one violation mask over the same (pairs,
 shifts) grid, whose rows give a pair's violations and a render's shifts.
 So a verdict costs one certificate pass, and a rejected family pays for
-both (on the one densified stack the kernel keeps) only when its report
+both (on the one set of layers the kernel keeps) only when its report
 is read.  `CycloNum`s are built only for the values read (`_scalars`).
 Debug records on the `cocodes` logger give the block and limb counts
 above one and which pass decided a check, and why.
@@ -134,13 +148,15 @@ import numpy as np
 
 from .cyclo import CycloNum, check_coefficients, common_order, zero_rows
 from .model import (
-    EXACT,
     ModeMismatchError,
     Scalar,
     Sequence,
     SequenceFamily,
     SequenceSet,
+    _scatter,
     is_exact,
+    layers,
+    read_terms,
     scalar,
 )
 
@@ -394,32 +410,64 @@ def _roots(k: int, rows: int, primitive: bool = False) -> tuple:
     zeta_K^(-eR) = +-1 (every e for odd K, the odd e for even K), one of
     each conjugate pair; with `primitive` only the e prime to K, all the
     certificate reads.  A root is the read-only row of its powers
-    zeta_K^(-ej), j < R; its weight is 1 if real, 2 for a pair.  At one
-    row, one root None: the row is its own value."""
+    zeta_K^(-ej), j < K, the table an exponent indexes unfolded: for even
+    K the powers j >= R are those of j - R negated, as zeta_K^(-eR) = -1,
+    so an unfolded term gives the value of its folded one.  Its weight is
+    1 if real, 2 for a pair.  At one row, one root None: the folded
+    coefficients are their own values."""
     if rows == 1:
         return ((None, 1.0),)
     es = [e for e in range(k // 2 + 1)
           if (k % 2 or e % 2) and (math.gcd(e, k) == 1 or not primitive)]
     powers = np.exp(-2j * np.pi / k * (np.outer(es, np.arange(rows)) % k))
+    if rows < k:
+        powers = np.hstack([powers, -powers])
     powers.flags.writeable = False
     return tuple((row, 1.0 if 2 * e % k == 0 else 2.0) for e, row in zip(es, powers))
 
 
-def _root_spectra(block: np.ndarray, root, size: int) -> tuple:
-    """(spectra, values) of each member of a (rows, ..., width) block at
-    one root of `_roots`: its values x(l) = sum_j a[j, l] root[j] (the
-    one row at root None) by one (rows,) x (rows, n) product for each of
-    the real and imaginary parts, so the stack is never cast to complex;
-    and their transform over positions, zero-padded to `size` (the
-    half-spectrum, `rfft`, of real values)."""
-    x = block[0]
-    if root is not None:
-        flat = block.reshape(len(block), -1)  # a view: a block is a run of sets
-        x = np.empty(flat.shape[1], complex)
-        np.matmul(root.real, flat, out=x.real)
-        np.matmul(root.imag, flat, out=x.imag)
-        x = x.reshape(block.shape[1:])
+def _root_values(block: tuple, root) -> np.ndarray:
+    """Each member's values at one root of `_roots`, of a block of layers
+    (exponents, coefficients), (t, ..., width) arrays whose shapes
+    broadcast: x(l) = sum_t c_t(l) root[e_t(l)], one gather of the root's
+    powers per layer, each times its real coefficients; at root None the
+    folded coefficients, summed."""
+    exps, coeffs = block
+    if root is None:
+        return coeffs[0] if len(coeffs) == 1 else coeffs.sum(axis=0)
+    x = root.take(exps[0]) * coeffs[0]
+    for e, c in zip(exps[1:], coeffs[1:]):
+        x += root.take(e) * c
+    return x
+
+
+def _root_spectra(block: tuple, root, size: int) -> tuple:
+    """(spectra, values) of each member of a block of layers at one root
+    of `_roots`: its values (`_root_values`) and their transform over
+    positions, zero-padded to `size` (the half-spectrum, `rfft`, of real
+    values)."""
+    x = _root_values(block, root)
     return (np.fft.fft if np.iscomplexobj(x) else np.fft.rfft)(x, n=size), x
+
+
+def _folded(exps: np.ndarray, coeffs: np.ndarray, rows: int, order: int) -> tuple:
+    """(exponents, coefficients) of `order` K, (t, ...) arrays, with no two
+    nonzero terms of an entry at exponents that meet after folding by
+    zeta_K^(K/2) = -1 (j and j + R for R = `rows` < K): as they are when
+    none meet, else scattered into their folded rows and read back, so
+    each exponent is a row j < R.  At R = 1 (K <= 2) the coefficients
+    are folded too, each term's sign its value at zeta_K^R = -1."""
+    t, shape = len(coeffs), coeffs.shape[1:]
+    if t > 1:
+        folded, live = exps % rows, coeffs != 0
+        if any(((folded[i] == folded[j]) & live[i] & live[j]).any()
+               for i in range(t) for j in range(i)):
+            signed = np.where(exps < rows, coeffs, -coeffs).reshape(t, -1)
+            exps, coeffs = layers(_scatter(zip(folded.reshape(t, -1), signed), rows), rows)
+            return exps.reshape((-1,) + shape), coeffs.reshape((-1,) + shape)
+    if rows == 1 < order:
+        coeffs = np.where(exps < rows, coeffs, -coeffs)
+    return exps, coeffs
 
 
 class _Kernel:
@@ -436,20 +484,29 @@ class _Kernel:
     An exact sequence of order k is the polynomial
     sum_{j,l} a[j, l] z^(jK/k) x^l in z^K = 1, so a set sum is one 2-D
     correlation, cyclic over the exponent axis and aperiodic over
-    positions.  Every sequence is densified into a
-    (R, sets, members, width) array (`_dense`; one row in approx mode)
-    and split into limbs when `_digits` says so.  The spectra exist only
-    while a pass runs, and so does the stack unless it is kept in
-    `digits` for several calls: by `zccc_zone`, and by `check` when the
-    certificate rejects a pair, for the report's deferred `scan` (one
-    `sums` over the check's pairs, memoised with its violation mask).
+    positions.  The call's layers are laid side by side once, as (t,
+    sets, members, width) exponents and coefficients (`_layers`; one
+    complex layer, the arrays, in approx mode), and their coefficients
+    are split into limbs when `_digits` says so; a block's values at a
+    root are gathered from them (`_root_values`), so the call's memory
+    follows its layers and one block's spectra, not K times its
+    entries.  The spectra exist only while a pass runs, and so do the
+    layers unless they are kept in `digits` for several calls: by
+    `zccc_zone`, and by `check` when the certificate rejects a pair, for
+    the report's deferred `scan` (one `sums` over the check's pairs,
+    memoised with its violation mask).
     """
 
     def __init__(self, sets, phases: int = 1, tol: float = 0.0):
-        seqs = [s for ss in sets for s in ss]
-        if len({s.mode for s in seqs}) != 1:
+        # (order, coefficients) of each sequence: its held layers' or its array's
+        held = [(len(s._array), s._array) if s._terms is None else s._terms[::2]
+                for ss in sets for s in ss]
+        modes = {is_exact(values) for _, values in held}
+        if len(modes) != 1:
             raise ModeMismatchError("mode mismatch between sequences")
-        self.exact = seqs[0].mode == EXACT
+        (self.exact,) = modes
+        # the coefficients of Python ints, which `_digits` checks
+        self.wide = [values for _, values in held if values.dtype == object]
         self.tol = tol
         if not self.exact:  # an exact energy may be past the float range
             with np.errstate(over="ignore"):
@@ -457,62 +514,63 @@ class _Kernel:
             if not math.isfinite(scale):  # tol * inf would pass every residual
                 raise OverflowError(f"an approx set energy of {scale} is past the float range")
             self.tol = tol * scale if scale > 0 else tol
-        self.order = reduce(common_order, {s.order for s in seqs}, 1)
+        self.order = reduce(common_order, {k for k, _ in held}, 1)
         # shift q of a sum is shift q * step of the sequences
         self.step = phases
-        self.phases = min(phases, max(len(s) for s in seqs))
+        self.phases = min(phases, max(values.shape[1] for _, values in held))
         self.sets = sets
         self.members = len(sets[0]) * self.phases
         self.widths = [-(-len(ss[0]) // self.phases) for ss in sets]
         self.width = max(self.widths)
         self.hull = self.width - 1
-        # rows kept after folding by zeta_K^(K/2) = -1 (see `_dense`)
+        # rows kept after folding by zeta_K^(K/2) = -1
         self.rows = self.order // 2 if self.order % 2 == 0 else self.order
         self.digits = None  # `_digits()` when the caller keeps it for more calls
 
     def _digits(self):
-        """The stack the spectra are taken of, (rows, sets, limbs,
-        members, width); the limb width b in bits (0: one limb); the
-        rounding bound that certifies the pass (nan in approx mode); the
-        dtype of the sums, int64 when every value and every step of
-        their recombination fits; the largest set energy of the stack
-        before any split into limbs (nan in approx mode), which
-        `certificate_bound` takes.
+        """The layers the spectra are taken of, (exponents, coefficients):
+        (t, sets, 1, members, width) exponents and (t, sets, limbs,
+        members, width) float coefficients (`_layers`); the limb width b
+        in bits (0: one limb); the rounding bound that certifies the pass
+        (nan in approx mode); the dtype of the sums, int64 when every
+        value and every step of their recombination fits; the largest
+        set energy of the layers before any split into limbs (nan in
+        approx mode), which `certificate_bound` takes.
 
-        A stack of int64 sequences (coefficients below
-        INT64_COEFF_BOUND) converts to float exactly.  A sequence of
-        Python ints makes the stack one of Python ints first; every
-        coefficient of such a sequence must be below COEFF_LIMIT (a
-        CoefficientLimitError names the cap), so that the stack
-        converts to float too."""
+        int64 coefficients (below INT64_COEFF_BOUND) convert to float
+        exactly.  A sequence of Python ints makes the coefficients Python
+        ints first; every coefficient of such a sequence must be below
+        COEFF_LIMIT (a CoefficientLimitError names the cap), so that they
+        convert to float too."""
         if not self.exact:
-            return self._dense(complex)[:, :, None], 0, math.nan, complex, math.nan
-        big = [s.array for ss in self.sets for s in ss if s.array.dtype == object]
-        if big:
-            for a in big:
-                check_coefficients(a)
-            ints = self._dense(object)
-            dense = ints.astype(float)
+            exps, coeffs = self._layers(complex)
+            return (exps[:, :, None], coeffs[:, :, None]), 0, math.nan, complex, math.nan
+        if self.wide:
+            for values in self.wide:
+                check_coefficients(values)
+            exps, ints = self._layers(object)
+            coeffs = ints.astype(float)
         else:
-            ints, dense = None, self._dense(float)
-        energy = float(np.einsum("ksml,ksml->s", dense, dense).max())
+            ints, (exps, coeffs) = None, self._layers(float)
+        exps = exps[:, :, None]
+        energy = float(np.einsum("tsml,tsml->s", coeffs, coeffs).max())
         size = _pow2(2 * self.width - 1)
         bound = rounding_bound(energy, self.rows, self.members, size)
         if bound < 0.5:
-            return dense[:, :, None], 0, bound, np.int64, energy
+            return (exps, coeffs[:, :, None]), 0, bound, np.int64, energy
         # Too large to round in one piece: every coefficient becomes n
-        # signed base-2^b digits, least significant first.  A set sum is
-        # then sum_k 2^(bk) R_k, where R_k sums over the members and over
-        # the limb pairs (i, k - i) as more members, so for sets of c
-        # nonzero coefficients `rounding_bound` holds for every R_k when
-        # it holds for energy c n (2^b - 1)^2 and n times the members.
-        # A coefficient of R_k pairs each row j with the one row
-        # (j - d) mod R, so by Cauchy-Schwarz it is at most that energy,
-        # which the bound keeps below 2^51; each Horner step is then
-        # below energy + 2^52, and int64 holds every step for energies
-        # below 2^61.
+        # signed base-2^b digits, least significant first, at its
+        # exponent.  A set sum is then sum_k 2^(bk) R_k, where R_k sums
+        # over the members and over the limb pairs (i, k - i) as more
+        # members, so for sets of c nonzero coefficients
+        # `rounding_bound` holds for every R_k when it holds for energy
+        # c n (2^b - 1)^2 and n times the members.  A coefficient of R_k
+        # pairs each row j with the one row (j - d) mod R, so by
+        # Cauchy-Schwarz it is at most that energy, which the bound keeps
+        # below 2^51; each Horner step is then below energy + 2^52, and
+        # int64 holds every step for energies below 2^61.
         if ints is None:
-            ints = self._dense(np.int64)
+            ints = self._layers(np.int64)[1]
         mags = np.abs(ints)
         bits = int(mags.max()).bit_length()
         nonzero = int(np.count_nonzero(ints, axis=(0, 2, 3)).max())
@@ -520,39 +578,59 @@ class _Kernel:
         # the widest limb that passes, found from the top: 53 - b bounds
         b = next(b for b in range(52, 0, -1) if _limb_bound(b, *stack) < 0.5)
         digits = np.stack([(mags >> i) & ((1 << b) - 1) for i in range(0, bits, b)], axis=2)
-        return (digits.astype(float) * np.where(ints < 0, -1.0, 1.0)[:, :, None], b,
+        return ((exps, digits.astype(float) * np.where(ints < 0, -1.0, 1.0)[:, :, None]), b,
                 _limb_bound(b, *stack), np.int64 if energy < 2.0 ** 61 else object, energy)
 
-    def _dense(self, dtype) -> np.ndarray:
-        """(rows, sets, members, width) array of `dtype` holding the
-        polyphase components of every sequence (member n * phases + r
-        is component r of member n), exponent rows first so that a root
-        is one product (`_root_spectra`), folded by zeta_K^(K/2) = -1 for
-        even K.  Sequences come as int64 arrays unless a coefficient is
-        past INT64_COEFF_BOUND, so a float stack is filled by numpy's
-        own casts, not one Python int at a time.  Each array is taken to
-        the call's order and n * width entries by zero-padding; one
-        conversion of all of them and one reshape lay the stack out."""
-        n = self.phases
-        sets, members = len(self.sets), len(self.sets[0]) * n
-        full = (self.order, self.width * n)
-        arrays = [s.array for ss in self.sets for s in ss]
-        for i, a in enumerate(arrays):
-            if a.shape != full:
-                arrays[i] = np.zeros(full, a.dtype)
-                arrays[i][::self.order // len(a), :a.shape[1]] = a
-        out = np.stack(arrays, axis=1, dtype=dtype, casting="unsafe")
-        out = out.reshape(self.order, sets, -1, self.width, n).transpose(0, 1, 2, 4, 3)
-        out = out.reshape(self.order, sets, members, self.width)
-        # C order: the phase axis of the reshape above is interleaved
-        if self.rows < self.order:
-            return np.subtract(out[:self.rows], out[self.rows:], order="C")
-        return np.ascontiguousarray(out)
+    def _layers(self, dtype) -> tuple:
+        """(exponents, coefficients) of the call, two (t, sets, members,
+        width) arrays, the coefficients of `dtype`: every sequence's layers
+        at the call's order K, t the most any has, laid out by `_joined`.
+        Exponents stay unfolded, as the roots' powers take them, and no
+        two terms of a column meet after folding by zeta_K^(K/2) = -1
+        (`_folded`), so a column's terms are at distinct rows j < R and
+        their squares sum to its folded energy.  At R = 1 the coefficients
+        are folded (approx: the arrays themselves, one layer).
 
-    def _spectra(self, block: np.ndarray, root, size: int) -> np.ndarray:
-        """The per-shift spectra (sets limbs, members, freqs) of a block at a root."""
-        rows, _, _, members, width = block.shape
-        return _root_spectra(block.reshape(rows, -1, members, width), root, size)[0]
+        Held layers are read as they are, and the sequences holding
+        arrays of each run of sets whose dense arrays stay under
+        `_SPECTRA_MAX` entries by one `layers` pass (`read_terms`), so no
+        dense stack of the whole call is made."""
+        seqs = [s for ss in self.sets for s in ss]
+        if not self.exact:
+            return self._joined([(1, np.zeros(s.array.shape, np.intp), s.array) for s in seqs],
+                                complex)
+        size = len(self.sets[0])
+        per = max(1, _SPECTRA_MAX // (size * self.width * self.phases * self.order)) * size
+        found = [t for start in range(0, len(seqs), per) for t in read_terms(seqs[start:start + per])]
+        return _folded(*self._joined(found, dtype), self.rows, self.order)
+
+    def _joined(self, found, dtype) -> tuple:
+        """(exponents, coefficients) of layered sequences at the call's
+        order, two (t, sets, members, width) arrays, the coefficients of
+        `dtype`: each sequence zero-padded to the most layers any has and
+        to phases * width entries, side by side, its component r (entries
+        r, r + phases, ...) member n * phases + r of its set."""
+        n, width = self.phases, self.width
+        depth, span = max(len(c) for _, _, c in found), n * width
+        exps = [e if k == self.order else e * (self.order // k) for k, e, _ in found]
+        if all(c.shape == (depth, span) for _, _, c in found):
+            exps = np.concatenate(exps, axis=1)
+            coeffs = np.concatenate([c for _, _, c in found], axis=1, dtype=dtype,
+                                    casting="unsafe")
+        else:  # each into its place in zeros
+            exps, padded = np.zeros((depth, len(found) * span), np.intp), exps
+            coeffs = np.zeros(exps.shape, dtype)
+            for start, e, (_, _, c) in zip(range(0, exps.shape[1], span), padded, found):
+                exps[:len(e), start:start + e.shape[1]] = e
+                coeffs[:len(c), start:start + c.shape[1]] = c
+        return tuple(a.reshape(depth, -1, len(self.sets[0]), width, n).transpose(0, 1, 2, 4, 3)
+                     .reshape(depth, -1, self.members, width) for a in (exps, coeffs))
+
+    def _spectra(self, block: tuple, root, size: int) -> np.ndarray:
+        """The per-shift spectra (sets limbs, members, freqs) of a block of
+        layers at a root."""
+        spectra = _root_spectra(block, root, size)[0]
+        return spectra.reshape(-1, *spectra.shape[2:])
 
     def sums(self, pairs, rotate: bool = False, digits=None) -> np.ndarray:
         """(pairs, 2 hull + 1, rows) stack of the set sums of each
@@ -561,8 +639,9 @@ class _Kernel:
         `rotate` the members of the left set are taken cyclically
         shifted by one (member n + 1 pairs with member n).  `digits`
         is a `_digits()` the caller has already made."""
-        stack, b, bound, dtype, _ = digits or self.digits or self._digits()
-        rows, sets, limbs, members, width = stack.shape
+        (exps, coeffs), b, bound, dtype, _ = digits or self.digits or self._digits()
+        _, sets, limbs, members, width = coeffs.shape
+        rows = self.rows
         size = _pow2(2 * width - 1)
         real = self.exact and rows == 1
         block = _blocks(sets, members, limbs, size // 2 + 1 if real else size, b, "rounding",
@@ -574,7 +653,8 @@ class _Kernel:
         acc = np.zeros((len(pairs), 2 * limbs - 1, len(shifts), rows),
                        float if self.exact else complex)
         for (root, weight), left, right, idx, lefts, rights in _block_pairs(
-                pairs, block, lambda part, r: self._spectra(stack[:, part], r[0], size),
+                pairs, block,
+                lambda part, r: self._spectra((exps[:, part], coeffs[:, part]), r[0], size),
                 _roots(self.order, rows)):
             if rotate:
                 left = np.roll(left, -1, axis=1)
@@ -586,9 +666,9 @@ class _Kernel:
             found = (np.fft.irfft if real else np.fft.ifft)(found, n=size)[..., shifts]
             if root is None:
                 acc[idx] = found[..., None]
-            else:  # weight Re(sigma_e(a_q) zeta^(ej)) = weight (Re Re + Im Im)
+            else:  # weight Re(sigma_e(a_q) zeta^(ej)) = weight (Re Re + Im Im), j < R
                 acc[idx] += found[..., None].view(float) @ (
-                    weight * np.stack([root.real, root.imag]))
+                    weight * np.stack([root.real[:rows], root.imag[:rows]]))
         if not self.exact:
             return acc[:, 0]
         if rows > 1:
@@ -602,10 +682,19 @@ class _Kernel:
 
     def zeros(self, acc: np.ndarray) -> np.ndarray:
         """(pairs, shifts) bools: which sums of a `sums` stack vanish, decided
-        for the whole stack by one `zero_rows` call (approx: |sum| <= tol
-        times the largest set energy, or tol when every set is zero)."""
-        flat = zero_rows(acc.reshape(-1, self.rows), self.order, self.tol)
-        return flat.reshape(acc.shape[:2])
+        by one `zero_rows` call over its nonzero sums (approx: every sum,
+        |sum| <= tol times the largest set energy, or tol when every set is
+        zero)."""
+        flat = acc.reshape(-1, self.rows)
+        if not self.exact:
+            return zero_rows(flat, self.order, self.tol).reshape(acc.shape[:2])
+        live = flat[:, 0] != 0
+        for j in range(1, self.rows):  # column by column: a reduction over rows is slower
+            live |= flat[:, j] != 0
+        zero = ~live
+        live = np.flatnonzero(live)
+        zero[live] = zero_rows(flat.take(live, axis=0), self.order)
+        return zero.reshape(acc.shape[:2])
 
     def profile(self) -> "CorrelationProfile":
         """Profile of the sum of sets 0 and 1 over the full hull."""
@@ -622,8 +711,8 @@ class _Kernel:
         records the pairs and their hulls for it, so it serves one check.
         A debug record names the path and why."""
         digits = self.digits or self._digits()
-        stack, _, _, _, energy = digits
-        limbs = stack.shape[2]
+        (exps, coeffs), _, _, _, energy = digits
+        limbs = coeffs.shape[2]
         self.pairs = pairs
         self.hulls = [max(self.widths[m], self.widths[mp]) - 1 for m, mp in pairs]
         self.found = None
@@ -634,7 +723,8 @@ class _Kernel:
         reason = ("approx" if not self.exact else "bound" if not cert < 0.5 else
                   "limbs" if limbs > 1 else None)
         if reason is None:
-            accepted = (self._certify(stack[:, :, 0], pairs, cert) < 0.5).tolist()
+            accepted = (self._certify((exps[:, :, 0], coeffs[:, :, 0]), pairs, cert)
+                        < 0.5).tolist()
             if not all(accepted):  # a failing report is likely read: keep its stack
                 self.digits = digits
             _debug("check by certificate: %d of %d pairs accepted, %d rejected; "
@@ -662,11 +752,14 @@ class _Kernel:
             self.found = acc, mask
         return self.found
 
-    def _certify(self, dense: np.ndarray, pairs, bound: float) -> np.ndarray:
+    def _certify(self, layers: tuple, pairs, bound: float) -> np.ndarray:
         """max |v| of each pair over its certificate values v (see the
         module docstring): the member sums of the spectra at every
-        primitive root and frequency, less an auto pair's shift-0 sum."""
-        _, sets, members, width = dense.shape
+        primitive root and frequency, less an auto pair's shift-0 sum.
+        `layers`: one limb's (exponents, coefficients), (t, sets,
+        members, width) each."""
+        exps, coeffs = layers
+        _, sets, members, width = coeffs.shape
         size = _pow2(2 * width - 1)
         block = _blocks(sets, members, 1, size // 2 + 1 if self.rows == 1 else size, 0,
                         "certificate", bound)
@@ -674,9 +767,9 @@ class _Kernel:
         worst = np.zeros(len(pairs))
 
         def spectra_of(part, r):  # and each set's shift-0 sum at the root
-            spectra, x = _root_spectra(dense[:, part], r[0], size)
-            parts = (x,) if r[0] is None else (x.real, x.imag)
-            return spectra, sum(np.einsum("sml,sml->s", p, p) for p in parts)
+            spectra, x = _root_spectra((exps[:, part], coeffs[:, part]), r[0], size)
+            parts = x if r[0] is None else x.view(float)  # real and imaginary parts
+            return spectra, np.einsum("sml,sml->s", parts, parts)
 
         for _, (left, energies), (right, _), idx, lefts, rights in _block_pairs(
                 pairs, block, spectra_of, _roots(self.order, self.rows, primitive=True)):
@@ -858,7 +951,7 @@ def zccc_zone(fam: SequenceFamily, tol: float = DEFAULT_TOL) -> int:
     largest Z such that for all set pairs (m, m') and all 0 < tau <= Z
     the sum over n of R(c^m_{[n+1]_N}, c^{m'}_n, L - tau) is zero.
     The CCC check and the rotated pass share one kernel, so every
-    sequence is densified once.
+    sequence is laid out once.
     """
     kernel = _Kernel(list(fam), tol=tol)
     kernel.digits = kernel._digits()

@@ -14,7 +14,8 @@ approx, int or "+" / "-" exact unless the context is approx (a Sequence
 is approx when any entry is a float or complex, its ints following).
 
 A Sequence holds one read-only array, or the layered sequence (see
-below) it was constructed as, its array derived on first read and kept.
+below) it was constructed or built as, its array derived on first read
+and kept.
 An exact sequence of length L is a (K, L) integer array with K the lcm
 of its entries' orders: row j holds the coefficients of zeta_K^j, so
 column l is entry l in Z[zeta_K].  Its dtype follows its values: int64
@@ -47,7 +48,13 @@ product is scattered and read back, so the layers never outgrow the
 terms.  Coefficients are always in the dtype `_fit` gives them, so a
 constructed Sequence holds its layers (`Sequence._of_terms`), its array
 one scatter made on first read, and its order, mode and length are read
-from the layers.
+from the layers.  An exact Sequence built from scalars holds its layers
+too, made from the nonzero terms of each distinct scalar once and
+gathered per entry (`_monomial_layers`); so do the sequences the CLI
+reads from its own files.  The checks read every exact sequence through
+`read_terms`, which reads those holding arrays (`Sequence.of_array`,
+expansion outputs) into layers by one `layers` pass over their arrays
+side by side.  An approx Sequence holds its array, its one layer.
 """
 
 from __future__ import annotations
@@ -150,8 +157,9 @@ def layers(a: np.ndarray, order: int) -> tuple:
     step = order // len(a)
     sums = a.sum(axis=0)
     if np.count_nonzero(a) == np.count_nonzero(sums):
-        # at most one term in every column, so its sum is that term
-        return (a != 0).argmax(axis=0)[None] * step, sums[None]
+        # at most one term in every column, so its sum is that term, and
+        # its row (0 for none) the sum of the rows j times [a[j] != 0]
+        return np.einsum("j,jl->l", np.arange(0, order, step), a != 0)[None], sums[None]
     nonzero = a != 0
     counts = np.count_nonzero(nonzero, axis=0)
     cols, rows = np.nonzero(nonzero.T)
@@ -161,6 +169,26 @@ def layers(a: np.ndarray, order: int) -> tuple:
     exps[depth, cols] = rows * step
     coeffs[depth, cols] = a[rows, cols]
     return exps, coeffs
+
+
+def _monomial_layers(values, order: int) -> tuple:
+    """(exponents, coefficients) of n coefficient tuples, each of an order
+    dividing `order`, as `layers` reads their (order, n) array: value i's
+    nonzero terms, by exponent over zeta_order, in column i of layers 0,
+    1, ...; padded with zero coefficients at exponent 0 to the most terms
+    any has, and at least one.  Coefficients are in the dtype `_fit`
+    gives them."""
+    terms = [[(j * (order // len(c)), x) for j, x in enumerate(c) if x] or [(0, 0)]
+             for c in values]
+    depth = max(map(len, terms))
+    if depth > 1:
+        terms = [t + [(0, 0)] * (depth - len(t)) for t in terms]
+    exps, coeffs = zip(*(zip(*t) for t in terms))
+    try:
+        coeffs = np.array(coeffs, np.int64).T
+    except OverflowError:  # a coefficient past int64
+        coeffs = np.array(coeffs, object).T
+    return np.array(exps, np.intp).T, _fit(coeffs)
 
 
 @lru_cache(maxsize=64)
@@ -249,6 +277,23 @@ def terms_of(s: Sequence) -> tuple:
     return (s.order,) + layers(s.array, s.order)
 
 
+def read_terms(seqs) -> list:
+    """`terms_of` of each sequence, in order: the layers a sequence
+    holds, and those of the sequences holding arrays read by one `layers`
+    pass over their arrays side by side at their common order, each
+    sliced out with the pass's depth."""
+    found = [s._terms for s in seqs]
+    arrays = [s._array for s in seqs if s._terms is None]
+    if arrays:
+        order = reduce(common_order, {len(a) for a in arrays}, 1)
+        exps, coeffs = layers(np.concatenate([_promote(a, order) for a in arrays], axis=1), order)
+        ends = np.cumsum([a.shape[1] for a in arrays]).tolist()
+        read = iter((order, exps[:, end - a.shape[1]:end], coeffs[:, end - a.shape[1]:end])
+                    for a, end in zip(arrays, ends))
+        found = [next(read) if t is None else t for t in found]
+    return found
+
+
 def _side_by_side(found) -> tuple:
     """(order, exponents, coefficients) of layered sequences side by side
     at their common order: two (t, total length) arrays, t the most layers
@@ -300,7 +345,7 @@ class Sequence:
     """An ordered, immutable run of same-mode scalars (indices outside
     the range count as zero in every correlation), stored as one
     read-only coefficient array or as the layered sequence it was
-    constructed as (see the module docstring)."""
+    constructed or built as (see the module docstring)."""
 
     __slots__ = ("_array", "_terms")
 
@@ -313,19 +358,16 @@ class Sequence:
         if mode == APPROX:
             self._own(np.array([entries]))
             return
-        order = reduce(common_order, {x.order for x in entries}, 1)
-
-        def fill(dtype):
-            array = np.zeros((order, len(entries)), dtype)
-            for pos, x in enumerate(entries):
-                array[::order // x.order, pos] = x.coeffs
-            return array
-
-        try:
-            array = fill(np.int64)
-        except OverflowError:  # a coefficient past int64
-            array = fill(object)
-        self._own(_fit(array))
+        # the terms of each distinct value once, then gathered per entry
+        keys = [x.coeffs for x in entries]
+        distinct = dict.fromkeys(keys)
+        order = reduce(common_order, set(map(len, distinct)), 1)
+        exps, coeffs = _monomial_layers(distinct, order)
+        if len(distinct) < len(keys):
+            at = np.fromiter(map(dict(zip(distinct, range(len(distinct)))).__getitem__, keys),
+                             np.intp, len(keys))
+            exps, coeffs = exps[:, at], coeffs[:, at]
+        self._hold((order, exps, coeffs))
 
     @classmethod
     def of_array(cls, array: np.ndarray) -> "Sequence":
@@ -356,12 +398,15 @@ class Sequence:
         exponents, coefficients) with the coefficients in the dtype
         `_fit` gives them, whose two arrays become read-only; its array
         is their scatter, made on first read."""
+        seq = object.__new__(cls)
+        seq._hold(terms)
+        return seq
+
+    def _hold(self, terms: tuple) -> None:
         for x in terms[1:]:
             x.flags.writeable = False
-        seq = object.__new__(cls)
-        object.__setattr__(seq, "_array", None)
-        object.__setattr__(seq, "_terms", terms)
-        return seq
+        object.__setattr__(self, "_array", None)
+        object.__setattr__(self, "_terms", terms)
 
     def _own(self, array: np.ndarray) -> None:
         array.flags.writeable = False
@@ -412,12 +457,11 @@ class Sequence:
         return iter(self.array[0].tolist())
 
     def scale(self, c) -> "Sequence":
-        c = Sequence([scalar(c, self.mode)]).array[:, 0]
+        k, at, c = terms_of(Sequence([scalar(c, self.mode)]))
         own, exps, coeffs = terms_of(self)
-        order = common_order(own, len(c))
-        at = np.flatnonzero(c)[:, None] if c.any() else np.zeros((1, 1), np.intp)  # c's layers
+        order = common_order(own, k)
         return Sequence._of_terms(layered_multiply((exps * (order // own), coeffs),
-                                                   (at * (order // len(c)), c[at]), order))
+                                                   (at * (order // k), c), order))
 
     def __neg__(self) -> "Sequence":
         return self.scale(-1)

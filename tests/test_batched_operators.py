@@ -749,8 +749,14 @@ class TestHeldLayers:
             return layers(a, order)
 
         monkeypatch.setattr(model, "layers", counted)
+        # rows built from scalars hold their layers: none is read
         u = custom_matrix([[ONE, I4], [ONE, -I4]])
-        assert [a.tolist() for a in reads] == [r.array.tolist() for r in u.rows()]
+        assert not reads and all(r._terms is not None for r in u.rows())
+        # rows holding arrays are read once each, and once more side by
+        # side by the check of their cross-orthogonality
+        held = custom_matrix([Sequence.of_array(r.array.copy()) for r in u.rows()])
+        arrays = [r.array for r in held.rows()]
+        assert [a.tolist() for a in reads] == [a.tolist() for a in arrays + [np.hstack(arrays)]]
         reads.clear()
         # single-layer products of the matrix's layers and held members
         cosf_to_ccc(_fam(2, 8), u)

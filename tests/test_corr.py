@@ -412,7 +412,7 @@ class TestZone:
         calls = []
         spectra = corr._Kernel._spectra
         monkeypatch.setattr(corr._Kernel, "_spectra",
-                            lambda self, block, root, size: calls.append(block.shape[1])
+                            lambda self, block, root, size: calls.append(block[1].shape[1])
                             or spectra(self, block, root, size))
         with caplog.at_level(logging.DEBUG, logger="cocodes"):
             assert zccc_zone(fam) == zone

@@ -426,3 +426,31 @@ def test_entries_that_join_into_writer_entries_are_refused(tmp_path):
     path = tmp_path / "in.json"
     path.write_text(text, encoding="utf-8")
     assert read(path) is read_by_json(path) is cli.DocumentError
+
+
+def multi_term_family():
+    # two-term entries in one sequence only: the other holds one layer
+    return singleton_family([
+        Sequence([CycloNum(4, [1, 1, 0, 0]), 1, CycloNum(4, [0, 0, 2, -1])]),
+        Sequence([CycloNum.root(4, 1), -1, 1]),
+    ])
+
+
+@pytest.mark.parametrize("build", [int64_ccc, int64_range_family, mixed_family,
+                                   multi_term_family],
+                         ids=["int64", "int64-range-objects", "mixed-orders-and-lengths",
+                              "multi-term"])
+def test_the_array_pass_holds_layers(tmp_path, build):
+    # each sequence holds the layers `layers` reads from its array, in the
+    # dtype `_fit` gives them, and no array until one is read
+    fam = build()
+    got = _family_of_text(written(tmp_path, fam, "raw"))
+    seqs = [s for ss in got for s in ss]
+    assert all(s._array is None for s in seqs)
+    for s, want in zip(seqs, (s for ss in fam for s in ss)):
+        order, exps, coeffs = s._terms
+        assert (order, len(s), s.mode) == (want.order, len(want), want.mode)
+        wexps, wcoeffs = cli.layers(want.array, want.order)
+        assert coeffs.dtype == wcoeffs.dtype
+        assert exps.tolist() == wexps.tolist() and coeffs.tolist() == wcoeffs.tolist()
+    assert_same(got, fam)
