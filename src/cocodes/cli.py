@@ -64,10 +64,11 @@ from .model import (
     Sequence,
     SequenceFamily,
     SequenceSet,
-    _fit,
     canonical_form,
+    column_cut,
     layers,
     scalar,
+    terms_of,
 )
 from .planner import (
     Post,
@@ -166,9 +167,10 @@ def sequence_from_doc(entries, mode: str) -> Sequence:
         seq = Sequence(scalar_from_doc(x, mode) for x in entries)
     else:
         seq = Sequence.of_array(array)
-    if seq.array.dtype == object:  # only coefficients past INT64_COEFF_BOUND
+    coeffs = terms_of(seq)[2]
+    if coeffs.dtype == object:  # only coefficients past INT64_COEFF_BOUND
         try:
-            check_coefficients(seq.array)
+            check_coefficients(coeffs)
         except ValueError as e:
             raise DocumentError(f"bad exact sequence: {e}") from None
     return seq
@@ -331,6 +333,10 @@ def _family_of_text(text: str):
     seq_orders = orders[at[np.cumsum(lengths) - lengths]]
     if not np.array_equal(orders[at], np.repeat(seq_orders, lengths)):
         return None
+    # one scan of the coefficients: when all are below the bound every
+    # sequence keeps int64 as `Sequence.of_array` would, else each is
+    # refitted from Python ints by its cut
+    small = -INT64_COEFF_BOUND < coeffs.min() and coeffs.max() < INT64_COEFF_BOUND
     # the layers of each order's distinct entries, one `layers` pass an
     # order, gathered for the entries of the sequences of that order
     read = {}
@@ -342,22 +348,15 @@ def _family_of_text(text: str):
             mine = orders == order
             dense = coeffs[first[mine][:, None] + np.arange(order)].T
             cols = (np.cumsum(mine) - 1)[at[np.repeat(seq_orders == order, lengths)]]
-        read[order] = [x[:, cols] for x in layers(dense, order)] + [0]
-    # one scan of the coefficients: when all are below the bound every
-    # sequence keeps int64 as `Sequence.of_array` would, unscanned
-    small = -INT64_COEFF_BOUND < coeffs.min() and coeffs.max() < INT64_COEFF_BOUND
+        exps, ints = (x[:, cols] for x in layers(dense, order))
+        read[order] = [(order, exps, ints if small else ints.astype(object)), 0]
 
     def held(order, length):
         """The next sequence of `order` and `length`, holding its layers
-        as `layers` reads its array: the terms its entries have at most,
-        in the dtype `_fit` gives them."""
-        exps, coeffs, start = read[order]
-        read[order][2] = start + length
-        exps, coeffs = exps[:, start:start + length], coeffs[:, start:start + length]
-        if len(coeffs) > 1:
-            depth = max(1, int(np.count_nonzero(coeffs, axis=0).max()))
-            exps, coeffs = exps[:depth], coeffs[:depth]
-        return Sequence._of_terms((order, exps, coeffs if small else _fit(coeffs)))
+        as `layers` reads its array (`model.column_cut`)."""
+        terms, start = read[order]
+        read[order][1] = start + length
+        return Sequence._of_terms(column_cut(terms, start, start + length))
 
     members = map(held, seq_orders.tolist(), lengths.tolist())
     try:

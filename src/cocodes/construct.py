@@ -16,10 +16,11 @@ Output ordering is always the lexicographic order of the partition
 path (cell index, then row index), so constructions are deterministic.
 
 Construction runs on layered sequences (`model.terms_of`): the outputs
-of one round are the layered inputs of the next, and every output but an
-expansion's holds its layers (`model.Sequence._of_terms`), its dense
-array made when it is first read.  A cell's members are laid side by
-side (`model.cell_terms`) for its energy check (generation's cells, rows
+of one round are the layered inputs of the next, and every output holds
+its layers (`model.Sequence._of_terms`), its dense array made when it is
+first read; an expansion's output holds a cut of its connection's
+columns (`model.column_cut`).  A cell's members are laid side by side
+(`model.cell_terms`) for its energy check (generation's cells, rows
 of one matrix, are not checked) and its connections; a matrix holds its
 rows side by side (`UnitaryLike.terms`), an inline sub-family is laid out
 once per cell (`model.row_terms`).  A connection multiplies the members'
@@ -48,8 +49,8 @@ from .model import (
     Sequence,
     SequenceFamily,
     SequenceSet,
-    _scatter,
     cell_terms,
+    column_cut,
     energy,
     is_exact,
     layer_peak,
@@ -124,22 +125,20 @@ def kron_expand(v: Sequence, cell: SequenceSet) -> SequenceSet:
 def _expansions(vs, cell: SequenceSet) -> list:
     """The members of kron_expand(v, cell) for every v whose layers `vs`
     holds side by side (`model.row_terms`, a matrix's `terms`): each
-    connection of v with the members as one member is scattered once and
-    cut into its outputs, each at its own order, lcm(member order, v
-    order): the rows that hold its terms.  Python ints that fit int64 are
-    refitted.  The outputs of one v are a set: all have the cell's length
-    and mode (the connection refuses a v of the other mode)."""
+    output is a cut of the columns of the connection of v with the
+    members as one member (`model.column_cut`), at its own order,
+    lcm(member order, v order).  The outputs of one v are a set: all have
+    the cell's length and mode (the connection refuses a v of the other
+    mode)."""
     order, exps, coeffs, shapes, peak = row_terms(map(terms_of, cell))
     n, width = len(cell), cell.length
     out = []
-    for (full, seq_exps, seq_coeffs), (m, v_order) in zip(
-            _connections(vs, (order, exps[:, None], coeffs[:, None]), peak), vs[3]):
-        stack = _scatter(zip(seq_exps, seq_coeffs), full)
-        make = Sequence.of_array if stack.dtype == object else Sequence._of_fitted
-        # [i, j]: member i times v[j], the place i of block j
-        blocks = stack.reshape(full, m, n, width).transpose(2, 1, 0, 3).copy()
-        out.append([make(np.ascontiguousarray(blocks[i, j, ::full // common_order(own, v_order)]))
-                    for i, (_, own) in enumerate(shapes) for j in range(m)])
+    found = (order, exps[:, None], coeffs[:, None])
+    for terms, (m, v_order) in zip(_connections(vs, found, peak), vs[3]):
+        # member i times v[j] is place i of block j, from column (jn + i) width
+        out.append([Sequence._of_terms(column_cut(terms, start, start + width, common_order(own, v_order)))
+                    for i, (_, own) in enumerate(shapes)
+                    for start in range(i * width, m * n * width, n * width)])
     return out
 
 

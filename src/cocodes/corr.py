@@ -13,9 +13,8 @@ past the float range raises OverflowError.
 profile and predicate goes through one kernel (`_Kernel`) instead.  A
 call lays the layered sequences of its members side by side over the
 call's common order K (`_Kernel._layers`): t layers of one (exponent,
-coefficient) per position, (t, sets, members, W) each, read as the
-sequences hold them (`model.read_terms`: held layers as they are, arrays
-by one `layers` pass a run of sets), so no dense stack is made.  Let
+coefficient) per position, (t, sets, members, W) each, the layers every
+sequence holds (its one store), so no dense array is read.  Let
 R = K for odd K and R = K/2 for even K, folded by zeta_K^(K/2) = -1, so
 that a member a_n is a polynomial in z, z^R = 1 or -1, whose row j is
 the coefficient of z^j: a term at exponent j >= R is one at j - R with
@@ -156,7 +155,6 @@ from .model import (
     _scatter,
     is_exact,
     layers,
-    read_terms,
     scalar,
 )
 
@@ -486,38 +484,38 @@ class _Kernel:
     correlation, cyclic over the exponent axis and aperiodic over
     positions.  The call's layers are laid side by side once, as (t,
     sets, members, width) exponents and coefficients (`_layers`; one
-    complex layer, the arrays, in approx mode), and their coefficients
-    are split into limbs when `_digits` says so; a block's values at a
-    root are gathered from them (`_root_values`), so the call's memory
-    follows its layers and one block's spectra, not K times its
-    entries.  The spectra exist only while a pass runs, and so do the
-    layers unless they are kept in `digits` for several calls: by
-    `zccc_zone`, and by `check` when the certificate rejects a pair, for
-    the report's deferred `scan` (one `sums` over the check's pairs,
-    memoised with its violation mask).
+    complex layer in approx mode), and their coefficients are split into
+    limbs when `_digits` says so; a block's values at a root are gathered
+    from them (`_root_values`), so the call's memory follows its layers
+    and one block's spectra, not K times its entries.  The spectra exist
+    only while a pass runs, and so do the layers unless they are kept in
+    `digits` for several calls: by `zccc_zone`, and by `check` when the
+    certificate rejects a pair, for the report's deferred `scan` (one
+    `sums` over the check's pairs, memoised with its violation mask).
     """
 
     def __init__(self, sets, phases: int = 1, tol: float = 0.0):
-        # (order, coefficients) of each sequence: its held layers' or its array's
-        held = [(len(s._array), s._array) if s._terms is None else s._terms[::2]
-                for ss in sets for s in ss]
-        modes = {is_exact(values) for _, values in held}
+        held = [s._terms for ss in sets for s in ss]
+        modes = {is_exact(values) for _, _, values in held}
         if len(modes) != 1:
             raise ModeMismatchError("mode mismatch between sequences")
         (self.exact,) = modes
         # the coefficients of Python ints, which `_digits` checks
-        self.wide = [values for _, values in held if values.dtype == object]
+        self.wide = [values for _, _, values in held if values.dtype == object]
         self.tol = tol
         if not self.exact:  # an exact energy may be past the float range
+            # a set's |x|^2 as re^2 + im^2, one dot of its floats: inf, never inf * 0
+            floats = (np.concatenate([s._terms[2] for s in ss], axis=1, dtype=complex).view(float)
+                      for ss in sets)
             with np.errstate(over="ignore"):
-                scale = max(sum(np.vdot(s.array, s.array).real for s in ss) for ss in sets)
+                scale = max(float(np.vdot(x, x)) for x in floats)
             if not math.isfinite(scale):  # tol * inf would pass every residual
                 raise OverflowError(f"an approx set energy of {scale} is past the float range")
             self.tol = tol * scale if scale > 0 else tol
-        self.order = reduce(common_order, {k for k, _ in held}, 1)
+        self.order = reduce(common_order, {k for k, _, _ in held}, 1)
         # shift q of a sum is shift q * step of the sequences
         self.step = phases
-        self.phases = min(phases, max(values.shape[1] for _, values in held))
+        self.phases = min(phases, max(values.shape[1] for _, _, values in held))
         self.sets = sets
         self.members = len(sets[0]) * self.phases
         self.widths = [-(-len(ss[0]) // self.phases) for ss in sets]
@@ -584,25 +582,12 @@ class _Kernel:
     def _layers(self, dtype) -> tuple:
         """(exponents, coefficients) of the call, two (t, sets, members,
         width) arrays, the coefficients of `dtype`: every sequence's layers
-        at the call's order K, t the most any has, laid out by `_joined`.
-        Exponents stay unfolded, as the roots' powers take them, and no
-        two terms of a column meet after folding by zeta_K^(K/2) = -1
-        (`_folded`), so a column's terms are at distinct rows j < R and
-        their squares sum to its folded energy.  At R = 1 the coefficients
-        are folded (approx: the arrays themselves, one layer).
-
-        Held layers are read as they are, and the sequences holding
-        arrays of each run of sets whose dense arrays stay under
-        `_SPECTRA_MAX` entries by one `layers` pass (`read_terms`), so no
-        dense stack of the whole call is made."""
-        seqs = [s for ss in self.sets for s in ss]
-        if not self.exact:
-            return self._joined([(1, np.zeros(s.array.shape, np.intp), s.array) for s in seqs],
-                                complex)
-        size = len(self.sets[0])
-        per = max(1, _SPECTRA_MAX // (size * self.width * self.phases * self.order)) * size
-        found = [t for start in range(0, len(seqs), per) for t in read_terms(seqs[start:start + per])]
-        return _folded(*self._joined(found, dtype), self.rows, self.order)
+        at the call's order K, laid out by `_joined` and folded by
+        `_folded`, so a column's terms are at distinct rows j < R and their
+        squares sum to its folded energy.  Exponents stay unfolded, as the
+        roots' powers take them."""
+        return _folded(*self._joined([s._terms for ss in self.sets for s in ss], dtype),
+                       self.rows, self.order)
 
     def _joined(self, found, dtype) -> tuple:
         """(exponents, coefficients) of layered sequences at the call's

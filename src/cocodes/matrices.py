@@ -33,6 +33,7 @@ from .model import (
     Sequence,
     SequenceFamily,
     SequenceSet,
+    array_entry,
     layer_peak,
     row_terms,
     scalar,
@@ -106,11 +107,10 @@ class UnitaryLike:
         return list(self.row_set)
 
     def rows_family(self) -> SequenceFamily:
-        """The rows as a family of single-sequence sets, a row holding
-        layers as a new Sequence over them: an array a check reads goes
-        with the family, so a cached factory matrix keeps none."""
-        return singleton_family(row if row._terms is None else Sequence._of_terms(row._terms)
-                                for row in self.row_set)
+        """The rows as a family of single-sequence sets, each a new
+        Sequence over its row's layers: an array read from the family goes
+        with it, so a cached factory matrix keeps none."""
+        return singleton_family(Sequence._of_terms(row._terms) for row in self.row_set)
 
     def __repr__(self) -> str:
         return f"UnitaryLike(dim={self.dim}, alpha={self.alpha!r})"
@@ -178,10 +178,10 @@ def custom_matrix(entries) -> UnitaryLike:
     terms = row_terms(map(terms_of, rows))  # its energy check reads them as a cell
     cell = (terms[0],) + tuple(x.reshape(len(x), len(rows), -1) for x in terms[1:3])
     e, differ = unequal_energies(cell, DEFAULT_TOL)
-    u = UnitaryLike._of_rows(row_set, e[0], terms)
+    u = UnitaryLike._of_rows(row_set, array_entry(e, 0), terms)
     if scalar_is_zero(u.alpha):  # an energy is real and >= 0, so only 0 fails
         raise MatrixValidationError("alpha = 0 is not a positive real")
-    gram = [((i, i), e[i]) for i in differ]
+    gram = [((i, i), array_entry(e, i)) for i in differ]
     gram += [((p.left, p.right), p.values[0])
              for p in is_n_co_sf(u.rows_family(), u.dim).pairs if not p.ok]
     if gram:

@@ -13,9 +13,9 @@ Scalars come in two modes that never mix inside one family:
 approx, int or "+" / "-" exact unless the context is approx (a Sequence
 is approx when any entry is a float or complex, its ints following).
 
-A Sequence holds one read-only array, or the layered sequence (see
-below) it was constructed or built as, its array derived on first read
-and kept.
+A Sequence holds one store, its layered sequence (see below); its
+read-only array is only a cache, the scatter of the layers made on
+first read and kept.
 An exact sequence of length L is a (K, L) integer array with K the lcm
 of its entries' orders: row j holds the coefficients of zeta_K^j, so
 column l is entry l in Z[zeta_K].  Its dtype follows its values: int64
@@ -39,22 +39,21 @@ ints when the largest times the number of layer pairs could reach 2^63.
 An approx array is one layer: a zero factor gives 0, never 0 * inf, and
 every sum starts from 0.
 
-Construction carries its sequences between rounds as layered sequences,
-(order, exponents, coefficients) triples, which every operator reads
-through `terms_of` and lays side by side (`row_terms`, `cell_terms`).
-The product of two exact single-layer operands is one layer: one
-exponent add and one coefficient product (`layer_product`).  Any other
-product is scattered and read back, so the layers never outgrow the
-terms.  Coefficients are always in the dtype `_fit` gives them, so a
-constructed Sequence holds its layers (`Sequence._of_terms`), its array
-one scatter made on first read, and its order, mode and length are read
-from the layers.  An exact Sequence built from scalars holds its layers
-too, made from the nonzero terms of each distinct scalar once and
-gathered per entry (`_monomial_layers`); so do the sequences the CLI
-reads from its own files.  The checks read every exact sequence through
-`read_terms`, which reads those holding arrays (`Sequence.of_array`,
-expansion outputs) into layers by one `layers` pass over their arrays
-side by side.  An approx Sequence holds its array, its one layer.
+Every Sequence holds its layered sequence, an (order, exponents,
+coefficients) triple, which every operator and check reads through
+`terms_of` and lays side by side (`row_terms`, `cell_terms`), and from
+which its order, mode and length are read.  The product of two exact
+single-layer operands is one layer: one exponent add and one coefficient
+product (`layer_product`).  Any other product is scattered and read
+back, so the layers never outgrow the terms.  Coefficients are always in
+the dtype `_fit` gives them.  A constructed Sequence holds its layers as
+built (`Sequence._of_terms`); an expansion output holds a cut of its
+connection's columns (`column_cut`), as do the sequences the CLI reads
+from its own files.  An exact Sequence built from scalars takes the
+nonzero terms of each distinct scalar once and gathers them per entry
+(`_monomial_layers`); `Sequence.of_array` reads its array by one
+`layers` pass and keeps it as the cache; an approx Sequence is one
+layer, its complex row at exponent 0.
 """
 
 from __future__ import annotations
@@ -270,28 +269,26 @@ def layered_multiply(a: tuple, b: tuple, order: int, fitted: bool = False) -> tu
 
 
 def terms_of(s: Sequence) -> tuple:
-    """The layered sequence (order, exponents, coefficients) of `s`, as
-    every operator reads it: the layers it holds, else its array's."""
-    if s._terms is not None:
-        return s._terms
-    return (s.order,) + layers(s.array, s.order)
+    """The layered sequence (order, exponents, coefficients) `s` holds,
+    as every operator reads it."""
+    return s._terms
 
 
-def read_terms(seqs) -> list:
-    """`terms_of` of each sequence, in order: the layers a sequence
-    holds, and those of the sequences holding arrays read by one `layers`
-    pass over their arrays side by side at their common order, each
-    sliced out with the pass's depth."""
-    found = [s._terms for s in seqs]
-    arrays = [s._array for s in seqs if s._terms is None]
-    if arrays:
-        order = reduce(common_order, {len(a) for a in arrays}, 1)
-        exps, coeffs = layers(np.concatenate([_promote(a, order) for a in arrays], axis=1), order)
-        ends = np.cumsum([a.shape[1] for a in arrays]).tolist()
-        read = iter((order, exps[:, end - a.shape[1]:end], coeffs[:, end - a.shape[1]:end])
-                    for a, end in zip(arrays, ends))
-        found = [next(read) if t is None else t for t in found]
-    return found
+def column_cut(terms: tuple, start: int, stop: int, order: int = 0) -> tuple:
+    """Columns start:stop of the layered sequence `terms`, whose columns
+    hold their nonzero terms in their first layers (as `layers` and every
+    operator lay them out), at `order` (default its own), which must hold
+    every exponent of those columns: the layers past the most terms one
+    of them has dropped (at least one kept), and Python-int coefficients
+    refitted (see `_fit`)."""
+    own, exps, coeffs = terms
+    exps, coeffs = exps[:, start:stop], coeffs[:, start:stop]
+    if len(coeffs) > 1:
+        depth = max(1, int(np.count_nonzero(coeffs, axis=0).max()))
+        exps, coeffs = exps[:depth], coeffs[:depth]
+    if order and order != own:
+        exps = exps // (own // order)
+    return order or own, exps, _fit(coeffs) if coeffs.dtype == object else coeffs
 
 
 def _side_by_side(found) -> tuple:
@@ -341,11 +338,17 @@ def layer_peak(coeffs: np.ndarray):
     return _peak(coeffs) if len(coeffs) == 1 and coeffs.dtype == np.int64 else None
 
 
+def array_entry(a: np.ndarray, i: int) -> Scalar:
+    """Entry i of a (K, n) coefficient array (exact) or a (1, n) complex
+    one (approx) as a scalar."""
+    return CycloNum(len(a), a[:, i]) if is_exact(a) else complex(a[0, i])
+
+
 class Sequence:
     """An ordered, immutable run of same-mode scalars (indices outside
-    the range count as zero in every correlation), stored as one
-    read-only coefficient array or as the layered sequence it was
-    constructed or built as (see the module docstring)."""
+    the range count as zero in every correlation), stored as its layered
+    sequence; its coefficient array is a cache (see the module
+    docstring)."""
 
     __slots__ = ("_array", "_terms")
 
@@ -356,7 +359,8 @@ class Sequence:
         mode = APPROX if any(isinstance(x, (float, complex)) for x in entries) else EXACT
         entries = [scalar(x, mode) for x in entries]
         if mode == APPROX:
-            self._own(np.array([entries]))
+            row = np.array([entries])
+            self._hold((1, np.zeros(row.shape, np.intp), row), row)
             return
         # the terms of each distinct value once, then gathered per entry
         keys = [x.coeffs for x in entries]
@@ -371,25 +375,23 @@ class Sequence:
 
     @classmethod
     def of_array(cls, array: np.ndarray) -> "Sequence":
-        """Sequence owning `array` (exact: (K, L) of integers, approx:
-        (1, L) complex), which becomes read-only; an array that is not
-        2-D, or has no row or no entry, or is approx of more than one row,
-        raises ValueError.  An exact array is taken in the dtype its values
-        call for (see `_fit`): the array itself when it already has it,
-        else a converted copy."""
+        """Sequence of `array` (exact: (K, L) of integers, approx: (1, L)
+        complex): its layers, read once by `layers` (approx: the array
+        itself, one layer at exponent 0), and the array kept read-only as
+        the `.array` cache; an array that is not 2-D, or has no row or no
+        entry, or is approx of more than one row, raises ValueError.  An
+        exact array is taken in the dtype its values call for (see
+        `_fit`): the array itself when it already has it, else a
+        converted copy."""
         if array.ndim != 2 or not array.size:
             raise ValueError(f"a sequence array is 2-D and not empty, got shape {array.shape}")
         if not is_exact(array) and len(array) != 1:
             raise ValueError(f"an approx sequence array has one row, got shape {array.shape}")
-        return cls._of_fitted(_fit(array))
-
-    @classmethod
-    def _of_fitted(cls, array: np.ndarray) -> "Sequence":
-        """Sequence owning `array`, which is approx or already in the
-        dtype `_fit` gives it: an expansion's outputs, an energy, a row
-        permutation of a Sequence's array.  Nothing is scanned."""
+        array = _fit(array)
+        order = len(array)
+        found = layers(array, order) if is_exact(array) else (np.zeros(array.shape, np.intp), array)
         seq = object.__new__(cls)
-        seq._own(array)
+        seq._hold((order,) + found, array)
         return seq
 
     @classmethod
@@ -402,24 +404,23 @@ class Sequence:
         seq._hold(terms)
         return seq
 
-    def _hold(self, terms: tuple) -> None:
+    def _hold(self, terms: tuple, array=None) -> None:
+        """Hold `terms` read-only, and `array` (their scatter) as the
+        array already read."""
         for x in terms[1:]:
             x.flags.writeable = False
-        object.__setattr__(self, "_array", None)
+        if array is not None:
+            array.flags.writeable = False
         object.__setattr__(self, "_terms", terms)
-
-    def _own(self, array: np.ndarray) -> None:
-        array.flags.writeable = False
         object.__setattr__(self, "_array", array)
-        object.__setattr__(self, "_terms", None)
 
     def __setattr__(self, name, value):
         raise AttributeError("Sequence is immutable")
 
     @property
     def array(self) -> np.ndarray:
-        """The read-only coefficient array; for a held layered sequence,
-        the scatter of its layers, made on the first read and kept."""
+        """The read-only coefficient array: the scatter of the layers,
+        made on the first read and kept."""
         array = self._array
         if array is None:
             order, exps, coeffs = self._terms
@@ -428,27 +429,23 @@ class Sequence:
             object.__setattr__(self, "_array", array)
         return array
 
-    # mode, order and length read held layers without making the array:
-    # the coefficients have the array's dtype and length
+    # mode, order and length read the layers: the coefficients have the
+    # array's dtype and length
 
     @property
     def mode(self) -> str:
-        values = self._array if self._terms is None else self._terms[2]
-        return EXACT if is_exact(values) else APPROX
+        return EXACT if is_exact(self._terms[2]) else APPROX
 
     @property
     def order(self) -> int:
         """K of the array, 1 in approx mode."""
-        return len(self._array) if self._terms is None else self._terms[0]
+        return self._terms[0]
 
     def __len__(self) -> int:
-        values = self._array if self._terms is None else self._terms[2]
-        return values.shape[1]
+        return self._terms[2].shape[1]
 
     def __getitem__(self, i):
-        if self.mode == EXACT:
-            return CycloNum(len(self.array), self.array[:, i])
-        return complex(self.array[0, i])
+        return array_entry(self.array, i)
 
     def __iter__(self):
         if self.mode == EXACT:
@@ -467,9 +464,12 @@ class Sequence:
         return self.scale(-1)
 
     def conj(self) -> "Sequence":
-        """Complex conjugate: row j moves to row (K - j) mod K, conjugated."""
-        order = len(self.array)
-        return Sequence._of_fitted(np.conj(self.array[-np.arange(order) % order]))
+        """Complex conjugate: each term c zeta_K^e becomes conj(c)
+        zeta_K^(-e), so row j of the array moves to row (K - j) mod K."""
+        order, exps, coeffs = self._terms
+        if is_exact(coeffs):  # real coefficients
+            return Sequence._of_terms((order, -exps % order, coeffs))
+        return Sequence._of_terms((order, exps, np.conj(coeffs)))
 
     def __eq__(self, other) -> bool:
         if not isinstance(other, Sequence):
@@ -662,9 +662,9 @@ def energies(found) -> np.ndarray:
 
 
 def unequal_energies(found, tol: float) -> tuple:
-    """(the `energies` as one Sequence, indices of the sequences whose energy
-    is not sequence 0's).  Approx energies may differ by tol times sequence
-    0's; exact ones take no tolerance, as they may be past the float range.
+    """(the `energies` array, indices of the sequences whose energy is not
+    sequence 0's).  Approx energies may differ by tol times sequence 0's;
+    exact ones take no tolerance, as they may be past the float range.
     Exact differences that are integers (single-layer members give only
     those) are zero only when 0, so they skip the reduction modulo Phi_K."""
     e = energies(found)
@@ -674,17 +674,16 @@ def unequal_energies(found, tol: float) -> tuple:
     else:
         atol = 0.0 if is_exact(e) else tol * abs(e[0, 0])
         differ = np.flatnonzero(~zero_rows(diff.T, found[0], atol))
-    return Sequence._of_fitted(e), differ.tolist()
+    return e, differ.tolist()
 
 
 def energy(s: Sequence) -> Scalar:
     """R_s(0) = sum of |entry|^2; real and non-negative."""
-    return Sequence._of_fitted(energies(cell_terms([terms_of(s)])))[0]
+    return array_entry(energies(cell_terms([terms_of(s)])), 0)
 
 
 def set_energy(ss: SequenceSet) -> Scalar:
-    total = energies(cell_terms(map(terms_of, ss))).sum(axis=1, keepdims=True)
-    return Sequence.of_array(total)[0]
+    return array_entry(energies(cell_terms(map(terms_of, ss))).sum(axis=1, keepdims=True), 0)
 
 
 # -- identification up to indexing -------------------------------------

@@ -51,6 +51,7 @@ from cocodes import model
 from cocodes.construct import _connections
 from cocodes.cyclo import INT64_COEFF_BOUND
 from cocodes.model import (
+    _fit,
     _scatter,
     cell_terms,
     energies,
@@ -375,7 +376,7 @@ class TestConnections:
 class TestEnergies:
     @staticmethod
     def check(cell):
-        got = Sequence._of_fitted(energies(cell_terms(map(terms_of, cell))))
+        got = Sequence.of_array(energies(cell_terms(map(terms_of, cell))))
         assert_same_arrays([got], [energies_by_product(cell)])
 
     @settings(max_examples=200, deadline=None)
@@ -452,6 +453,89 @@ class TestLayers:
             assert np.count_nonzero(coeffs) == np.count_nonzero(a)
 
 
+def assert_same_values(got, want):
+    """Equal dtype, shape and values: Python ints, else bytes with every
+    NaN as one NaN."""
+    assert (got.dtype, got.shape) == (want.dtype, want.shape)
+    if got.dtype == object:
+        assert got.tolist() == want.tolist()
+    else:
+        (g_bytes, g_nans), (w_bytes, w_nans) = map(canonical_nans, (got, want))
+        assert g_bytes == w_bytes and np.array_equal(g_nans, w_nans)
+
+
+INF, NAN = float("inf"), float("nan")
+OF_ARRAY = {
+    "int64": np.array([[1, 0, -1, 2], [0, 1, 0, -3]], np.int64),
+    "int64 multi-term": np.array([[1, 0, 2], [1, 0, 0], [0, 0, -3], [0, 0, 5]], np.int64),
+    "int32": np.array([[1, -1], [0, 2], [3, 0]], np.int32),
+    "zero columns": np.zeros((3, 4), np.int64),
+    "Python ints past the bound": np.array([[2 ** 70, 0], [0, -(2 ** 40)], [1, 1]], object),
+    "Python ints below the bound": np.array([[5, 0], [0, -7]], object),
+    "approx": np.array([[1.0, -0.0, complex(-0.0, -0.0), INF, complex(0.0, -INF), NAN,
+                         complex(NAN, 1.0), 0.0]]),
+}
+
+
+class TestOneStore:
+    """Every Sequence holds its layers; its array is only the cache that
+    `.array` fills (`Sequence.of_array` fills it with the array given)."""
+
+    @staticmethod
+    def check_of_array(a):
+        want = _fit(a)
+        s = Sequence.of_array(a)
+        assert s._array is not None  # the cache is filled at construction
+        assert s.array is s._array and not s.array.flags.writeable
+        if want.dtype == a.dtype:
+            assert s.array is a  # kept, not copied
+        assert_same_values(s.array, want)
+        order, exps, coeffs = s._terms
+        assert order == len(want)
+        want_exps, want_coeffs = layers(want, order)
+        assert_same_values(exps, want_exps)
+        if want.dtype.kind == "c":  # the array itself, -0.0 kept where `layers` sums it to 0.0
+            assert coeffs is s.array and np.array_equal(coeffs, want_coeffs, equal_nan=True)
+        else:
+            assert_same_values(coeffs, want_coeffs)
+
+    @pytest.mark.parametrize("name", list(OF_ARRAY))
+    def test_of_array_round_trip(self, name):
+        self.check_of_array(OF_ARRAY[name].copy())
+
+    @settings(max_examples=200, deadline=None)
+    @given(layered_arrays())
+    def test_of_array_round_trip_drawn(self, drawn):
+        self.check_of_array(drawn[0].copy())
+
+    @staticmethod
+    def check_conj(s):
+        a = s.array
+        got = s.conj()
+        assert got._array is None  # made from the layers alone
+        assert_same_values(got.array, np.conj(a[-np.arange(len(a)) % len(a)]))
+
+    @settings(max_examples=200, deadline=None)
+    @given(layered_arrays())
+    def test_conj_is_the_dense_row_reversal(self, drawn):
+        self.check_conj(Sequence.of_array(drawn[0]))
+
+    @pytest.mark.parametrize("seqs", [
+        lambda: [Sequence([ONE + I4, 0, CycloNum(6, [2, 0, -1, 0, 3, 0]), CycloNum.root(3, 1)])],
+        lambda: [Sequence([1.0, -0.0, complex(-0.0, -0.0), complex(1.0, -INF), 1j])],
+        # coefficient-0 layer entries at nonzero exponents
+        lambda: [ss[0] for ss in generate_cosf(dft_matrix(3), [[0, 1, 2]], [identity_matrix(3)])],
+        lambda: list(kron_expand(MULTI_TERM.row(0), cosf_to_ccc(_fam(2, 8), MULTI_TERM)[1])),
+    ], ids=["exact", "approx", "zero coefficients", "expansion"])
+    def test_conj_of_held_layers(self, seqs):
+        for s in seqs():
+            self.check_conj(s)
+
+    def test_the_second_store_is_gone(self):
+        assert not hasattr(model, "read_terms")
+        assert not any(hasattr(Sequence, name) for name in ("_of_fitted", "_own"))
+
+
 # a = c (1 + zeta_3 + zeta_3^2) as three terms: a * a puts three products
 # c^2 on every row, and its energy nine products c^2 over the three rows
 THREE_TERMS = 3
@@ -491,7 +575,7 @@ class TestInt64Edges:
         # the energy of two such entries: 18 c^2 products, 2 * 3 c^2 at row 0
         two = Sequence([s[0], s[0]])
         assert energy(two) == reduce(add, (e * e.conj() for e in two))
-        assert_same_arrays([Sequence._of_fitted(energies(cell_terms([terms_of(two)])))],
+        assert_same_arrays([Sequence.of_array(energies(cell_terms([terms_of(two)])))],
                            [energies_by_product([two])])
 
 
@@ -604,7 +688,7 @@ def unread(seqs) -> bool:
 
 class TestHeldLayers:
     def test_array_is_the_scatter_of_the_layers(self):
-        # every output but an expansion's, which is cut from its array
+        # every output, an expansion's too (a cut of its connection's layers)
         layered = 0
         with np.errstate(all="ignore"):  # inf * 0 and inf - inf in approx products
             outputs = list(operator_outputs())
@@ -612,10 +696,6 @@ class TestHeldLayers:
                         for fam in executed(n)]
             for label, seqs in outputs:
                 for s in seqs:
-                    if "kron" in label or "enlarge" in label:
-                        assert s._terms is None, label
-                        continue
-                    assert s._terms is not None, label
                     order, exps, coeffs = s._terms
                     want, got = _scatter(zip(exps, coeffs), order), s.array
                     assert (got.dtype, got.shape) == (want.dtype, want.shape), label
@@ -626,7 +706,7 @@ class TestHeldLayers:
                     assert not got.flags.writeable
                     assert s.array is got
                     layered += 1
-        assert layered == 1781
+        assert layered == 9041
 
     def test_outputs_hold_no_array_until_read(self):
         h2, d4 = hadamard_matrix(2), dft_matrix(4)
@@ -707,7 +787,7 @@ class TestHeldLayers:
     @pytest.mark.parametrize("name", list(HELD))
     def test_held_inputs_equal_their_dense_twins(self, name):
         fam = self.HELD[name]()
-        assert all(s._terms is not None for ss in fam for s in ss)
+        assert all(s._array is None for ss in fam for s in ss)
         twin = singleton_family(Sequence.of_array(ss[0].array.copy()) for ss in fam)
         for (label, got), (_, want) in zip(self.held_outputs(fam), self.held_outputs(twin)):
             assert_same_arrays(got, want)
@@ -751,12 +831,12 @@ class TestHeldLayers:
         monkeypatch.setattr(model, "layers", counted)
         # rows built from scalars hold their layers: none is read
         u = custom_matrix([[ONE, I4], [ONE, -I4]])
-        assert not reads and all(r._terms is not None for r in u.rows())
-        # rows holding arrays are read once each, and once more side by
-        # side by the check of their cross-orthogonality
+        assert not reads and all(r._array is None for r in u.rows())
+        # rows made from arrays are read once each, by `Sequence.of_array`,
+        # and never again by the check of their cross-orthogonality
         held = custom_matrix([Sequence.of_array(r.array.copy()) for r in u.rows()])
         arrays = [r.array for r in held.rows()]
-        assert [a.tolist() for a in reads] == [a.tolist() for a in arrays + [np.hstack(arrays)]]
+        assert [a.tolist() for a in reads] == [a.tolist() for a in arrays]
         reads.clear()
         # single-layer products of the matrix's layers and held members
         cosf_to_ccc(_fam(2, 8), u)

@@ -358,6 +358,15 @@ class TestVerifyCommand:
         err = capsys.readouterr().err
         assert err.startswith("error: ") and err.count("\n") == 1
 
+    @pytest.mark.parametrize("im, energy", [("1e400", "inf"), ("NaN", "nan")], ids=["inf", "nan"])
+    def test_approx_entry_past_the_float_range(self, tmp_path, capsys, im, energy):
+        # json reads 1e400 as inf; |1 + inf i|^2 is inf, never the nan of inf * conj(inf)
+        path = tmp_path / "f.json"
+        path.write_text('{"mode": "approx", "sets": [[[{"re": 1, "im": %s}, {"re": 1, "im": 0}]], '
+                        '[[{"re": 1, "im": 0}, {"re": -1, "im": 0}]]]}' % im, encoding="utf-8")
+        assert main(["verify", str(path), "--kind", "ccc"]) == EXIT_IO == 3
+        assert capsys.readouterr().err == f"error: an approx set energy of {energy} is past the float range\n"
+
     def test_structural_mismatch(self, ccc_family_file):
         # multi-sequence sets cannot even be tested as a cross-orthogonal
         # family; reported as a verification failure, not a crash

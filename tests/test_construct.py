@@ -450,11 +450,11 @@ class TestBatchedEnergyDecision:
         assert len(found[2]) == 1
         e, differ = unequal_energies(found, DEFAULT_TOL)
         want = Sequence([reduce(add, (x * x.conj() for x in s)) for s in members])
-        assert e.array.dtype == want.array.dtype == object
-        assert e.array.shape == want.array.shape
-        assert np.array_equal(e.array, want.array)
+        assert e.dtype == want.array.dtype == object
+        assert e.shape == want.array.shape
+        assert np.array_equal(e, want.array)
         assert differ == [2]
-        assert e.array[0].tolist() == [3 * c * c, 3 * c * c, 2 * c * c + (c - 1) ** 2]
+        assert e[0].tolist() == [3 * c * c, 3 * c * c, 2 * c * c + (c - 1) ** 2]
 
     @pytest.mark.parametrize("c", [2 ** 30 - 1, 2 ** 30], ids=["below-2^63", "at-2^63"])
     @pytest.mark.parametrize("differ", [None, 2])

@@ -144,8 +144,7 @@ def oracle_values(stack, root):
 
 
 def single_layer(kernel):
-    return all(len(s._terms[2] if s._terms is not None else corr.layers(s.array, s.order)[1]) == 1
-               for ss in kernel.sets for s in ss)
+    return all(len(s._terms[2]) == 1 for ss in kernel.sets for s in ss)
 
 
 @pytest.mark.parametrize("name", list(CASES))
@@ -192,7 +191,7 @@ class TestGatheredRoots:
     def test_checks_read_no_held_array(self, name):
         build, phases = CASES[name]
         fam = build()
-        held = [s for ss in fam for s in ss if s._terms is not None and s._array is None]
+        held = [s for ss in fam for s in ss if s._array is None]
         if phases == 1:
             is_ccc(fam).render()
         else:
@@ -257,7 +256,7 @@ TWINS = {
 def test_sequence_of_scalars_equals_its_dense_twin(name):
     entries = TWINS[name]
     s, twin = Sequence(entries), dense_twin(entries)
-    assert s._terms is not None and s._array is None
+    assert s._array is None
     assert (s.order, s.mode, len(s)) == (twin.order, twin.mode, len(twin))
     assert s == twin and twin == s
     assert repr(s) == repr(twin)

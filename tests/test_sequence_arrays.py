@@ -1,8 +1,9 @@
 """Array operations of Sequence against per-entry CycloNum arithmetic.
 
-A Sequence stores one (K, L) coefficient array; every operation on it
-must give, entry by entry, exactly the coefficients that the scalar
-arithmetic of CycloNum gives once promoted to the result's order.
+A Sequence holds its layers and reads as one (K, L) coefficient array;
+every operation on it must give, entry by entry, exactly the
+coefficients that the scalar arithmetic of CycloNum gives once promoted
+to the result's order.
 Entries mix the orders 1, 2, 3, 4, 6 and 12, and coefficients reach
 past 2^63.
 """
