@@ -10,9 +10,9 @@ a coefficient's magnitude must stay below `COEFF_LIMIT`.
 Output is always the normalized form, written as one line of JSON with
 json's default separators (", " and ": ") and a newline, and an exact
 sequence is written at one order, the lcm of its entries' orders.  A
-family file is written from the coefficient arrays: an exact sequence's
-text is one `%`-format of a template made once per array shape, the same
-text json.dumps gives its entry list.
+family file is written from the layers, scattered once per order of the
+family: an exact sequence's text is one `%`-format of a template made
+once per array shape, the same text json.dumps gives its entry list.
 
 A family file whose text is exactly what the writer writes for an exact
 family is read in one array pass (`_family_of_text`): each distinct
@@ -64,9 +64,11 @@ from .model import (
     Sequence,
     SequenceFamily,
     SequenceSet,
+    _scatter,
     canonical_form,
     column_cut,
     layers,
+    row_terms,
     scalar,
     terms_of,
 )
@@ -211,19 +213,28 @@ def _exact_template(order: int, length: int) -> str:
 
 def _family_text(fam: SequenceFamily, kind: str) -> str:
     """json.dumps(family_to_doc(fam, kind)), written from the sequences'
-    arrays: an exact sequence is one `%`-format of the template of its
-    shape, made once per shape in this family, so no per-entry dict is
-    built.  json.dumps writes an approx sequence, and so its non-finite
-    floats (Infinity, NaN), as it always has."""
-    templates = {}
+    layers: those of the exact sequences of each order are laid side by
+    side (`row_terms`) and scattered into one array, and each sequence is
+    one `%`-format, by its columns of that array, of the template of its
+    shape, made once per shape in this family; so no per-entry dict and
+    no per-sequence array is built.  json.dumps writes an approx
+    sequence, and so its non-finite floats (Infinity, NaN), as it always
+    has."""
+    templates, written = {}, {}
+    exact = [s for ss in fam for s in ss] if fam.mode == EXACT else []
+    for order in {s.order for s in exact}:
+        _, exps, coeffs = row_terms(terms_of(s) for s in exact if s.order == order)[:3]
+        written[order] = [_scatter(zip(exps, coeffs), order), 0]
 
     def text(seq: Sequence) -> str:
-        if seq.mode != EXACT:
+        if not exact:
             return json.dumps(sequence_to_doc(seq))
-        shape = seq.array.shape
+        shape = order, length = seq.order, len(seq)
         if shape not in templates:
             templates[shape] = _exact_template(*shape)
-        return templates[shape] % tuple(seq.array.T.ravel().tolist())
+        array, start = written[order]
+        written[order][1] = start + length
+        return templates[shape] % tuple(array[:, start:start + length].T.ravel().tolist())
 
     head = json.dumps(_family_head(fam, kind))
     sets = ", ".join("[" + ", ".join(map(text, ss)) + "]" for ss in fam)
@@ -356,7 +367,7 @@ def _family_of_text(text: str):
         as `layers` reads its array (`model.column_cut`)."""
         terms, start = read[order]
         read[order][1] = start + length
-        return Sequence._of_terms(column_cut(terms, start, start + length))
+        return Sequence._of_terms(column_cut(terms, start, start + length, order))
 
     members = map(held, seq_orders.tolist(), lengths.tolist())
     try:
@@ -569,7 +580,7 @@ def _dump_json(path: str, doc, encode=json.dumps) -> None:
 
     Every file the CLI writes goes through here, so that timing or
     counting the bytes of this one function covers all writes; `encode`
-    lets a family be written from its arrays (`_dump_family`) rather
+    lets a family be written from its layers (`_dump_family`) rather
     than from a document."""
     text = encode(doc)
     with open(path, "w", encoding="utf-8") as fh:

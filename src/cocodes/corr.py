@@ -156,6 +156,7 @@ from .model import (
     is_exact,
     layers,
     scalar,
+    terms_of,
 )
 
 DEFAULT_TOL = 1e-9
@@ -495,7 +496,7 @@ class _Kernel:
     """
 
     def __init__(self, sets, phases: int = 1, tol: float = 0.0):
-        held = [s._terms for ss in sets for s in ss]
+        held = [terms_of(s) for ss in sets for s in ss]
         modes = {is_exact(values) for _, _, values in held}
         if len(modes) != 1:
             raise ModeMismatchError("mode mismatch between sequences")
@@ -505,7 +506,7 @@ class _Kernel:
         self.tol = tol
         if not self.exact:  # an exact energy may be past the float range
             # a set's |x|^2 as re^2 + im^2, one dot of its floats: inf, never inf * 0
-            floats = (np.concatenate([s._terms[2] for s in ss], axis=1, dtype=complex).view(float)
+            floats = (np.concatenate([terms_of(s)[2] for s in ss], axis=1, dtype=complex).view(float)
                       for ss in sets)
             with np.errstate(over="ignore"):
                 scale = max(float(np.vdot(x, x)) for x in floats)
@@ -586,7 +587,7 @@ class _Kernel:
         `_folded`, so a column's terms are at distinct rows j < R and their
         squares sum to its folded energy.  Exponents stay unfolded, as the
         roots' powers take them."""
-        return _folded(*self._joined([s._terms for ss in self.sets for s in ss], dtype),
+        return _folded(*self._joined([terms_of(s) for ss in self.sets for s in ss], dtype),
                        self.rows, self.order)
 
     def _joined(self, found, dtype) -> tuple:

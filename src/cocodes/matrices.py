@@ -110,7 +110,7 @@ class UnitaryLike:
         """The rows as a family of single-sequence sets, each a new
         Sequence over its row's layers: an array read from the family goes
         with it, so a cached factory matrix keeps none."""
-        return singleton_family(Sequence._of_terms(row._terms) for row in self.row_set)
+        return singleton_family(Sequence._of_terms(terms_of(row)) for row in self.row_set)
 
     def __repr__(self) -> str:
         return f"UnitaryLike(dim={self.dim}, alpha={self.alpha!r})"

@@ -269,26 +269,26 @@ def layered_multiply(a: tuple, b: tuple, order: int, fitted: bool = False) -> tu
 
 
 def terms_of(s: Sequence) -> tuple:
-    """The layered sequence (order, exponents, coefficients) `s` holds,
-    as every operator reads it."""
+    """The layered sequence (order, exponents, coefficients) `s` holds:
+    the one read of it outside `Sequence` itself."""
     return s._terms
 
 
-def column_cut(terms: tuple, start: int, stop: int, order: int = 0) -> tuple:
+def column_cut(terms: tuple, start: int, stop: int, order: int) -> tuple:
     """Columns start:stop of the layered sequence `terms`, whose columns
     hold their nonzero terms in their first layers (as `layers` and every
-    operator lay them out), at `order` (default its own), which must hold
-    every exponent of those columns: the layers past the most terms one
-    of them has dropped (at least one kept), and Python-int coefficients
-    refitted (see `_fit`)."""
+    operator lay them out), at `order`, which must hold every exponent of
+    those columns: the layers past the most terms one of them has dropped
+    (at least one kept), and Python-int coefficients refitted (see
+    `_fit`)."""
     own, exps, coeffs = terms
     exps, coeffs = exps[:, start:stop], coeffs[:, start:stop]
     if len(coeffs) > 1:
         depth = max(1, int(np.count_nonzero(coeffs, axis=0).max()))
         exps, coeffs = exps[:depth], coeffs[:depth]
-    if order and order != own:
+    if order != own:
         exps = exps // (own // order)
-    return order or own, exps, _fit(coeffs) if coeffs.dtype == object else coeffs
+    return order, exps, _fit(coeffs) if coeffs.dtype == object else coeffs
 
 
 def _side_by_side(found) -> tuple:
@@ -454,8 +454,8 @@ class Sequence:
         return iter(self.array[0].tolist())
 
     def scale(self, c) -> "Sequence":
-        k, at, c = terms_of(Sequence([scalar(c, self.mode)]))
-        own, exps, coeffs = terms_of(self)
+        k, at, c = Sequence([scalar(c, self.mode)])._terms
+        own, exps, coeffs = self._terms
         order = common_order(own, k)
         return Sequence._of_terms(layered_multiply((exps * (order // own), coeffs),
                                                    (at * (order // k), c), order))

@@ -1,5 +1,5 @@
 """The CLI's family writer and reader: the text it writes from the
-coefficient arrays is, byte for byte, json.dumps of the family's
+sequences' layers is, byte for byte, json.dumps of the family's
 document plus a newline, and it reads back to the same family.  The
 reader's array pass gives what json and `family_from_doc` give, or
 hands the text on to them."""
@@ -102,10 +102,14 @@ def approx_family():
     (object_family, "raw"),
     (mixed_family, "raw"),
     (approx_family, "raw"),
-], ids=["int64", "object", "mixed-orders-and-lengths", "approx-non-finite"])
+    (lambda: enlarge_ccc(int64_ccc(), [dft_matrix(2)] * 4), "ccc"),
+], ids=["int64", "object", "mixed-orders-and-lengths", "approx-non-finite", "enlarged"])
 def test_written_text_is_the_documented_text(tmp_path, build, kind):
     fam = build()
     text = written(tmp_path, fam, kind)
+    # an exact family is written from its layers, one scatter per order,
+    # so no exact sequence's array is made
+    assert all(s._array is None for ss in fam for s in ss if s.mode == "exact")
     assert text == documented(fam, kind)
     assert text.count("\n") == 1
     assert_round_trip(text, fam)
