@@ -8,7 +8,10 @@ own functions.
 
 A rung builds its input untimed (`fresh`), then times `run` over it,
 with the garbage collector off as `timeit` has it: for WARM_S seconds
-to warm the factory caches and the processor, then `--repeats` times.
+to warm the factory caches and the processor, then `--repeats` times
+(REPEATS by default, up from 9, at which the is-ccc-6-216 and
+files-12-216 rungs read IQRs of 36% of their medians; on a shared host
+the drift between processes can still widen the pooled IQR).
 It reports the median and the interquartile range of those wall times,
 and the process's peak RSS (`ru_maxrss`, set-up included).  Then
 SPLIT_RUNS more runs go through wrappers that the harness installs on
@@ -17,9 +20,11 @@ which give each function's calls and its self time: the time inside it
 but not inside another wrapped function.  The package itself holds no
 timing code, and a function a revision does not have is left out.
 
-The heavy rungs (the 32x32 and 64x64 CCCs of L=4096, built and checked)
-run only when named.  A process of one takes no warm-up and runs each of
-its `--repeats` through the wrappers, and its address space is capped at
+The heavy rungs (the 32x32 and 64x64 CCCs of L=4096, built and checked,
+and the 129 MB file of the 32x32 CCC of L=1024, written and read) run
+only when named.  A process of one takes no warm-up and runs each of its
+`--repeats` (HEAVY_REPEATS by default) through the wrappers, and its
+address space is capped at
 HEAVY_AS_MB, so a revision that cannot fit the check there (the dense
 kernel needed more than 8 GB for the 64x64 check) fails with a
 MemoryError rather than exhausting the host; with `--against` it runs
@@ -58,6 +63,8 @@ import time
 HERE = os.path.dirname(os.path.abspath(__file__))
 ROOT = os.path.dirname(HERE)
 WARM_S = 0.2  # untimed runs before the timed ones, at least one
+REPEATS = 30  # timed runs per process of a short rung, by default
+HEAVY_REPEATS = 9  # the same for a heavy rung
 SPLIT_RUNS = 2  # runs through the wrappers, after the timed ones
 PAIRS = 10  # processes per tree and rung with --against
 HEAVY_PAIRS = 3  # the same for a heavy rung
@@ -128,18 +135,21 @@ def _check(n: int):
     return rung
 
 
-def _files(c, tree):
-    """The 12x12 CCC written as `cocodes enlarge` writes it and read back."""
-    import cocodes.cli as cli
-    ccc = c.enlarge_ccc(_ccc(c, 6, 216), [c.hadamard_matrix(2)] * 6)
-    work = tempfile.mkdtemp(prefix="ladder-")
-    atexit.register(shutil.rmtree, work, True)
-    path = os.path.join(work, "ccc.json")
+def _files(build):
+    def rung(c, tree):
+        """The CCC `build` gives written as `cocodes` writes it and read
+        back."""
+        import cocodes.cli as cli
+        ccc = build(c)
+        work = tempfile.mkdtemp(prefix="ladder-")
+        atexit.register(shutil.rmtree, work, True)
+        path = os.path.join(work, "ccc.json")
 
-    def run(_):
-        cli._dump_family(path, ccc, "ccc")
-        return cli._load_family(path)
-    return None, run
+        def run(_):
+            cli._dump_family(path, ccc, "ccc")
+            return cli._load_family(path)
+        return None, run
+    return rung
 
 
 # name: (rung, the functions its time is split by)
@@ -152,13 +162,15 @@ RUNGS = {
     "enlarge-6-216": (_enlarge, CONSTRUCTION + ["construct._expansions"] + CHECK),
     "is-ccc-6-216": (_is_ccc, CHECK),
     "zone-12-216": (_zone, CHECK),
-    "files-12-216": (_files, FILES),
+    "files-12-216": (_files(lambda c: c.enlarge_ccc(_ccc(c, 6, 216), [c.hadamard_matrix(2)] * 6)),
+                     FILES),
+    "files-32-1024": (_files(lambda c: _ccc(c, 32, 1024)), FILES),
     "build-32-4096": (_build(32), CONSTRUCTION),
     "is-ccc-32-4096": (_check(32), CHECK),
     "build-64-4096": (_build(64), CONSTRUCTION),
     "is-ccc-64-4096": (_check(64), CHECK),
 }
-HEAVY = {"build-32-4096", "is-ccc-32-4096", "build-64-4096", "is-ccc-64-4096"}
+HEAVY = {"build-32-4096", "is-ccc-32-4096", "build-64-4096", "is-ccc-64-4096", "files-32-1024"}
 
 
 # -- one rung, in its own process ---------------------------------------------
@@ -344,13 +356,14 @@ def main(argv=None) -> int:
     p = argparse.ArgumentParser(description=__doc__.split("\n\n")[0])
     p.add_argument("--rungs", nargs="+", choices=list(RUNGS),
                    default=[name for name in RUNGS if name not in HEAVY])
-    p.add_argument("--repeats", type=int, default=9, help="timed runs per process")
+    p.add_argument("--repeats", type=int,
+                   help=f"timed runs per process (default {REPEATS}, a heavy rung {HEAVY_REPEATS})")
     p.add_argument("--against", metavar="REV", help="compare with this revision")
     p.add_argument("--record", type=int, metavar="N", help="write bench/BENCH_<N>.json")
     p.add_argument("--child", help=argparse.SUPPRESS)
     p.add_argument("--tree", default=ROOT, help=argparse.SUPPRESS)
     args = p.parse_args(argv)
-    if args.repeats < 1:
+    if args.repeats is not None and args.repeats < 1:
         p.error("--repeats must be at least 1")
     if args.child:
         print(json.dumps(child(args.child, args.tree, args.repeats)))
@@ -361,19 +374,21 @@ def main(argv=None) -> int:
               "commits": {"head": {"commit": git("rev-parse", "HEAD"),
                                    "dirty": git("status", "--porcelain", "--", "src") not in ("", None),
                                    "source_sha256": source_digest(ROOT)}},
-              "repeats": args.repeats, "rungs": {}}
+              "repeats": {}, "rungs": {}}
     if args.against:
         trees = {"base": export(args.against), "head": snapshot()}
         report["commits"]["base"] = {"commit": git("rev-parse", args.against),
                                      "source_sha256": source_digest(trees["base"])}
     try:
         for name in args.rungs:
+            repeats = args.repeats or (HEAVY_REPEATS if name in HEAVY else REPEATS)
+            report["repeats"][name] = repeats
             runs = {t: [] for t in trees}
             pairs = (HEAVY_PAIRS if name in HEAVY else PAIRS) if args.against else 1
             for i in range(pairs):
                 order = sorted(trees, reverse=bool(i % 2))  # base first, then head first
                 for t in order:
-                    runs[t].append(measure(trees[t], name, args.repeats))
+                    runs[t].append(measure(trees[t], name, repeats))
             rung = {t: summary(rs) for t, rs in runs.items()}
             if args.against:
                 rung["ratio"] = rung["head"]["median_s"] / rung["base"]["median_s"]

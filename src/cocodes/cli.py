@@ -10,9 +10,11 @@ a coefficient's magnitude must stay below `COEFF_LIMIT`.
 Output is always the normalized form, written as one line of JSON with
 json's default separators (", " and ": ") and a newline, and an exact
 sequence is written at one order, the lcm of its entries' orders.  A
-family file is written from the layers, scattered once per order of the
-family: an exact sequence's text is one `%`-format of a template made
-once per array shape, the same text json.dumps gives its entry list.
+family file is written from the layers: the distinct entries of each
+order of the family are found from the layers and each is `%`-formatted
+once, by the entry template the reader checks against, so an exact
+sequence's text is a join of its entries' texts, the same text
+json.dumps gives its entry list.
 
 A family file whose text is exactly what the writer writes for an exact
 family is read in one array pass (`_family_of_text`): each distinct
@@ -68,6 +70,7 @@ from .model import (
     canonical_form,
     column_cut,
     layers,
+    read_only,
     row_terms,
     scalar,
     terms_of,
@@ -198,47 +201,60 @@ def family_to_doc(fam: SequenceFamily, kind: str = "raw") -> dict:
 def _entry_body(order: int) -> str:
     """`%`-template of an exact entry of `order` between its braces, laid
     out as json.dumps lays out {"order": order, "coeffs": [...]}, with one
-    `%d` per coefficient.  The writer's templates and the reader's check
-    are both made of it."""
+    `%d` per coefficient.  The writer formats each distinct entry by it,
+    and the reader checks each distinct entry against it."""
     return '"order": %d, "coeffs": [%s]' % (order, ", ".join(["%d"] * order))
 
 
-def _exact_template(order: int, length: int) -> str:
-    """`%`-template of the entry list of an exact (order, length) array,
-    laid out as json.dumps lays out `sequence_to_doc`'s list, with one
-    `%d` per coefficient in column-major order."""
+def _entry_texts(found) -> list:
+    """The text of every entry of the layered sequences `found`, all of
+    one order K, laid side by side (`row_terms`): the texts json.dumps
+    gives their {"order": K, "coeffs": [...]} dicts.
+
+    One lexsort over the stacked exponent and coefficient rows finds the
+    distinct layer columns; only those are scattered, and each is
+    `%`-formatted once by the reader's entry template (`_entry_body`).
+    Equal columns are equal entries; an entry held in two layer forms is
+    formatted twice, to the same text."""
+    order, exps, coeffs = row_terms(found)[:3]
+    keys = np.vstack([exps, coeffs])
+    by = np.lexsort(keys)
+    ordered = keys[:, by]
+    new = np.ones(len(by), bool)
+    new[1:] = (ordered[:, 1:] != ordered[:, :-1]).any(axis=0)
+    at = np.empty(len(by), np.intp)
+    at[by] = np.cumsum(new) - 1
+    first = by[new]
     entry = "{" + _entry_body(order) + "}"
-    return "[" + ", ".join([entry] * length) + "]"
+    dense = _scatter(zip(exps[:, first], coeffs[:, first]), order)
+    return np.array([entry % tuple(col) for col in dense.T.tolist()], dtype=object)[at].tolist()
 
 
 def _family_text(fam: SequenceFamily, kind: str) -> str:
-    """json.dumps(family_to_doc(fam, kind)), written from the sequences'
-    layers: those of the exact sequences of each order are laid side by
-    side (`row_terms`) and scattered into one array, and each sequence is
-    one `%`-format, by its columns of that array, of the template of its
-    shape, made once per shape in this family; so no per-entry dict and
-    no per-sequence array is built.  json.dumps writes an approx
-    sequence, and so its non-finite floats (Infinity, NaN), as it always
-    has."""
-    templates, written = {}, {}
-    exact = [s for ss in fam for s in ss] if fam.mode == EXACT else []
-    for order in {s.order for s in exact}:
-        _, exps, coeffs = row_terms(terms_of(s) for s in exact if s.order == order)[:3]
-        written[order] = [_scatter(zip(exps, coeffs), order), 0]
-
-    def text(seq: Sequence) -> str:
-        if not exact:
-            return json.dumps(sequence_to_doc(seq))
-        shape = order, length = seq.order, len(seq)
-        if shape not in templates:
-            templates[shape] = _exact_template(*shape)
-        array, start = written[order]
-        written[order][1] = start + length
-        return templates[shape] % tuple(array[:, start:start + length].T.ravel().tolist())
-
-    head = json.dumps(_family_head(fam, kind))
-    sets = ", ".join("[" + ", ".join(map(text, ss)) + "]" for ss in fam)
-    return f'{head[:-1]}, "sets": [{sets}]}}'
+    """json.dumps(family_to_doc(fam, kind)).  An exact family is written
+    from its layers, those of each order together (`_entry_texts`), so
+    no per-entry dict and no sequence's array is made: its entries'
+    texts in family order, each sequence's and set's brackets attached
+    to its first and last entry, and the header to the first, make the
+    text in one ", ".join.  json.dumps writes an approx family, and so
+    its non-finite floats (Infinity, NaN), as it always has."""
+    if fam.mode != EXACT:
+        return json.dumps(family_to_doc(fam, kind))
+    seqs = [s for ss in fam for s in ss]
+    texts = {k: iter(_entry_texts(terms_of(s) for s in seqs if s.order == k))
+             for k in {s.order for s in seqs}}
+    entries = []
+    for ss in fam:
+        opened = len(entries)
+        for s in ss:
+            entries += islice(texts[s.order], len(s))
+            entries[-len(s)] = "[" + entries[-len(s)]
+            entries[-1] += "]"
+        entries[opened] = "[" + entries[opened]
+        entries[-1] += "]"
+    entries[0] = json.dumps(_family_head(fam, kind))[:-1] + ', "sets": [' + entries[0]
+    entries[-1] += "]}"
+    return ", ".join(entries)
 
 
 # The text `_family_text` writes around the entries of an exact family's
@@ -248,6 +264,9 @@ def _family_text(fam: SequenceFamily, kind: str) -> str:
 _SETS_OPEN = ', "sets": [[[{'
 _SET_SEP, _SEQ_SEP, _ENTRY_SEP = "}]], [[{", "}], [{", "}, {"
 _SETS_CLOSE = '}]]]}\n'
+# What ends after an entry, by the separator that follows it less its
+# "{": nothing, its sequence, or its sequence and its set
+_ENDS = {_ENTRY_SEP[:-1]: 0, _SEQ_SEP[:-1]: 1, _SET_SEP[:-1]: 2}
 # The reader joins the distinct entries with ";", which no entry the
 # writer makes holds; for np.fromstring it becomes ",", and every other
 # character but digits and "-" is deleted: the keys "order" and
@@ -280,9 +299,11 @@ def _family_of_text(text: str):
     `_dump_family` writes for an exact family; None for any other text.
 
     json parses the header; the sets are read in five steps.
-    1. The writer's separators cut them into entry strings (each
-       `"order": K, "coeffs": [c_1, ..., c_K]`); the lists of the cut
-       give every set's size and every sequence's length.
+    1. One split at every "{" cuts them into pieces, each an entry
+       (`"order": K, "coeffs": [c_1, ..., c_K]`) and the separator after
+       it less its "{".  `dict.fromkeys` keeps each distinct piece once,
+       in order, and only those are cut into entry and separator; the
+       separators say where each sequence and set ends (`_ENDS`).
     2. `dict.fromkeys` keeps each distinct entry once, in order.
     3. One `np.fromstring` parses the distinct entries' join, stripped
        of keys, brackets and spaces (`_entry_orders` cuts its numbers).
@@ -311,11 +332,16 @@ def _family_of_text(text: str):
         return None
     if type(head) is not dict or head.get("mode") != EXACT:
         return None
-    body = text[cut + len(_SETS_OPEN):-len(_SETS_CLOSE)]
-    sets = [ss.split(_SEQ_SEP) for ss in body.split(_SET_SEP)]
-    seqs = [seq.split(_ENTRY_SEP) for ss in sets for seq in ss]
-    entries = list(chain.from_iterable(seqs))
-    distinct = dict.fromkeys(entries)
+    # the writer's entries hold no brace, so a cut at every "{" gives
+    # each entry with the separator after it (the last one's is its "}")
+    pieces = text[cut + len(_SETS_OPEN):1 - len(_SETS_CLOSE)].split("{")
+    pieces[-1] += _SET_SEP[1:-1]  # the last entry ends the last set
+    found = dict.fromkeys(pieces)
+    cuts = [piece.rpartition("}") for piece in found]
+    ends = [_ENDS.get(brace + tail) for _, brace, tail in cuts]
+    if None in ends:
+        return None
+    distinct = dict.fromkeys(entry for entry, _, _ in cuts)
     joined = _JOIN.join(distinct)
     try:
         # unmatched text raises (older numpy warns and stops early,
@@ -337,10 +363,17 @@ def _family_of_text(text: str):
         template = _JOIN.join(map(bodies.__getitem__, orders.tolist()))
     if template % tuple(coeffs.tolist()) != joined:
         return None
-    # each entry's distinct entry (in place when none repeats)
-    at = (np.fromiter(map(dict(zip(distinct, count())).__getitem__, entries), np.intp, len(entries))
-          if len(distinct) < len(entries) else np.arange(len(entries)))
-    lengths = np.fromiter(map(len, seqs), np.intp, len(seqs))
+    # each piece's distinct piece (in place when none repeats), so each
+    # entry's distinct entry and what ends after it; they give every
+    # sequence's length and every set's size
+    piece_at = (np.fromiter(map(dict(zip(found, count())).__getitem__, pieces), np.intp, len(pieces))
+                if len(found) < len(pieces) else np.arange(len(pieces)))
+    index = dict(zip(distinct, count()))
+    at = np.array([index[entry] for entry, _, _ in cuts], np.intp)[piece_at]
+    ends = np.array(ends)[piece_at]
+    stops = np.flatnonzero(ends) + 1
+    lengths = np.diff(stops, prepend=0)
+    sizes = np.diff(np.flatnonzero(ends[stops - 1] == 2) + 1, prepend=0).tolist()
     seq_orders = orders[at[np.cumsum(lengths) - lengths]]
     if not np.array_equal(orders[at], np.repeat(seq_orders, lengths)):
         return None
@@ -360,7 +393,8 @@ def _family_of_text(text: str):
             dense = coeffs[first[mine][:, None] + np.arange(order)].T
             cols = (np.cumsum(mine) - 1)[at[np.repeat(seq_orders == order, lengths)]]
         exps, ints = (x[:, cols] for x in layers(dense, order))
-        read[order] = [(order, exps, ints if small else ints.astype(object)), 0]
+        # read-only, so that every sequence's cut is a read-only view
+        read[order] = [read_only((order, exps, ints if small else ints.astype(object))), 0]
 
     def held(order, length):
         """The next sequence of `order` and `length`, holding its layers
@@ -371,7 +405,7 @@ def _family_of_text(text: str):
 
     members = map(held, seq_orders.tolist(), lengths.tolist())
     try:
-        fam = SequenceFamily(SequenceSet(islice(members, len(ss))) for ss in sets)
+        fam = SequenceFamily(SequenceSet(islice(members, size)) for size in sizes)
     except ValueError:  # sequences of unequal lengths in a set
         return None
     if json.dumps(_family_head(fam, head.get("kind")))[:-1] != text[:cut]:
@@ -581,10 +615,12 @@ def _dump_json(path: str, doc, encode=json.dumps) -> None:
     Every file the CLI writes goes through here, so that timing or
     counting the bytes of this one function covers all writes; `encode`
     lets a family be written from its layers (`_dump_family`) rather
-    than from a document."""
+    than from a document.  The newline is written on its own, so a large
+    text is not copied to append it."""
     text = encode(doc)
     with open(path, "w", encoding="utf-8") as fh:
-        fh.write(text + "\n")
+        fh.write(text)
+        fh.write("\n")
 
 
 def _dump_family(path: str, fam: SequenceFamily, kind: str) -> None:

@@ -56,6 +56,7 @@ from .model import (
     layer_peak,
     layer_product,
     layered_multiply,
+    read_only,
     row_terms,
     scalar,
     singleton_family,
@@ -135,7 +136,9 @@ def _expansions(vs, cell: SequenceSet) -> list:
     out = []
     found = (order, exps[:, None], coeffs[:, None])
     for terms, (m, v_order) in zip(_connections(vs, found, peak), vs[3]):
-        # member i times v[j] is place i of block j, from column (jn + i) width
+        # member i times v[j] is place i of block j, from column (jn + i) width;
+        # the outputs are views of the connection's read-only layers
+        read_only(terms)
         out.append([Sequence._of_terms(column_cut(terms, start, start + width, common_order(own, v_order)))
                     for i, (_, own) in enumerate(shapes)
                     for start in range(i * width, m * n * width, n * width)])

@@ -274,6 +274,17 @@ def terms_of(s: Sequence) -> tuple:
     return s._terms
 
 
+def read_only(terms: tuple) -> tuple:
+    """The layered sequence `terms`, its two arrays made read-only, so
+    that every view cut from them is read-only too.  A flag is written
+    only when it is set: writing it costs ten times a read, and most
+    layers a Sequence holds are such views."""
+    for x in terms[1:]:
+        if x.flags.writeable:
+            x.flags.writeable = False
+    return terms
+
+
 def column_cut(terms: tuple, start: int, stop: int, order: int) -> tuple:
     """Columns start:stop of the layered sequence `terms`, whose columns
     hold their nonzero terms in their first layers (as `layers` and every
@@ -311,9 +322,7 @@ def row_terms(found) -> tuple:
     two read-only (t, total length) arrays, each sequence's (length,
     order) in turn, and the `layer_peak` of the coefficients."""
     found = list(found)
-    layout = _side_by_side(found)
-    for x in layout[1:]:
-        x.flags.writeable = False
+    layout = read_only(_side_by_side(found))
     return layout + (tuple((e.shape[1], k) for k, e, _ in found), layer_peak(layout[2]))
 
 
@@ -405,11 +414,10 @@ class Sequence:
         return seq
 
     def _hold(self, terms: tuple, array=None) -> None:
-        """Hold `terms` read-only, and `array` (their scatter) as the
-        array already read."""
-        for x in terms[1:]:
-            x.flags.writeable = False
-        if array is not None:
+        """Hold `terms` read-only (`read_only`), and `array` (their
+        scatter) as the array already read."""
+        read_only(terms)
+        if array is not None and array.flags.writeable:
             array.flags.writeable = False
         object.__setattr__(self, "_terms", terms)
         object.__setattr__(self, "_array", array)

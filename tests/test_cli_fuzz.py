@@ -103,10 +103,12 @@ def test_one_node_mutations_exit_cleanly(data):
 
 # Files the writer makes: the (2,2,{4})-CCC above (order 1) and the
 # 4x4 CCC of F_4 (order 4)
-WRITTEN = [
-    _family_text(CLASSIC, "ccc") + "\n",
-    _family_text(ccc_from_unitary(dft_matrix(4)), "ccc") + "\n",
-]
+WRITTEN_FAMILIES = [CLASSIC, ccc_from_unitary(dft_matrix(4))]
+WRITTEN = [_family_text(fam, "ccc") + "\n" for fam in WRITTEN_FAMILIES]
+
+
+def test_written_files_are_the_documented_text():
+    assert WRITTEN == [json.dumps(family_to_doc(fam, "ccc")) + "\n" for fam in WRITTEN_FAMILIES]
 
 # characters that make or break the writer's layout, then any character
 CHARS = st.one_of(st.sampled_from('0123456789-+., :[]{}"\n\\e'), st.characters())

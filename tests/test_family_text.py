@@ -97,22 +97,95 @@ def approx_family():
     ])
 
 
+def multi_term_family():
+    # two-term entries in one sequence only: the other holds one layer
+    return singleton_family([
+        Sequence([CycloNum(4, [1, 1, 0, 0]), 1, CycloNum(4, [0, 0, 2, -1])]),
+        Sequence([CycloNum.root(4, 1), -1, 1]),
+    ])
+
+
+def layer_forms_family():
+    # equal values held in different layer forms, each pair of columns of
+    # the first sequence one value: 1 + zeta_4 with its terms in either
+    # layer order, 2 zeta_4 as one term and split into two at one
+    # exponent, and zeta_4 padded with a zero coefficient at exponent 3
+    # and at exponent 0; the second sequence holds them as `layers` does
+    exps = np.array([[0, 1, 1, 1, 1, 1], [1, 0, 1, 0, 3, 0]], np.intp)
+    coeffs = np.array([[1, 1, 1, 2, 1, 1], [1, 1, 1, 0, 0, 0]], np.int64)
+    one_plus, two, root = (CycloNum(4, c) for c in ([1, 1, 0, 0], [0, 2, 0, 0], [0, 1, 0, 0]))
+    return singleton_family([
+        Sequence._of_terms((4, exps, coeffs)),
+        Sequence([one_plus, one_plus, two, two, root, root]),
+    ])
+
+
+def assert_written_as_documented(tmp_path, fam, kind):
+    """The writer's text is json.dumps of the document, and a newline;
+    it reads no exact sequence's array."""
+    text = cli._family_text(fam, kind)
+    assert written(tmp_path, fam, kind) == text + "\n"
+    # an exact family is written from its layers, so no exact sequence's
+    # array is made
+    assert all(s._array is None for ss in fam for s in ss if s.mode == "exact")
+    assert text == json.dumps(family_to_doc(fam, kind))
+    return text + "\n"
+
+
 @pytest.mark.parametrize("build, kind", [
     (int64_ccc, "ccc"),
     (object_family, "raw"),
     (mixed_family, "raw"),
     (approx_family, "raw"),
     (lambda: enlarge_ccc(int64_ccc(), [dft_matrix(2)] * 4), "ccc"),
-], ids=["int64", "object", "mixed-orders-and-lengths", "approx-non-finite", "enlarged"])
+    (multi_term_family, "raw"),
+    (layer_forms_family, "raw"),
+], ids=["int64", "object", "mixed-orders-and-lengths", "approx-non-finite", "enlarged",
+        "multi-term", "layer-forms"])
 def test_written_text_is_the_documented_text(tmp_path, build, kind):
     fam = build()
-    text = written(tmp_path, fam, kind)
-    # an exact family is written from its layers, one scatter per order,
-    # so no exact sequence's array is made
-    assert all(s._array is None for ss in fam for s in ss if s.mode == "exact")
-    assert text == documented(fam, kind)
+    text = assert_written_as_documented(tmp_path, fam, kind)
     assert text.count("\n") == 1
     assert_round_trip(text, fam)
+
+
+def test_layer_forms_hold_equal_values():
+    (held,), (plain,) = layer_forms_family()
+    assert np.array_equal(held.array, plain.array)
+    assert len(held._terms[1]) == 2 and len(plain._terms[1]) == 2
+    assert held._terms[1].tolist() != plain._terms[1].tolist()
+
+
+@st.composite
+def distinct_families(draw):
+    """Families of 1-3 sets of 1-3 sequences, each set of one length in
+    1..8, at one order in 1..12, whose entries are all distinct, held as
+    the layers `Sequence` makes of its entries."""
+    order = draw(st.integers(1, 12))
+    set_size = draw(st.integers(1, 3))
+    lengths = draw(st.lists(st.integers(1, 8), min_size=1, max_size=3))
+    coeffs = st.one_of(st.sampled_from(INT64_RANGE + PAST_INT64),
+                       st.integers(-(2 ** 70), 2 ** 70))
+    n = set_size * sum(lengths)
+    cols = iter(draw(st.lists(st.tuples(*[coeffs] * order), min_size=n, max_size=n,
+                              unique=True)))
+    return SequenceFamily(
+        SequenceSet(Sequence([CycloNum(order, next(cols)) for _ in range(length)])
+                    for _ in range(set_size))
+        for length in lengths)
+
+
+@given(fam=distinct_families())
+@settings(max_examples=100, deadline=None,
+          suppress_health_check=[HealthCheck.function_scoped_fixture])
+def test_families_of_distinct_entries_are_written_as_documented(tmp_path, fam):
+    text = assert_written_as_documented(tmp_path, fam, "raw")
+    assert_round_trip(text, fam)
+
+
+def test_the_shape_templates_are_gone():
+    # each distinct entry is formatted by the reader's entry template
+    assert not hasattr(cli, "_exact_template")
 
 
 def test_dtypes_of_the_cases():
@@ -124,7 +197,7 @@ def test_dtypes_of_the_cases():
 
 
 def test_a_shape_reused_with_other_values(tmp_path):
-    # the per-shape template is shared, the values are not
+    # the entry template is shared, the values are not
     a = singleton_family([Sequence([1, -1, 1])])
     b = singleton_family([Sequence([-1, 1, 1])])
     assert written(tmp_path, a, "raw") == documented(a, "raw")
@@ -430,14 +503,6 @@ def test_entries_that_join_into_writer_entries_are_refused(tmp_path):
     path = tmp_path / "in.json"
     path.write_text(text, encoding="utf-8")
     assert read(path) is read_by_json(path) is cli.DocumentError
-
-
-def multi_term_family():
-    # two-term entries in one sequence only: the other holds one layer
-    return singleton_family([
-        Sequence([CycloNum(4, [1, 1, 0, 0]), 1, CycloNum(4, [0, 0, 2, -1])]),
-        Sequence([CycloNum.root(4, 1), -1, 1]),
-    ])
 
 
 @pytest.mark.parametrize("build", [int64_ccc, int64_range_family, mixed_family,

@@ -169,6 +169,26 @@ def test_array_is_read_only(seq):
     assert not seq.array.flags.writeable
 
 
+@pytest.mark.parametrize("read_only_base", [True, False], ids=["view-of-read-only", "fresh"])
+def test_held_layers_end_read_only(read_only_base):
+    # layers that are views of a read-only array keep their flag as it is
+    # (writing it costs ten times a read), and fresh ones are made read-only
+    exps = np.array([[0, 1, 3, 2]], np.intp)
+    coeffs = np.array([[1, -1, 1, 2]], np.int64)
+    if read_only_base:
+        for x in (exps, coeffs):
+            x.flags.writeable = False
+        exps, coeffs = exps[:, 1:], coeffs[:, 1:]
+        assert not exps.flags.writeable and not coeffs.flags.writeable
+    else:
+        assert exps.flags.writeable and coeffs.flags.writeable
+    seq = Sequence._of_terms((4, exps, coeffs))
+    assert all(not x.flags.writeable for x in seq._terms[1:])
+    with pytest.raises(ValueError):
+        seq._terms[2][0, 0] = 7
+    assert seq.array[:, 0].tolist() == ([0, -1, 0, 0] if read_only_base else [1, 0, 0, 0])
+
+
 def test_approx_operations_match_complex_arithmetic():
     u = [1 + 2j, -0.5j, 3.0 + 0j]
     v = [2 - 1j, 1j, -1 + 0j]
