@@ -37,8 +37,12 @@ environment: on the is-ccc rung, two copies of one tree read 20-30%
 apart when one ran from a shorter path.  It runs every rung on both,
 alternating which goes first, PAIRS processes each, since the host's
 speed drifts over minutes.  Each tree's repeats are pooled for the
-median and IQR.  The result file holds the Python and numpy versions,
-nproc, both commits and the digest of each tree's sources.
+median and IQR.  Since the pooled IQR of a short rung mostly shows the
+drift between processes, each tree also records its processes' own
+medians, and the rung the count of pairs (one process of each tree,
+back to back) whose head median is the lower.  The result file holds
+the Python and numpy versions, nproc, both commits and the digest of
+each tree's sources.
 """
 
 from __future__ import annotations
@@ -154,7 +158,7 @@ def _files(build):
 
 # name: (rung, the functions its time is split by)
 RUNGS = {
-    "plan-sweep": (_plan_sweep, ["planner.plan", "planner.factor_chain", "planner._blocking_factor"]),
+    "plan-sweep": (_plan_sweep, ["planner.plan", "planner.factor_chain", "planner._greedy_chain"]),
     "execute-8-1024": (_execute(8, 1024), CONSTRUCTION),
     "execute-64-4096": (_execute(64, 4096), CONSTRUCTION),
     "execute-128-16384": (_execute(128, 16384), CONSTRUCTION),
@@ -288,14 +292,16 @@ def measure(tree: str, rung: str, repeats: int) -> dict:
 
 
 def summary(results) -> dict:
-    """Median and IQR of the pooled repeats, and the median over the
-    processes of the peak RSS and of each split figure."""
+    """Median and IQR of the pooled repeats, each process's own median
+    (in the order they ran), and the median over the processes of the
+    peak RSS and of each split figure."""
     times = sorted(t for r in results for t in r["times_s"])
     q1, _, q3 = statistics.quantiles(times, n=4) if len(times) > 1 else times * 3
     split = {name: {key: statistics.median(r["split"][name][key] for r in results)
                     for key in ("calls", "self_s")} for name in results[0]["split"]}
     return {"median_s": statistics.median(times), "iqr_s": q3 - q1, "repeats": len(times),
             "processes": len(results),
+            "process_medians_s": [statistics.median(r["times_s"]) for r in results],
             "peak_rss_mb": statistics.median(r["peak_rss_mb"] for r in results), "split": split}
 
 
@@ -348,7 +354,8 @@ def print_table(report: dict) -> None:
     for name, rung in report["rungs"].items():
         cells = [f"{t} {rung[t]['median_s'] * 1e3:9.3f} ms (IQR {rung[t]['iqr_s'] * 1e3:.3f}), "
                  f"{rung[t]['peak_rss_mb']:6.1f} MB" for t in trees]
-        ratio = f"  x{rung['ratio']:.3f}" if "ratio" in rung else ""
+        ratio = (f"  x{rung['ratio']:.3f}, head won {rung['head_wins']} of "
+                 f"{rung['head']['processes']} pairs") if "ratio" in rung else ""
         print(f"{name:20s} " + " | ".join(cells) + ratio, file=sys.stderr)
 
 
@@ -392,6 +399,9 @@ def main(argv=None) -> int:
             rung = {t: summary(rs) for t, rs in runs.items()}
             if args.against:
                 rung["ratio"] = rung["head"]["median_s"] / rung["base"]["median_s"]
+                # pair i is the i-th process of each tree, run back to back
+                rung["head_wins"] = sum(h < b for h, b in zip(rung["head"]["process_medians_s"],
+                                                              rung["base"]["process_medians_s"]))
             report["rungs"][name] = rung
     finally:
         if args.against:

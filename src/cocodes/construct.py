@@ -199,10 +199,10 @@ def generate_cosf(base: UnitaryLike, cells, subs) -> SequenceFamily:
 def _base_round(base: UnitaryLike, cells, subs) -> tuple:
     """The arguments of `_elongation` that make `generate_cosf`: the rows
     of `base`, each at its own order, read from the layers the matrix
-    holds (`UnitaryLike.terms`), as one length group; `cells` as that
-    group's level-2 partition, subs[i] connected onto cell i, and no
-    energy check, since the rows of a unitary-like matrix all have its
-    alpha as their energy."""
+    holds (`UnitaryLike.terms`), as one length group; that group's
+    layout, cell i with subs[i] connected onto it; and no energy check,
+    since the rows of a unitary-like matrix all have its alpha as their
+    energy."""
     cells, subs = list(cells), list(subs)
     if len(subs) != len(cells):
         raise ConstructionError(f"{len(cells)} cells but {len(subs)} sub-matrices")
@@ -210,8 +210,7 @@ def _base_round(base: UnitaryLike, cells, subs) -> tuple:
     n = base.dim
     rows = [(own, exps[:, m * n:(m + 1) * n] // (order // own), coeffs[:, m * n:(m + 1) * n])
             for m, (_, own) in enumerate(shapes)]
-    subs = {(0, p2): sub for p2, sub in enumerate(subs)}
-    return rows, [list(range(base.dim))], {0: cells}, subs, False
+    return rows, [list(range(n))], [[(list(cell), sub) for cell, sub in zip(cells, subs)]], False
 
 
 def _family(seqs) -> SequenceFamily:
@@ -253,27 +252,29 @@ def elongate_cosf(fam: SequenceFamily, part2, subs) -> SequenceFamily:
     # a member passed through is returned as the Sequence it came in
     given = {id(t): s for t, s in zip(layered, seqs)}
     groups = group_by_length([len(s) for s in seqs])
-    return singleton_family(given[id(t)] if id(t) in given else Sequence._of_terms(t)
-                            for t in _elongation(layered, groups, part2, subs))
-
-
-def _elongation(seqs, groups, part2, subs, check_energies: bool = True) -> list:
-    """The layered sequences of `elongate_cosf` from the layered
-    sequences `seqs` of a single-sequence family, whose positions
-    `groups` lists by length (`group_by_length`); a member passed
-    through is its own layered sequence.  `check_energies` false skips
-    the cells' energy check, for members whose energies are equal."""
-    part2 = {p1: [list(c) for c in cells] for p1, cells in part2.items()}
     if sorted(part2) != list(range(len(groups))):
         raise ConstructionError(
             f"level-2 partition must cover groups 0..{len(groups) - 1}, "
             f"got {sorted(part2)}")
+    layout = [[(list(cell), subs.get((p1, p2))) for p2, cell in enumerate(part2[p1])]
+              for p1 in range(len(groups))]
+    return singleton_family(given[id(t)] if id(t) in given else Sequence._of_terms(t)
+                            for t in _elongation(layered, groups, layout))
+
+
+def _elongation(seqs, groups, layout, check_energies: bool = True) -> list:
+    """The layered sequences of `elongate_cosf` from the layered
+    sequences `seqs` of a single-sequence family, whose positions
+    `groups` lists by length (`group_by_length`).  `layout` holds, per
+    group, its level-2 cells in output order, each (in-group positions,
+    sub), the sub a unitary-like matrix, a family or None (refused);
+    a member passed through is its own layered sequence.
+    `check_energies` false skips the cells' energy check, for members
+    whose energies are equal."""
     out = []
-    for p1, group in enumerate(groups):
-        cells = part2[p1]
-        _check_partition(cells, len(group))
-        for p2, cell in enumerate(cells):
-            sub = subs.get((p1, p2))
+    for p1, (group, cells) in enumerate(zip(groups, layout)):
+        _check_partition([cell for cell, _ in cells], len(group))
+        for p2, (cell, sub) in enumerate(cells):
             members = [seqs[group[i]] for i in cell]
             if len(cell) == 1 and isinstance(sub, UnitaryLike) and _is_unit(sub):
                 # a lone member connected with (1) is that member

@@ -1,11 +1,13 @@
 """Length planning and recipe execution.
 
 A length L is reachable for shift parameter N exactly when N divides L
-and L/N factors into integers all at most N.  The planner turns a set
-of target lengths into a deterministic Recipe: one generation step
-(cell sizes = the leading factors), then one elongation round per
-remaining factor.  Power-of-two cell sizes get Walsh-Hadamard
-matrices, everything else the DFT of matching dimension.
+and L/N factors into integers all at most N, as one greedy search
+decides (`_greedy_chain`).  The planner turns a set of target lengths
+into a deterministic Recipe: one generation step (cell sizes = the
+leading factors), then one elongation round per remaining factor, all
+laid out by the executor's `_round_cells`.  Power-of-two cell sizes
+get Walsh-Hadamard matrices, everything else the DFT of matching
+dimension.
 
 Recipes are plain data and fully explicit: executing the same recipe
 twice yields identical families.
@@ -142,21 +144,34 @@ class ExecutionResult:
 
 def factor_chain(n: int, k: int) -> Optional[list]:
     """Non-increasing factors of k, each in [2, n], built greedily
-    largest first; None when k has a prime factor above n.
+    largest first (`_greedy_chain`); None when k has a prime factor
+    above n."""
+    chain, rest = _greedy_chain(n, k)
+    return chain if rest == 1 else None
 
-    For an n-smooth k greedy never gets stuck: if f is the largest
-    divisor <= n of the rest, no prime p of rest // f exceeds f, since
-    p <= n would be a larger divisor of the rest.  So it gets stuck
-    exactly on the factors above n."""
-    chain, rest = [], k
+
+def _greedy_chain(n: int, k: int) -> tuple:
+    """(chain, rest): the non-increasing factors of k, each in [2, n],
+    taken greedily largest first until none divides what is left, and
+    that rest: 1 when k factors into parts <= n, else the product of
+    k's prime factors above n (the witness that no such factorization
+    exists).
+
+    Greedy never gets stuck on a prime up to n: if f is the largest
+    divisor <= cap of the rest, where every prime <= n of the rest is
+    at most cap, no such prime p of rest // f exceeds f, since p would
+    be a larger divisor.  So it stops exactly on the factors above n."""
+    chain, rest, cap = [], k, n
     while rest > 1:
-        cap = min(chain[-1] if chain else n, rest)
-        f = next((f for f in range(cap, 1, -1) if rest % f == 0), None)
-        if f is None:
-            return None
+        for f in range(min(cap, rest), 1, -1):
+            if rest % f == 0:
+                break
+        else:  # no factor left in [2, cap]
+            break
         chain.append(f)
         rest //= f
-    return chain
+        cap = f
+    return chain, rest
 
 
 def constructible(n: int, length: int) -> bool:
@@ -165,7 +180,7 @@ def constructible(n: int, length: int) -> bool:
     n, length = _check_shift(n), _integer(length, "length")
     if length < 1 or length % n:
         return False
-    return _blocking_factor(n, length // n) is None
+    return _greedy_chain(n, length // n)[1] == 1
 
 
 def _integer(x, what: str) -> int:
@@ -178,24 +193,11 @@ def _integer(x, what: str) -> int:
 
 def _check_shift(n) -> int:
     """`n` as an int (`_integer`), refused outside 1..DIM_LIMIT: the
-    matrices of larger ones are not built, and trial division is linear."""
+    matrices of larger ones are not built, and each greedy step is linear."""
     n = _integer(n, "shift parameter")
     if not 1 <= n <= DIM_LIMIT:
         raise ValueError(f"shift parameter must be in 1..{DIM_LIMIT}, got {n}")
     return n
-
-
-def _blocking_factor(n: int, k: int) -> Optional[int]:
-    """What is left of k after dividing out its prime factors up to n
-    (the witness that no factorization into parts <= n exists), or None
-    when nothing is left.  Trial division stops at min(n, sqrt(rest)):
-    past that the rest is 1 or one prime."""
-    rest, p = k, 2
-    while p <= n and p * p <= rest:
-        while rest % p == 0:
-            rest //= p
-        p += 1
-    return rest if rest > n else None
 
 
 def _cell_matrix(size: int) -> MatrixSpec:
@@ -208,9 +210,12 @@ def plan(n: int, targets) -> Recipe:
     """Recipe whose executed length set contains every target length.
 
     Each target L is factored as L = N * f0 * f1 * ... with
-    N >= f0 >= f1 >= ... ; f0 becomes a generation cell size and every
-    later factor one elongation round.  Multiple targets get disjoint
-    cells, which requires the sum of their leading factors to fit in N.
+    N >= f0 >= f1 >= ... (`_greedy_chain`); f0 becomes a generation cell
+    size and every later factor one elongation round.  Multiple targets
+    get disjoint cells, which requires the sum of their leading factors
+    to fit in N.  Every depth, generation (one group of base rows)
+    included, splits each length group among the targets still growing
+    and reads its cells and next state from `_round_cells`' layout.
     """
     n = _check_shift(n)
     targets = sorted({_integer(t, "target length") for t in targets})
@@ -222,9 +227,8 @@ def plan(n: int, targets) -> Recipe:
             raise UnconstructibleError(f"target length must be positive, got {t}", target=t)
         if t % n:
             raise UnconstructibleError(f"length {t} is not divisible by {n}", target=t)
-        chain = factor_chain(n, t // n)
-        if chain is None:
-            bad = _blocking_factor(n, t // n)
+        chain, bad = _greedy_chain(n, t // n)
+        if bad > 1:
             raise UnconstructibleError(
                 f"length {t} is unconstructible for shift parameter {n}: "
                 f"{t}/{n} = {t // n} has factor {bad} > {n}",
@@ -243,13 +247,11 @@ def plan(n: int, targets) -> Recipe:
             f"summing past {n}; jointly constructible subset: {subset}")
 
     # (length, target) per sequence in family order, from the base rows
-    # (each target's f0 rows in turn); None: grows no more.  Generation
-    # is round 0, one group of base rows; each later round an elongation.
+    # (each target's f0 rows in turn); None: grows no more
     state = [(n, t) for t in targets for _ in range(firsts[t])]
     state += [(n, None)] * (n - len(state))
-    rounds = []
-    depth = 0
-    while any(len(chains[t]) > depth for t in targets):
+    laid = []  # (round, its layout) per depth, generation first
+    for depth in range(max(map(len, chains.values()))):
         groups = group_by_length([length for length, _ in state])
         rnd = Round()
         for g, members in enumerate(groups):
@@ -265,25 +267,21 @@ def plan(n: int, targets) -> Recipe:
             if split.cells:
                 rnd.splits.append(split)
         layout = _round_cells(groups, rnd)
-        if depth == 0:  # generation's cells; a trivial one takes the 1x1 matrix
-            cells = [cell for cell, _ in layout[0]]
-            cell_matrices = [_cell_matrix(1) if spec is None else spec.rows
-                             for _, spec in layout[0]]
-        else:
-            rounds.append(rnd)
+        laid.append((rnd, layout))
         grown = []
-        for members, completed in zip(groups, layout):
-            for cell, spec in completed:
+        for members, cells in zip(groups, layout):
+            for cell, spec in cells:  # f sequences f times as long; spec None ends the growth
                 length, target = state[members[cell[0]]]
-                if spec is None:  # the trivial family ends the growth
-                    grown.append((length, None))
-                else:  # f rows: f sequences f times as long
-                    grown += [(length * len(cell), target)] * len(cell)
+                grown += [(length * len(cell), None if spec is None else target)] * len(cell)
         state = grown
-        depth += 1
 
+    # generation's cells; a trivial one takes the 1x1 matrix
+    (generation,) = laid[0][1]
     recipe = Recipe(n=n, base_matrix=MatrixSpec(kind="dft", dim=n),
-                    cells=cells, cell_matrices=cell_matrices, rounds=rounds)
+                    cells=[cell for cell, _ in generation],
+                    cell_matrices=[_cell_matrix(1) if spec is None else spec.rows
+                                   for _, spec in generation],
+                    rounds=[rnd for rnd, _ in laid[1:]])
     produced = {length for length, _ in state}
     missing = [t for t in targets if t not in produced]
     if missing:
@@ -301,8 +299,13 @@ def _round_cells(groups, rnd: Round) -> list:
     them) the round's cells in the order elongation emits their
     outputs: the split's cells, then every position no cell covers as
     its own cell.  A cell is (in-group positions, SubFamilySpec), the
-    spec None for the trivial one-sequence family."""
-    by_group = {s.group: s for s in rnd.splits}
+    spec None for the trivial one-sequence family.  A round names each
+    group in at most one split."""
+    by_group = {}
+    for s in rnd.splits:
+        if s.group in by_group:
+            raise ConstructionError(f"round names group {s.group} in two splits")
+        by_group[s.group] = s
     unknown = set(by_group) - set(range(len(groups)))
     if unknown:
         raise ConstructionError(
@@ -322,21 +325,6 @@ def _round_cells(groups, rnd: Round) -> list:
         covered = {p for cell, _ in cells for p in cell}
         out.append(cells + [([p], None) for p in range(len(group)) if p not in covered])
     return out
-
-
-def _complete_round(groups, rnd: Round):
-    """A round as the level-2 partition and sub-families of
-    `elongate_cosf` on a family whose positions `groups` lists by length:
-    the cells of `_round_cells` with their specs resolved, and for each
-    implicit singleton cell the 1x1 matrix (1): it passes the member
-    through, whatever the mode."""
-    one = _cell_matrix(1).build()
-    part2, subs = {}, {}
-    for g, cells in enumerate(_round_cells(groups, rnd)):
-        part2[g] = [cell for cell, _ in cells]
-        for p2, (_, spec) in enumerate(cells):
-            subs[(g, p2)] = one if spec is None else spec.resolve()
-    return part2, subs
 
 
 def execute(recipe: Recipe, verify: bool = True) -> ExecutionResult:
@@ -362,10 +350,14 @@ def execute(recipe: Recipe, verify: bool = True) -> ExecutionResult:
                                     [spec.build() for spec in recipe.cell_matrices]))
     fam = _log_round(log, "generate", seqs, f"cosf:{n}", verify)
 
+    # an implicit singleton cell takes the 1x1 matrix (1): it passes the
+    # member through, whatever the mode
+    one = _cell_matrix(1).build()
     for i, rnd in enumerate(recipe.rounds):
         groups = group_by_length([c.shape[1] for _, _, c in seqs])
-        part2, round_subs = _complete_round(groups, rnd)
-        seqs = _elongation(seqs, groups, part2, round_subs)
+        layout = [[(cell, one if spec is None else spec.resolve()) for cell, spec in cells]
+                  for cells in _round_cells(groups, rnd)]
+        seqs = _elongation(seqs, groups, layout)
         fam = _log_round(log, f"elongate[{i}]", seqs, f"cosf:{n}", verify)
     if fam is None:
         fam = _family(seqs)

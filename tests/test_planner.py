@@ -38,6 +38,19 @@ from cocodes.planner import (
 )
 
 
+def trial_division_factor(n: int, k: int):
+    """What is left of k after dividing out its prime factors up to n
+    (the witness that no factorization into parts <= n exists), or None
+    when nothing is left.  Trial division stops at min(n, sqrt(rest)):
+    past that the rest is 1 or one prime."""
+    rest, p = k, 2
+    while p <= n and p * p <= rest:
+        while rest % p == 0:
+            rest //= p
+        p += 1
+    return rest if rest > n else None
+
+
 def oracle_constructible(n: int, length: int) -> bool:
     """Exhaustive check over every multiset of factors <= n."""
     if n < 1 or length < 1 or length % n:
@@ -103,6 +116,21 @@ class TestConstructible:
         for n in range(1, 9):
             for k in range(1, 400):
                 assert factor_chain(n, k) == search(k, n), (n, k)
+
+    def test_greedy_chain_matches_trial_division(self):
+        # the greedy chain stops on the product of k's prime factors above
+        # n: what trial division leaves, both as a verdict and as the
+        # factor a refusal names
+        for n in range(1, 41):
+            for k in range(1, 6000):
+                bad = trial_division_factor(n, k)
+                assert constructible(n, n * k) == (bad is None), (n, k)
+                try:
+                    plan(n, [n * k])
+                    factor = None
+                except UnconstructibleError as err:
+                    factor = err.factor
+                assert factor == bad, (n, k)
 
     def test_smooth_cofactor_decided_up_front(self):
         # 2^30 3^14 is 36-smooth but the prime 37 is not: a search over
@@ -444,15 +472,18 @@ class TestExecute:
             fam2 = execute(rebuilt, verify=False).family
             assert equal_up_to_indexing(fam1, fam2)
 
-    @pytest.mark.parametrize("split", [
-        RoundSplit(group=1, cells=[[0, 1]],
-                   subs=[SubFamilySpec(rows=MatrixSpec("hadamard", 2))]),
-        RoundSplit(group=0, cells=[[0], [1]],
-                   subs=[SubFamilySpec(rows=MatrixSpec("identity", 1))]),
-    ], ids=["unknown-group", "cells-vs-subs"])
-    def test_bad_round_raises_construction_error(self, split):
+    @pytest.mark.parametrize("splits", [
+        [RoundSplit(group=1, cells=[[0, 1]],
+                    subs=[SubFamilySpec(rows=MatrixSpec("hadamard", 2))])],
+        [RoundSplit(group=0, cells=[[0], [1]],
+                    subs=[SubFamilySpec(rows=MatrixSpec("identity", 1))])],
+        # one group in two splits: the second must not drop the first
+        [RoundSplit(group=0, cells=[[0]], subs=[SubFamilySpec(rows=MatrixSpec("identity", 1))]),
+         RoundSplit(group=0, cells=[[1]], subs=[SubFamilySpec(rows=MatrixSpec("identity", 1))])],
+    ], ids=["unknown-group", "cells-vs-subs", "group-twice"])
+    def test_bad_round_raises_construction_error(self, splits):
         recipe = plan(2, [4])
-        recipe.rounds = [Round(splits=[split])]
+        recipe.rounds = [Round(splits=splits)]
         with pytest.raises(ConstructionError, match="group"):
             execute(recipe)
 
