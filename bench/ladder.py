@@ -79,9 +79,10 @@ CONSTRUCTION = ["planner.plan", "construct._elongation", "construct._connections
                 "model.layered_multiply", "model.layer_product", "construct._family"]
 # the check's kernel stages: the layers laid side by side (`_layers`),
 # their energy and limbs (`_digits`, self time), the gather of each
-# root's values (`_root_values`), per-member transforms, member sums, the
-# per-shift pass's inverse, round and fold (`sums`, self time) and the
-# decisions (certificate, zero test)
+# root's values (`_root_values`), per-member transforms (`_root_spectra`),
+# member sums, the per-shift pass's inverse, round and fold (`sums`, self
+# time) and the decisions (certificate, with the chunked path's first
+# transform stage, and zero test)
 CHECK = ["corr._Kernel._digits", "corr._Kernel._layers", "corr._root_values",
          "corr._root_spectra", "corr._member_sums", "corr._Kernel.sums",
          "corr._Kernel._certify", "corr._Kernel.zeros"]
@@ -126,6 +127,13 @@ def _zone(c, tree):
     return lambda: c.enlarge_ccc(_ccc(c, 6, 216), [c.hadamard_matrix(2)] * 6), c.zccc_zone
 
 
+def _is_n_co_sf(c, tree):
+    # a fresh 64-CO-SF of L=4096 each run, held as layers, as the
+    # constructor leaves it; its N-shift check runs on 64 polyphase members
+    return (lambda: c.execute(c.plan(64, [4096]), verify=False).family,
+            lambda fam: c.is_n_co_sf(fam, 64))
+
+
 def _build(n: int):
     def rung(c, tree):
         return None, lambda _: _ccc(c, n, 4096)
@@ -166,6 +174,7 @@ RUNGS = {
     "enlarge-6-216": (_enlarge, CONSTRUCTION + ["construct._expansions"] + CHECK),
     "is-ccc-6-216": (_is_ccc, CHECK),
     "zone-12-216": (_zone, CHECK),
+    "is-n-co-sf-64-4096": (_is_n_co_sf, CHECK),
     "files-12-216": (_files(lambda c: c.enlarge_ccc(_ccc(c, 6, 216), [c.hadamard_matrix(2)] * 6)),
                      FILES),
     "files-32-1024": (_files(lambda c: _ccc(c, 32, 1024)), FILES),

@@ -211,14 +211,19 @@ def _entry_texts(found) -> list:
     one order K, laid side by side (`row_terms`): the texts json.dumps
     gives their {"order": K, "coeffs": [...]} dicts.
 
-    One lexsort over the stacked exponent and coefficient rows finds the
-    distinct layer columns; only those are scattered, and each is
-    `%`-formatted once by the reader's entry template (`_entry_body`).
-    Equal columns are equal entries; an entry held in two layer forms is
-    formatted twice, to the same text."""
+    One sort finds the distinct layer columns; only those are scattered,
+    and each is `%`-formatted once by the reader's entry template
+    (`_entry_body`).  An int64 layer sorts by one key a term,
+    e 2^32 + c + 2^31, exact as |c| < INT64_COEFF_BOUND = 2^31 and
+    e < K <= ORDER_LIMIT; Python-int layers by their exponent and
+    coefficient rows.  Equal columns are equal entries; an entry held in
+    two layer forms is formatted twice, to the same text."""
     order, exps, coeffs = row_terms(found)[:3]
-    keys = np.vstack([exps, coeffs])
-    by = np.lexsort(keys)
+    if coeffs.dtype == object:
+        keys = np.vstack([exps, coeffs])
+    else:
+        keys = exps * 2 ** 32 + (coeffs + 2 ** 31)
+    by = np.lexsort(keys) if len(keys) > 1 else np.argsort(keys[0])
     ordered = keys[:, by]
     new = np.ones(len(by), bool)
     new[1:] = (ordered[:, 1:] != ordered[:, :-1]).any(axis=0)

@@ -27,13 +27,17 @@ w = exp(2 pi i / P), sigma_e(a) = a(zeta^-e), for e prime to K the
 embedding of Z[zeta_K] mapping zeta_K to zeta^-e.  A member's values at a
 root are x_n(e, l) = sum_j a_n[j, l] zeta^(-ej), gathered from its
 layers as sum_t c_t(l) zeta^(-e e_t(l)), one gather per layer from the
-root's table of K powers (`_roots`) over a block of sets; X_n is their
+root's table of K powers (`_roots`) over every set; X_n is their
 length-P transform over positions (the real `rfft` at R = 1, where x is
 the folded coefficient), and v = sum_n X_S,n conj(X_T,n).
 As v(-e, -f) = conj(v(e, f)), one root of each conjugate pair is taken
-(`_roots`), one root and one block of sets at a time (`_block_pairs`,
-`_member_sums`), so that a block's spectra and two blocks' member sums
-stay under `_SPECTRA_MAX` entries.
+(`_roots`), one root at a time.  Its spectra are cut by frequency, not
+by sets: into the least power of two m of chunks (`_chunks`) that keeps
+one chunk's spectra of every set and its member sums of every pair, one
+`_member_sums` call, under `_SPECTRA_MAX` entries.  Chunk c holds the
+frequencies c + m k, the length-Q transform (P = m Q) of
+y_c[q] = w^(cq) sum_r x[q + rQ] w^(crQ) (`_spectra`), so each spectrum
+entry is computed once.
 
 The certificate pass reads the primitive roots (e prime to K) and
 decides a predicate's pairs without an inverse transform, a rounding
@@ -77,10 +81,16 @@ members, E the largest set energy sum a^2 of the stack:
       ||x^_n - x_n|| <= mu sqrt(R) ||a_n||.
   (b) Percival bounds a length-2^p transform with twiddles within u
       by ||fl(F y) - F y|| <= eta ||F y|| = eta sqrt(P) ||y||,
-      eta = (1 + u)^2p (1 + sqrt5 u)^p - 1.  So each |X^_n(f) - X_n(f)|
-      is at most ||X^_n - X_n|| <= d sqrt(P R) ||a_n||,
+      eta = (1 + u)^2p (1 + sqrt5 u)^p - 1.  A transform cut into m
+      chunks is the same radix-2 algorithm: its first log2 m
+      decimation-in-frequency stages (the first, at W <= P/2, a twist by
+      w^l or none), with twiddles rounded once from extended precision,
+      leave the y_c, and the chunks' length-Q transforms are its other
+      stages, so over all chunks X^_n is within the same bound.  So each
+      |X^_n(f) - X_n(f)| is at most ||X^_n - X_n|| <= d sqrt(P R) ||a_n||,
       d = eta (1 + mu) + mu, and |X_n(f)| <= ||x_n||_1 <= sqrt(W R) ||a_n||.
-  (c) Summed over n with Cauchy-Schwarz, the spectra's errors move v by
+  (c) Summed over n with Cauchy-Schwarz, whichever chunk holds each f,
+      the spectra's errors move v by
       at most R E (2 d sqrt(P W) + d^2 P); each real and imaginary part
       of the computed sum is a sum of 2M products, within g_2M of their
       absolute sum, which adds sqrt2 g_2M R E (sqrt(W) + d sqrt(P))^2.
@@ -114,7 +124,8 @@ report's violations and values come from this pass.
 Percival's theorem is for radix-2 transforms; the power-of-two length
 P is what lets it stand for pocketfft, whose passes at such lengths are
 radix 2 and radix 4, a radix-4 butterfly being two radix-2 stages whose
-inner twiddles (+-1, +-i) are exact.  A real transform (`rfft`) is
+inner twiddles (+-1, +-i) are exact; a chunked transform's own first
+stages are radix 2.  A real transform (`rfft`) is
 taken as the half of the complex one it returns, and its inverse
 (`irfft`) as the complex inverse of the Hermitian extension of its
 input.
@@ -127,7 +138,7 @@ shifts) grid, whose rows give a pair's violations and a render's shifts.
 So a verdict costs one certificate pass, and a rejected family pays for
 both (on the one set of layers the kernel keeps) only when its report
 is read.  `CycloNum`s are built only for the values read (`_scalars`).
-Debug records on the `cocodes` logger give the block and limb counts
+Debug records on the `cocodes` logger give the chunk and limb counts
 above one and which pass decided a check, and why.
 
 `is_n_co_sf` runs the same passes on the n polyphase components
@@ -152,6 +163,7 @@ from .model import (
     Sequence,
     SequenceFamily,
     SequenceSet,
+    _peak,
     _scatter,
     is_exact,
     layers,
@@ -164,12 +176,13 @@ DEFAULT_TOL = 1e-9
 # Violated shifts a report's render prints per pair; the rest are counted
 RENDER_SHIFTS_PER_PAIR = 16
 
-# Entries (16 bytes each, so 64 MB) of the spectra of one block of sets,
-# and of the member sums of two blocks; a block holds at least one set.
+# Entries (16 bytes each, so 64 MB) of one frequency chunk's spectra of
+# every set, and of its member sums of every pair; a chunk holds at least
+# one frequency.
 _SPECTRA_MAX = 2 ** 22
 
-# Sets (times limbs) of a block up to which `_member_sums` takes one
-# einsum; past it, one batched Gram matmul per frequency.
+# Sets (times limbs) up to which `_member_sums` takes one einsum over the
+# pairs; past it, one batched Gram matmul per frequency.
 _GRAM_SETS = 4
 
 # Products (Gram entries past _GRAM_SETS) one step of `_member_sums` makes
@@ -345,60 +358,41 @@ def certificate_bound(energy: float, rows: int, members: int, width: int,
     return rows * energy * (gram + shift0) * (1 + 2.0 ** -50)
 
 
-def _blocks(sets: int, members: int, limbs: int, freqs: int, *record) -> int:
-    """Sets per block, so that one block's spectra and the member sums
-    of two blocks stay under `_SPECTRA_MAX` entries; and the debug
-    record of the pass.  `record`: limb bits, bound name and bound."""
-    block = max(1, min(_SPECTRA_MAX // (members * freqs),
-                       math.isqrt(_SPECTRA_MAX // freqs)) // limbs)
-    if block < sets or limbs > 1:
-        _debug("spectral pass: %d blocks of up to %d sets, %d limbs of %d bits; %s bound %.3g, "
-               "headroom %.3g of 1/2", -(-sets // block), block, limbs, *record,
+def _chunks(entries: int, freqs: int, *record) -> int:
+    """Frequency chunks of a pass: the least power of two m (at most P,
+    the transform length, as record[0]) that keeps one chunk's share of
+    `freqs` frequencies, taken `entries` times (the spectra of every
+    set, or the member sums of every pair), under `_SPECTRA_MAX`; and
+    the debug record of the pass.  `record`: P, limbs, limb bits, bound
+    name and bound."""
+    size, limbs = record[:2]
+    chunks = 1
+    while chunks < size and entries * -(-freqs // chunks) > _SPECTRA_MAX:
+        chunks *= 2
+    if chunks > 1 or limbs > 1:
+        _debug("spectral pass: %d chunks of %d frequencies, %d limbs of %d bits; %s bound %.3g, "
+               "headroom %.3g of 1/2", chunks, -(-freqs // chunks), *record[1:],
                _headroom(record[-1]))
-    return block
-
-
-def _block_pairs(pairs, block: int, spectra_of, rounds):
-    """For each of `rounds` and (left, right) pair of blocks of `block`
-    sets holding some of `pairs`: the round, `spectra_of(slice of sets,
-    round)` of both blocks, and the indices and in-block sets of those
-    pairs.  The indices are a slice when they are consecutive (one block
-    pair holding every pair, say), so a stack is updated through a view.
-    A block out of use is dropped before the next one is taken."""
-    groups = {}
-    for p, (m, mp) in enumerate(pairs):
-        groups.setdefault((m // block, mp // block), []).append((p, m % block, mp % block))
-    grouped = []
-    for (lb, rb), group in sorted(groups.items()):
-        idx, lefts, rights = map(np.array, zip(*group))
-        if idx[-1] - idx[0] == len(idx) - 1:  # increasing, so consecutive
-            idx = slice(idx[0], idx[-1] + 1)
-        grouped.append((lb, rb, idx, lefts, rights))
-    for r in rounds:
-        spectra = {}
-        for lb, rb, idx, lefts, rights in grouped:
-            spectra = {k: spectra[k] for k in spectra.keys() & {lb, rb}}
-            for k in {lb, rb} - spectra.keys():
-                spectra[k] = spectra_of(slice(k * block, (k + 1) * block), r)
-            yield r, spectra[lb], spectra[rb], idx, lefts, rights
+    return chunks
 
 
 def _member_sums(left, right, lefts, rights) -> np.ndarray:
     """sum_n left[l, n] conj(right[r, n]), (..., freqs), for the sets of
-    the index arrays `lefts` and `rights` of two blocks of spectra
-    (sets, members, freqs), `_STEP` entries of products at a time."""
+    the index arrays `lefts` and `rights` of spectra (sets, members,
+    freqs), `_STEP` entries of products at a time: one einsum over the
+    requested pairs for few sets, else one batched Gram matmul per
+    frequency over every (left, right) set."""
     gram = min(len(left), len(right)) > _GRAM_SETS
     out = np.empty(np.broadcast(lefts, rights).shape + left.shape[2:], complex)
-    step = max(1, _STEP // (len(left) * len(right) * (1 if gram else left.shape[1])))
+    step = max(1, _STEP // (len(left) * len(right) if gram else out[..., 0].size * left.shape[1]))
     for f in range(0, out.shape[-1], step):
         x, y = left[..., f:f + step], right[..., f:f + step]
         if gram:
             x = np.ascontiguousarray(x.transpose(2, 0, 1))
             y = x if right is left else np.ascontiguousarray(y.transpose(2, 0, 1))
-            sums = (x @ y.conj().swapaxes(-1, -2)).transpose(1, 2, 0)
+            out[..., f:f + step] = (x @ y.conj().swapaxes(-1, -2)).transpose(1, 2, 0)[lefts, rights]
         else:
-            sums = np.einsum("lnf,rnf->lrf", x, y.conj())
-        out[..., f:f + step] = sums[lefts, rights]
+            out[..., f:f + step] = np.einsum("...nf,...nf->...f", x[lefts], y[rights].conj())
     return out
 
 
@@ -425,13 +419,18 @@ def _roots(k: int, rows: int, primitive: bool = False) -> tuple:
     return tuple((row, 1.0 if 2 * e % k == 0 else 2.0) for e, row in zip(es, powers))
 
 
-def _root_values(block: tuple, root) -> np.ndarray:
-    """Each member's values at one root of `_roots`, of a block of layers
-    (exponents, coefficients), (t, ..., width) arrays whose shapes
+def _root_values(layers: tuple, root, out=None) -> np.ndarray:
+    """Each member's values at one root of `_roots`, of layers
+    (exponents, coefficients), (t, sets, ..., width) arrays whose shapes
     broadcast: x(l) = sum_t c_t(l) root[e_t(l)], one gather of the root's
     powers per layer, each times its real coefficients; at root None the
-    folded coefficients, summed."""
-    exps, coeffs = block
+    folded coefficients, summed.  With `out`, written into it a set at a
+    time, so that no temporary outgrows one set's values."""
+    exps, coeffs = layers
+    if out is not None:
+        for s, o in enumerate(out):
+            o[...] = _root_values((exps[:, s], coeffs[:, s]), root)
+        return out
     if root is None:
         return coeffs[0] if len(coeffs) == 1 else coeffs.sum(axis=0)
     x = root.take(exps[0]) * coeffs[0]
@@ -440,13 +439,66 @@ def _root_values(block: tuple, root) -> np.ndarray:
     return x
 
 
-def _root_spectra(block: tuple, root, size: int) -> tuple:
-    """(spectra, values) of each member of a block of layers at one root
-    of `_roots`: its values (`_root_values`) and their transform over
-    positions, zero-padded to `size` (the half-spectrum, `rfft`, of real
-    values)."""
-    x = _root_values(block, root)
-    return (np.fft.fft if np.iscomplexobj(x) else np.fft.rfft)(x, n=size), x
+@lru_cache(maxsize=8)
+def _twiddles(size: int) -> np.ndarray:
+    """w^q = exp(-2 pi i q / P), q < P/2, of P = `size`: the twiddles of
+    the decimation-in-frequency stages `_spectra` takes, computed in
+    extended precision and rounded once, and read-only."""
+    angles = np.arange(size // 2, dtype=np.longdouble) * (-8 * np.arctan(np.longdouble(1)) / size)
+    twiddles = np.empty(len(angles), complex)
+    twiddles.real, twiddles.imag = np.cos(angles), np.sin(angles)
+    twiddles.flags.writeable = False
+    return twiddles
+
+
+def _spectra(values, shape: tuple, size: int, chunks: int, real: bool):
+    """(frequencies, spectra) of each frequency chunk of the transform
+    over positions of values of `shape` (sets, ..., width), zero-padded
+    to `size` = P, that `values(out)` gives (written into `out` when
+    given): chunk c of m = `chunks` holds the frequencies c + m k, as a
+    slice of the P frequencies (the P/2 + 1 of the half-spectrum of
+    `real` values), and their spectra (..., frequencies).
+
+    One chunk is one `fft` (`rfft`) of the values.  Past one, with
+    Q = P/m, the transform is the radix-2 decimation-in-frequency
+    algorithm with its first log2 m stages taken here.  As W <= P/2 the
+    first stage leaves the values as they are for the even frequencies
+    and twists them by w^l for the odd ones, so each half gathers them
+    into one buffer of P/2 complex entries; the next stages run in it in
+    place, a set at a time, and leave chunk c's values
+    y_c[q] = w^(cq) sum_r x[q + rQ] w^(crQ), whose Q-point `fft` gives
+    its frequencies (at `real` values, those up to P/2: one `rfft` of
+    chunk 0, whose values stay real)."""
+    if chunks == 1:
+        yield slice(None), (np.fft.rfft if real else np.fft.fft)(values(), n=size)
+        return
+    half, width = size // 2, size // chunks
+    twiddles = _twiddles(size)
+    y = np.empty(shape[:-1] + (half,), complex)
+    for odd in (0, 1):
+        y[..., shape[-1]:] = 0
+        values(y[..., :shape[-1]])
+        for part in y.reshape(len(y), -1, half):
+            if odd:
+                part *= twiddles
+            n = half
+            while n > width:  # one butterfly of each pair (q, q + n/2) of a block of n
+                lo, hi = part.reshape(len(part), -1, 2, n // 2).transpose(2, 0, 1, 3)
+                diff = lo - hi
+                lo += hi
+                np.multiply(diff, twiddles[::size // n], out=hi)
+                n //= 2
+        offsets = [odd]  # each block's chunk: a stage splits c into c and c + its stride
+        while len(offsets) < chunks // 2:
+            offsets = [c + d for c in offsets for d in (0, 2 * len(offsets))]
+        for j, c in enumerate(offsets):
+            block = y[..., j * width:(j + 1) * width]
+            if not real:
+                yield slice(c, None, chunks), np.fft.fft(block)
+            elif c == 0:
+                yield slice(0, None, chunks), np.fft.rfft(block.real)
+            elif c <= half:
+                yield slice(c, None, chunks), np.fft.fft(block)[..., :(half - c) // chunks + 1]
 
 
 def _folded(exps: np.ndarray, coeffs: np.ndarray, rows: int, order: int) -> tuple:
@@ -486,9 +538,10 @@ class _Kernel:
     positions.  The call's layers are laid side by side once, as (t,
     sets, members, width) exponents and coefficients (`_layers`; one
     complex layer in approx mode), and their coefficients are split into
-    limbs when `_digits` says so; a block's values at a root are gathered
-    from them (`_root_values`), so the call's memory follows its layers
-    and one block's spectra, not K times its entries.  The spectra exist
+    limbs when `_digits` says so; every set's values at a root are
+    gathered from them (`_root_values`), so the call's memory follows its
+    layers, one root's values and one chunk's spectra, not K times its
+    entries.  The spectra exist
     only while a pass runs, and so do the layers unless they are kept in
     `digits` for several calls: by `zccc_zone`, and by `check` when the
     certificate rejects a pair, for the report's deferred `scan` (one
@@ -496,7 +549,8 @@ class _Kernel:
     """
 
     def __init__(self, sets, phases: int = 1, tol: float = 0.0):
-        held = [terms_of(s) for ss in sets for s in ss]
+        # every sequence's layers (its one store), read in place
+        self.held = held = [terms_of(s) for ss in sets for s in ss]
         modes = {is_exact(values) for _, _, values in held}
         if len(modes) != 1:
             raise ModeMismatchError("mode mismatch between sequences")
@@ -528,8 +582,10 @@ class _Kernel:
 
     def _digits(self):
         """The layers the spectra are taken of, (exponents, coefficients):
-        (t, sets, 1, members, width) exponents and (t, sets, limbs,
-        members, width) float coefficients (`_layers`); the limb width b
+        (t, sets, 1, members, width) int16 exponents and (t, sets, limbs,
+        members, width) coefficients (`_layers`), float or, in a call of
+        more than `_SPECTRA_MAX` entries whose folded coefficients fit,
+        int8 or int16; the limb width b
         in bits (0: one limb); the rounding bound that certifies the pass
         (nan in approx mode); the dtype of the sums, int64 when every
         value and every step of their recombination fits; the largest
@@ -549,10 +605,13 @@ class _Kernel:
                 check_coefficients(values)
             exps, ints = self._layers(object)
             coeffs = ints.astype(float)
-        else:
-            ints, (exps, coeffs) = None, self._layers(float)
+        else:  # past one chunk's entries, the narrowest that holds t * peak, a folded bound
+            top = (max(_peak(c) * len(c) for _, _, c in self.held)
+                   if sum(c.size for _, _, c in self.held) > _SPECTRA_MAX else math.inf)
+            ints, (exps, coeffs) = None, self._layers(
+                np.int8 if top < 2 ** 7 else np.int16 if top < 2 ** 15 else float)
         exps = exps[:, :, None]
-        energy = float(np.einsum("tsml,tsml->s", coeffs, coeffs).max())
+        energy = float(np.einsum("tsml,tsml->s", coeffs, coeffs, dtype=float).max())
         size = _pow2(2 * self.width - 1)
         bound = rounding_bound(energy, self.rows, self.members, size)
         if bound < 0.5:
@@ -587,8 +646,7 @@ class _Kernel:
         `_folded`, so a column's terms are at distinct rows j < R and their
         squares sum to its folded energy.  Exponents stay unfolded, as the
         roots' powers take them."""
-        return _folded(*self._joined([terms_of(s) for ss in self.sets for s in ss], dtype),
-                       self.rows, self.order)
+        return _folded(*self._joined(self.held, dtype), self.rows, self.order)
 
     def _joined(self, found, dtype) -> tuple:
         """(exponents, coefficients) of layered sequences at the call's
@@ -600,11 +658,11 @@ class _Kernel:
         depth, span = max(len(c) for _, _, c in found), n * width
         exps = [e if k == self.order else e * (self.order // k) for k, e, _ in found]
         if all(c.shape == (depth, span) for _, _, c in found):
-            exps = np.concatenate(exps, axis=1)
+            exps = np.concatenate(exps, axis=1, dtype=np.int16)
             coeffs = np.concatenate([c for _, _, c in found], axis=1, dtype=dtype,
                                     casting="unsafe")
         else:  # each into its place in zeros
-            exps, padded = np.zeros((depth, len(found) * span), np.intp), exps
+            exps, padded = np.zeros((depth, len(found) * span), np.int16), exps
             coeffs = np.zeros(exps.shape, dtype)
             for start, e, (_, _, c) in zip(range(0, exps.shape[1], span), padded, found):
                 exps[:len(e), start:start + e.shape[1]] = e
@@ -612,48 +670,53 @@ class _Kernel:
         return tuple(a.reshape(depth, -1, len(self.sets[0]), width, n).transpose(0, 1, 2, 4, 3)
                      .reshape(depth, -1, self.members, width) for a in (exps, coeffs))
 
-    def _spectra(self, block: tuple, root, size: int) -> np.ndarray:
-        """The per-shift spectra (sets limbs, members, freqs) of a block of
-        layers at a root."""
-        spectra = _root_spectra(block, root, size)[0]
-        return spectra.reshape(-1, *spectra.shape[2:])
-
     def sums(self, pairs, rotate: bool = False, digits=None) -> np.ndarray:
         """(pairs, 2 hull + 1, rows) stack of the set sums of each
         (left, right) pair of set indices: [p, hull + q, d] holds the
         coefficient of zeta_K^d at shift q, folded for even K.  With
         `rotate` the members of the left set are taken cyclically
         shifted by one (member n + 1 pairs with member n).  `digits`
-        is a `_digits()` the caller has already made."""
+        is a `_digits()` the caller has already made.  A root's member
+        sums of every pair are read back from their chunks in natural
+        frequency order for its inverse transform."""
         (exps, coeffs), b, bound, dtype, _ = digits or self.digits or self._digits()
         _, sets, limbs, members, width = coeffs.shape
         rows = self.rows
         size = _pow2(2 * width - 1)
         real = self.exact and rows == 1
-        block = _blocks(sets, members, limbs, size // 2 + 1 if real else size, b, "rounding",
-                        bound)
+        freqs = size // 2 + 1 if real else size
+        pairs = np.array(pairs, np.intp).reshape(-1, 2)
+        chunks = _chunks(max(sets * limbs * members, len(pairs) * limbs * limbs), freqs, size,
+                         limbs, b, "rounding", bound)
         # sigma_e(a_q) is entry -q mod size of a root's inverse transform
         shifts = -np.arange(-self.hull, self.hull + 1) % size
         # the right limbs reversed: limb pairs (i, k - i) are diagonal limbs - 1 - k
-        left_limbs, right_limbs = np.arange(limbs)[:, None], np.arange(limbs)[::-1]
+        lefts = pairs[:, :1, None] * limbs + np.arange(limbs)[:, None]
+        rights = pairs[:, 1:, None] * limbs + np.arange(limbs)[::-1]
         acc = np.zeros((len(pairs), 2 * limbs - 1, len(shifts), rows),
                        float if self.exact else complex)
-        for (root, weight), left, right, idx, lefts, rights in _block_pairs(
-                pairs, block,
-                lambda part, r: self._spectra((exps[:, part], coeffs[:, part]), r[0], size),
-                _roots(self.order, rows)):
-            if rotate:
-                left = np.roll(left, -1, axis=1)
-            # one name for each block pair's arrays, so none outlives its step
-            found = _member_sums(left, right, lefts[:, None, None] * limbs + left_limbs,
-                                 rights[:, None, None] * limbs + right_limbs)
-            found = found[:, 0] if limbs == 1 else np.stack(
-                [found.diagonal(limbs - 1 - k, 1, 2).sum(-1) for k in range(2 * limbs - 1)], 1)
-            found = (np.fft.irfft if real else np.fft.ifft)(found, n=size)[..., shifts]
+        for root, weight in _roots(self.order, rows):
+            if chunks > 1:
+                v = np.empty((len(pairs), 2 * limbs - 1, freqs), complex)
+            for part, spectra in _spectra(lambda out=None: _root_values((exps, coeffs), root, out),
+                                          coeffs.shape[1:], size, chunks, real):
+                spectra = spectra.reshape(-1, *spectra.shape[2:])
+                # one name for each chunk's arrays, so none outlives its step
+                found = _member_sums(np.roll(spectra, -1, axis=1) if rotate else spectra, spectra,
+                                     lefts, rights)
+                found = found[:, 0] if limbs == 1 else np.stack(
+                    [found.diagonal(limbs - 1 - k, 1, 2).sum(-1) for k in range(2 * limbs - 1)], 1)
+                if chunks == 1:
+                    v = found
+                else:
+                    v[..., part] = found
+                spectra = found = None
+            found = (np.fft.irfft if real else np.fft.ifft)(v, n=size)[..., shifts]
+            v = None
             if root is None:
-                acc[idx] = found[..., None]
+                acc[:] = found[..., None]
             else:  # weight Re(sigma_e(a_q) zeta^(ej)) = weight (Re Re + Im Im), j < R
-                acc[idx] += found[..., None].view(float) @ (
+                acc += found[..., None].view(float) @ (
                     weight * np.stack([root.real[:rows], root.imag[:rows]]))
         if not self.exact:
             return acc[:, 0]
@@ -744,24 +807,29 @@ class _Kernel:
         primitive root and frequency, less an auto pair's shift-0 sum.
         `layers`: one limb's (exponents, coefficients), (t, sets,
         members, width) each."""
-        exps, coeffs = layers
-        _, sets, members, width = coeffs.shape
+        _, sets, members, width = layers[1].shape
         size = _pow2(2 * width - 1)
-        block = _blocks(sets, members, 1, size // 2 + 1 if self.rows == 1 else size, 0,
-                        "certificate", bound)
-        auto = np.array([m == mp for m, mp in pairs])
-        worst = np.zeros(len(pairs))
+        real = self.rows == 1
+        lefts, rights = np.array(pairs, np.intp).reshape(-1, 2).T
+        chunks = _chunks(max(sets * members, len(lefts)), size // 2 + 1 if real else size, size,
+                         1, 0, "certificate", bound)
+        auto = lefts == rights
+        worst = np.zeros(len(lefts))
+        for root, _ in _roots(self.order, self.rows, primitive=True):
+            energies = []
 
-        def spectra_of(part, r):  # and each set's shift-0 sum at the root
-            spectra, x = _root_spectra((exps[:, part], coeffs[:, part]), r[0], size)
-            parts = x if r[0] is None else x.view(float)  # real and imaginary parts
-            return spectra, np.einsum("sml,sml->s", parts, parts)
+            def values(out=None):  # and, at the first gather, each set's shift-0 sum
+                x = _root_values(layers, root, out)
+                if not energies:
+                    parts = x.view(float) if np.iscomplexobj(x) else x  # real and imaginary parts
+                    energies.append(np.einsum("sml,sml->s", parts, parts, dtype=float))
+                return x
 
-        for _, (left, energies), (right, _), idx, lefts, rights in _block_pairs(
-                pairs, block, spectra_of, _roots(self.order, self.rows, primitive=True)):
-            v = _member_sums(left, right, lefts, rights)
-            v -= np.where(auto[idx], energies[lefts], 0)[:, None]
-            worst[idx] = np.maximum(worst[idx], np.abs(v).max(axis=1))
+            for _, spectra in _spectra(values, layers[1].shape[1:], size, chunks, real):
+                v = _member_sums(spectra, spectra, lefts, rights)
+                v -= np.where(auto, energies[0][lefts], 0)[:, None]
+                np.maximum(worst, np.abs(v).max(axis=1), out=worst)
+                spectra = v = None
         return worst
 
 
@@ -858,8 +926,20 @@ class CheckReport:
 
     def render(self) -> str:
         """The verdict and, per failing pair, its first violated shifts
-        (set columns of the kernel's mask) with their residuals."""
+        (set columns of the kernel's mask) with their residuals, each
+        distinct exact residual formatted once (keyed by its order and
+        coefficients, as a CycloNum is unhashable)."""
         lines = [f"check {self.kind}: {'PASS' if self.ok else 'FAIL'}"]
+        texts = {}
+
+        def text(x):
+            if not isinstance(x, CycloNum):
+                return _fmt_scalar(x)
+            key = x.order, tuple(x.coeffs)
+            if key not in texts:
+                texts[key] = _fmt_scalar(x)
+            return texts[key]
+
         for msg in self.problems:
             lines.append(f"  problem: {msg}")
         for p in self.pairs:
@@ -869,7 +949,7 @@ class CheckReport:
             k, cols = p.kernel, p._violated()
             shown = cols[:RENDER_SHIFTS_PER_PAIR]  # convert only the sums shown
             values = _scalars(k.scan()[0][p.index, shown], k.order)
-            lines += [f"    tau={tau}: residual {_fmt_scalar(val)}"
+            lines += [f"    tau={tau}: residual {text(val)}"
                       for tau, val in zip(((shown - k.hull) * k.step).tolist(), values)]
             if len(cols) > len(shown):
                 lines.append(f"    ... and {len(cols) - len(shown)} more shifts")

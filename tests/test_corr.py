@@ -402,7 +402,9 @@ class TestZone:
     @pytest.mark.parametrize("cap", [None, 0], ids=["one block", "a block per set"])
     def test_only_the_rotated_pass_takes_forward_spectra(self, caplog, monkeypatch, cap):
         # the certificate decides the CCC check, so a zone call takes the
-        # per-shift spectra of its blocks in the rotated pass alone
+        # per-shift spectra (of values with a limb axis) in the rotated
+        # pass alone: every set at once, in one chunk or, at cap 0, in one
+        # chunk a frequency
         fam = enlarge_ccc(
             cosf_to_ccc(execute(plan(4, [16]), verify=False).family, dft_matrix(4)),
             [hadamard_matrix(2)] * 4)
@@ -410,10 +412,11 @@ class TestZone:
         if cap is not None:
             monkeypatch.setattr(corr, "_SPECTRA_MAX", cap)
         calls = []
-        spectra = corr._Kernel._spectra
-        monkeypatch.setattr(corr._Kernel, "_spectra",
-                            lambda self, block, root, size: calls.append(block[1].shape[1])
-                            or spectra(self, block, root, size))
+        spectra = corr._spectra
+        monkeypatch.setattr(corr, "_spectra",
+                            lambda values, shape, size, chunks, real:
+                            (len(shape) == 4 and calls.append((shape, chunks)))
+                            or spectra(values, shape, size, chunks, real))
         with caplog.at_level(logging.DEBUG, logger="cocodes"):
             assert zccc_zone(fam) == zone
         assert path_records(caplog) == ["certificate"]
@@ -423,8 +426,8 @@ class TestZone:
         corr._Kernel(list(fam)).sums([(m, mp) for m in range(count) for mp in range(count)],
                                      rotate=True)
         assert in_zone == calls
-        if cap is None:
-            assert calls == [count]
+        width = fam[0].length
+        assert calls == [((count, 1, fam.set_size, width), 1 if cap is None else 2 * width)]
 
 
 class TestSizeBound:
@@ -537,8 +540,8 @@ def family_order(fam):
 
 
 def kernel_records(caplog):
-    """The kernel's debug records: one per call that splits its sets
-    into blocks or its coefficients into limbs."""
+    """The kernel's debug records: one per call that cuts its
+    frequencies into chunks or splits its coefficients into limbs."""
     return [r.getMessage() for r in caplog.records
             if r.name == "cocodes" and "spectral pass" in r.getMessage()]
 
@@ -560,8 +563,8 @@ def path_records(caplog):
 
 
 def record_counts(record):
-    """(blocks, limbs) of a kernel record."""
-    found = re.search(r"(\d+) blocks of up to \d+ sets, (\d+) limbs", record)
+    """(chunks, limbs) of a kernel record."""
+    found = re.search(r"(\d+) chunks of \d+ frequencies, (\d+) limbs", record)
     return int(found.group(1)), int(found.group(2))
 
 
@@ -713,11 +716,14 @@ class TestSpectralKernel:
         for pair in report.pairs:
             assert_pair_matches(pair, fam[pair.left], fam[pair.right])
 
-    # at K = 4 both passes evaluate at one root, so a set's spectra hold
-    # 4 members x 32 entries = 128 on either pass: cap 300 splits the 4
-    # sets into 2 blocks of 2 and cap 500 into blocks of 3 and 1
-    @pytest.mark.parametrize("cap, blocks", [(0, [4, 4, 4]), (300, [2, 2, 2]), (500, [2, 2, 2])],
-                             ids=["0-4", "300-2", "500-2"])
+    # at K = 4 both passes evaluate at one root of 32 frequencies, where
+    # the 4 sets' spectra hold 16 members, and the member sums 10 pairs
+    # (is_ccc) or 16 (the zone's rotated pass): 16 x 32 = 512 entries.
+    # Caps 300 and 500 cut them into 2 chunks of 16 frequencies, cap 0
+    # into 32 chunks of one
+    @pytest.mark.parametrize("cap, blocks", [(0, [32, 32, 32]), (300, [2, 2, 2]),
+                                             (500, [2, 2, 2])],
+                             ids=["0-32", "300-2", "500-2"])
     def test_spectra_size_cap_splits_into_blocks(self, caplog, monkeypatch, cap, blocks):
         fam = cosf_to_ccc(execute(plan(4, [16]), verify=False).family, dft_matrix(4))
         one_block = is_ccc(fam)
@@ -728,7 +734,7 @@ class TestSpectralKernel:
             assert zccc_zone(fam) == zone
         records = kernel_records(caplog)
         # is_ccc, then zccc_zone's own is_ccc and its rotated pass, each
-        # recorded when it splits its sets into blocks
+        # recorded when it cuts its frequencies into chunks
         assert [record_counts(r) for r in records] == [(b, 1) for b in blocks]
         assert "headroom" in records[0]
         assert blocked.ok and one_block.ok
@@ -741,8 +747,10 @@ class TestSpectralKernel:
     def test_member_sums_of_two_blocks_stay_under_the_cap(self, caplog, monkeypatch):
         # 16 sets of one +-1 sequence of length 8: a set's spectra hold 9
         # entries on either pass, so cap 200 holds all 16 sets' spectra
-        # (144 entries) but not their member sums, 16 x 16 x 9 = 2304
-        # entries, so the sets must still be split into blocks
+        # (144 entries) but not the member sums of their 136 pairs, 1224
+        # entries, so the frequencies must still be cut: 2 a chunk would
+        # make 272, so into 16 chunks of one (f = c; chunks 9 to 15 hold
+        # none, as P = 16 and f <= 8)
         rng = random.Random(3)
         fam = singleton_family([Sequence([rng.choice([1, -1]) for _ in range(8)])
                                 for _ in range(16)])
@@ -756,20 +764,23 @@ class TestSpectralKernel:
         with caplog.at_level(logging.DEBUG, logger="cocodes"):
             blocked = read(is_n_co_sf(fam, 1))
         # the certificate pass, then the report's per-shift pass
-        assert [record_counts(r)[0] for r in kernel_records(caplog)] == [4, 4]
+        assert [record_counts(r)[0] for r in kernel_records(caplog)] == [16, 16]
         assert blocked == whole
         assert not whole[0]
 
     def test_blocks_keep_approx_values(self, monkeypatch):
-        # at width 1 the transform is the identity: a block's stack must
-        # come through it unchanged, since a block is transformed again
-        # when a later pair needs it
-        fam = SequenceFamily(SequenceSet([Sequence([complex(m + 1, n - m)]) for n in range(2)])
-                             for m in range(3))
-        one_block = is_ccc(fam)
-        monkeypatch.setattr(corr, "_SPECTRA_MAX", 0)
-        for a, b in zip(is_ccc(fam).pairs, one_block.pairs):
-            assert a.values == pytest.approx(b.values, abs=1e-12)
+        # at width 1 the transform is the identity and one chunk holds
+        # it, whatever the cap; at width 3 cap 0 cuts 8 frequencies into 8
+        # chunks, whose member sums the inverse reads back in their order
+        for width in (1, 3):
+            fam = SequenceFamily(
+                SequenceSet([Sequence([complex(m + l + 1, n - m * l) for l in range(width)])
+                             for n in range(2)]) for m in range(3))
+            one_block = is_ccc(fam)
+            with monkeypatch.context() as patch:
+                patch.setattr(corr, "_SPECTRA_MAX", 0)
+                for a, b in zip(is_ccc(fam).pairs, one_block.pairs):
+                    assert a.values == pytest.approx(b.values, abs=1e-12)
 
     CCC_BASES = [
         lambda: ccc_from_unitary(hadamard_matrix(2)),
@@ -814,8 +825,8 @@ class TestSpectralKernel:
             data.draw(st.sampled_from(self.CCC_BASES))(), scale, data)
         build, n = data.draw(st.sampled_from(self.COSF_BASES))
         cosf, cosf_bad = self.scaled_with_near_miss(build(), scale, data)
-        # cap 0 puts every set in a block of its own; _GRAM_SETS 0 sums
-        # members by the Gram matmul, 10^9 by the einsum
+        # cap 0 cuts one frequency a chunk; _GRAM_SETS 0 sums members by
+        # the Gram matmul, 10^9 by the einsum
         monkeypatch.setattr(corr, "_SPECTRA_MAX", cap)
         monkeypatch.setattr(corr, "_GRAM_SETS", gram_sets)
         caplog.clear()
@@ -953,6 +964,21 @@ class TestSpectralKernel:
             if len(p.violations) > len(shown):
                 expected.append(f"    ... and {len(p.violations) - len(shown)} more shifts")
         assert report.render() == "\n".join(expected)
+
+    def test_render_formats_each_distinct_residual_once(self, monkeypatch):
+        # the near-miss's shown residuals repeat a few values: the render
+        # formats each once, to the text that formatting every line gives
+        report = is_ccc(self.near_miss(64))
+        shown = [dict(zip(p.shifts, p.values))[tau] for p in report.pairs if not p.ok
+                 for tau in p.violations[:corr.RENDER_SHIFTS_PER_PAIR]]
+        per_line = [corr._fmt_scalar(v) for v in shown]
+        calls = []
+        fmt = corr._fmt_scalar
+        monkeypatch.setattr(corr, "_fmt_scalar", lambda x: calls.append(x) or fmt(x))
+        text = report.render()
+        assert [line.split("residual ", 1)[1] for line in text.splitlines()
+                if "residual" in line] == per_line
+        assert len(calls) == len({(v.order, tuple(v.coeffs)) for v in shown}) < len(shown)
 
     @staticmethod
     def near_miss(length):

@@ -6,7 +6,9 @@ gathered root values, the energy, the bit and nonzero counts and the limb
 split must equal the oracle's; and a Sequence built from scalars (which
 holds its layers) must equal its twin built from the dense array."""
 
+import logging
 import math
+import re
 from functools import reduce
 
 import numpy as np
@@ -181,7 +183,10 @@ class TestGatheredRoots:
         # every exponent row's magnitudes, for the bound of step (a)
         weight = np.abs(want).sum(axis=0)
         for root, _ in corr._roots(kernel.order, kernel.rows):
-            _, got = corr._root_spectra((exps, coeffs), root, size)
+            got = corr._root_values((exps, coeffs), root)
+            # a set at a time into a buffer, as chunked spectra gather them
+            into = corr._root_values((exps, coeffs), root, np.empty(got.shape, complex))
+            assert np.array_equal(into, got)
             expected = oracle_values(want, root)
             if root is None or single_layer(kernel):
                 assert np.array_equal(got, expected)
@@ -270,3 +275,67 @@ def test_sequence_of_scalars_equals_its_dense_twin(name):
     assert order == twin.order
     assert exps.tolist() == want[0].tolist() and coeffs.tolist() == want[1].tolist()
     assert coeffs.dtype == want[1].dtype
+
+
+# -- spectra cut by frequency -------------------------------------------------
+
+@pytest.mark.parametrize("real", [False, True], ids=["complex", "real"])
+@pytest.mark.parametrize("width", [5, 8], ids=["W=5", "W=8"])
+@pytest.mark.parametrize("chunks", [1, 2, 4, 8])
+def test_chunked_spectra_equal_the_full_transform(real, width, chunks):
+    # chunk c of m holds frequencies c + m k of the values zero-padded to
+    # P = 16 >= 2W - 1 (W <= P/2), up to P/2 for real values
+    rng = np.random.default_rng(width * chunks)
+    size, shape = 16, (3, 2, 2, width)
+    x = rng.integers(-9, 10, shape).astype(float)
+    if not real:
+        x = x + 1j * rng.integers(-9, 10, shape)
+    full = np.fft.fft(x, n=size)
+    freqs = size // 2 + 1 if real else size
+
+    def values(out=None):
+        if out is None:
+            return x
+        out[...] = x
+        return out
+
+    seen = np.zeros(freqs, int)
+    for part, spectra in corr._spectra(values, shape, size, chunks, real):
+        got = range(freqs)[part]
+        assert chunks == 1 or (got.step == chunks and got.start < chunks)
+        assert spectra.shape == shape[:-1] + (len(got),)
+        assert np.abs(spectra - full[..., got]).max() <= 2e-13 * np.abs(full).max()
+        seen[part] += 1
+    assert (seen == 1).all()
+
+
+NEAR_MISSES = {
+    "12x12 L=216 near-miss": CASES["12x12 L=216 near-miss"][0],
+    "2x2 L=64 near-miss": lambda: near(cosf_to_ccc(execute(plan(2, [64]), verify=False).family,
+                                                   hadamard_matrix(2))),
+    "multi-term near-miss": lambda: near(multi_term_ccc()),
+}
+
+
+@pytest.mark.parametrize("name", list(NEAR_MISSES))
+@pytest.mark.parametrize("quarter", [False, True], ids=["cap 0", "a quarter"])
+def test_chunked_checks_reject_a_near_miss_alike(monkeypatch, caplog, name, quarter):
+    # a cap that cuts every root's frequencies into chunks, of one
+    # frequency or of about a quarter of them, leaves the verdicts and the
+    # report (violations, values and text) as they are with every
+    # frequency in one chunk
+    fam = NEAR_MISSES[name]()
+    size = corr._pow2(2 * max(fam.length_set) - 1)
+    cap = fam.family_size * fam.set_size * size // 4 if quarter else 0
+
+    def read(report):
+        return ([(p.accepted, p.ok, p.violations, p.values) for p in report.pairs],
+                report.render())
+
+    whole = read(is_ccc(fam))
+    assert "FAIL" in whole[1]
+    monkeypatch.setattr(corr, "_SPECTRA_MAX", cap)
+    with caplog.at_level(logging.DEBUG, logger="cocodes"):
+        chunked = read(is_ccc(fam))
+    assert chunked == whole
+    assert re.search(r"spectral pass: ([2-9]|\d\d+) chunks", caplog.text)
