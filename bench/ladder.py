@@ -51,6 +51,7 @@ import argparse
 import atexit
 import gc
 import hashlib
+import inspect
 import io
 import json
 import os
@@ -79,12 +80,13 @@ CONSTRUCTION = ["planner.plan", "construct._elongation", "construct._connections
                 "model.layered_multiply", "model.layer_product", "construct._family"]
 # the check's kernel stages: the layers laid side by side (`_layers`),
 # their energy and limbs (`_digits`, self time), the gather of each
-# root's values (`_root_values`), per-member transforms (`_root_spectra`),
-# member sums, the per-shift pass's inverse, round and fold (`sums`, self
-# time) and the decisions (certificate, with the chunked path's first
-# transform stage, and zero test)
+# root's values (`_root_values`), the transforms of a root's values (in
+# frequency chunks, `_spectra`, with their first stages, self time; a set
+# block's at a time before them, `_root_spectra`), member sums, the
+# per-shift pass's inverse, round and fold (`sums`, self time) and the
+# decisions (certificate, zero test)
 CHECK = ["corr._Kernel._digits", "corr._Kernel._layers", "corr._root_values",
-         "corr._root_spectra", "corr._member_sums", "corr._Kernel.sums",
+         "corr._spectra", "corr._root_spectra", "corr._member_sums", "corr._Kernel.sums",
          "corr._Kernel._certify", "corr._Kernel.zeros"]
 FILES = ["cli._family_text", "cli._dump_json", "cli._load_json", "cli._family_of_text",
          "cli.family_from_doc"]
@@ -191,7 +193,8 @@ HEAVY = {"build-32-4096", "is-ccc-32-4096", "build-64-4096", "is-ccc-64-4096", "
 
 class Split:
     """Wrappers on named functions of the package that count calls and
-    sum self time, and undo themselves."""
+    sum self time, and undo themselves.  A generator function's time is
+    that of each resumption, its calls those that made a generator."""
 
     def __init__(self, names):
         self.stats, self.undo, self.stack = {}, [], []
@@ -223,19 +226,31 @@ class Split:
 
     def _timed(self, name, fn):
         def timed(*args, **kwargs):
-            self.stack.append(0.0)
-            start = time.perf_counter()
-            try:
-                return fn(*args, **kwargs)
-            finally:
-                elapsed = time.perf_counter() - start
-                inner = self.stack.pop()
-                record = self.stats[name]
-                record[0] += 1
-                record[1] += elapsed - inner
-                if self.stack:
-                    self.stack[-1] += elapsed
-        return timed
+            return self._time(name, 1, fn, *args, **kwargs)
+
+        def timed_generator(*args, **kwargs):
+            made = self._time(name, 1, fn, *args, **kwargs)
+            while True:
+                try:
+                    item = self._time(name, 0, next, made)
+                except StopIteration:
+                    return
+                yield item
+        return timed_generator if inspect.isgeneratorfunction(fn) else timed
+
+    def _time(self, name, calls, fn, *args, **kwargs):
+        self.stack.append(0.0)
+        start = time.perf_counter()
+        try:
+            return fn(*args, **kwargs)
+        finally:
+            elapsed = time.perf_counter() - start
+            inner = self.stack.pop()
+            record = self.stats[name]
+            record[0] += calls
+            record[1] += elapsed - inner
+            if self.stack:
+                self.stack[-1] += elapsed
 
     def remove(self) -> None:
         for place, key, fn in reversed(self.undo):

@@ -37,7 +37,8 @@ one chunk's spectra of every set and its member sums of every pair, one
 `_member_sums` call, under `_SPECTRA_MAX` entries.  Chunk c holds the
 frequencies c + m k, the length-Q transform (P = m Q) of
 y_c[q] = w^(cq) sum_r x[q + rQ] w^(crQ) (`_spectra`), so each spectrum
-entry is computed once.
+entry is computed once; at R = 1 only the chunks c <= m/2, as chunk
+m - c holds the conjugates of chunk c's frequencies P - f.
 
 The certificate pass reads the primitive roots (e prime to K) and
 decides a predicate's pairs without an inverse transform, a rounding
@@ -56,7 +57,7 @@ a_0 exclude it there.
       sum |v|^2 >= P phi(K), and some |v(e, f)| >= 1.  If all are
       zero, every v is 0.
   (4) By conjugation the e < K/2 with every f, or at K <= 2 (one real
-      embedding) f <= P/2, hold every |v|.
+      embedding) f or P - f for each f, hold every |v|.
 
 With each v computed within B < 1/2, "every computed |v| < 1/2" is
 therefore exactly "every a_q is zero": the same predicate as the
@@ -84,9 +85,9 @@ members, E the largest set energy sum a^2 of the stack:
       eta = (1 + u)^2p (1 + sqrt5 u)^p - 1.  A transform cut into m
       chunks is the same radix-2 algorithm: its first log2 m
       decimation-in-frequency stages (the first, at W <= P/2, a twist by
-      w^l or none), with twiddles rounded once from extended precision,
-      leave the y_c, and the chunks' length-Q transforms are its other
-      stages, so over all chunks X^_n is within the same bound.  So each
+      w^l or none), with twiddles within u (`_twiddles`), leave the
+      y_c, and the chunks' length-Q transforms are its other stages, so
+      over all chunks X^_n is within the same bound.  So each
       |X^_n(f) - X_n(f)| is at most ||X^_n - X_n|| <= d sqrt(P R) ||a_n||,
       d = eta (1 + mu) + mu, and |X_n(f)| <= ||x_n||_1 <= sqrt(W R) ||a_n||.
   (c) Summed over n with Cauchy-Schwarz, whichever chunk holds each f,
@@ -163,7 +164,6 @@ from .model import (
     Sequence,
     SequenceFamily,
     SequenceSet,
-    _peak,
     _scatter,
     is_exact,
     layers,
@@ -358,21 +358,19 @@ def certificate_bound(energy: float, rows: int, members: int, width: int,
     return rows * energy * (gram + shift0) * (1 + 2.0 ** -50)
 
 
-def _chunks(entries: int, freqs: int, *record) -> int:
-    """Frequency chunks of a pass: the least power of two m (at most P,
-    the transform length, as record[0]) that keeps one chunk's share of
-    `freqs` frequencies, taken `entries` times (the spectra of every
-    set, or the member sums of every pair), under `_SPECTRA_MAX`; and
-    the debug record of the pass.  `record`: P, limbs, limb bits, bound
-    name and bound."""
-    size, limbs = record[:2]
-    chunks = 1
-    while chunks < size and entries * -(-freqs // chunks) > _SPECTRA_MAX:
+def _chunks(entries: int, freqs: int, size: int, limbs: int, *record) -> int:
+    """Frequency chunks of a pass: the least power of two m <= P = `size`
+    that keeps one chunk's spectra of every set, or its member sums of
+    every pair (`entries` times its frequencies: all `freqs` in one
+    chunk, else P/m), under `_SPECTRA_MAX`; and the debug record of the
+    pass.  `record`: limb bits, bound name and bound."""
+    chunks, per = 1, freqs
+    while chunks < size and entries * per > _SPECTRA_MAX:
         chunks *= 2
+        per = size // chunks
     if chunks > 1 or limbs > 1:
         _debug("spectral pass: %d chunks of %d frequencies, %d limbs of %d bits; %s bound %.3g, "
-               "headroom %.3g of 1/2", chunks, -(-freqs // chunks), *record[1:],
-               _headroom(record[-1]))
+               "headroom %.3g of 1/2", chunks, per, limbs, *record, _headroom(record[-1]))
     return chunks
 
 
@@ -387,8 +385,9 @@ def _member_sums(left, right, lefts, rights) -> np.ndarray:
     step = max(1, _STEP // (len(left) * len(right) if gram else out[..., 0].size * left.shape[1]))
     for f in range(0, out.shape[-1], step):
         x, y = left[..., f:f + step], right[..., f:f + step]
-        if gram:
-            x = np.ascontiguousarray(x.transpose(2, 0, 1))
+        if gram:  # each frequency's (sets, members), the members contiguous for the matmul
+            x = x.transpose(2, 0, 1)
+            x = x if x.strides[-1] == x.itemsize else np.ascontiguousarray(x)
             y = x if right is left else np.ascontiguousarray(y.transpose(2, 0, 1))
             out[..., f:f + step] = (x @ y.conj().swapaxes(-1, -2)).transpose(1, 2, 0)[lefts, rights]
         else:
@@ -419,18 +418,13 @@ def _roots(k: int, rows: int, primitive: bool = False) -> tuple:
     return tuple((row, 1.0 if 2 * e % k == 0 else 2.0) for e, row in zip(es, powers))
 
 
-def _root_values(layers: tuple, root, out=None) -> np.ndarray:
+def _root_values(layers: tuple, root) -> np.ndarray:
     """Each member's values at one root of `_roots`, of layers
-    (exponents, coefficients), (t, sets, ..., width) arrays whose shapes
+    (exponents, coefficients), (t, ..., width) arrays whose shapes
     broadcast: x(l) = sum_t c_t(l) root[e_t(l)], one gather of the root's
     powers per layer, each times its real coefficients; at root None the
-    folded coefficients, summed.  With `out`, written into it a set at a
-    time, so that no temporary outgrows one set's values."""
+    folded coefficients, summed."""
     exps, coeffs = layers
-    if out is not None:
-        for s, o in enumerate(out):
-            o[...] = _root_values((exps[:, s], coeffs[:, s]), root)
-        return out
     if root is None:
         return coeffs[0] if len(coeffs) == 1 else coeffs.sum(axis=0)
     x = root.take(exps[0]) * coeffs[0]
@@ -442,63 +436,73 @@ def _root_values(layers: tuple, root, out=None) -> np.ndarray:
 @lru_cache(maxsize=8)
 def _twiddles(size: int) -> np.ndarray:
     """w^q = exp(-2 pi i q / P), q < P/2, of P = `size`: the twiddles of
-    the decimation-in-frequency stages `_spectra` takes, computed in
-    extended precision and rounded once, and read-only."""
-    angles = np.arange(size // 2, dtype=np.longdouble) * (-8 * np.arctan(np.longdouble(1)) / size)
-    twiddles = np.empty(len(angles), complex)
-    twiddles.real, twiddles.imag = np.cos(angles), np.sin(angles)
+    the decimation-in-frequency stages `_spectra` takes, read-only.  Each
+    is a product w^(q - b) w^b, b = q mod B for B about sqrt(P/2), of two
+    powers taken in extended precision, and is rounded once from it, so
+    it is within u."""
+    turn, half = -8j * np.arctan(np.longdouble(1)) / size, size // 2
+    fine = 1 << (half.bit_length() // 2)
+    coarse, low = (np.exp(np.arange(0, n, step, dtype=np.longdouble) * turn)
+                   for n, step in ((half, fine), (fine, 1)))
+    twiddles = np.multiply.outer(coarse, low).ravel().astype(complex)
     twiddles.flags.writeable = False
     return twiddles
 
 
-def _spectra(values, shape: tuple, size: int, chunks: int, real: bool):
-    """(frequencies, spectra) of each frequency chunk of the transform
-    over positions of values of `shape` (sets, ..., width), zero-padded
-    to `size` = P, that `values(out)` gives (written into `out` when
-    given): chunk c of m = `chunks` holds the frequencies c + m k, as a
-    slice of the P frequencies (the P/2 + 1 of the half-spectrum of
-    `real` values), and their spectra (..., frequencies).
+def _spectra(layers: tuple, root, size: int, chunks: int, real: bool, energies=None):
+    """(c, spectra) of each frequency chunk c that a pass reads of the
+    transform over positions, zero-padded to `size` = P, of the values at
+    `root` (`_root_values`) of layers (exponents, coefficients) of shape
+    (t, sets, ..., members, width): chunk c of m = `chunks` holds the
+    frequencies c + m k, as (sets, ..., members, frequencies).  With
+    `energies`, each set's shift-0 sum sum |x|^2 is written there as its
+    values are gathered.  One chunk is one `fft` of the values (`rfft` of
+    `real` values, the P/2 + 1 frequencies of the half-spectrum).
 
-    One chunk is one `fft` (`rfft`) of the values.  Past one, with
-    Q = P/m, the transform is the radix-2 decimation-in-frequency
-    algorithm with its first log2 m stages taken here.  As W <= P/2 the
-    first stage leaves the values as they are for the even frequencies
-    and twists them by w^l for the odd ones, so each half gathers them
-    into one buffer of P/2 complex entries; the next stages run in it in
-    place, a set at a time, and leave chunk c's values
-    y_c[q] = w^(cq) sum_r x[q + rQ] w^(crQ), whose Q-point `fft` gives
-    its frequencies (at `real` values, those up to P/2: one `rfft` of
-    chunk 0, whose values stay real)."""
+    Past one chunk, with Q = P/m, the transform is the radix-2
+    decimation-in-frequency algorithm with its first log2 m stages taken
+    here.  As W <= P/2 the first stage leaves the values as they are for
+    the even frequencies and twists them by w^l for the odd ones, so
+    each half gathers them, a set at a time, into one buffer of P/2
+    positions, members last (so that a frequency's Gram reads each set's
+    members contiguous); the next stages run in place there and leave
+    chunk c's values y_c[q] = w^(cq) sum_r x[q + rQ] w^(crQ) as a block
+    of Q positions, whose Q-point `fft` gives its frequencies in its
+    place.  Of `real` values only the chunks c <= m/2 are taken (chunk 0
+    by `rfft`, its frequencies up to P/2): chunk m - c holds the
+    conjugates of chunk c's spectra in reverse order."""
+    def gather(layers, part):
+        x = _root_values(tuple(a[:, part] for a in layers), root)
+        if energies is not None:
+            parts = x.view(float) if np.iscomplexobj(x) else x  # real and imaginary parts
+            energies[part] = np.einsum("sml,sml->s", parts, parts)
+        return x
+
     if chunks == 1:
-        yield slice(None), (np.fft.rfft if real else np.fft.fft)(values(), n=size)
+        yield 0, (np.fft.rfft if real else np.fft.fft)(gather(layers, slice(None)), n=size)
         return
-    half, width = size // 2, size // chunks
-    twiddles = _twiddles(size)
-    y = np.empty(shape[:-1] + (half,), complex)
+    *shape, members, width = layers[1].shape[1:]
+    half, stages, twiddles = size // 2, chunks.bit_length() - 2, _twiddles(size)
+    y = np.empty((*shape, half, members), complex)
+    layers = tuple(a.swapaxes(-1, -2) for a in layers)  # values (..., width, members)
     for odd in (0, 1):
-        y[..., shape[-1]:] = 0
-        values(y[..., :shape[-1]])
-        for part in y.reshape(len(y), -1, half):
-            if odd:
-                part *= twiddles
-            n = half
-            while n > width:  # one butterfly of each pair (q, q + n/2) of a block of n
-                lo, hi = part.reshape(len(part), -1, 2, n // 2).transpose(2, 0, 1, 3)
+        for s, part in enumerate(y):
+            x = gather(layers, slice(s, s + 1))
+            part[..., :width, :] = x * twiddles[:width, None] if odd else x
+            part[..., width:, :] = 0
+            for n in (half >> i for i in range(stages)):
+                # the butterflies of each pair (q, q + n/2) of a block of n
+                lo, hi = part.reshape(-1, 2, n // 2, members).swapaxes(0, 1)
                 diff = lo - hi
                 lo += hi
-                np.multiply(diff, twiddles[::size // n], out=hi)
-                n //= 2
-        offsets = [odd]  # each block's chunk: a stage splits c into c and c + its stride
-        while len(offsets) < chunks // 2:
-            offsets = [c + d for c in offsets for d in (0, 2 * len(offsets))]
-        for j, c in enumerate(offsets):
-            block = y[..., j * width:(j + 1) * width]
-            if not real:
-                yield slice(c, None, chunks), np.fft.fft(block)
-            elif c == 0:
-                yield slice(0, None, chunks), np.fft.rfft(block.real)
-            elif c <= half:
-                yield slice(c, None, chunks), np.fft.fft(block)[..., :(half - c) // chunks + 1]
+                np.multiply(diff, twiddles[::size // n, None], out=hi)
+        # each block's chunk: a stage splits c into c and c + its stride, so
+        # the blocks hold the odd or even c in bit-reversed order
+        for j, c in enumerate(np.arange(odd, chunks, 2).reshape((2,) * stages).T.ravel()):
+            block = y[..., j * size // chunks:(j + 1) * size // chunks, :]
+            if not real or c <= chunks // 2:
+                yield c, (np.fft.rfft(block.real, axis=-2) if real and c == 0 else
+                          np.fft.fft(block, axis=-2, out=block)).swapaxes(-1, -2)
 
 
 def _folded(exps: np.ndarray, coeffs: np.ndarray, rows: int, order: int) -> tuple:
@@ -540,7 +544,8 @@ class _Kernel:
     complex layer in approx mode), and their coefficients are split into
     limbs when `_digits` says so; every set's values at a root are
     gathered from them (`_root_values`), so the call's memory follows its
-    layers, one root's values and one chunk's spectra, not K times its
+    layers and, at one root, its values, one chunk's spectra and (in the
+    per-shift pass) the member sums of every pair, not K times its
     entries.  The spectra exist
     only while a pass runs, and so do the layers unless they are kept in
     `digits` for several calls: by `zccc_zone`, and by `check` when the
@@ -583,9 +588,7 @@ class _Kernel:
     def _digits(self):
         """The layers the spectra are taken of, (exponents, coefficients):
         (t, sets, 1, members, width) int16 exponents and (t, sets, limbs,
-        members, width) coefficients (`_layers`), float or, in a call of
-        more than `_SPECTRA_MAX` entries whose folded coefficients fit,
-        int8 or int16; the limb width b
+        members, width) float coefficients (`_layers`); the limb width b
         in bits (0: one limb); the rounding bound that certifies the pass
         (nan in approx mode); the dtype of the sums, int64 when every
         value and every step of their recombination fits; the largest
@@ -605,13 +608,10 @@ class _Kernel:
                 check_coefficients(values)
             exps, ints = self._layers(object)
             coeffs = ints.astype(float)
-        else:  # past one chunk's entries, the narrowest that holds t * peak, a folded bound
-            top = (max(_peak(c) * len(c) for _, _, c in self.held)
-                   if sum(c.size for _, _, c in self.held) > _SPECTRA_MAX else math.inf)
-            ints, (exps, coeffs) = None, self._layers(
-                np.int8 if top < 2 ** 7 else np.int16 if top < 2 ** 15 else float)
+        else:
+            ints, (exps, coeffs) = None, self._layers(float)
         exps = exps[:, :, None]
-        energy = float(np.einsum("tsml,tsml->s", coeffs, coeffs, dtype=float).max())
+        energy = float(np.einsum("tsml,tsml->s", coeffs, coeffs).max())
         size = _pow2(2 * self.width - 1)
         bound = rounding_bound(energy, self.rows, self.members, size)
         if bound < 0.5:
@@ -698,8 +698,7 @@ class _Kernel:
         for root, weight in _roots(self.order, rows):
             if chunks > 1:
                 v = np.empty((len(pairs), 2 * limbs - 1, freqs), complex)
-            for part, spectra in _spectra(lambda out=None: _root_values((exps, coeffs), root, out),
-                                          coeffs.shape[1:], size, chunks, real):
+            for c, spectra in _spectra((exps, coeffs), root, size, chunks, real):
                 spectra = spectra.reshape(-1, *spectra.shape[2:])
                 # one name for each chunk's arrays, so none outlives its step
                 found = _member_sums(np.roll(spectra, -1, axis=1) if rotate else spectra, spectra,
@@ -709,15 +708,21 @@ class _Kernel:
                 if chunks == 1:
                     v = found
                 else:
-                    v[..., part] = found
+                    v[..., c::chunks] = found[..., :len(range(c, freqs, chunks))]
+                if real and 0 < c < chunks // 2:  # chunk m - c: chunk c's conjugates, reversed
+                    v[..., chunks - c::chunks] = found[..., ::-1].conj()[
+                        ..., :len(range(chunks - c, freqs, chunks))]
                 spectra = found = None
-            found = (np.fft.irfft if real else np.fft.ifft)(v, n=size)[..., shifts]
-            v = None
-            if root is None:
-                acc[:] = found[..., None]
-            else:  # weight Re(sigma_e(a_q) zeta^(ej)) = weight (Re Re + Im Im), j < R
-                acc += found[..., None].view(float) @ (
-                    weight * np.stack([root.real[:rows], root.imag[:rows]]))
+            # the inverse, a slice of pairs at a time, no larger than the member sums' cap
+            step = max(1, _SPECTRA_MAX // v[0].size)
+            for p in range(0, len(pairs), step):
+                found = (np.fft.irfft if real else np.fft.ifft)(v[p:p + step], n=size)[..., shifts]
+                if root is None:
+                    acc[p:p + step] = found[..., None]
+                else:  # weight Re(sigma_e(a_q) zeta^(ej)) = weight (Re Re + Im Im), j < R
+                    acc[p:p + step] += found[..., None].view(float) @ (
+                        weight * np.stack([root.real[:rows], root.imag[:rows]]))
+            v = found = None
         if not self.exact:
             return acc[:, 0]
         if rows > 1:
@@ -816,18 +821,10 @@ class _Kernel:
         auto = lefts == rights
         worst = np.zeros(len(lefts))
         for root, _ in _roots(self.order, self.rows, primitive=True):
-            energies = []
-
-            def values(out=None):  # and, at the first gather, each set's shift-0 sum
-                x = _root_values(layers, root, out)
-                if not energies:
-                    parts = x.view(float) if np.iscomplexobj(x) else x  # real and imaginary parts
-                    energies.append(np.einsum("sml,sml->s", parts, parts, dtype=float))
-                return x
-
-            for _, spectra in _spectra(values, layers[1].shape[1:], size, chunks, real):
+            energies = np.empty(sets)
+            for _, spectra in _spectra(layers, root, size, chunks, real, energies):
                 v = _member_sums(spectra, spectra, lefts, rights)
-                v -= np.where(auto, energies[0][lefts], 0)[:, None]
+                v -= np.where(auto, energies[lefts], 0)[:, None]
                 np.maximum(worst, np.abs(v).max(axis=1), out=worst)
                 spectra = v = None
         return worst
@@ -927,19 +924,10 @@ class CheckReport:
     def render(self) -> str:
         """The verdict and, per failing pair, its first violated shifts
         (set columns of the kernel's mask) with their residuals, each
-        distinct exact residual formatted once (keyed by its order and
-        coefficients, as a CycloNum is unhashable)."""
+        distinct residual formatted once (keyed by its order and
+        coefficients, as a CycloNum is unhashable, or by its repr)."""
         lines = [f"check {self.kind}: {'PASS' if self.ok else 'FAIL'}"]
         texts = {}
-
-        def text(x):
-            if not isinstance(x, CycloNum):
-                return _fmt_scalar(x)
-            key = x.order, tuple(x.coeffs)
-            if key not in texts:
-                texts[key] = _fmt_scalar(x)
-            return texts[key]
-
         for msg in self.problems:
             lines.append(f"  problem: {msg}")
         for p in self.pairs:
@@ -949,8 +937,10 @@ class CheckReport:
             k, cols = p.kernel, p._violated()
             shown = cols[:RENDER_SHIFTS_PER_PAIR]  # convert only the sums shown
             values = _scalars(k.scan()[0][p.index, shown], k.order)
-            lines += [f"    tau={tau}: residual {text(val)}"
-                      for tau, val in zip(((shown - k.hull) * k.step).tolist(), values)]
+            for tau, val in zip(((shown - k.hull) * k.step).tolist(), values):
+                key = (val.order, tuple(val.coeffs)) if isinstance(val, CycloNum) else repr(val)
+                texts[key] = texts.get(key) or _fmt_scalar(val)
+                lines.append(f"    tau={tau}: residual {texts[key]}")
             if len(cols) > len(shown):
                 lines.append(f"    ... and {len(cols) - len(shown)} more shifts")
         if self.ok and self.pairs:

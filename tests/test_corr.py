@@ -402,9 +402,9 @@ class TestZone:
     @pytest.mark.parametrize("cap", [None, 0], ids=["one block", "a block per set"])
     def test_only_the_rotated_pass_takes_forward_spectra(self, caplog, monkeypatch, cap):
         # the certificate decides the CCC check, so a zone call takes the
-        # per-shift spectra (of values with a limb axis) in the rotated
-        # pass alone: every set at once, in one chunk or, at cap 0, in one
-        # chunk a frequency
+        # per-shift spectra (those that take no shift-0 sums) in the
+        # rotated pass alone: every set at once, in one chunk or, at cap 0,
+        # in one chunk a frequency
         fam = enlarge_ccc(
             cosf_to_ccc(execute(plan(4, [16]), verify=False).family, dft_matrix(4)),
             [hadamard_matrix(2)] * 4)
@@ -414,9 +414,9 @@ class TestZone:
         calls = []
         spectra = corr._spectra
         monkeypatch.setattr(corr, "_spectra",
-                            lambda values, shape, size, chunks, real:
-                            (len(shape) == 4 and calls.append((shape, chunks)))
-                            or spectra(values, shape, size, chunks, real))
+                            lambda layers, root, size, chunks, real, energies=None:
+                            (energies is None and calls.append((layers[1].shape[1:], chunks)))
+                            or spectra(layers, root, size, chunks, real, energies))
         with caplog.at_level(logging.DEBUG, logger="cocodes"):
             assert zccc_zone(fam) == zone
         assert path_records(caplog) == ["certificate"]
@@ -749,8 +749,8 @@ class TestSpectralKernel:
         # entries on either pass, so cap 200 holds all 16 sets' spectra
         # (144 entries) but not the member sums of their 136 pairs, 1224
         # entries, so the frequencies must still be cut: 2 a chunk would
-        # make 272, so into 16 chunks of one (f = c; chunks 9 to 15 hold
-        # none, as P = 16 and f <= 8)
+        # make 272, so into 16 chunks of one (f = c; the passes take the
+        # chunks c <= 8 of these real values, as P = 16)
         rng = random.Random(3)
         fam = singleton_family([Sequence([rng.choice([1, -1]) for _ in range(8)])
                                 for _ in range(16)])
@@ -767,6 +767,31 @@ class TestSpectralKernel:
         assert [record_counts(r)[0] for r in kernel_records(caplog)] == [16, 16]
         assert blocked == whole
         assert not whole[0]
+
+    def test_per_shift_pass_inverts_a_slice_of_pairs_at_a_time(self, monkeypatch):
+        # 40 +-1 sequences of length 256 (one row, real values): the per-
+        # shift pass of their 820 pairs holds the member sums v of every
+        # pair at 257 frequencies and the (pairs, 511 shifts) sums stack.
+        # At a cap of 4096 entries its inverse transform, the shifts read
+        # from it and their sums are taken 15 pairs at a time, so the peak
+        # stays within those two stacks and 16 caps of entries (taken
+        # whole, the inverse and its shifts held two more stacks)
+        rng = random.Random(1)
+        fam = singleton_family([Sequence([rng.choice((1, -1)) for _ in range(256)])
+                                for _ in range(40)])
+        kernel = corr._Kernel(list(fam))
+        pairs = [(m, mp) for m in range(40) for mp in range(m, 40)]
+        digits = kernel._digits()
+        whole = kernel.sums(pairs, digits=digits)
+        monkeypatch.setattr(corr, "_SPECTRA_MAX", 4096)
+        tracemalloc.start()
+        try:
+            chunked = kernel.sums(pairs, digits=digits)
+            peak = tracemalloc.get_traced_memory()[1]
+        finally:
+            tracemalloc.stop()
+        assert np.array_equal(chunked, whole)
+        assert peak < len(pairs) * (257 * 16 + 511 * 8) + 16 * 4096 * 16
 
     def test_blocks_keep_approx_values(self, monkeypatch):
         # at width 1 the transform is the identity and one chunk holds

@@ -184,9 +184,9 @@ class TestGatheredRoots:
         weight = np.abs(want).sum(axis=0)
         for root, _ in corr._roots(kernel.order, kernel.rows):
             got = corr._root_values((exps, coeffs), root)
-            # a set at a time into a buffer, as chunked spectra gather them
-            into = corr._root_values((exps, coeffs), root, np.empty(got.shape, complex))
-            assert np.array_equal(into, got)
+            # a set at a time, as chunked spectra gather them
+            for s, values in enumerate(got):
+                assert np.array_equal(corr._root_values((exps[:, s], coeffs[:, s]), root), values)
             expected = oracle_values(want, root)
             if root is None or single_layer(kernel):
                 assert np.array_equal(got, expected)
@@ -284,29 +284,30 @@ def test_sequence_of_scalars_equals_its_dense_twin(name):
 @pytest.mark.parametrize("chunks", [1, 2, 4, 8])
 def test_chunked_spectra_equal_the_full_transform(real, width, chunks):
     # chunk c of m holds frequencies c + m k of the values zero-padded to
-    # P = 16 >= 2W - 1 (W <= P/2), up to P/2 for real values
+    # P = 16 >= 2W - 1 (W <= P/2); of real values the chunks c <= m/2
+    # hold each frequency or its conjugate mirror P - f
     rng = np.random.default_rng(width * chunks)
-    size, shape = 16, (3, 2, 2, width)
+    size, shape = 16, (3, 4, width)
     x = rng.integers(-9, 10, shape).astype(float)
     if not real:
         x = x + 1j * rng.integers(-9, 10, shape)
     full = np.fft.fft(x, n=size)
-    freqs = size // 2 + 1 if real else size
-
-    def values(out=None):
-        if out is None:
-            return x
-        out[...] = x
-        return out
-
-    seen = np.zeros(freqs, int)
-    for part, spectra in corr._spectra(values, shape, size, chunks, real):
-        got = range(freqs)[part]
-        assert chunks == 1 or (got.step == chunks and got.start < chunks)
+    taken, energies = [], np.empty(shape[0])
+    # one layer at exponent 0, whose values are its coefficients: at root
+    # None (one row, real) or at a root whose power 0 is 1
+    layers = (np.zeros((1,) + shape, np.int16), x[None])
+    root = None if real else np.ones(1, complex)
+    for c, spectra in corr._spectra(layers, root, size, chunks, real, energies):
+        assert np.allclose(energies, (np.abs(x) ** 2).sum(axis=(1, 2)), rtol=1e-15)
+        got = np.arange(c, size, chunks)[:spectra.shape[-1]]
+        assert c <= (chunks // 2 if real else chunks - 1)
         assert spectra.shape == shape[:-1] + (len(got),)
         assert np.abs(spectra - full[..., got]).max() <= 2e-13 * np.abs(full).max()
-        seen[part] += 1
-    assert (seen == 1).all()
+        taken += got.tolist()
+    if real:
+        assert set(taken) | {-f % size for f in taken} == set(range(size))
+    else:
+        assert sorted(taken) == list(range(size))
 
 
 NEAR_MISSES = {
