@@ -482,7 +482,7 @@ def _spectra(layers: tuple, root, size: int, chunks: int, real: bool, energies=N
         yield 0, (np.fft.rfft if real else np.fft.fft)(gather(layers, slice(None)), n=size)
         return
     *shape, members, width = layers[1].shape[1:]
-    half, stages, twiddles = size // 2, chunks.bit_length() - 2, _twiddles(size)
+    half, q, stages, twiddles = size // 2, size // chunks, chunks.bit_length() - 2, _twiddles(size)
     y = np.empty((*shape, half, members), complex)
     layers = tuple(a.swapaxes(-1, -2) for a in layers)  # values (..., width, members)
     for odd in (0, 1):
@@ -499,9 +499,10 @@ def _spectra(layers: tuple, root, size: int, chunks: int, real: bool, energies=N
         # each block's chunk: a stage splits c into c and c + its stride, so
         # the blocks hold the odd or even c in bit-reversed order
         for j, c in enumerate(np.arange(odd, chunks, 2).reshape((2,) * stages).T.ravel()):
-            block = y[..., j * size // chunks:(j + 1) * size // chunks, :]
+            block = y[..., j * q:(j + 1) * q, :]
             if not real or c <= chunks // 2:
-                yield c, (np.fft.rfft(block.real, axis=-2) if real and c == 0 else
+                yield c, (np.fft.rfft(block.real, axis=-2, out=block[..., :q // 2 + 1, :])
+                          if real and c == 0 else
                           np.fft.fft(block, axis=-2, out=block)).swapaxes(-1, -2)
 
 
@@ -700,7 +701,6 @@ class _Kernel:
                 v = np.empty((len(pairs), 2 * limbs - 1, freqs), complex)
             for c, spectra in _spectra((exps, coeffs), root, size, chunks, real):
                 spectra = spectra.reshape(-1, *spectra.shape[2:])
-                # one name for each chunk's arrays, so none outlives its step
                 found = _member_sums(np.roll(spectra, -1, axis=1) if rotate else spectra, spectra,
                                      lefts, rights)
                 found = found[:, 0] if limbs == 1 else np.stack(
@@ -712,7 +712,7 @@ class _Kernel:
                 if real and 0 < c < chunks // 2:  # chunk m - c: chunk c's conjugates, reversed
                     v[..., chunks - c::chunks] = found[..., ::-1].conj()[
                         ..., :len(range(chunks - c, freqs, chunks))]
-                spectra = found = None
+                found = None  # before the next chunk's member sums
             # the inverse, a slice of pairs at a time, no larger than the member sums' cap
             step = max(1, _SPECTRA_MAX // v[0].size)
             for p in range(0, len(pairs), step):
@@ -826,7 +826,7 @@ class _Kernel:
                 v = _member_sums(spectra, spectra, lefts, rights)
                 v -= np.where(auto, energies[lefts], 0)[:, None]
                 np.maximum(worst, np.abs(v).max(axis=1), out=worst)
-                spectra = v = None
+                v = None  # before the next chunk's member sums
         return worst
 
 
