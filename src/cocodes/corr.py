@@ -713,6 +713,8 @@ class _Kernel:
                     v[..., chunks - c::chunks] = found[..., ::-1].conj()[
                         ..., :len(range(chunks - c, freqs, chunks))]
                 found = None  # before the next chunk's member sums
+            if chunks > 1:  # a chunk views its root's buffer: free it before the next root's
+                spectra = None
             # the inverse, a slice of pairs at a time, no larger than the member sums' cap
             step = max(1, _SPECTRA_MAX // v[0].size)
             for p in range(0, len(pairs), step):
@@ -827,6 +829,8 @@ class _Kernel:
                 v -= np.where(auto, energies[lefts], 0)[:, None]
                 np.maximum(worst, np.abs(v).max(axis=1), out=worst)
                 v = None  # before the next chunk's member sums
+            if chunks > 1:  # a chunk views its root's buffer: free it before the next root's
+                spectra = None
         return worst
 
 
