@@ -491,7 +491,7 @@ def _spectra(layers: tuple, root, size: int, chunks: int, real: bool, energies=N
             part[..., :width, :] = x * twiddles[:width, None] if odd else x
             part[..., width:, :] = 0
             for n in (half >> i for i in range(stages)):
-                # the butterflies of each pair (q, q + n/2) of a block of n
+                # the butterflies of each pair (l, l + n/2) of a block of n
                 lo, hi = part.reshape(-1, 2, n // 2, members).swapaxes(0, 1)
                 diff = lo - hi
                 lo += hi
