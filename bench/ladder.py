@@ -21,10 +21,10 @@ but not inside another wrapped function.  The package itself holds no
 timing code, and a function a revision does not have is left out.
 
 The heavy rungs (the 32x32 and 64x64 CCCs of L=4096, built and checked,
-and the 129 MB file of the 32x32 CCC of L=1024, written and read) run
-only when named.  A process of one takes no warm-up and runs each of its
-`--repeats` (HEAVY_REPEATS by default) through the wrappers, and its
-address space is capped at
+the 129 MB file of the 32x32 CCC of L=1024, written and read, and every
+entry of that CCC read as a scalar) run only when named.  A process of
+one takes no warm-up and runs each of its `--repeats` (HEAVY_REPEATS by
+default) through the wrappers, and its address space is capped at
 HEAVY_AS_MB, so a revision that cannot fit the check there (the dense
 kernel needed more than 8 GB for the 64x64 check) fails with a
 MemoryError rather than exhausting the host; with `--against` it runs
@@ -49,6 +49,7 @@ from __future__ import annotations
 
 import argparse
 import atexit
+import collections
 import gc
 import hashlib
 import inspect
@@ -149,6 +150,16 @@ def _check(n: int):
     return rung
 
 
+def _entries(c, tree):
+    """Every entry of the 32x32 CCC of L=1024 read as a scalar, from a
+    fresh family held as layers, as the constructor leaves it."""
+    def run(fam):
+        for ss in fam:
+            for s in ss:
+                collections.deque(s, maxlen=0)
+    return lambda: _ccc(c, 32, 1024), run
+
+
 def _files(build):
     def rung(c, tree):
         """The CCC `build` gives written as `cocodes` writes it and read
@@ -180,12 +191,15 @@ RUNGS = {
     "files-12-216": (_files(lambda c: c.enlarge_ccc(_ccc(c, 6, 216), [c.hadamard_matrix(2)] * 6)),
                      FILES),
     "files-32-1024": (_files(lambda c: _ccc(c, 32, 1024)), FILES),
+    # the entry read, and the scalar product it takes no part in
+    "entries-32-1024": (_entries, ["model.Sequence.__iter__", "cyclo.CycloNum.__mul__"]),
     "build-32-4096": (_build(32), CONSTRUCTION),
     "is-ccc-32-4096": (_check(32), CHECK),
     "build-64-4096": (_build(64), CONSTRUCTION),
     "is-ccc-64-4096": (_check(64), CHECK),
 }
-HEAVY = {"build-32-4096", "is-ccc-32-4096", "build-64-4096", "is-ccc-64-4096", "files-32-1024"}
+HEAVY = {"build-32-4096", "is-ccc-32-4096", "build-64-4096", "is-ccc-64-4096", "files-32-1024",
+         "entries-32-1024"}
 
 
 # -- one rung, in its own process ---------------------------------------------

@@ -791,9 +791,8 @@ class _Kernel:
             accepted = [None] * len(pairs)
             _debug("check per shift (%s): %d pairs, %d limbs; certificate bound %.3g, "
                    "headroom %.3g of 1/2", reason, len(pairs), limbs, cert, _headroom(cert))
-        step = self.step  # pairs of one hull share their list of shifts
-        shifts = {h: list(range(-h * step, h * step + 1, step)) for h in set(self.hulls)}
-        return [PairResult(m, mp, shifts[h], self, p, ok)
+        step = self.step
+        return [PairResult(m, mp, range(-h * step, h * step + 1, step), self, p, ok)
                 for p, ((m, mp), h, ok) in enumerate(zip(pairs, self.hulls, accepted))]
 
     def scan(self, digits=None) -> tuple:
@@ -843,7 +842,7 @@ def _scalars(cols: np.ndarray, order: int) -> list:
     keys = list(map(tuple, cols.tolist()))
     distinct = dict.fromkeys(keys)
     for col in distinct:
-        distinct[col] = CycloNum(order, col + pad) if any(col) else CycloNum.zero()
+        distinct[col] = CycloNum._of(order, col + pad) if any(col) else CycloNum.zero()
     return [distinct[col] for col in keys]
 
 
@@ -885,10 +884,14 @@ class PairResult:
 
     left: int
     right: int
-    shifts: list
+    scanned: range  # the shifts, listed by `shifts` when read
     kernel: _Kernel = field(compare=False, repr=False)
     index: int = field(compare=False, repr=False)
     accepted: Optional[bool] = field(default=None, compare=False, repr=False)
+
+    @property
+    def shifts(self) -> list:  # scanned shifts, ascending
+        return list(self.scanned)
 
     @property
     def violations(self) -> list:  # offending shifts, ascending

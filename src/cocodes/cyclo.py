@@ -10,9 +10,13 @@ against zero (or turned into a canonical key), which is what makes
 "this correlation is exactly zero" a decidable question.
 
 A CycloNum's coefficients are plain Python ints, so they never
-overflow.  Arrays of coefficients (a sequence's, a correlation stack)
-are int64 while every coefficient is below `INT64_COEFF_BOUND` in
-magnitude and hold Python ints past it.  The reduction is one long
+overflow.  The public constructor checks them (integers only, K of
+them, K >= 1); the results of a CycloNum's own arithmetic, and the
+entries read from held layers or a sums stack, whose coefficients are
+ints already, skip that check (`CycloNum._of`).  Arrays of
+coefficients (a sequence's, a correlation stack) are int64 while every
+coefficient is below `INT64_COEFF_BOUND` in magnitude and hold Python
+ints past it.  The reduction is one long
 division by Phi_K (`reduce_rows`), applied to one value or to a whole
 stack of them at once, so `CycloNum.is_zero` and the correlation kernel
 decide zero by the same rule; `reducible` picks the dtype a stack is
@@ -33,7 +37,7 @@ from __future__ import annotations
 import cmath
 from functools import lru_cache
 from math import gcd, prod
-from operator import index
+from operator import add, index, neg, sub
 
 import numpy as np
 
@@ -113,6 +117,17 @@ class CycloNum:
         object.__setattr__(self, "order", order)
         object.__setattr__(self, "coeffs", coeffs)
 
+    @classmethod
+    def _of(cls, order: int, coeffs: tuple) -> "CycloNum":
+        """The CycloNum of `order` and a tuple of `order` Python ints,
+        unchecked: for values whose coefficients are ints already, the
+        results of this class's arithmetic and the entries read from held
+        layers or a sums stack."""
+        x = _new(cls)
+        _set_order(x, order)
+        _set_coeffs(x, coeffs)
+        return x
+
     def __setattr__(self, name, value):
         raise AttributeError("CycloNum is immutable")
 
@@ -145,42 +160,40 @@ class CycloNum:
             raise OrderLimitError(f"order {order} exceeds cap {ORDER_LIMIT}")
         coeffs = [0] * order
         coeffs[::order // self.order] = self.coeffs
-        return CycloNum(order, coeffs)
+        return CycloNum._of(order, tuple(coeffs))
 
     def __add__(self, other: "CycloNum") -> "CycloNum":
         if not isinstance(other, CycloNum):
             return NotImplemented
         k = common_order(self.order, other.order)
-        a = self.promote(k)
-        b = other.promote(k)
-        return CycloNum(k, [x + y for x, y in zip(a.coeffs, b.coeffs)])
+        return CycloNum._of(k, tuple(map(add, self.promote(k).coeffs, other.promote(k).coeffs)))
 
     def __neg__(self) -> "CycloNum":
-        return CycloNum(self.order, [-c for c in self.coeffs])
+        return CycloNum._of(self.order, tuple(map(neg, self.coeffs)))
 
     def __sub__(self, other: "CycloNum") -> "CycloNum":
         if not isinstance(other, CycloNum):
             return NotImplemented
-        return self + (-other)
+        k = common_order(self.order, other.order)
+        return CycloNum._of(k, tuple(map(sub, self.promote(k).coeffs, other.promote(k).coeffs)))
 
     def __mul__(self, other: "CycloNum") -> "CycloNum":
+        """Cyclic convolution over the nonzero terms of both factors."""
         if not isinstance(other, CycloNum):
             return NotImplemented
         k = common_order(self.order, other.order)
-        a = self.promote(k)
-        b = other.promote(k)
+        sa, sb = k // self.order, k // other.order
+        a = [(i * sa, c) for i, c in enumerate(self.coeffs) if c]
+        b = [(j * sb, c) for j, c in enumerate(other.coeffs) if c]
         out = [0] * k
-        for i, ci in enumerate(a.coeffs):
-            if not ci:
-                continue
-            for j, cj in enumerate(b.coeffs):
-                if cj:
-                    out[(i + j) % k] += ci * cj
-        return CycloNum(k, out)
+        for i, ci in a:
+            for j, cj in b:
+                out[(i + j) % k] += ci * cj
+        return CycloNum._of(k, tuple(out))
 
     def conj(self) -> "CycloNum":
         """Complex conjugate: exponent j maps to (K - j) mod K."""
-        return CycloNum(self.order, self.coeffs[:1] + self.coeffs[:0:-1])
+        return CycloNum._of(self.order, self.coeffs[:1] + self.coeffs[:0:-1])
 
     # -- decision procedures ------------------------------------------
 
@@ -241,6 +254,11 @@ class CycloNum:
                 return f"Cyclo({c})"
             return f"Cyclo({c if c != 1 else ''}z{self.order}^{j})"
         return f"CycloNum(order={self.order}, coeffs={list(self.coeffs)})"
+
+
+# the slots `CycloNum._of` writes, set through their descriptors (half
+# the time of `object.__setattr__` by name)
+_new, _set_order, _set_coeffs = object.__new__, CycloNum.order.__set__, CycloNum.coeffs.__set__
 
 
 # -- cyclotomic polynomials -------------------------------------------

@@ -23,8 +23,10 @@ when every coefficient is below `INT64_COEFF_BOUND` in magnitude (the
 paper's constructions use roots of unity, so nearly always), Python ints
 (dtype=object) otherwise.  An approx sequence is a (1, L) complex array,
 the layout of an exact sequence of order 1; `is_exact` tells the two
-modes apart by dtype kind.  A CycloNum is built from a column only when
-an entry is read; zero is decided by `cyclo.zero_rows`.
+modes apart by dtype kind.  Entries are read from the layers, never
+from the array: `s[i]` reads column i, and iteration builds one CycloNum
+per distinct column, shared by every entry equal to it; zero is decided
+by `cyclo.zero_rows`.
 
 Every operator (`Sequence.scale`, the connection, which also makes the
 expansions and entrywise products, and `energies`) forms its products in
@@ -60,7 +62,7 @@ from __future__ import annotations
 
 from functools import lru_cache, reduce
 from itertools import permutations
-from operator import itemgetter
+from operator import index, itemgetter
 from typing import Iterable, Union
 
 import numpy as np
@@ -453,13 +455,40 @@ class Sequence:
         return self._terms[2].shape[1]
 
     def __getitem__(self, i):
-        return array_entry(self.array, i)
+        """Entry i (negative counts from the end), read from column i of
+        the layers."""
+        order, exps, coeffs = self._terms
+        i = index(i)
+        if not is_exact(coeffs):
+            return complex(coeffs[0, i])
+        value = [0] * order
+        for e, c in zip(exps[:, i].tolist(), coeffs[:, i].tolist()):
+            value[e] += c
+        return CycloNum._of(order, tuple(value))
 
     def __iter__(self):
-        if self.mode == EXACT:
-            order = len(self.array)
-            return (CycloNum(order, col) for col in zip(*self.array.tolist()))
-        return iter(self.array[0].tolist())
+        """The entries, read from the layers: one CycloNum per distinct
+        column, shared by every entry equal to it.  A column of one term,
+        c zeta_K^e, is keyed by the int e + K c (every zero entry shares
+        one value); a column of several terms by its dense column, which
+        is its value, scattered for this read and dropped (or read from
+        the array when that was made)."""
+        order, exps, coeffs = self._terms
+        if not is_exact(coeffs):
+            return iter(coeffs[0].tolist())
+        if len(exps) > 1:
+            array = self._array if self._array is not None else _scatter(zip(exps, coeffs), order)
+            keys = list(zip(*array.tolist()))
+            found = dict.fromkeys(keys)
+            for key in found:
+                found[key] = CycloNum._of(order, key)
+            return map(found.__getitem__, keys)
+        keys = (exps[0] + order * coeffs[0]).tolist()
+        found, zero = dict.fromkeys(keys), CycloNum._of(order, (0,) * order)
+        for key in found:
+            c, e = divmod(key, order)
+            found[key] = CycloNum._of(order, (0,) * e + (c,) + (0,) * (order - 1 - e)) if c else zero
+        return map(found.__getitem__, keys)
 
     def scale(self, c) -> "Sequence":
         k, at, c = Sequence([scalar(c, self.mode)])._terms
