@@ -16,12 +16,12 @@ entries read from held layers or a sums stack, whose coefficients are
 ints already, skip that check (`CycloNum._of`).  Arrays of
 coefficients (a sequence's, a correlation stack) are int64 while every
 coefficient is below `INT64_COEFF_BOUND` in magnitude and hold Python
-ints past it.  The reduction is one long
-division by Phi_K (`reduce_rows`), applied to one value or to a whole
-stack of them at once, so `CycloNum.is_zero` and the correlation kernel
-decide zero by the same rule; `reducible` picks the dtype a stack is
-reduced in, so that no int64 step can wrap.  `zero_rows` is the one zero
-test of a stack, exact or approx, that every module shares.
+ints past it.  The reduction is one long division by Phi_K
+(`reduce_rows`), applied to one value or to a whole stack of them at
+once, so `CycloNum.is_zero` and the correlation kernel decide zero by
+the same rule; `reducible` picks the dtype a stack is reduced in, so
+that no int64 step can wrap.  `zero_rows` is the one zero test of a
+stack, exact or approx, that every module shares.
 
 Phi_K and the bound `reduction_gain` both come from one identity, the
 Moebius inversion of x^K - 1 = prod over d | K of Phi_d:
@@ -37,7 +37,7 @@ from __future__ import annotations
 import cmath
 from functools import lru_cache
 from math import gcd, prod
-from operator import add, index, neg, sub
+from operator import add, index, neg
 
 import numpy as np
 
@@ -174,8 +174,7 @@ class CycloNum:
     def __sub__(self, other: "CycloNum") -> "CycloNum":
         if not isinstance(other, CycloNum):
             return NotImplemented
-        k = common_order(self.order, other.order)
-        return CycloNum._of(k, tuple(map(sub, self.promote(k).coeffs, other.promote(k).coeffs)))
+        return self + (-other)
 
     def __mul__(self, other: "CycloNum") -> "CycloNum":
         """Cyclic convolution over the nonzero terms of both factors."""

@@ -9,6 +9,7 @@ of the same coefficients.
 """
 
 import itertools
+import math
 import random
 
 import numpy as np
@@ -118,12 +119,6 @@ def test_iteration_reads_a_made_array_alike():
     assert as_pairs(seq) == before
 
 
-def test_a_zero_entry_at_any_exponent_is_one_object():
-    seq = FORMS["zero entries at other exponents"]()
-    zeros = [x for x in seq if not any(x.coeffs)]
-    assert len(zeros) == 3 and len({id(x) for x in zeros}) == 1
-
-
 # -- CycloNum results built unchecked ----------------------------------------
 
 
@@ -133,7 +128,7 @@ def _public(x):
 
 def _reference_product(a, b, k):
     """Cyclic convolution of the dense promoted coefficients."""
-    pa, pb = np.array(a.promote(k).coeffs, object), np.array(b.promote(k).coeffs, object)
+    pa, pb = a.promote(k).coeffs, b.promote(k).coeffs
     out = [0] * k
     for i, j in itertools.product(range(k), repeat=2):
         out[(i + j) % k] += pa[i] * pb[j]
@@ -153,7 +148,7 @@ def test_arithmetic_results_equal_the_public_constructors():
     rng = random.Random(7)
     values = _scalars(rng, 24)
     for a, b in itertools.product(values, repeat=2):
-        k = a.order * b.order // np.gcd(a.order, b.order)
+        k = math.lcm(a.order, b.order)
         results = {
             "add": (a + b, [x + y for x, y in zip(a.promote(k).coeffs, b.promote(k).coeffs)]),
             "sub": (a - b, [x - y for x, y in zip(a.promote(k).coeffs, b.promote(k).coeffs)]),
